@@ -80,12 +80,60 @@ def max_matching_at_least(f: FGraph, k: int) -> bool:
     return False
 
 
-def has_cycle_of_length(f: FGraph, length: int) -> bool:
-    """True iff the fixed-cell graph contains a simple cycle on exactly
-    ``length`` vertices (``length`` even)."""
-    if length % 2 or length < 4:
-        raise ValueError("cycle length must be an even integer >= 4")
-    half = length // 2
+def _blocks(f: FGraph) -> list[FGraph]:
+    """The biconnected blocks of the fixed-cell graph, one FGraph each.
+
+    Iterative Hopcroft-Tarjan: a DFS keeps a stack of the edges it has
+    walked; when a child's low point does not reach above its parent, the
+    edges walked since the tree edge into that child, that edge included,
+    form one block.  Row i is vertex 2i and column j is vertex 2j+1.
+    Every edge lies in exactly one block, and a bridge is a block of its
+    own.
+    """
+    adj: dict[int, list[int]] = {}
+    for i, j in sorted(f.edges):
+        adj.setdefault(2 * i, []).append(2 * j + 1)
+        adj.setdefault(2 * j + 1, []).append(2 * i)
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    walked: list[tuple[int, int]] = []
+    blocks: list[FGraph] = []
+    for root in adj:
+        if root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, parent, neighbours = stack[-1]
+            for w in neighbours:
+                if w == parent:
+                    continue
+                if w not in disc:
+                    disc[w] = low[w] = len(disc)
+                    walked.append((v, w))
+                    stack.append((w, v, iter(adj[w])))
+                    break
+                if disc[w] < disc[v]:  # back edge to an ancestor
+                    walked.append((v, w))
+                    low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if parent < 0:
+                    continue
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= disc[parent]:
+                    cells = []
+                    while True:
+                        x, y = walked.pop()
+                        cells.append((x // 2, y // 2) if x % 2 == 0 else (y // 2, x // 2))
+                        if (x, y) == (parent, v):
+                            break
+                    blocks.append(FGraph.from_cells(f.n, f.n_cols, cells))
+    return blocks
+
+
+def _block_has_cycle(f: FGraph, length: int) -> bool:
+    """Exact-length cycle search by DFS, exponential in ``length``."""
     row_adj = f.row_adj()
     col_adj = f.col_adj()
 
@@ -110,30 +158,41 @@ def has_cycle_of_length(f: FGraph, length: int) -> bool:
                     rows_used.discard(i)
         return False
 
-    if half > f.n or half > f.n_cols:
-        return False
     for start in sorted(row_adj):
         if extend(start, start, True, {start}, set(), 1):
             return True
     return False
 
 
+def has_cycle_of_length(f: FGraph, length: int) -> bool:
+    """True iff the fixed-cell graph contains a simple cycle on exactly
+    ``length`` vertices (``length`` even).
+
+    A simple cycle lies inside one biconnected block, and a cycle on
+    ``length`` vertices alternates ``length/2`` rows with ``length/2``
+    columns.  So the exponential search runs only on the blocks with at
+    least that many rows and columns; when no block has them, the answer
+    is no without any search.
+    """
+    if length % 2 or length < 4:
+        raise ValueError("cycle length must be an even integer >= 4")
+    half = length // 2
+    for block in _blocks(f):
+        rows = {i for i, _ in block.edges}
+        cols = {j for _, j in block.edges}
+        if len(rows) >= half and len(cols) >= half and _block_has_cycle(block, length):
+            return True
+    return False
+
+
 def is_forest(f: FGraph) -> bool:
-    """True iff the fixed-cell graph is acyclic."""
-    parent: dict[tuple[str, int], tuple[str, int]] = {}
+    """True iff the fixed-cell graph is acyclic.
 
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    for i, j in sorted(f.edges):
-        u, v = find(("r", i)), find(("c", j))
-        if u == v:
-            return False
-        parent[u] = v
-    return True
+    A biconnected block of two or more edges holds a cycle and a single
+    edge holds none, so F is a forest iff each of its blocks is a single
+    edge (a bridge).
+    """
+    return all(len(block.edges) == 1 for block in _blocks(f))
 
 
 def find_coprime_odd_t(cycle_len: int) -> int:
@@ -190,6 +249,11 @@ def analyze(f: FixedSet, n: int, n_cols: int) -> AnalysisReport:
     (trades plus circle trades), then the smallest even cycle length
     missing from F, capped at 2*min(n, n_cols).  If every candidate length
     occurs, no bounded-swap chain is available and NoUsableBound is raised.
+
+    Each cycle test searches only the biconnected blocks of F large enough
+    to hold the cycle (see ``has_cycle_of_length``), so a length that no
+    block can hold is ruled out in time linear in |F|.  The search inside
+    a qualifying block is still exponential in the cycle length.
     """
     fg = FGraph.from_cells(n, n_cols, f.cells)
     has_3_matching = max_matching_at_least(fg, 3)

@@ -63,9 +63,6 @@ class TradeProposal:
     b_ij: frozenset[int]
     b_ji: frozenset[int]
 
-    def is_swap(self) -> bool:
-        return len(self.b_ij - self.a_ij) == 1
-
     def apply_to_rows(self, rows: list[set[int]]) -> None:
         rows[self.i] = (rows[self.i] - self.a_ij) | self.b_ij
         rows[self.j] = (rows[self.j] - self.a_ji) | self.b_ji

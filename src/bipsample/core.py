@@ -250,10 +250,6 @@ class Realization:
                 matrix[i][j] = 1
         return cls(instance, matrix, validate=validate)
 
-    def key(self) -> tuple[tuple[int, ...], ...]:
-        """Canonical sort key: row-major bit string order."""
-        return self.matrix
-
     def __eq__(self, other):
         return (
             isinstance(other, Realization)

@@ -32,16 +32,27 @@ class StaticSet:
 
 
 def _gale_ryser(a: list[int], b: list[int]) -> bool:
-    """Gale-Ryser test on raw degree lists; negatives fail immediately."""
+    """Gale-Ryser test on raw degree lists; negatives fail immediately.
+
+    The right-hand side sum(min(b_j, k) for j) equals the number of columns
+    with degree >= 1, plus those with degree >= 2, ..., up to >= k, so it
+    is kept as a running sum over those counts.  k never exceeds len(a),
+    so column degrees are capped there.
+    """
     if any(d < 0 for d in a) or any(d < 0 for d in b):
         return False
     if sum(a) != sum(b):
         return False
-    rows = sorted(a, reverse=True)
-    lhs = 0
-    for k, ak in enumerate(rows, start=1):
+    n = len(a)
+    at_least = [0] * (n + 1)
+    for bj in b:
+        at_least[min(bj, n)] += 1
+    for k in range(n - 1, 0, -1):
+        at_least[k] += at_least[k + 1]
+    lhs = rhs = 0
+    for k, ak in enumerate(sorted(a, reverse=True), start=1):
         lhs += ak
-        rhs = sum(min(bj, k) for bj in b)
+        rhs += at_least[k]
         if lhs > rhs:
             return False
     return True

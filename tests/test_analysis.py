@@ -7,7 +7,7 @@ import random
 import pytest
 
 import bipsample as bp
-from bipsample.analysis import FGraph, chord_cycle_valid
+from bipsample.analysis import FGraph, _blocks, chord_cycle_valid
 
 EIGHT_CYCLE = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 0)]
 
@@ -87,11 +87,56 @@ def test_cycle_detection_matches_brute_force():
 
 def test_cycle_detection_matches_brute_force_dense_6x6():
     rng = random.Random(63)
-    for _ in range(6):
-        cells = [(i, j) for i in range(6) for j in range(6)]
-        f = FGraph.from_cells(6, 6, rng.sample(cells, rng.randint(10, 16)))
+    cells = [(i, j) for i in range(6) for j in range(6)]
+    graphs = [FGraph.from_cells(6, 6, rng.sample(cells, rng.randint(10, 16))) for _ in range(6)]
+    graphs += [FGraph.from_cells(6, 6, rng.sample(cells, rng.randint(17, 22))) for _ in range(30)]
+    # two random pieces on rows 0-2 and 3-5 that share one column, so
+    # that several blocks carry cycles
+    for _ in range(30):
+        shared = rng.randrange(6)
+        cols_a = rng.sample(range(6), 3)
+        if shared not in cols_a:
+            cols_a[0] = shared
+        cols_b = [shared] + rng.sample([j for j in range(6) if j not in cols_a], 2)
+        piece_a = [(i, j) for i in range(3) for j in cols_a]
+        piece_b = [(i, j) for i in range(3, 6) for j in cols_b]
+        graphs.append(FGraph.from_cells(6, 6, rng.sample(piece_a, 7) + rng.sample(piece_b, 7)))
+    assert any(sum(len(b.edges) > 1 for b in _blocks(f)) > 1 for f in graphs)
+    for f in graphs:
         for length in (4, 6, 8, 10, 12):
             assert bp.has_cycle_of_length(f, length) == _has_cycle_brute(f, length)
+
+
+def test_two_4_cycles_joined_by_a_bridge_have_no_8_cycle():
+    square_a = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    square_b = [(2, 2), (2, 3), (3, 2), (3, 3)]
+    f = FGraph.from_cells(4, 4, square_a + square_b + [(1, 2)])
+    assert sorted(len(b.edges) for b in _blocks(f)) == [1, 4, 4]
+    for length in (4, 6, 8):
+        assert bp.has_cycle_of_length(f, length) == _has_cycle_brute(f, length)
+    assert bp.has_cycle_of_length(f, 4)
+    assert not bp.has_cycle_of_length(f, 8)
+
+
+def test_two_6_cycles_sharing_a_column_have_no_10_or_12_cycle():
+    hexagon_a = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)]
+    hexagon_b = [(3, 2), (3, 3), (4, 3), (4, 4), (5, 4), (5, 2)]
+    f = FGraph.from_cells(6, 6, hexagon_a + hexagon_b)
+    assert sorted(len(b.edges) for b in _blocks(f)) == [6, 6]
+    for length in (4, 6, 8, 10, 12):
+        assert bp.has_cycle_of_length(f, length) == _has_cycle_brute(f, length)
+    assert bp.has_cycle_of_length(f, 6)
+    assert not bp.has_cycle_of_length(f, 10)
+    assert not bp.has_cycle_of_length(f, 12)
+
+
+def test_bad_length_raises_even_when_no_block_could_hold_it():
+    tree = FGraph.from_cells(3, 3, [(0, 0), (0, 1), (1, 1), (2, 1)])
+    for length in (2, 5, 7):
+        with pytest.raises(ValueError):
+            bp.has_cycle_of_length(tree, length)
+    with pytest.raises(ValueError):
+        bp.has_cycle_of_length(FGraph.from_cells(2, 2, []), 3)
 
 
 def test_forest_matches_edge_count_rule():

@@ -52,6 +52,29 @@ mask:
 """
 
 
+DENSE_14X14_F70 = """\
+rows: 14
+cols: 14
+row_degrees: 8 6 8 4 7 6 9 11 8 7 8 6 7 9
+col_degrees: 9 5 8 7 9 9 6 9 6 12 5 7 5 7
+mask:
+***0*1*011*1**
+1***1****0****
+**1*11*1******
+*00001***10001
+***1****1**00*
+****1*****100*
+**1***********
+10*11*********
+1*1***1**1**00
+1*00*1**0*****
+1*1*******0*10
+0*0*10*10***0*
+*0********001*
+010*1***1***10
+"""
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -125,6 +148,24 @@ def test_analyze_infeasible(tmp_path, capsys):
     assert cli.main(["analyze", path]) == 2
     out = capsys.readouterr().out
     assert "realizable: no" in out
+
+
+def test_analyze_dense_14x14_decides_every_cycle_length(tmp_path, capsys):
+    # |F| = 70 holds every even cycle length from 8 to 26 but no 28-cycle
+    path = write(tmp_path, "dense.txt", DENSE_14X14_F70)
+    assert cli.main(["analyze", path]) == 0
+    assert capsys.readouterr().out == (
+        "realizable: yes\n"
+        "feasible: yes\n"
+        "static cells: 0 (edges=0, non-edges=0)\n"
+        "|F|: 70\n"
+        "|F*|: 0\n"
+        "has 3-matching: yes\n"
+        "has 8-cycle: yes\n"
+        "forest: no\n"
+        "min excluded ell: 14\n"
+        "recommended: cycle:26\n"
+    )
 
 
 def test_analyze_parse_error_exit(tmp_path, capsys):

@@ -90,6 +90,39 @@ def test_gale_ryser_internal_handles_negatives():
     assert not _gale_ryser([-1, 1], [0, 0])
 
 
+def _gale_ryser_reference(a, b):
+    """The textbook form: sum(min(b_j, k)) recomputed for every k."""
+    if any(d < 0 for d in a) or any(d < 0 for d in b):
+        return False
+    if sum(a) != sum(b):
+        return False
+    lhs = 0
+    for k, ak in enumerate(sorted(a, reverse=True), start=1):
+        lhs += ak
+        if lhs > sum(min(bj, k) for bj in b):
+            return False
+    return True
+
+
+def test_gale_ryser_running_sum_matches_reference():
+    rng = random.Random(41)
+    verdicts = set()
+    for _ in range(4000):
+        n = rng.randint(0, 7)
+        nc = rng.randint(0, 7)
+        # degrees from -1 up to past the other side's size
+        a = [rng.randint(-1, nc + 2) for _ in range(n)]
+        b = [rng.randint(-1, n + 2) for _ in range(nc)]
+        if rng.random() < 0.7 and b:
+            # equal sums most of the time, so the inequalities decide
+            b[rng.randrange(nc)] += sum(a) - sum(b)
+        want = _gale_ryser_reference(a, b)
+        assert _gale_ryser(a, b) == want, (a, b)
+        verdicts.add((want, sum(a) == sum(b), min(a + b, default=0) < 0))
+    assert (True, True, False) in verdicts and (False, True, False) in verdicts
+    assert (False, False, False) in verdicts and (False, True, True) in verdicts
+
+
 def test_initial_realization_2x2_identity():
     inst = bp.Instance.unconstrained((1, 1), (1, 1))
     assert bp.initial_realization(inst).matrix == ((1, 0), (0, 1))
