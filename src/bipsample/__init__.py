@@ -15,6 +15,7 @@ from .analysis import (
 )
 from .chains import (
     STAY,
+    Chain,
     ChainConfig,
     CircleTradeProposal,
     Stay,

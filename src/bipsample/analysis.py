@@ -262,7 +262,8 @@ def analyze(f: FixedSet, n: int, n_cols: int) -> AnalysisReport:
 
     min_excluded_ell: int | None = None
     for ell in range(4, min(n, n_cols) + 1):
-        if not has_cycle_of_length(fg, 2 * ell):
+        present = has_8_cycle if ell == 4 else has_cycle_of_length(fg, 2 * ell)
+        if not present:
             min_excluded_ell = ell
             break
 

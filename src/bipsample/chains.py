@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import comb
+from typing import Iterator
 
 from .core import Instance, MoveSet, Realization
 from .realizability import initial_realization
@@ -391,17 +392,49 @@ def step(g: Realization, cfg: ChainConfig, rng: random.Random) -> Realization:
     return Realization.from_rows(inst, rows)
 
 
+class Chain:
+    """One seeded run of a chain from a start realization.
+
+    The current state lives as per-row column sets; no ``Realization`` is
+    built until ``realization()`` asks for one.  ``keys()`` yields a cheap
+    key of the state after every ``sample_gap``-th step: the tuple of row
+    frozensets, the same value as ``Realization.rows`` of that state.
+    """
+
+    def __init__(self, start: Realization, cfg: ChainConfig):
+        inst = start.instance
+        self.instance = inst
+        self.config = cfg
+        self._rows = [set(r) for r in start.rows]
+        self._fixed = inst.fixed.row_fixed()
+        self._rng = random.Random(cfg.seed)
+
+    def advance(self, k: int) -> None:
+        """Take ``k`` steps."""
+        rows, fixed, cfg, rng = self._rows, self._fixed, self.config, self._rng
+        n, nc = self.instance.n, self.instance.n_cols
+        for _ in range(k):
+            _step_rows(rows, fixed, n, nc, cfg, rng)
+
+    def keys(self) -> Iterator[tuple[frozenset[int], ...]]:
+        """Take ``steps - steps % sample_gap`` steps, the last kept one,
+        yielding the state key after every ``sample_gap``-th of them."""
+        gap = self.config.sample_gap
+        for _ in range(self.config.steps // gap):
+            self.advance(gap)
+            yield tuple(map(frozenset, self._rows))
+
+    def realization(self) -> Realization:
+        """The current state, built and validated against the instance."""
+        return Realization.from_rows(self.instance, self._rows)
+
+
 def run(inst: Instance, cfg: ChainConfig) -> list[Realization]:
     """Run the chain from the deterministic initial realization and collect
-    every ``sample_gap``-th state.  Identical configs give identical output."""
-    g0 = initial_realization(inst)
-    rows = [set(r) for r in g0.rows]
-    fixed = inst.fixed.row_fixed()
-    n, nc = inst.n, inst.n_cols
-    rng = random.Random(cfg.seed)
-    samples = []
-    for s in range(1, cfg.steps + 1):
-        _step_rows(rows, fixed, n, nc, cfg, rng)
-        if s % cfg.sample_gap == 0:
-            samples.append(Realization.from_rows(inst, rows))
-    return samples
+    every ``sample_gap``-th state.  Identical configs give identical output.
+
+    Every kept state is built and validated as a ``Realization``, which
+    costs far more than a step on large grids; long chains that need only
+    visit counts or the last state should drive a ``Chain`` directly."""
+    chain = Chain(initial_realization(inst), cfg)
+    return [chain.realization() for _ in chain.keys()]

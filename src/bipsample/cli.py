@@ -305,21 +305,25 @@ def cmd_sample(args) -> int:
         return EXIT_INFEASIBLE
     print(f"chain: {_chain_label(move_set)}", file=sys.stderr)
 
-    outputs = []
     try:
-        for c in range(args.count):
-            cfg = chains.ChainConfig(
-                move_set=move_set,
-                steps=args.steps,
-                seed=args.seed + c,
-                sample_gap=args.gap,
-                mh_correction=args.mh == "on",
-            )
-            samples = chains.run(inst, cfg)
-            outputs.append(format_realization(samples[-1]))
-    except (Infeasible, NotRealizable) as exc:
+        start = initial_realization(inst)
+    except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    # Only the state at the last kept step is written, so only it is built.
+    last_kept = args.steps - args.steps % args.gap
+    outputs = []
+    for c in range(args.count):
+        cfg = chains.ChainConfig(
+            move_set=move_set,
+            steps=args.steps,
+            seed=args.seed + c,
+            sample_gap=args.gap,
+            mh_correction=args.mh == "on",
+        )
+        chain = chains.Chain(start, cfg)
+        chain.advance(last_kept)
+        outputs.append(format_realization(chain.realization()))
 
     if args.out:
         os.makedirs(args.out, exist_ok=True)

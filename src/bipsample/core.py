@@ -200,8 +200,10 @@ class Realization:
     """A 0/1 matrix realizing an instance; per-row column sets are cached.
 
     The matrix is authoritative. Construction validates degrees and mask
-    conformity unless ``validate=False`` (reserved for callers that have
-    already established validity, e.g. the chain runner's snapshots).
+    conformity unless ``validate=False``, which is reserved for callers
+    that have already established validity (the oracle's enumeration).
+    Every ``Realization`` the chain runner emits is validated; the keys
+    it streams for visit counting are row-set tuples, not ``Realization``s.
     """
 
     __slots__ = ("instance", "matrix", "rows", "_hash")

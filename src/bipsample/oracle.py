@@ -26,7 +26,7 @@ from .core import (
     Realization,
     TooLarge,
 )
-from .realizability import static_set, static_set_pruned
+from .realizability import initial_realization, static_set, static_set_pruned
 
 ENUMERATION_CELL_LIMIT = 36
 
@@ -347,12 +347,16 @@ def check_static_set(inst: Instance, realizations: list[Realization]) -> bool:
 
 def uniformity_report(inst: Instance, cfg: chains.ChainConfig) -> tuple[float, float]:
     """Run the chain and compare the visit distribution with uniform:
-    (total-variation distance, chi-square p-value)."""
+    (total-variation distance, chi-square p-value).
+
+    Visits are counted by the chain's state keys against the enumerated
+    states' keys, so a visited state missing from the enumeration raises
+    KeyError."""
     states = enumerate_realizations(inst)
-    index = {g.matrix: s for s, g in enumerate(states)}
+    index = {g.rows: s for s, g in enumerate(states)}
     counts = [0] * len(states)
-    for g in chains.run(inst, cfg):
-        counts[index[g.matrix]] += 1
+    for key in chains.Chain(initial_realization(inst), cfg).keys():
+        counts[index[key]] += 1
     n_samples = sum(counts)
     k = len(states)
     if k == 1:

@@ -11,7 +11,6 @@ import bipsample as bp
 from bipsample import cli
 from bipsample.analysis import chord_cycle_valid
 from bipsample.chains import STAY, ChainConfig, CircleTradeProposal
-from bipsample.core import MoveSet
 
 
 def _verdict(number, label, t0):
@@ -160,36 +159,9 @@ def test_criterion_07_reversibility_ledger(pool_result):
     )
 
 
-def test_criterion_08_uniformity():
+def test_criterion_08_uniformity(criterion8_fixtures):
     t0 = time.perf_counter()
-    fixtures = [
-        ("6 states / trades",
-         bp.Instance.unconstrained((1, 1, 1), (1, 1, 1)),
-         MoveSet.trades()),
-        ("24 states / trades",
-         bp.Instance.unconstrained((1, 1, 1, 1), (1, 1, 1, 1)),
-         MoveSet.trades()),
-        ("90 states / trades",
-         bp.Instance.unconstrained((2, 2, 2, 2), (2, 2, 2, 2)),
-         MoveSet.trades()),
-        ("9 states / trades+circle",
-         bp.Instance(
-             bp.DegreeSequence((2, 2, 2, 2), (2, 2, 2, 2)),
-             bp.FixedSet.from_cells(
-                 4, 4, forced_non_edges=[(0, 0), (1, 1), (2, 2), (3, 3)]
-             ),
-         ),
-         MoveSet.trades_plus_circle()),
-        ("27 states / trades+circle",
-         bp.Instance(
-             bp.DegreeSequence((2, 2, 2, 2, 2), (3, 3, 2, 2)),
-             bp.FixedSet.from_cells(
-                 5, 4, forced_non_edges=[(0, 0), (1, 1), (2, 2), (3, 3)]
-             ),
-         ),
-         MoveSet.trades_plus_circle()),
-    ]
-    for label, inst, move_set in fixtures:
+    for label, inst, move_set in criterion8_fixtures:
         # confirm the move set is the recommended one for this fixed set
         assert bp.analyze(inst.fixed, inst.n, inst.n_cols).recommended == move_set
         states = bp.enumerate_realizations(inst)

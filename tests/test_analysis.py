@@ -7,6 +7,7 @@ import random
 import pytest
 
 import bipsample as bp
+import bipsample.analysis as analysis_mod
 from bipsample.analysis import FGraph, _blocks, chord_cycle_valid
 
 EIGHT_CYCLE = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 0)]
@@ -230,6 +231,23 @@ def test_analyze_no_usable_bound():
     f = bp.FixedSet.from_cells(5, 5, forced_non_edges=cells)
     with pytest.raises(bp.NoUsableBound):
         bp.analyze(f, 5, 5)
+
+
+def test_analyze_searches_each_cycle_length_at_most_once(monkeypatch):
+    # K_{5,5} in a 6x6 grid holds every cycle length up to 10 but no 12-cycle
+    cells = [(i, j) for i in range(5) for j in range(5)]
+    f = bp.FixedSet.from_cells(6, 6, forced_non_edges=cells)
+    searched = []
+    real = analysis_mod.has_cycle_of_length
+
+    def counting(fg, length):
+        searched.append(length)
+        return real(fg, length)
+
+    monkeypatch.setattr(analysis_mod, "has_cycle_of_length", counting)
+    rep = bp.analyze(f, 6, 6)
+    assert rep.min_excluded_ell == 6
+    assert sorted(searched) == [8, 10, 12]
 
 
 def test_analyze_forest_goes_through_circle_branch():

@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 
 import bipsample as bp
+from bipsample import oracle
 from bipsample.chains import STAY, ChainConfig, CircleTradeProposal, circle_denominator
 from bipsample.core import MoveSet
 
@@ -333,3 +334,25 @@ def test_single_step_api_matches_runner():
     for expected in bp.run(inst, cfg):
         g = bp.step(g, cfg, rng)
         assert g.matrix == expected.matrix
+
+
+def test_uniformity_report_matches_counting_run_states(criterion8_fixtures):
+    for label, inst, move_set in criterion8_fixtures:
+        cfg = ChainConfig(move_set, steps=20_000, seed=12345, sample_gap=7)
+        states = bp.enumerate_realizations(inst)
+        index = {g.matrix: s for s, g in enumerate(states)}
+        counts = [0] * len(states)
+        for g in bp.run(inst, cfg):
+            counts[index[g.matrix]] += 1
+        total, k = sum(counts), len(states)
+        tv = 0.5 * sum(abs(c / total - 1 / k) for c in counts)
+        _, p = stats.chisquare(counts)
+        assert bp.uniformity_report(inst, cfg) == (tv, float(p)), label
+
+
+def test_uniformity_report_rejects_a_state_outside_the_enumeration(monkeypatch):
+    inst = bp.Instance.unconstrained((1, 1), (1, 1))
+    states = bp.enumerate_realizations(inst)
+    monkeypatch.setattr(oracle, "enumerate_realizations", lambda _: states[:1])
+    with pytest.raises(KeyError):
+        bp.uniformity_report(inst, ChainConfig(MoveSet.trades(), 200, 3))

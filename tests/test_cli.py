@@ -3,7 +3,7 @@
 import pytest
 
 import bipsample as bp
-from bipsample import cli, oracle
+from bipsample import chains, cli, oracle
 from bipsample.core import MoveSet
 
 FIG_SPLIT = """\
@@ -293,3 +293,24 @@ def test_sample_reproducible_across_processes(tmp_path):
         ).stdout
 
     assert run() == run()
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("gap", [1, 3, 20])
+@pytest.mark.parametrize(
+    "spec", ["swap", "curveball", "circle", "cycle:6", "cycle:8", "auto"]
+)
+def test_sample_writes_the_last_state_run_keeps(tmp_path, capsys, spec, gap, count):
+    # 20 steps at gap 3 keep step 18: the last two steps are never written
+    path = write(tmp_path, "k.txt", FOREST_3MATCH)
+    assert cli.main(["sample", path, "--chain", spec, "--steps", "20",
+                     "--gap", str(gap), "--count", str(count), "--seed", "5"]) == 0
+    inst = cli.parse_instance(FOREST_3MATCH)
+    move_set = cli._resolve_chain(inst, spec, True)
+    expected = [
+        cli.format_realization(
+            chains.run(inst, chains.ChainConfig(move_set, 20, 5 + c, gap))[-1]
+        )
+        for c in range(count)
+    ]
+    assert capsys.readouterr().out == "\n".join(expected)
