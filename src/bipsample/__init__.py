@@ -68,7 +68,6 @@ from .realizability import (
     initial_realization,
     partition_fixed_set,
     static_set,
-    static_set_pruned,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -202,23 +202,27 @@ def _chain_label(move_set: MoveSet) -> str:
     return f"cycle:{move_set.limit}"
 
 
-def _pipeline(inst: Instance, reduce_static: bool):
+def _pipeline(inst: Instance, reduce_static: bool, g: Realization | None = None):
     """Shared analyze/sample pipeline.
 
-    Returns (f_prime, working_fixed, redundant_cells, report_or_None).
-    The report is None when no bounded move set is usable.
+    ``g`` is a realization of ``inst`` for the static-cell pass to orient;
+    without it ``static_set`` builds one.  Returns (f_prime, working_fixed,
+    redundant_cells, report_or_None, move_set).  The report is None when no
+    bounded move set is usable; the move set is then cycle:2*min(n, m).
     """
     if reduce_static:
-        f_prime = static_set(inst.degrees)
+        f_prime = static_set(inst.degrees, g)
         working, redundant = partition_fixed_set(inst, f_prime)
     else:
         f_prime = None
         working, redundant = inst.fixed, frozenset()
     try:
         report = analyze(working, inst.n, inst.n_cols)
+        move_set = report.recommended
     except NoUsableBound:
         report = None
-    return f_prime, working, redundant, report
+        move_set = MoveSet.swaps_up_to(2 * min(inst.n, inst.n_cols))
+    return f_prime, working, redundant, report, move_set
 
 
 def _load_instance(path: str) -> Instance:
@@ -239,14 +243,16 @@ def cmd_analyze(args) -> int:
         print("feasible: no")
         return EXIT_INFEASIBLE
     try:
-        initial_realization(inst)
+        g = initial_realization(inst)
     except Infeasible as exc:
         print("feasible: no")
         print(f"reason: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     print("feasible: yes")
 
-    f_prime, working, redundant, report = _pipeline(inst, not args.no_reduce)
+    f_prime, working, redundant, report, move_set = _pipeline(
+        inst, not args.no_reduce, g
+    )
     if f_prime is None:
         print("static cells: skipped (--no-reduce)")
     else:
@@ -268,20 +274,18 @@ def cmd_analyze(args) -> int:
         print(f"min excluded ell: {ell if ell is not None else 'none'}")
         print(f"recommended: {_chain_label(report.recommended)}")
     else:
-        fallback = 2 * min(inst.n, inst.n_cols)
         print(
-            f"recommended: cycle:{fallback} "
+            f"recommended: {_chain_label(move_set)} "
             "(fallback: every shorter cycle length occurs in the fixed set)"
         )
     return EXIT_OK
 
 
-def _resolve_chain(inst: Instance, spec: str, reduce_static: bool) -> MoveSet:
+def _resolve_chain(
+    inst: Instance, spec: str, reduce_static: bool, start: Realization | None = None
+) -> MoveSet:
     if spec == "auto":
-        _, _, _, report = _pipeline(inst, reduce_static)
-        if report is None:
-            return MoveSet.swaps_up_to(2 * min(inst.n, inst.n_cols))
-        return report.recommended
+        return _pipeline(inst, reduce_static, start)[-1]
     if spec == "swap":
         return MoveSet.swaps4()
     if spec == "curveball":
@@ -298,17 +302,21 @@ def cmd_sample(args) -> int:
     except ParseError as exc:
         print(f"{args.path}:{exc.location()}: {exc.message}", file=sys.stderr)
         return EXIT_PARSE
+    # The start is built first so that --chain auto can reuse it for the
+    # static cells.  An unrealizable sequence or a polarity conflict is
+    # reported before the chain line, a mask with no realization after it.
     try:
-        move_set = _resolve_chain(inst, args.chain, not args.no_reduce)
+        start, no_start = initial_realization(inst), None
+    except Infeasible as exc:
+        start, no_start = None, exc
+    try:
+        move_set = _resolve_chain(inst, args.chain, not args.no_reduce, start)
     except (Infeasible, NotRealizable) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     print(f"chain: {_chain_label(move_set)}", file=sys.stderr)
-
-    try:
-        start = initial_realization(inst)
-    except Infeasible as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
+    if start is None:
+        print(f"infeasible: {no_start}", file=sys.stderr)
         return EXIT_INFEASIBLE
     # Only the state at the last kept step is written, so only it is built.
     last_kept = args.steps - args.steps % args.gap

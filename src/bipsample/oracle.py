@@ -26,7 +26,12 @@ from .core import (
     Realization,
     TooLarge,
 )
-from .realizability import initial_realization, static_set, static_set_pruned
+from .realizability import (
+    StaticSet,
+    _gale_ryser,
+    initial_realization,
+    static_set,
+)
 
 ENUMERATION_CELL_LIMIT = 36
 
@@ -315,8 +320,44 @@ def check_distance_bound(sg: StateGraph) -> bool:
     return True
 
 
+def _static_set_reference(s: DegreeSequence) -> StaticSet:
+    """The static set by 2*n*m Gale-Ryser tests, one pair per cell: an
+    independent re-derivation that ``static_set``'s strongly connected
+    components are checked against.
+
+    Cell (i, j) is a forced non-edge iff decrementing a_i and b_j kills
+    realizability (no realization carries an edge there); it is a forced
+    edge iff the same test on the complement degrees fails (no realization
+    of the complement carries an edge there, so every realization of ``s``
+    does).
+    """
+    n, nc = s.n, s.n_cols
+    a, b = list(s.row_degrees), list(s.col_degrees)
+    a_op = [nc - d for d in a]
+    b_op = [n - d for d in b]
+    edges = set()
+    non_edges = set()
+    for i in range(n):
+        for j in range(nc):
+            a[i] -= 1
+            b[j] -= 1
+            if not _gale_ryser(a, b):
+                non_edges.add((i, j))
+            a[i] += 1
+            b[j] += 1
+            a_op[i] -= 1
+            b_op[j] -= 1
+            if not _gale_ryser(a_op, b_op):
+                edges.add((i, j))
+            a_op[i] += 1
+            b_op[j] += 1
+    return StaticSet(frozenset(edges), frozenset(non_edges))
+
+
 def check_static_set(inst: Instance, realizations: list[Realization]) -> bool:
-    """Compare the Gale-Ryser static set against enumerated ground truth.
+    """Compare ``static_set`` of the instance's degree sequence (strongly
+    connected components of one max-flow realization) against enumerated
+    ground truth.
 
     Static cells must be constant across all realizations (soundness); on a
     free mask the static set must contain exactly the constant cells
@@ -928,8 +969,13 @@ def run_verification(
                     _bits_to_matrix(bits[0], n, nc),
                     validate=False,
                 )
-                pruned = static_set_pruned(seq, g0)
-                rep.record("static-cells-pruned", seq_digest, pruned == ss)
+                # static_set from a given realization, against the per-cell
+                # Gale-Ryser reference (the check keeps its recorded name).
+                rep.record(
+                    "static-cells-pruned",
+                    seq_digest,
+                    static_set(seq, g0) == _static_set_reference(seq),
+                )
                 static_cells = (ss.forced_edges, ss.forced_non_edges)
 
                 for sup in supports:
@@ -952,7 +998,7 @@ def run_verification(
                         )
 
     rng = random.Random(seed)
-    seen_seqs = set()
+    seq_static: dict[tuple, StaticSet] = {}
     batches = [(random_count, False)]
     if max_rows >= 4 and max_cols >= 4:
         batches.append((max(random_count // 12, 0), True))
@@ -966,11 +1012,11 @@ def run_verification(
             free_bits = _enumerate_bits(a, b, cap=20000)
             static_cells = None
             if free_bits:
-                if (n, nc, a, b) not in seen_seqs:
-                    seen_seqs.add((n, nc, a, b))
+                ss = seq_static.get((n, nc, a, b))
+                if ss is None:
                     seq = DegreeSequence(a, b)
                     truth = _static_ground_truth(free_bits, n, nc)
-                    ss = static_set(seq)
+                    ss = seq_static[(n, nc, a, b)] = static_set(seq)
                     rep.record(
                         "static-cells-exact",
                         _digest(n, nc, a, b),
@@ -985,9 +1031,8 @@ def run_verification(
                     rep.record(
                         "static-cells-pruned",
                         _digest(n, nc, a, b),
-                        static_set_pruned(seq, g0) == ss,
+                        static_set(seq, g0) == _static_set_reference(seq),
                     )
-                ss = static_set(DegreeSequence(a, b))
                 static_cells = (ss.forced_edges, ss.forced_non_edges)
             _check_instance_pool(
                 ctx, list(range(len(bits))), frozenset(sup_cells),

@@ -183,8 +183,8 @@ def test_criterion_09_static_cells(pool_result):
     _verdict(
         9,
         f"static cells match enumeration on "
-        f"{pool_result.counts['static-cells-exact']} sequences, pruned sweep "
-        "identical",
+        f"{pool_result.counts['static-cells-exact']} sequences and the "
+        "per-cell Gale-Ryser reference from a given realization",
         t0,
     )
 

@@ -1,5 +1,8 @@
 """File formats, commands and exit codes."""
 
+import json
+import os
+
 import pytest
 
 import bipsample as bp
@@ -166,6 +169,25 @@ def test_analyze_dense_14x14_decides_every_cycle_length(tmp_path, capsys):
         "min excluded ell: 14\n"
         "recommended: cycle:26\n"
     )
+
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
+
+
+def test_analyze_verdicts_recorded_by_the_benchmark(capsys):
+    # exit code and stdout of every analyze instance the benchmark checks,
+    # 36 of them with static cells
+    with open(os.path.join(BENCH_DIR, "expected.json"), encoding="utf-8") as fh:
+        recorded = json.load(fh)["analyze"]
+    assert len(recorded) == 100
+    with_static = 0
+    for name, want in sorted(recorded.items()):
+        path = os.path.join(BENCH_DIR, "instances", f"{name}.txt")
+        assert cli.main(["analyze", path]) == want["code"], name
+        out = capsys.readouterr().out
+        assert out == want["stdout"], name
+        with_static += "static cells: 0 " not in out
+    assert with_static == 36
 
 
 def test_analyze_parse_error_exit(tmp_path, capsys):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import bipsample as bp
+from bipsample.oracle import _static_set_reference
 from bipsample.realizability import _gale_ryser
 
 
@@ -193,8 +194,12 @@ def test_static_set_2x2_unique_realization():
 
 
 def test_static_set_requires_realizable():
+    s = bp.DegreeSequence((3, 1), (1, 1, 1))
     with pytest.raises(bp.NotRealizable):
-        bp.static_set(bp.DegreeSequence((3, 1), (1, 1, 1)))
+        bp.static_set(s)
+    g = bp.initial_realization(bp.Instance.unconstrained((1, 1), (1, 1, 0)))
+    with pytest.raises(bp.NotRealizable):
+        bp.static_set(s, g)
 
 
 def test_static_set_matches_enumeration_ground_truth():
@@ -210,19 +215,72 @@ def test_static_set_matches_enumeration_ground_truth():
         assert bp.check_static_set(inst, states)
 
 
-def test_static_set_pruned_equals_unpruned():
-    rng = random.Random(5)
-    seqs = [bp.DegreeSequence((3,), (1, 1, 1))]
-    for _ in range(40):
-        n = rng.randint(2, 5)
-        nc = rng.randint(2, 5)
+def _random_realizable(rng, max_rows, max_cols):
+    """Margins of a random 0/1 matrix, often with an empty or a full row
+    and column, and that matrix."""
+    n = rng.randint(1, max_rows)
+    nc = rng.randint(1, max_cols)
+    p = rng.choice((0.0, 1.0, rng.random(), rng.random()))
+    matrix = [[int(rng.random() < p) for _ in range(nc)] for _ in range(n)]
+    if rng.random() < 0.5:
+        matrix[rng.randrange(n)] = [rng.randint(0, 1)] * nc
+    if rng.random() < 0.5:
+        j, v = rng.randrange(nc), rng.randint(0, 1)
+        for row in matrix:
+            row[j] = v
+    a = [sum(r) for r in matrix]
+    b = [sum(c) for c in zip(*matrix)]
+    return bp.DegreeSequence(a, b), matrix
+
+
+def test_static_set_matches_gale_ryser_reference():
+    rng = random.Random(2024)
+    shapes = set()
+    for _ in range(3000):
+        s, matrix = _random_realizable(rng, 8, 8)
+        want = _static_set_reference(s)
+        g = bp.Realization(bp.Instance.unconstrained(s.row_degrees, s.col_degrees), matrix)
+        assert bp.static_set(s) == want, s
+        assert bp.static_set(s, g) == want, s
+        degrees = s.row_degrees + s.col_degrees
+        shapes.add((s.n == 1, s.n_cols == 1, 0 in degrees,
+                    any(d == s.n_cols for d in s.row_degrees)))
+    # 1xN and Nx1 grids, zero and full rows all occur
+    assert (True, False, True, False) in shapes and (False, True, False, True) in shapes
+    assert (False, False, True, True) in shapes
+
+
+def test_static_set_same_from_every_realization():
+    rng = random.Random(31)
+    several = partial = 0
+    for _ in range(200):
+        n, nc = rng.randint(3, 5), rng.randint(3, 5)
         matrix = [[rng.randint(0, 1) for _ in range(nc)] for _ in range(n)]
-        a = [sum(r) for r in matrix]
-        b = [sum(matrix[i][j] for i in range(n)) for j in range(nc)]
-        seqs.append(bp.DegreeSequence(a, b))
-    for s in seqs:
-        g = bp.initial_realization(bp.Instance.unconstrained(s.row_degrees, s.col_degrees))
-        assert bp.static_set_pruned(s, g) == bp.static_set(s)
+        inst = bp.Instance.unconstrained(
+            [sum(r) for r in matrix], [sum(c) for c in zip(*matrix)]
+        )
+        want = bp.static_set(inst.degrees)
+        states = bp.enumerate_realizations(inst)
+        for g in states:
+            assert bp.static_set(inst.degrees, g) == want, g.matrix
+        several += len(states) > 1
+        partial += 0 < want.size() < n * nc
+    assert several >= 150 and partial >= 100
+
+
+def test_static_set_rejects_realization_of_other_margins():
+    s = bp.DegreeSequence((2, 1), (2, 1))
+    other = bp.initial_realization(bp.Instance.unconstrained((1, 1), (1, 1)))
+    with pytest.raises(ValueError):
+        bp.static_set(s, other)
+    wider = bp.initial_realization(bp.Instance.unconstrained((2, 1), (1, 1, 1)))
+    with pytest.raises(ValueError):
+        bp.static_set(s, wider)
+    # the margins are read from the matrix, not from the instance it claims
+    unchecked = bp.Realization(bp.Instance.unconstrained((2, 1), (2, 1)),
+                               [[1, 0], [0, 1]], validate=False)
+    with pytest.raises(ValueError):
+        bp.static_set(s, unchecked)
 
 
 def test_swappable_cells_are_never_static():
