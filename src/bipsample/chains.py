@@ -6,6 +6,12 @@ in a fixed, documented order (row pair or triple indices first, then the
 subset choice, then - for circle trades with the Metropolis correction on,
 and only when the acceptance ratio is below one - the acceptance variate).
 Streams are reproducible for a fixed seed within this implementation.
+
+The step loop behind ``Chain`` (``_step_rows``) mutates the chain's row
+sets in place: each move kind has one draw function, whose result an
+in-place kernel applies and the public ``propose_*`` functions wrap into a
+proposal object.  Both paths make the same draws in the same order, so
+they share one random stream and give the same seeded output.
 """
 
 from __future__ import annotations
@@ -64,13 +70,10 @@ class TradeProposal:
     b_ij: frozenset[int]
     b_ji: frozenset[int]
 
-    def apply_to_rows(self, rows: list[set[int]]) -> None:
+    def apply(self, g: Realization) -> Realization:
+        rows = list(g.rows)
         rows[self.i] = (rows[self.i] - self.a_ij) | self.b_ij
         rows[self.j] = (rows[self.j] - self.a_ji) | self.b_ji
-
-    def apply(self, g: Realization) -> Realization:
-        rows = [set(r) for r in g.rows]
-        self.apply_to_rows(rows)
         return Realization.from_rows(g.instance, rows)
 
 
@@ -93,25 +96,12 @@ class CircleTradeProposal:
     sub_j: frozenset[int]
     sub_k: frozenset[int]
 
-    @property
-    def size(self) -> int:
-        return len(self.sub_i)
-
-    def apply_to_rows(self, rows: list[set[int]]) -> None:
+    def apply(self, g: Realization) -> Realization:
+        rows = list(g.rows)
         rows[self.i] = (rows[self.i] - self.sub_i) | self.sub_j
         rows[self.j] = (rows[self.j] - self.sub_j) | self.sub_k
         rows[self.k] = (rows[self.k] - self.sub_k) | self.sub_i
-
-    def apply(self, g: Realization) -> Realization:
-        rows = [set(r) for r in g.rows]
-        self.apply_to_rows(rows)
         return Realization.from_rows(g.instance, rows)
-
-    def forward_denominator(self) -> int:
-        """Denominator of the subset-choice probability (numerator is 1)."""
-        return circle_denominator(
-            (len(self.d_ji), len(self.d_kj), len(self.d_ik)), self.size
-        )
 
 
 def circle_denominator(sizes: tuple[int, int, int], x: int) -> int:
@@ -128,19 +118,28 @@ def circle_denominator(sizes: tuple[int, int, int], x: int) -> int:
 
 
 def _unrank_subset(pool: list[int], k: int, index: int) -> set[int]:
-    """The index-th k-subset of ``pool`` in lexicographic order."""
+    """The index-th k-subset of ``pool`` in lexicographic order.
+
+    ``rest`` counts the subsets that take ``pool[pos]`` next, C(m, need - 1)
+    with m = len(pool) - pos - 1.  One binomial starts it; each taken or
+    skipped position updates it by an exact integer ratio."""
     out: set[int] = set()
-    start = 0
+    if not k:
+        return out
     need = k
-    while need:
-        for pos in range(start, len(pool)):
-            rest = comb(len(pool) - pos - 1, need - 1)
-            if index < rest:
-                out.add(pool[pos])
-                start = pos + 1
-                need -= 1
+    m = len(pool) - 1
+    rest = comb(m, k - 1)
+    for col in pool:
+        if index < rest:
+            out.add(col)
+            need -= 1
+            if not need:
                 break
+            rest = rest * need // m
+        else:
             index -= rest
+            rest = rest * (m - need + 1) // m
+        m -= 1
     return out
 
 
@@ -152,88 +151,138 @@ def _draw_pair(rng: random.Random, n: int) -> tuple[int, int]:
     return i, j
 
 
+def _movable(rows, fixed, src, dst):
+    """Columns row ``src`` can hand to row ``dst``: its own, not ``dst``'s,
+    and fixed in neither row."""
+    out = rows[src] - rows[dst]
+    out -= fixed[src]
+    out -= fixed[dst]
+    return out
+
+
 def _exchangeable(rows, fixed, i, j):
-    blocked = fixed[i] | fixed[j]
-    a_ij = rows[i] - rows[j] - blocked
-    a_ji = rows[j] - rows[i] - blocked
-    return a_ij, a_ji
+    return _movable(rows, fixed, i, j), _movable(rows, fixed, j, i)
 
 
-def _propose_trade(rows, fixed, n, rng) -> "TradeProposal | Stay":
+# Each move kind has one draw function.  It reads the rows without changing
+# them and returns the drawn move, or None for the lazy step; the in-place
+# kernels below apply that result to a chain's row sets, and the public
+# ``propose_*`` functions wrap it into a proposal object.
+
+
+def _draw_trade(rows, fixed, n, rng):
+    """(i, j, a_ij, a_ji, b_ij): a uniform row pair and a uniform
+    replacement ``b_ij`` for ``a_ij`` among the |a_ij|-subsets of the pool."""
     i, j = _draw_pair(rng, n)
     a_ij, a_ji = _exchangeable(rows, fixed, i, j)
     pool = sorted(a_ij | a_ji)
     k = len(a_ij)
     b_ij = _unrank_subset(pool, k, rng.randrange(comb(len(pool), k)))
     if b_ij == a_ij:
-        return STAY
-    return TradeProposal(
-        i, j, frozenset(a_ij), frozenset(a_ji),
-        frozenset(b_ij), frozenset(set(pool) - b_ij),
-    )
+        return None
+    return i, j, a_ij, a_ji, b_ij
 
 
-def _propose_swap(rows, fixed, n, rng) -> "TradeProposal | Stay":
+def _draw_swap(rows, fixed, n, rng):
+    """(i, j, a_ij, a_ji, x, y): row i gives column x to row j for column y,
+    uniform among the pair's exchange options plus the lazy step."""
     i, j = _draw_pair(rng, n)
     a_ij, a_ji = _exchangeable(rows, fixed, i, j)
-    outs = sorted(a_ij)
-    ins = sorted(a_ji)
-    n_ex = len(outs) * len(ins)
+    n_ex = len(a_ij) * len(a_ji)
     r = rng.randrange(n_ex + 1)
     if r == n_ex:
-        return STAY
-    x = outs[r // len(ins)]
-    y = ins[r % len(ins)]
-    return TradeProposal(
-        i, j, frozenset(a_ij), frozenset(a_ji),
-        frozenset(a_ij - {x} | {y}), frozenset(a_ji - {y} | {x}),
-    )
+        return None
+    q, s = divmod(r, len(a_ji))
+    return i, j, a_ij, a_ji, sorted(a_ij)[q], sorted(a_ji)[s]
 
 
 def _circle_sets(rows, fixed, i, j, k):
-    d_ji = rows[j] - rows[i] - fixed[i] - fixed[j]
-    d_kj = rows[k] - rows[j] - fixed[j] - fixed[k]
-    d_ik = rows[i] - rows[k] - fixed[k] - fixed[i]
-    return d_ji, d_kj, d_ik
-
-
-def _propose_circle_trade(rows, fixed, n, rng) -> "CircleTradeProposal | Stay":
-    i, j = _draw_pair(rng, n)
-    rem = [r for r in range(n) if r != i and r != j]
-    k = rem[rng.randrange(n - 2)]
-    d_ji, d_kj, d_ik = _circle_sets(rows, fixed, i, j, k)
-    sets = (sorted(d_ji), sorted(d_kj), sorted(d_ik))
-    sizes = (len(d_ji), len(d_kj), len(d_ik))
-    m = min(sizes)
-    if m == 0:
-        return STAY
-    pivot = sizes.index(m)
-    bits = rng.getrandbits(m)
-    chosen = {sets[pivot][b] for b in range(m) if bits >> b & 1}
-    x = len(chosen)
-    if x == 0:
-        return STAY
-    subs: list[set[int]] = [set(), set(), set()]
-    subs[pivot] = chosen
-    for idx in range(3):
-        if idx != pivot:
-            subs[idx] = _unrank_subset(
-                sets[idx], x, rng.randrange(comb(sizes[idx], x))
-            )
-    return CircleTradeProposal(
-        i, j, k, frozenset(d_ji), frozenset(d_kj), frozenset(d_ik),
-        sub_i=frozenset(subs[2]), sub_j=frozenset(subs[0]), sub_k=frozenset(subs[1]),
+    """(d_ji, d_kj, d_ik): what row j hands to i, k to j and i to k."""
+    return (
+        _movable(rows, fixed, j, i),
+        _movable(rows, fixed, k, j),
+        _movable(rows, fixed, i, k),
     )
 
 
-def reverse_circle_denominator(rows_after, fixed, proposal: CircleTradeProposal) -> int:
-    """Subset-choice denominator of the reverse circle trade, evaluated on
-    the successor state (reverse rotation runs over the order (j, i, k))."""
-    i, j, k = proposal.i, proposal.j, proposal.k
-    r_ij = rows_after[i] - rows_after[j] - fixed[j] - fixed[i]
-    r_ki = rows_after[k] - rows_after[i] - fixed[i] - fixed[k]
-    r_jk = rows_after[j] - rows_after[k] - fixed[k] - fixed[j]
-    return circle_denominator((len(r_ij), len(r_ki), len(r_jk)), proposal.size)
+def _draw_circle_trade(rows, fixed, n, rng):
+    """(i, j, k, d_ji, d_kj, d_ik, sub_i, sub_j, sub_k) in the field order
+    of ``CircleTradeProposal``; needs n >= 3."""
+    i, j = _draw_pair(rng, n)
+    # The t-th row other than i and j.
+    k = rng.randrange(n - 2)
+    if k >= min(i, j):
+        k += 1
+    if k >= max(i, j):
+        k += 1
+    sets = _circle_sets(rows, fixed, i, j, k)
+    sizes = tuple(map(len, sets))
+    m = min(sizes)
+    if m == 0:
+        return None
+    pivot = sizes.index(m)
+    bits = rng.getrandbits(m)
+    pivot_cols = sorted(sets[pivot])
+    chosen = {pivot_cols[b] for b in range(m) if bits >> b & 1}
+    x = len(chosen)
+    if x == 0:
+        return None
+    subs = [chosen] * 3
+    for idx in range(3):
+        if idx != pivot:
+            subs[idx] = _unrank_subset(
+                sorted(sets[idx]), x, rng.randrange(comb(sizes[idx], x))
+            )
+    return (i, j, k, *sets, subs[2], subs[0], subs[1])
+
+
+def _trade_in_place(rows, fixed, n, rng) -> None:
+    d = _draw_trade(rows, fixed, n, rng)
+    if d is not None:
+        i, j, a_ij, _, b_ij = d
+        ri, rj = rows[i], rows[j]
+        ri -= a_ij
+        ri |= b_ij
+        rj -= b_ij
+        rj |= a_ij - b_ij
+
+
+def _swap_in_place(rows, fixed, n, rng) -> None:
+    d = _draw_swap(rows, fixed, n, rng)
+    if d is not None:
+        i, j, _, _, x, y = d
+        rows[i].discard(x)
+        rows[i].add(y)
+        rows[j].discard(y)
+        rows[j].add(x)
+
+
+def _circle_in_place(rows, fixed, n, rng, mh_correction: bool) -> None:
+    d = _draw_circle_trade(rows, fixed, n, rng)
+    if d is None:
+        return
+    i, j, k, d_ji, d_kj, d_ik, sub_i, sub_j, sub_k = d
+    ri, rj, rk = rows[i], rows[j], rows[k]
+    ri -= sub_i
+    ri |= sub_j
+    rj -= sub_j
+    rj |= sub_k
+    rk -= sub_k
+    rk |= sub_i
+    if mh_correction:
+        x = len(sub_i)
+        den_fwd = circle_denominator((len(d_ji), len(d_kj), len(d_ik)), x)
+        # The reverse rotation runs over the order (j, i, k) of the new state.
+        reverse = _circle_sets(rows, fixed, j, i, k)
+        den_rev = circle_denominator(tuple(map(len, reverse)), x)
+        if den_rev > den_fwd and rng.random() >= den_fwd / den_rev:
+            # Reject: undo the rotation.
+            ri -= sub_j
+            ri |= sub_i
+            rj -= sub_k
+            rj |= sub_j
+            rk -= sub_i
+            rk |= sub_k
 
 
 def _candidate_cycle(rows_seq, cols_seq):
@@ -280,18 +329,28 @@ def _apply_cycle_to_rows(rows, cells):
             rows[r].add(c)
 
 
+def _trade_proposal(i, j, a_ij, a_ji, b_ij) -> TradeProposal:
+    return TradeProposal(
+        i, j, frozenset(a_ij), frozenset(a_ji),
+        frozenset(b_ij), frozenset((a_ij | a_ji) - b_ij),
+    )
+
+
 def propose_trade(g: Realization, rng: random.Random) -> "TradeProposal | Stay":
     """Draw one trade: a uniform row pair, then a uniform replacement subset
     of the exchangeable pool.  Choosing the current subset is the lazy step."""
-    rows = [set(r) for r in g.rows]
-    return _propose_trade(rows, g.instance.fixed.row_fixed(), g.instance.n, rng)
+    d = _draw_trade(g.rows, g.instance.fixed.row_fixed(), g.instance.n, rng)
+    return STAY if d is None else _trade_proposal(*d)
 
 
 def propose_swap(g: Realization, rng: random.Random) -> "TradeProposal | Stay":
     """Draw one single-column exchange (or the lazy step), uniformly among
     the pair's exchange options plus Stay."""
-    rows = [set(r) for r in g.rows]
-    return _propose_swap(rows, g.instance.fixed.row_fixed(), g.instance.n, rng)
+    d = _draw_swap(g.rows, g.instance.fixed.row_fixed(), g.instance.n, rng)
+    if d is None:
+        return STAY
+    i, j, a_ij, a_ji, x, y = d
+    return _trade_proposal(i, j, a_ij, a_ji, a_ij - {x} | {y})
 
 
 def propose_circle_trade(g: Realization, rng: random.Random) -> "CircleTradeProposal | Stay":
@@ -300,8 +359,11 @@ def propose_circle_trade(g: Realization, rng: random.Random) -> "CircleTradeProp
     column order), then uniform equal-sized subsets of the other two."""
     if g.instance.n < 3:
         raise ValueError("circle trades need at least three rows")
-    rows = [set(r) for r in g.rows]
-    return _propose_circle_trade(rows, g.instance.fixed.row_fixed(), g.instance.n, rng)
+    d = _draw_circle_trade(g.rows, g.instance.fixed.row_fixed(), g.instance.n, rng)
+    if d is None:
+        return STAY
+    i, j, k, *sets = d
+    return CircleTradeProposal(i, j, k, *map(frozenset, sets))
 
 
 def propose_bounded_cycle_swap(g: Realization, limit: int, rng: random.Random):
@@ -312,65 +374,36 @@ def propose_bounded_cycle_swap(g: Realization, limit: int, rng: random.Random):
     and its successor, so acceptance is unconditional."""
     if limit % 2 or limit < 4:
         raise ValueError("length limit must be an even integer >= 4")
-    rows = [set(r) for r in g.rows]
     return _propose_bounded_cycle_swap(
-        rows, g.instance.fixed.row_fixed(), g.instance.n, g.instance.n_cols, limit, rng
+        g.rows, g.instance.fixed.row_fixed(), g.instance.n, g.instance.n_cols, limit, rng
     )
 
 
 def enumerate_trades(g: Realization, i: int, j: int) -> list:
     """All trade outcomes for the row pair (i, j): every replacement subset
     in lexicographic order, with the identity replacement reported as Stay."""
-    rows = [set(r) for r in g.rows]
-    fixed = g.instance.fixed.row_fixed()
-    a_ij, a_ji = _exchangeable(rows, fixed, i, j)
+    a_ij, a_ji = _exchangeable(g.rows, g.instance.fixed.row_fixed(), i, j)
     pool = sorted(a_ij | a_ji)
     k = len(a_ij)
     out = []
     for idx in range(comb(len(pool), k)):
         b_ij = _unrank_subset(pool, k, idx)
-        if b_ij == a_ij:
-            out.append(STAY)
-        else:
-            out.append(
-                TradeProposal(
-                    i, j, frozenset(a_ij), frozenset(a_ji),
-                    frozenset(b_ij), frozenset(set(pool) - b_ij),
-                )
-            )
+        out.append(STAY if b_ij == a_ij else _trade_proposal(i, j, a_ij, a_ji, b_ij))
     return out
 
 
 def _step_rows(rows, fixed, n, n_cols, cfg: ChainConfig, rng: random.Random) -> None:
+    """One step of ``cfg``'s chain, applied to the row sets in place."""
     kind = cfg.move_set.kind
     if kind == MoveSet.TRADES:
-        p = _propose_trade(rows, fixed, n, rng)
-        if p is not STAY:
-            p.apply_to_rows(rows)
+        _trade_in_place(rows, fixed, n, rng)
     elif kind == MoveSet.SWAPS4:
-        p = _propose_swap(rows, fixed, n, rng)
-        if p is not STAY:
-            p.apply_to_rows(rows)
+        _swap_in_place(rows, fixed, n, rng)
     elif kind == MoveSet.TRADES_PLUS_CIRCLE:
         if rng.getrandbits(1) == 0:
-            p = _propose_trade(rows, fixed, n, rng)
-            if p is not STAY:
-                p.apply_to_rows(rows)
-        else:
-            if n < 3:
-                return
-            p = _propose_circle_trade(rows, fixed, n, rng)
-            if p is STAY:
-                return
-            den_fwd = p.forward_denominator()
-            p.apply_to_rows(rows)
-            if cfg.mh_correction:
-                den_rev = reverse_circle_denominator(rows, fixed, p)
-                if den_rev > den_fwd and rng.random() >= den_fwd / den_rev:
-                    # Reject: undo the rotation.
-                    rows[p.i] = (rows[p.i] - p.sub_j) | p.sub_i
-                    rows[p.j] = (rows[p.j] - p.sub_k) | p.sub_j
-                    rows[p.k] = (rows[p.k] - p.sub_i) | p.sub_k
+            _trade_in_place(rows, fixed, n, rng)
+        elif n >= 3:
+            _circle_in_place(rows, fixed, n, rng, cfg.mh_correction)
     else:
         # Bounded cycle swaps; the 4/6-swap set is the limit-6 special case.
         if kind == MoveSet.SWAPS46:

@@ -10,6 +10,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from math import comb
 
 from scipy import stats
@@ -704,11 +705,26 @@ def _static_ground_truth(bits, n, nc):
     return frozenset(ones), frozenset(zeros)
 
 
-def _digest(n, nc, a, b, mask_rows=None):
+def _digest(n, nc, a, b, forced_e=None, forced_n=None):
+    """The text that names an instance in check lines: its shape and
+    degrees, plus the mask when the fixed cells are given."""
     base = f"{n}x{nc} a={','.join(map(str, a))} b={','.join(map(str, b))}"
-    if mask_rows is not None:
-        base += " m=" + "|".join(mask_rows)
+    if forced_e is not None:
+        base += " m=" + "|".join(_mask_rows_from(n, nc, forced_e, forced_n))
     return base
+
+
+def _once(make):
+    """A zero-argument callable that calls ``make`` on first use only
+    (cheaper to create than ``functools.cache``)."""
+    memo = []
+
+    def get():
+        if not memo:
+            memo.append(make())
+        return memo[0]
+
+    return get
 
 
 def _mask_rows_from(n, nc, forced_e, forced_n):
@@ -740,16 +756,20 @@ class _Reporter:
         self.result = result
 
     def record(self, name, digest, ok, witness_factory=None):
+        """Count one check.  ``digest`` is a zero-argument callable giving
+        the instance text; it is called only for a line that is printed
+        or a failure that is kept."""
         r = self.result
         r.checks_run += 1
         r.counts[name] = r.counts.get(name, 0) + 1
         if ok:
             if not self.quiet:
-                self.emit(f"{name} [{digest}] PASS")
+                self.emit(f"{name} [{digest()}] PASS")
         else:
+            text = digest()
             r.passed = False
-            r.failures.append((name, digest))
-            self.emit(f"{name} [{digest}] FAIL")
+            r.failures.append((name, text))
+            self.emit(f"{name} [{text}] FAIL")
             if r.witness is None and witness_factory is not None:
                 r.witness = witness_factory()
                 r.witness_check = name
@@ -765,8 +785,9 @@ def _check_instance_pool(ctx, states_idx, support_cells, pattern_forced_e,
     """Run every applicable check on one instance (a state set plus mask)."""
     n, nc = ctx.n, ctx.nc
     no3m, no8, forest, excluded = props
-    mask_rows = _mask_rows_from(n, nc, pattern_forced_e, pattern_forced_n)
-    digest = _digest(n, nc, ctx.a, ctx.b, mask_rows)
+    digest = _once(partial(
+        _digest, n, nc, ctx.a, ctx.b, pattern_forced_e, pattern_forced_n
+    ))
     witness = lambda: _make_instance(
         n, nc, ctx.a, ctx.b, pattern_forced_e, pattern_forced_n
     )
@@ -816,7 +837,8 @@ def _check_instance_pool(ctx, states_idx, support_cells, pattern_forced_e,
                 continue  # identical to the swaps46 check above
             lens = swap_lengths_for(MoveSet.swaps_up_to(2 * ell - 2))
             comps = comps_for(lengths=lens)
-            rep.record("bounded-swaps-connected", f"{digest} L={2 * ell - 2}",
+            rep.record("bounded-swaps-connected",
+                       lambda limit=2 * ell - 2: f"{digest()} L={limit}",
                        len(comps) == 1, witness)
 
     if multi and len(states_idx) <= 60:
@@ -834,7 +856,7 @@ def _check_instance_pool(ctx, states_idx, support_cells, pattern_forced_e,
                 witness,
             )
             if not _circle_balance_ok(ctx, states_idx, fixed_rows, mh_on=False):
-                rep.info(f"uncorrected-circle-asymmetry [{digest}]")
+                rep.info(f"uncorrected-circle-asymmetry [{digest()}]")
 
     if free_bits is not None and static_cells is not None and support_cells:
         forced_e_red = pattern_forced_e - static_cells[0]
@@ -952,7 +974,7 @@ def run_verification(
                 if not bits:
                     continue
                 ctx = _SeqCtx(n, nc, a, b, bits)
-                seq_digest = _digest(n, nc, a, b)
+                seq_digest = partial(_digest, n, nc, a, b)
                 seq = DegreeSequence(a, b)
                 truth = _static_ground_truth(bits, n, nc)
                 ss = static_set(seq)
@@ -1019,7 +1041,7 @@ def run_verification(
                     ss = seq_static[(n, nc, a, b)] = static_set(seq)
                     rep.record(
                         "static-cells-exact",
-                        _digest(n, nc, a, b),
+                        partial(_digest, n, nc, a, b),
                         ss.forced_edges == truth[0]
                         and ss.forced_non_edges == truth[1],
                     )
@@ -1030,7 +1052,7 @@ def run_verification(
                     )
                     rep.record(
                         "static-cells-pruned",
-                        _digest(n, nc, a, b),
+                        partial(_digest, n, nc, a, b),
                         static_set(seq, g0) == _static_set_reference(seq),
                     )
                 static_cells = (ss.forced_edges, ss.forced_non_edges)

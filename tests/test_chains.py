@@ -1,5 +1,7 @@
 """Trade, swap, circle-trade and bounded cycle-swap chains."""
 
+import hashlib
+import itertools
 import random
 from collections import Counter
 from math import comb
@@ -9,7 +11,16 @@ from scipy import stats
 
 import bipsample as bp
 from bipsample import oracle
-from bipsample.chains import STAY, ChainConfig, CircleTradeProposal, circle_denominator
+from bipsample.chains import (
+    STAY,
+    ChainConfig,
+    CircleTradeProposal,
+    _circle_in_place,
+    _swap_in_place,
+    _trade_in_place,
+    _unrank_subset,
+    circle_denominator,
+)
 from bipsample.core import MoveSet
 
 
@@ -356,3 +367,204 @@ def test_uniformity_report_rejects_a_state_outside_the_enumeration(monkeypatch):
     monkeypatch.setattr(oracle, "enumerate_realizations", lambda _: states[:1])
     with pytest.raises(KeyError):
         bp.uniformity_report(inst, ChainConfig(MoveSet.trades(), 200, 3))
+
+
+# ---------------------------------------------------------------------------
+# The random stream and the in-place step kernels.
+
+
+def readme_4x4():
+    """The README's pinned instance: all degrees 2, the diagonal pinned to 0."""
+    return bp.Instance(
+        bp.DegreeSequence((2, 2, 2, 2), (2, 2, 2, 2)),
+        bp.FixedSet.from_cells(4, 4, forced_non_edges=[(0, 0), (1, 1), (2, 2), (3, 3)]),
+    )
+
+
+STREAM_INSTANCES = {
+    "free_6x6": lambda: bp.Instance.unconstrained((3, 3, 2, 2, 4, 2), (2, 3, 2, 2, 5, 2)),
+    "readme_4x4": readme_4x4,
+    "circle_3x6": lambda: circle_instance().instance,
+}
+
+STREAM_CHAINS = {
+    "trades": (MoveSet.trades(), True),
+    "swaps4": (MoveSet.swaps4(), True),
+    "trades+circle": (MoveSet.trades_plus_circle(), True),
+    "trades+circle/mh-off": (MoveSet.trades_plus_circle(), False),
+    "swaps46": (MoveSet.swaps46(), True),
+    "cycle:8": (MoveSet.swaps_up_to(8), True),
+}
+
+# sha256 of the Chain.keys() streams (500 steps, gap 1, seeds 0, 7 and
+# 2024), recorded before the in-place step kernels replaced the proposal
+# objects on the runner's path.  A change here changes seeded output.
+GOLDEN_STREAMS = {
+    ("free_6x6", "trades"): "021706eed802b6b2bf3702c912d798d5ded0a74addb32d69bf24f56f2ea4add5",
+    ("free_6x6", "swaps4"): "32848e7d2c971592d9b2841be774df49a28a5dc7a7ca7361a49046d68bcb3c15",
+    ("free_6x6", "trades+circle"): "667553158fe9b0a23f8786587b196080e00a1755a1466d98db78cfdffe6ddad6",
+    ("free_6x6", "trades+circle/mh-off"): "908801577ff15955de6bc939e299208c551ec0d7d8910f2d28114b9ba9fdbf3e",
+    ("free_6x6", "swaps46"): "f6e8a91293538678081a0fe94a640b95bd91dfc577835f7316d1f07565730b01",
+    ("free_6x6", "cycle:8"): "f50ff0c3af23104931df408e79d8cc0aba1b63423a395494982d57058a66dfe4",
+    ("readme_4x4", "trades"): "167641cae7bfe4244084ea97d1fd37c8b9e878f01208f36312c0b6125f002a05",
+    ("readme_4x4", "swaps4"): "761ea0f22cfa63533d570edc672c9e778b5935f726bb15a3e328a8b7d58d9283",
+    ("readme_4x4", "trades+circle"): "907b1896c885a1a4c5eda4bc0115c135e87e748b3230ac43052f4b439a996511",
+    ("readme_4x4", "trades+circle/mh-off"): "907b1896c885a1a4c5eda4bc0115c135e87e748b3230ac43052f4b439a996511",
+    ("readme_4x4", "swaps46"): "4b726eb771956cd2d1c83aa351182b39c1db01819abd053d59ffdb4a8e649be5",
+    ("readme_4x4", "cycle:8"): "01b1a5365a6464d8c2b4fceaf874f56ee61cfcce552a53665809c792733b428e",
+    ("circle_3x6", "trades"): "9ed032c15a4380cc403cf0310c0d8a027c8516d173d410e610425d1c78b1c8e8",
+    ("circle_3x6", "swaps4"): "9e685b11527cb2dba7998452daea931a8eeb14917de1b5c955cca34d68bcfdee",
+    ("circle_3x6", "trades+circle"): "465763e22fb7f094ba22f32fbfacf22322807ce19cbd3b920c3e0f922dd3d909",
+    ("circle_3x6", "trades+circle/mh-off"): "83a84d4ebab10739ec5893e7fedc1a5a357252cdec5e1b8c1cb80b22638f7608",
+    ("circle_3x6", "swaps46"): "2e1691606646124f512fa8d60ed3d09896ebcc8a80f6e940c0d8730fd1473c49",
+    ("circle_3x6", "cycle:8"): "b4b8c9f25b62809dbb65e9d9d486feafec9651c1256a4e1613e57d40fb472d99",
+}
+
+
+@pytest.mark.parametrize("instance, chain", sorted(GOLDEN_STREAMS))
+def test_seeded_key_streams_are_pinned(instance, chain):
+    inst = STREAM_INSTANCES[instance]()
+    move_set, mh = STREAM_CHAINS[chain]
+    h = hashlib.sha256()
+    for seed in (0, 7, 2024):
+        cfg = ChainConfig(move_set, steps=500, seed=seed, mh_correction=mh)
+        for key in bp.Chain(bp.initial_realization(inst), cfg).keys():
+            line = "|".join(",".join(map(str, sorted(r))) for r in key)
+            h.update(f"{line}\n".encode())
+    assert h.hexdigest() == GOLDEN_STREAMS[(instance, chain)]
+
+
+def random_pinned_instance(rng, n, nc, density, n_pinned):
+    """A feasible instance: degrees and pin polarities from a random matrix."""
+    matrix = [[int(rng.random() < density) for _ in range(nc)] for _ in range(n)]
+    cells = rng.sample([(i, j) for i in range(n) for j in range(nc)], n_pinned)
+    return bp.Instance(
+        bp.DegreeSequence(
+            [sum(row) for row in matrix],
+            [sum(row[j] for row in matrix) for j in range(nc)],
+        ),
+        bp.FixedSet.from_cells(
+            n, nc,
+            forced_edges=[c for c in cells if matrix[c[0]][c[1]]],
+            forced_non_edges=[c for c in cells if not matrix[c[0]][c[1]]],
+        ),
+    )
+
+
+def _applied(p, g):
+    return g.rows if p is STAY else p.apply(g).rows
+
+
+def _circle_reference(g, rng, mh_correction):
+    """Rows after one circle step built from ``propose_circle_trade`` and
+    ``apply``, with the Metropolis test re-derived on the successor."""
+    p = bp.propose_circle_trade(g, rng)
+    if p is STAY:
+        return g.rows
+    h = p.apply(g)
+    if mh_correction:
+        fixed = g.instance.fixed.row_fixed()
+        x = len(p.sub_i)
+        den_fwd = circle_denominator((len(p.d_ji), len(p.d_kj), len(p.d_ik)), x)
+        i, j, k = p.i, p.j, p.k
+        r_ij = h.rows[i] - h.rows[j] - fixed[j] - fixed[i]
+        r_ki = h.rows[k] - h.rows[i] - fixed[i] - fixed[k]
+        r_jk = h.rows[j] - h.rows[k] - fixed[k] - fixed[j]
+        den_rev = circle_denominator((len(r_ij), len(r_ki), len(r_jk)), x)
+        if den_rev > den_fwd and rng.random() >= den_fwd / den_rev:
+            return g.rows
+    return h.rows
+
+
+def test_in_place_kernels_match_proposals_applied():
+    """From the same rng state, each in-place kernel leaves the rows that
+    ``propose_*(g, rng).apply(g)`` builds (g itself for Stay) and consumes
+    the same draws."""
+    rng = random.Random(2024)
+    instances = [
+        bp.Instance.unconstrained((3, 3, 2, 2, 4, 2), (2, 3, 2, 2, 5, 2)),
+        readme_4x4(),
+        circle_instance().instance,
+        random_pinned_instance(rng, 12, 12, 0.5, 0),
+        random_pinned_instance(rng, 8, 9, 0.4, 14),
+        random_pinned_instance(rng, 5, 20, 0.7, 10),
+    ]
+    kernels = {
+        "trade": (
+            _trade_in_place,
+            lambda g, r: _applied(bp.propose_trade(g, r), g),
+        ),
+        "swap": (
+            _swap_in_place,
+            lambda g, r: _applied(bp.propose_swap(g, r), g),
+        ),
+        "circle": (
+            lambda rows, fixed, n, r: _circle_in_place(rows, fixed, n, r, True),
+            lambda g, r: _circle_reference(g, r, True),
+        ),
+        "circle, mh off": (
+            lambda rows, fixed, n, r: _circle_in_place(rows, fixed, n, r, False),
+            lambda g, r: _circle_reference(g, r, False),
+        ),
+    }
+    outcomes = Counter()
+    for inst in instances:
+        fixed = inst.fixed.row_fixed()
+        chain = bp.Chain(
+            bp.initial_realization(inst),
+            ChainConfig(MoveSet.trades_plus_circle(), 1, rng.randrange(10**6)),
+        )
+        for _ in range(120):
+            chain.advance(3)
+            g = chain.realization()
+            for name, (kernel, reference) in kernels.items():
+                seed = rng.randrange(10**9)
+                fast, slow = random.Random(seed), random.Random(seed)
+                rows = [set(r) for r in g.rows]
+                kernel(rows, fixed, inst.n, fast)
+                expected = reference(g, slow)
+                assert tuple(map(frozenset, rows)) == expected, (name, seed)
+                assert fast.getstate() == slow.getstate(), (name, seed)
+                outcomes[name, expected == g.rows] += 1
+    # every kernel both moved and stayed somewhere in the sweep
+    for name in kernels:
+        assert outcomes[name, True] > 0 and outcomes[name, False] > 0, name
+
+
+def _unrank_reference(pool, k, index):
+    """The index-th k-subset of ``pool``: one binomial per pool position."""
+    out = set()
+    start = 0
+    need = k
+    while need:
+        for pos in range(start, len(pool)):
+            rest = comb(len(pool) - pos - 1, need - 1)
+            if index < rest:
+                out.add(pool[pos])
+                start = pos + 1
+                need -= 1
+                break
+            index -= rest
+    return out
+
+
+def test_unrank_subset_follows_combinations_order():
+    rng = random.Random(5)
+    for size in range(11):
+        pool = sorted(rng.sample(range(40), size))
+        for k in range(size + 1):
+            combos = list(itertools.combinations(pool, k))
+            assert len(combos) == comb(size, k)
+            for index, combo in enumerate(combos):
+                assert _unrank_subset(pool, k, index) == set(combo)
+
+
+def test_unrank_subset_matches_comb_per_position_formula():
+    rng = random.Random(6)
+    for _ in range(20_000):
+        size = rng.randint(0, 120)
+        pool = sorted(rng.sample(range(120), size))
+        k = rng.randint(0, size)
+        total = comb(size, k)
+        index = rng.choice((0, total - 1, rng.randrange(total)))
+        assert _unrank_subset(pool, k, index) == _unrank_reference(pool, k, index)

@@ -1,6 +1,7 @@
 """Enumeration, state graphs, exact checks and the verification driver."""
 
 import random
+import re
 
 import pytest
 
@@ -207,17 +208,19 @@ def test_run_verification_small_pool_passes():
     assert res.counts.get("trade-reversibility", 0) > 0
 
 
+def _without_6_swaps(move_set):
+    """``swap_lengths_for`` with the 6-swaps dropped from the 4/6 move set."""
+    if move_set.kind == MoveSet.SWAPS46:
+        return frozenset({4})
+    return move_set.swap_lengths()
+
+
 def test_run_verification_detects_injected_fault(monkeypatch):
     # drop 6-swaps from the 4/6 move set: connectivity must break on some
     # instance whose fixed cells contain no 8-cycle
     from bipsample.analysis import FGraph, has_cycle_of_length
 
-    def crippled(move_set):
-        if move_set.kind == MoveSet.SWAPS46:
-            return frozenset({4})
-        return move_set.swap_lengths()
-
-    monkeypatch.setattr(oracle, "swap_lengths_for", crippled)
+    monkeypatch.setattr(oracle, "swap_lengths_for", _without_6_swaps)
     res = bp.run_verification(max_rows=3, max_cols=3, random_count=0, seed=5, quiet=True)
     assert not res.passed
     names = {name for name, _ in res.failures}
@@ -227,6 +230,27 @@ def test_run_verification_detects_injected_fault(monkeypatch):
         res.witness.n, res.witness.n_cols, res.witness.fixed.cells
     )
     assert not has_cycle_of_length(fg, 8)
+
+
+def test_quiet_sweep_reports_failures_as_a_full_one(monkeypatch):
+    # a quiet sweep builds an instance's text only when a check fails; the
+    # failures and FAIL lines must read as in a sweep that prints every line
+    monkeypatch.setattr(oracle, "swap_lengths_for", _without_6_swaps)
+    loud_lines, quiet_lines = [], []
+    loud = bp.run_verification(3, 3, 0, seed=5, emit=loud_lines.append)
+    quiet = bp.run_verification(3, 3, 0, seed=5, emit=quiet_lines.append, quiet=True)
+    assert quiet.failures and quiet.failures == loud.failures
+    assert quiet.counts == loud.counts
+    assert quiet_lines == [line for line in loud_lines if not line.endswith(" PASS")]
+    assert all(line.endswith("] FAIL") for line in quiet_lines)
+
+
+def test_quiet_sweep_info_lines_name_their_instance(pool_result):
+    pattern = re.compile(
+        r"uncorrected-circle-asymmetry \[\d+x\d+ a=[\d,]+ b=[\d,]+ m=[01*|]+\]"
+    )
+    assert pool_result.info_lines
+    assert all(pattern.fullmatch(line) for line in pool_result.info_lines)
 
 
 def test_state_graph_moves_respect_masks():
