@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .core import FixedSet, MoveSet, NoUsableBound
@@ -38,6 +39,12 @@ class FGraph:
         for i, j in sorted(self.edges):
             adj.setdefault(j, []).append(i)
         return adj
+
+    @cached_property
+    def _block_list(self) -> tuple["FGraph", ...]:
+        """The biconnected blocks, built on first use and then kept, so the
+        detectors of one ``analyze`` split F once."""
+        return tuple(_blocks(self))
 
 
 @dataclass(frozen=True)
@@ -177,7 +184,7 @@ def has_cycle_of_length(f: FGraph, length: int) -> bool:
     if length % 2 or length < 4:
         raise ValueError("cycle length must be an even integer >= 4")
     half = length // 2
-    for block in _blocks(f):
+    for block in f._block_list:
         rows = {i for i, _ in block.edges}
         cols = {j for _, j in block.edges}
         if len(rows) >= half and len(cols) >= half and _block_has_cycle(block, length):
@@ -192,7 +199,7 @@ def is_forest(f: FGraph) -> bool:
     edge holds none, so F is a forest iff each of its blocks is a single
     edge (a bridge).
     """
-    return all(len(block.edges) == 1 for block in _blocks(f))
+    return all(len(block.edges) == 1 for block in f._block_list)
 
 
 def find_coprime_odd_t(cycle_len: int) -> int:
@@ -250,9 +257,10 @@ def analyze(f: FixedSet, n: int, n_cols: int) -> AnalysisReport:
     missing from F, capped at 2*min(n, n_cols).  If every candidate length
     occurs, no bounded-swap chain is available and NoUsableBound is raised.
 
-    Each cycle test searches only the biconnected blocks of F large enough
-    to hold the cycle (see ``has_cycle_of_length``), so a length that no
-    block can hold is ruled out in time linear in |F|.  The search inside
+    F is split into its biconnected blocks once per call, and each cycle
+    test searches only the blocks large enough to hold the cycle (see
+    ``has_cycle_of_length``), so a length that no block can hold is ruled
+    out in time linear in |F|.  The search inside
     a qualifying block is still exponential in the cycle length.
     """
     fg = FGraph.from_cells(n, n_cols, f.cells)

@@ -167,12 +167,17 @@ def _exchangeable(rows, fixed, i, j):
 # Each move kind has one draw function.  It reads the rows without changing
 # them and returns the drawn move, or None for the lazy step; the in-place
 # kernels below apply that result to a chain's row sets, and the public
-# ``propose_*`` functions wrap it into a proposal object.
+# ``propose_*`` functions wrap it into a proposal object.  With fewer than
+# two rows there is no row pair: a trade or swap draw is then the lazy step
+# and takes nothing from the random stream.  Circle trades need three rows,
+# which their callers check.
 
 
 def _draw_trade(rows, fixed, n, rng):
     """(i, j, a_ij, a_ji, b_ij): a uniform row pair and a uniform
     replacement ``b_ij`` for ``a_ij`` among the |a_ij|-subsets of the pool."""
+    if n < 2:
+        return None
     i, j = _draw_pair(rng, n)
     a_ij, a_ji = _exchangeable(rows, fixed, i, j)
     pool = sorted(a_ij | a_ji)
@@ -186,6 +191,8 @@ def _draw_trade(rows, fixed, n, rng):
 def _draw_swap(rows, fixed, n, rng):
     """(i, j, a_ij, a_ji, x, y): row i gives column x to row j for column y,
     uniform among the pair's exchange options plus the lazy step."""
+    if n < 2:
+        return None
     i, j = _draw_pair(rng, n)
     a_ij, a_ji = _exchangeable(rows, fixed, i, j)
     n_ex = len(a_ij) * len(a_ji)

@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from math import comb
-
-from scipy import stats
+from math import comb, exp, lgamma, log
 
 from . import chains
 from .analysis import FGraph, has_cycle_of_length, is_forest, max_matching_at_least
@@ -393,7 +392,10 @@ def uniformity_report(inst: Instance, cfg: chains.ChainConfig) -> tuple[float, f
 
     Visits are counted by the chain's state keys against the enumerated
     states' keys, so a visited state missing from the enumeration raises
-    KeyError."""
+    KeyError.  A config that keeps no state (``steps < sample_gap``)
+    raises ValueError."""
+    if cfg.steps < cfg.sample_gap:
+        raise ValueError("no kept states")
     states = enumerate_realizations(inst)
     index = {g.rows: s for s, g in enumerate(states)}
     counts = [0] * len(states)
@@ -404,8 +406,55 @@ def uniformity_report(inst: Instance, cfg: chains.ChainConfig) -> tuple[float, f
     if k == 1:
         return 0.0, 1.0
     tv = 0.5 * sum(abs(c / n_samples - 1 / k) for c in counts)
-    _, p = stats.chisquare(counts)
-    return tv, float(p)
+    return tv, _chisquare_p(counts)
+
+
+def _chisquare_p(counts: list[int]) -> float:
+    """Pearson's chi-square p-value of ``counts`` against equal expected
+    counts (at least two counts, a positive total).
+
+    With chi2 = sum((c - mean)^2) / mean on k - 1 degrees of freedom, the
+    p-value is Q((k - 1)/2, chi2/2), the regularized upper incomplete gamma
+    function: a power series for the lower function P = 1 - Q when
+    x < a + 1, else a continued fraction for Q by the modified Lentz
+    method (Numerical Recipes, section 6.2)."""
+    k = len(counts)
+    mean = sum(counts) / k
+    a = (k - 1) / 2
+    x = sum((c - mean) ** 2 for c in counts) / mean / 2
+    if x == 0:
+        return 1.0
+    eps = sys.float_info.epsilon
+    front = exp(a * log(x) - x - lgamma(a))
+    if x < a + 1:
+        term = total = 1 / a
+        ap = a
+        while abs(term) > abs(total) * eps:
+            ap += 1
+            term *= x / ap
+            total += term
+        return 1 - front * total
+    tiny = sys.float_info.min / eps
+    b = x + 1 - a
+    c = 1 / tiny
+    d = 1 / b
+    h = d
+    i = 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1) <= eps:
+            return front * h
 
 
 def components_isomorphic(sg: StateGraph) -> bool:

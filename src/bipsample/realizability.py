@@ -80,42 +80,53 @@ class _Dinic:
         self.cap.append(0)
 
     def max_flow(self, s: int, t: int) -> int:
+        """Dinic's algorithm.  Each phase builds BFS levels, then walks
+        blocking-flow paths with an explicit stack of arcs: advance along
+        the current arc of the path's end, retreat past a dead end (moving
+        its tail's current-arc pointer on), and augment on reaching ``t``,
+        then start again from ``s``."""
+        adj, to, cap = self.adj, self.to, self.cap
         flow = 0
-        n = len(self.adj)
+        n = len(adj)
         while True:
             level = [-1] * n
             level[s] = 0
             queue = [s]
             for u in queue:
-                for e in self.adj[u]:
-                    v = self.to[e]
-                    if self.cap[e] > 0 and level[v] < 0:
+                for e in adj[u]:
+                    v = to[e]
+                    if cap[e] > 0 and level[v] < 0:
                         level[v] = level[u] + 1
                         queue.append(v)
             if level[t] < 0:
                 return flow
             it = [0] * n
-
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.adj[u]):
-                    e = self.adj[u][it[u]]
-                    v = self.to[e]
-                    if self.cap[e] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[e]))
-                        if got:
-                            self.cap[e] -= got
-                            self.cap[e ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
+            path: list[int] = []
+            u = s
             while True:
-                pushed = dfs(s, 1 << 30)
-                if not pushed:
-                    break
-                flow += pushed
+                if u == t:
+                    pushed = min(cap[e] for e in path)
+                    for e in path:
+                        cap[e] -= pushed
+                        cap[e ^ 1] += pushed
+                    flow += pushed
+                    path.clear()
+                    u = s
+                    continue
+                arcs = adj[u]
+                while it[u] < len(arcs):
+                    e = arcs[it[u]]
+                    if cap[e] > 0 and level[to[e]] == level[u] + 1:
+                        break
+                    it[u] += 1
+                else:
+                    if not path:
+                        break
+                    u = to[path.pop() ^ 1]
+                    it[u] += 1
+                    continue
+                path.append(e)
+                u = to[e]
 
 
 def initial_realization(inst: Instance) -> Realization:

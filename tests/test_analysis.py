@@ -250,6 +250,25 @@ def test_analyze_searches_each_cycle_length_at_most_once(monkeypatch):
     assert sorted(searched) == [8, 10, 12]
 
 
+@pytest.mark.parametrize("cells", [
+    [(i, j) for i in range(5) for j in range(5)],  # K_{5,5}: every length searched
+    [(i, j) for i in range(10) for j in (i, i + 1) if j < 10],  # a staircase path
+    EIGHT_CYCLE,
+])
+def test_analyze_splits_f_into_blocks_once(monkeypatch, cells):
+    calls = []
+    real = analysis_mod._blocks
+
+    def counting(fg):
+        calls.append(fg)
+        return real(fg)
+
+    monkeypatch.setattr(analysis_mod, "_blocks", counting)
+    n = 2 + max(max(i, j) for i, j in cells)  # one spare row and column
+    bp.analyze(bp.FixedSet.from_cells(n, n, forced_non_edges=cells), n, n)
+    assert len(calls) == 1
+
+
 def test_analyze_forest_goes_through_circle_branch():
     # a path with a 3-matching but no cycles
     cells = [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2)]

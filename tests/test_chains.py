@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import random
 from collections import Counter
 from math import comb
@@ -357,8 +358,41 @@ def test_uniformity_report_matches_counting_run_states(criterion8_fixtures):
             counts[index[g.matrix]] += 1
         total, k = sum(counts), len(states)
         tv = 0.5 * sum(abs(c / total - 1 / k) for c in counts)
-        _, p = stats.chisquare(counts)
-        assert bp.uniformity_report(inst, cfg) == (tv, float(p)), label
+        p = oracle._chisquare_p(counts)
+        assert bp.uniformity_report(inst, cfg) == (tv, p), label
+
+
+def _chisquare_grid():
+    rng = random.Random(2024)
+    grid = [
+        [0, 1], [1, 0], [3, 5], [60, 0], [500, 499],  # k = 2
+        [7] * 2, [7] * 3, [1] * 300,  # all equal: p = 1
+        [100] + [0] * 9, [200] + [0] * 4, [30] + [1] * 299,  # skewed: p near 0
+    ]
+    for k in (3, 5, 17, 60, 150, 299, 300):
+        grid.append([rng.randint(0, 40) for _ in range(k)])
+        grid.append([200 + rng.randint(-15, 15) for _ in range(k)])
+        grid.append([rng.randint(0, 3) + (50 if t < 3 else 0) for t in range(k)])
+    return grid
+
+
+@pytest.mark.parametrize("counts", _chisquare_grid(), ids=lambda c: f"k{len(c)}")
+def test_chisquare_p_matches_scipy(counts):
+    want = float(stats.chisquare(counts)[1])
+    assert math.isclose(oracle._chisquare_p(counts), want, rel_tol=1e-9)
+
+
+def test_chisquare_p_edges():
+    assert oracle._chisquare_p([4, 4, 4]) == 1.0
+    # k = 2 is a normal tail: p = erfc(|c0 - c1| / sqrt(2 * (c0 + c1)))
+    assert math.isclose(oracle._chisquare_p([30, 10]), math.erfc(20 / math.sqrt(80)),
+                        rel_tol=1e-12)
+
+
+def test_uniformity_report_rejects_a_config_that_keeps_no_state():
+    inst = bp.Instance.unconstrained((1, 1), (1, 1))
+    with pytest.raises(ValueError, match="no kept states"):
+        bp.uniformity_report(inst, ChainConfig(MoveSet.trades(), steps=4, seed=1, sample_gap=5))
 
 
 def test_uniformity_report_rejects_a_state_outside_the_enumeration(monkeypatch):

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -78,10 +80,43 @@ mask:
 """
 
 
+ONE_ROW = """\
+rows: 1
+cols: 3
+row_degrees: 2
+col_degrees: 1 1 0
+mask:
+***
+"""
+
+CHAIN_SPECS = ["swap", "curveball", "circle", "cycle:6", "cycle:8", "auto"]
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def subprocess_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bp.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def staircase(n):
+    """Row i may use only columns i and i+1, the last row only column 0;
+    every degree is 1, so the only realization is row i -> column i+1 and
+    the last row -> column 0, and an augmenting path visits every row."""
+    rows = []
+    for i in range(n):
+        allowed = {0} if i == n - 1 else {i, i + 1}
+        rows.append("".join("*" if j in allowed else "0" for j in range(n)))
+    ones = " ".join(["1"] * n)
+    return (f"rows: {n}\ncols: {n}\nrow_degrees: {ones}\ncol_degrees: {ones}\n"
+            "mask:\n" + "\n".join(rows) + "\n")
 
 
 def test_instance_round_trip():
@@ -302,26 +337,48 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_sample_reproducible_across_processes(tmp_path):
-    import subprocess
-    import sys
-
     path = write(tmp_path, "x.txt", FIG_SPLIT)
 
     def run():
         return subprocess.run(
             [sys.executable, "-m", "bipsample.cli", "sample", path,
              "--chain", "circle", "--steps", "150", "--seed", "4", "--count", "2"],
-            capture_output=True, check=True,
+            capture_output=True, check=True, env=subprocess_env(),
         ).stdout
 
     assert run() == run()
 
 
+def test_import_loads_neither_scipy_nor_numpy():
+    probe = ("import sys, bipsample, bipsample.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('scipy', 'numpy')))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True, env=subprocess_env())
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("spec", CHAIN_SPECS)
+def test_sample_on_one_row_stays_on_the_only_realization(tmp_path, capsys, spec):
+    path = write(tmp_path, "one.txt", ONE_ROW)
+    assert cli.main(["sample", path, "--chain", spec, "--steps", "30",
+                     "--count", "2", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == "110\n\n110\n"
+
+
+def test_staircase_600_builds_and_samples_without_recursion(tmp_path, capsys):
+    n = 600
+    text = staircase(n)
+    g = bp.initial_realization(cli.parse_instance(text))
+    assert g.rows == tuple(frozenset({(i + 1) % n}) for i in range(n))
+    path = write(tmp_path, "stair.txt", text)
+    assert cli.main(["sample", path, "--chain", "cycle:8", "--steps", "100"]) == 0
+    assert capsys.readouterr().out == cli.format_realization(g)
+
+
 @pytest.mark.parametrize("count", [1, 3])
 @pytest.mark.parametrize("gap", [1, 3, 20])
-@pytest.mark.parametrize(
-    "spec", ["swap", "curveball", "circle", "cycle:6", "cycle:8", "auto"]
-)
+@pytest.mark.parametrize("spec", CHAIN_SPECS)
 def test_sample_writes_the_last_state_run_keeps(tmp_path, capsys, spec, gap, count):
     # 20 steps at gap 3 keep step 18: the last two steps are never written
     path = write(tmp_path, "k.txt", FOREST_3MATCH)
