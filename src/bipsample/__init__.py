@@ -26,6 +26,7 @@ from .chains import (
     propose_swap,
     propose_trade,
     run,
+    state_key,
     step,
 )
 from .core import (

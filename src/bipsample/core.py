@@ -203,7 +203,9 @@ class Realization:
     conformity unless ``validate=False``, which is reserved for callers
     that have already established validity (the oracle's enumeration).
     Every ``Realization`` the chain runner emits is validated; the keys
-    it streams for visit counting are row-set tuples, not ``Realization``s.
+    it streams for visit counting are tuples of row bit masks (bit j set
+    when the row has column j; ``chains.state_key`` gives the key of a
+    ``Realization``), not ``Realization``s.
     """
 
     __slots__ = ("instance", "matrix", "rows", "_hash")

@@ -397,7 +397,7 @@ def uniformity_report(inst: Instance, cfg: chains.ChainConfig) -> tuple[float, f
     if cfg.steps < cfg.sample_gap:
         raise ValueError("no kept states")
     states = enumerate_realizations(inst)
-    index = {g.rows: s for s, g in enumerate(states)}
+    index = {chains.state_key(g): s for s, g in enumerate(states)}
     counts = [0] * len(states)
     for key in chains.Chain(initial_realization(inst), cfg).keys():
         counts[index[key]] += 1

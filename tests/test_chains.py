@@ -16,13 +16,25 @@ from bipsample.chains import (
     STAY,
     ChainConfig,
     CircleTradeProposal,
+    _below,
     _circle_in_place,
+    _cycle_in_place,
     _swap_in_place,
     _trade_in_place,
     _unrank_subset,
     circle_denominator,
 )
 from bipsample.core import MoveSet
+
+
+def cols(mask):
+    """The column indices set in a row mask, ascending."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+def mask(columns):
+    """The row mask of a set of columns."""
+    return sum(1 << j for j in columns)
 
 
 def two_row_instance():
@@ -463,9 +475,35 @@ def test_seeded_key_streams_are_pinned(instance, chain):
     for seed in (0, 7, 2024):
         cfg = ChainConfig(move_set, steps=500, seed=seed, mh_correction=mh)
         for key in bp.Chain(bp.initial_realization(inst), cfg).keys():
-            line = "|".join(",".join(map(str, sorted(r))) for r in key)
+            line = "|".join(",".join(map(str, cols(r))) for r in key)
             h.update(f"{line}\n".encode())
     assert h.hexdigest() == GOLDEN_STREAMS[(instance, chain)]
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_CHAINS))
+def test_chain_keys_decode_to_the_realization_rows(name):
+    move_set, mh = STREAM_CHAINS[name]
+    for make in STREAM_INSTANCES.values():
+        inst = make()
+        cfg = ChainConfig(move_set, steps=300, seed=5, sample_gap=3, mh_correction=mh)
+        chain = bp.Chain(bp.initial_realization(inst), cfg)
+        for key in chain.keys():
+            g = chain.realization()
+            assert tuple(frozenset(cols(r)) for r in key) == g.rows
+            assert bp.state_key(g) == key
+
+
+def test_below_draws_what_randrange_draws():
+    sizes = list(range(1, 300)) + sorted(
+        {2**e + d for e in range(9, 71) for d in (-1, 0, 1)} - {2**70 + 1}
+    )
+    assert sizes[-1] == 2**70
+    for seed in (0, 1, 2024):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for n in sizes:
+            for _ in range(3):
+                assert _below(fast, n) == slow.randrange(n), (seed, n)
+            assert fast.getstate() == slow.getstate(), (seed, n)
 
 
 def random_pinned_instance(rng, n, nc, density, n_pinned):
@@ -510,10 +548,33 @@ def _circle_reference(g, rng, mh_correction):
     return h.rows
 
 
+def _cycle_reference(g, limit, rng):
+    """Rows after one bounded cycle swap drawn with ``randrange`` from
+    pools of the unused rows and columns, with every cell value and mask
+    entry of the walk checked before the swap is applied."""
+    n, nc = g.instance.n, g.instance.n_cols
+    lengths = range(4, limit + 1, 2)
+    h = lengths[rng.randrange(len(lengths))] // 2
+    if h > n or h > nc:
+        return g.rows
+    row_pool, col_pool = list(range(n)), list(range(nc))
+    rows_seq = [row_pool.pop(rng.randrange(n - t)) for t in range(h)]
+    cols_seq = [col_pool.pop(rng.randrange(nc - t)) for t in range(h)]
+    cells = []
+    for t in range(h):
+        cells += [(rows_seq[t], cols_seq[t]), (rows_seq[(t + 1) % h], cols_seq[t])]
+    vals = [g.matrix[r][c] for r, c in cells]
+    if any(vals[t] == vals[t - 1] for t in range(2 * h)):
+        return g.rows
+    if any(g.instance.fixed.mask[r][c] != bp.FREE for r, c in cells):
+        return g.rows
+    return bp.apply_cycle_swap(g, cells).rows
+
+
 def test_in_place_kernels_match_proposals_applied():
     """From the same rng state, each in-place kernel leaves the rows that
-    ``propose_*(g, rng).apply(g)`` builds (g itself for Stay) and consumes
-    the same draws."""
+    ``propose_*(g, rng).apply(g)`` builds (g itself for Stay), or for cycle
+    swaps the rows of ``_cycle_reference``, and consumes the same draws."""
     rng = random.Random(2024)
     instances = [
         bp.Instance.unconstrained((3, 3, 2, 2, 4, 2), (2, 3, 2, 2, 5, 2)),
@@ -525,25 +586,30 @@ def test_in_place_kernels_match_proposals_applied():
     ]
     kernels = {
         "trade": (
-            _trade_in_place,
+            lambda rows, fixed, inst, r: _trade_in_place(rows, fixed, inst.n, r),
             lambda g, r: _applied(bp.propose_trade(g, r), g),
         ),
         "swap": (
-            _swap_in_place,
+            lambda rows, fixed, inst, r: _swap_in_place(rows, fixed, inst.n, r),
             lambda g, r: _applied(bp.propose_swap(g, r), g),
         ),
         "circle": (
-            lambda rows, fixed, n, r: _circle_in_place(rows, fixed, n, r, True),
+            lambda rows, fixed, inst, r: _circle_in_place(rows, fixed, inst.n, r, True),
             lambda g, r: _circle_reference(g, r, True),
         ),
         "circle, mh off": (
-            lambda rows, fixed, n, r: _circle_in_place(rows, fixed, n, r, False),
+            lambda rows, fixed, inst, r: _circle_in_place(rows, fixed, inst.n, r, False),
             lambda g, r: _circle_reference(g, r, False),
+        ),
+        "cycle:8": (
+            lambda rows, fixed, inst, r: _cycle_in_place(
+                rows, fixed, inst.n, inst.n_cols, 8, r),
+            lambda g, r: _cycle_reference(g, 8, r),
         ),
     }
     outcomes = Counter()
     for inst in instances:
-        fixed = inst.fixed.row_fixed()
+        fixed = tuple(map(mask, inst.fixed.row_fixed()))
         chain = bp.Chain(
             bp.initial_realization(inst),
             ChainConfig(MoveSet.trades_plus_circle(), 1, rng.randrange(10**6)),
@@ -554,10 +620,10 @@ def test_in_place_kernels_match_proposals_applied():
             for name, (kernel, reference) in kernels.items():
                 seed = rng.randrange(10**9)
                 fast, slow = random.Random(seed), random.Random(seed)
-                rows = [set(r) for r in g.rows]
-                kernel(rows, fixed, inst.n, fast)
+                rows = [mask(r) for r in g.rows]
+                kernel(rows, fixed, inst, fast)
                 expected = reference(g, slow)
-                assert tuple(map(frozenset, rows)) == expected, (name, seed)
+                assert tuple(frozenset(cols(r)) for r in rows) == expected, (name, seed)
                 assert fast.getstate() == slow.getstate(), (name, seed)
                 outcomes[name, expected == g.rows] += 1
     # every kernel both moved and stayed somewhere in the sweep
@@ -590,7 +656,7 @@ def test_unrank_subset_follows_combinations_order():
             combos = list(itertools.combinations(pool, k))
             assert len(combos) == comb(size, k)
             for index, combo in enumerate(combos):
-                assert _unrank_subset(pool, k, index) == set(combo)
+                assert cols(_unrank_subset(mask(pool), k, index)) == list(combo)
 
 
 def test_unrank_subset_matches_comb_per_position_formula():
@@ -601,4 +667,5 @@ def test_unrank_subset_matches_comb_per_position_formula():
         k = rng.randint(0, size)
         total = comb(size, k)
         index = rng.choice((0, total - 1, rng.randrange(total)))
-        assert _unrank_subset(pool, k, index) == _unrank_reference(pool, k, index)
+        got = set(cols(_unrank_subset(mask(pool), k, index)))
+        assert got == _unrank_reference(pool, k, index)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -393,3 +394,117 @@ def test_sample_writes_the_last_state_run_keeps(tmp_path, capsys, spec, gap, cou
         for c in range(count)
     ]
     assert capsys.readouterr().out == "\n".join(expected)
+
+
+DEGENERATE = {
+    "1x1": "rows: 1\ncols: 1\nrow_degrees: 1\ncol_degrees: 1\nmask:\n*\n",
+    "1x5": "rows: 1\ncols: 5\nrow_degrees: 3\ncol_degrees: 1 0 1 1 0\nmask:\n*****\n",
+    "5x1": "rows: 5\ncols: 1\nrow_degrees: 1 0 1 1 0\ncol_degrees: 3\nmask:\n*\n*\n*\n*\n*\n",
+    "2x1": "rows: 2\ncols: 1\nrow_degrees: 1 0\ncol_degrees: 1\nmask:\n*\n*\n",
+    "zero_degree_row": (
+        "rows: 3\ncols: 3\nrow_degrees: 2 0 1\ncol_degrees: 1 1 1\n"
+        "mask:\n***\n***\n***\n"
+    ),
+    "full_row": (
+        "rows: 3\ncols: 4\nrow_degrees: 4 1 2\ncol_degrees: 2 2 2 1\n"
+        "mask:\n****\n****\n****\n"
+    ),
+    "all_pinned": (
+        "rows: 3\ncols: 3\nrow_degrees: 1 1 1\ncol_degrees: 1 1 1\n"
+        "mask:\n100\n010\n001\n"
+    ),
+}
+
+# Runs ``sample`` in-process for every chain spec given after the instance
+# path, with the Metropolis correction on and off, and prints one JSON line
+# [spec, mh, exit code, stdout] per run.
+SAMPLE_EVERY_SPEC = """\
+import contextlib, io, json, sys
+from bipsample import cli
+for spec in sys.argv[2:]:
+    for mh in ("on", "off"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["sample", sys.argv[1], "--chain", spec, "--mh", mh,
+                             "--steps", "200", "--count", "2", "--seed", "3"])
+        print(json.dumps([spec, mh, code, out.getvalue()]), flush=True)
+"""
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_sample_on_degenerate_shapes_writes_valid_realizations(tmp_path, name):
+    # In a child process with a time limit, so that a draw from an empty
+    # range fails the test whether it raises or never returns.
+    text = DEGENERATE[name]
+    path = write(tmp_path, "d.txt", text)
+    done = subprocess.run(
+        [sys.executable, "-c", SAMPLE_EVERY_SPEC, path, *CHAIN_SPECS],
+        capture_output=True, text=True, timeout=60, env=subprocess_env(),
+    )
+    assert done.returncode == 0, done.stderr
+    runs = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [r[:2] for r in runs] == [[s, mh] for s in CHAIN_SPECS for mh in ("on", "off")]
+    inst = cli.parse_instance(text)
+    for spec, mh, code, out in runs:
+        assert code == 0, (spec, mh)
+        samples = out.split("\n\n")
+        assert len(samples) == 2, (spec, mh)
+        for sample in samples:
+            cli.parse_realization(sample, inst)  # validates margins and mask
+
+
+README_4X4 = """\
+rows: 4
+cols: 4
+row_degrees: 2 2 2 2
+col_degrees: 2 2 2 2
+mask:
+0***
+*0**
+**0*
+***0
+"""
+
+
+def interpreter(version):
+    """(path, environment) that run ``python<version>`` with this checkout's
+    package, or None.  A pyenv shim also runs an installed version that is
+    not selected when PYENV_VERSION names it."""
+    exe = shutil.which(f"python{version}")
+    if exe is None:
+        return None
+    for extra in ({}, {"PYENV_VERSION": version}):
+        env = {**subprocess_env(), **extra}
+        probe = subprocess.run(
+            [exe, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+            capture_output=True, text=True, env=env,
+        )
+        if probe.returncode == 0 and probe.stdout.strip() == version:
+            return exe, env
+    return None
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+def test_sample_bytes_match_across_interpreters(tmp_path, capsys, version):
+    # The chains draw through getrandbits and random(), whose streams CPython
+    # keeps across versions; a version that drew differently would change
+    # every seeded sample.
+    found = interpreter(version)
+    if found is None:
+        pytest.skip(f"python{version} is not available")
+    exe, env = found
+    jobs = [
+        [os.path.join(BENCH_DIR, "instances", "free_30x30_a.txt"),
+         "--chain", "circle", "--steps", "3000", "--seed", "11", "--count", "2"],
+        [write(tmp_path, "readme.txt", README_4X4),
+         "--chain", "cycle:8", "--steps", "2000", "--gap", "7", "--seed", "5",
+         "--count", "3"],
+    ]
+    for args in jobs:
+        assert cli.main(["sample", *args]) == 0
+        want = capsys.readouterr().out.encode()
+        got = subprocess.run(
+            [exe, "-m", "bipsample.cli", "sample", *args],
+            capture_output=True, check=True, timeout=120, env=env,
+        ).stdout
+        assert got == want, args
