@@ -372,22 +372,37 @@ def cmd_verify(args) -> int:
         max_cols=args.max_cols,
         random_count=args.random,
         seed=args.seed,
-        emit=print,
-        quiet=args.quiet,
+        emit=None if args.json else print,
+        quiet=args.quiet or args.json,
     )
-    print(f"checks run: {result.checks_run}")
-    for name in sorted(result.counts):
-        print(f"  {name}: {result.counts[name]}")
-    print(f"informational findings: {len(result.info_lines)}")
-    print(f"failures: {len(result.failures)}")
-    print(f"elapsed: {result.elapsed:.1f}s")
+    if args.json:
+        import json  # here, not at the top: every command's start pays for it
+
+        print(json.dumps({
+            "checks_run": result.checks_run,
+            "counts": result.counts,
+            "seconds": result.seconds,
+            "info_lines": result.info_lines,
+            "failures": result.failures,
+            "passed": result.passed,
+            "elapsed": result.elapsed,
+        }))
+    else:
+        print(f"checks run: {result.checks_run}")
+        for name in sorted(result.counts):
+            print(f"  {name}: {result.counts[name]}")
+        print(f"informational findings: {len(result.info_lines)}")
+        print(f"failures: {len(result.failures)}")
+        print(f"elapsed: {result.elapsed:.1f}s")
+        if result.passed:
+            print("result: PASS")
+        else:
+            print(f"result: FAIL ({result.witness_check})")
     if not result.passed:
-        print(f"result: FAIL ({result.witness_check})")
         if result.witness is not None:
             print("witness instance:", file=sys.stderr)
             sys.stderr.write(format_instance(result.witness))
         return EXIT_VERIFY_FAIL
-    print("result: PASS")
     return EXIT_OK
 
 
@@ -462,6 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quiet", action="store_true",
                    help="only print failures and the summary")
+    p.add_argument("--json", action="store_true",
+                   help="print only the result, as one JSON object")
     p.set_defaults(func=cmd_verify)
     return parser
 

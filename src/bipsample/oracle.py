@@ -2,7 +2,11 @@
 state graphs under each move set, exact transition-probability accounting,
 and the verification driver that sweeps an instance pool and machine-checks
 every connectivity, distance, reversibility and static-set claim that
-applies to it."""
+applies to it.
+
+The verification sweep keeps every state as one int (layout below); its
+trade and circle ledgers read and rotate the rows as bit fields of that
+int."""
 
 from __future__ import annotations
 
@@ -46,6 +50,13 @@ ENUMERATION_CELL_LIMIT = 36
 
 def _bit(i: int, j: int, n: int, nc: int) -> int:
     return 1 << (n * nc - 1 - (i * nc + j))
+
+
+def _cells_mask(cells, n: int, nc: int) -> int:
+    mask = 0
+    for i, j in cells:
+        mask |= _bit(i, j, n, nc)
+    return mask
 
 
 def _bits_to_matrix(bits: int, n: int, nc: int) -> list[list[int]]:
@@ -130,13 +141,12 @@ def _enumerate_bits(
 @dataclass(frozen=True)
 class _PairInfo:
     """How two states differ: the changed rows, whether the difference is a
-    single vertex-disjoint alternating cycle (and its length), whether it is
-    a three-row rotation, and the total cell difference."""
+    single vertex-disjoint alternating cycle (and its length), and whether
+    it is a three-row rotation."""
 
     changed_rows: tuple[int, ...]
     cycle_len: int  # 0 unless the difference is one vertex-disjoint cycle
     is_circle: bool
-    diff_size: int
 
 
 def _classify_bits(x: int, y: int, n: int, nc: int) -> _PairInfo:
@@ -196,7 +206,7 @@ def _classify_bits(x: int, y: int, n: int, nc: int) -> _PairInfo:
         ) or (
             gain[r0] == loss[r2] and gain[r2] == loss[r1] and gain[r1] == loss[r0]
         )
-    return _PairInfo(changed_rows, cycle_len, is_circle, diff_size)
+    return _PairInfo(changed_rows, cycle_len, is_circle)
 
 
 def swap_lengths_for(move_set: MoveSet) -> frozenset[int]:
@@ -527,11 +537,13 @@ def components_isomorphic(sg: StateGraph) -> bool:
 
 @dataclass
 class VerificationResult:
-    """Outcome of a verification sweep."""
+    """Outcome of a verification sweep.  ``seconds`` maps each check name to
+    the summed time from the previous recorded check to each of its own."""
 
     passed: bool = True
     checks_run: int = 0
     counts: dict = field(default_factory=dict)
+    seconds: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
     witness: Instance | None = None
     witness_check: str | None = None
@@ -540,8 +552,11 @@ class VerificationResult:
 
 
 class _SeqCtx:
-    """Per-state-pool data: bit states, canonical index, cached row sets and
-    pair classifications."""
+    """Per-sequence data: the bit states, their canonical index, the row
+    fields' shifts, cached pair classifications and subset tables.
+
+    Row i of a state ``x`` is the bit field ``(x >> shifts[i]) & full``,
+    with column j at bit nc - 1 - j."""
 
     def __init__(self, n, nc, a, b, bits):
         self.n = n
@@ -550,18 +565,10 @@ class _SeqCtx:
         self.b = tuple(b)
         self.bits = bits
         self.index = {x: s for s, x in enumerate(bits)}
-        self._rows: dict[int, tuple[frozenset, ...]] = {}
+        self.full = (1 << nc) - 1
+        self.shifts = tuple((n - 1 - i) * nc for i in range(n))
+        self._subsets: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._pairs: dict[tuple[int, int], _PairInfo] = {}
-
-    def rows_of(self, s):
-        got = self._rows.get(s)
-        if got is None:
-            m = _bits_to_matrix(self.bits[s], self.n, self.nc)
-            got = tuple(
-                frozenset(j for j in range(self.nc) if m[i][j]) for i in range(self.n)
-            )
-            self._rows[s] = got
-        return got
 
     def pair(self, s, t):
         if s > t:
@@ -572,18 +579,25 @@ class _SeqCtx:
             self._pairs[(s, t)] = got
         return got
 
-    def replace_rows_bits(self, s, new_rows: dict):
-        """State bits after replacing the given rows' column sets."""
-        bits = self.bits[s]
-        total = self.n * self.nc
-        for i, cols in new_rows.items():
-            shift = total - (i + 1) * self.nc
-            bits &= ~(((1 << self.nc) - 1) << shift)
-            row_bits = 0
-            for j in cols:
-                row_bits |= 1 << (self.nc - 1 - j)
-            bits |= row_bits << shift
-        return bits
+    def fields(self, x):
+        """The row fields of a state (or of a cell mask)."""
+        full = self.full
+        return tuple((x >> sh) & full for sh in self.shifts)
+
+    def subsets_of(self, mask):
+        """The submasks of ``mask`` grouped by size: entry k lists those with
+        k bits."""
+        got = self._subsets.get(mask)
+        if got is None:
+            out = [[] for _ in range(mask.bit_count() + 1)]
+            sub = mask
+            while True:
+                out[sub.bit_count()].append(sub)
+                if not sub:
+                    break
+                sub = (sub - 1) & mask
+            got = self._subsets[mask] = tuple(map(tuple, out))
+        return got
 
 
 def _support_props(n, nc, cells, cache):
@@ -625,7 +639,7 @@ def _components_of(states_idx, adjacent) -> list[tuple[int, ...]]:
 def _distance_bound_holds(ctx, states_idx):
     """BFS under 4-swap adjacency; every pair within diff/2 - 1 moves."""
     order = list(states_idx)
-    pos = {s: q for q, s in enumerate(order)}
+    bits = [ctx.bits[s] for s in order]
     adj = [[] for _ in order]
     for qa in range(len(order)):
         for qb in range(qa + 1, len(order)):
@@ -641,98 +655,123 @@ def _distance_bound_holds(ctx, states_idx):
                 if dist[v] < 0:
                     dist[v] = dist[u] + 1
                     queue.append(v)
+        x = bits[qa]
         for qb in range(len(order)):
             if qb == qa:
                 continue
-            diff = ctx.pair(order[qa], order[qb]).diff_size
+            diff = (x ^ bits[qb]).bit_count()
             if dist[qb] < 0 or dist[qb] > diff // 2 - 1:
                 return False
     return True
 
 
-def _trade_reversibility_ok(ctx, states_idx, fixed_rows):
-    """Exact one-step trade probabilities must be symmetric; each ordered
-    state pair is reachable through exactly one (pair, subset) draw, so the
-    subset-count denominators must match."""
+def _symmetric(ledger):
+    """True iff every key (s, t, ...) carries the value of (t, s, ...)."""
+    return all(
+        ledger.get((key[1], key[0], *key[2:])) == value
+        for key, value in ledger.items()
+    )
+
+
+def _trade_ledger(ctx, states_idx, fixed):
+    """The exact one-step trade ledger {(s, t): den}: from each state, each
+    row pair's trade reaches t through exactly one (pair, subset) draw, of
+    probability 1/den per pair.  ``fixed`` holds the fixed cells as row
+    fields.  None if a trade leaves the state set or a route repeats.
+
+    A trade on rows i, j exchanges columns between the pool of cells where
+    the two rows differ (fixed cells left out); handing row i the subset b
+    of the pool in place of its share a flips a ^ b in both rows."""
     dens: dict[tuple[int, int], int] = {}
-    n = ctx.n
+    index, bits, full = ctx.index, ctx.bits, ctx.full
+    pairs = [
+        (ctx.shifts[i], ctx.shifts[j], ~(fixed[i] | fixed[j]))
+        for i, j in itertools.combinations(range(ctx.n), 2)
+    ]
     for s in states_idx:
-        rows = ctx.rows_of(s)
-        for i in range(n):
-            for j in range(i + 1, n):
-                blocked = fixed_rows[i] | fixed_rows[j]
-                a_ij = rows[i] - rows[j] - blocked
-                a_ji = rows[j] - rows[i] - blocked
-                pool = sorted(a_ij | a_ji)
-                k = len(a_ij)
-                den = comb(len(pool), k)
-                if den == 1:
+        x = bits[s]
+        for sh_i, sh_j, free in pairs:
+            row_i = (x >> sh_i) & full
+            pool = (row_i ^ (x >> sh_j)) & full & free
+            share = row_i & pool
+            k = share.bit_count()
+            size = pool.bit_count()
+            if k == 0 or k == size:
+                continue
+            den = comb(size, k)
+            for sub in ctx.subsets_of(pool)[k]:
+                if sub == share:
                     continue
-                for combo in itertools.combinations(pool, k):
-                    b_ij = frozenset(combo)
-                    if b_ij == a_ij:
-                        continue
-                    new_i = (rows[i] - a_ij) | b_ij
-                    new_j = (rows[j] - a_ji) | (frozenset(pool) - b_ij)
-                    t = ctx.index.get(ctx.replace_rows_bits(s, {i: new_i, j: new_j}))
-                    assert t is not None, "trade produced an unknown state"
-                    assert (s, t) not in dens, "duplicate trade route"
-                    dens[(s, t)] = den
-    for (s, t), den in dens.items():
-        if dens.get((t, s)) != den:
-            return False
-    return True
+                flip = share ^ sub
+                t = index.get(x ^ (flip << sh_i) ^ (flip << sh_j))
+                if t is None or (s, t) in dens:
+                    return None
+                dens[(s, t)] = den
+    return dens
 
 
-def _circle_balance_ok(ctx, states_idx, fixed_rows, mh_on):
-    """Exact circle-trade accounting: with the Metropolis correction the
-    effective per-route probability is min of the two directions' subset
-    probabilities, whose multiset must match between (A, B) and (B, A)."""
-    from collections import Counter
+def _circle_ledgers(ctx, states_idx, fixed):
+    """The exact circle-trade ledgers of one enumeration of every route:
+    (corrected, uncorrected), each {(s, t, den): routes}, where 1/den is a
+    route's effective probability.  Uncorrected, den is the forward subset
+    denominator; with the Metropolis correction it is the larger of the
+    forward and reverse ones.  None if a rotation leaves the state set.
 
-    acc: dict[tuple[int, int], Counter] = {}
-    n = ctx.n
+    On rows (i, j, k), row i takes x columns of row j, j of k and k of i;
+    each row field flips by the subset it gives XOR the subset it takes."""
+    corrected: dict[tuple[int, int, int], int] = {}
+    uncorrected: dict[tuple[int, int, int], int] = {}
+    index, bits, full, shifts = ctx.index, ctx.bits, ctx.full, ctx.shifts
+    subsets_of = ctx.subsets_of
+    denominator = chains.circle_denominator
+    triples = [
+        (i, j, k, shifts[i], shifts[j], shifts[k],
+         ~(fixed[i] | fixed[j]), ~(fixed[j] | fixed[k]), ~(fixed[k] | fixed[i]))
+        for i, j, k in itertools.permutations(range(ctx.n), 3)
+    ]
     for s in states_idx:
-        rows = ctx.rows_of(s)
-        for i, j, k in itertools.permutations(range(n), 3):
-            d_ji = rows[j] - rows[i] - fixed_rows[i] - fixed_rows[j]
-            d_kj = rows[k] - rows[j] - fixed_rows[j] - fixed_rows[k]
-            d_ik = rows[i] - rows[k] - fixed_rows[k] - fixed_rows[i]
-            sizes = (len(d_ji), len(d_kj), len(d_ik))
+        x = bits[s]
+        rows = [(x >> sh) & full for sh in shifts]
+        for i, j, k, sh_i, sh_j, sh_k, free_ij, free_jk, free_ki in triples:
+            row_i, row_j, row_k = rows[i], rows[j], rows[k]
+            d_ji = row_j & ~row_i & free_ij
+            d_kj = row_k & ~row_j & free_jk
+            d_ik = row_i & ~row_k & free_ki
+            sizes = (d_ji.bit_count(), d_kj.bit_count(), d_ik.bit_count())
             m = min(sizes)
             if m == 0:
                 continue
-            sj, sk, si = sorted(d_ji), sorted(d_kj), sorted(d_ik)
-            for x in range(1, m + 1):
-                den_f = chains.circle_denominator(sizes, x)
-                for sub_j in itertools.combinations(sj, x):
-                    for sub_k in itertools.combinations(sk, x):
-                        for sub_i in itertools.combinations(si, x):
-                            new_i = (rows[i] - frozenset(sub_i)) | frozenset(sub_j)
-                            new_j = (rows[j] - frozenset(sub_j)) | frozenset(sub_k)
-                            new_k = (rows[k] - frozenset(sub_k)) | frozenset(sub_i)
-                            t = ctx.index.get(
-                                ctx.replace_rows_bits(
-                                    s, {i: new_i, j: new_j, k: new_k}
-                                )
+            by_j, by_k, by_i = subsets_of(d_ji), subsets_of(d_kj), subsets_of(d_ik)
+            for size in range(1, m + 1):
+                den_f = denominator(sizes, size)
+                for sub_j in by_j[size]:
+                    for sub_k in by_k[size]:
+                        flip_j = sub_j ^ sub_k
+                        for sub_i in by_i[size]:
+                            flip_i = sub_i ^ sub_j
+                            flip_k = sub_k ^ sub_i
+                            t = index.get(
+                                x ^ (flip_i << sh_i) ^ (flip_j << sh_j)
+                                ^ (flip_k << sh_k)
                             )
-                            assert t is not None, "circle trade left the state set"
-                            if mh_on:
-                                r_ij = new_i - new_j - fixed_rows[j] - fixed_rows[i]
-                                r_ki = new_k - new_i - fixed_rows[i] - fixed_rows[k]
-                                r_jk = new_j - new_k - fixed_rows[k] - fixed_rows[j]
-                                den_r = chains.circle_denominator(
-                                    (len(r_ij), len(r_ki), len(r_jk)), x
-                                )
-                                eff = max(den_f, den_r)
-                            else:
-                                eff = den_f
-                            acc.setdefault((s, t), Counter())[eff] += 1
-    keys = set(acc)
-    for s, t in keys:
-        if acc[(s, t)] != acc.get((t, s)):
-            return False
-    return True
+                            if t is None:
+                                return None
+                            new_i, new_j, new_k = (
+                                row_i ^ flip_i, row_j ^ flip_j, row_k ^ flip_k
+                            )
+                            den_r = denominator(
+                                (
+                                    (new_i & ~new_j & free_ij).bit_count(),
+                                    (new_k & ~new_i & free_ki).bit_count(),
+                                    (new_j & ~new_k & free_jk).bit_count(),
+                                ),
+                                size,
+                            )
+                            key = (s, t, max(den_f, den_r))
+                            corrected[key] = corrected.get(key, 0) + 1
+                            key = (s, t, den_f)
+                            uncorrected[key] = uncorrected.get(key, 0) + 1
+    return corrected, uncorrected
 
 
 def _static_ground_truth(bits, n, nc):
@@ -803,12 +842,16 @@ class _Reporter:
         self.emit = emit or (lambda line: None)
         self.quiet = quiet
         self.result = result
+        self.last = time.perf_counter()
 
     def record(self, name, digest, ok, witness_factory=None):
-        """Count one check.  ``digest`` is a zero-argument callable giving
-        the instance text; it is called only for a line that is printed
-        or a failure that is kept."""
+        """Count one check and the time since the previous one.  ``digest``
+        is a zero-argument callable giving the instance text; it is called
+        only for a line that is printed or a failure that is kept."""
         r = self.result
+        now = time.perf_counter()
+        r.seconds[name] = r.seconds.get(name, 0.0) + (now - self.last)
+        self.last = now
         r.checks_run += 1
         r.counts[name] = r.counts.get(name, 0) + 1
         if ok:
@@ -828,10 +871,11 @@ class _Reporter:
         self.emit(f"INFO {line}")
 
 
-def _check_instance_pool(ctx, states_idx, support_cells, pattern_forced_e,
+def _check_instance_pool(ctx, states_idx, fixed, pattern_forced_e,
                          pattern_forced_n, props, rep, free_bits=None,
                          static_cells=None):
-    """Run every applicable check on one instance (a state set plus mask)."""
+    """Run every applicable check on one instance (a state set plus mask);
+    ``fixed`` holds the mask's cells as row fields."""
     n, nc = ctx.n, ctx.nc
     no3m, no8, forest, excluded = props
     digest = _once(partial(
@@ -839,10 +883,6 @@ def _check_instance_pool(ctx, states_idx, support_cells, pattern_forced_e,
     ))
     witness = lambda: _make_instance(
         n, nc, ctx.a, ctx.b, pattern_forced_e, pattern_forced_n
-    )
-    fixed_rows = tuple(
-        frozenset(j for j in range(nc) if (i, j) in support_cells)
-        for i in range(n)
     )
     multi = len(states_idx) >= 2
 
@@ -891,33 +931,23 @@ def _check_instance_pool(ctx, states_idx, support_cells, pattern_forced_e,
                        len(comps) == 1, witness)
 
     if multi and len(states_idx) <= 60:
-        rep.record(
-            "trade-reversibility",
-            digest,
-            _trade_reversibility_ok(ctx, states_idx, fixed_rows),
-            witness,
-        )
+        trades = _trade_ledger(ctx, states_idx, fixed)
+        rep.record("trade-reversibility", digest,
+                   trades is not None and _symmetric(trades), witness)
         if n >= 3:
-            rep.record(
-                "circle-detailed-balance",
-                digest,
-                _circle_balance_ok(ctx, states_idx, fixed_rows, mh_on=True),
-                witness,
-            )
-            if not _circle_balance_ok(ctx, states_idx, fixed_rows, mh_on=False):
+            circles = _circle_ledgers(ctx, states_idx, fixed)
+            rep.record("circle-detailed-balance", digest,
+                       circles is not None and _symmetric(circles[0]), witness)
+            if circles is not None and not _symmetric(circles[1]):
                 rep.info(f"uncorrected-circle-asymmetry [{digest()}]")
 
-    if free_bits is not None and static_cells is not None and support_cells:
+    if free_bits is not None and static_cells is not None:
         forced_e_red = pattern_forced_e - static_cells[0]
         forced_n_red = pattern_forced_n - static_cells[1]
         if forced_e_red != pattern_forced_e or forced_n_red != pattern_forced_n:
-            kept = set()
-            for x in free_bits:
-                ok = all(x & _bit(i, j, n, nc) for i, j in forced_e_red) and not any(
-                    x & _bit(i, j, n, nc) for i, j in forced_n_red
-                )
-                if ok:
-                    kept.add(x)
+            ones = _cells_mask(forced_e_red, n, nc)
+            zeros = _cells_mask(forced_n_red, n, nc)
+            kept = {x for x in free_bits if x & ones == ones and not x & zeros}
             bucket = {ctx.bits[s] for s in states_idx}
             rep.record("reduction-equivalence", digest, kept == bucket, witness)
 
@@ -1052,9 +1082,8 @@ def run_verification(
                 for sup in supports:
                     sup_cells = frozenset(sup)
                     props = _support_props(n, nc, sup_cells, prop_cache)
-                    sup_mask = 0
-                    for i, j in sup:
-                        sup_mask |= _bit(i, j, n, nc)
+                    sup_mask = _cells_mask(sup, n, nc)
+                    fixed = ctx.fields(sup_mask)
                     buckets: dict[int, list[int]] = {}
                     for s, x in enumerate(bits):
                         buckets.setdefault(x & sup_mask, []).append(s)
@@ -1064,7 +1093,7 @@ def run_verification(
                         )
                         forced_n = sup_cells - forced_e
                         _check_instance_pool(
-                            ctx, states_idx, sup_cells, forced_e, forced_n,
+                            ctx, states_idx, fixed, forced_e, forced_n,
                             props, rep, free_bits=bits, static_cells=static_cells,
                         )
 
@@ -1079,6 +1108,7 @@ def run_verification(
         ):
             ctx = _SeqCtx(n, nc, a, b, bits)
             sup_cells = forced_e | forced_n
+            fixed = ctx.fields(_cells_mask(sup_cells, n, nc))
             props = _support_props(n, nc, frozenset(sup_cells), prop_cache)
             free_bits = _enumerate_bits(a, b, cap=20000)
             static_cells = None
@@ -1106,8 +1136,7 @@ def run_verification(
                     )
                 static_cells = (ss.forced_edges, ss.forced_non_edges)
             _check_instance_pool(
-                ctx, list(range(len(bits))), frozenset(sup_cells),
-                forced_e, forced_n, props, rep,
+                ctx, list(range(len(bits))), fixed, forced_e, forced_n, props, rep,
                 free_bits=free_bits, static_cells=static_cells,
             )
 

@@ -328,6 +328,54 @@ def test_verify_exit_code_on_failure(monkeypatch, capsys):
     assert "mask:" in captured.err
 
 
+def test_verify_json_reports_counts_and_seconds(capsys):
+    argv = ["verify", "--max-rows", "2", "--max-cols", "3", "--random", "5"]
+    assert cli.main(argv + ["--quiet"]) == 0
+    text = capsys.readouterr().out
+    assert cli.main(argv + ["--json"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    got = json.loads(out)
+    assert sorted(got) == ["checks_run", "counts", "elapsed", "failures",
+                           "info_lines", "passed", "seconds"]
+    assert got["passed"] is True and got["failures"] == []
+    assert got["checks_run"] == sum(got["counts"].values())
+    assert f"checks run: {got['checks_run']}\n" in text
+    for name, count in got["counts"].items():
+        assert f"  {name}: {count}\n" in text
+    assert got["seconds"].keys() == got["counts"].keys()
+    assert 0 <= sum(got["seconds"].values()) <= got["elapsed"] + 0.1
+
+
+def test_verify_json_on_failure(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "swap_lengths_for", lambda move_set: frozenset({4}))
+    code = cli.main(["verify", "--max-rows", "3", "--max-cols", "3",
+                     "--random", "0", "--json"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_VERIFY_FAIL
+    got = json.loads(captured.out)
+    assert got["passed"] is False
+    assert "swaps46-connected" in {name for name, _ in got["failures"]}
+    assert "witness instance:" in captured.err
+
+
+def test_verify_counts_do_not_depend_on_asserts():
+    # every guard of the sweep is a check, so -O strips none of its verdicts
+    probe = ("import json; from bipsample import oracle; "
+             "r = oracle.run_verification(3, 3, 5, seed=20240801, quiet=True); "
+             "print(json.dumps([r.checks_run, r.counts, r.passed]))")
+
+    def run(*flags):
+        done = subprocess.run([sys.executable, *flags, "-c", probe],
+                              capture_output=True, text=True, check=True,
+                              env=subprocess_env(), timeout=120)
+        return json.loads(done.stdout)
+
+    plain, optimized = run(), run("-O")
+    assert plain == optimized
+    assert plain[0] == 23789 and plain[2] is True
+
+
 def test_verify_guard(capsys):
     assert cli.main(["verify", "--max-rows", "7", "--max-cols", "6"]) == 4
 

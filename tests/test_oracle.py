@@ -1,14 +1,25 @@
 """Enumeration, state graphs, exact checks and the verification driver."""
 
+import hashlib
+import itertools
+import json
+import os
 import random
 import re
+from collections import Counter
+from math import comb
 
 import pytest
 
 import bipsample as bp
-from bipsample import oracle
+from bipsample import chains, cli, oracle
 from bipsample.chains import ChainConfig
 from bipsample.core import MoveSet
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
+# sha256 of the pool's INFO lines joined by newlines, as the frozenset
+# ledgers produced them.
+POOL_INFO_SHA256 = "0c9fe2843f69c8fa0f5edb940dcea950c82d0c381d19ed180ac8f790f06ca8e8"
 
 SPLIT_MASK_CELLS = ((0, 0), (1, 1), (2, 2), (3, 1))
 
@@ -266,3 +277,191 @@ def test_state_graph_moves_respect_masks():
                 if states[s].matrix[i] != states[t].matrix[i]
             }
             assert len(diff_rows) == (2 if label == "trade" else 3)
+
+
+def test_pool_matches_the_benchmark_record(pool_result):
+    with open(os.path.join(BENCH_DIR, "expected.json"), encoding="utf-8") as fh:
+        want = json.load(fh)["pool"]
+    assert pool_result.passed is want["passed"] is True
+    assert pool_result.checks_run == want["checks_run"] == 389030
+    assert pool_result.counts == want["counts"]
+    assert len(pool_result.info_lines) == want["info_lines"] == 877
+    joined = "\n".join(pool_result.info_lines).encode()
+    assert hashlib.sha256(joined).hexdigest() == POOL_INFO_SHA256
+    assert pool_result.seconds.keys() == pool_result.counts.keys()
+    assert all(v >= 0 for v in pool_result.seconds.values())
+
+
+# ---------------------------------------------------------------------------
+# The ledgers on column sets that the row-field ledgers replaced, kept as
+# their reference: each state's rows are frozensets of columns, and every
+# successor is re-encoded from its rows.
+
+
+def _rows(ctx, s):
+    m = oracle._bits_to_matrix(ctx.bits[s], ctx.n, ctx.nc)
+    return tuple(frozenset(j for j in range(ctx.nc) if m[i][j]) for i in range(ctx.n))
+
+
+def _index_with_rows(ctx, s, new_rows):
+    m = oracle._bits_to_matrix(ctx.bits[s], ctx.n, ctx.nc)
+    for i, cols in new_rows.items():
+        m[i] = [int(j in cols) for j in range(ctx.nc)]
+    return ctx.index.get(oracle._matrix_to_bits(m, ctx.n, ctx.nc))
+
+
+def reference_trade_ledger(ctx, states_idx, fixed_rows):
+    dens = {}
+    n = ctx.n
+    for s in states_idx:
+        rows = _rows(ctx, s)
+        for i in range(n):
+            for j in range(i + 1, n):
+                blocked = fixed_rows[i] | fixed_rows[j]
+                a_ij = rows[i] - rows[j] - blocked
+                a_ji = rows[j] - rows[i] - blocked
+                pool = sorted(a_ij | a_ji)
+                k = len(a_ij)
+                den = comb(len(pool), k)
+                if den == 1:
+                    continue
+                for combo in itertools.combinations(pool, k):
+                    b_ij = frozenset(combo)
+                    if b_ij == a_ij:
+                        continue
+                    new_i = (rows[i] - a_ij) | b_ij
+                    new_j = (rows[j] - a_ji) | (frozenset(pool) - b_ij)
+                    t = _index_with_rows(ctx, s, {i: new_i, j: new_j})
+                    assert t is not None, "trade produced an unknown state"
+                    assert (s, t) not in dens, "duplicate trade route"
+                    dens[(s, t)] = den
+    return dens
+
+
+def reference_circle_ledger(ctx, states_idx, fixed_rows, mh_on):
+    acc = {}
+    n = ctx.n
+    for s in states_idx:
+        rows = _rows(ctx, s)
+        for i, j, k in itertools.permutations(range(n), 3):
+            d_ji = rows[j] - rows[i] - fixed_rows[i] - fixed_rows[j]
+            d_kj = rows[k] - rows[j] - fixed_rows[j] - fixed_rows[k]
+            d_ik = rows[i] - rows[k] - fixed_rows[k] - fixed_rows[i]
+            sizes = (len(d_ji), len(d_kj), len(d_ik))
+            m = min(sizes)
+            if m == 0:
+                continue
+            sj, sk, si = sorted(d_ji), sorted(d_kj), sorted(d_ik)
+            for x in range(1, m + 1):
+                den_f = chains.circle_denominator(sizes, x)
+                for sub_j in itertools.combinations(sj, x):
+                    for sub_k in itertools.combinations(sk, x):
+                        for sub_i in itertools.combinations(si, x):
+                            new_i = (rows[i] - frozenset(sub_i)) | frozenset(sub_j)
+                            new_j = (rows[j] - frozenset(sub_j)) | frozenset(sub_k)
+                            new_k = (rows[k] - frozenset(sub_k)) | frozenset(sub_i)
+                            t = _index_with_rows(
+                                ctx, s, {i: new_i, j: new_j, k: new_k}
+                            )
+                            assert t is not None, "circle trade left the state set"
+                            if mh_on:
+                                r_ij = new_i - new_j - fixed_rows[j] - fixed_rows[i]
+                                r_ki = new_k - new_i - fixed_rows[i] - fixed_rows[k]
+                                r_jk = new_j - new_k - fixed_rows[k] - fixed_rows[j]
+                                den_r = chains.circle_denominator(
+                                    (len(r_ij), len(r_ki), len(r_jk)), x
+                                )
+                                eff = max(den_f, den_r)
+                            else:
+                                eff = den_f
+                            acc.setdefault((s, t), Counter())[eff] += 1
+    return acc
+
+
+def _flat(counters):
+    """{(s, t): Counter(den)} as the sweep's {(s, t, den): routes}."""
+    return {
+        (s, t, den): routes
+        for (s, t), counter in counters.items()
+        for den, routes in counter.items()
+    }
+
+
+def _ledger_state_sets():
+    """(ctx, state indices, support cells): every pattern of every support
+    of at most 4 cells of every sequence on grids up to 3x3, then 50 seeded
+    random instances up to 4x5."""
+    for n in range(1, 4):
+        for nc in range(1, 4):
+            cells = [(i, j) for i in range(n) for j in range(nc)]
+            supports = [
+                sup for size in range(min(4, len(cells)) + 1)
+                for sup in itertools.combinations(cells, size)
+            ]
+            for a, b in oracle._sorted_sequences(n, nc):
+                bits = oracle._enumerate_bits(a, b)
+                if not bits:
+                    continue
+                ctx = oracle._SeqCtx(n, nc, a, b, bits)
+                for sup in supports:
+                    sup_mask = oracle._cells_mask(sup, n, nc)
+                    buckets = {}
+                    for s, x in enumerate(bits):
+                        buckets.setdefault(x & sup_mask, []).append(s)
+                    for states_idx in buckets.values():
+                        yield ctx, states_idx, frozenset(sup)
+    rng = random.Random(20240801)
+    pools = oracle._random_instances(rng, 4, 5, 60, False)
+    for n, nc, a, b, forced_e, forced_n, bits in itertools.islice(pools, 50):
+        ctx = oracle._SeqCtx(n, nc, a, b, bits)
+        yield ctx, list(range(len(bits))), forced_e | forced_n
+
+
+def test_row_field_ledgers_match_the_column_set_ledgers():
+    checked = routes = asymmetric = 0
+    for ctx, states_idx, support in _ledger_state_sets():
+        n, nc = ctx.n, ctx.nc
+        fixed_rows = tuple(
+            frozenset(j for j in range(nc) if (i, j) in support) for i in range(n)
+        )
+        fixed = ctx.fields(oracle._cells_mask(support, n, nc))
+        trades = oracle._trade_ledger(ctx, states_idx, fixed)
+        assert trades == reference_trade_ledger(ctx, states_idx, fixed_rows)
+        corrected, uncorrected = oracle._circle_ledgers(ctx, states_idx, fixed)
+        assert corrected == _flat(
+            reference_circle_ledger(ctx, states_idx, fixed_rows, mh_on=True)
+        )
+        assert uncorrected == _flat(
+            reference_circle_ledger(ctx, states_idx, fixed_rows, mh_on=False)
+        )
+        checked += 1
+        routes += len(trades) + sum(uncorrected.values())
+        asymmetric += not oracle._symmetric(uncorrected)
+    assert checked > 17000
+    assert routes > 7000
+    assert asymmetric > 0  # the uncorrected ledger is not trivially symmetric
+
+
+def _drop_one_state(enumerate_bits):
+    """``_enumerate_bits`` with the first realization of the free 3x3
+    permutation sequence missing."""
+
+    def wrapped(a, b, *args, **kwargs):
+        got = enumerate_bits(a, b, *args, **kwargs)
+        if (a, b) == ((1, 1, 1), (1, 1, 1)) and not args and not kwargs:
+            return got[1:]
+        return got
+
+    return wrapped
+
+
+def test_ledger_routes_out_of_the_state_set_fail_their_checks(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "_enumerate_bits", _drop_one_state(oracle._enumerate_bits))
+    res = bp.run_verification(3, 3, 0, seed=5, quiet=True)
+    assert not res.passed
+    failed = {(name, text) for name, text in res.failures}
+    for name in ("trade-reversibility", "circle-detailed-balance"):
+        assert (name, "3x3 a=1,1,1 b=1,1,1 m=***|***|***") in failed
+    assert cli.main(["verify", "--max-rows", "3", "--max-cols", "3",
+                     "--random", "0", "--quiet"]) == cli.EXIT_VERIFY_FAIL
+    assert "result: FAIL" in capsys.readouterr().out
