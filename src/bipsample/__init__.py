@@ -27,7 +27,6 @@ from .chains import (
     propose_trade,
     run,
     state_key,
-    step,
 )
 from .core import (
     FORCED_EDGE,

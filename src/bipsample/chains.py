@@ -9,13 +9,15 @@ Streams are reproducible for a fixed seed within this implementation.
 
 State representation: the chain layer keeps a state as one int per row, a
 bit mask with bit j set when the row has column j, and the fixed cells of
-each row as a mask of the same form.  Every step kernel works on these
-masks in place.  Each move kind has one draw function, whose result an
-in-place kernel applies and the public ``propose_*`` functions decode into
-a proposal object of column frozensets; both paths make the same draws in
-the same order, so they share one random stream.  Masks are built from and
-decoded into ``Realization`` objects only at the boundary: ``Chain``'s
-constructor and ``realization()``, ``step``, ``propose_*``,
+each row as a mask of the same form.  Each move kind has one block kernel,
+``_trades`` (with circle trades mixed in by ``_circle``), ``_swaps`` or
+``_cycles``, which takes k steps on these masks in place in one Python
+frame and returns the draw of its last step.  A chain runs its kernel over
+a block of steps at a time; the public ``propose_*`` functions run the same
+kernel for one step on a copy of the masks and decode that draw into a
+proposal object of column frozensets, so both share one random stream.
+Masks are built from and decoded into ``Realization`` objects only at the
+boundary: ``Chain``'s constructor and ``realization()``, ``propose_*``,
 ``enumerate_trades`` and ``state_key``.
 """
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 from typing import Iterable, Iterator
 
@@ -169,45 +172,6 @@ def _realization(inst: Instance, rows) -> Realization:
     )
 
 
-def _below(rng: random.Random, n: int) -> int:
-    """``rng.randrange(n)`` for n >= 1: the same ``getrandbits`` draws as
-    CPython 3.10-3.13's ``_randbelow``, without randrange's two Python
-    frames.  For n = 0 it would loop forever; every caller passes n >= 1."""
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return r
-
-
-def _nth_bit(x: int, q: int) -> int:
-    """The q-th lowest set bit of ``x``, as a one-bit mask."""
-    for _ in range(q):
-        x &= x - 1
-    return x & -x
-
-
-def _distinct(rng: random.Random, n: int, h: int) -> list[int]:
-    """h distinct indices below n, the t-th being the pos-th index not yet
-    drawn, counting upward, for a uniform pos below n - t.  The drawn
-    indices are bits of ``taken``; each one at or below the running answer
-    pushes it up by one."""
-    out = []
-    taken = 0
-    for t in range(h):
-        pos = _below(rng, n - t)
-        rest = taken
-        while rest:
-            low = rest & -rest
-            if low > 1 << pos:
-                break
-            pos += 1
-            rest ^= low
-        taken |= 1 << pos
-        out.append(pos)
-    return out
-
-
 def _unrank_subset(pool: int, k: int, index: int) -> int:
     """The index-th k-subset of the columns in ``pool`` in lexicographic
     order, walking the pool's bits from the lowest column up.
@@ -237,95 +201,114 @@ def _unrank_subset(pool: int, k: int, index: int) -> int:
     return out
 
 
-def _draw_pair(rng: random.Random, n: int) -> tuple[int, int]:
-    i = _below(rng, n)
-    j = _below(rng, n - 1)
+# ---------------------------------------------------------------------------
+# Block kernels.  Each takes k steps of one move kind on the row masks in
+# place and returns the draw of its last step, which ``propose_*`` decode.
+#
+# Every draw below n is CPython 3.10-3.13's ``randrange(n)``, inlined: with
+# b = n.bit_length(), ``r = getrandbits(b)`` until r < n.  A draw below 1
+# still takes getrandbits(1) until it gives 0.  With fewer than two rows
+# there is no row pair: a trade or swap step is then the lazy step and
+# takes nothing from the random stream; so is a circle step with fewer
+# than three rows.
+#
+# A move hands each moved column from a row that has it to a row that
+# lacks it, so every changed row changes by an XOR.
+
+
+def _trades(rows, fixed, n, rng, k, circle=None):
+    """k trade steps: a uniform ordered row pair (i, j), then a uniform
+    replacement for a_ij among the |a_ij|-subsets of the pool a_ij | a_ji.
+    Drawing a_ij itself is the lazy step.
+
+    With ``circle`` set to the Metropolis flag, each step first draws one
+    bit; on a 1 it is a circle trade (``_circle``) instead.  Returns
+    (i, j, a_ij, a_ji, flip) for the last step, ``flip`` being the bits
+    both rows toggle (0 for the lazy step), or None for k = 0, for n < 2
+    and whenever ``circle`` is set."""
+    mixed = circle is not None
+    if n < 2 and not mixed:
+        return None
+    getrandbits = rng.getrandbits
+    binomial, unrank = comb, _unrank_subset
+    n1 = n - 1
+    bits_i, bits_j = n.bit_length(), n1.bit_length()
+    flip = None
+    for _ in range(k):
+        if mixed and getrandbits(1):
+            if n >= 3:
+                _circle(rows, fixed, n, rng, circle)
+            continue
+        if n < 2:
+            continue
+        i = getrandbits(bits_i)
+        while i >= n:
+            i = getrandbits(bits_i)
+        j = getrandbits(bits_j)
+        while j >= n1:
+            j = getrandbits(bits_j)
+        if j >= i:
+            j += 1
+        ri, rj = rows[i], rows[j]
+        blocked = fixed[i] | fixed[j]
+        a = ri & ~(rj | blocked)
+        b = rj & ~(ri | blocked)
+        pool = a | b
+        size = a.bit_count()
+        total = binomial(pool.bit_count(), size)
+        bits = total.bit_length()
+        r = getrandbits(bits)
+        while r >= total:
+            r = getrandbits(bits)
+        # With one subset in the pool it is a_ij itself.
+        flip = a ^ unrank(pool, size, r) if total > 1 else 0
+        if flip:
+            rows[i] = ri ^ flip
+            rows[j] = rj ^ flip
+    if mixed or flip is None:
+        return None
+    return i, j, a, b, flip
+
+
+def _circle(rows, fixed, n, rng, mh):
+    """One circle trade, for n >= 3: a uniform ordered row triple (i, j, k),
+    a uniform subset of the smallest difference set (one getrandbits draw,
+    bit b picking its b-th lowest column), then uniform equal-sized subsets
+    of the other two.  With ``mh`` on, the Metropolis test may undo it.
+    Returns the draw (i, j, k, d_ji, d_kj, d_ik, sub_i, sub_j, sub_k) in
+    the field order of ``CircleTradeProposal``, or None for the lazy step."""
+    getrandbits = rng.getrandbits
+    bits = n.bit_length()
+    i = getrandbits(bits)
+    while i >= n:
+        i = getrandbits(bits)
+    m = n - 1
+    bits = m.bit_length()
+    j = getrandbits(bits)
+    while j >= m:
+        j = getrandbits(bits)
     if j >= i:
         j += 1
-    return i, j
-
-
-def _movable(rows, fixed, src, dst):
-    """Columns row ``src`` can hand to row ``dst``: its own, not ``dst``'s,
-    and fixed in neither row."""
-    return rows[src] & ~rows[dst] & ~(fixed[src] | fixed[dst])
-
-
-def _exchangeable(rows, fixed, i, j):
-    """``_movable`` both ways for the row pair (i, j)."""
-    ri, rj = rows[i], rows[j]
-    blocked = fixed[i] | fixed[j]
-    return ri & ~(rj | blocked), rj & ~(ri | blocked)
-
-
-# Each move kind has one draw function.  It reads the row masks without
-# changing them and returns the drawn move, or None for the lazy step; the
-# in-place kernels below apply that result to a chain's row masks, and the
-# public ``propose_*`` functions decode it into a proposal object.  With
-# fewer than two rows there is no row pair: a trade or swap draw is then the
-# lazy step and takes nothing from the random stream.  Circle trades need
-# three rows, which their callers check.
-
-
-def _draw_trade(rows, fixed, n, rng):
-    """(i, j, a_ij, a_ji, b_ij): a uniform row pair and a uniform
-    replacement ``b_ij`` for ``a_ij`` among the |a_ij|-subsets of the pool."""
-    if n < 2:
-        return None
-    i, j = _draw_pair(rng, n)
-    a_ij, a_ji = _exchangeable(rows, fixed, i, j)
-    pool = a_ij | a_ji
-    k = a_ij.bit_count()
-    b_ij = _unrank_subset(pool, k, _below(rng, comb(pool.bit_count(), k)))
-    if b_ij == a_ij:
-        return None
-    return i, j, a_ij, a_ji, b_ij
-
-
-def _draw_swap(rows, fixed, n, rng):
-    """(i, j, a_ij, a_ji, x, y): row i gives column bit x to row j for
-    column bit y, uniform among the pair's exchange options plus the lazy
-    step."""
-    if n < 2:
-        return None
-    i, j = _draw_pair(rng, n)
-    a_ij, a_ji = _exchangeable(rows, fixed, i, j)
-    n_ji = a_ji.bit_count()
-    n_ex = a_ij.bit_count() * n_ji
-    r = _below(rng, n_ex + 1)
-    if r == n_ex:
-        return None
-    q, s = divmod(r, n_ji)
-    return i, j, a_ij, a_ji, _nth_bit(a_ij, q), _nth_bit(a_ji, s)
-
-
-def _circle_sets(rows, fixed, i, j, k):
-    """(d_ji, d_kj, d_ik): what row j hands to i, k to j and i to k."""
-    return (
-        _movable(rows, fixed, j, i),
-        _movable(rows, fixed, k, j),
-        _movable(rows, fixed, i, k),
-    )
-
-
-def _draw_circle_trade(rows, fixed, n, rng):
-    """(i, j, k, d_ji, d_kj, d_ik, sub_i, sub_j, sub_k) in the field order
-    of ``CircleTradeProposal``, as masks; needs n >= 3."""
-    i, j = _draw_pair(rng, n)
     # The t-th row other than i and j.
-    k = _below(rng, n - 2)
+    m = n - 2
+    bits = m.bit_length()
+    k = getrandbits(bits)
+    while k >= m:
+        k = getrandbits(bits)
     if k >= min(i, j):
         k += 1
     if k >= max(i, j):
         k += 1
-    sets = _circle_sets(rows, fixed, i, j, k)
+    ri, rj, rk = rows[i], rows[j], rows[k]
+    fi, fj, fk = fixed[i], fixed[j], fixed[k]
+    # What row j hands to i, k to j and i to k.
+    sets = (rj & ~(ri | fi | fj), rk & ~(rj | fj | fk), ri & ~(rk | fk | fi))
     sizes = [s.bit_count() for s in sets]
     m = min(sizes)
-    if m == 0:
+    if not m:
         return None
     pivot = sizes.index(m)
-    # Bit b of ``bits`` picks the b-th lowest column of the pivot set.
-    bits = rng.getrandbits(m)
+    bits = getrandbits(m)
     if not bits:
         return None
     x = bits.bit_count()
@@ -340,127 +323,178 @@ def _draw_circle_trade(rows, fixed, n, rng):
     subs = [chosen] * 3
     for idx in range(3):
         if idx != pivot:
-            subs[idx] = _unrank_subset(
-                sets[idx], x, _below(rng, comb(sizes[idx], x))
-            )
-    return (i, j, k, *sets, subs[2], subs[0], subs[1])
-
-
-# The kernels flip bits: a move hands each moved column from a row that has
-# it to a row that lacks it, so every changed row changes by an XOR.
-
-
-def _trade_in_place(rows, fixed, n, rng) -> None:
-    d = _draw_trade(rows, fixed, n, rng)
-    if d is not None:
-        i, j, a_ij, _, b_ij = d
-        flip = a_ij ^ b_ij
-        rows[i] ^= flip
-        rows[j] ^= flip
-
-
-def _swap_in_place(rows, fixed, n, rng) -> None:
-    d = _draw_swap(rows, fixed, n, rng)
-    if d is not None:
-        i, j, _, _, x, y = d
-        rows[i] ^= x | y
-        rows[j] ^= x | y
-
-
-def _circle_in_place(rows, fixed, n, rng, mh_correction: bool) -> None:
-    d = _draw_circle_trade(rows, fixed, n, rng)
-    if d is None:
-        return
-    i, j, k, d_ji, d_kj, d_ik, sub_i, sub_j, sub_k = d
-    flip_i, flip_j, flip_k = sub_i | sub_j, sub_j | sub_k, sub_k | sub_i
-    rows[i] ^= flip_i
-    rows[j] ^= flip_j
-    rows[k] ^= flip_k
-    if mh_correction:
-        x = sub_i.bit_count()
-        sizes = (d_ji.bit_count(), d_kj.bit_count(), d_ik.bit_count())
+            total = comb(sizes[idx], x)
+            bits = total.bit_length()
+            r = getrandbits(bits)
+            while r >= total:
+                r = getrandbits(bits)
+            subs[idx] = _unrank_subset(sets[idx], x, r)
+    sub_j, sub_k, sub_i = subs
+    ni, nj, nk = ri ^ (sub_i | sub_j), rj ^ (sub_j | sub_k), rk ^ (sub_k | sub_i)
+    rows[i], rows[j], rows[k] = ni, nj, nk
+    if mh:
         den_fwd = circle_denominator(sizes, x)
         # The reverse rotation runs over the order (j, i, k) of the new state.
-        reverse = _circle_sets(rows, fixed, j, i, k)
-        den_rev = circle_denominator(tuple(s.bit_count() for s in reverse), x)
+        reverse = (ni & ~(nj | fj | fi), nk & ~(ni | fi | fk), nj & ~(nk | fk | fj))
+        den_rev = circle_denominator([s.bit_count() for s in reverse], x)
         if den_rev > den_fwd and rng.random() >= den_fwd / den_rev:
             # Reject: undo the rotation.
-            rows[i] ^= flip_i
-            rows[j] ^= flip_j
-            rows[k] ^= flip_k
+            rows[i], rows[j], rows[k] = ri, rj, rk
+    return (i, j, k, *sets, sub_i, sub_j, sub_k)
 
 
-def _draw_cycle(rows, fixed, n, n_cols, limit, rng):
-    """(rows_seq, cols_seq): a uniform even length up to ``limit``, then
-    uniform sequences of distinct rows and of distinct columns.  None
-    unless the closed walk row0-col0-row1-col1-...-row0 alternates and
-    avoids fixed cells, which is checked row by row, stopping at the first
-    failure, after every draw is made."""
-    h = 2 + _below(rng, limit // 2 - 1)
-    if h > n or h > n_cols:
+def _swaps(rows, fixed, n, rng, k):
+    """k single swaps: a uniform ordered row pair (i, j), then row i gives
+    a column of a_ij to row j for one of a_ji, uniform among the pair's
+    |a_ij| * |a_ji| options plus the lazy step, drawn last.  Returns
+    (i, j, a_ij, a_ji, flip) for the last step as ``_trades`` does."""
+    if n < 2:
         return None
-    rows_seq = _distinct(rng, n, h)
-    cols_seq = _distinct(rng, n_cols, h)
-    # Row r_t holds cells (r_t, c_t) and (r_t, c_{t-1}); along the walk the
-    # first has the value of (r_0, c_0), the second the other value.
-    first_one = rows[rows_seq[0]] >> cols_seq[0] & 1
-    prev = 1 << cols_seq[-1]
-    for r, c in zip(rows_seq, cols_seq):
-        cur = 1 << c
-        pair = cur | prev
-        if rows[r] & pair != (cur if first_one else prev) or fixed[r] & pair:
-            return None
-        prev = cur
-    return rows_seq, cols_seq
+    getrandbits = rng.getrandbits
+    n1 = n - 1
+    bits_i, bits_j = n.bit_length(), n1.bit_length()
+    flip = None
+    for _ in range(k):
+        i = getrandbits(bits_i)
+        while i >= n:
+            i = getrandbits(bits_i)
+        j = getrandbits(bits_j)
+        while j >= n1:
+            j = getrandbits(bits_j)
+        if j >= i:
+            j += 1
+        ri, rj = rows[i], rows[j]
+        blocked = fixed[i] | fixed[j]
+        a = ri & ~(rj | blocked)
+        b = rj & ~(ri | blocked)
+        n_ji = b.bit_count()
+        n_ex = a.bit_count() * n_ji
+        bits = (n_ex + 1).bit_length()
+        r = getrandbits(bits)
+        while r > n_ex:
+            r = getrandbits(bits)
+        if r < n_ex:
+            # The q-th set bit of a_ij and the s-th of a_ji.
+            q, s = divmod(r, n_ji)
+            x, y = a, b
+            for _ in range(q):
+                x &= x - 1
+            for _ in range(s):
+                y &= y - 1
+            flip = (x & -x) | (y & -y)
+            rows[i] = ri ^ flip
+            rows[j] = rj ^ flip
+        else:
+            flip = 0
+    if flip is None:
+        return None
+    return i, j, a, b, flip
 
 
-def _candidate_cycle(rows_seq, cols_seq):
-    """Cell sequence of the closed walk row0-col0-row1-col1-...-row0."""
-    h = len(rows_seq)
-    cells = []
-    for t in range(h):
-        cells.append((rows_seq[t], cols_seq[t]))
-        cells.append((rows_seq[(t + 1) % h], cols_seq[t]))
-    return cells
-
-
-def _cycle_in_place(rows, fixed, n, n_cols, limit, rng) -> None:
-    d = _draw_cycle(rows, fixed, n, n_cols, limit, rng)
-    if d is not None:
-        rows_seq, cols_seq = d
+def _cycles(rows, fixed, n, rng, k, n_cols, limit):
+    """k bounded cycle swaps: a uniform h in 2..limit/2, then h distinct
+    rows and h distinct columns, the t-th being the pos-th index not yet
+    drawn for a uniform pos below n - t (n_cols - t).  The closed walk
+    row0-col0-row1-col1-...-row0 swaps when it alternates and avoids fixed
+    cells, checked row by row, stopping at the first failure, after every
+    draw is made.  Returns (rows_seq, cols_seq) when the last step swapped,
+    else None."""
+    getrandbits = rng.getrandbits
+    lengths = limit // 2 - 1
+    bits_h = lengths.bit_length()
+    # The bit lengths of n - t and n_cols - t for every t a walk reaches.
+    reach = range(min(limit // 2, n, n_cols))
+    row_bits = [(n - t).bit_length() for t in reach]
+    col_bits = [(n_cols - t).bit_length() for t in reach]
+    d = None
+    for _ in range(k):
+        d = None
+        h = getrandbits(bits_h)
+        while h >= lengths:
+            h = getrandbits(bits_h)
+        h += 2
+        if h > n or h > n_cols:
+            continue
+        # Each drawn index at or below the answer pushes it up by one.
+        rows_seq = []
+        taken = 0
+        for t in range(h):
+            m, bits = n - t, row_bits[t]
+            pos = getrandbits(bits)
+            while pos >= m:
+                pos = getrandbits(bits)
+            rest = taken
+            while rest:
+                low = rest & -rest
+                if low > 1 << pos:
+                    break
+                pos += 1
+                rest ^= low
+            taken |= 1 << pos
+            rows_seq.append(pos)
+        cols_seq = []
+        taken = 0
+        for t in range(h):
+            m, bits = n_cols - t, col_bits[t]
+            pos = getrandbits(bits)
+            while pos >= m:
+                pos = getrandbits(bits)
+            rest = taken
+            while rest:
+                low = rest & -rest
+                if low > 1 << pos:
+                    break
+                pos += 1
+                rest ^= low
+            taken |= 1 << pos
+            cols_seq.append(pos)
+        # Row r_t holds cells (r_t, c_t) and (r_t, c_{t-1}); along the walk
+        # the first has the value of (r_0, c_0), the second the other value.
+        first_one = rows[rows_seq[0]] >> cols_seq[0] & 1
         prev = 1 << cols_seq[-1]
         for r, c in zip(rows_seq, cols_seq):
             cur = 1 << c
-            rows[r] ^= cur | prev
+            pair = cur | prev
+            if rows[r] & pair != (cur if first_one else prev) or fixed[r] & pair:
+                break
             prev = cur
+        else:
+            prev = 1 << cols_seq[-1]
+            for r, c in zip(rows_seq, cols_seq):
+                cur = 1 << c
+                rows[r] ^= cur | prev
+                prev = cur
+            d = rows_seq, cols_seq
+    return d
 
 
-def _trade_proposal(i, j, a_ij, a_ji, b_ij) -> TradeProposal:
+# ---------------------------------------------------------------------------
+# Single draws as proposal objects, for callers that inspect a move.
+
+
+def _trade_proposal(i, j, a_ij, a_ji, flip) -> TradeProposal:
     return TradeProposal(
-        i, j, _cols(a_ij), _cols(a_ji), _cols(b_ij), _cols((a_ij | a_ji) ^ b_ij)
+        i, j, _cols(a_ij), _cols(a_ji), _cols(a_ij ^ flip), _cols(a_ji ^ flip)
     )
 
 
 def _masks_of(g: Realization):
-    """The row masks of ``g`` and of its instance's fixed cells."""
-    return state_key(g), _fixed_masks(g.instance)
+    """A fresh list of the row masks of ``g``, and its fixed-cell masks."""
+    return list(state_key(g)), _fixed_masks(g.instance)
 
 
 def propose_trade(g: Realization, rng: random.Random) -> "TradeProposal | Stay":
     """Draw one trade: a uniform row pair, then a uniform replacement subset
     of the exchangeable pool.  Choosing the current subset is the lazy step."""
-    d = _draw_trade(*_masks_of(g), g.instance.n, rng)
-    return STAY if d is None else _trade_proposal(*d)
+    d = _trades(*_masks_of(g), g.instance.n, rng, 1)
+    return STAY if d is None or not d[4] else _trade_proposal(*d)
 
 
 def propose_swap(g: Realization, rng: random.Random) -> "TradeProposal | Stay":
     """Draw one single-column exchange (or the lazy step), uniformly among
     the pair's exchange options plus Stay."""
-    d = _draw_swap(*_masks_of(g), g.instance.n, rng)
-    if d is None:
-        return STAY
-    i, j, a_ij, a_ji, x, y = d
-    return _trade_proposal(i, j, a_ij, a_ji, a_ij ^ x | y)
+    d = _swaps(*_masks_of(g), g.instance.n, rng, 1)
+    return STAY if d is None or not d[4] else _trade_proposal(*d)
 
 
 def propose_circle_trade(g: Realization, rng: random.Random) -> "CircleTradeProposal | Stay":
@@ -469,7 +503,7 @@ def propose_circle_trade(g: Realization, rng: random.Random) -> "CircleTradeProp
     column order), then uniform equal-sized subsets of the other two."""
     if g.instance.n < 3:
         raise ValueError("circle trades need at least three rows")
-    d = _draw_circle_trade(*_masks_of(g), g.instance.n, rng)
+    d = _circle(*_masks_of(g), g.instance.n, rng, False)
     if d is None:
         return STAY
     i, j, k, *sets = d
@@ -479,69 +513,48 @@ def propose_circle_trade(g: Realization, rng: random.Random) -> "CircleTradeProp
 def propose_bounded_cycle_swap(g: Realization, limit: int, rng: random.Random):
     """Draw a cycle-swap candidate: a uniform even length up to ``limit``,
     then uniform sequences of distinct rows and columns arranged
-    alternately.  Returns the cell cycle if it alternates in ``g`` and
-    avoids fixed cells, else Stay.  The draw is symmetric between a state
-    and its successor, so acceptance is unconditional."""
+    alternately.  Returns the cell cycle row0-col0-row1-col1-...-row0 if it
+    alternates in ``g`` and avoids fixed cells, else Stay.  The draw is
+    symmetric between a state and its successor, so acceptance is
+    unconditional."""
     if limit % 2 or limit < 4:
         raise ValueError("length limit must be an even integer >= 4")
     inst = g.instance
-    d = _draw_cycle(*_masks_of(g), inst.n, inst.n_cols, limit, rng)
-    return STAY if d is None else tuple(_candidate_cycle(*d))
+    d = _cycles(*_masks_of(g), inst.n, rng, 1, inst.n_cols, limit)
+    if d is None:
+        return STAY
+    rows_seq, cols_seq = d
+    h = len(rows_seq)
+    cells = []
+    for t in range(h):
+        cells += [(rows_seq[t], cols_seq[t]), (rows_seq[(t + 1) % h], cols_seq[t])]
+    return tuple(cells)
 
 
 def enumerate_trades(g: Realization, i: int, j: int) -> list:
     """All trade outcomes for the row pair (i, j): every replacement subset
     in lexicographic order, with the identity replacement reported as Stay."""
-    a_ij, a_ji = _exchangeable(*_masks_of(g), i, j)
+    rows, fixed = _masks_of(g)
+    blocked = fixed[i] | fixed[j]
+    a_ij, a_ji = rows[i] & ~(rows[j] | blocked), rows[j] & ~(rows[i] | blocked)
     pool = a_ij | a_ji
     k = a_ij.bit_count()
     out = []
     for idx in range(comb(pool.bit_count(), k)):
-        b_ij = _unrank_subset(pool, k, idx)
-        out.append(STAY if b_ij == a_ij else _trade_proposal(i, j, a_ij, a_ji, b_ij))
+        flip = a_ij ^ _unrank_subset(pool, k, idx)
+        out.append(_trade_proposal(i, j, a_ij, a_ji, flip) if flip else STAY)
     return out
-
-
-def _step_rows(rows, fixed, n, n_cols, cfg: ChainConfig, rng: random.Random) -> None:
-    """One step of ``cfg``'s chain, applied to the row masks in place."""
-    kind = cfg.move_set.kind
-    if kind == MoveSet.TRADES:
-        _trade_in_place(rows, fixed, n, rng)
-    elif kind == MoveSet.SWAPS4:
-        _swap_in_place(rows, fixed, n, rng)
-    elif kind == MoveSet.TRADES_PLUS_CIRCLE:
-        if rng.getrandbits(1) == 0:
-            _trade_in_place(rows, fixed, n, rng)
-        elif n >= 3:
-            _circle_in_place(rows, fixed, n, rng, cfg.mh_correction)
-    else:
-        # Bounded cycle swaps; the 4/6-swap set is the limit-6 special case.
-        if kind == MoveSet.SWAPS46:
-            limit = 6
-        elif kind == MoveSet.SWAPS_UP_TO:
-            limit = cfg.move_set.limit
-        else:
-            raise ValueError(f"move set {cfg.move_set} is not a runnable chain")
-        _cycle_in_place(rows, fixed, n, n_cols, limit, rng)
-
-
-def step(g: Realization, cfg: ChainConfig, rng: random.Random) -> Realization:
-    """Advance one step from ``g`` under the configured move set."""
-    rows, fixed = _masks_of(g)
-    rows = list(rows)
-    inst = g.instance
-    _step_rows(rows, fixed, inst.n, inst.n_cols, cfg, rng)
-    return _realization(inst, rows)
 
 
 class Chain:
     """One seeded run of a chain from a start realization.
 
     The current state lives as one column mask per row; no ``Realization``
-    is built until ``realization()`` asks for one.  ``keys()`` yields a
-    cheap key of the state after every ``sample_gap``-th step: the tuple of
-    row masks, the value ``state_key`` gives for that state's
-    ``Realization``.
+    is built until ``realization()`` asks for one.  The chain picks its
+    move kind's block kernel once; ``advance(k)`` is one kernel call.
+    ``keys()`` yields a cheap key of the state after every
+    ``sample_gap``-th step: the tuple of row masks, the value ``state_key``
+    gives for that state's ``Realization``.
     """
 
     def __init__(self, start: Realization, cfg: ChainConfig):
@@ -549,23 +562,32 @@ class Chain:
         self.instance = inst
         self.config = cfg
         rows, self._fixed = _masks_of(start)
-        self._rows = list(rows)
+        self._rows = rows
         self._rng = random.Random(cfg.seed)
+        state = (rows, self._fixed, inst.n, self._rng)
+        kind = cfg.move_set.kind
+        if kind == MoveSet.TRADES:
+            self._run = partial(_trades, *state)
+        elif kind == MoveSet.TRADES_PLUS_CIRCLE:
+            self._run = partial(_trades, *state, circle=cfg.mh_correction)
+        elif kind == MoveSet.SWAPS4:
+            self._run = partial(_swaps, *state)
+        else:
+            # Bounded cycle swaps; the 4/6-swap set is the limit-6 case.
+            limit = 6 if kind == MoveSet.SWAPS46 else cfg.move_set.limit
+            self._run = partial(_cycles, *state, n_cols=inst.n_cols, limit=limit)
 
     def advance(self, k: int) -> None:
         """Take ``k`` steps."""
-        rows, fixed, cfg, rng = self._rows, self._fixed, self.config, self._rng
-        n, nc = self.instance.n, self.instance.n_cols
-        for _ in range(k):
-            _step_rows(rows, fixed, n, nc, cfg, rng)
+        self._run(k)
 
     def keys(self) -> Iterator[tuple[int, ...]]:
         """Take ``steps - steps % sample_gap`` steps, the last kept one,
         yielding the state key after every ``sample_gap``-th of them."""
-        gap = self.config.sample_gap
+        run, rows, gap = self._run, self._rows, self.config.sample_gap
         for _ in range(self.config.steps // gap):
-            self.advance(gap)
-            yield tuple(self._rows)
+            run(gap)
+            yield tuple(rows)
 
     def realization(self) -> Realization:
         """The current state, built and validated against the instance."""

@@ -225,16 +225,30 @@ def _pipeline(inst: Instance, reduce_static: bool, g: Realization | None = None)
     return f_prime, working, redundant, report, move_set
 
 
-def _load_instance(path: str) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+def _load_instance(path: str) -> Instance | None:
+    """The instance in the file ``path``, or None after one line on stderr
+    naming the path and why it cannot be read or parsed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_instance(fh.read())
+    except ParseError as exc:
+        print(f"{path}:{exc.location()}: {exc.message}", file=sys.stderr)
+    except OSError as exc:
+        print(f"{path}: cannot read: {exc.strerror or exc}", file=sys.stderr)
+    except UnicodeDecodeError as exc:
+        print(f"{path}: cannot read: byte {exc.start} is not UTF-8", file=sys.stderr)
+    return None
+
+
+def _out_error(path: str, exc: OSError) -> int:
+    print(f"bipsample: error: cannot write --out {path}: {exc.strerror or exc}",
+          file=sys.stderr)
+    return EXIT_USAGE
 
 
 def cmd_analyze(args) -> int:
-    try:
-        inst = _load_instance(args.path)
-    except ParseError as exc:
-        print(f"{args.path}:{exc.location()}: {exc.message}", file=sys.stderr)
+    inst = _load_instance(args.path)
+    if inst is None:
         return EXIT_PARSE
 
     realizable = gale_ryser_realizable(inst.degrees)
@@ -297,10 +311,8 @@ def _resolve_chain(
 
 
 def cmd_sample(args) -> int:
-    try:
-        inst = _load_instance(args.path)
-    except ParseError as exc:
-        print(f"{args.path}:{exc.location()}: {exc.message}", file=sys.stderr)
+    inst = _load_instance(args.path)
+    if inst is None:
         return EXIT_PARSE
     # The start is built first so that --chain auto can reuse it for the
     # static cells.  An unrealizable sequence or a polarity conflict is
@@ -314,6 +326,13 @@ def cmd_sample(args) -> int:
     except (Infeasible, NotRealizable) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    if args.out:
+        # Made before the chain line, so that an unusable --out is the only
+        # line on stderr and no chain runs for it.
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            return _out_error(args.out, exc)
     print(f"chain: {_chain_label(move_set)}", file=sys.stderr)
     if start is None:
         print(f"infeasible: {no_start}", file=sys.stderr)
@@ -334,22 +353,22 @@ def cmd_sample(args) -> int:
         outputs.append(format_realization(chain.realization()))
 
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        for c, text in enumerate(outputs):
-            with open(
-                os.path.join(args.out, f"sample_{c:04d}.txt"), "w", encoding="utf-8"
-            ) as fh:
-                fh.write(text)
+        try:
+            for c, text in enumerate(outputs):
+                with open(
+                    os.path.join(args.out, f"sample_{c:04d}.txt"), "w", encoding="utf-8"
+                ) as fh:
+                    fh.write(text)
+        except OSError as exc:
+            return _out_error(args.out, exc)
     else:
         sys.stdout.write("\n".join(outputs))
     return EXIT_OK
 
 
 def cmd_enumerate(args) -> int:
-    try:
-        inst = _load_instance(args.path)
-    except ParseError as exc:
-        print(f"{args.path}:{exc.location()}: {exc.message}", file=sys.stderr)
+    inst = _load_instance(args.path)
+    if inst is None:
         return EXIT_PARSE
     try:
         states = oracle.enumerate_realizations(inst)

@@ -16,11 +16,10 @@ from bipsample.chains import (
     STAY,
     ChainConfig,
     CircleTradeProposal,
-    _below,
-    _circle_in_place,
-    _cycle_in_place,
-    _swap_in_place,
-    _trade_in_place,
+    _circle,
+    _cycles,
+    _swaps,
+    _trades,
     _unrank_subset,
     circle_denominator,
 )
@@ -350,16 +349,6 @@ def test_bounded_cycle_proposals_match_state_graph_edges():
         assert reachable == neighbors
 
 
-def test_single_step_api_matches_runner():
-    inst = bp.Instance.unconstrained((2, 2, 1), (2, 2, 1))
-    cfg = ChainConfig(MoveSet.trades(), steps=50, seed=11, sample_gap=1)
-    rng = random.Random(cfg.seed)
-    g = bp.initial_realization(inst)
-    for expected in bp.run(inst, cfg):
-        g = bp.step(g, cfg, rng)
-        assert g.matrix == expected.matrix
-
-
 def test_uniformity_report_matches_counting_run_states(criterion8_fixtures):
     for label, inst, move_set in criterion8_fixtures:
         cfg = ChainConfig(move_set, steps=20_000, seed=12345, sample_gap=7)
@@ -416,7 +405,7 @@ def test_uniformity_report_rejects_a_state_outside_the_enumeration(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The random stream and the in-place step kernels.
+# The random stream and the block step kernels.
 
 
 def readme_4x4():
@@ -493,19 +482,6 @@ def test_chain_keys_decode_to_the_realization_rows(name):
             assert bp.state_key(g) == key
 
 
-def test_below_draws_what_randrange_draws():
-    sizes = list(range(1, 300)) + sorted(
-        {2**e + d for e in range(9, 71) for d in (-1, 0, 1)} - {2**70 + 1}
-    )
-    assert sizes[-1] == 2**70
-    for seed in (0, 1, 2024):
-        fast, slow = random.Random(seed), random.Random(seed)
-        for n in sizes:
-            for _ in range(3):
-                assert _below(fast, n) == slow.randrange(n), (seed, n)
-            assert fast.getstate() == slow.getstate(), (seed, n)
-
-
 def random_pinned_instance(rng, n, nc, density, n_pinned):
     """A feasible instance: degrees and pin polarities from a random matrix."""
     matrix = [[int(rng.random() < density) for _ in range(nc)] for _ in range(n)]
@@ -523,29 +499,142 @@ def random_pinned_instance(rng, n, nc, density, n_pinned):
     )
 
 
+BLOCK_INSTANCES = {
+    **STREAM_INSTANCES,
+    "1x1": lambda: bp.Instance.unconstrained((1,), (1,)),
+    "1x5": lambda: bp.Instance.unconstrained((3,), (1, 0, 1, 1, 0)),
+    "2x1": lambda: bp.Instance.unconstrained((1, 0), (1,)),
+    "two_row": lambda: two_row_instance().instance,
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_CHAINS))
+def test_block_size_never_changes_the_stream(name):
+    """One ``advance(k)``, k calls of ``advance(1)`` and ``keys()`` at gaps
+    1, 3 and 10 leave the same row masks and the same rng state.  The
+    one- and two-row instances meet the lazy steps that take no draw."""
+    move_set, mh = STREAM_CHAINS[name]
+    steps = 60
+    for label, make in BLOCK_INSTANCES.items():
+        start = bp.initial_realization(make())
+        for seed in (0, 1, 2):
+            def chain(gap=1):
+                return bp.Chain(start, ChainConfig(move_set, steps, seed, gap, mh))
+
+            single = chain()
+            trail = []
+            for _ in range(steps):
+                single.advance(1)
+                trail.append((tuple(single._rows), single._rng.getstate()))
+            block = chain()
+            block.advance(steps)
+            assert (tuple(block._rows), block._rng.getstate()) == trail[-1], (label, seed)
+            for gap in (1, 3, 10):
+                gapped = chain(gap)
+                got = [(key, gapped._rng.getstate()) for key in gapped.keys()]
+                assert got == trail[gap - 1::gap], (label, seed, gap)
+
+
 def _applied(p, g):
     return g.rows if p is STAY else p.apply(g).rows
 
 
-def _circle_reference(g, rng, mh_correction):
-    """Rows after one circle step built from ``propose_circle_trade`` and
-    ``apply``, with the Metropolis test re-derived on the successor."""
-    p = bp.propose_circle_trade(g, rng)
-    if p is STAY:
+def _pair(n, rng):
+    """A uniform ordered pair of distinct rows."""
+    i = rng.randrange(n)
+    j = rng.randrange(n - 1)
+    return i, j + (j >= i)
+
+
+def _movable(rows, fixed, src, dst):
+    """The columns row ``src`` can hand to row ``dst``, as a set."""
+    return rows[src] - rows[dst] - fixed[src] - fixed[dst]
+
+
+def _trade_reference(g, rng):
+    """Rows after one trade: a uniform row pair, then a uniform
+    |a_ij|-subset of the sorted pool a_ij | a_ji in ``combinations`` order,
+    drawn with ``randrange`` and applied to the row sets."""
+    inst, rows = g.instance, list(g.rows)
+    if inst.n < 2:
         return g.rows
-    h = p.apply(g)
+    fixed = inst.fixed.row_fixed()
+    i, j = _pair(inst.n, rng)
+    a_ij, a_ji = _movable(rows, fixed, i, j), _movable(rows, fixed, j, i)
+    pool = a_ij | a_ji
+    index = rng.randrange(comb(len(pool), len(a_ij)))
+    b_ij = _unrank_reference(sorted(pool), len(a_ij), index)
+    rows[i] = (rows[i] - a_ij) | b_ij
+    rows[j] = (rows[j] - a_ji) | (pool - b_ij)
+    return tuple(rows)
+
+
+def _swap_reference(g, rng):
+    """Rows after one swap: a uniform row pair, then one ``randrange`` over
+    the column exchanges (x, y) of the sorted sets a_ij and a_ji, x
+    outermost, plus the lazy step as the last option."""
+    inst, rows = g.instance, list(g.rows)
+    if inst.n < 2:
+        return g.rows
+    fixed = inst.fixed.row_fixed()
+    i, j = _pair(inst.n, rng)
+    options = [(x, y) for x in sorted(_movable(rows, fixed, i, j))
+               for y in sorted(_movable(rows, fixed, j, i))]
+    r = rng.randrange(len(options) + 1)
+    if r == len(options):
+        return g.rows
+    x, y = options[r]
+    rows[i] = (rows[i] - {x}) | {y}
+    rows[j] = (rows[j] - {y}) | {x}
+    return tuple(rows)
+
+
+def _circle_reference(g, rng, mh_correction):
+    """Rows after one circle trade: a uniform row triple, a subset of the
+    smallest difference set picked by one ``getrandbits`` string (bit b for
+    its b-th lowest column), uniform equal-sized subsets of the other two by
+    ``randrange``, and the Metropolis test re-derived on the successor."""
+    inst, rows = g.instance, list(g.rows)
+    fixed = inst.fixed.row_fixed()
+    i, j = _pair(inst.n, rng)
+    k = [r for r in range(inst.n) if r not in (i, j)][rng.randrange(inst.n - 2)]
+    sets = [sorted(_movable(rows, fixed, src, dst)) for src, dst in ((j, i), (k, j), (i, k))]
+    sizes = [len(s) for s in sets]
+    m = min(sizes)
+    if m == 0:
+        return g.rows
+    pivot = sizes.index(m)
+    bits = rng.getrandbits(m)
+    if not bits:
+        return g.rows
+    subs = [frozenset(sets[pivot][b] for b in range(m) if bits >> b & 1)] * 3
+    x = len(subs[pivot])
+    for idx in range(3):
+        if idx != pivot:
+            index = rng.randrange(comb(sizes[idx], x))
+            subs[idx] = _unrank_reference(sets[idx], x, index)
+    sub_j, sub_k, sub_i = subs
+    new = list(rows)
+    new[i] = (rows[i] - sub_i) | sub_j
+    new[j] = (rows[j] - sub_j) | sub_k
+    new[k] = (rows[k] - sub_k) | sub_i
     if mh_correction:
-        fixed = g.instance.fixed.row_fixed()
-        x = len(p.sub_i)
-        den_fwd = circle_denominator((len(p.d_ji), len(p.d_kj), len(p.d_ik)), x)
-        i, j, k = p.i, p.j, p.k
-        r_ij = h.rows[i] - h.rows[j] - fixed[j] - fixed[i]
-        r_ki = h.rows[k] - h.rows[i] - fixed[i] - fixed[k]
-        r_jk = h.rows[j] - h.rows[k] - fixed[k] - fixed[j]
-        den_rev = circle_denominator((len(r_ij), len(r_ki), len(r_jk)), x)
+        den_fwd = circle_denominator(tuple(sizes), x)
+        back = tuple(len(_movable(new, fixed, src, dst)) for src, dst in ((i, j), (k, i), (j, k)))
+        den_rev = circle_denominator(back, x)
         if den_rev > den_fwd and rng.random() >= den_fwd / den_rev:
             return g.rows
-    return h.rows
+    return tuple(new)
+
+
+def _mixed_reference(g, rng, mh_correction):
+    """Rows after one trades+circle step: a coin bit, 0 for a trade, 1 for
+    a circle trade (the lazy step, with no further draw, below three rows)."""
+    if rng.getrandbits(1) == 0:
+        return _trade_reference(g, rng)
+    if g.instance.n < 3:
+        return g.rows
+    return _circle_reference(g, rng, mh_correction)
 
 
 def _cycle_reference(g, limit, rng):
@@ -571,10 +660,25 @@ def _cycle_reference(g, limit, rng):
     return bp.apply_cycle_swap(g, cells).rows
 
 
-def test_in_place_kernels_match_proposals_applied():
-    """From the same rng state, each in-place kernel leaves the rows that
-    ``propose_*(g, rng).apply(g)`` builds (g itself for Stay), or for cycle
-    swaps the rows of ``_cycle_reference``, and consumes the same draws."""
+def _on_masks(kernel):
+    """One step of ``kernel(rows, fixed, inst, rng)`` from ``g``, on fresh
+    row masks, as row sets."""
+    def one_step(g, rng):
+        rows = [mask(r) for r in g.rows]
+        kernel(rows, tuple(map(mask, g.instance.fixed.row_fixed())), g.instance, rng)
+        return tuple(frozenset(cols(r)) for r in rows)
+    return one_step
+
+
+def _cycle_applied(c, g):
+    return g.rows if c is STAY else bp.apply_cycle_swap(g, list(c)).rows
+
+
+def test_step_kernels_match_randrange_references():
+    """From the same rng state, one step of each kernel, and each proposal
+    that ``propose_*`` decodes from it, leaves the rows of a reference that
+    draws with ``randrange`` over column lists and applies to row sets, and
+    both consume the same draws."""
     rng = random.Random(2024)
     instances = [
         bp.Instance.unconstrained((3, 3, 2, 2, 4, 2), (2, 3, 2, 2, 5, 2)),
@@ -583,33 +687,55 @@ def test_in_place_kernels_match_proposals_applied():
         random_pinned_instance(rng, 12, 12, 0.5, 0),
         random_pinned_instance(rng, 8, 9, 0.4, 14),
         random_pinned_instance(rng, 5, 20, 0.7, 10),
+        two_row_instance().instance,
+        bp.Instance.unconstrained((1, 0), (1,)),
+        bp.Instance.unconstrained((3,), (1, 0, 1, 1, 0)),
     ]
-    kernels = {
-        "trade": (
-            lambda rows, fixed, inst, r: _trade_in_place(rows, fixed, inst.n, r),
-            lambda g, r: _applied(bp.propose_trade(g, r), g),
+    # These draw a row triple, so they need three rows.
+    triples = {"circle", "circle, mh off", "propose_circle_trade"}
+    paths = {
+        "trades": (
+            _on_masks(lambda rows, fixed, inst, r: _trades(rows, fixed, inst.n, r, 1)),
+            _trade_reference,
         ),
-        "swap": (
-            lambda rows, fixed, inst, r: _swap_in_place(rows, fixed, inst.n, r),
-            lambda g, r: _applied(bp.propose_swap(g, r), g),
+        "propose_trade": (lambda g, r: _applied(bp.propose_trade(g, r), g), _trade_reference),
+        "swaps": (
+            _on_masks(lambda rows, fixed, inst, r: _swaps(rows, fixed, inst.n, r, 1)),
+            _swap_reference,
         ),
+        "propose_swap": (lambda g, r: _applied(bp.propose_swap(g, r), g), _swap_reference),
         "circle": (
-            lambda rows, fixed, inst, r: _circle_in_place(rows, fixed, inst.n, r, True),
+            _on_masks(lambda rows, fixed, inst, r: _circle(rows, fixed, inst.n, r, True)),
             lambda g, r: _circle_reference(g, r, True),
         ),
         "circle, mh off": (
-            lambda rows, fixed, inst, r: _circle_in_place(rows, fixed, inst.n, r, False),
+            _on_masks(lambda rows, fixed, inst, r: _circle(rows, fixed, inst.n, r, False)),
             lambda g, r: _circle_reference(g, r, False),
         ),
+        "propose_circle_trade": (
+            lambda g, r: _applied(bp.propose_circle_trade(g, r), g),
+            lambda g, r: _circle_reference(g, r, False),
+        ),
+        "trades+circle": (
+            _on_masks(lambda rows, fixed, inst, r: _trades(rows, fixed, inst.n, r, 1, True)),
+            lambda g, r: _mixed_reference(g, r, True),
+        ),
+        "trades+circle, mh off": (
+            _on_masks(lambda rows, fixed, inst, r: _trades(rows, fixed, inst.n, r, 1, False)),
+            lambda g, r: _mixed_reference(g, r, False),
+        ),
         "cycle:8": (
-            lambda rows, fixed, inst, r: _cycle_in_place(
-                rows, fixed, inst.n, inst.n_cols, 8, r),
+            _on_masks(lambda rows, fixed, inst, r: _cycles(
+                rows, fixed, inst.n, r, 1, inst.n_cols, 8)),
+            lambda g, r: _cycle_reference(g, 8, r),
+        ),
+        "propose_bounded_cycle_swap": (
+            lambda g, r: _cycle_applied(bp.propose_bounded_cycle_swap(g, 8, r), g),
             lambda g, r: _cycle_reference(g, 8, r),
         ),
     }
     outcomes = Counter()
     for inst in instances:
-        fixed = tuple(map(mask, inst.fixed.row_fixed()))
         chain = bp.Chain(
             bp.initial_realization(inst),
             ChainConfig(MoveSet.trades_plus_circle(), 1, rng.randrange(10**6)),
@@ -617,17 +743,18 @@ def test_in_place_kernels_match_proposals_applied():
         for _ in range(120):
             chain.advance(3)
             g = chain.realization()
-            for name, (kernel, reference) in kernels.items():
+            for name, (fast_step, reference) in paths.items():
+                if name in triples and inst.n < 3:
+                    continue
                 seed = rng.randrange(10**9)
                 fast, slow = random.Random(seed), random.Random(seed)
-                rows = [mask(r) for r in g.rows]
-                kernel(rows, fixed, inst, fast)
+                got = fast_step(g, fast)
                 expected = reference(g, slow)
-                assert tuple(frozenset(cols(r)) for r in rows) == expected, (name, seed)
+                assert got == expected, (name, seed)
                 assert fast.getstate() == slow.getstate(), (name, seed)
                 outcomes[name, expected == g.rows] += 1
-    # every kernel both moved and stayed somewhere in the sweep
-    for name in kernels:
+    # every path both moved and stayed somewhere in the sweep
+    for name in paths:
         assert outcomes[name, True] > 0 and outcomes[name, False] > 0, name
 
 

@@ -232,6 +232,47 @@ def test_analyze_parse_error_exit(tmp_path, capsys):
     assert "bad" in capsys.readouterr().err
 
 
+def one_line_error(capsys):
+    """The one line a failed command printed on stderr."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1, err
+    return err
+
+
+def test_analyze_missing_file_exit(tmp_path, capsys):
+    path = str(tmp_path / "missing.txt")
+    assert cli.main(["analyze", path]) == cli.EXIT_PARSE
+    assert one_line_error(capsys).startswith(f"{path}: cannot read")
+
+
+def test_analyze_directory_path_exit(tmp_path, capsys):
+    assert cli.main(["analyze", str(tmp_path)]) == cli.EXIT_PARSE
+    assert one_line_error(capsys).startswith(f"{tmp_path}: cannot read")
+
+
+def test_analyze_non_utf8_file_exit(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(FREE_2X2.encode().replace(b"**", b"*\xff", 1))
+    assert cli.main(["analyze", str(path)]) == cli.EXIT_PARSE
+    assert one_line_error(capsys).startswith(f"{path}: cannot read")
+
+
+def test_sample_out_that_cannot_be_written_exit(tmp_path, capsys):
+    path = write(tmp_path, "m.txt", FREE_2X2)
+    taken = write(tmp_path, "taken", "")
+    args = ["sample", path, "--steps", "5", "--out"]
+    assert cli.main([*args, taken]) == cli.EXIT_USAGE
+    assert f"--out {taken}: " in one_line_error(capsys)
+    # a directory where the first sample file goes
+    out = tmp_path / "out"
+    (out / "sample_0000.txt").mkdir(parents=True)
+    assert cli.main([*args, str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"bipsample: error: cannot write --out {out}: ")
+
+
 def test_sample_reproducible_and_valid(tmp_path, capsys):
     path = write(tmp_path, "f.txt", FIG_SPLIT)
     args = ["sample", path, "--chain", "circle", "--steps", "200", "--seed", "9",
