@@ -20,7 +20,6 @@ from .chains import (
     CircleTradeProposal,
     Stay,
     TradeProposal,
-    enumerate_trades,
     propose_bounded_cycle_swap,
     propose_circle_trade,
     propose_swap,
@@ -33,29 +32,22 @@ from .core import (
     FORCED_NON_EDGE,
     FREE,
     DegreeSequence,
-    FixedCellViolation,
     FixedSet,
     Infeasible,
     Instance,
     InstanceMismatch,
-    InvalidMove,
     MoveSet,
     NotRealizable,
     NoUsableBound,
     PolarityConflict,
     Realization,
-    SymDiff,
     TooLarge,
-    apply_cycle_swap,
-    symmetric_difference,
 )
 from .oracle import (
     StateGraph,
     VerificationResult,
     build_state_graph,
     check_connectivity,
-    check_distance_bound,
-    check_static_set,
     components_isomorphic,
     enumerate_realizations,
     run_verification,

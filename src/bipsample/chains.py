@@ -17,8 +17,8 @@ a block of steps at a time; the public ``propose_*`` functions run the same
 kernel for one step on a copy of the masks and decode that draw into a
 proposal object of column frozensets, so both share one random stream.
 Masks are built from and decoded into ``Realization`` objects only at the
-boundary: ``Chain``'s constructor and ``realization()``, ``propose_*``,
-``enumerate_trades`` and ``state_key``.
+boundary: ``Chain``'s constructor and ``realization()``, ``propose_*``
+and ``state_key``.
 """
 
 from __future__ import annotations
@@ -529,21 +529,6 @@ def propose_bounded_cycle_swap(g: Realization, limit: int, rng: random.Random):
     for t in range(h):
         cells += [(rows_seq[t], cols_seq[t]), (rows_seq[(t + 1) % h], cols_seq[t])]
     return tuple(cells)
-
-
-def enumerate_trades(g: Realization, i: int, j: int) -> list:
-    """All trade outcomes for the row pair (i, j): every replacement subset
-    in lexicographic order, with the identity replacement reported as Stay."""
-    rows, fixed = _masks_of(g)
-    blocked = fixed[i] | fixed[j]
-    a_ij, a_ji = rows[i] & ~(rows[j] | blocked), rows[j] & ~(rows[i] | blocked)
-    pool = a_ij | a_ji
-    k = a_ij.bit_count()
-    out = []
-    for idx in range(comb(pool.bit_count(), k)):
-        flip = a_ij ^ _unrank_subset(pool, k, idx)
-        out.append(_trade_proposal(i, j, a_ij, a_ji, flip) if flip else STAY)
-    return out
 
 
 class Chain:

@@ -1,5 +1,5 @@
-"""Shared domain types: degree sequences, fixed-cell masks, realizations,
-symmetric differences and the move-set vocabulary."""
+"""Shared domain types: degree sequences, fixed-cell masks, realizations
+and the move-set vocabulary."""
 
 from __future__ import annotations
 
@@ -14,14 +14,6 @@ FORCED_NON_EDGE = 2
 
 class InstanceMismatch(ValueError):
     """Two objects that must share an instance (or its dimensions) do not."""
-
-
-class InvalidMove(ValueError):
-    """A proposed move is malformed or does not alternate in the current state."""
-
-
-class FixedCellViolation(InvalidMove):
-    """A move touches a cell that is pinned by the fixed set."""
 
 
 class Infeasible(ValueError):
@@ -272,28 +264,6 @@ class Realization:
 
 
 @dataclass(frozen=True)
-class SymDiff:
-    """Edge-wise difference of two realizations with its cycle decomposition.
-
-    ``cells`` lists the differing cells as (row, col, owner) with owner "g"
-    (present in the first realization only) or "h" (second only).  ``walks``
-    are the closed alternating walks extracted from the difference graph;
-    ``cycles`` are the vertex-disjoint alternating cycles the walks split
-    into.  Cells of all cycles partition ``cells``.
-    """
-
-    cells: tuple[tuple[int, int, str], ...]
-    walks: tuple[tuple[tuple[int, int], ...], ...]
-    cycles: tuple[tuple[tuple[int, int], ...], ...]
-
-    def is_empty(self) -> bool:
-        return not self.cells
-
-    def size(self) -> int:
-        return len(self.cells)
-
-
-@dataclass(frozen=True)
 class MoveSet:
     """Which moves a chain or state-graph construction may use."""
 
@@ -356,142 +326,3 @@ class MoveSet:
         if self.kind == self.SWAPS_UP_TO:
             return f"swaps<={self.limit}"
         return self.kind
-
-
-def symmetric_difference(g: Realization, h: Realization) -> SymDiff:
-    """Decompose the cell-wise difference of two realizations of one instance.
-
-    The difference graph is Eulerian; closed alternating walks are peeled
-    off starting from the lexicographically smallest unused cell, always
-    taking the smallest-indexed unused alternating continuation, and each
-    walk is split at repeated vertices into vertex-disjoint cycles.
-    """
-    if g.instance != h.instance:
-        raise InstanceMismatch("realizations belong to different instances")
-    n, nc = g.instance.n, g.instance.n_cols
-
-    cells = []
-    for i in range(n):
-        for j in range(nc):
-            a, b = g.matrix[i][j], h.matrix[i][j]
-            if a != b:
-                cells.append((i, j, "g" if a else "h"))
-    if not cells:
-        return SymDiff((), (), ())
-
-    owner = {(i, j): w for i, j, w in cells}
-    by_row: dict[int, list[tuple[int, int]]] = {}
-    by_col: dict[int, list[tuple[int, int]]] = {}
-    for i, j, _ in cells:
-        by_row.setdefault(i, []).append((i, j))
-        by_col.setdefault(j, []).append((i, j))
-    for lst in by_row.values():
-        lst.sort()
-    for lst in by_col.values():
-        lst.sort()
-
-    used: set[tuple[int, int]] = set()
-
-    def next_cell(candidates, want_owner):
-        for c in candidates:
-            if c not in used and owner[c] == want_owner:
-                return c
-        return None
-
-    walks = []
-    for start in sorted(owner):
-        if start in used:
-            continue
-        walk = [start]
-        used.add(start)
-        along_col = True  # the first continuation shares the start cell's column
-        while True:
-            cur = walk[-1]
-            want = "h" if owner[cur] == "g" else "g"
-            cand = by_col[cur[1]] if along_col else by_row[cur[0]]
-            nxt = next_cell(cand, want)
-            if nxt is None:
-                break
-            walk.append(nxt)
-            used.add(nxt)
-            along_col = not along_col
-        # Eulerian alternation guarantees the walk closed back on the start
-        # cell's row with opposite ownership.
-        assert len(walk) % 2 == 0 and len(walk) >= 4
-        assert walk[-1][0] == start[0] and owner[walk[-1]] != owner[start]
-        walks.append(tuple(walk))
-
-    cycles = []
-    for walk in walks:
-        # Vertex after cell t: shared with cell t+1 (column for even t,
-        # row for odd t); a repeat on the open stack closes a cycle.
-        stack: list[tuple[int, int]] = []
-        on_path: dict[tuple[str, int], int] = {("r", walk[0][0]): 0}
-        for t, cell in enumerate(walk):
-            stack.append(cell)
-            v = ("c", cell[1]) if t % 2 == 0 else ("r", cell[0])
-            if v in on_path:
-                depth = on_path[v]
-                cyc = stack[depth:]
-                del stack[depth:]
-                on_path = {k: d for k, d in on_path.items() if d <= depth}
-                cycles.append(_normalize_cycle(cyc))
-            else:
-                on_path[v] = len(stack)
-        assert not stack, "walk did not decompose cleanly into cycles"
-
-    return SymDiff(tuple(sorted(cells)), tuple(walks), tuple(cycles))
-
-
-def _normalize_cycle(cyc):
-    k = cyc.index(min(cyc))
-    return tuple(cyc[k:] + cyc[:k])
-
-
-def apply_cycle_swap(g: Realization, cycle: Sequence[tuple[int, int]]) -> Realization:
-    """Toggle the cells of a vertex-disjoint alternating cycle of ``g``.
-
-    The cycle is given as its cell sequence in cyclic order; consecutive
-    cells must share alternately a row and a column.  Applying the same
-    cycle twice restores ``g``.
-    """
-    cyc = [tuple(c) for c in cycle]
-    L = len(cyc)
-    if L < 4 or L % 2:
-        raise InvalidMove(f"cycle length {L} is not an even number >= 4")
-    if len(set(cyc)) != L:
-        raise InvalidMove("cycle repeats a cell")
-
-    first_shares_row = cyc[0][0] == cyc[1][0]
-    if not first_shares_row and cyc[0][1] != cyc[1][1]:
-        raise InvalidMove("consecutive cycle cells share no coordinate")
-    for t in range(L):
-        a, b = cyc[t], cyc[(t + 1) % L]
-        share_row = (t % 2 == 0) == first_shares_row
-        if share_row and (a[0] != b[0] or a[1] == b[1]):
-            raise InvalidMove(f"cells {a} and {b} must share a row")
-        if not share_row and (a[1] != b[1] or a[0] == b[0]):
-            raise InvalidMove(f"cells {a} and {b} must share a column")
-
-    rows = [c[0] for c in cyc]
-    cols = [c[1] for c in cyc]
-    if len(set(rows)) != L // 2 or len(set(cols)) != L // 2:
-        raise InvalidMove("cycle is not vertex-disjoint")
-
-    inst = g.instance
-    n, nc = inst.n, inst.n_cols
-    vals = []
-    for i, j in cyc:
-        if not (0 <= i < n and 0 <= j < nc):
-            raise InvalidMove(f"cell ({i}, {j}) is outside the grid")
-        vals.append(g.matrix[i][j])
-    if any(vals[t] == vals[(t + 1) % L] for t in range(L)):
-        raise InvalidMove("cycle does not alternate edges and non-edges")
-    for i, j in cyc:
-        if inst.fixed.mask[i][j] != FREE:
-            raise FixedCellViolation(f"cycle touches fixed cell ({i}, {j})")
-
-    matrix = [list(row) for row in g.matrix]
-    for i, j in cyc:
-        matrix[i][j] ^= 1
-    return Realization(inst, matrix)

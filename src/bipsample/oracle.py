@@ -41,11 +41,14 @@ ENUMERATION_CELL_LIMIT = 36
 
 
 # ---------------------------------------------------------------------------
-# Bit-level enumeration and pair classification.
+# Bit-level enumeration, pair classification and the state graph.
 #
 # A state is an int whose bit for cell (i, j) sits at position
 # ncells - 1 - (i*nc + j), so integer order equals row-major bit-string
-# order and doubles as the canonical state order.
+# order and doubles as the canonical state order.  Every state graph, the
+# sweep's and ``build_state_graph``'s, joins the pairs of states whose
+# cached pair class (``_SeqCtx.pair``) shows one move of the move set
+# (``_adjacent``).
 
 
 def _bit(i: int, j: int, n: int, nc: int) -> int:
@@ -214,6 +217,79 @@ def swap_lengths_for(move_set: MoveSet) -> frozenset[int]:
     return move_set.swap_lengths()
 
 
+# The move sets the sweep checks on every instance, built once.
+_SWAPS4 = MoveSet.swaps4()
+_SWAPS46 = MoveSet.swaps46()
+_TRADES = MoveSet.trades()
+_TRADES_PLUS_CIRCLE = MoveSet.trades_plus_circle()
+
+
+def _adjacent(pair, move_set: MoveSet):
+    """The predicate "states s and t are one move of ``move_set`` apart",
+    read from their pair class ``pair(s, t)``: two changed rows for a
+    trade, or a three-row rotation for a circle trade; a single cycle of an
+    admitted length for a cycle swap."""
+    if move_set.kind == MoveSet.TRADES:
+        return lambda s, t: len(pair(s, t).changed_rows) == 2
+    if move_set.kind == MoveSet.TRADES_PLUS_CIRCLE:
+        def adjacent(s, t):
+            info = pair(s, t)
+            return len(info.changed_rows) == 2 or info.is_circle
+        return adjacent
+    lengths = swap_lengths_for(move_set)
+    return lambda s, t: pair(s, t).cycle_len in lengths
+
+
+def _components_of(states_idx, adjacent) -> list[tuple[int, ...]]:
+    """The components of the graph on ``states_idx`` whose edges are the
+    pairs that ``adjacent`` accepts, each sorted, ordered by least state."""
+    remaining = set(states_idx)
+    comps = []
+    while remaining:
+        s = min(remaining)
+        comp = {s}
+        queue = [s]
+        remaining.discard(s)
+        for u in queue:
+            for v in list(remaining):
+                if adjacent(u, v):
+                    remaining.discard(v)
+                    comp.add(v)
+                    queue.append(v)
+        comps.append(tuple(sorted(comp)))
+    return comps
+
+
+def _distance_bound_holds(ctx, states_idx, adjacent):
+    """True iff, with the edges that ``adjacent`` accepts, every pair of
+    states is within half its cell difference minus one moves."""
+    order = list(states_idx)
+    bits = [ctx.bits[s] for s in order]
+    adj = [[] for _ in order]
+    for qa in range(len(order)):
+        for qb in range(qa + 1, len(order)):
+            if adjacent(order[qa], order[qb]):
+                adj[qa].append(qb)
+                adj[qb].append(qa)
+    for qa in range(len(order)):
+        dist = [-1] * len(order)
+        dist[qa] = 0
+        queue = [qa]
+        for u in queue:
+            for v in adj[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        x = bits[qa]
+        for qb in range(len(order)):
+            if qb == qa:
+                continue
+            diff = (x ^ bits[qb]).bit_count()
+            if dist[qb] < 0 or dist[qb] > diff // 2 - 1:
+                return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Public oracle operations.
 
@@ -229,9 +305,6 @@ class StateGraph:
     states: tuple[Realization, ...]
     edges: tuple[tuple[tuple[int, str], ...], ...]
     move_set: MoveSet
-
-    def n_states(self) -> int:
-        return len(self.states)
 
 
 def enumerate_realizations(inst: Instance) -> list[Realization]:
@@ -256,78 +329,50 @@ def enumerate_realizations(inst: Instance) -> list[Realization]:
     ]
 
 
+def _ctx_of(states: list[Realization]) -> _SeqCtx:
+    """The sweep's per-sequence context for a non-empty list of states."""
+    inst = states[0].instance
+    n, nc = inst.n, inst.n_cols
+    return _SeqCtx(
+        n, nc, inst.degrees.row_degrees, inst.degrees.col_degrees,
+        [_matrix_to_bits(g.matrix, n, nc) for g in states],
+    )
+
+
+def _state_graph(ctx, states, move_set: MoveSet) -> StateGraph:
+    """The state graph of ``states`` (the states of ``ctx``, in its order);
+    each edge is labelled by the kind of move its pair class shows."""
+    adjacent = _adjacent(ctx.pair, move_set)
+    swaps = move_set.kind not in (MoveSet.TRADES, MoveSet.TRADES_PLUS_CIRCLE)
+    adj: list[list[tuple[int, str]]] = [[] for _ in states]
+    for s in range(len(states)):
+        for t in range(s + 1, len(states)):
+            if not adjacent(s, t):
+                continue
+            info = ctx.pair(s, t)
+            if swaps:
+                label = f"{info.cycle_len}-swap"
+            elif len(info.changed_rows) == 2:
+                label = "trade"
+            else:
+                label = "circle-trade"
+            adj[s].append((t, label))
+            adj[t].append((s, label))
+    return StateGraph(tuple(states), tuple(tuple(x) for x in adj), move_set)
+
+
 def build_state_graph(states: list[Realization], move_set: MoveSet) -> StateGraph:
     """Connect states that are one move apart under ``move_set``."""
     if not states:
         return StateGraph((), (), move_set)
-    inst = states[0].instance
-    n, nc = inst.n, inst.n_cols
-    bits = [_matrix_to_bits(g.matrix, n, nc) for g in states]
-    lengths = swap_lengths_for(move_set)
-    trade_kinds = (MoveSet.TRADES, MoveSet.TRADES_PLUS_CIRCLE)
-    adj: list[list[tuple[int, str]]] = [[] for _ in states]
-    for s in range(len(states)):
-        for t in range(s + 1, len(states)):
-            info = _classify_bits(bits[s], bits[t], n, nc)
-            label = None
-            if move_set.kind in trade_kinds:
-                if len(info.changed_rows) == 2:
-                    label = "trade"
-                elif move_set.kind == MoveSet.TRADES_PLUS_CIRCLE and info.is_circle:
-                    label = "circle-trade"
-            elif info.cycle_len in lengths:
-                label = f"{info.cycle_len}-swap"
-            if label:
-                adj[s].append((t, label))
-                adj[t].append((s, label))
-    return StateGraph(tuple(states), tuple(tuple(x) for x in adj), move_set)
+    return _state_graph(_ctx_of(states), states, move_set)
 
 
 def check_connectivity(sg: StateGraph) -> tuple[bool, list[list[int]]]:
     """Component decomposition of the state graph."""
-    n = len(sg.states)
-    seen = [False] * n
-    components = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        queue = [s]
-        for u in queue:
-            for v, _ in sg.edges[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        components.append(sorted(comp))
-    return len(components) <= 1, components
-
-
-def check_distance_bound(sg: StateGraph) -> bool:
-    """True iff every state pair is within half its cell difference minus
-    one moves of each other."""
-    n = len(sg.states)
-    if n <= 1:
-        return True
-    inst = sg.states[0].instance
-    bits = [_matrix_to_bits(g.matrix, inst.n, inst.n_cols) for g in sg.states]
-    for s in range(n):
-        dist = [-1] * n
-        dist[s] = 0
-        queue = [s]
-        for u in queue:
-            for v, _ in sg.edges[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        for t in range(n):
-            if t == s:
-                continue
-            diff = (bits[s] ^ bits[t]).bit_count()
-            if dist[t] < 0 or dist[t] > diff // 2 - 1:
-                return False
-    return True
+    nbrs = [{t for t, _ in edges} for edges in sg.edges]
+    comps = _components_of(range(len(sg.states)), lambda s, t: t in nbrs[s])
+    return len(comps) <= 1, [list(c) for c in comps]
 
 
 def _static_set_reference(s: DegreeSequence) -> StaticSet:
@@ -362,38 +407,6 @@ def _static_set_reference(s: DegreeSequence) -> StaticSet:
             a_op[i] += 1
             b_op[j] += 1
     return StaticSet(frozenset(edges), frozenset(non_edges))
-
-
-def check_static_set(inst: Instance, realizations: list[Realization]) -> bool:
-    """Compare ``static_set`` of the instance's degree sequence (strongly
-    connected components of one max-flow realization) against enumerated
-    ground truth.
-
-    Static cells must be constant across all realizations (soundness); on a
-    free mask the static set must contain exactly the constant cells
-    (completeness).
-    """
-    if not realizations:
-        raise ValueError("need at least one realization")
-    n, nc = inst.n, inst.n_cols
-    ss = static_set(inst.degrees)
-    always_one = set()
-    always_zero = set()
-    for i in range(n):
-        for j in range(nc):
-            vals = {g.matrix[i][j] for g in realizations}
-            if vals == {1}:
-                always_one.add((i, j))
-            elif vals == {0}:
-                always_zero.add((i, j))
-    sound = ss.forced_edges <= always_one and ss.forced_non_edges <= always_zero
-    if not inst.fixed.is_free():
-        return sound
-    return (
-        sound
-        and ss.forced_edges == always_one
-        and ss.forced_non_edges == always_zero
-    )
 
 
 def uniformity_report(inst: Instance, cfg: chains.ChainConfig) -> tuple[float, float]:
@@ -618,53 +631,6 @@ def _support_props(n, nc, cells, cache):
     return got
 
 
-def _components_of(states_idx, adjacent) -> list[tuple[int, ...]]:
-    remaining = set(states_idx)
-    comps = []
-    while remaining:
-        s = min(remaining)
-        comp = {s}
-        queue = [s]
-        remaining.discard(s)
-        for u in queue:
-            for v in list(remaining):
-                if adjacent(u, v):
-                    remaining.discard(v)
-                    comp.add(v)
-                    queue.append(v)
-        comps.append(tuple(sorted(comp)))
-    return comps
-
-
-def _distance_bound_holds(ctx, states_idx):
-    """BFS under 4-swap adjacency; every pair within diff/2 - 1 moves."""
-    order = list(states_idx)
-    bits = [ctx.bits[s] for s in order]
-    adj = [[] for _ in order]
-    for qa in range(len(order)):
-        for qb in range(qa + 1, len(order)):
-            if ctx.pair(order[qa], order[qb]).cycle_len == 4:
-                adj[qa].append(qb)
-                adj[qb].append(qa)
-    for qa in range(len(order)):
-        dist = [-1] * len(order)
-        dist[qa] = 0
-        queue = [qa]
-        for u in queue:
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        x = bits[qa]
-        for qb in range(len(order)):
-            if qb == qa:
-                continue
-            diff = (x ^ bits[qb]).bit_count()
-            if dist[qb] < 0 or dist[qb] > diff // 2 - 1:
-                return False
-    return True
-
-
 def _symmetric(ledger):
     """True iff every key (s, t, ...) carries the value of (t, s, ...)."""
     return all(
@@ -886,46 +852,36 @@ def _check_instance_pool(ctx, states_idx, fixed, pattern_forced_e,
     )
     multi = len(states_idx) >= 2
 
-    def comps_for(lengths=None, trades=False, circle=False):
-        def adjacent(u, v):
-            info = ctx.pair(u, v)
-            if trades and len(info.changed_rows) == 2:
-                return True
-            if circle and info.is_circle:
-                return True
-            return lengths is not None and info.cycle_len in lengths
-
-        return _components_of(states_idx, adjacent)
+    def components(move_set):
+        return _components_of(states_idx, _adjacent(ctx.pair, move_set))
 
     if no3m and multi:
-        len4 = swap_lengths_for(MoveSet.swaps4())
-        comps4 = comps_for(lengths=len4)
+        swaps4 = _adjacent(ctx.pair, _SWAPS4)
+        comps4 = _components_of(states_idx, swaps4)
         rep.record("swaps4-connected", digest, len(comps4) == 1, witness)
         rep.record(
             "swaps4-distance-bound",
             digest,
-            len(comps4) == 1 and _distance_bound_holds(ctx, states_idx),
+            len(comps4) == 1 and _distance_bound_holds(ctx, states_idx, swaps4),
             witness,
         )
-        compst = comps_for(trades=True)
+        compst = components(_TRADES)
         rep.record("trades-connected", digest, len(compst) == 1, witness)
         rep.record("trade-swap-components", digest, comps4 == compst, witness)
 
     if no8 and multi:
-        len46 = swap_lengths_for(MoveSet.swaps46())
-        comps46 = comps_for(lengths=len46)
+        comps46 = components(_SWAPS46)
         rep.record("swaps46-connected", digest, len(comps46) == 1, witness)
         if forest:
             rep.record("forest-swaps46-connected", digest, len(comps46) == 1, witness)
-        compsc = comps_for(trades=True, circle=True)
+        compsc = components(_TRADES_PLUS_CIRCLE)
         rep.record("circle-trades-connected", digest, len(compsc) == 1, witness)
 
     if multi:
         for ell in excluded:
             if ell == 4 and no8:
                 continue  # identical to the swaps46 check above
-            lens = swap_lengths_for(MoveSet.swaps_up_to(2 * ell - 2))
-            comps = comps_for(lengths=lens)
+            comps = components(MoveSet.swaps_up_to(2 * ell - 2))
             rep.record("bounded-swaps-connected",
                        lambda limit=2 * ell - 2: f"{digest()} L={limit}",
                        len(comps) == 1, witness)
@@ -1170,13 +1126,15 @@ def search_split_masks(row_degrees=(1, 1, 1, 1), col_degrees=(2, 1, 1)):
                 states = enumerate_realizations(inst)
                 if len(states) < 2:
                     continue
-                sg4 = build_state_graph(states, MoveSet.swaps4())
-                connected, comps = check_connectivity(sg4)
-                if connected:
+                ctx = _ctx_of(states)
+                everything = range(len(states))
+                comps = _components_of(everything, _adjacent(ctx.pair, _SWAPS4))
+                if len(comps) == 1:
                     continue
-                iso = components_isomorphic(sg4)
-                sgc = build_state_graph(states, MoveSet.trades_plus_circle())
-                circle_connected, _ = check_connectivity(sgc)
+                iso = components_isomorphic(_state_graph(ctx, states, _SWAPS4))
+                circle_connected = len(_components_of(
+                    everything, _adjacent(ctx.pair, _TRADES_PLUS_CIRCLE)
+                )) == 1
                 records.append(
                     {
                         "cells": tuple(sorted(cells)),

@@ -6,11 +6,12 @@ criteria run their own targeted checks.
 """
 
 import time
+from math import comb
 
 import bipsample as bp
 from bipsample import cli
 from bipsample.analysis import chord_cycle_valid
-from bipsample.chains import STAY, ChainConfig, CircleTradeProposal
+from bipsample.chains import ChainConfig, CircleTradeProposal, _unrank_subset
 
 
 def _verdict(number, label, t0):
@@ -31,12 +32,16 @@ def test_criterion_01_worked_trade_enumeration():
         bp.FixedSet.from_cells(2, 7, forced_edges=[(0, 2)], forced_non_edges=[(1, 5)]),
     )
     g = bp.Realization.from_rows(inst, rowsets)
-    cands = bp.enumerate_trades(g, 0, 1)
-    assert len(cands) == 3
-    assert sum(1 for c in cands if c is STAY) == 1
-    moves = sorted(
-        (tuple(sorted(c.b_ij)), tuple(sorted(c.b_ji))) for c in cands if c is not STAY
-    )
+    # the exchangeable columns of each row, as bit masks
+    blocked = inst.fixed.row_fixed()[0] | inst.fixed.row_fixed()[1]
+    a_ij = sum(1 << j for j in g.rows[0] - g.rows[1] - blocked)
+    a_ji = sum(1 << j for j in g.rows[1] - g.rows[0] - blocked)
+    pool, k = a_ij | a_ji, a_ij.bit_count()
+    outcomes = [_unrank_subset(pool, k, r) for r in range(comb(pool.bit_count(), k))]
+    assert len(outcomes) == 3
+    assert outcomes.count(a_ij) == 1  # the lazy step
+    columns = lambda m: tuple(j for j in range(7) if m >> j & 1)
+    moves = sorted((columns(b), columns(pool ^ b)) for b in outcomes if b != a_ij)
     # exchange 0 with 6, or 1 with 6; nothing else
     assert moves == [((0, 6), (1,)), ((1, 6), (0,))]
     _verdict(1, "two-row trade enumeration matches the worked example", t0)

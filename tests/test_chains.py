@@ -36,6 +36,15 @@ def mask(columns):
     return sum(1 << j for j in columns)
 
 
+def toggled(g, cells):
+    """``g`` with the cells of a cycle toggled on a copy of its matrix,
+    validated against the instance."""
+    matrix = [list(row) for row in g.matrix]
+    for i, j in cells:
+        matrix[i][j] ^= 1
+    return bp.Realization(g.instance, matrix)
+
+
 def two_row_instance():
     """Rows {0..5} and {3,4,6} on seven columns, a pinned edge (0,2) and a
     pinned non-edge (1,5)."""
@@ -66,17 +75,18 @@ def test_chain_config_validation():
 
 
 def test_trade_enumeration_on_two_row_example():
+    # every replacement subset of the pool, in the order trades rank them
     g = two_row_instance()
-    cands = bp.enumerate_trades(g, 0, 1)
-    assert len(cands) == 3
-    stays = [c for c in cands if c is STAY]
-    swaps = sorted(
-        (tuple(sorted(c.b_ij)), tuple(sorted(c.b_ji)))
-        for c in cands
-        if c is not STAY
-    )
-    assert len(stays) == 1
-    assert swaps == [((0, 6), (1,)), ((1, 6), (0,))]
+    rows = [mask(r) for r in g.rows]
+    fixed = [mask(r) for r in g.instance.fixed.row_fixed()]
+    blocked = fixed[0] | fixed[1]
+    a_ij, a_ji = rows[0] & ~(rows[1] | blocked), rows[1] & ~(rows[0] | blocked)
+    pool, k = a_ij | a_ji, a_ij.bit_count()
+    outcomes = [_unrank_subset(pool, k, r) for r in range(comb(pool.bit_count(), k))]
+    assert len(outcomes) == 3
+    assert outcomes.count(a_ij) == 1  # the lazy step
+    swaps = sorted((cols(b), cols(pool ^ b)) for b in outcomes if b != a_ij)
+    assert swaps == [([0, 6], [1]), ([1, 6], [0])]
 
 
 def test_swap_proposals_on_two_row_example():
@@ -343,8 +353,7 @@ def test_bounded_cycle_proposals_match_state_graph_edges():
             c = bp.propose_bounded_cycle_swap(g, limit, rng)
             if c is STAY:
                 continue
-            h = bp.apply_cycle_swap(g, list(c))
-            reachable.add(h.matrix)
+            reachable.add(toggled(g, c).matrix)
         neighbors = {states[t].matrix for t, _ in sg.edges[s]}
         assert reachable == neighbors
 
@@ -657,7 +666,7 @@ def _cycle_reference(g, limit, rng):
         return g.rows
     if any(g.instance.fixed.mask[r][c] != bp.FREE for r, c in cells):
         return g.rows
-    return bp.apply_cycle_swap(g, cells).rows
+    return toggled(g, cells).rows
 
 
 def _on_masks(kernel):
@@ -671,7 +680,7 @@ def _on_masks(kernel):
 
 
 def _cycle_applied(c, g):
-    return g.rows if c is STAY else bp.apply_cycle_swap(g, list(c)).rows
+    return g.rows if c is STAY else toggled(g, c).rows
 
 
 def test_step_kernels_match_randrange_references():

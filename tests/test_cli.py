@@ -426,6 +426,36 @@ def test_usage_error_exit_code(capsys):
     assert cli.main(["bogus"]) == cli.EXIT_USAGE
 
 
+def test_repeated_main_calls_keep_their_own_results(tmp_path, capsys):
+    # usage errors between valid commands in one process: every call keeps
+    # the exit code, stdout and stderr it has on its own
+    path = write(tmp_path, "x.txt", FIG_SPLIT)
+    calls = [
+        ["sample", path, "--steps", "0"],
+        ["analyze", path],
+        ["bogus"],
+        ["sample", path, "--chain", "circle", "--steps", "40", "--seed", "3"],
+        ["sample", path, "--steps", "5", "--gap", "6"],
+        ["enumerate", path, "--list"],
+    ]
+    alone = []
+    for argv in calls:
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        alone.append((code, out, err))
+    assert [code for code, _, _ in alone] == [64, 0, 64, 0, 64, 0]
+    for code, out, err in alone:
+        if code:
+            assert "error:" in err and not out
+        else:
+            assert out and "error" not in err
+    for order in (calls[::-1], calls[1::2] + calls[::2]):
+        for argv in order:
+            code = cli.main(argv)
+            out, err = capsys.readouterr()
+            assert (code, out, err) == alone[calls.index(argv)], argv
+
+
 def test_sample_reproducible_across_processes(tmp_path):
     path = write(tmp_path, "x.txt", FIG_SPLIT)
 

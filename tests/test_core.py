@@ -1,10 +1,36 @@
-"""Domain types, symmetric differences and cycle swaps."""
+"""Domain types, the oracle's classes of state differences and the public
+surface of the package."""
 
 import random
 
 import pytest
 
 import bipsample as bp
+from bipsample import chains, oracle
+
+# Every public name of the package; adding or removing one shows here.
+PUBLIC_NAMES = [
+    "AnalysisReport", "Chain", "ChainConfig", "CircleTradeProposal",
+    "DegreeSequence", "FGraph", "FORCED_EDGE", "FORCED_NON_EDGE", "FREE",
+    "FixedSet", "Infeasible", "Instance", "InstanceMismatch", "MoveSet",
+    "NoUsableBound", "NotRealizable", "PolarityConflict", "Realization",
+    "STAY", "StateGraph", "StaticSet", "Stay", "TooLarge", "TradeProposal",
+    "VerificationResult", "analysis", "analyze", "build_state_graph",
+    "chains", "check_connectivity", "chord_cycle", "chord_cycle_valid",
+    "components_isomorphic", "core", "enumerate_realizations",
+    "find_coprime_odd_t", "gale_ryser_realizable", "has_cycle_of_length",
+    "initial_realization", "is_forest", "max_matching_at_least", "oracle",
+    "partition_fixed_set", "propose_bounded_cycle_swap",
+    "propose_circle_trade", "propose_swap", "propose_trade", "realizability",
+    "run", "run_verification", "search_split_masks", "state_key",
+    "static_set", "uniformity_report",
+]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(bp.__all__) == PUBLIC_NAMES
+
+
 def test_degree_sequence_rejects_negative():
     with pytest.raises(ValueError):
         bp.DegreeSequence((1, -1), (0, 0))
@@ -55,94 +81,59 @@ def test_realization_validates_degrees_and_mask():
     assert ok.rows == (frozenset({0}), frozenset({1}))
 
 
+def pair_class(g, h):
+    """The oracle's pair class of two realizations of one instance."""
+    return oracle._ctx_of([g, h]).pair(0, 1)
+
+
+def difference_cells(g, h):
+    """The cells where g and h differ, as (row, col, owner) with owner "g"
+    for an edge of g only and "h" for an edge of h only."""
+    return [
+        (i, j, "g" if v else "h")
+        for i, (row_g, row_h) in enumerate(zip(g.matrix, h.matrix))
+        for j, (v, w) in enumerate(zip(row_g, row_h))
+        if v != w
+    ]
+
+
+def toggled(g, cells):
+    """``g`` with ``cells`` toggled on a copy of its matrix, validated."""
+    matrix = [list(row) for row in g.matrix]
+    for i, j in cells:
+        matrix[i][j] ^= 1
+    return bp.Realization(g.instance, matrix)
+
+
 def test_symmetric_difference_identity_is_empty():
     inst = bp.Instance.unconstrained((1, 1), (1, 1))
     g = bp.Realization(inst, [[1, 0], [0, 1]])
-    d = bp.symmetric_difference(g, g)
-    assert d.is_empty() and d.cycles == ()
+    info = pair_class(g, g)
+    assert info.changed_rows == () and info.cycle_len == 0 and not info.is_circle
 
 
 def test_symmetric_difference_single_4_swap():
     inst = bp.Instance.unconstrained((1, 1), (1, 1))
     g = bp.Realization(inst, [[1, 0], [0, 1]])
     h = bp.Realization(inst, [[0, 1], [1, 0]])
-    d = bp.symmetric_difference(g, h)
-    assert d.size() == 4
-    assert len(d.cycles) == 1 and len(d.cycles[0]) == 4
-
-
-def test_symmetric_difference_rejects_other_instance():
-    g = bp.Realization(bp.Instance.unconstrained((1, 1), (1, 1)), [[1, 0], [0, 1]])
-    h = bp.Realization(bp.Instance.unconstrained((1, 1), (1, 1, 0)), [[1, 0, 0], [0, 1, 0]])
-    with pytest.raises(bp.InstanceMismatch):
-        bp.symmetric_difference(g, h)
+    info = pair_class(g, h)
+    assert info.changed_rows == (0, 1) and info.cycle_len == 4
 
 
 def test_symmetric_difference_splits_walk_into_two_6_cycles():
     # One closed walk through a twice-visited row splits into two
-    # vertex-disjoint 6-cycles sharing that row vertex.
+    # vertex-disjoint 6-cycles sharing that row vertex: the difference is
+    # no single cycle, and each 6-cycle alone is one.
     inst = bp.Instance.unconstrained((2, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1))
     g = bp.Realization.from_rows(inst, [{0, 3}, {1}, {2}, {4}, {5}])
     h = bp.Realization.from_rows(inst, [{1, 4}, {2}, {0}, {5}, {3}])
-    d = bp.symmetric_difference(g, h)
-    assert d.size() == 12
-    assert len(d.walks) == 1 and len(d.walks[0]) == 12
-    assert len(d.cycles) == 2
-    assert sorted(len(c) for c in d.cycles) == [6, 6]
-    # the split cycles partition the walk's cells
-    cells = sorted((i, j) for i, j, _ in d.cells)
-    assert sorted(c for cyc in d.cycles for c in cyc) == cells
-
-
-def test_apply_cycle_swap_2x2():
-    inst = bp.Instance.unconstrained((1, 1), (1, 1))
-    g = bp.Realization(inst, [[1, 0], [0, 1]])
-    h = bp.apply_cycle_swap(g, [(0, 0), (0, 1), (1, 1), (1, 0)])
-    assert h.matrix == ((0, 1), (1, 0))
-
-
-def test_apply_cycle_swap_is_involution():
-    inst = bp.Instance.unconstrained((1, 1, 1), (1, 1, 1))
-    g = bp.Realization(inst, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    cycle = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)]
-    h = bp.apply_cycle_swap(g, cycle)
-    assert h != g
-    assert bp.apply_cycle_swap(h, cycle) == g
-
-
-def test_apply_cycle_swap_6_cycle_stays_in_state_set():
-    inst = bp.Instance.unconstrained((1, 1, 1), (1, 1, 1))
-    states = set(bp.enumerate_realizations(inst))
-    g = bp.Realization(inst, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    h = bp.apply_cycle_swap(g, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)])
-    assert h in states
-
-
-def test_apply_cycle_swap_rejects_fixed_cell():
-    inst = bp.Instance(
-        bp.DegreeSequence((1, 1), (1, 1)),
-        bp.FixedSet.from_cells(2, 2, forced_edges=[(0, 0)]),
-    )
-    g = bp.Realization(inst, [[1, 0], [0, 1]])
-    with pytest.raises(bp.FixedCellViolation):
-        bp.apply_cycle_swap(g, [(0, 0), (0, 1), (1, 1), (1, 0)])
-
-
-def test_apply_cycle_swap_rejects_non_alternating():
-    inst = bp.Instance.unconstrained((2, 1, 1), (2, 1, 1))
-    g = bp.Realization(inst, [[1, 1, 0], [1, 0, 0], [0, 0, 1]])
-    # cells (0,0) and (1,0) are both edges: no alternation
-    with pytest.raises(bp.InvalidMove):
-        bp.apply_cycle_swap(g, [(0, 0), (0, 1), (1, 1), (1, 0)])
-
-
-def test_apply_cycle_swap_rejects_malformed_cycles():
-    inst = bp.Instance.unconstrained((1, 1), (1, 1))
-    g = bp.Realization(inst, [[1, 0], [0, 1]])
-    with pytest.raises(bp.InvalidMove):
-        bp.apply_cycle_swap(g, [(0, 0), (0, 1)])
-    with pytest.raises(bp.InvalidMove):
-        bp.apply_cycle_swap(g, [(0, 0), (1, 1), (0, 1), (1, 0)])
+    assert len(difference_cells(g, h)) == 12
+    info = pair_class(g, h)
+    assert info.changed_rows == (0, 1, 2, 3, 4) and info.cycle_len == 0
+    mid = toggled(g, [(0, 0), (2, 0), (2, 2), (1, 2), (1, 1), (0, 1)])
+    assert pair_class(g, mid).cycle_len == 6
+    assert pair_class(mid, h).cycle_len == 6
+    assert pair_class(g, mid).changed_rows == (0, 1, 2)
 
 
 def test_move_set_validation():
@@ -173,25 +164,36 @@ def _random_instances(rng, count):
 
 
 def test_decomposition_soundness_on_enumerated_instances():
+    # the pair class is sound: its changed rows are the rows that differ, and
+    # a cycle length counts a difference of two cells per changed row and
+    # column on one closed alternating walk
     rng = random.Random(4)
     for states in _random_instances(rng, 8):
         for _ in range(6):
             g, h = rng.sample(states, 2)
-            d = bp.symmetric_difference(g, h)
-            assert sorted(c for cyc in d.cycles for c in cyc) == sorted(
-                (i, j) for i, j, _ in d.cells
-            )
-            for cyc in d.cycles:
-                assert len(cyc) % 2 == 0 and len(cyc) >= 4
-                rows = [c[0] for c in cyc]
-                cols = [c[1] for c in cyc]
-                assert len(set(rows)) == len(cyc) // 2
-                assert len(set(cols)) == len(cyc) // 2
-            # swapping every cycle in turn transforms g into h
-            cur = g
-            for cyc in d.cycles:
-                cur = bp.apply_cycle_swap(cur, cyc)
-            assert cur == h
+            cells = difference_cells(g, h)
+            info = pair_class(g, h)
+            assert info.changed_rows == tuple(sorted({i for i, _, _ in cells}))
+            if not info.cycle_len:
+                continue
+            assert info.cycle_len == len(cells)
+            by_row, by_col = {}, {}
+            for i, j, w in cells:
+                by_row.setdefault(i, []).append((j, w))
+                by_col.setdefault(j, []).append((i, w))
+            for ends in list(by_row.values()) + list(by_col.values()):
+                assert len(ends) == 2 and ends[0][1] != ends[1][1]
+            # follow the walk from the first cell: it closes after every cell
+            i, j, _ = cells[0]
+            seen = {(i, j)}
+            while True:
+                j = next(c for c, _ in by_row[i] if c != j)
+                if (i, j) in seen:
+                    break
+                seen.add((i, j))
+                i = next(r for r, _ in by_col[j] if r != i)
+                seen.add((i, j))
+            assert len(seen) == len(cells)
 
 
 def test_alternating_3_walks_in_difference_are_vertex_disjoint():
@@ -203,8 +205,7 @@ def test_alternating_3_walks_in_difference_are_vertex_disjoint():
     for states in _random_instances(rng, 6):
         for _ in range(4):
             g, h = rng.sample(states, 2)
-            d = bp.symmetric_difference(g, h)
-            cells = [(i, j, w) for i, j, w in d.cells]
+            cells = difference_cells(g, h)
             for i1, j1, w1 in cells:
                 for i2, j2, w2 in cells:
                     if w2 == w1 or j2 != j1:
@@ -220,13 +221,21 @@ def test_alternating_3_walks_in_difference_are_vertex_disjoint():
 
 
 def test_degree_conservation_after_cycle_swaps():
+    # every cycle the bounded cycle swap proposes keeps all degrees: toggled
+    # on a copy of the matrix, it validates, and it is one cycle of its length
     rng = random.Random(7)
+    swapped = 0
     for states in _random_instances(rng, 6):
-        g, h = rng.sample(states, 2)
-        d = bp.symmetric_difference(g, h)
+        g = rng.choice(states)
         inst = g.instance
-        cur = g
-        for cyc in d.cycles:
-            cur = bp.apply_cycle_swap(cur, cyc)
-            for i, row in enumerate(cur.matrix):
+        limit = 2 * min(inst.n, inst.n_cols)
+        for _ in range(300):
+            cycle = bp.propose_bounded_cycle_swap(g, limit, rng)
+            if cycle is chains.STAY:
+                continue
+            h = toggled(g, cycle)
+            for i, row in enumerate(h.matrix):
                 assert sum(row) == inst.degrees.row_degrees[i]
+            assert pair_class(g, h).cycle_len == len(cycle)
+            swapped += 1
+    assert swapped > 50

@@ -111,16 +111,31 @@ def test_split_instance_components():
     assert connected
 
 
+def distance_bound_holds(inst, move_set):
+    """The sweep's distance check on every state of ``inst``, with the
+    predicate of ``move_set``."""
+    states = bp.enumerate_realizations(inst)
+    ctx = oracle._ctx_of(states)
+    adjacent = oracle._adjacent(ctx.pair, move_set)
+    return oracle._distance_bound_holds(ctx, range(len(states)), adjacent)
+
+
 def test_distance_bound_adjacent_pairs():
     inst = bp.Instance.unconstrained((1, 1), (1, 1))
-    sg = bp.build_state_graph(bp.enumerate_realizations(inst), MoveSet.swaps4())
-    assert bp.check_distance_bound(sg)
+    assert distance_bound_holds(inst, MoveSet.swaps4())
 
 
 def test_distance_bound_on_permutations():
     inst = bp.Instance.unconstrained((1, 1, 1), (1, 1, 1))
-    sg = bp.build_state_graph(bp.enumerate_realizations(inst), MoveSet.swaps4())
-    assert bp.check_distance_bound(sg)
+    assert distance_bound_holds(inst, MoveSet.swaps4())
+    # with the diagonal pinned the two states differ by one 6-cycle: out of
+    # reach of 4-swaps, one move apart under 4/6-swaps
+    pinned = bp.Instance(
+        inst.degrees,
+        bp.FixedSet.from_cells(3, 3, forced_non_edges=[(0, 0), (1, 1), (2, 2)]),
+    )
+    assert not distance_bound_holds(pinned, MoveSet.swaps4())
+    assert distance_bound_holds(pinned, MoveSet.swaps46())
 
 
 def test_distance_bound_forest_masks_under_swaps46():
@@ -145,18 +160,19 @@ def test_distance_bound_forest_masks_under_swaps46():
                 forced_non_edges=[c for c in support if not matrix[c[0]][c[1]]],
             ),
         )
-        states = bp.enumerate_realizations(inst)
-        if len(states) < 2:
+        if len(bp.enumerate_realizations(inst)) < 2:
             continue
-        sg = bp.build_state_graph(states, MoveSet.swaps46())
-        assert bp.check_distance_bound(sg)
+        assert distance_bound_holds(inst, MoveSet.swaps46())
         done += 1
 
 
 def test_check_static_set_examples():
-    for degs in (((3,), (1, 1, 1)), ((1,), (1, 0)), ((2, 1), (2, 1))):
-        inst = bp.Instance.unconstrained(*degs)
-        assert bp.check_static_set(inst, bp.enumerate_realizations(inst))
+    for a, b in (((3,), (1, 1, 1)), ((1,), (1, 0)), ((2, 1), (2, 1))):
+        ss = bp.static_set(bp.DegreeSequence(a, b))
+        truth = oracle._static_ground_truth(
+            oracle._enumerate_bits(a, b), len(a), len(b)
+        )
+        assert (ss.forced_edges, ss.forced_non_edges) == truth
 
 
 def test_components_isomorphic_connected_graph():
@@ -277,6 +293,137 @@ def test_state_graph_moves_respect_masks():
                 if states[s].matrix[i] != states[t].matrix[i]
             }
             assert len(diff_rows) == (2 if label == "trade" else 3)
+
+
+# ---------------------------------------------------------------------------
+# The pair classes behind every state graph, against moves made by brute
+# force on the state's matrix.
+
+
+def _pair_class_sequences():
+    """(a, b, bits): every realizable sequence on grids up to 3x3, then 20
+    seeded random 4x4 sequences and 6 seeded 5x4 ones of at most 150
+    states (five rows let a rotation and a swap change rows together)."""
+    for n in range(1, 4):
+        for nc in range(1, 4):
+            for a in itertools.product(range(nc + 1), repeat=n):
+                for b in itertools.product(range(n + 1), repeat=nc):
+                    bits = oracle._enumerate_bits(a, b)
+                    if bits:
+                        yield a, b, bits
+    rng = random.Random(20240801)
+    for n, count in ((4, 20), (5, 6)):
+        made = 0
+        while made < count:
+            p = rng.choice((0.3, 0.5, 0.7))
+            matrix = [[int(rng.random() < p) for _ in range(4)] for _ in range(n)]
+            a = tuple(map(sum, matrix))
+            b = tuple(map(sum, zip(*matrix)))
+            bits = oracle._enumerate_bits(a, b, cap=150)
+            if bits is not None:
+                yield a, b, bits
+                made += 1
+
+
+def _walk_swaps(m):
+    """{L: matrices}: every closed walk r0-c0-r1-c1-...-r0 over distinct rows
+    and distinct columns whose cells alternate in ``m`` (cells (r_t, c_t)
+    equal to (r0, c0), cells (r_t+1, c_t) and (r0, c_last) the other
+    value), toggled on a copy of ``m``; L is the number of cells."""
+    n, nc = len(m), len(m[0])
+    out = {}
+
+    def extend(rows, cols, v):
+        r = rows[-1]
+        for c in range(nc):
+            if c in cols or m[r][c] != v:
+                continue
+            if len(rows) >= 2 and m[rows[0]][c] != v:
+                walk, h = cols + [c], len(rows)
+                cells = [(rows[t], walk[t]) for t in range(h)]
+                cells += [(rows[(t + 1) % h], walk[t]) for t in range(h)]
+                toggled = [row[:] for row in m]
+                for i, j in cells:
+                    toggled[i][j] ^= 1
+                out.setdefault(len(cells), []).append(toggled)
+            for r2 in range(n):
+                if r2 not in rows and m[r2][c] != v:
+                    extend(rows + [r2], cols + [c], v)
+
+    for r0 in range(n):
+        for v in (0, 1):
+            extend([r0], [], v)
+    return out
+
+
+def _trades_from(m):
+    """Matrices one trade away: on rows i < j, the cells where they differ
+    handed out again with the same count to row i, other than as before."""
+    n, nc = len(m), len(m[0])
+    out = []
+    for i, j in itertools.combinations(range(n), 2):
+        pool = [c for c in range(nc) if m[i][c] != m[j][c]]
+        share = tuple(c for c in pool if m[i][c])
+        for sub in itertools.combinations(pool, len(share)):
+            if sub != share:
+                new = [row[:] for row in m]
+                for c in pool:
+                    new[i][c], new[j][c] = int(c in sub), int(c not in sub)
+                out.append(new)
+    return out
+
+
+def _circles_from(m):
+    """Matrices one circle trade away: on distinct rows (i, j, k), row i
+    takes x >= 1 columns that j has and i lacks, j as many from k, k as many
+    from i."""
+    n, nc = len(m), len(m[0])
+    out = []
+    for i, j, k in itertools.permutations(range(n), 3):
+        d_ji = [c for c in range(nc) if m[j][c] and not m[i][c]]
+        d_kj = [c for c in range(nc) if m[k][c] and not m[j][c]]
+        d_ik = [c for c in range(nc) if m[i][c] and not m[k][c]]
+        for x in range(1, min(len(d_ji), len(d_kj), len(d_ik)) + 1):
+            for sj in itertools.combinations(d_ji, x):
+                for sk in itertools.combinations(d_kj, x):
+                    for si in itertools.combinations(d_ik, x):
+                        new = [row[:] for row in m]
+                        for give, row_from, row_to in ((sj, j, i), (sk, k, j), (si, i, k)):
+                            for c in give:
+                                new[row_from][c], new[row_to][c] = 0, 1
+                        out.append(new)
+    return out
+
+
+def test_pair_classes_match_brute_force_moves():
+    sequences = states = walks = rotations = 0
+    for a, b, bits in _pair_class_sequences():
+        n, nc = len(a), len(b)
+        ctx = oracle._SeqCtx(n, nc, a, b, bits)
+        index = lambda matrix: ctx.index[oracle._matrix_to_bits(matrix, n, nc)]
+        for s, x in enumerate(bits):
+            m = oracle._bits_to_matrix(x, n, nc)
+            swaps = _walk_swaps(m)
+            assert set(swaps) <= set(range(4, 2 * min(n, nc) + 1, 2))
+            for length in range(4, 2 * min(n, nc) + 1, 2):
+                reached = {index(t) for t in swaps.get(length, [])}
+                want = {t for t in range(len(bits)) if ctx.pair(s, t).cycle_len == length}
+                assert reached == want, (a, b, s, length)
+                walks += len(swaps.get(length, []))
+            assert all(ctx.pair(s, t).cycle_len in swaps for t in range(len(bits))
+                       if ctx.pair(s, t).cycle_len)
+            trades = {index(t) for t in _trades_from(m)}
+            assert trades == {
+                t for t in range(len(bits)) if len(ctx.pair(s, t).changed_rows) == 2
+            }, (a, b, s)
+            circles = _circles_from(m)
+            rotations += len(circles)
+            circles = {index(t) for t in circles}
+            assert circles == {t for t in range(len(bits)) if ctx.pair(s, t).is_circle}
+            states += 1
+        sequences += 1
+    assert sequences > 450 and states > 800
+    assert walks > 15000 and rotations > 1000
 
 
 def test_pool_matches_the_benchmark_record(pool_result):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import bipsample as bp
-from bipsample.oracle import _static_set_reference
+from bipsample.oracle import _enumerate_bits, _static_ground_truth, _static_set_reference
 from bipsample.realizability import _gale_ryser
 
 
@@ -210,9 +210,9 @@ def test_static_set_matches_enumeration_ground_truth():
         matrix = [[rng.randint(0, 1) for _ in range(nc)] for _ in range(n)]
         a = [sum(r) for r in matrix]
         b = [sum(matrix[i][j] for i in range(n)) for j in range(nc)]
-        inst = bp.Instance.unconstrained(a, b)
-        states = bp.enumerate_realizations(inst)
-        assert bp.check_static_set(inst, states)
+        ss = bp.static_set(bp.DegreeSequence(a, b))
+        truth = _static_ground_truth(_enumerate_bits(a, b), n, nc)
+        assert (ss.forced_edges, ss.forced_non_edges) == truth
 
 
 def _random_realizable(rng, max_rows, max_cols):
