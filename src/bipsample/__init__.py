@@ -6,24 +6,13 @@ from .analysis import (
     AnalysisReport,
     FGraph,
     analyze,
-    chord_cycle,
-    chord_cycle_valid,
-    find_coprime_odd_t,
     has_cycle_of_length,
     is_forest,
     max_matching_at_least,
 )
 from .chains import (
-    STAY,
     Chain,
     ChainConfig,
-    CircleTradeProposal,
-    Stay,
-    TradeProposal,
-    propose_bounded_cycle_swap,
-    propose_circle_trade,
-    propose_swap,
-    propose_trade,
     run,
     state_key,
 )

@@ -1,10 +1,8 @@
 """Structural detectors on the fixed set (matchings, exact-length cycles,
-forests), the chorded-cycle construction they rest on, and the chain
-recommendation cascade."""
+forests) and the chain recommendation cascade."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -19,10 +17,6 @@ class FGraph:
     n: int
     n_cols: int
     edges: frozenset[tuple[int, int]]
-
-    @classmethod
-    def from_fixed_set(cls, f: FixedSet) -> "FGraph":
-        return cls(f.n, f.n_cols, f.cells)
 
     @classmethod
     def from_cells(cls, n: int, n_cols: int, cells: Iterable[tuple[int, int]]) -> "FGraph":
@@ -200,53 +194,6 @@ def is_forest(f: FGraph) -> bool:
     edge (a bridge).
     """
     return all(len(block.edges) == 1 for block in f._block_list)
-
-
-def find_coprime_odd_t(cycle_len: int) -> int:
-    """Smallest odd t in [3, cycle_len - 3] coprime to ``cycle_len``.
-
-    Existence is guaranteed for even cycle_len >= 8 (an Euler-phi count).
-    """
-    if cycle_len % 2 or cycle_len < 8:
-        raise ValueError("cycle_len must be an even integer >= 8")
-    for t in range(3, cycle_len - 2, 2):
-        if math.gcd(t, cycle_len) == 1:
-            return t
-    raise AssertionError(f"no admissible multiplier for {cycle_len}")
-
-
-def chord_cycle(cycle_len: int, target_len: int) -> list[int]:
-    """A simple cycle of ``target_len`` vertices through chords of a base
-    cycle of ``cycle_len`` vertices, every edge joining vertices at odd
-    base-distance >= 3.
-
-    For the full length the cycle visits v_{t*i mod cycle_len} with the
-    smallest admissible odd multiplier t; shorter targets shrink the base
-    two vertices at a time (the two dropped chords are replaced by the
-    closing chord, which keeps all distances odd and >= 3 on the original
-    base).
-    """
-    if cycle_len % 2 or target_len % 2:
-        raise ValueError("cycle lengths must be even")
-    if not 8 <= target_len <= cycle_len:
-        raise ValueError("need 8 <= target_len <= cycle_len")
-    if target_len == cycle_len:
-        t = find_coprime_odd_t(cycle_len)
-        return [(t * i) % cycle_len for i in range(cycle_len)]
-    return chord_cycle(cycle_len - 2, target_len)
-
-
-def chord_cycle_valid(cycle_len: int, cycle: list[int]) -> bool:
-    """Check the defining predicate: simple, and every edge at odd
-    base-distance >= 3 on the cycle of ``cycle_len`` vertices."""
-    if len(set(cycle)) != len(cycle):
-        return False
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        d = abs(a - b)
-        d = min(d, cycle_len - d)
-        if d % 2 == 0 or d < 3:
-            return False
-    return True
 
 
 def analyze(f: FixedSet, n: int, n_cols: int) -> AnalysisReport:

@@ -12,13 +12,9 @@ bit mask with bit j set when the row has column j, and the fixed cells of
 each row as a mask of the same form.  Each move kind has one block kernel,
 ``_trades`` (with circle trades mixed in by ``_circle``), ``_swaps`` or
 ``_cycles``, which takes k steps on these masks in place in one Python
-frame and returns the draw of its last step.  A chain runs its kernel over
-a block of steps at a time; the public ``propose_*`` functions run the same
-kernel for one step on a copy of the masks and decode that draw into a
-proposal object of column frozensets, so both share one random stream.
-Masks are built from and decoded into ``Realization`` objects only at the
-boundary: ``Chain``'s constructor and ``realization()``, ``propose_*``
-and ``state_key``.
+frame.  A chain runs its kernel over a block of steps at a time.  Masks
+are built from and decoded into ``Realization`` objects only at the
+boundary: ``Chain``'s constructor, ``realization()`` and ``state_key``.
 """
 
 from __future__ import annotations
@@ -31,18 +27,6 @@ from typing import Iterable, Iterator
 
 from .core import Instance, MoveSet, Realization
 from .realizability import initial_realization
-
-
-class Stay:
-    """Lazy move: remain in the current state (keeps every chain aperiodic)."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "Stay"
-
-
-STAY = Stay()
 
 
 @dataclass(frozen=True)
@@ -60,56 +44,6 @@ class ChainConfig:
             raise ValueError("steps must be >= 1")
         if self.sample_gap < 1:
             raise ValueError("sample_gap must be >= 1")
-
-
-@dataclass(frozen=True)
-class TradeProposal:
-    """One candidate trade for a row pair.
-
-    ``a_ij`` and ``a_ji`` are the exchangeable column sets of the two rows
-    (own columns minus the other row's columns and both rows' fixed cells);
-    ``b_ij`` is the replacement chosen for ``a_ij`` inside their union.
-    """
-
-    i: int
-    j: int
-    a_ij: frozenset[int]
-    a_ji: frozenset[int]
-    b_ij: frozenset[int]
-    b_ji: frozenset[int]
-
-    def apply(self, g: Realization) -> Realization:
-        rows = list(g.rows)
-        rows[self.i] = (rows[self.i] - self.a_ij) | self.b_ij
-        rows[self.j] = (rows[self.j] - self.a_ji) | self.b_ji
-        return Realization.from_rows(g.instance, rows)
-
-
-@dataclass(frozen=True)
-class CircleTradeProposal:
-    """One candidate circle trade for an ordered row triple (i, j, k).
-
-    The difference sets are d_ji = A_j minus (A_i and both rows' fixed
-    cells), d_kj and d_ik alike.  Equal-sized subsets rotate: sub_j moves
-    from row j to row i, sub_k from k to j, sub_i from i to k.
-    """
-
-    i: int
-    j: int
-    k: int
-    d_ji: frozenset[int]
-    d_kj: frozenset[int]
-    d_ik: frozenset[int]
-    sub_i: frozenset[int]
-    sub_j: frozenset[int]
-    sub_k: frozenset[int]
-
-    def apply(self, g: Realization) -> Realization:
-        rows = list(g.rows)
-        rows[self.i] = (rows[self.i] - self.sub_i) | self.sub_j
-        rows[self.j] = (rows[self.j] - self.sub_j) | self.sub_k
-        rows[self.k] = (rows[self.k] - self.sub_k) | self.sub_i
-        return Realization.from_rows(g.instance, rows)
 
 
 def circle_denominator(sizes: tuple[int, int, int], x: int) -> int:
@@ -136,25 +70,10 @@ def _mask(cols: Iterable[int]) -> int:
     return out
 
 
-def _cols(mask: int) -> frozenset[int]:
-    """The columns whose bits are set in ``mask``."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
-
-
 def state_key(g: Realization) -> tuple[int, ...]:
     """The key ``Chain.keys()`` yields for the state ``g``: one column mask
     per row, bit j set when the row has column j."""
     return tuple(map(_mask, g.rows))
-
-
-def _fixed_masks(inst: Instance) -> tuple[int, ...]:
-    """Per-row masks of the fixed cells, both polarities."""
-    return tuple(map(_mask, inst.fixed.row_fixed()))
 
 
 # Maps the binary digits "0" and "1" to the values 0 and 1.
@@ -203,7 +122,7 @@ def _unrank_subset(pool: int, k: int, index: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Block kernels.  Each takes k steps of one move kind on the row masks in
-# place and returns the draw of its last step, which ``propose_*`` decode.
+# place.
 #
 # Every draw below n is CPython 3.10-3.13's ``randrange(n)``, inlined: with
 # b = n.bit_length(), ``r = getrandbits(b)`` until r < n.  A draw below 1
@@ -222,18 +141,14 @@ def _trades(rows, fixed, n, rng, k, circle=None):
     Drawing a_ij itself is the lazy step.
 
     With ``circle`` set to the Metropolis flag, each step first draws one
-    bit; on a 1 it is a circle trade (``_circle``) instead.  Returns
-    (i, j, a_ij, a_ji, flip) for the last step, ``flip`` being the bits
-    both rows toggle (0 for the lazy step), or None for k = 0, for n < 2
-    and whenever ``circle`` is set."""
+    bit; on a 1 it is a circle trade (``_circle``) instead."""
     mixed = circle is not None
     if n < 2 and not mixed:
-        return None
+        return
     getrandbits = rng.getrandbits
     binomial, unrank = comb, _unrank_subset
     n1 = n - 1
     bits_i, bits_j = n.bit_length(), n1.bit_length()
-    flip = None
     for _ in range(k):
         if mixed and getrandbits(1):
             if n >= 3:
@@ -261,22 +176,17 @@ def _trades(rows, fixed, n, rng, k, circle=None):
         while r >= total:
             r = getrandbits(bits)
         # With one subset in the pool it is a_ij itself.
-        flip = a ^ unrank(pool, size, r) if total > 1 else 0
-        if flip:
+        if total > 1:
+            flip = a ^ unrank(pool, size, r)
             rows[i] = ri ^ flip
             rows[j] = rj ^ flip
-    if mixed or flip is None:
-        return None
-    return i, j, a, b, flip
 
 
 def _circle(rows, fixed, n, rng, mh):
     """One circle trade, for n >= 3: a uniform ordered row triple (i, j, k),
     a uniform subset of the smallest difference set (one getrandbits draw,
     bit b picking its b-th lowest column), then uniform equal-sized subsets
-    of the other two.  With ``mh`` on, the Metropolis test may undo it.
-    Returns the draw (i, j, k, d_ji, d_kj, d_ik, sub_i, sub_j, sub_k) in
-    the field order of ``CircleTradeProposal``, or None for the lazy step."""
+    of the other two.  With ``mh`` on, the Metropolis test may undo it."""
     getrandbits = rng.getrandbits
     bits = n.bit_length()
     i = getrandbits(bits)
@@ -306,11 +216,11 @@ def _circle(rows, fixed, n, rng, mh):
     sizes = [s.bit_count() for s in sets]
     m = min(sizes)
     if not m:
-        return None
+        return
     pivot = sizes.index(m)
     bits = getrandbits(m)
     if not bits:
-        return None
+        return
     x = bits.bit_count()
     rest = sets[pivot]
     chosen = 0
@@ -340,20 +250,17 @@ def _circle(rows, fixed, n, rng, mh):
         if den_rev > den_fwd and rng.random() >= den_fwd / den_rev:
             # Reject: undo the rotation.
             rows[i], rows[j], rows[k] = ri, rj, rk
-    return (i, j, k, *sets, sub_i, sub_j, sub_k)
 
 
 def _swaps(rows, fixed, n, rng, k):
     """k single swaps: a uniform ordered row pair (i, j), then row i gives
     a column of a_ij to row j for one of a_ji, uniform among the pair's
-    |a_ij| * |a_ji| options plus the lazy step, drawn last.  Returns
-    (i, j, a_ij, a_ji, flip) for the last step as ``_trades`` does."""
+    |a_ij| * |a_ji| options plus the lazy step, drawn last."""
     if n < 2:
-        return None
+        return
     getrandbits = rng.getrandbits
     n1 = n - 1
     bits_i, bits_j = n.bit_length(), n1.bit_length()
-    flip = None
     for _ in range(k):
         i = getrandbits(bits_i)
         while i >= n:
@@ -384,11 +291,6 @@ def _swaps(rows, fixed, n, rng, k):
             flip = (x & -x) | (y & -y)
             rows[i] = ri ^ flip
             rows[j] = rj ^ flip
-        else:
-            flip = 0
-    if flip is None:
-        return None
-    return i, j, a, b, flip
 
 
 def _cycles(rows, fixed, n, rng, k, n_cols, limit):
@@ -397,8 +299,7 @@ def _cycles(rows, fixed, n, rng, k, n_cols, limit):
     drawn for a uniform pos below n - t (n_cols - t).  The closed walk
     row0-col0-row1-col1-...-row0 swaps when it alternates and avoids fixed
     cells, checked row by row, stopping at the first failure, after every
-    draw is made.  Returns (rows_seq, cols_seq) when the last step swapped,
-    else None."""
+    draw is made."""
     getrandbits = rng.getrandbits
     lengths = limit // 2 - 1
     bits_h = lengths.bit_length()
@@ -406,9 +307,7 @@ def _cycles(rows, fixed, n, rng, k, n_cols, limit):
     reach = range(min(limit // 2, n, n_cols))
     row_bits = [(n - t).bit_length() for t in reach]
     col_bits = [(n_cols - t).bit_length() for t in reach]
-    d = None
     for _ in range(k):
-        d = None
         h = getrandbits(bits_h)
         while h >= lengths:
             h = getrandbits(bits_h)
@@ -464,71 +363,6 @@ def _cycles(rows, fixed, n, rng, k, n_cols, limit):
                 cur = 1 << c
                 rows[r] ^= cur | prev
                 prev = cur
-            d = rows_seq, cols_seq
-    return d
-
-
-# ---------------------------------------------------------------------------
-# Single draws as proposal objects, for callers that inspect a move.
-
-
-def _trade_proposal(i, j, a_ij, a_ji, flip) -> TradeProposal:
-    return TradeProposal(
-        i, j, _cols(a_ij), _cols(a_ji), _cols(a_ij ^ flip), _cols(a_ji ^ flip)
-    )
-
-
-def _masks_of(g: Realization):
-    """A fresh list of the row masks of ``g``, and its fixed-cell masks."""
-    return list(state_key(g)), _fixed_masks(g.instance)
-
-
-def propose_trade(g: Realization, rng: random.Random) -> "TradeProposal | Stay":
-    """Draw one trade: a uniform row pair, then a uniform replacement subset
-    of the exchangeable pool.  Choosing the current subset is the lazy step."""
-    d = _trades(*_masks_of(g), g.instance.n, rng, 1)
-    return STAY if d is None or not d[4] else _trade_proposal(*d)
-
-
-def propose_swap(g: Realization, rng: random.Random) -> "TradeProposal | Stay":
-    """Draw one single-column exchange (or the lazy step), uniformly among
-    the pair's exchange options plus Stay."""
-    d = _swaps(*_masks_of(g), g.instance.n, rng, 1)
-    return STAY if d is None or not d[4] else _trade_proposal(*d)
-
-
-def propose_circle_trade(g: Realization, rng: random.Random) -> "CircleTradeProposal | Stay":
-    """Draw one circle trade: a uniform ordered row triple, a uniform subset
-    of the smallest difference set (binary-string draw, bits in ascending
-    column order), then uniform equal-sized subsets of the other two."""
-    if g.instance.n < 3:
-        raise ValueError("circle trades need at least three rows")
-    d = _circle(*_masks_of(g), g.instance.n, rng, False)
-    if d is None:
-        return STAY
-    i, j, k, *sets = d
-    return CircleTradeProposal(i, j, k, *map(_cols, sets))
-
-
-def propose_bounded_cycle_swap(g: Realization, limit: int, rng: random.Random):
-    """Draw a cycle-swap candidate: a uniform even length up to ``limit``,
-    then uniform sequences of distinct rows and columns arranged
-    alternately.  Returns the cell cycle row0-col0-row1-col1-...-row0 if it
-    alternates in ``g`` and avoids fixed cells, else Stay.  The draw is
-    symmetric between a state and its successor, so acceptance is
-    unconditional."""
-    if limit % 2 or limit < 4:
-        raise ValueError("length limit must be an even integer >= 4")
-    inst = g.instance
-    d = _cycles(*_masks_of(g), inst.n, rng, 1, inst.n_cols, limit)
-    if d is None:
-        return STAY
-    rows_seq, cols_seq = d
-    h = len(rows_seq)
-    cells = []
-    for t in range(h):
-        cells += [(rows_seq[t], cols_seq[t]), (rows_seq[(t + 1) % h], cols_seq[t])]
-    return tuple(cells)
 
 
 class Chain:
@@ -546,8 +380,9 @@ class Chain:
         inst = start.instance
         self.instance = inst
         self.config = cfg
-        rows, self._fixed = _masks_of(start)
-        self._rows = rows
+        self._rows = rows = list(state_key(start))
+        # The fixed cells of each row, both polarities, as a mask.
+        self._fixed = tuple(map(_mask, inst.fixed.row_fixed()))
         self._rng = random.Random(cfg.seed)
         state = (rows, self._fixed, inst.n, self._rng)
         kind = cfg.move_set.kind

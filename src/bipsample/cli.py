@@ -432,14 +432,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be >= 1")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"value must be >= {low}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _chain_spec(text: str) -> str:
@@ -492,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the brute-force verification suite")
     p.add_argument("--max-rows", type=_positive_int, default=5)
     p.add_argument("--max-cols", type=_positive_int, default=5)
-    p.add_argument("--random", type=int, default=200)
+    p.add_argument("--random", type=_non_negative_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quiet", action="store_true",
                    help="only print failures and the summary")

@@ -65,14 +65,6 @@ class DegreeSequence:
     def n_cols(self) -> int:
         return len(self.col_degrees)
 
-    def opposite(self) -> "DegreeSequence":
-        """Degree sequence of the bipartite complement."""
-        nc, n = self.n_cols, self.n
-        return DegreeSequence(
-            tuple(nc - d for d in self.row_degrees),
-            tuple(n - d for d in self.col_degrees),
-        )
-
 
 @dataclass(frozen=True)
 class FixedSet:
@@ -155,9 +147,6 @@ class FixedSet:
         return tuple(
             frozenset(j for j, v in enumerate(row) if v != FREE) for row in self.mask
         )
-
-    def is_free(self) -> bool:
-        return all(v == FREE for row in self.mask for v in row)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,9 @@ import time
 from math import comb
 
 import bipsample as bp
-from bipsample import cli
-from bipsample.analysis import chord_cycle_valid
-from bipsample.chains import ChainConfig, CircleTradeProposal, _unrank_subset
+from bipsample import cli, oracle
+from bipsample.chains import ChainConfig, _unrank_subset
+from test_analysis import chord_cycle, chord_cycle_valid, find_coprime_odd_t
 
 
 def _verdict(number, label, t0):
@@ -47,6 +47,17 @@ def test_criterion_01_worked_trade_enumeration():
     _verdict(1, "two-row trade enumeration matches the worked example", t0)
 
 
+def _rotated(g, i, j, k, sub_i, sub_j, sub_k):
+    """``g`` after the circle trade on rows (i, j, k) that moves the columns
+    ``sub_j`` from row j to row i, ``sub_k`` from k to j and ``sub_i`` from
+    i to k."""
+    rows = list(g.rows)
+    rows[i] = (rows[i] - sub_i) | sub_j
+    rows[j] = (rows[j] - sub_j) | sub_k
+    rows[k] = (rows[k] - sub_k) | sub_i
+    return bp.Realization.from_rows(g.instance, rows)
+
+
 def test_criterion_02_worked_circle_trades():
     t0 = time.perf_counter()
     matrix = [[0, 1, 0, 1, 0, 0], [0, 0, 1, 0, 1, 0], [1, 0, 0, 0, 0, 1]]
@@ -57,36 +68,32 @@ def test_criterion_02_worked_circle_trades():
         bp.FixedSet.from_cells(3, 6, forced_non_edges=[(0, 0), (1, 1), (2, 2)]),
     )
     gA = bp.Realization(inst, matrix)
-    d_sets = dict(
-        d_ji=frozenset({2, 4}), d_kj=frozenset({0, 5}), d_ik=frozenset({1, 3})
-    )
-    gB = CircleTradeProposal(
-        0, 1, 2, sub_i=frozenset({1, 3}), sub_j=frozenset({2, 4}),
-        sub_k=frozenset({0, 5}), **d_sets,
-    ).apply(gA)
+    gB = _rotated(gA, 0, 1, 2, sub_i={1, 3}, sub_j={2, 4}, sub_k={0, 5})
     assert gB.matrix == ((0, 0, 1, 0, 1, 0), (1, 0, 0, 0, 0, 1), (0, 1, 0, 1, 0, 0))
-    gC = CircleTradeProposal(
-        0, 1, 2, sub_i=frozenset({3}), sub_j=frozenset({2}), sub_k=frozenset({5}),
-        **d_sets,
-    ).apply(gA)
+    gC = _rotated(gA, 0, 1, 2, sub_i={3}, sub_j={2}, sub_k={5})
     assert gC.matrix == ((0, 1, 1, 0, 0, 0), (0, 0, 0, 0, 1, 1), (1, 0, 0, 1, 0, 0))
-    gD = CircleTradeProposal(
-        1, 0, 2, d_ji=frozenset({3}), d_kj=frozenset({5}), d_ik=frozenset({4}),
-        sub_i=frozenset({4}), sub_j=frozenset({3}), sub_k=frozenset({5}),
-    ).apply(gA)
+    gD = _rotated(gA, 1, 0, 2, sub_i={4}, sub_j={3}, sub_k={5})
     assert gD.matrix == ((0, 1, 0, 0, 0, 1), (0, 0, 1, 1, 0, 0), (1, 0, 0, 0, 1, 0))
+    # each is one circle trade away from A in the oracle's exact ledger
+    states = bp.enumerate_realizations(inst)
+    index = {g.matrix: s for s, g in enumerate(states)}
+    ctx = oracle._ctx_of(states)
+    fixed = ctx.fields(oracle._cells_mask(inst.fixed.cells, inst.n, inst.n_cols))
+    corrected, _ = oracle._circle_ledgers(ctx, range(len(states)), fixed)
+    successors = {t for s, t, _ in corrected if s == index[gA.matrix]}
+    assert {index[g.matrix] for g in (gB, gC, gD)} <= successors
     _verdict(2, "three-row rotations reproduce matrices B, C and D", t0)
 
 
 def test_criterion_03_chorded_cycles():
     t0 = time.perf_counter()
-    assert bp.chord_cycle(8, 8) == [0, 3, 6, 1, 4, 7, 2, 5]
-    assert bp.find_coprime_odd_t(8) == 3
-    assert bp.find_coprime_odd_t(10) == 3
-    assert bp.find_coprime_odd_t(12) == 5
+    assert chord_cycle(8, 8) == [0, 3, 6, 1, 4, 7, 2, 5]
+    assert find_coprime_odd_t(8) == 3
+    assert find_coprime_odd_t(10) == 3
+    assert find_coprime_odd_t(12) == 5
     for base in range(8, 26, 2):
         for target in range(8, base + 2, 2):
-            cyc = bp.chord_cycle(base, target)
+            cyc = chord_cycle(base, target)
             assert len(cyc) == target and len(set(cyc)) == target
             assert chord_cycle_valid(base, cyc), (base, target)
     _verdict(3, "all chorded cycles up to base 24 are simple with odd gaps >= 3", t0)

@@ -8,7 +8,7 @@ import pytest
 
 import bipsample as bp
 import bipsample.analysis as analysis_mod
-from bipsample.analysis import FGraph, _blocks, chord_cycle_valid
+from bipsample.analysis import FGraph, _blocks
 
 EIGHT_CYCLE = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 0)]
 
@@ -167,22 +167,76 @@ def test_forest_matches_edge_count_rule():
         assert bp.is_forest(f) == (len(edges) == len(verts) - comps)
 
 
+# ---------------------------------------------------------------------------
+# The chord construction of the paper's proof: a base cycle of even length
+# L >= 8 carries a simple cycle of every even length from 8 to L whose edges
+# are chords joining vertices at odd distance >= 3 along the base.  It is
+# checked here and by acceptance criterion 3; the package does not use it.
+
+
+def find_coprime_odd_t(cycle_len: int) -> int:
+    """Smallest odd t in [3, cycle_len - 3] coprime to ``cycle_len``.
+
+    Existence is guaranteed for even cycle_len >= 8 (an Euler-phi count).
+    """
+    if cycle_len % 2 or cycle_len < 8:
+        raise ValueError("cycle_len must be an even integer >= 8")
+    for t in range(3, cycle_len - 2, 2):
+        if math.gcd(t, cycle_len) == 1:
+            return t
+    raise AssertionError(f"no admissible multiplier for {cycle_len}")
+
+
+def chord_cycle(cycle_len: int, target_len: int) -> list[int]:
+    """A simple cycle of ``target_len`` vertices through chords of a base
+    cycle of ``cycle_len`` vertices, every edge joining vertices at odd
+    base-distance >= 3.
+
+    For the full length the cycle visits v_{t*i mod cycle_len} with the
+    smallest admissible odd multiplier t; shorter targets shrink the base
+    two vertices at a time (the two dropped chords are replaced by the
+    closing chord, which keeps all distances odd and >= 3 on the original
+    base).
+    """
+    if cycle_len % 2 or target_len % 2:
+        raise ValueError("cycle lengths must be even")
+    if not 8 <= target_len <= cycle_len:
+        raise ValueError("need 8 <= target_len <= cycle_len")
+    if target_len == cycle_len:
+        t = find_coprime_odd_t(cycle_len)
+        return [(t * i) % cycle_len for i in range(cycle_len)]
+    return chord_cycle(cycle_len - 2, target_len)
+
+
+def chord_cycle_valid(cycle_len: int, cycle: list[int]) -> bool:
+    """Check the defining predicate: simple, and every edge at odd
+    base-distance >= 3 on the cycle of ``cycle_len`` vertices."""
+    if len(set(cycle)) != len(cycle):
+        return False
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        d = abs(a - b)
+        d = min(d, cycle_len - d)
+        if d % 2 == 0 or d < 3:
+            return False
+    return True
+
+
 def test_find_coprime_odd_t_values():
-    assert bp.find_coprime_odd_t(10) == 3
-    assert bp.find_coprime_odd_t(12) == 5  # 3 shares a factor with 12
-    assert bp.find_coprime_odd_t(14) == 3
-    t = bp.find_coprime_odd_t(24)
+    assert find_coprime_odd_t(10) == 3
+    assert find_coprime_odd_t(12) == 5  # 3 shares a factor with 12
+    assert find_coprime_odd_t(14) == 3
+    t = find_coprime_odd_t(24)
     assert t % 2 == 1 and 3 <= t <= 21 and math.gcd(t, 24) == 1
     with pytest.raises(ValueError):
-        bp.find_coprime_odd_t(9)
+        find_coprime_odd_t(9)
 
 
 def test_chord_cycle_length_8():
-    assert bp.chord_cycle(8, 8) == [0, 3, 6, 1, 4, 7, 2, 5]
+    assert chord_cycle(8, 8) == [0, 3, 6, 1, 4, 7, 2, 5]
 
 
 def test_chord_cycle_length_12_uses_multiplier_5():
-    cyc = bp.chord_cycle(12, 12)
+    cyc = chord_cycle(12, 12)
     assert cyc == [(5 * i) % 12 for i in range(12)]
     assert chord_cycle_valid(12, cyc)
 
@@ -190,18 +244,22 @@ def test_chord_cycle_length_12_uses_multiplier_5():
 def test_chord_cycle_all_sizes_up_to_24():
     for base in range(8, 26, 2):
         for target in range(8, base + 2, 2):
-            cyc = bp.chord_cycle(base, target)
+            cyc = chord_cycle(base, target)
             assert len(cyc) == target
             assert chord_cycle_valid(base, cyc), (base, target)
 
 
 def test_chord_cycle_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        bp.chord_cycle(8, 6)
+        chord_cycle(8, 6)
     with pytest.raises(ValueError):
-        bp.chord_cycle(7, 7)
+        chord_cycle(7, 7)
     with pytest.raises(ValueError):
-        bp.chord_cycle(10, 12)
+        chord_cycle(10, 12)
+
+
+# ---------------------------------------------------------------------------
+# The recommendation cascade and the detectors it runs.
 
 
 def test_analyze_empty_set_recommends_trades():

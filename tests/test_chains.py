@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -13,9 +14,7 @@ from scipy import stats
 import bipsample as bp
 from bipsample import oracle
 from bipsample.chains import (
-    STAY,
     ChainConfig,
-    CircleTradeProposal,
     _circle,
     _cycles,
     _swaps,
@@ -43,6 +42,35 @@ def toggled(g, cells):
     for i, j in cells:
         matrix[i][j] ^= 1
     return bp.Realization(g.instance, matrix)
+
+
+def _on_masks(kernel):
+    """One step of ``kernel(rows, fixed, inst, rng)`` from ``g``, on fresh
+    row masks, as row sets."""
+    def one_step(g, rng):
+        rows = [mask(r) for r in g.rows]
+        kernel(rows, tuple(map(mask, g.instance.fixed.row_fixed())), g.instance, rng)
+        return tuple(frozenset(cols(r)) for r in rows)
+    return one_step
+
+
+# One step of each block kernel from a realization, as its rows.
+trade_step = _on_masks(lambda rows, fixed, inst, r: _trades(rows, fixed, inst.n, r, 1))
+swap_step = _on_masks(lambda rows, fixed, inst, r: _swaps(rows, fixed, inst.n, r, 1))
+
+
+def circle_step(mh):
+    return _on_masks(lambda rows, fixed, inst, r: _circle(rows, fixed, inst.n, r, mh))
+
+
+def mixed_step(mh):
+    return _on_masks(lambda rows, fixed, inst, r: _trades(rows, fixed, inst.n, r, 1, mh))
+
+
+def cycle_step(limit):
+    return _on_masks(
+        lambda rows, fixed, inst, r: _cycles(rows, fixed, inst.n, r, 1, inst.n_cols, limit)
+    )
 
 
 def two_row_instance():
@@ -93,13 +121,10 @@ def test_swap_proposals_on_two_row_example():
     g = two_row_instance()
     swap_06 = bp.Realization.from_rows(g.instance, [{1, 2, 3, 4, 5, 6}, {0, 3, 4}])
     swap_16 = bp.Realization.from_rows(g.instance, [{0, 2, 3, 4, 5, 6}, {1, 3, 4}])
-    seen = Counter()
     rng = random.Random(0)
-    for _ in range(3000):
-        p = bp.propose_swap(g, rng)
-        seen["stay" if p is STAY else p.apply(g).matrix] += 1
+    seen = Counter(swap_step(g, rng) for _ in range(3000))
     # two single exchanges plus the lazy step, roughly uniform
-    assert set(seen) == {"stay", swap_06.matrix, swap_16.matrix}
+    assert set(seen) == {g.rows, swap_06.rows, swap_16.rows}
     assert all(abs(v / 3000 - 1 / 3) < 0.05 for v in seen.values())
 
 
@@ -108,15 +133,9 @@ def test_swap_changes_exactly_four_cells():
     rng = random.Random(3)
     changed = False
     for _ in range(50):
-        p = bp.propose_swap(g, rng)
-        if p is STAY:
+        diff = sum(len(r ^ s) for r, s in zip(swap_step(g, rng), g.rows))
+        if not diff:
             continue
-        h = p.apply(g)
-        diff = sum(
-            g.matrix[i][j] != h.matrix[i][j]
-            for i in range(g.instance.n)
-            for j in range(g.instance.n_cols)
-        )
         assert diff == 4
         changed = True
     assert changed
@@ -127,67 +146,54 @@ def test_identical_rows_always_stay():
     g = bp.Realization(inst, [[1, 0], [1, 0]])
     rng = random.Random(0)
     for _ in range(20):
-        assert bp.propose_trade(g, rng) is STAY
-        assert bp.propose_swap(g, rng) is STAY
+        assert trade_step(g, rng) == g.rows
+        assert swap_step(g, rng) == g.rows
 
 
 def test_trade_subset_choice_is_uniform():
     g = two_row_instance()
-    # pool {0,1,6}: three equally likely replacement subsets (one is Stay)
+    # pool {0,1,6}: three equally likely replacement subsets (one is the
+    # lazy step)
     rng = random.Random(42)
-    counts = Counter()
-    draws = 100_000
-    for _ in range(draws):
-        p = bp.propose_trade(g, rng)
-        counts["stay" if p is STAY else p.apply(g).matrix] += 1
-    assert len(counts) == 3 and counts["stay"] > 0
+    counts = Counter(trade_step(g, rng) for _ in range(100_000))
+    assert len(counts) == 3 and counts[g.rows] > 0
     _, pval = stats.chisquare(list(counts.values()))
     assert pval > 0.01
 
 
 def test_trade_preserves_pair_difference_set():
+    # the two rows a trade changes, read from the masks' XOR, keep the
+    # free columns where they differ
     rng = random.Random(8)
-    inst = bp.Instance.unconstrained((2, 2, 2), (2, 2, 2))
-    g = bp.initial_realization(inst)
-    fixed = inst.fixed.row_fixed()
+    inst = readme_4x4()
+    rows = list(bp.state_key(bp.initial_realization(inst)))
+    fixed = tuple(map(mask, inst.fixed.row_fixed()))
+    traded = 0
     for _ in range(200):
-        p = bp.propose_trade(g, rng)
-        if p is STAY:
+        before = list(rows)
+        _trades(rows, fixed, inst.n, rng, 1)
+        changed = [i for i, (r, s) in enumerate(zip(before, rows)) if r ^ s]
+        if not changed:
             continue
-        h = p.apply(g)
-        i, j = p.i, p.j
-        before = (g.rows[i] ^ g.rows[j]) - fixed[i] - fixed[j]
-        after = (h.rows[i] ^ h.rows[j]) - fixed[i] - fixed[j]
-        assert before == after
-        g = h
+        i, j = changed
+        free = ~(fixed[i] | fixed[j])
+        assert (before[i] ^ before[j]) & free == (rows[i] ^ rows[j]) & free
+        traded += 1
+    assert traded > 20
 
 
 def test_circle_trade_worked_rotations():
+    # the circle kernel reaches the worked example's matrices B (a full
+    # rotation), C (one column per row) and D (the row order 1, 0, 2)
     gA = circle_instance()
-    d_full = dict(
-        d_ji=frozenset({2, 4}), d_kj=frozenset({0, 5}), d_ik=frozenset({1, 3})
-    )
-    full = CircleTradeProposal(
-        0, 1, 2, sub_i=frozenset({1, 3}), sub_j=frozenset({2, 4}),
-        sub_k=frozenset({0, 5}), **d_full,
-    )
-    assert full.apply(gA).matrix == (
-        (0, 0, 1, 0, 1, 0), (1, 0, 0, 0, 0, 1), (0, 1, 0, 1, 0, 0)
-    )
-    single = CircleTradeProposal(
-        0, 1, 2, sub_i=frozenset({3}), sub_j=frozenset({2}),
-        sub_k=frozenset({5}), **d_full,
-    )
-    assert single.apply(gA).matrix == (
-        (0, 1, 1, 0, 0, 0), (0, 0, 0, 0, 1, 1), (1, 0, 0, 1, 0, 0)
-    )
-    other_order = CircleTradeProposal(
-        1, 0, 2, d_ji=frozenset({3}), d_kj=frozenset({5}), d_ik=frozenset({4}),
-        sub_i=frozenset({4}), sub_j=frozenset({3}), sub_k=frozenset({5}),
-    )
-    assert other_order.apply(gA).matrix == (
-        (0, 1, 0, 0, 0, 1), (0, 0, 1, 1, 0, 0), (1, 0, 0, 0, 1, 0)
-    )
+    rng = random.Random(9)
+    reached = {circle_step(False)(gA, rng) for _ in range(3000)}
+    for matrix in (
+        [[0, 0, 1, 0, 1, 0], [1, 0, 0, 0, 0, 1], [0, 1, 0, 1, 0, 0]],
+        [[0, 1, 1, 0, 0, 0], [0, 0, 0, 0, 1, 1], [1, 0, 0, 1, 0, 0]],
+        [[0, 1, 0, 0, 0, 1], [0, 0, 1, 1, 0, 0], [1, 0, 0, 0, 1, 0]],
+    ):
+        assert bp.Realization(gA.instance, matrix).rows in reached
 
 
 def test_circle_proposals_apply_cleanly():
@@ -195,20 +201,26 @@ def test_circle_proposals_apply_cleanly():
     rng = random.Random(9)
     applied = 0
     for _ in range(300):
-        p = bp.propose_circle_trade(gA, rng)
-        if p is STAY:
+        rows = circle_step(False)(gA, rng)
+        if rows == gA.rows:
             continue
-        h = p.apply(gA)  # construction validates degrees and mask
-        assert h.instance == gA.instance
+        bp.Realization.from_rows(gA.instance, rows)  # validates degrees and mask
         applied += 1
     assert applied > 0
 
 
 def test_circle_trade_needs_three_rows():
-    inst = bp.Instance.unconstrained((1, 1), (1, 1))
-    g = bp.initial_realization(inst)
-    with pytest.raises(ValueError):
-        bp.propose_circle_trade(g, random.Random(0))
+    # with two rows the circle half of a trades+circle step is the lazy
+    # step: after its coin bit it draws nothing and leaves the rows
+    g = bp.initial_realization(bp.Instance.unconstrained((1, 1), (1, 1)))
+    circle_sides = 0
+    for seed in range(40):
+        rng, coin = random.Random(seed), random.Random(seed)
+        rows = mixed_step(True)(g, rng)
+        if coin.getrandbits(1):
+            assert rows == g.rows and rng.getstate() == coin.getstate()
+            circle_sides += 1
+    assert circle_sides > 0
 
 
 def test_circle_trade_empty_difference_set_stays():
@@ -217,7 +229,7 @@ def test_circle_trade_empty_difference_set_stays():
     g = bp.Realization(inst, [[1, 1, 0], [1, 1, 0], [1, 1, 0]])
     rng = random.Random(1)
     for _ in range(30):
-        assert bp.propose_circle_trade(g, rng) is STAY
+        assert circle_step(False)(g, rng) == g.rows
 
 
 def test_circle_denominator_values():
@@ -314,12 +326,8 @@ def test_bounded_cycle_swap_length_4_is_a_4_swap():
     inst = bp.Instance.unconstrained((1, 1), (1, 1))
     g = bp.initial_realization(inst)
     rng = random.Random(5)
-    outcomes = set()
-    for _ in range(200):
-        c = bp.propose_bounded_cycle_swap(g, 4, rng)
-        if c is not STAY:
-            outcomes.add(tuple(sorted(c)))
-    assert outcomes == {((0, 0), (0, 1), (1, 0), (1, 1))}
+    moves = {cycle_step(4)(g, rng) for _ in range(200)} - {g.rows}
+    assert moves == {toggled(g, [(0, 0), (0, 1), (1, 0), (1, 1)]).rows}
 
 
 def test_bounded_cycle_swap_stays_when_cycles_too_long():
@@ -332,13 +340,7 @@ def test_bounded_cycle_swap_stays_when_cycles_too_long():
     g = bp.initial_realization(inst)
     rng = random.Random(6)
     for _ in range(300):
-        assert bp.propose_bounded_cycle_swap(g, 4, rng) is STAY
-
-
-def test_bounded_cycle_swap_rejects_bad_limit():
-    g = bp.initial_realization(bp.Instance.unconstrained((1, 1), (1, 1)))
-    with pytest.raises(ValueError):
-        bp.propose_bounded_cycle_swap(g, 5, random.Random(0))
+        assert cycle_step(4)(g, rng) == g.rows
 
 
 def test_bounded_cycle_proposals_match_state_graph_edges():
@@ -347,14 +349,10 @@ def test_bounded_cycle_proposals_match_state_graph_edges():
     limit = 6
     sg = bp.build_state_graph(states, MoveSet.swaps_up_to(limit))
     rng = random.Random(44)
+    step = cycle_step(limit)
     for s, g in enumerate(states):
-        reachable = set()
-        for _ in range(4000):
-            c = bp.propose_bounded_cycle_swap(g, limit, rng)
-            if c is STAY:
-                continue
-            reachable.add(toggled(g, c).matrix)
-        neighbors = {states[t].matrix for t, _ in sg.edges[s]}
+        reachable = {step(g, rng) for _ in range(4000)} - {g.rows}
+        neighbors = {states[t].rows for t, _ in sg.edges[s]}
         assert reachable == neighbors
 
 
@@ -544,10 +542,6 @@ def test_block_size_never_changes_the_stream(name):
                 assert got == trail[gap - 1::gap], (label, seed, gap)
 
 
-def _applied(p, g):
-    return g.rows if p is STAY else p.apply(g).rows
-
-
 def _pair(n, rng):
     """A uniform ordered pair of distinct rows."""
     i = rng.randrange(n)
@@ -669,25 +663,10 @@ def _cycle_reference(g, limit, rng):
     return toggled(g, cells).rows
 
 
-def _on_masks(kernel):
-    """One step of ``kernel(rows, fixed, inst, rng)`` from ``g``, on fresh
-    row masks, as row sets."""
-    def one_step(g, rng):
-        rows = [mask(r) for r in g.rows]
-        kernel(rows, tuple(map(mask, g.instance.fixed.row_fixed())), g.instance, rng)
-        return tuple(frozenset(cols(r)) for r in rows)
-    return one_step
-
-
-def _cycle_applied(c, g):
-    return g.rows if c is STAY else toggled(g, c).rows
-
-
 def test_step_kernels_match_randrange_references():
-    """From the same rng state, one step of each kernel, and each proposal
-    that ``propose_*`` decodes from it, leaves the rows of a reference that
-    draws with ``randrange`` over column lists and applies to row sets, and
-    both consume the same draws."""
+    """From the same rng state, one step of each kernel leaves the rows of
+    a reference that draws with ``randrange`` over column lists and applies
+    to row sets, and both consume the same draws."""
     rng = random.Random(2024)
     instances = [
         bp.Instance.unconstrained((3, 3, 2, 2, 4, 2), (2, 3, 2, 2, 5, 2)),
@@ -701,47 +680,17 @@ def test_step_kernels_match_randrange_references():
         bp.Instance.unconstrained((3,), (1, 0, 1, 1, 0)),
     ]
     # These draw a row triple, so they need three rows.
-    triples = {"circle", "circle, mh off", "propose_circle_trade"}
+    triples = {"circle", "circle, mh off"}
     paths = {
-        "trades": (
-            _on_masks(lambda rows, fixed, inst, r: _trades(rows, fixed, inst.n, r, 1)),
-            _trade_reference,
-        ),
-        "propose_trade": (lambda g, r: _applied(bp.propose_trade(g, r), g), _trade_reference),
-        "swaps": (
-            _on_masks(lambda rows, fixed, inst, r: _swaps(rows, fixed, inst.n, r, 1)),
-            _swap_reference,
-        ),
-        "propose_swap": (lambda g, r: _applied(bp.propose_swap(g, r), g), _swap_reference),
-        "circle": (
-            _on_masks(lambda rows, fixed, inst, r: _circle(rows, fixed, inst.n, r, True)),
-            lambda g, r: _circle_reference(g, r, True),
-        ),
-        "circle, mh off": (
-            _on_masks(lambda rows, fixed, inst, r: _circle(rows, fixed, inst.n, r, False)),
-            lambda g, r: _circle_reference(g, r, False),
-        ),
-        "propose_circle_trade": (
-            lambda g, r: _applied(bp.propose_circle_trade(g, r), g),
-            lambda g, r: _circle_reference(g, r, False),
-        ),
-        "trades+circle": (
-            _on_masks(lambda rows, fixed, inst, r: _trades(rows, fixed, inst.n, r, 1, True)),
-            lambda g, r: _mixed_reference(g, r, True),
-        ),
+        "trades": (trade_step, _trade_reference),
+        "swaps": (swap_step, _swap_reference),
+        "circle": (circle_step(True), lambda g, r: _circle_reference(g, r, True)),
+        "circle, mh off": (circle_step(False), lambda g, r: _circle_reference(g, r, False)),
+        "trades+circle": (mixed_step(True), lambda g, r: _mixed_reference(g, r, True)),
         "trades+circle, mh off": (
-            _on_masks(lambda rows, fixed, inst, r: _trades(rows, fixed, inst.n, r, 1, False)),
-            lambda g, r: _mixed_reference(g, r, False),
+            mixed_step(False), lambda g, r: _mixed_reference(g, r, False),
         ),
-        "cycle:8": (
-            _on_masks(lambda rows, fixed, inst, r: _cycles(
-                rows, fixed, inst.n, r, 1, inst.n_cols, 8)),
-            lambda g, r: _cycle_reference(g, 8, r),
-        ),
-        "propose_bounded_cycle_swap": (
-            lambda g, r: _cycle_applied(bp.propose_bounded_cycle_swap(g, 8, r), g),
-            lambda g, r: _cycle_reference(g, 8, r),
-        ),
+        "cycle:8": (cycle_step(8), lambda g, r: _cycle_reference(g, 8, r)),
     }
     outcomes = Counter()
     for inst in instances:
@@ -765,6 +714,64 @@ def test_step_kernels_match_randrange_references():
     # every path both moved and stayed somewhere in the sweep
     for name in paths:
         assert outcomes[name, True] > 0 and outcomes[name, False] > 0, name
+
+
+def _exact_rows(inst, circle, mh):
+    """The oracle's one-step transition rows {s: {t: probability}} over the
+    enumerated states of ``inst``, for trades (``circle`` False) or
+    trades+circle: a trade to t has probability 1/(C(n, 2) den) from the
+    trade ledger; a circle trade sums routes/(n(n-1)(n-2) den) from the
+    circle ledger, corrected with ``mh`` on; under trades+circle each half
+    carries the coin's 1/2; staying gets the rest."""
+    states = bp.enumerate_realizations(inst)
+    ctx = oracle._ctx_of(states)
+    n = inst.n
+    fixed = ctx.fields(oracle._cells_mask(inst.fixed.cells, n, inst.n_cols))
+    every = range(len(states))
+    half = Fraction(1, 2) if circle else Fraction(1)
+    rows = [Counter() for _ in states]
+    for (s, t), den in oracle._trade_ledger(ctx, every, fixed).items():
+        rows[s][t] += half / (comb(n, 2) * den)
+    if circle:
+        corrected, uncorrected = oracle._circle_ledgers(ctx, every, fixed)
+        for (s, t, den), routes in (corrected if mh else uncorrected).items():
+            rows[s][t] += half * routes / (n * (n - 1) * (n - 2) * den)
+    for s, row in enumerate(rows):
+        row[s] = 1 - sum(row.values())
+    return states, rows
+
+
+@pytest.mark.parametrize("make, circle, mh", [
+    pytest.param(lambda: bp.Instance.unconstrained((2,) * 4, (2,) * 4), False, True,
+                 id="free_4x4-trades"),
+    pytest.param(readme_4x4, True, True, id="readme_4x4-trades+circle"),
+    pytest.param(readme_4x4, True, False, id="readme_4x4-trades+circle/mh-off"),
+    pytest.param(lambda: circle_instance().instance, True, True,
+                 id="circle_3x6-trades+circle"),
+    pytest.param(lambda: circle_instance().instance, True, False,
+                 id="circle_3x6-trades+circle/mh-off"),
+])
+def test_kernel_steps_follow_the_exact_ledgers(make, circle, mh):
+    """One-step kernel draws from fixed start states land only on the
+    successors the oracle's ledgers give, at their exact frequencies."""
+    inst = make()
+    states, exact = _exact_rows(inst, circle, mh)
+    index = {bp.state_key(g): s for s, g in enumerate(states)}
+    fixed = tuple(map(mask, inst.fixed.row_fixed()))
+    rng = random.Random(20240801)
+    draws = 20_000
+    for s in (0, len(states) // 2, len(states) - 1):
+        start = bp.state_key(states[s])
+        counts = Counter()
+        for _ in range(draws):
+            rows = list(start)
+            _trades(rows, fixed, inst.n, rng, 1, mh if circle else None)
+            counts[index[tuple(rows)]] += 1
+        support = sorted(t for t, p in exact[s].items() if p)
+        assert set(counts) <= set(support), s
+        expected = [float(draws * exact[s][t]) for t in support]
+        p = stats.chisquare([counts[t] for t in support], expected).pvalue
+        assert p > 1e-3, (s, p)
 
 
 def _unrank_reference(pool, k, index):

@@ -155,7 +155,7 @@ def test_parse_errors():
 def test_comments_and_blank_lines_ignored():
     noisy = "\n# header comment\n" + FREE_2X2.replace("mask:", "mask:\n# grid\n")
     inst = cli.parse_instance(noisy)
-    assert inst.fixed.is_free()
+    assert not inst.fixed.cells
 
 
 def test_analyze_free_instance(tmp_path, capsys):
@@ -424,6 +424,8 @@ def test_verify_guard(capsys):
 def test_usage_error_exit_code(capsys):
     assert cli.main(["sample"]) == cli.EXIT_USAGE
     assert cli.main(["bogus"]) == cli.EXIT_USAGE
+    assert cli.main(["verify", "--random", "-3"]) == cli.EXIT_USAGE
+    assert "--random: value must be >= 0" in capsys.readouterr().err
 
 
 def test_repeated_main_calls_keep_their_own_results(tmp_path, capsys):

@@ -293,7 +293,7 @@ def test_swappable_cells_are_never_static():
 def test_partition_fixed_set_empty_mask():
     inst = bp.Instance.unconstrained((1, 1), (1, 1))
     f, redundant = bp.partition_fixed_set(inst, bp.static_set(inst.degrees))
-    assert f.is_free() and redundant == frozenset()
+    assert not f.cells and redundant == frozenset()
 
 
 def test_partition_fixed_set_fully_redundant():
@@ -302,7 +302,7 @@ def test_partition_fixed_set_fully_redundant():
         bp.FixedSet.from_cells(2, 2, forced_edges=[(0, 0)], forced_non_edges=[(1, 1)]),
     )
     f, redundant = bp.partition_fixed_set(inst, bp.static_set(inst.degrees))
-    assert f.is_free()
+    assert not f.cells
     assert redundant == {(0, 0), (1, 1)}
 
 
