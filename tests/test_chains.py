@@ -330,6 +330,12 @@ def test_bounded_cycle_swap_length_4_is_a_4_swap():
     assert moves == {toggled(g, [(0, 0), (0, 1), (1, 0), (1, 1)]).rows}
 
 
+def test_bounded_cycle_swap_rejects_bad_limit():
+    inst = bp.Instance.unconstrained((1, 1), (1, 1))
+    with pytest.raises(ValueError):
+        bp.run(inst, ChainConfig(MoveSet(MoveSet.SWAPS_UP_TO, 5), steps=1, seed=0))
+
+
 def test_bounded_cycle_swap_stays_when_cycles_too_long():
     # with the whole diagonal pinned, the two derangement states differ by
     # a 6-cycle and no 4-swap avoids the fixed cells
