@@ -393,9 +393,9 @@ class Chain:
         elif kind == MoveSet.SWAPS4:
             self._run = partial(_swaps, *state)
         else:
-            # Bounded cycle swaps; the 4/6-swap set is the limit-6 case.
-            limit = 6 if kind == MoveSet.SWAPS46 else cfg.move_set.limit
-            self._run = partial(_cycles, *state, n_cols=inst.n_cols, limit=limit)
+            self._run = partial(
+                _cycles, *state, n_cols=inst.n_cols, limit=cfg.move_set.limit
+            )
 
     def advance(self, k: int) -> None:
         """Take ``k`` steps."""

@@ -84,6 +84,13 @@ def _parse_int_list(body: str, lineno: int, what: str) -> list[int]:
     return out
 
 
+def _parse_one_int(body: str, lineno: int, what: str) -> int:
+    values = _parse_int_list(body, lineno, what)
+    if len(values) != 1:
+        raise ParseError(f"{what} takes one value, got {len(values)}", lineno)
+    return values[0]
+
+
 def parse_instance(text: str) -> Instance:
     """Parse the instance file format.
 
@@ -107,9 +114,9 @@ def parse_instance(text: str) -> Instance:
         return lineno, content[len(key):].strip()
 
     lineno, body = take("rows:")
-    n = _parse_int_list(body, lineno, "rows")[0]
+    n = _parse_one_int(body, lineno, "rows")
     lineno, body = take("cols:")
-    nc = _parse_int_list(body, lineno, "cols")[0]
+    nc = _parse_one_int(body, lineno, "cols")
     if n < 1 or nc < 1:
         raise ParseError("rows and cols must be positive", lineno)
     lineno, body = take("row_degrees:")
@@ -197,8 +204,6 @@ def _chain_label(move_set: MoveSet) -> str:
         return "trades+circle"
     if move_set.kind == MoveSet.SWAPS4:
         return "swap"
-    if move_set.kind == MoveSet.SWAPS46:
-        return "cycle:6"
     return f"cycle:{move_set.limit}"
 
 

@@ -260,7 +260,6 @@ class MoveSet:
     limit: int | None = None
 
     SWAPS4 = "swaps4"
-    SWAPS46 = "swaps46"
     SWAPS_UP_TO = "swaps_up_to"
     TRADES = "trades"
     TRADES_PLUS_CIRCLE = "trades_plus_circle"
@@ -268,7 +267,6 @@ class MoveSet:
     def __post_init__(self):
         kinds = (
             self.SWAPS4,
-            self.SWAPS46,
             self.SWAPS_UP_TO,
             self.TRADES,
             self.TRADES_PLUS_CIRCLE,
@@ -286,10 +284,6 @@ class MoveSet:
         return cls(cls.SWAPS4)
 
     @classmethod
-    def swaps46(cls) -> "MoveSet":
-        return cls(cls.SWAPS46)
-
-    @classmethod
     def swaps_up_to(cls, limit: int) -> "MoveSet":
         return cls(cls.SWAPS_UP_TO, limit)
 
@@ -305,8 +299,6 @@ class MoveSet:
         """Cycle-swap lengths this move set admits (empty for pure trade sets)."""
         if self.kind == self.SWAPS4:
             return frozenset({4})
-        if self.kind == self.SWAPS46:
-            return frozenset({4, 6})
         if self.kind == self.SWAPS_UP_TO:
             return frozenset(range(4, self.limit + 1, 2))
         return frozenset()

@@ -6,7 +6,8 @@ applies to it.
 
 The verification sweep keeps every state as one int (layout below); its
 trade and circle ledgers read and rotate the rows as bit fields of that
-int."""
+int, and it names each instance by its fixed cells (the support) and
+their values (the pattern) as two masks in the same layout."""
 
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from math import comb, exp, lgamma, log
 
 from . import chains
@@ -23,6 +23,7 @@ from .analysis import FGraph, has_cycle_of_length, is_forest, max_matching_at_le
 from .core import (
     FORCED_EDGE,
     FORCED_NON_EDGE,
+    FREE,
     DegreeSequence,
     FixedSet,
     Instance,
@@ -153,63 +154,51 @@ class _PairInfo:
 
 
 def _classify_bits(x: int, y: int, n: int, nc: int) -> _PairInfo:
+    """The pair class of two states, read from the row fields of ``x ^ y``:
+    the changed rows are its non-zero fields.  The difference is a single
+    cycle when every changed row and column holds two cells and one walk
+    covers every changed row; it is a rotation when the three changed rows'
+    gain and loss fields match."""
     d = x ^ y
-    cells = []
-    t = d
-    total = n * nc
-    while t:
-        lsb = t & -t
-        pos = lsb.bit_length() - 1
-        idx = total - 1 - pos
-        cells.append((idx // nc, idx % nc))
-        t ^= lsb
-    row_cells: dict[int, list[int]] = {}
-    col_cells: dict[int, list[int]] = {}
-    for i, j in cells:
-        row_cells.setdefault(i, []).append(j)
-        col_cells.setdefault(j, []).append(i)
-    changed_rows = tuple(sorted(row_cells))
-    diff_size = len(cells)
+    full = (1 << nc) - 1
+    rows, diffs, shifts = [], [], []
+    for i in range(n):
+        sh = (n - 1 - i) * nc
+        f = (d >> sh) & full
+        if f:
+            rows.append(i)
+            diffs.append(f)
+            shifts.append(sh)
 
     cycle_len = 0
-    if cells and all(len(v) == 2 for v in row_cells.values()) and all(
-        len(v) == 2 for v in col_cells.values()
-    ):
-        # Union of vertex-disjoint cycles; single iff one traversal covers it.
-        start = cells[0]
-        seen = 1
-        i, j = start
-        row_side = True
-        while True:
-            if row_side:
-                j2 = row_cells[i][1] if row_cells[i][0] == j else row_cells[i][0]
-                j = j2
-            else:
-                i2 = col_cells[j][1] if col_cells[j][0] == i else col_cells[j][0]
-                i = i2
-            row_side = not row_side
-            if (i, j) == start:
-                break
-            seen += 1
-        if seen == diff_size:
-            cycle_len = diff_size
+    if diffs and all(f.bit_count() == 2 for f in diffs):
+        # Bit-sliced column counts: once, at least twice, more than twice.
+        once = twice = more = 0
+        for f in diffs:
+            more |= twice & f
+            twice |= once & f
+            once |= f
+        if once == twice and not more:
+            # A union of vertex-disjoint cycles; walk the one through the
+            # first changed row, leaving each row by its other column.
+            k, col, seen = 0, diffs[0] & -diffs[0], 1
+            while True:
+                k = next(q for q, f in enumerate(diffs) if q != k and f & col)
+                if k == 0:
+                    break
+                seen += 1
+                col ^= diffs[k]
+            if seen == len(diffs):
+                cycle_len = 2 * seen
 
     is_circle = False
-    if len(changed_rows) == 3:
-        gain = []
-        loss = []
-        for r in changed_rows:
-            g_cols = frozenset(j for j in row_cells[r] if y & _bit(r, j, n, nc))
-            l_cols = frozenset(j for j in row_cells[r] if x & _bit(r, j, n, nc))
-            gain.append(g_cols)
-            loss.append(l_cols)
-        r0, r1, r2 = 0, 1, 2
-        is_circle = (
-            gain[r0] == loss[r1] and gain[r1] == loss[r2] and gain[r2] == loss[r0]
-        ) or (
-            gain[r0] == loss[r2] and gain[r2] == loss[r1] and gain[r1] == loss[r0]
+    if len(rows) == 3:
+        g0, g1, g2 = ((y >> sh) & f for sh, f in zip(shifts, diffs))
+        l0, l1, l2 = g0 ^ diffs[0], g1 ^ diffs[1], g2 ^ diffs[2]
+        is_circle = (g0 == l1 and g1 == l2 and g2 == l0) or (
+            g0 == l2 and g2 == l1 and g1 == l0
         )
-    return _PairInfo(changed_rows, cycle_len, is_circle)
+    return _PairInfo(tuple(rows), cycle_len, is_circle)
 
 
 def swap_lengths_for(move_set: MoveSet) -> frozenset[int]:
@@ -219,7 +208,7 @@ def swap_lengths_for(move_set: MoveSet) -> frozenset[int]:
 
 # The move sets the sweep checks on every instance, built once.
 _SWAPS4 = MoveSet.swaps4()
-_SWAPS46 = MoveSet.swaps46()
+_SWAPS46 = MoveSet.swaps_up_to(6)
 _TRADES = MoveSet.trades()
 _TRADES_PLUS_CIRCLE = MoveSet.trades_plus_circle()
 
@@ -613,11 +602,15 @@ class _SeqCtx:
         return got
 
 
-def _support_props(n, nc, cells, cache):
-    key = (n, nc, cells)
+def _support_props(n, nc, sup, cache):
+    """(no 3-matching, no 8-cycle, forest, excluded ell values) of the
+    support mask ``sup``, cached by the mask."""
+    key = (n, nc, sup)
     got = cache.get(key)
     if got is None:
-        fg = FGraph.from_cells(n, nc, cells)
+        fg = FGraph.from_cells(n, nc, [
+            (i, j) for i in range(n) for j in range(nc) if sup & _bit(i, j, n, nc)
+        ])
         no3m = not max_matching_at_least(fg, 3)
         no8 = not has_cycle_of_length(fg, 8)
         forest = is_forest(fg)
@@ -759,61 +752,52 @@ def _static_ground_truth(bits, n, nc):
     return frozenset(ones), frozenset(zeros)
 
 
-def _digest(n, nc, a, b, forced_e=None, forced_n=None):
+def _digest(n, nc, a, b, sup=None, pattern=None):
     """The text that names an instance in check lines: its shape and
-    degrees, plus the mask when the fixed cells are given."""
+    degrees, plus the mask rows when the support and pattern masks are
+    given."""
     base = f"{n}x{nc} a={','.join(map(str, a))} b={','.join(map(str, b))}"
-    if forced_e is not None:
-        base += " m=" + "|".join(_mask_rows_from(n, nc, forced_e, forced_n))
+    if sup is not None:
+        cells = "".join(
+            "*" if not sup >> p & 1 else "1" if pattern >> p & 1 else "0"
+            for p in range(n * nc - 1, -1, -1)
+        )
+        base += " m=" + "|".join(cells[i * nc:(i + 1) * nc] for i in range(n))
     return base
 
 
-def _once(make):
-    """A zero-argument callable that calls ``make`` on first use only
-    (cheaper to create than ``functools.cache``)."""
-    memo = []
-
-    def get():
-        if not memo:
-            memo.append(make())
-        return memo[0]
-
-    return get
-
-
-def _mask_rows_from(n, nc, forced_e, forced_n):
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(nc):
-            if (i, j) in forced_e:
-                row.append("1")
-            elif (i, j) in forced_n:
-                row.append("0")
-            else:
-                row.append("*")
-        rows.append("".join(row))
-    return rows
-
-
-def _make_instance(n, nc, a, b, forced_e, forced_n) -> Instance:
-    return Instance(
-        DegreeSequence(a, b),
-        FixedSet.from_cells(n, nc, forced_edges=forced_e, forced_non_edges=forced_n),
-    )
+def _make_instance(n, nc, a, b, sup=0, pattern=0) -> Instance:
+    """The instance a check line names (see ``_digest``)."""
+    kind = ((FREE, FREE), (FORCED_NON_EDGE, FORCED_EDGE))
+    return Instance(DegreeSequence(a, b), FixedSet([
+        [kind[sup >> p & 1][pattern >> p & 1] for p in range(hi, hi - nc, -1)]
+        for hi in range(n * nc - 1, -1, -nc)
+    ]))
 
 
 class _Reporter:
+    """Counts and times the checks.  An instance is named by ``where``:
+    (n, nc, a, b) for a degree sequence, plus the support and pattern
+    masks for an instance with fixed cells.  Its text is built only for a
+    line that is printed or a failure that is kept, and, since an
+    instance's checks are recorded one after another, at most once."""
+
     def __init__(self, emit, quiet, result):
         self.emit = emit or (lambda line: None)
-        self.quiet = quiet
+        # With no emit a PASS line would be thrown away, so none is built.
+        self.quiet = quiet or emit is None
         self.result = result
         self.last = time.perf_counter()
+        self._where = self._text = None
 
-    def record(self, name, digest, ok, witness_factory=None):
-        """Count one check and the time since the previous one.  ``digest``
-        is a zero-argument callable giving the instance text; it is called
-        only for a line that is printed or a failure that is kept."""
+    def _name(self, where):
+        if where is not self._where:
+            self._where, self._text = where, _digest(*where)
+        return self._text
+
+    def record(self, name, where, ok, suffix=""):
+        """Count one check and the time since the previous one; the first
+        failure keeps its instance as the witness."""
         r = self.result
         now = time.perf_counter()
         r.seconds[name] = r.seconds.get(name, 0.0) + (now - self.last)
@@ -822,34 +806,59 @@ class _Reporter:
         r.counts[name] = r.counts.get(name, 0) + 1
         if ok:
             if not self.quiet:
-                self.emit(f"{name} [{digest()}] PASS")
+                self.emit(f"{name} [{self._name(where)}{suffix}] PASS")
         else:
-            text = digest()
+            text = self._name(where) + suffix
             r.passed = False
             r.failures.append((name, text))
             self.emit(f"{name} [{text}] FAIL")
-            if r.witness is None and witness_factory is not None:
-                r.witness = witness_factory()
+            if r.witness is None:
+                r.witness = _make_instance(*where)
                 r.witness_check = name
 
-    def info(self, line):
+    def info(self, name, where):
+        line = f"{name} [{self._name(where)}]"
         self.result.info_lines.append(line)
         self.emit(f"INFO {line}")
 
 
-def _check_instance_pool(ctx, states_idx, fixed, pattern_forced_e,
-                         pattern_forced_n, props, rep, free_bits=None,
-                         static_cells=None):
-    """Run every applicable check on one instance (a state set plus mask);
-    ``fixed`` holds the mask's cells as row fields."""
-    n, nc = ctx.n, ctx.nc
-    no3m, no8, forest, excluded = props
-    digest = _once(partial(
-        _digest, n, nc, ctx.a, ctx.b, pattern_forced_e, pattern_forced_n
-    ))
-    witness = lambda: _make_instance(
-        n, nc, ctx.a, ctx.b, pattern_forced_e, pattern_forced_n
+def _check_sequence(rep, n, nc, a, b, free_bits):
+    """Check a degree sequence's static set against the ground truth of its
+    realizations ``free_bits`` and, built from one of them, against the
+    per-cell Gale-Ryser reference; return its static edges and non-edges
+    as two masks."""
+    where = (n, nc, a, b)
+    seq = DegreeSequence(a, b)
+    ss = static_set(seq)
+    rep.record(
+        "static-cells-exact", where,
+        (ss.forced_edges, ss.forced_non_edges)
+        == _static_ground_truth(free_bits, n, nc),
     )
+    g0 = Realization(
+        Instance.unconstrained(a, b),
+        _bits_to_matrix(free_bits[0], n, nc),
+        validate=False,
+    )
+    # static_set from a given realization (the check keeps its recorded name).
+    rep.record(
+        "static-cells-pruned", where,
+        static_set(seq, g0) == _static_set_reference(seq),
+    )
+    return (_cells_mask(ss.forced_edges, n, nc),
+            _cells_mask(ss.forced_non_edges, n, nc))
+
+
+def _check_instance_pool(ctx, states_idx, sup, pattern, fixed, props, rep,
+                         free_bits, static):
+    """Run every applicable check on one instance: the states of ``ctx``
+    that carry ``pattern`` on the support mask ``sup`` (``fixed`` holds
+    ``sup`` as row fields).  ``static`` holds the sequence's static edges
+    and non-edges as two masks (None to skip the reduction check), with
+    ``free_bits`` its realizations."""
+    n = ctx.n
+    no3m, no8, forest, excluded = props
+    where = (n, ctx.nc, ctx.a, ctx.b, sup, pattern)
     multi = len(states_idx) >= 2
 
     def components(move_set):
@@ -858,54 +867,53 @@ def _check_instance_pool(ctx, states_idx, fixed, pattern_forced_e,
     if no3m and multi:
         swaps4 = _adjacent(ctx.pair, _SWAPS4)
         comps4 = _components_of(states_idx, swaps4)
-        rep.record("swaps4-connected", digest, len(comps4) == 1, witness)
+        rep.record("swaps4-connected", where, len(comps4) == 1)
         rep.record(
             "swaps4-distance-bound",
-            digest,
+            where,
             len(comps4) == 1 and _distance_bound_holds(ctx, states_idx, swaps4),
-            witness,
         )
         compst = components(_TRADES)
-        rep.record("trades-connected", digest, len(compst) == 1, witness)
-        rep.record("trade-swap-components", digest, comps4 == compst, witness)
+        rep.record("trades-connected", where, len(compst) == 1)
+        rep.record("trade-swap-components", where, comps4 == compst)
 
     if no8 and multi:
         comps46 = components(_SWAPS46)
-        rep.record("swaps46-connected", digest, len(comps46) == 1, witness)
+        rep.record("swaps46-connected", where, len(comps46) == 1)
         if forest:
-            rep.record("forest-swaps46-connected", digest, len(comps46) == 1, witness)
+            rep.record("forest-swaps46-connected", where, len(comps46) == 1)
         compsc = components(_TRADES_PLUS_CIRCLE)
-        rep.record("circle-trades-connected", digest, len(compsc) == 1, witness)
+        rep.record("circle-trades-connected", where, len(compsc) == 1)
 
     if multi:
         for ell in excluded:
             if ell == 4 and no8:
                 continue  # identical to the swaps46 check above
             comps = components(MoveSet.swaps_up_to(2 * ell - 2))
-            rep.record("bounded-swaps-connected",
-                       lambda limit=2 * ell - 2: f"{digest()} L={limit}",
-                       len(comps) == 1, witness)
+            rep.record("bounded-swaps-connected", where, len(comps) == 1,
+                       f" L={2 * ell - 2}")
 
     if multi and len(states_idx) <= 60:
         trades = _trade_ledger(ctx, states_idx, fixed)
-        rep.record("trade-reversibility", digest,
-                   trades is not None and _symmetric(trades), witness)
+        rep.record("trade-reversibility", where,
+                   trades is not None and _symmetric(trades))
         if n >= 3:
             circles = _circle_ledgers(ctx, states_idx, fixed)
-            rep.record("circle-detailed-balance", digest,
-                       circles is not None and _symmetric(circles[0]), witness)
+            rep.record("circle-detailed-balance", where,
+                       circles is not None and _symmetric(circles[0]))
             if circles is not None and not _symmetric(circles[1]):
-                rep.info(f"uncorrected-circle-asymmetry [{digest()}]")
+                rep.info("uncorrected-circle-asymmetry", where)
 
-    if free_bits is not None and static_cells is not None:
-        forced_e_red = pattern_forced_e - static_cells[0]
-        forced_n_red = pattern_forced_n - static_cells[1]
-        if forced_e_red != pattern_forced_e or forced_n_red != pattern_forced_n:
-            ones = _cells_mask(forced_e_red, n, nc)
-            zeros = _cells_mask(forced_n_red, n, nc)
+    if static is not None:
+        edges, non_edges = static
+        ones, zeros = sup & pattern, sup & ~pattern
+        if ones & edges or zeros & non_edges:
+            # The instance with its static cells freed has the same states.
+            ones &= ~edges
+            zeros &= ~non_edges
             kept = {x for x in free_bits if x & ones == ones and not x & zeros}
             bucket = {ctx.bits[s] for s in states_idx}
-            rep.record("reduction-equivalence", digest, kept == bucket, witness)
+            rep.record("reduction-equivalence", where, kept == bucket)
 
 
 def _sorted_sequences(n, nc):
@@ -1001,60 +1009,31 @@ def run_verification(
     for n in range(1, min(3, max_rows) + 1):
         for nc in range(1, min(4, max_cols) + 1):
             cells = [(i, j) for i in range(n) for j in range(nc)]
-            supports = []
-            for size in range(0, min(4, len(cells)) + 1):
-                supports.extend(itertools.combinations(cells, size))
+            supports = [
+                _cells_mask(sup, n, nc)
+                for size in range(min(4, len(cells)) + 1)
+                for sup in itertools.combinations(cells, size)
+            ]
             for a, b in _sorted_sequences(n, nc):
                 bits = _enumerate_bits(a, b)
                 if not bits:
                     continue
                 ctx = _SeqCtx(n, nc, a, b, bits)
-                seq_digest = partial(_digest, n, nc, a, b)
-                seq = DegreeSequence(a, b)
-                truth = _static_ground_truth(bits, n, nc)
-                ss = static_set(seq)
-                rep.record(
-                    "static-cells-exact",
-                    seq_digest,
-                    ss.forced_edges == truth[0] and ss.forced_non_edges == truth[1],
-                    lambda n=n, nc=nc, a=a, b=b: _make_instance(
-                        n, nc, a, b, frozenset(), frozenset()
-                    ),
-                )
-                g0 = Realization(
-                    Instance.unconstrained(a, b),
-                    _bits_to_matrix(bits[0], n, nc),
-                    validate=False,
-                )
-                # static_set from a given realization, against the per-cell
-                # Gale-Ryser reference (the check keeps its recorded name).
-                rep.record(
-                    "static-cells-pruned",
-                    seq_digest,
-                    static_set(seq, g0) == _static_set_reference(seq),
-                )
-                static_cells = (ss.forced_edges, ss.forced_non_edges)
-
+                static = _check_sequence(rep, n, nc, a, b, bits)
                 for sup in supports:
-                    sup_cells = frozenset(sup)
-                    props = _support_props(n, nc, sup_cells, prop_cache)
-                    sup_mask = _cells_mask(sup, n, nc)
-                    fixed = ctx.fields(sup_mask)
+                    props = _support_props(n, nc, sup, prop_cache)
+                    fixed = ctx.fields(sup)
                     buckets: dict[int, list[int]] = {}
                     for s, x in enumerate(bits):
-                        buckets.setdefault(x & sup_mask, []).append(s)
+                        buckets.setdefault(x & sup, []).append(s)
                     for pattern, states_idx in sorted(buckets.items()):
-                        forced_e = frozenset(
-                            (i, j) for i, j in sup if pattern & _bit(i, j, n, nc)
-                        )
-                        forced_n = sup_cells - forced_e
                         _check_instance_pool(
-                            ctx, states_idx, fixed, forced_e, forced_n,
-                            props, rep, free_bits=bits, static_cells=static_cells,
+                            ctx, states_idx, sup, pattern, fixed, props, rep,
+                            bits, static,
                         )
 
     rng = random.Random(seed)
-    seq_static: dict[tuple, StaticSet] = {}
+    seq_static: dict[tuple, tuple[int, int]] = {}
     batches = [(random_count, False)]
     if max_rows >= 4 and max_cols >= 4:
         batches.append((max(random_count // 12, 0), True))
@@ -1063,37 +1042,19 @@ def run_verification(
             rng, max_rows, max_cols, count, with8
         ):
             ctx = _SeqCtx(n, nc, a, b, bits)
-            sup_cells = forced_e | forced_n
-            fixed = ctx.fields(_cells_mask(sup_cells, n, nc))
-            props = _support_props(n, nc, frozenset(sup_cells), prop_cache)
+            sup = _cells_mask(forced_e | forced_n, n, nc)
+            props = _support_props(n, nc, sup, prop_cache)
             free_bits = _enumerate_bits(a, b, cap=20000)
-            static_cells = None
+            static = None
             if free_bits:
-                ss = seq_static.get((n, nc, a, b))
-                if ss is None:
-                    seq = DegreeSequence(a, b)
-                    truth = _static_ground_truth(free_bits, n, nc)
-                    ss = seq_static[(n, nc, a, b)] = static_set(seq)
-                    rep.record(
-                        "static-cells-exact",
-                        partial(_digest, n, nc, a, b),
-                        ss.forced_edges == truth[0]
-                        and ss.forced_non_edges == truth[1],
+                static = seq_static.get((n, nc, a, b))
+                if static is None:
+                    static = seq_static[(n, nc, a, b)] = _check_sequence(
+                        rep, n, nc, a, b, free_bits
                     )
-                    g0 = Realization(
-                        Instance.unconstrained(a, b),
-                        _bits_to_matrix(free_bits[0], n, nc),
-                        validate=False,
-                    )
-                    rep.record(
-                        "static-cells-pruned",
-                        partial(_digest, n, nc, a, b),
-                        static_set(seq, g0) == _static_set_reference(seq),
-                    )
-                static_cells = (ss.forced_edges, ss.forced_non_edges)
             _check_instance_pool(
-                ctx, list(range(len(bits))), fixed, forced_e, forced_n, props, rep,
-                free_bits=free_bits, static_cells=static_cells,
+                ctx, list(range(len(bits))), sup, _cells_mask(forced_e, n, nc),
+                ctx.fields(sup), props, rep, free_bits, static,
             )
 
     result.elapsed = time.time() - t0

@@ -290,7 +290,6 @@ def test_every_emitted_state_is_valid():
         MoveSet.swaps4(),
         MoveSet.trades_plus_circle(),
         MoveSet.swaps_up_to(6),
-        MoveSet.swaps46(),
     ):
         cfg = ChainConfig(move_set, steps=800, seed=7, sample_gap=8)
         for g in bp.run(inst, cfg):
@@ -440,7 +439,7 @@ STREAM_CHAINS = {
     "swaps4": (MoveSet.swaps4(), True),
     "trades+circle": (MoveSet.trades_plus_circle(), True),
     "trades+circle/mh-off": (MoveSet.trades_plus_circle(), False),
-    "swaps46": (MoveSet.swaps46(), True),
+    "swaps46": (MoveSet.swaps_up_to(6), True),
     "cycle:8": (MoveSet.swaps_up_to(8), True),
 }
 

@@ -150,6 +150,11 @@ def test_parse_errors():
         cli.parse_instance(FREE_2X2 + "\nextra\n")
     with pytest.raises(cli.ParseError):
         cli.parse_instance(FREE_2X2.replace("row_degrees: 1 1", "row_degrees: 1 x"))
+    # rows: and cols: hold exactly one integer each
+    for key in ("rows", "cols"):
+        with pytest.raises(cli.ParseError) as err:
+            cli.parse_instance(FREE_2X2.replace(f"{key}: 2", f"{key}: 2 7"))
+        assert err.value.line == 1 + (key == "cols")
 
 
 def test_comments_and_blank_lines_ignored():
@@ -355,7 +360,7 @@ def test_verify_quick_pass(tmp_path, capsys):
 
 def test_verify_exit_code_on_failure(monkeypatch, capsys):
     def crippled(move_set):
-        if move_set.kind == MoveSet.SWAPS46:
+        if move_set == MoveSet.swaps_up_to(6):
             return frozenset({4})
         return move_set.swap_lengths()
 
@@ -367,6 +372,21 @@ def test_verify_exit_code_on_failure(monkeypatch, capsys):
     assert "result: FAIL" in captured.out
     assert "witness instance:" in captured.err
     assert "mask:" in captured.err
+
+
+def test_verify_static_cell_failure_prints_a_witness(monkeypatch, capsys):
+    # a reference that matches no static set fails static-cells-pruned on
+    # the first sequence, whose free instance is the witness
+    monkeypatch.setattr(oracle, "_static_set_reference", lambda seq: None)
+    code = cli.main(["verify", "--max-rows", "2", "--max-cols", "2",
+                     "--random", "0", "--quiet"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_VERIFY_FAIL
+    assert "result: FAIL (static-cells-pruned)" in captured.out
+    assert captured.err == (
+        "witness instance:\nrows: 1\ncols: 1\nrow_degrees: 1\n"
+        "col_degrees: 1\nmask:\n*\n"
+    )
 
 
 def test_verify_json_reports_counts_and_seconds(capsys):

@@ -70,6 +70,29 @@ def test_every_public_name_is_read_by_the_package_or_the_benchmark():
     assert unread == UNREFERENCED_PUBLIC_NAMES
 
 
+def _unread_imports(path):
+    """The names a module imports (``from __future__`` aside) but never
+    reads."""
+    tree = ast.parse(path.read_text())
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                imported.update(
+                    alias.asname or alias.name.split(".")[0] for alias in node.names
+                )
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+    return imported - read
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # __init__.py imports only to re-export, through __all__
+    files = [p for p in (ROOT / "src" / "bipsample").glob("*.py") if p.name != "__init__.py"]
+    unread = {p.name: sorted(_unread_imports(p)) for p in files}
+    assert not any(unread.values()), unread
+
+
 def test_degree_sequence_rejects_negative():
     with pytest.raises(ValueError):
         bp.DegreeSequence((1, -1), (0, 0))

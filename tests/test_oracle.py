@@ -53,7 +53,7 @@ def test_state_graph_edges_by_move_set():
     inst = bp.Instance.unconstrained((1, 1), (1, 1))
     states = bp.enumerate_realizations(inst)
     for move_set in (
-        MoveSet.swaps4(), MoveSet.swaps46(), MoveSet.swaps_up_to(8),
+        MoveSet.swaps4(), MoveSet.swaps_up_to(6), MoveSet.swaps_up_to(8),
         MoveSet.trades(), MoveSet.trades_plus_circle(),
     ):
         sg = bp.build_state_graph(states, move_set)
@@ -69,7 +69,7 @@ def test_state_graph_excludes_long_cycles():
     states = bp.enumerate_realizations(inst)
     assert len(states) == 2
     assert bp.build_state_graph(states, MoveSet.swaps4()).edges == ((), ())
-    sg46 = bp.build_state_graph(states, MoveSet.swaps46())
+    sg46 = bp.build_state_graph(states, MoveSet.swaps_up_to(6))
     assert sg46.edges[0] == ((1, "6-swap"),)
 
 
@@ -135,7 +135,7 @@ def test_distance_bound_on_permutations():
         bp.FixedSet.from_cells(3, 3, forced_non_edges=[(0, 0), (1, 1), (2, 2)]),
     )
     assert not distance_bound_holds(pinned, MoveSet.swaps4())
-    assert distance_bound_holds(pinned, MoveSet.swaps46())
+    assert distance_bound_holds(pinned, MoveSet.swaps_up_to(6))
 
 
 def test_distance_bound_forest_masks_under_swaps46():
@@ -162,7 +162,7 @@ def test_distance_bound_forest_masks_under_swaps46():
         )
         if len(bp.enumerate_realizations(inst)) < 2:
             continue
-        assert distance_bound_holds(inst, MoveSet.swaps46())
+        assert distance_bound_holds(inst, MoveSet.swaps_up_to(6))
         done += 1
 
 
@@ -237,7 +237,7 @@ def test_run_verification_small_pool_passes():
 
 def _without_6_swaps(move_set):
     """``swap_lengths_for`` with the 6-swaps dropped from the 4/6 move set."""
-    if move_set.kind == MoveSet.SWAPS46:
+    if move_set == MoveSet.swaps_up_to(6):
         return frozenset({4})
     return move_set.swap_lengths()
 
@@ -257,6 +257,11 @@ def test_run_verification_detects_injected_fault(monkeypatch):
         res.witness.n, res.witness.n_cols, res.witness.fixed.cells
     )
     assert not has_cycle_of_length(fg, 8)
+    # the witness is the instance the first failure names
+    name, text = res.failures[0]
+    assert name == res.witness_check
+    mask_rows = cli.format_instance(res.witness).split("mask:\n", 1)[1].split()
+    assert text.split(" m=", 1)[1] == "|".join(mask_rows)
 
 
 def test_quiet_sweep_reports_failures_as_a_full_one(monkeypatch):
@@ -270,6 +275,39 @@ def test_quiet_sweep_reports_failures_as_a_full_one(monkeypatch):
     assert quiet.counts == loud.counts
     assert quiet_lines == [line for line in loud_lines if not line.endswith(" PASS")]
     assert all(line.endswith("] FAIL") for line in quiet_lines)
+
+
+def test_sweep_without_emit_builds_no_line(monkeypatch):
+    # the library call has nowhere to print a PASS line, so it names no
+    # instance unless a check fails or finds something
+    calls = []
+    digest = oracle._digest
+    monkeypatch.setattr(
+        oracle, "_digest", lambda *where: calls.append(where) or digest(*where)
+    )
+    res = bp.run_verification(3, 3, 5)
+    assert res.passed and res.checks_run > 10000 and not res.info_lines
+    assert calls == []
+    bp.run_verification(1, 2, 0, emit=lambda line: None)
+    assert calls  # a sweep that prints its lines names its instances
+
+
+# sha256 of the stdout of ``bipsample verify --max-rows 3 --max-cols 3
+# --random 5 --seed 20240801`` without its ``elapsed:`` line: every PASS
+# line and the summary, as the cell-frozenset instance names printed them.
+SMOKE_POOL_STDOUT_SHA256 = (
+    "395ab0006b040b62455da73290c0d902e0b9c051981c798923c6c241f8bfe2d8"
+)
+
+
+def test_smoke_pool_stdout_is_pinned(capsys):
+    argv = ["verify", "--max-rows", "3", "--max-cols", "3", "--random", "5",
+            "--seed", "20240801"]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    kept = "".join(line + "\n" for line in lines if not line.startswith("elapsed:"))
+    assert len(lines) == 23806
+    assert hashlib.sha256(kept.encode()).hexdigest() == SMOKE_POOL_STDOUT_SHA256
 
 
 def test_quiet_sweep_info_lines_name_their_instance(pool_result):
