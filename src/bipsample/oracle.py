@@ -249,19 +249,46 @@ def _components_of(states_idx, adjacent) -> list[tuple[int, ...]]:
     return comps
 
 
-def _distance_bound_holds(ctx, states_idx, adjacent):
-    """True iff, with the edges that ``adjacent`` accepts, every pair of
-    states is within half its cell difference minus one moves."""
+def _adjacency(states_idx, adjacent) -> list[list[int]]:
+    """Neighbour lists, by position in ``states_idx``, of the graph whose
+    edges are the pairs that ``adjacent`` accepts: one pass over the pairs."""
     order = list(states_idx)
-    bits = [ctx.bits[s] for s in order]
-    adj = [[] for _ in order]
-    for qa in range(len(order)):
+    adj: list[list[int]] = [[] for _ in order]
+    for qa, s in enumerate(order):
+        nbrs = adj[qa]
         for qb in range(qa + 1, len(order)):
-            if adjacent(order[qa], order[qb]):
-                adj[qa].append(qb)
+            if adjacent(s, order[qb]):
+                nbrs.append(qb)
                 adj[qb].append(qa)
-    for qa in range(len(order)):
-        dist = [-1] * len(order)
+    return adj
+
+
+def _components_from(states_idx, adj) -> list[tuple[int, ...]]:
+    """``_components_of`` read from the neighbour lists ``adj`` (by
+    position in ``states_idx``)."""
+    order = list(states_idx)
+    seen = [False] * len(order)
+    comps = []
+    for q in sorted(range(len(order)), key=order.__getitem__):
+        if seen[q]:
+            continue
+        seen[q] = True
+        queue = [q]
+        for u in queue:
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    queue.append(v)
+        comps.append(tuple(sorted(order[u] for u in queue)))
+    return comps
+
+
+def _within_distance_bound(ctx, states_idx, adj) -> bool:
+    """``_distance_bound_holds`` read from the neighbour lists ``adj`` (by
+    position in ``states_idx``)."""
+    bits = [ctx.bits[s] for s in states_idx]
+    for qa, x in enumerate(bits):
+        dist = [-1] * len(bits)
         dist[qa] = 0
         queue = [qa]
         for u in queue:
@@ -269,14 +296,18 @@ def _distance_bound_holds(ctx, states_idx, adjacent):
                 if dist[v] < 0:
                     dist[v] = dist[u] + 1
                     queue.append(v)
-        x = bits[qa]
-        for qb in range(len(order)):
+        for qb, y in enumerate(bits):
             if qb == qa:
                 continue
-            diff = (x ^ bits[qb]).bit_count()
-            if dist[qb] < 0 or dist[qb] > diff // 2 - 1:
+            if dist[qb] < 0 or dist[qb] > (x ^ y).bit_count() // 2 - 1:
                 return False
     return True
+
+
+def _distance_bound_holds(ctx, states_idx, adjacent):
+    """True iff, with the edges that ``adjacent`` accepts, every pair of
+    states is within half its cell difference minus one moves."""
+    return _within_distance_bound(ctx, states_idx, _adjacency(states_idx, adjacent))
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +584,18 @@ class VerificationResult:
     elapsed: float = 0.0
 
 
+class _CircleDenominators(dict):
+    """``chains.circle_denominator`` by ``(sizes, x)``, each computed once."""
+
+    def __missing__(self, key):
+        den = self[key] = chains.circle_denominator(*key)
+        return den
+
+
 class _SeqCtx:
     """Per-sequence data: the bit states, their canonical index, the row
-    fields' shifts, cached pair classifications and subset tables.
+    fields' shifts, cached pair classifications, subset tables, circle-route
+    denominators and the graph facts of each state set.
 
     Row i of a state ``x`` is the bit field ``(x >> shifts[i]) & full``,
     with column j at bit nc - 1 - j."""
@@ -571,6 +611,8 @@ class _SeqCtx:
         self.shifts = tuple((n - 1 - i) * nc for i in range(n))
         self._subsets: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._pairs: dict[tuple[int, int], _PairInfo] = {}
+        self._graphs: dict[tuple, tuple] = {}
+        self.circle_dens = _CircleDenominators()
 
     def pair(self, s, t):
         if s > t:
@@ -579,6 +621,27 @@ class _SeqCtx:
         if got is None:
             got = _classify_bits(self.bits[s], self.bits[t], self.n, self.nc)
             self._pairs[(s, t)] = got
+        return got
+
+    def graph_facts(self, states_idx, move_set):
+        """(components, distance verdict) of the graph on ``states_idx``
+        whose edges are the moves of ``move_set``: ``_components_of`` and,
+        for 4-swaps only (None otherwise), ``_distance_bound_holds``.  Both
+        depend on the state set and the move set alone, not on the support
+        that picked the set, so each is decided once per context; the
+        4-swap pair is read from one pass over the state pairs."""
+        key = (tuple(states_idx), move_set)
+        got = self._graphs.get(key)
+        if got is None:
+            adjacent = _adjacent(self.pair, move_set)
+            if move_set == _SWAPS4:
+                adj = _adjacency(states_idx, adjacent)
+                comps = _components_from(states_idx, adj)
+                got = (comps, len(comps) == 1
+                       and _within_distance_bound(self, states_idx, adj))
+            else:
+                got = (_components_of(states_idx, adjacent), None)
+            self._graphs[key] = got
         return got
 
     def fields(self, x):
@@ -677,16 +740,25 @@ def _circle_ledgers(ctx, states_idx, fixed):
     forward and reverse ones.  None if a rotation leaves the state set.
 
     On rows (i, j, k), row i takes x columns of row j, j of k and k of i;
-    each row field flips by the subset it gives XOR the subset it takes."""
+    each row field flips by the subset it gives XOR the subset it takes.
+    The rotations (i, j, k), (j, k, i) and (k, i, j) are one move: they see
+    the same three difference sets, permuted cyclically, and their routes
+    map one to one onto the same successors.  ``circle_denominator`` reads
+    the sizes only through 2^min and the binomials of the other two, which
+    no choice among tied minima changes, so the forward and the reverse
+    denominators agree across the three as well.  Each rotation class is
+    therefore enumerated once, from its least row, and its routes count 3:
+    the ledgers equal those of every ordered triple."""
     corrected: dict[tuple[int, int, int], int] = {}
     uncorrected: dict[tuple[int, int, int], int] = {}
     index, bits, full, shifts = ctx.index, ctx.bits, ctx.full, ctx.shifts
     subsets_of = ctx.subsets_of
-    denominator = chains.circle_denominator
+    dens = ctx.circle_dens
     triples = [
         (i, j, k, shifts[i], shifts[j], shifts[k],
          ~(fixed[i] | fixed[j]), ~(fixed[j] | fixed[k]), ~(fixed[k] | fixed[i]))
         for i, j, k in itertools.permutations(range(ctx.n), 3)
+        if i < j and i < k
     ]
     for s in states_idx:
         x = bits[s]
@@ -702,7 +774,7 @@ def _circle_ledgers(ctx, states_idx, fixed):
                 continue
             by_j, by_k, by_i = subsets_of(d_ji), subsets_of(d_kj), subsets_of(d_ik)
             for size in range(1, m + 1):
-                den_f = denominator(sizes, size)
+                den_f = dens[(sizes, size)]
                 for sub_j in by_j[size]:
                     for sub_k in by_k[size]:
                         flip_j = sub_j ^ sub_k
@@ -718,18 +790,18 @@ def _circle_ledgers(ctx, states_idx, fixed):
                             new_i, new_j, new_k = (
                                 row_i ^ flip_i, row_j ^ flip_j, row_k ^ flip_k
                             )
-                            den_r = denominator(
+                            den_r = dens[(
                                 (
                                     (new_i & ~new_j & free_ij).bit_count(),
                                     (new_k & ~new_i & free_ki).bit_count(),
                                     (new_j & ~new_k & free_jk).bit_count(),
                                 ),
                                 size,
-                            )
+                            )]
                             key = (s, t, max(den_f, den_r))
-                            corrected[key] = corrected.get(key, 0) + 1
+                            corrected[key] = corrected.get(key, 0) + 3
                             key = (s, t, den_f)
-                            uncorrected[key] = uncorrected.get(key, 0) + 1
+                            uncorrected[key] = uncorrected.get(key, 0) + 3
     return corrected, uncorrected
 
 
@@ -862,17 +934,12 @@ def _check_instance_pool(ctx, states_idx, sup, pattern, fixed, props, rep,
     multi = len(states_idx) >= 2
 
     def components(move_set):
-        return _components_of(states_idx, _adjacent(ctx.pair, move_set))
+        return ctx.graph_facts(states_idx, move_set)[0]
 
     if no3m and multi:
-        swaps4 = _adjacent(ctx.pair, _SWAPS4)
-        comps4 = _components_of(states_idx, swaps4)
+        comps4, within_bound = ctx.graph_facts(states_idx, _SWAPS4)
         rep.record("swaps4-connected", where, len(comps4) == 1)
-        rep.record(
-            "swaps4-distance-bound",
-            where,
-            len(comps4) == 1 and _distance_bound_holds(ctx, states_idx, swaps4),
-        )
+        rep.record("swaps4-distance-bound", where, within_bound)
         compst = components(_TRADES)
         rep.record("trades-connected", where, len(compst) == 1)
         rep.record("trade-swap-components", where, comps4 == compst)

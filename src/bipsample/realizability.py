@@ -134,7 +134,9 @@ def initial_realization(inst: Instance) -> Realization:
 
     Forced edges are pre-placed and margins decremented; forced non-edges
     are deleted; the remaining margins are met by a unit-capacity max-flow
-    over the free cells (source -> rows -> columns -> sink).
+    over the free cells (source -> rows -> columns -> sink).  When the flow
+    falls short, the message tells a degree sequence with no realization
+    (Gale-Ryser) from fixed cells that rule every realization out.
     """
     n, nc = inst.n, inst.n_cols
     a = list(inst.degrees.row_degrees)
@@ -169,6 +171,8 @@ def initial_realization(inst: Instance) -> Realization:
 
     need = sum(a)
     if net.max_flow(src, snk) != need:
+        if not gale_ryser_realizable(inst.degrees):
+            raise Infeasible("degree sequence has no realization")
         raise Infeasible("no realization satisfies the fixed cells and degrees")
 
     matrix = [[0] * nc for _ in range(n)]

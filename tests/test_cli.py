@@ -314,6 +314,19 @@ def test_sample_infeasible_mask(tmp_path, capsys):
     assert cli.main(["sample", path, "--steps", "10"]) == 2
 
 
+@pytest.mark.parametrize("chain", ["swap", "auto"])
+def test_sample_unrealizable_sequence_says_so(tmp_path, capsys, chain):
+    # every cell is free, so the fixed cells cannot be what rules it out
+    text = FREE_2X2.replace("row_degrees: 1 1", "row_degrees: 3 0").replace(
+        "col_degrees: 1 1", "col_degrees: 2 1"
+    )
+    path = write(tmp_path, "u.txt", text)
+    assert cli.main(["sample", path, "--chain", chain]) == cli.EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert "infeasible: degree sequence has no realization\n" in err
+    assert "fixed cells" not in err
+
+
 def test_sample_to_directory(tmp_path, capsys):
     path = write(tmp_path, "j.txt", FREE_2X2)
     out = tmp_path / "samples"

@@ -575,7 +575,9 @@ def _flat(counters):
 def _ledger_state_sets():
     """(ctx, state indices, support cells): every pattern of every support
     of at most 4 cells of every sequence on grids up to 3x3, then 50 seeded
-    random instances up to 4x5."""
+    random instances up to 4x5 and 20 seeded five-row instances of at most
+    60 states (five rows hold rotation classes whose rows are not adjacent,
+    as the sweep's random pools do)."""
     for n in range(1, 4):
         for nc in range(1, 4):
             cells = [(i, j) for i in range(n) for j in range(nc)]
@@ -598,6 +600,11 @@ def _ledger_state_sets():
     rng = random.Random(20240801)
     pools = oracle._random_instances(rng, 4, 5, 60, False)
     for n, nc, a, b, forced_e, forced_n, bits in itertools.islice(pools, 50):
+        ctx = oracle._SeqCtx(n, nc, a, b, bits)
+        yield ctx, list(range(len(bits))), forced_e | forced_n
+    pools = oracle._random_instances(random.Random(5), 5, 5, 400, False)
+    five_rows = (p for p in pools if p[0] == 5 and len(p[-1]) <= 60)
+    for n, nc, a, b, forced_e, forced_n, bits in itertools.islice(five_rows, 20):
         ctx = oracle._SeqCtx(n, nc, a, b, bits)
         yield ctx, list(range(len(bits))), forced_e | forced_n
 
@@ -625,6 +632,63 @@ def test_row_field_ledgers_match_the_column_set_ledgers():
     assert checked > 17000
     assert routes > 7000
     assert asymmetric > 0  # the uncorrected ledger is not trivially symmetric
+
+
+GRAPH_FACT_MOVE_SETS = (
+    MoveSet.swaps4(), MoveSet.swaps_up_to(6), MoveSet.trades(),
+    MoveSet.trades_plus_circle(), MoveSet.swaps_up_to(8),
+)
+
+
+def test_cached_graph_facts_match_a_fresh_context():
+    # the sweep decides a state set's components and distance verdict once
+    # per sequence, though the set recurs under many supports: each answer
+    # must equal the one a context that never cached anything computes
+    pools = [(ctx, states_idx) for ctx, states_idx, _ in _ledger_state_sets()]
+    rng = random.Random(20240801)  # the random pools of the benchmark's sweep
+    for count, with_8_cycles in ((200, False), (16, True)):
+        for n, nc, a, b, _, _, bits in oracle._random_instances(
+            rng, 5, 5, count, with_8_cycles
+        ):
+            pools.append((oracle._SeqCtx(n, nc, a, b, bits), range(len(bits))))
+    fresh = {}  # one uncached context per sequence's context
+    calls = 0
+    for ctx, states_idx in pools:
+        ref = fresh.get(ctx)
+        if ref is None:
+            ref = fresh[ctx] = oracle._SeqCtx(ctx.n, ctx.nc, ctx.a, ctx.b, ctx.bits)
+        for move_set in GRAPH_FACT_MOVE_SETS:
+            comps, within_bound = ctx.graph_facts(states_idx, move_set)
+            adjacent = oracle._adjacent(ref.pair, move_set)
+            assert comps == oracle._components_of(states_idx, adjacent)
+            if move_set == MoveSet.swaps4():
+                assert within_bound == oracle._distance_bound_holds(
+                    ref, states_idx, adjacent
+                )
+            else:
+                assert within_bound is None
+            calls += 1
+    assert max(len(ctx.bits) for ctx, _ in pools) > 150
+    cached = sum(len(ctx._graphs) for ctx in fresh)
+    assert cached < calls / 2  # most answers came from the cache
+
+
+# sha256 of the failures of ``run_verification(3, 3, 0, seed=5)`` with the
+# 6-swaps dropped, one "name [instance]" line each, as computed before the
+# sweep cached its graph facts.
+NO_6_SWAPS_FAILURES_SHA256 = (
+    "350ed3c4a815d69b43194c244a76c10fd44e9f8a6672ba1c4429890df213e5bf"
+)
+
+
+def test_injected_fault_failures_are_pinned(monkeypatch):
+    # a graph-fact cache that hid a failure, or reported one twice, would
+    # change this list
+    monkeypatch.setattr(oracle, "swap_lengths_for", _without_6_swaps)
+    res = bp.run_verification(3, 3, 0, seed=5, quiet=True)
+    assert len(res.failures) == 32
+    text = "".join(f"{name} [{where}]\n" for name, where in res.failures)
+    assert hashlib.sha256(text.encode()).hexdigest() == NO_6_SWAPS_FAILURES_SHA256
 
 
 def _drop_one_state(enumerate_bits):
