@@ -300,21 +300,6 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _resolve_chain(
-    inst: Instance, spec: str, reduce_static: bool, start: Realization | None = None
-) -> MoveSet:
-    if spec == "auto":
-        return _pipeline(inst, reduce_static, start)[-1]
-    if spec == "swap":
-        return MoveSet.swaps4()
-    if spec == "curveball":
-        return MoveSet.trades()
-    if spec == "circle":
-        return MoveSet.trades_plus_circle()
-    assert spec.startswith("cycle:")
-    return MoveSet.swaps_up_to(int(spec.split(":", 1)[1]))
-
-
 def cmd_sample(args) -> int:
     inst = _load_instance(args.path)
     if inst is None:
@@ -326,11 +311,13 @@ def cmd_sample(args) -> int:
         start, no_start = initial_realization(inst), None
     except Infeasible as exc:
         start, no_start = None, exc
-    try:
-        move_set = _resolve_chain(inst, args.chain, not args.no_reduce, start)
-    except (Infeasible, NotRealizable) as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    move_set = args.chain
+    if move_set is None:
+        try:
+            move_set = _pipeline(inst, not args.no_reduce, start)[-1]
+        except (Infeasible, NotRealizable) as exc:
+            print(f"infeasible: {exc}", file=sys.stderr)
+            return EXIT_INFEASIBLE
     if args.out:
         # Made before the chain line, so that an unusable --out is the only
         # line on stderr and no chain runs for it.
@@ -455,9 +442,19 @@ def _non_negative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
-def _chain_spec(text: str) -> str:
-    if text in ("auto", "swap", "curveball", "circle"):
-        return text
+_NAMED_CHAINS = {
+    "auto": None,
+    "swap": MoveSet.swaps4(),
+    "curveball": MoveSet.trades(),
+    "circle": MoveSet.trades_plus_circle(),
+}
+
+
+def _chain_spec(text: str) -> MoveSet | None:
+    """The move set a ``--chain`` spec names; None for ``auto``, which
+    ``cmd_sample`` resolves from the instance."""
+    if text in _NAMED_CHAINS:
+        return _NAMED_CHAINS[text]
     if text.startswith("cycle:"):
         try:
             limit = int(text.split(":", 1)[1])
@@ -465,7 +462,7 @@ def _chain_spec(text: str) -> str:
             raise argparse.ArgumentTypeError("cycle:L needs an integer L") from None
         if limit % 2 or limit < 4:
             raise argparse.ArgumentTypeError("cycle:L needs an even L >= 4")
-        return text
+        return MoveSet.swaps_up_to(limit)
     raise argparse.ArgumentTypeError(
         "chain must be auto, swap, curveball, circle or cycle:L"
     )

@@ -36,6 +36,12 @@ class TooLarge(ValueError):
     """Instance exceeds a brute-force guard."""
 
 
+def _check_cell(i: int, j: int, n: int, n_cols: int) -> None:
+    """Reject a cell outside the grid; a negative index would wrap."""
+    if not (0 <= i < n and 0 <= j < n_cols):
+        raise ValueError(f"cell ({i}, {j}) is outside the {n}x{n_cols} grid")
+
+
 @dataclass(frozen=True)
 class DegreeSequence:
     """Prescribed row and column sums of a 0/1 matrix.
@@ -99,8 +105,10 @@ class FixedSet:
     ) -> "FixedSet":
         grid = [[FREE] * n_cols for _ in range(n)]
         for i, j in forced_edges:
+            _check_cell(i, j, n, n_cols)
             grid[i][j] = FORCED_EDGE
         for i, j in forced_non_edges:
+            _check_cell(i, j, n, n_cols)
             if grid[i][j] == FORCED_EDGE:
                 raise ValueError(f"cell ({i}, {j}) forced both ways")
             grid[i][j] = FORCED_NON_EDGE
@@ -228,10 +236,11 @@ class Realization:
 
     @classmethod
     def from_rows(cls, instance: Instance, rows: Sequence[Iterable[int]], validate: bool = True) -> "Realization":
-        nc = instance.n_cols
-        matrix = [[0] * nc for _ in range(instance.n)]
+        n, nc = instance.n, instance.n_cols
+        matrix = [[0] * nc for _ in range(n)]
         for i, cols in enumerate(rows):
             for j in cols:
+                _check_cell(i, j, n, nc)
                 matrix[i][j] = 1
         return cls(instance, matrix, validate=validate)
 
@@ -274,7 +283,11 @@ class MoveSet:
         if self.kind not in kinds:
             raise ValueError(f"unknown move-set kind {self.kind!r}")
         if self.kind == self.SWAPS_UP_TO:
-            if self.limit is None or self.limit % 2 or self.limit < 4:
+            # bool is an int subclass; a float limit would compare equal to
+            # the int one yet fail in the chains and the oracle.
+            limit = self.limit
+            if (not isinstance(limit, int) or isinstance(limit, bool)
+                    or limit % 2 or limit < 4):
                 raise ValueError("swap length limit must be an even integer >= 4")
         elif self.limit is not None:
             raise ValueError(f"{self.kind} takes no length limit")

@@ -48,8 +48,8 @@ ENUMERATION_CELL_LIMIT = 36
 # ncells - 1 - (i*nc + j), so integer order equals row-major bit-string
 # order and doubles as the canonical state order.  Every state graph, the
 # sweep's and ``build_state_graph``'s, joins the pairs of states whose
-# cached pair class (``_SeqCtx.pair``) shows one move of the move set
-# (``_adjacent``).
+# cached pair class (``_SeqCtx.pair``) shows one move of the move set, as
+# neighbour lists from ``_adjacency``.
 
 
 def _bit(i: int, j: int, n: int, nc: int) -> int:
@@ -213,59 +213,40 @@ _TRADES = MoveSet.trades()
 _TRADES_PLUS_CIRCLE = MoveSet.trades_plus_circle()
 
 
-def _adjacent(pair, move_set: MoveSet):
-    """The predicate "states s and t are one move of ``move_set`` apart",
-    read from their pair class ``pair(s, t)``: two changed rows for a
+def _adjacency(ctx, states_idx, move_set: MoveSet) -> list[list[int]]:
+    """Neighbour lists, by position in ``states_idx``, of the state graph
+    of ``move_set``: one pass over the state pairs, joining the pairs whose
+    cached class (``ctx.pair``) shows one move -- two changed rows for a
     trade, or a three-row rotation for a circle trade; a single cycle of an
-    admitted length for a cycle swap."""
+    admitted length for a cycle swap.  Every state graph of the oracle is
+    built here."""
     if move_set.kind == MoveSet.TRADES:
-        return lambda s, t: len(pair(s, t).changed_rows) == 2
-    if move_set.kind == MoveSet.TRADES_PLUS_CIRCLE:
-        def adjacent(s, t):
-            info = pair(s, t)
+        def is_move(info):
+            return len(info.changed_rows) == 2
+    elif move_set.kind == MoveSet.TRADES_PLUS_CIRCLE:
+        def is_move(info):
             return len(info.changed_rows) == 2 or info.is_circle
-        return adjacent
-    lengths = swap_lengths_for(move_set)
-    return lambda s, t: pair(s, t).cycle_len in lengths
+    else:
+        lengths = swap_lengths_for(move_set)
 
-
-def _components_of(states_idx, adjacent) -> list[tuple[int, ...]]:
-    """The components of the graph on ``states_idx`` whose edges are the
-    pairs that ``adjacent`` accepts, each sorted, ordered by least state."""
-    remaining = set(states_idx)
-    comps = []
-    while remaining:
-        s = min(remaining)
-        comp = {s}
-        queue = [s]
-        remaining.discard(s)
-        for u in queue:
-            for v in list(remaining):
-                if adjacent(u, v):
-                    remaining.discard(v)
-                    comp.add(v)
-                    queue.append(v)
-        comps.append(tuple(sorted(comp)))
-    return comps
-
-
-def _adjacency(states_idx, adjacent) -> list[list[int]]:
-    """Neighbour lists, by position in ``states_idx``, of the graph whose
-    edges are the pairs that ``adjacent`` accepts: one pass over the pairs."""
+        def is_move(info):
+            return info.cycle_len in lengths
+    pair = ctx.pair
     order = list(states_idx)
     adj: list[list[int]] = [[] for _ in order]
     for qa, s in enumerate(order):
         nbrs = adj[qa]
         for qb in range(qa + 1, len(order)):
-            if adjacent(s, order[qb]):
+            if is_move(pair(s, order[qb])):
                 nbrs.append(qb)
                 adj[qb].append(qa)
     return adj
 
 
 def _components_from(states_idx, adj) -> list[tuple[int, ...]]:
-    """``_components_of`` read from the neighbour lists ``adj`` (by
-    position in ``states_idx``)."""
+    """The components of the graph on ``states_idx`` with the neighbour
+    lists ``adj`` (by position in ``states_idx``), each sorted, ordered by
+    least state."""
     order = list(states_idx)
     seen = [False] * len(order)
     comps = []
@@ -284,8 +265,9 @@ def _components_from(states_idx, adj) -> list[tuple[int, ...]]:
 
 
 def _within_distance_bound(ctx, states_idx, adj) -> bool:
-    """``_distance_bound_holds`` read from the neighbour lists ``adj`` (by
-    position in ``states_idx``)."""
+    """True iff, in the graph on ``states_idx`` with the neighbour lists
+    ``adj`` (by position in ``states_idx``), every pair of states is within
+    half its cell difference minus one moves."""
     bits = [ctx.bits[s] for s in states_idx]
     for qa, x in enumerate(bits):
         dist = [-1] * len(bits)
@@ -302,12 +284,6 @@ def _within_distance_bound(ctx, states_idx, adj) -> bool:
             if dist[qb] < 0 or dist[qb] > (x ^ y).bit_count() // 2 - 1:
                 return False
     return True
-
-
-def _distance_bound_holds(ctx, states_idx, adjacent):
-    """True iff, with the edges that ``adjacent`` accepts, every pair of
-    states is within half its cell difference minus one moves."""
-    return _within_distance_bound(ctx, states_idx, _adjacency(states_idx, adjacent))
 
 
 # ---------------------------------------------------------------------------
@@ -362,23 +338,19 @@ def _ctx_of(states: list[Realization]) -> _SeqCtx:
 def _state_graph(ctx, states, move_set: MoveSet) -> StateGraph:
     """The state graph of ``states`` (the states of ``ctx``, in its order);
     each edge is labelled by the kind of move its pair class shows."""
-    adjacent = _adjacent(ctx.pair, move_set)
     swaps = move_set.kind not in (MoveSet.TRADES, MoveSet.TRADES_PLUS_CIRCLE)
-    adj: list[list[tuple[int, str]]] = [[] for _ in states]
-    for s in range(len(states)):
-        for t in range(s + 1, len(states)):
-            if not adjacent(s, t):
-                continue
-            info = ctx.pair(s, t)
-            if swaps:
-                label = f"{info.cycle_len}-swap"
-            elif len(info.changed_rows) == 2:
-                label = "trade"
-            else:
-                label = "circle-trade"
-            adj[s].append((t, label))
-            adj[t].append((s, label))
-    return StateGraph(tuple(states), tuple(tuple(x) for x in adj), move_set)
+
+    def label(s, t):
+        info = ctx.pair(s, t)
+        if swaps:
+            return f"{info.cycle_len}-swap"
+        return "trade" if len(info.changed_rows) == 2 else "circle-trade"
+
+    adj = _adjacency(ctx, range(len(states)), move_set)
+    edges = tuple(
+        tuple((t, label(s, t)) for t in nbrs) for s, nbrs in enumerate(adj)
+    )
+    return StateGraph(tuple(states), edges, move_set)
 
 
 def build_state_graph(states: list[Realization], move_set: MoveSet) -> StateGraph:
@@ -390,8 +362,9 @@ def build_state_graph(states: list[Realization], move_set: MoveSet) -> StateGrap
 
 def check_connectivity(sg: StateGraph) -> tuple[bool, list[list[int]]]:
     """Component decomposition of the state graph."""
-    nbrs = [{t for t, _ in edges} for edges in sg.edges]
-    comps = _components_of(range(len(sg.states)), lambda s, t: t in nbrs[s])
+    comps = _components_from(
+        range(len(sg.states)), [[t for t, _ in edges] for edges in sg.edges]
+    )
     return len(comps) <= 1, [list(c) for c in comps]
 
 
@@ -624,24 +597,23 @@ class _SeqCtx:
         return got
 
     def graph_facts(self, states_idx, move_set):
-        """(components, distance verdict) of the graph on ``states_idx``
-        whose edges are the moves of ``move_set``: ``_components_of`` and,
-        for 4-swaps only (None otherwise), ``_distance_bound_holds``.  Both
-        depend on the state set and the move set alone, not on the support
-        that picked the set, so each is decided once per context; the
-        4-swap pair is read from one pass over the state pairs."""
+        """(components, distance verdict) of the state graph of
+        ``move_set`` on ``states_idx``, both read from one ``_adjacency``;
+        the distance verdict is decided for 4-swaps only (None otherwise).
+        Both depend on the state set and the move set alone, not on the
+        support that picked the set, so each is decided once per context;
+        the neighbour lists are not kept."""
         key = (tuple(states_idx), move_set)
         got = self._graphs.get(key)
         if got is None:
-            adjacent = _adjacent(self.pair, move_set)
+            adj = _adjacency(self, states_idx, move_set)
+            comps = _components_from(states_idx, adj)
+            within_bound = None
             if move_set == _SWAPS4:
-                adj = _adjacency(states_idx, adjacent)
-                comps = _components_from(states_idx, adj)
-                got = (comps, len(comps) == 1
-                       and _within_distance_bound(self, states_idx, adj))
-            else:
-                got = (_components_of(states_idx, adjacent), None)
-            self._graphs[key] = got
+                within_bound = len(comps) == 1 and _within_distance_bound(
+                    self, states_idx, adj
+                )
+            got = self._graphs[key] = (comps, within_bound)
         return got
 
     def fields(self, x):
@@ -1156,13 +1128,13 @@ def search_split_masks(row_degrees=(1, 1, 1, 1), col_degrees=(2, 1, 1)):
                     continue
                 ctx = _ctx_of(states)
                 everything = range(len(states))
-                comps = _components_of(everything, _adjacent(ctx.pair, _SWAPS4))
+                comps = ctx.graph_facts(everything, _SWAPS4)[0]
                 if len(comps) == 1:
                     continue
                 iso = components_isomorphic(_state_graph(ctx, states, _SWAPS4))
-                circle_connected = len(_components_of(
-                    everything, _adjacent(ctx.pair, _TRADES_PLUS_CIRCLE)
-                )) == 1
+                circle_connected = len(
+                    ctx.graph_facts(everything, _TRADES_PLUS_CIRCLE)[0]
+                ) == 1
                 records.append(
                     {
                         "cells": tuple(sorted(cells)),

@@ -540,7 +540,7 @@ def test_sample_writes_the_last_state_run_keeps(tmp_path, capsys, spec, gap, cou
     assert cli.main(["sample", path, "--chain", spec, "--steps", "20",
                      "--gap", str(gap), "--count", str(count), "--seed", "5"]) == 0
     inst = cli.parse_instance(FOREST_3MATCH)
-    move_set = cli._resolve_chain(inst, spec, True)
+    move_set = cli._chain_spec(spec) or cli._pipeline(inst, True)[-1]
     expected = [
         cli.format_realization(
             chains.run(inst, chains.ChainConfig(move_set, 20, 5 + c, gap))[-1]

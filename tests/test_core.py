@@ -119,6 +119,26 @@ def test_fixed_set_rejects_double_polarity():
         bp.FixedSet.from_cells(2, 2, forced_edges=[(0, 0)], forced_non_edges=[(0, 0)])
 
 
+OUTSIDE_2X2 = [(-1, 0), (0, -1), (2, 0), (0, 2)]
+
+
+@pytest.mark.parametrize("cell", OUTSIDE_2X2)
+def test_fixed_set_rejects_cells_outside_the_grid(cell):
+    # a negative index used to wrap and pin a cell of the last row or column
+    for kwargs in ({"forced_edges": [cell]}, {"forced_non_edges": [cell]}):
+        with pytest.raises(ValueError, match="outside the 2x2 grid"):
+            bp.FixedSet.from_cells(2, 2, **kwargs)
+
+
+@pytest.mark.parametrize("rows", [[{-1}, {0}], [{0}, {2}], [{1}, {0}, {0}]])
+def test_realization_from_rows_rejects_cells_outside_the_grid(rows):
+    # [{-1}, {0}] used to wrap to 01/10, a valid realization
+    inst = bp.Instance.unconstrained((1, 1), (1, 1))
+    for validate in (True, False):
+        with pytest.raises(ValueError, match="outside the 2x2 grid"):
+            bp.Realization.from_rows(inst, rows, validate=validate)
+
+
 def test_instance_dimension_mismatch():
     with pytest.raises(bp.InstanceMismatch):
         bp.Instance(bp.DegreeSequence((1, 1), (1, 1)), bp.FixedSet.free(2, 3))
@@ -204,6 +224,14 @@ def test_move_set_validation():
             bp.MoveSet.swaps_up_to(limit)
     with pytest.raises(ValueError):
         bp.MoveSet("bogus")
+
+
+@pytest.mark.parametrize("limit", [6.0, True, "6", None], ids=repr)
+def test_swap_limit_must_be_an_int(limit):
+    # 6.0 == 6, so swaps<=6.0 would pass for swaps<=6 and then fail in the
+    # chains and the oracle
+    with pytest.raises(ValueError):
+        bp.MoveSet.swaps_up_to(limit)
 
 
 def _random_instances(rng, count):

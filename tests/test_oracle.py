@@ -112,12 +112,13 @@ def test_split_instance_components():
 
 
 def distance_bound_holds(inst, move_set):
-    """The sweep's distance check on every state of ``inst``, with the
-    predicate of ``move_set``."""
+    """The sweep's distance check on every state of ``inst``, over the
+    neighbour lists of ``move_set``."""
     states = bp.enumerate_realizations(inst)
     ctx = oracle._ctx_of(states)
-    adjacent = oracle._adjacent(ctx.pair, move_set)
-    return oracle._distance_bound_holds(ctx, range(len(states)), adjacent)
+    everything = range(len(states))
+    adj = oracle._adjacency(ctx, everything, move_set)
+    return oracle._within_distance_bound(ctx, everything, adj)
 
 
 def test_distance_bound_adjacent_pairs():
@@ -640,10 +641,63 @@ GRAPH_FACT_MOVE_SETS = (
 )
 
 
+def _is_move(info, move_set):
+    """Whether a pair class is one move of ``move_set``, read here apart
+    from the oracle's builder."""
+    if move_set.kind == MoveSet.TRADES:
+        return len(info.changed_rows) == 2
+    if move_set.kind == MoveSet.TRADES_PLUS_CIRCLE:
+        return len(info.changed_rows) == 2 or info.is_circle
+    return info.cycle_len in move_set.swap_lengths()
+
+
+def reference_graph_facts(ctx, states_idx, move_set, classes):
+    """(components, distance verdict) of the state graph of ``move_set`` on
+    ``states_idx``, by breadth-first search over pair classes that
+    ``_classify_bits`` computes afresh (memoized in ``classes`` by state
+    pair); the verdict, for 4-swaps only, holds when every pair of states
+    is within half its cell difference minus one moves."""
+    bits, n, nc = ctx.bits, ctx.n, ctx.nc
+
+    def moves(s, t):
+        key = (min(s, t), max(s, t))
+        if key not in classes:
+            classes[key] = oracle._classify_bits(bits[key[0]], bits[key[1]], n, nc)
+        return _is_move(classes[key], move_set)
+
+    nbrs = {s: [t for t in states_idx if t != s and moves(s, t)] for s in states_idx}
+
+    def distances(s):
+        dist = {s: 0}
+        queue = [s]
+        for u in queue:
+            for v in nbrs[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        return dist
+
+    comps, placed = [], set()
+    for s in sorted(states_idx):
+        if s not in placed:
+            comp = tuple(sorted(distances(s)))
+            placed.update(comp)
+            comps.append(comp)
+    if move_set != MoveSet.swaps4():
+        return comps, None
+    for s in states_idx:
+        dist = distances(s)
+        for t in states_idx:
+            bound = (bits[s] ^ bits[t]).bit_count() // 2 - 1
+            if t != s and dist.get(t, len(bits)) > bound:
+                return comps, False
+    return comps, True
+
+
 def test_cached_graph_facts_match_a_fresh_context():
     # the sweep decides a state set's components and distance verdict once
     # per sequence, though the set recurs under many supports: each answer
-    # must equal the one a context that never cached anything computes
+    # must equal the reference's on pair classes computed afresh
     pools = [(ctx, states_idx) for ctx, states_idx, _ in _ledger_state_sets()]
     rng = random.Random(20240801)  # the random pools of the benchmark's sweep
     for count, with_8_cycles in ((200, False), (16, True)):
@@ -651,26 +705,37 @@ def test_cached_graph_facts_match_a_fresh_context():
             rng, 5, 5, count, with_8_cycles
         ):
             pools.append((oracle._SeqCtx(n, nc, a, b, bits), range(len(bits))))
-    fresh = {}  # one uncached context per sequence's context
+    classes = {}  # pair classes by state pair, one table per context
     calls = 0
     for ctx, states_idx in pools:
-        ref = fresh.get(ctx)
-        if ref is None:
-            ref = fresh[ctx] = oracle._SeqCtx(ctx.n, ctx.nc, ctx.a, ctx.b, ctx.bits)
+        table = classes.setdefault(ctx, {})
         for move_set in GRAPH_FACT_MOVE_SETS:
-            comps, within_bound = ctx.graph_facts(states_idx, move_set)
-            adjacent = oracle._adjacent(ref.pair, move_set)
-            assert comps == oracle._components_of(states_idx, adjacent)
-            if move_set == MoveSet.swaps4():
-                assert within_bound == oracle._distance_bound_holds(
-                    ref, states_idx, adjacent
-                )
-            else:
-                assert within_bound is None
+            assert ctx.graph_facts(states_idx, move_set) == reference_graph_facts(
+                ctx, states_idx, move_set, table
+            )
             calls += 1
     assert max(len(ctx.bits) for ctx, _ in pools) > 150
-    cached = sum(len(ctx._graphs) for ctx in fresh)
+    cached = sum(len(ctx._graphs) for ctx in classes)
     assert cached < calls / 2  # most answers came from the cache
+
+
+def test_library_components_are_the_sweeps():
+    # build_state_graph / check_connectivity and the sweep's graph facts
+    # must give the same components for every move set
+    for a, b, bits in _pair_class_sequences():
+        n, nc = len(a), len(b)
+        inst = bp.Instance.unconstrained(a, b)
+        states = [
+            bp.Realization(inst, oracle._bits_to_matrix(x, n, nc)) for x in bits
+        ]
+        ctx = oracle._SeqCtx(n, nc, a, b, bits)
+        everything = range(len(states))
+        for move_set in GRAPH_FACT_MOVE_SETS:
+            comps = ctx.graph_facts(everything, move_set)[0]
+            sg = bp.build_state_graph(states, move_set)
+            connected, got = bp.check_connectivity(sg)
+            assert got == [list(c) for c in comps]
+            assert connected == (len(comps) == 1)
 
 
 # sha256 of the failures of ``run_verification(3, 3, 0, seed=5)`` with the
