@@ -456,10 +456,11 @@ def _chain_spec(text: str) -> MoveSet | None:
     if text in _NAMED_CHAINS:
         return _NAMED_CHAINS[text]
     if text.startswith("cycle:"):
-        try:
-            limit = int(text.split(":", 1)[1])
-        except ValueError:
-            raise argparse.ArgumentTypeError("cycle:L needs an integer L") from None
+        digits = text[len("cycle:"):]
+        # ASCII digits only: int() would also take "1_0", " 8", "+8" and "８".
+        if not (digits.isascii() and digits.isdigit()):
+            raise argparse.ArgumentTypeError("cycle:L needs an integer L")
+        limit = int(digits)
         if limit % 2 or limit < 4:
             raise argparse.ArgumentTypeError("cycle:L needs an even L >= 4")
         return MoveSet.swaps_up_to(limit)

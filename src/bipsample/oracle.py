@@ -568,10 +568,22 @@ class _CircleDenominators(dict):
 class _SeqCtx:
     """Per-sequence data: the bit states, their canonical index, the row
     fields' shifts, cached pair classifications, subset tables, circle-route
-    denominators and the graph facts of each state set.
+    denominators, and the graph facts and ledger verdicts of each state set.
 
     Row i of a state ``x`` is the bit field ``(x >> shifts[i]) & full``,
-    with column j at bit nc - 1 - j."""
+    with column j at bit nc - 1 - j.
+
+    The ledger verdicts are cached by the state set alone, though the
+    ledgers read the fixed cells of the support that picked it.  In the
+    exhaustive half a context holds every realization of its sequence.
+    Take two supports that select the same set S, and a cell fixed under
+    one and free under the other: it is constant on S.  Were it in a trade
+    pool (0 < k < size) or a circle difference set (min size >= 1) of the
+    support that leaves it free, some route would flip it and keep that
+    support's pattern, reaching a realization in S with another value
+    there.  Hence the pools, the difference sets and every forward and
+    reverse denominator are the same under both supports.  A random-half
+    context holds one instance, so its cache never hits."""
 
     def __init__(self, n, nc, a, b, bits):
         self.n = n
@@ -585,6 +597,8 @@ class _SeqCtx:
         self._subsets: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._pairs: dict[tuple[int, int], _PairInfo] = {}
         self._graphs: dict[tuple, tuple] = {}
+        self._trade_verdicts: dict[tuple, bool] = {}
+        self._circle_verdicts: dict[tuple, tuple[bool, bool]] = {}
         self.circle_dens = _CircleDenominators()
 
     def pair(self, s, t):
@@ -614,6 +628,33 @@ class _SeqCtx:
                     self, states_idx, adj
                 )
             got = self._graphs[key] = (comps, within_bound)
+        return got
+
+    def trade_verdict(self, states_idx, fixed):
+        """Whether the trade ledger of ``states_idx`` (fixed cells
+        ``fixed``, as row fields) stays in the set and is symmetric; built
+        once per state set (see the class docstring)."""
+        key = tuple(states_idx)
+        got = self._trade_verdicts.get(key)
+        if got is None:
+            trades = _trade_ledger(self, states_idx, fixed)
+            got = self._trade_verdicts[key] = (
+                trades is not None and _symmetric(trades)
+            )
+        return got
+
+    def circle_verdicts(self, states_idx, fixed):
+        """(corrected ledger stays in the set and is symmetric, uncorrected
+        ledger is asymmetric) for ``states_idx``; built once per state
+        set."""
+        key = tuple(states_idx)
+        got = self._circle_verdicts.get(key)
+        if got is None:
+            circles = _circle_ledgers(self, states_idx, fixed)
+            got = self._circle_verdicts[key] = (
+                circles is not None and _symmetric(circles[0]),
+                circles is not None and not _symmetric(circles[1]),
+            )
         return got
 
     def fields(self, x):
@@ -933,14 +974,12 @@ def _check_instance_pool(ctx, states_idx, sup, pattern, fixed, props, rep,
                        f" L={2 * ell - 2}")
 
     if multi and len(states_idx) <= 60:
-        trades = _trade_ledger(ctx, states_idx, fixed)
         rep.record("trade-reversibility", where,
-                   trades is not None and _symmetric(trades))
+                   ctx.trade_verdict(states_idx, fixed))
         if n >= 3:
-            circles = _circle_ledgers(ctx, states_idx, fixed)
-            rep.record("circle-detailed-balance", where,
-                       circles is not None and _symmetric(circles[0]))
-            if circles is not None and not _symmetric(circles[1]):
+            balanced, asymmetric = ctx.circle_verdicts(states_idx, fixed)
+            rep.record("circle-detailed-balance", where, balanced)
+            if asymmetric:
                 rep.info("uncorrected-circle-asymmetry", where)
 
     if static is not None:
@@ -1040,7 +1079,7 @@ def run_verification(
     """
     if max_rows * max_cols > ENUMERATION_CELL_LIMIT:
         raise TooLarge("verification pool exceeds the enumeration guard")
-    t0 = time.time()
+    t0 = time.perf_counter()
     result = VerificationResult()
     rep = _Reporter(emit, quiet, result)
     prop_cache: dict = {}
@@ -1096,7 +1135,7 @@ def run_verification(
                 ctx.fields(sup), props, rep, free_bits, static,
             )
 
-    result.elapsed = time.time() - t0
+    result.elapsed = time.perf_counter() - t0
     return result
 
 

@@ -305,6 +305,11 @@ def test_sample_rejects_zero_steps(tmp_path, capsys):
     path = write(tmp_path, "h.txt", FREE_2X2)
     assert cli.main(["sample", path, "--steps", "0"]) == cli.EXIT_USAGE
     assert cli.main(["sample", path, "--chain", "cycle:5"]) == cli.EXIT_USAGE
+    capsys.readouterr()
+    # L is ASCII digits only, though int() would read each of these
+    for spec in ("cycle:1_0", "cycle: 8", "cycle:+8", "cycle:\uff18"):
+        assert cli.main(["sample", path, "--chain", spec]) == cli.EXIT_USAGE
+        assert "cycle:L needs an integer L" in capsys.readouterr().err
     assert cli.main(["sample", path, "--steps", "5", "--gap", "10"]) == cli.EXIT_USAGE
 
 

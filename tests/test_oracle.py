@@ -635,6 +635,45 @@ def test_row_field_ledgers_match_the_column_set_ledgers():
     assert asymmetric > 0  # the uncorrected ledger is not trivially symmetric
 
 
+def test_ledgers_depend_on_the_state_set_alone(monkeypatch):
+    # the sweep decides a state set's ledgers once per sequence, under the
+    # first support that selects the set: on every exhaustive-half pool, the
+    # ledgers built with the pool's own fixed cells must equal that
+    # support's
+    trade_ledger, circle_ledgers = oracle._trade_ledger, oracle._circle_ledgers
+    pools, built = [], Counter()
+
+    def check_pool(ctx, states_idx, sup, pattern, fixed, *args):
+        if 2 <= len(states_idx) <= 60:
+            pools.append((ctx, tuple(states_idx), fixed))
+        return check_instance_pool(ctx, states_idx, sup, pattern, fixed, *args)
+
+    def counted(name, ledger):
+        def wrapped(*args):
+            built[name] += 1
+            return ledger(*args)
+        return wrapped
+
+    check_instance_pool = oracle._check_instance_pool
+    monkeypatch.setattr(oracle, "_check_instance_pool", check_pool)
+    monkeypatch.setattr(oracle, "_trade_ledger", counted("trade", trade_ledger))
+    monkeypatch.setattr(oracle, "_circle_ledgers", counted("circle", circle_ledgers))
+    res = bp.run_verification(3, 4, 0, quiet=True)
+    assert res.passed
+    assert len(pools) == res.counts["trade-reversibility"] == 34979
+
+    first = {}  # (ctx, states) -> ledgers under the first support
+    for ctx, states_idx, fixed in pools:
+        ledgers = (
+            trade_ledger(ctx, states_idx, fixed),
+            circle_ledgers(ctx, states_idx, fixed) if ctx.n >= 3 else None,
+        )
+        assert first.setdefault((ctx, states_idx), ledgers) == ledgers
+    assert len(first) == 2695
+    assert built["trade"] == len(first) < len(pools)
+    assert built["circle"] < res.counts["circle-detailed-balance"]
+
+
 GRAPH_FACT_MOVE_SETS = (
     MoveSet.swaps4(), MoveSet.swaps_up_to(6), MoveSet.trades(),
     MoveSet.trades_plus_circle(), MoveSet.swaps_up_to(8),
