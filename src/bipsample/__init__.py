@@ -37,10 +37,8 @@ from .oracle import (
     VerificationResult,
     build_state_graph,
     check_connectivity,
-    components_isomorphic,
     enumerate_realizations,
     run_verification,
-    search_split_masks,
     uniformity_report,
 )
 from .realizability import (

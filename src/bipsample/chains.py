@@ -2,19 +2,22 @@
 triples, and bounded cycle swaps.
 
 Randomness contract: one seeded ``random.Random`` per run; each step draws
-in a fixed, documented order (row pair or triple indices first, then the
-subset choice, then - for circle trades with the Metropolis correction on,
-and only when the acceptance ratio is below one - the acceptance variate).
-Streams are reproducible for a fixed seed within this implementation.
+in a fixed, documented order (under trades+circle a coin bit first, then
+the row pair or triple indices, then the subset choice, then - for circle
+trades with the Metropolis correction on, and only when the acceptance
+ratio is below one - the acceptance variate; a bounded cycle swap draws
+its length, its rows, then its columns).  Streams are reproducible for a
+fixed seed within this implementation.
 
 State representation: the chain layer keeps a state as one int per row, a
 bit mask with bit j set when the row has column j, and the fixed cells of
 each row as a mask of the same form.  Each move kind has one block kernel,
-``_trades`` (with circle trades mixed in by ``_circle``), ``_swaps`` or
-``_cycles``, which takes k steps on these masks in place in one Python
-frame.  A chain runs its kernel over a block of steps at a time.  Masks
-are built from and decoded into ``Realization`` objects only at the
-boundary: ``Chain``'s constructor, ``realization()`` and ``state_key``.
+``_trades`` (which also takes the circle-trade steps of trades+circle),
+``_swaps`` or ``_cycles``, which takes k steps on these masks in place in
+one Python frame.  A chain runs its kernel over a block of steps at a
+time.  Masks are built from and decoded into ``Realization`` objects only
+at the boundary: ``Chain``'s constructor, ``realization()`` and
+``state_key``.
 """
 
 from __future__ import annotations
@@ -49,14 +52,14 @@ class ChainConfig:
 def circle_denominator(sizes: tuple[int, int, int], x: int) -> int:
     """1/den is the probability of one specific subset triple of size x:
     the smallest difference set is drawn as a uniform subset (2^m equally
-    likely outcomes), the other two as uniform x-subsets."""
-    m = min(sizes)
-    pivot = sizes.index(m)
-    den = 1 << m
-    for idx, s in enumerate(sizes):
-        if idx != pivot:
-            den *= comb(s, x)
-    return den
+    likely outcomes), the other two as uniform x-subsets.  Tied minima give
+    the same value whichever of them is the pivot."""
+    a, b, c = sizes
+    if a <= b and a <= c:
+        return comb(b, x) * comb(c, x) << a
+    if b <= c:
+        return comb(a, x) * comb(c, x) << b
+    return comb(a, x) * comb(b, x) << c
 
 
 # ---------------------------------------------------------------------------
@@ -141,18 +144,109 @@ def _trades(rows, fixed, n, rng, k, circle=None):
     Drawing a_ij itself is the lazy step.
 
     With ``circle`` set to the Metropolis flag, each step first draws one
-    bit; on a 1 it is a circle trade (``_circle``) instead."""
+    bit; on a 1 it is a circle trade instead (the lazy step when n < 3).
+    A circle trade draws a uniform ordered row triple (i, j, t).  Its three
+    difference sets are what j can hand to i, t to j and i to t, in that
+    order.  It draws a uniform subset of the smallest set (the first of
+    tied ones) by one getrandbits draw, bit b picking the set's b-th lowest
+    column, then uniform equal-sized subsets of the other two, in order.
+    With the flag on, the Metropolis test may keep the old rows."""
     mixed = circle is not None
     if n < 2 and not mixed:
         return
-    getrandbits = rng.getrandbits
-    binomial, unrank = comb, _unrank_subset
-    n1 = n - 1
-    bits_i, bits_j = n.bit_length(), n1.bit_length()
+    getrandbits, uniform = rng.getrandbits, rng.random
+    binomial, unrank, denominator = comb, _unrank_subset, circle_denominator
+    n1, n2 = n - 1, n - 2
+    bits_i, bits_j, bits_t = n.bit_length(), n1.bit_length(), n2.bit_length()
     for _ in range(k):
         if mixed and getrandbits(1):
-            if n >= 3:
-                _circle(rows, fixed, n, rng, circle)
+            if n < 3:
+                continue
+            i = getrandbits(bits_i)
+            while i >= n:
+                i = getrandbits(bits_i)
+            j = getrandbits(bits_j)
+            while j >= n1:
+                j = getrandbits(bits_j)
+            if j >= i:
+                j += 1
+            # The t-th row other than i and j.
+            t = getrandbits(bits_t)
+            while t >= n2:
+                t = getrandbits(bits_t)
+            if i < j:  # past the smaller of i and j first
+                if t >= i:
+                    t += 1
+                if t >= j:
+                    t += 1
+            else:
+                if t >= j:
+                    t += 1
+                if t >= i:
+                    t += 1
+            ri, rj, rt = rows[i], rows[j], rows[t]
+            fi, fj, ft = fixed[i], fixed[j], fixed[t]
+            # What row j hands to i, t to j and i to t.
+            d_j = rj & ~(ri | fi | fj)
+            d_t = rt & ~(rj | fj | ft)
+            d_i = ri & ~(rt | ft | fi)
+            s_j, s_t, s_i = d_j.bit_count(), d_t.bit_count(), d_i.bit_count()
+            # The pivot is the first smallest set, of size m; a and b are the
+            # other two in draw order, of sizes s_a and s_b.
+            if s_j <= s_t and s_j <= s_i:
+                m, pool, a = s_j, d_j, d_t
+                s_a, b, s_b = s_t, d_i, s_i
+            elif s_t <= s_i:
+                m, pool, a = s_t, d_t, d_j
+                s_a, b, s_b = s_j, d_i, s_i
+            else:
+                m, pool, a = s_i, d_i, d_j
+                s_a, b, s_b = s_j, d_t, s_t
+            if not m:
+                continue
+            pick = getrandbits(m)
+            if not pick:
+                continue
+            x = pick.bit_count()
+            chosen = 0
+            while pick:
+                low = pool & -pool
+                pool ^= low
+                if pick & 1:
+                    chosen |= low
+                pick >>= 1
+            total = binomial(s_a, x)
+            bits = total.bit_length()
+            r = getrandbits(bits)
+            while r >= total:
+                r = getrandbits(bits)
+            a = unrank(a, x, r)
+            total = binomial(s_b, x)
+            bits = total.bit_length()
+            r = getrandbits(bits)
+            while r >= total:
+                r = getrandbits(bits)
+            b = unrank(b, x, r)
+            # The subsets each row hands on, in their sets' roles.
+            if m == s_j:
+                sub_j, sub_t, sub_i = chosen, a, b
+            elif m == s_t:
+                sub_j, sub_t, sub_i = a, chosen, b
+            else:
+                sub_j, sub_t, sub_i = a, b, chosen
+            ni, nj, nt = ri ^ (sub_i | sub_j), rj ^ (sub_j | sub_t), rt ^ (sub_t | sub_i)
+            if circle:
+                den_fwd = denominator((s_j, s_t, s_i), x)
+                # The reverse rotation runs over the order (j, i, t) of the
+                # new state.
+                den_rev = denominator((
+                    (ni & ~(nj | fj | fi)).bit_count(),
+                    (nt & ~(ni | fi | ft)).bit_count(),
+                    (nj & ~(nt | ft | fj)).bit_count(),
+                ), x)
+                if den_rev > den_fwd and uniform() >= den_fwd / den_rev:
+                    continue
+            rows[i], rows[j], rows[t] = ni, nj, nt
             continue
         if n < 2:
             continue
@@ -180,76 +274,6 @@ def _trades(rows, fixed, n, rng, k, circle=None):
             flip = a ^ unrank(pool, size, r)
             rows[i] = ri ^ flip
             rows[j] = rj ^ flip
-
-
-def _circle(rows, fixed, n, rng, mh):
-    """One circle trade, for n >= 3: a uniform ordered row triple (i, j, k),
-    a uniform subset of the smallest difference set (one getrandbits draw,
-    bit b picking its b-th lowest column), then uniform equal-sized subsets
-    of the other two.  With ``mh`` on, the Metropolis test may undo it."""
-    getrandbits = rng.getrandbits
-    bits = n.bit_length()
-    i = getrandbits(bits)
-    while i >= n:
-        i = getrandbits(bits)
-    m = n - 1
-    bits = m.bit_length()
-    j = getrandbits(bits)
-    while j >= m:
-        j = getrandbits(bits)
-    if j >= i:
-        j += 1
-    # The t-th row other than i and j.
-    m = n - 2
-    bits = m.bit_length()
-    k = getrandbits(bits)
-    while k >= m:
-        k = getrandbits(bits)
-    if k >= min(i, j):
-        k += 1
-    if k >= max(i, j):
-        k += 1
-    ri, rj, rk = rows[i], rows[j], rows[k]
-    fi, fj, fk = fixed[i], fixed[j], fixed[k]
-    # What row j hands to i, k to j and i to k.
-    sets = (rj & ~(ri | fi | fj), rk & ~(rj | fj | fk), ri & ~(rk | fk | fi))
-    sizes = [s.bit_count() for s in sets]
-    m = min(sizes)
-    if not m:
-        return
-    pivot = sizes.index(m)
-    bits = getrandbits(m)
-    if not bits:
-        return
-    x = bits.bit_count()
-    rest = sets[pivot]
-    chosen = 0
-    while bits:
-        low = rest & -rest
-        rest ^= low
-        if bits & 1:
-            chosen |= low
-        bits >>= 1
-    subs = [chosen] * 3
-    for idx in range(3):
-        if idx != pivot:
-            total = comb(sizes[idx], x)
-            bits = total.bit_length()
-            r = getrandbits(bits)
-            while r >= total:
-                r = getrandbits(bits)
-            subs[idx] = _unrank_subset(sets[idx], x, r)
-    sub_j, sub_k, sub_i = subs
-    ni, nj, nk = ri ^ (sub_i | sub_j), rj ^ (sub_j | sub_k), rk ^ (sub_k | sub_i)
-    rows[i], rows[j], rows[k] = ni, nj, nk
-    if mh:
-        den_fwd = circle_denominator(sizes, x)
-        # The reverse rotation runs over the order (j, i, k) of the new state.
-        reverse = (ni & ~(nj | fj | fi), nk & ~(ni | fi | fk), nj & ~(nk | fk | fj))
-        den_rev = circle_denominator([s.bit_count() for s in reverse], x)
-        if den_rev > den_fwd and rng.random() >= den_fwd / den_rev:
-            # Reject: undo the rotation.
-            rows[i], rows[j], rows[k] = ri, rj, rk
 
 
 def _swaps(rows, fixed, n, rng, k):
@@ -298,8 +322,12 @@ def _cycles(rows, fixed, n, rng, k, n_cols, limit):
     rows and h distinct columns, the t-th being the pos-th index not yet
     drawn for a uniform pos below n - t (n_cols - t).  The closed walk
     row0-col0-row1-col1-...-row0 swaps when it alternates and avoids fixed
-    cells, checked row by row, stopping at the first failure, after every
-    draw is made."""
+    cells, checked row by row, stopping at the first failure.  Every draw
+    is made before the walk starts.  A draw becomes its index by popping
+    the pos-th entry of the ascending list of indices not yet drawn.  The
+    columns are all converted, since row 0's check reads c_{h-1}; a row's
+    draw is converted only when the walk reaches that row, and most walks
+    stop within their first rows."""
     getrandbits = rng.getrandbits
     lengths = limit // 2 - 1
     bits_h = lengths.bit_length()
@@ -307,6 +335,11 @@ def _cycles(rows, fixed, n, rng, k, n_cols, limit):
     reach = range(min(limit // 2, n, n_cols))
     row_bits = [(n - t).bit_length() for t in reach]
     col_bits = [(n_cols - t).bit_length() for t in reach]
+    every_row, every_col = list(range(n)), list(range(n_cols))
+    # The walk's row draws, each replaced by its index once reached, and
+    # its column indices; a step uses the first h entries.
+    walk_rows = [0] * len(reach)
+    walk_cols = [0] * len(reach)
     for _ in range(k):
         h = getrandbits(bits_h)
         while h >= lengths:
@@ -314,54 +347,37 @@ def _cycles(rows, fixed, n, rng, k, n_cols, limit):
         h += 2
         if h > n or h > n_cols:
             continue
-        # Each drawn index at or below the answer pushes it up by one.
-        rows_seq = []
-        taken = 0
         for t in range(h):
             m, bits = n - t, row_bits[t]
             pos = getrandbits(bits)
             while pos >= m:
                 pos = getrandbits(bits)
-            rest = taken
-            while rest:
-                low = rest & -rest
-                if low > 1 << pos:
-                    break
-                pos += 1
-                rest ^= low
-            taken |= 1 << pos
-            rows_seq.append(pos)
-        cols_seq = []
-        taken = 0
+            walk_rows[t] = pos
+        left = every_col.copy()
         for t in range(h):
             m, bits = n_cols - t, col_bits[t]
             pos = getrandbits(bits)
             while pos >= m:
                 pos = getrandbits(bits)
-            rest = taken
-            while rest:
-                low = rest & -rest
-                if low > 1 << pos:
-                    break
-                pos += 1
-                rest ^= low
-            taken |= 1 << pos
-            cols_seq.append(pos)
+            walk_cols[t] = left.pop(pos)
         # Row r_t holds cells (r_t, c_t) and (r_t, c_{t-1}); along the walk
         # the first has the value of (r_0, c_0), the second the other value.
-        first_one = rows[rows_seq[0]] >> cols_seq[0] & 1
-        prev = 1 << cols_seq[-1]
-        for r, c in zip(rows_seq, cols_seq):
-            cur = 1 << c
+        # Row 0's draw is its index: nothing was drawn before it.
+        first_one = rows[walk_rows[0]] >> walk_cols[0] & 1
+        prev = 1 << walk_cols[h - 1]
+        left = every_row.copy()
+        for t in range(h):
+            r = walk_rows[t] = left.pop(walk_rows[t])
+            cur = 1 << walk_cols[t]
             pair = cur | prev
             if rows[r] & pair != (cur if first_one else prev) or fixed[r] & pair:
                 break
             prev = cur
         else:
-            prev = 1 << cols_seq[-1]
-            for r, c in zip(rows_seq, cols_seq):
-                cur = 1 << c
-                rows[r] ^= cur | prev
+            prev = 1 << walk_cols[h - 1]
+            for t in range(h):
+                cur = 1 << walk_cols[t]
+                rows[walk_rows[t]] ^= cur | prev
                 prev = cur
 
 

@@ -473,69 +473,6 @@ def _chisquare_p(counts: list[int]) -> float:
             return front * h
 
 
-def components_isomorphic(sg: StateGraph) -> bool:
-    """True iff all components of the state graph are pairwise isomorphic
-    (adjacency and move labels preserved), by brute-force mapping with
-    degree-profile pruning."""
-    _, components = check_connectivity(sg)
-    if len(components) > 16:
-        raise TooLarge("too many components for isomorphism testing")
-    if len(components) <= 1:
-        return True
-    if max(len(c) for c in components) > 12:
-        raise TooLarge("components too large for brute-force isomorphism")
-
-    def comp_graph(comp):
-        pos = {s: idx for idx, s in enumerate(comp)}
-        adj = [
-            sorted((pos[v], lab) for v, lab in sg.edges[s] if v in pos)
-            for s in comp
-        ]
-        return adj
-
-    def profile(adj, v):
-        return tuple(sorted(lab for _, lab in adj[v]))
-
-    def isomorphic(adj_a, adj_b):
-        if len(adj_a) != len(adj_b):
-            return False
-        prof_a = [profile(adj_a, v) for v in range(len(adj_a))]
-        prof_b = [profile(adj_b, v) for v in range(len(adj_b))]
-        if sorted(prof_a) != sorted(prof_b):
-            return False
-        size = len(adj_a)
-        mapping = [-1] * size
-        used = [False] * size
-
-        def place(v):
-            if v == size:
-                return True
-            for w in range(size):
-                if used[w] or prof_b[w] != prof_a[v]:
-                    continue
-                ok = True
-                for u in range(v):
-                    a_labels = sorted(lab for x, lab in adj_a[v] if x == u)
-                    b_labels = sorted(lab for x, lab in adj_b[w] if x == mapping[u])
-                    if a_labels != b_labels:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                mapping[v] = w
-                used[w] = True
-                if place(v + 1):
-                    return True
-                mapping[v] = -1
-                used[w] = False
-            return False
-
-        return place(0)
-
-    graphs = [comp_graph(c) for c in components]
-    return all(isomorphic(graphs[0], g) for g in graphs[1:])
-
-
 # ---------------------------------------------------------------------------
 # Verification driver: sweep an instance pool and check every claim that
 # applies to each instance's hypothesis class.
@@ -1137,50 +1074,3 @@ def run_verification(
 
     result.elapsed = time.perf_counter() - t0
     return result
-
-
-def search_split_masks(row_degrees=(1, 1, 1, 1), col_degrees=(2, 1, 1)):
-    """Search every mask made of a 3-matching of forced non-edges plus one
-    extra forced non-edge cell; report each whose 4-swap state graph is
-    disconnected, with component count, pairwise isomorphism and
-    trade-plus-circle connectivity."""
-    degs = DegreeSequence(row_degrees, col_degrees)
-    n, nc = degs.n, degs.n_cols
-    records = []
-    seen = set()
-    for rows3 in itertools.combinations(range(n), 3):
-        for cols3 in itertools.permutations(range(nc), 3):
-            matching = list(zip(rows3, cols3))
-            all_cells = [(i, j) for i in range(n) for j in range(nc)]
-            for extra in all_cells:
-                if extra in matching:
-                    continue
-                cells = frozenset(matching + [extra])
-                if cells in seen:
-                    continue
-                seen.add(cells)
-                inst = Instance(
-                    degs, FixedSet.from_cells(n, nc, forced_non_edges=cells)
-                )
-                states = enumerate_realizations(inst)
-                if len(states) < 2:
-                    continue
-                ctx = _ctx_of(states)
-                everything = range(len(states))
-                comps = ctx.graph_facts(everything, _SWAPS4)[0]
-                if len(comps) == 1:
-                    continue
-                iso = components_isomorphic(_state_graph(ctx, states, _SWAPS4))
-                circle_connected = len(
-                    ctx.graph_facts(everything, _TRADES_PLUS_CIRCLE)[0]
-                ) == 1
-                records.append(
-                    {
-                        "cells": tuple(sorted(cells)),
-                        "n_states": len(states),
-                        "n_components": len(comps),
-                        "isomorphic": iso,
-                        "circle_connected": circle_connected,
-                    }
-                )
-    return records

@@ -1,0 +1,142 @@
+"""The pinned random streams: sha256 digests of seeded ``Chain.keys()``
+streams, computed with the standard library and bipsample alone.
+
+``tests/test_chains.py`` checks every digest under pytest.  Run as a
+script from a checkout, ``python tests/streams.py`` recomputes them all,
+prints one line per stream and exits 1 on any mismatch, so an interpreter
+without pytest or scipy can still check that it reproduces the streams.
+"""
+
+import hashlib
+import random
+import sys
+from pathlib import Path
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import bipsample as bp  # noqa: E402
+from bipsample.core import MoveSet  # noqa: E402
+
+
+def cols(mask):
+    """The column indices set in a row mask, ascending."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+def readme_4x4():
+    """The README's pinned instance: all degrees 2, the diagonal pinned to 0."""
+    return bp.Instance(
+        bp.DegreeSequence((2, 2, 2, 2), (2, 2, 2, 2)),
+        bp.FixedSet.from_cells(4, 4, forced_non_edges=[(0, 0), (1, 1), (2, 2), (3, 3)]),
+    )
+
+
+def circle_instance():
+    """The circle-trade worked example: a 3x6 state with its diagonal pinned
+    to 0."""
+    matrix = [[0, 1, 0, 1, 0, 0], [0, 0, 1, 0, 1, 0], [1, 0, 0, 0, 0, 1]]
+    a = [sum(r) for r in matrix]
+    b = [sum(matrix[i][j] for i in range(3)) for j in range(6)]
+    fixed = bp.FixedSet.from_cells(3, 6, forced_non_edges=[(0, 0), (1, 1), (2, 2)])
+    inst = bp.Instance(bp.DegreeSequence(a, b), fixed)
+    return bp.Realization(inst, matrix)
+
+
+def random_pinned_instance(rng, n, nc, density, n_pinned):
+    """A feasible instance: degrees and pin polarities from a random matrix."""
+    matrix = [[int(rng.random() < density) for _ in range(nc)] for _ in range(n)]
+    cells = rng.sample([(i, j) for i in range(n) for j in range(nc)], n_pinned)
+    return bp.Instance(
+        bp.DegreeSequence(
+            [sum(row) for row in matrix],
+            [sum(row[j] for row in matrix) for j in range(nc)],
+        ),
+        bp.FixedSet.from_cells(
+            n, nc,
+            forced_edges=[c for c in cells if matrix[c[0]][c[1]]],
+            forced_non_edges=[c for c in cells if not matrix[c[0]][c[1]]],
+        ),
+    )
+
+
+STREAM_INSTANCES = {
+    "free_6x6": lambda: bp.Instance.unconstrained((3, 3, 2, 2, 4, 2), (2, 3, 2, 2, 5, 2)),
+    "readme_4x4": readme_4x4,
+    "circle_3x6": lambda: circle_instance().instance,
+    # Walks of up to 12 rows under cycle:24.
+    "pinned_12x12": lambda: random_pinned_instance(random.Random(12), 12, 12, 0.5, 20),
+    # Circle difference sets of about 7 free columns.
+    "pinned_30x30": lambda: random_pinned_instance(random.Random(30), 30, 30, 0.5, 90),
+}
+
+STREAM_CHAINS = {
+    "trades": (MoveSet.trades(), True),
+    "swaps4": (MoveSet.swaps4(), True),
+    "trades+circle": (MoveSet.trades_plus_circle(), True),
+    "trades+circle/mh-off": (MoveSet.trades_plus_circle(), False),
+    "swaps46": (MoveSet.swaps_up_to(6), True),
+    "cycle:8": (MoveSet.swaps_up_to(8), True),
+    "cycle:24": (MoveSet.swaps_up_to(24), True),
+}
+
+# sha256 of the Chain.keys() streams (500 steps, gap 1, seeds 0, 7 and
+# 2024).  The first 18 were recorded before the in-place step kernels
+# replaced the proposal objects, the last three before the circle trade
+# moved into the trade kernel and cycle swaps converted their row draws
+# lazily.  A change here changes seeded output.
+GOLDEN_STREAMS = {
+    ("free_6x6", "trades"): "021706eed802b6b2bf3702c912d798d5ded0a74addb32d69bf24f56f2ea4add5",
+    ("free_6x6", "swaps4"): "32848e7d2c971592d9b2841be774df49a28a5dc7a7ca7361a49046d68bcb3c15",
+    ("free_6x6", "trades+circle"): "667553158fe9b0a23f8786587b196080e00a1755a1466d98db78cfdffe6ddad6",
+    ("free_6x6", "trades+circle/mh-off"): "908801577ff15955de6bc939e299208c551ec0d7d8910f2d28114b9ba9fdbf3e",
+    ("free_6x6", "swaps46"): "f6e8a91293538678081a0fe94a640b95bd91dfc577835f7316d1f07565730b01",
+    ("free_6x6", "cycle:8"): "f50ff0c3af23104931df408e79d8cc0aba1b63423a395494982d57058a66dfe4",
+    ("readme_4x4", "trades"): "167641cae7bfe4244084ea97d1fd37c8b9e878f01208f36312c0b6125f002a05",
+    ("readme_4x4", "swaps4"): "761ea0f22cfa63533d570edc672c9e778b5935f726bb15a3e328a8b7d58d9283",
+    ("readme_4x4", "trades+circle"): "907b1896c885a1a4c5eda4bc0115c135e87e748b3230ac43052f4b439a996511",
+    ("readme_4x4", "trades+circle/mh-off"): "907b1896c885a1a4c5eda4bc0115c135e87e748b3230ac43052f4b439a996511",
+    ("readme_4x4", "swaps46"): "4b726eb771956cd2d1c83aa351182b39c1db01819abd053d59ffdb4a8e649be5",
+    ("readme_4x4", "cycle:8"): "01b1a5365a6464d8c2b4fceaf874f56ee61cfcce552a53665809c792733b428e",
+    ("circle_3x6", "trades"): "9ed032c15a4380cc403cf0310c0d8a027c8516d173d410e610425d1c78b1c8e8",
+    ("circle_3x6", "swaps4"): "9e685b11527cb2dba7998452daea931a8eeb14917de1b5c955cca34d68bcfdee",
+    ("circle_3x6", "trades+circle"): "465763e22fb7f094ba22f32fbfacf22322807ce19cbd3b920c3e0f922dd3d909",
+    ("circle_3x6", "trades+circle/mh-off"): "83a84d4ebab10739ec5893e7fedc1a5a357252cdec5e1b8c1cb80b22638f7608",
+    ("circle_3x6", "swaps46"): "2e1691606646124f512fa8d60ed3d09896ebcc8a80f6e940c0d8730fd1473c49",
+    ("circle_3x6", "cycle:8"): "b4b8c9f25b62809dbb65e9d9d486feafec9651c1256a4e1613e57d40fb472d99",
+    ("pinned_12x12", "cycle:24"): "1ee6b99176fd6098f2c226132f2a3f28b4ec2b917916b5a18b6d896cdc66e47c",
+    ("pinned_30x30", "trades+circle"): "18f3bceb21d1c3b6f0965d6a084be2cea3281dad874d582b12ca747af54aa8b8",
+    ("pinned_30x30", "trades+circle/mh-off"): "ed307e641f452dc8ac1187cb3f475dfa940ab475eccfe594986f858ba4f5cc6c",
+}
+
+
+def stream_digest(instance, chain):
+    """The sha256 of the named chain's key streams on the named instance:
+    one text line per kept state, its rows' columns."""
+    inst = STREAM_INSTANCES[instance]()
+    move_set, mh = STREAM_CHAINS[chain]
+    h = hashlib.sha256()
+    for seed in (0, 7, 2024):
+        cfg = bp.ChainConfig(move_set, steps=500, seed=seed, mh_correction=mh)
+        for key in bp.Chain(bp.initial_realization(inst), cfg).keys():
+            line = "|".join(",".join(map(str, cols(r))) for r in key)
+            h.update(f"{line}\n".encode())
+    return h.hexdigest()
+
+
+def main():
+    """Recompute every pinned digest; 0 when all match, 1 otherwise."""
+    mismatches = 0
+    for instance, chain in sorted(GOLDEN_STREAMS):
+        got = stream_digest(instance, chain)
+        ok = got == GOLDEN_STREAMS[instance, chain]
+        mismatches += not ok
+        print(f"{'ok      ' if ok else 'MISMATCH'} {instance} {chain} {got}")
+    version = sys.version.split()[0]
+    print(f"{len(GOLDEN_STREAMS) - mismatches} of {len(GOLDEN_STREAMS)} streams match "
+          f"on Python {version}")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

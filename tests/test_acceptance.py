@@ -12,6 +12,7 @@ import bipsample as bp
 from bipsample import cli, oracle
 from bipsample.chains import ChainConfig, _unrank_subset
 from test_analysis import chord_cycle, chord_cycle_valid, find_coprime_odd_t
+from test_oracle import search_split_masks
 
 
 def _verdict(number, label, t0):
@@ -135,7 +136,7 @@ def test_criterion_05_bounded_swap_connectivity(pool_result):
 
 def test_criterion_06_two_component_counterexample():
     t0 = time.perf_counter()
-    records = bp.search_split_masks()
+    records = search_split_masks()
     by_cells = {r["cells"]: r for r in records}
     frozen = ((0, 0), (1, 1), (2, 2), (3, 1))  # regression fixture
     witness = by_cells[frozen]

@@ -1,6 +1,5 @@
 """Trade, swap, circle-trade and bounded cycle-swap chains."""
 
-import hashlib
 import itertools
 import math
 import random
@@ -15,7 +14,6 @@ import bipsample as bp
 from bipsample import oracle
 from bipsample.chains import (
     ChainConfig,
-    _circle,
     _cycles,
     _swaps,
     _trades,
@@ -23,11 +21,16 @@ from bipsample.chains import (
     circle_denominator,
 )
 from bipsample.core import MoveSet
-
-
-def cols(mask):
-    """The column indices set in a row mask, ascending."""
-    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+from streams import (
+    GOLDEN_STREAMS,
+    STREAM_CHAINS,
+    STREAM_INSTANCES,
+    circle_instance,
+    cols,
+    random_pinned_instance,
+    readme_4x4,
+    stream_digest,
+)
 
 
 def mask(columns):
@@ -59,8 +62,28 @@ trade_step = _on_masks(lambda rows, fixed, inst, r: _trades(rows, fixed, inst.n,
 swap_step = _on_masks(lambda rows, fixed, inst, r: _swaps(rows, fixed, inst.n, r, 1))
 
 
+class _CircleCoin:
+    """A wrapped rng whose first ``getrandbits(1)`` answers 1 without a
+    draw: the coin of one trades+circle step, so that the step is a circle
+    trade.  Every later draw comes from the wrapped rng."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self._coin = True
+        self.random = rng.random
+
+    def getrandbits(self, k):
+        if self._coin:
+            assert k == 1
+            self._coin = False
+            return 1
+        return self._rng.getrandbits(k)
+
+
 def circle_step(mh):
-    return _on_masks(lambda rows, fixed, inst, r: _circle(rows, fixed, inst.n, r, mh))
+    return _on_masks(
+        lambda rows, fixed, inst, r: _trades(rows, fixed, inst.n, _CircleCoin(r), 1, mh)
+    )
 
 
 def mixed_step(mh):
@@ -84,15 +107,6 @@ def two_row_instance():
     )
     inst = bp.Instance(bp.DegreeSequence(a, b), fixed)
     return bp.Realization.from_rows(inst, rowsets)
-
-
-def circle_instance():
-    matrix = [[0, 1, 0, 1, 0, 0], [0, 0, 1, 0, 1, 0], [1, 0, 0, 0, 0, 1]]
-    a = [sum(r) for r in matrix]
-    b = [sum(matrix[i][j] for i in range(3)) for j in range(6)]
-    fixed = bp.FixedSet.from_cells(3, 6, forced_non_edges=[(0, 0), (1, 1), (2, 2)])
-    inst = bp.Instance(bp.DegreeSequence(a, b), fixed)
-    return bp.Realization(inst, matrix)
 
 
 def test_chain_config_validation():
@@ -236,6 +250,13 @@ def test_circle_denominator_values():
     assert circle_denominator((2, 2, 2), 2) == 4  # 2^2 * C(2,2)^2
     assert circle_denominator((1, 2, 1), 1) == 2 * comb(2, 1) * comb(1, 1)
     assert circle_denominator((3, 2, 2), 1) == 4 * comb(3, 1) * comb(2, 1)
+    # 2^m times the binomials of all three sizes but one of the smallest,
+    # whatever their order and ties
+    for sizes in itertools.product(range(6), repeat=3):
+        m = min(sizes)
+        for x in range(1, m + 1):
+            want = (1 << m) * math.prod(comb(s, x) for s in sizes) // comb(m, x)
+            assert circle_denominator(sizes, x) == want, (sizes, x)
 
 
 def test_unique_realization_chain_is_constant():
@@ -420,65 +441,9 @@ def test_uniformity_report_rejects_a_state_outside_the_enumeration(monkeypatch):
 # The random stream and the block step kernels.
 
 
-def readme_4x4():
-    """The README's pinned instance: all degrees 2, the diagonal pinned to 0."""
-    return bp.Instance(
-        bp.DegreeSequence((2, 2, 2, 2), (2, 2, 2, 2)),
-        bp.FixedSet.from_cells(4, 4, forced_non_edges=[(0, 0), (1, 1), (2, 2), (3, 3)]),
-    )
-
-
-STREAM_INSTANCES = {
-    "free_6x6": lambda: bp.Instance.unconstrained((3, 3, 2, 2, 4, 2), (2, 3, 2, 2, 5, 2)),
-    "readme_4x4": readme_4x4,
-    "circle_3x6": lambda: circle_instance().instance,
-}
-
-STREAM_CHAINS = {
-    "trades": (MoveSet.trades(), True),
-    "swaps4": (MoveSet.swaps4(), True),
-    "trades+circle": (MoveSet.trades_plus_circle(), True),
-    "trades+circle/mh-off": (MoveSet.trades_plus_circle(), False),
-    "swaps46": (MoveSet.swaps_up_to(6), True),
-    "cycle:8": (MoveSet.swaps_up_to(8), True),
-}
-
-# sha256 of the Chain.keys() streams (500 steps, gap 1, seeds 0, 7 and
-# 2024), recorded before the in-place step kernels replaced the proposal
-# objects on the runner's path.  A change here changes seeded output.
-GOLDEN_STREAMS = {
-    ("free_6x6", "trades"): "021706eed802b6b2bf3702c912d798d5ded0a74addb32d69bf24f56f2ea4add5",
-    ("free_6x6", "swaps4"): "32848e7d2c971592d9b2841be774df49a28a5dc7a7ca7361a49046d68bcb3c15",
-    ("free_6x6", "trades+circle"): "667553158fe9b0a23f8786587b196080e00a1755a1466d98db78cfdffe6ddad6",
-    ("free_6x6", "trades+circle/mh-off"): "908801577ff15955de6bc939e299208c551ec0d7d8910f2d28114b9ba9fdbf3e",
-    ("free_6x6", "swaps46"): "f6e8a91293538678081a0fe94a640b95bd91dfc577835f7316d1f07565730b01",
-    ("free_6x6", "cycle:8"): "f50ff0c3af23104931df408e79d8cc0aba1b63423a395494982d57058a66dfe4",
-    ("readme_4x4", "trades"): "167641cae7bfe4244084ea97d1fd37c8b9e878f01208f36312c0b6125f002a05",
-    ("readme_4x4", "swaps4"): "761ea0f22cfa63533d570edc672c9e778b5935f726bb15a3e328a8b7d58d9283",
-    ("readme_4x4", "trades+circle"): "907b1896c885a1a4c5eda4bc0115c135e87e748b3230ac43052f4b439a996511",
-    ("readme_4x4", "trades+circle/mh-off"): "907b1896c885a1a4c5eda4bc0115c135e87e748b3230ac43052f4b439a996511",
-    ("readme_4x4", "swaps46"): "4b726eb771956cd2d1c83aa351182b39c1db01819abd053d59ffdb4a8e649be5",
-    ("readme_4x4", "cycle:8"): "01b1a5365a6464d8c2b4fceaf874f56ee61cfcce552a53665809c792733b428e",
-    ("circle_3x6", "trades"): "9ed032c15a4380cc403cf0310c0d8a027c8516d173d410e610425d1c78b1c8e8",
-    ("circle_3x6", "swaps4"): "9e685b11527cb2dba7998452daea931a8eeb14917de1b5c955cca34d68bcfdee",
-    ("circle_3x6", "trades+circle"): "465763e22fb7f094ba22f32fbfacf22322807ce19cbd3b920c3e0f922dd3d909",
-    ("circle_3x6", "trades+circle/mh-off"): "83a84d4ebab10739ec5893e7fedc1a5a357252cdec5e1b8c1cb80b22638f7608",
-    ("circle_3x6", "swaps46"): "2e1691606646124f512fa8d60ed3d09896ebcc8a80f6e940c0d8730fd1473c49",
-    ("circle_3x6", "cycle:8"): "b4b8c9f25b62809dbb65e9d9d486feafec9651c1256a4e1613e57d40fb472d99",
-}
-
-
 @pytest.mark.parametrize("instance, chain", sorted(GOLDEN_STREAMS))
 def test_seeded_key_streams_are_pinned(instance, chain):
-    inst = STREAM_INSTANCES[instance]()
-    move_set, mh = STREAM_CHAINS[chain]
-    h = hashlib.sha256()
-    for seed in (0, 7, 2024):
-        cfg = ChainConfig(move_set, steps=500, seed=seed, mh_correction=mh)
-        for key in bp.Chain(bp.initial_realization(inst), cfg).keys():
-            line = "|".join(",".join(map(str, cols(r))) for r in key)
-            h.update(f"{line}\n".encode())
-    assert h.hexdigest() == GOLDEN_STREAMS[(instance, chain)]
+    assert stream_digest(instance, chain) == GOLDEN_STREAMS[instance, chain]
 
 
 @pytest.mark.parametrize("name", sorted(STREAM_CHAINS))
@@ -492,23 +457,6 @@ def test_chain_keys_decode_to_the_realization_rows(name):
             g = chain.realization()
             assert tuple(frozenset(cols(r)) for r in key) == g.rows
             assert bp.state_key(g) == key
-
-
-def random_pinned_instance(rng, n, nc, density, n_pinned):
-    """A feasible instance: degrees and pin polarities from a random matrix."""
-    matrix = [[int(rng.random() < density) for _ in range(nc)] for _ in range(n)]
-    cells = rng.sample([(i, j) for i in range(n) for j in range(nc)], n_pinned)
-    return bp.Instance(
-        bp.DegreeSequence(
-            [sum(row) for row in matrix],
-            [sum(row[j] for row in matrix) for j in range(nc)],
-        ),
-        bp.FixedSet.from_cells(
-            n, nc,
-            forced_edges=[c for c in cells if matrix[c[0]][c[1]]],
-            forced_non_edges=[c for c in cells if not matrix[c[0]][c[1]]],
-        ),
-    )
 
 
 BLOCK_INSTANCES = {
@@ -696,6 +644,7 @@ def test_step_kernels_match_randrange_references():
             mixed_step(False), lambda g, r: _mixed_reference(g, r, False),
         ),
         "cycle:8": (cycle_step(8), lambda g, r: _cycle_reference(g, 8, r)),
+        "cycle:24": (cycle_step(24), lambda g, r: _cycle_reference(g, 24, r)),
     }
     outcomes = Counter()
     for inst in instances:

@@ -17,21 +17,15 @@ PUBLIC_NAMES = [
     "Instance", "InstanceMismatch", "MoveSet", "NoUsableBound",
     "NotRealizable", "PolarityConflict", "Realization", "StateGraph",
     "StaticSet", "TooLarge", "VerificationResult", "analysis", "analyze",
-    "build_state_graph", "chains", "check_connectivity",
-    "components_isomorphic", "core", "enumerate_realizations",
-    "gale_ryser_realizable", "has_cycle_of_length", "initial_realization",
-    "is_forest", "max_matching_at_least", "oracle", "partition_fixed_set",
-    "realizability", "run", "run_verification", "search_split_masks",
+    "build_state_graph", "chains", "check_connectivity", "core",
+    "enumerate_realizations", "gale_ryser_realizable", "has_cycle_of_length",
+    "initial_realization", "is_forest", "max_matching_at_least", "oracle",
+    "partition_fixed_set", "realizability", "run", "run_verification",
     "state_key", "static_set", "uniformity_report",
 ]
 
 # Public names that neither the package nor the benchmark reads.
-UNREFERENCED_PUBLIC_NAMES = {
-    # The paper's search for fixed sets that split the 4-swap graph into
-    # non-isomorphic components, kept as a research entry point; acceptance
-    # criterion 6 runs it.
-    "search_split_masks",
-}
+UNREFERENCED_PUBLIC_NAMES = set()
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -31,6 +31,111 @@ def split_instance():
     )
 
 
+def components_isomorphic(sg):
+    """True iff all components of the state graph are pairwise isomorphic
+    (adjacency and move labels preserved), by brute-force mapping with
+    degree-profile pruning."""
+    _, components = bp.check_connectivity(sg)
+    if len(components) > 16:
+        raise bp.TooLarge("too many components for isomorphism testing")
+    if len(components) <= 1:
+        return True
+    if max(len(c) for c in components) > 12:
+        raise bp.TooLarge("components too large for brute-force isomorphism")
+
+    def comp_graph(comp):
+        pos = {s: idx for idx, s in enumerate(comp)}
+        return [
+            sorted((pos[v], lab) for v, lab in sg.edges[s] if v in pos)
+            for s in comp
+        ]
+
+    def profile(adj, v):
+        return tuple(sorted(lab for _, lab in adj[v]))
+
+    def isomorphic(adj_a, adj_b):
+        if len(adj_a) != len(adj_b):
+            return False
+        prof_a = [profile(adj_a, v) for v in range(len(adj_a))]
+        prof_b = [profile(adj_b, v) for v in range(len(adj_b))]
+        if sorted(prof_a) != sorted(prof_b):
+            return False
+        size = len(adj_a)
+        mapping = [-1] * size
+        used = [False] * size
+
+        def place(v):
+            if v == size:
+                return True
+            for w in range(size):
+                if used[w] or prof_b[w] != prof_a[v]:
+                    continue
+                ok = True
+                for u in range(v):
+                    a_labels = sorted(lab for x, lab in adj_a[v] if x == u)
+                    b_labels = sorted(lab for x, lab in adj_b[w] if x == mapping[u])
+                    if a_labels != b_labels:
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                mapping[v] = w
+                used[w] = True
+                if place(v + 1):
+                    return True
+                mapping[v] = -1
+                used[w] = False
+            return False
+
+        return place(0)
+
+    graphs = [comp_graph(c) for c in components]
+    return all(isomorphic(graphs[0], g) for g in graphs[1:])
+
+
+def search_split_masks(row_degrees=(1, 1, 1, 1), col_degrees=(2, 1, 1)):
+    """Search every mask made of a 3-matching of forced non-edges plus one
+    extra forced non-edge cell; report each whose 4-swap state graph is
+    disconnected, with component count, pairwise isomorphism and
+    trade-plus-circle connectivity."""
+    degs = bp.DegreeSequence(row_degrees, col_degrees)
+    n, nc = degs.n, degs.n_cols
+    all_cells = [(i, j) for i in range(n) for j in range(nc)]
+    records = []
+    seen = set()
+    for rows3 in itertools.combinations(range(n), 3):
+        for cols3 in itertools.permutations(range(nc), 3):
+            matching = list(zip(rows3, cols3))
+            for extra in all_cells:
+                if extra in matching:
+                    continue
+                cells = frozenset(matching + [extra])
+                if cells in seen:
+                    continue
+                seen.add(cells)
+                inst = bp.Instance(
+                    degs, bp.FixedSet.from_cells(n, nc, forced_non_edges=cells)
+                )
+                states = bp.enumerate_realizations(inst)
+                if len(states) < 2:
+                    continue
+                sg4 = bp.build_state_graph(states, MoveSet.swaps4())
+                connected, comps = bp.check_connectivity(sg4)
+                if connected:
+                    continue
+                circle = bp.build_state_graph(states, MoveSet.trades_plus_circle())
+                records.append(
+                    {
+                        "cells": tuple(sorted(cells)),
+                        "n_states": len(states),
+                        "n_components": len(comps),
+                        "isomorphic": components_isomorphic(sg4),
+                        "circle_connected": bp.check_connectivity(circle)[0],
+                    }
+                )
+    return records
+
+
 def test_enumerate_counts():
     assert len(bp.enumerate_realizations(bp.Instance.unconstrained((1, 1), (1, 1)))) == 2
     assert len(bp.enumerate_realizations(bp.Instance.unconstrained((1, 1, 1), (1, 1, 1)))) == 6
@@ -105,7 +210,7 @@ def test_split_instance_components():
     sg4 = bp.build_state_graph(states, MoveSet.swaps4())
     connected, comps = bp.check_connectivity(sg4)
     assert not connected and len(comps) == 2
-    assert not bp.components_isomorphic(sg4)
+    assert not components_isomorphic(sg4)
     sgc = bp.build_state_graph(states, MoveSet.trades_plus_circle())
     connected, _ = bp.check_connectivity(sgc)
     assert connected
@@ -179,7 +284,7 @@ def test_check_static_set_examples():
 def test_components_isomorphic_connected_graph():
     inst = bp.Instance.unconstrained((1, 1), (1, 1))
     sg = bp.build_state_graph(bp.enumerate_realizations(inst), MoveSet.swaps4())
-    assert bp.components_isomorphic(sg)  # vacuous on one component
+    assert components_isomorphic(sg)  # vacuous on one component
 
 
 def test_run_verification_trivial_grid():
@@ -196,7 +301,7 @@ def test_components_isomorphic_pinned_diagonal():
     sg = bp.build_state_graph(bp.enumerate_realizations(inst), MoveSet.swaps4())
     _, comps = bp.check_connectivity(sg)
     assert len(comps) == 2
-    assert bp.components_isomorphic(sg)
+    assert components_isomorphic(sg)
 
 
 def test_uniformity_unique_realization():
@@ -214,7 +319,7 @@ def test_uniformity_two_state_trades():
 
 
 def test_search_split_masks_finds_frozen_witness():
-    records = bp.search_split_masks()
+    records = search_split_masks()
     assert records
     by_cells = {r["cells"]: r for r in records}
     witness = by_cells[SPLIT_MASK_CELLS]
