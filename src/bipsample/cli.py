@@ -197,14 +197,23 @@ def format_realization(g: Realization) -> str:
     return "\n".join("".join(str(v) for v in row) for row in g.matrix) + "\n"
 
 
+# The chain names ``--chain`` reads besides auto and cycle:L.  The first
+# name of a move set is the one ``analyze`` and ``sample`` print; a later
+# one is an alias.
+_CHAIN_NAMES = {
+    "swap": MoveSet.swaps4(),
+    "trades": MoveSet.trades(),
+    "trades+circle": MoveSet.trades_plus_circle(),
+    "curveball": MoveSet.trades(),
+    "circle": MoveSet.trades_plus_circle(),
+}
+
+
 def _chain_label(move_set: MoveSet) -> str:
-    if move_set.kind == MoveSet.TRADES:
-        return "trades"
-    if move_set.kind == MoveSet.TRADES_PLUS_CIRCLE:
-        return "trades+circle"
-    if move_set.kind == MoveSet.SWAPS4:
-        return "swap"
-    return f"cycle:{move_set.limit}"
+    return next(
+        (name for name, named in _CHAIN_NAMES.items() if named == move_set),
+        f"cycle:{move_set.limit}",
+    )
 
 
 def _pipeline(inst: Instance, reduce_static: bool, g: Realization | None = None):
@@ -375,17 +384,18 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.max_rows * args.max_cols > oracle.ENUMERATION_CELL_LIMIT:
-        print("too large: max-rows * max-cols must be <= 36", file=sys.stderr)
+    try:
+        result = oracle.run_verification(
+            max_rows=args.max_rows,
+            max_cols=args.max_cols,
+            random_count=args.random,
+            seed=args.seed,
+            emit=None if args.json else print,
+            quiet=args.quiet or args.json,
+        )
+    except TooLarge as exc:
+        print(f"too large: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    result = oracle.run_verification(
-        max_rows=args.max_rows,
-        max_cols=args.max_cols,
-        random_count=args.random,
-        seed=args.seed,
-        emit=None if args.json else print,
-        quiet=args.quiet or args.json,
-    )
     if args.json:
         import json  # here, not at the top: every command's start pays for it
 
@@ -442,19 +452,13 @@ def _non_negative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
-_NAMED_CHAINS = {
-    "auto": None,
-    "swap": MoveSet.swaps4(),
-    "curveball": MoveSet.trades(),
-    "circle": MoveSet.trades_plus_circle(),
-}
-
-
 def _chain_spec(text: str) -> MoveSet | None:
     """The move set a ``--chain`` spec names; None for ``auto``, which
     ``cmd_sample`` resolves from the instance."""
-    if text in _NAMED_CHAINS:
-        return _NAMED_CHAINS[text]
+    if text == "auto":
+        return None
+    if text in _CHAIN_NAMES:
+        return _CHAIN_NAMES[text]
     if text.startswith("cycle:"):
         digits = text[len("cycle:"):]
         # ASCII digits only: int() would also take "1_0", " 8", "+8" and "８".
@@ -465,7 +469,8 @@ def _chain_spec(text: str) -> MoveSet | None:
             raise argparse.ArgumentTypeError("cycle:L needs an even L >= 4")
         return MoveSet.swaps_up_to(limit)
     raise argparse.ArgumentTypeError(
-        "chain must be auto, swap, curveball, circle or cycle:L"
+        "chain must be auto, swap, trades, trades+circle, curveball, circle "
+        "or cycle:L"
     )
 
 

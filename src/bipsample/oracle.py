@@ -4,10 +4,12 @@ and the verification driver that sweeps an instance pool and machine-checks
 every connectivity, distance, reversibility and static-set claim that
 applies to it.
 
-The verification sweep keeps every state as one int (layout below); its
-trade and circle ledgers read and rotate the rows as bit fields of that
-int, and it names each instance by its fixed cells (the support) and
-their values (the pattern) as two masks in the same layout."""
+Every state is one int (layout below); the trade and circle ledgers read
+and rotate its rows as bit fields.  Cell sets are masks in that layout:
+an instance's support marks its fixed cells and its pattern which of them
+are edges, and the two pin the enumeration and name each pool instance.
+A degree sequence's static edges and non-edges are two masks as well, and
+a state graph lists each state's neighbours by index."""
 
 from __future__ import annotations
 
@@ -71,27 +73,34 @@ def _bits_to_matrix(bits: int, n: int, nc: int) -> list[list[int]]:
 
 
 def _matrix_to_bits(matrix, n: int, nc: int) -> int:
-    bits = 0
-    for i in range(n):
-        for j in range(nc):
-            if matrix[i][j]:
-                bits |= _bit(i, j, n, nc)
-    return bits
+    return _cells_mask(
+        ((i, j) for i in range(n) for j in range(nc) if matrix[i][j]), n, nc
+    )
 
 
 def _enumerate_bits(
     a: tuple[int, ...],
     b: tuple[int, ...],
-    forced: tuple[frozenset[int], ...] | None = None,
-    banned: tuple[frozenset[int], ...] | None = None,
+    sup: int = 0,
+    pattern: int = 0,
     cap: int | None = None,
 ) -> list[int] | None:
-    """All realizations as bit ints, sorted; None if ``cap`` is exceeded."""
+    """All realizations as bit ints that carry ``pattern`` on the support
+    mask ``sup``, sorted; None if ``cap`` is exceeded."""
     n, nc = len(a), len(b)
     if sum(a) != sum(b):
         return []
-    forced = forced or tuple(frozenset() for _ in range(n))
-    banned = banned or tuple(frozenset() for _ in range(n))
+    forced = [[] for _ in range(n)]  # each row's columns pinned to 1
+    fixed = [set() for _ in range(n)]  # each row's pinned columns
+    rest = sup
+    while rest:
+        low = rest & -rest
+        i, j = divmod(n * nc - low.bit_length(), nc)
+        fixed[i].add(j)
+        if pattern & low:
+            forced[i].append(j)
+        rest ^= low
+    pinned = [pattern & ((1 << nc) - 1) << (n - 1 - i) * nc for i in range(n)]
     colrem = list(b)
     out: list[int] = []
 
@@ -110,13 +119,8 @@ def _enumerate_bits(
                 return True
         for j in forced[i]:
             colrem[j] -= 1
-        bits = acc
-        for j in forced[i]:
-            bits |= _bit(i, j, n, nc)
-        free_cols = [
-            j for j in range(nc)
-            if colrem[j] > 0 and j not in forced[i] and j not in banned[i]
-        ]
+        bits = acc | pinned[i]
+        free_cols = [j for j in range(nc) if colrem[j] > 0 and j not in fixed[i]]
         ok = True
         if need <= len(free_cols):
             rows_left = n - i - 1
@@ -294,12 +298,12 @@ def _within_distance_bound(ctx, states_idx, adj) -> bool:
 class StateGraph:
     """All realizations of an instance with one-move adjacency.
 
-    ``edges[s]`` lists (neighbor index, move label); every edge appears in
-    both directions.
+    ``edges[s]`` holds the indices of the states one move of ``move_set``
+    from state s, ascending; every edge appears in both directions.
     """
 
     states: tuple[Realization, ...]
-    edges: tuple[tuple[tuple[int, str], ...], ...]
+    edges: tuple[tuple[int, ...], ...]
     move_set: MoveSet
 
 
@@ -309,16 +313,10 @@ def enumerate_realizations(inst: Instance) -> list[Realization]:
     n, nc = inst.n, inst.n_cols
     if n * nc > ENUMERATION_CELL_LIMIT:
         raise TooLarge(f"{n}x{nc} grid exceeds the enumeration guard")
-    forced = tuple(
-        frozenset(j for j in range(nc) if inst.fixed.mask[i][j] == FORCED_EDGE)
-        for i in range(n)
-    )
-    banned = tuple(
-        frozenset(j for j in range(nc) if inst.fixed.mask[i][j] == FORCED_NON_EDGE)
-        for i in range(n)
-    )
     bits = _enumerate_bits(
-        inst.degrees.row_degrees, inst.degrees.col_degrees, forced, banned
+        inst.degrees.row_degrees, inst.degrees.col_degrees,
+        _cells_mask(inst.fixed.cells, n, nc),
+        _cells_mask(inst.fixed.forced_edges, n, nc),
     )
     return [
         Realization(inst, _bits_to_matrix(x, n, nc), validate=False) for x in bits
@@ -335,36 +333,17 @@ def _ctx_of(states: list[Realization]) -> _SeqCtx:
     )
 
 
-def _state_graph(ctx, states, move_set: MoveSet) -> StateGraph:
-    """The state graph of ``states`` (the states of ``ctx``, in its order);
-    each edge is labelled by the kind of move its pair class shows."""
-    swaps = move_set.kind not in (MoveSet.TRADES, MoveSet.TRADES_PLUS_CIRCLE)
-
-    def label(s, t):
-        info = ctx.pair(s, t)
-        if swaps:
-            return f"{info.cycle_len}-swap"
-        return "trade" if len(info.changed_rows) == 2 else "circle-trade"
-
-    adj = _adjacency(ctx, range(len(states)), move_set)
-    edges = tuple(
-        tuple((t, label(s, t)) for t in nbrs) for s, nbrs in enumerate(adj)
-    )
-    return StateGraph(tuple(states), edges, move_set)
-
-
 def build_state_graph(states: list[Realization], move_set: MoveSet) -> StateGraph:
     """Connect states that are one move apart under ``move_set``."""
     if not states:
         return StateGraph((), (), move_set)
-    return _state_graph(_ctx_of(states), states, move_set)
+    adj = _adjacency(_ctx_of(states), range(len(states)), move_set)
+    return StateGraph(tuple(states), tuple(map(tuple, adj)), move_set)
 
 
 def check_connectivity(sg: StateGraph) -> tuple[bool, list[list[int]]]:
     """Component decomposition of the state graph."""
-    comps = _components_from(
-        range(len(sg.states)), [[t for t, _ in edges] for edges in sg.edges]
-    )
+    comps = _components_from(range(len(sg.states)), sg.edges)
     return len(comps) <= 1, [list(c) for c in comps]
 
 
@@ -755,25 +734,6 @@ def _circle_ledgers(ctx, states_idx, fixed):
     return corrected, uncorrected
 
 
-def _static_ground_truth(bits, n, nc):
-    full = (1 << (n * nc)) - 1
-    and_all = full
-    or_all = 0
-    for x in bits:
-        and_all &= x
-        or_all |= x
-    ones = set()
-    zeros = set()
-    for i in range(n):
-        for j in range(nc):
-            bit = _bit(i, j, n, nc)
-            if and_all & bit:
-                ones.add((i, j))
-            if not (or_all & bit):
-                zeros.add((i, j))
-    return frozenset(ones), frozenset(zeros)
-
-
 def _digest(n, nc, a, b, sup=None, pattern=None):
     """The text that names an instance in check lines: its shape and
     degrees, plus the mask rows when the support and pattern masks are
@@ -846,16 +806,23 @@ class _Reporter:
 
 def _check_sequence(rep, n, nc, a, b, free_bits):
     """Check a degree sequence's static set against the ground truth of its
-    realizations ``free_bits`` and, built from one of them, against the
-    per-cell Gale-Ryser reference; return its static edges and non-edges
-    as two masks."""
+    realizations ``free_bits`` (a non-empty list) and, built from one of
+    them, against the per-cell Gale-Ryser reference; return its static
+    edges and non-edges as two masks.  The static edges are the cells every
+    realization sets (their AND), the static non-edges the cells none sets
+    (the complement of their OR)."""
     where = (n, nc, a, b)
     seq = DegreeSequence(a, b)
     ss = static_set(seq)
+    edges = _cells_mask(ss.forced_edges, n, nc)
+    non_edges = _cells_mask(ss.forced_non_edges, n, nc)
+    every, some = -1, 0
+    for x in free_bits:
+        every &= x
+        some |= x
     rep.record(
         "static-cells-exact", where,
-        (ss.forced_edges, ss.forced_non_edges)
-        == _static_ground_truth(free_bits, n, nc),
+        edges == every and non_edges == ~some & ((1 << n * nc) - 1),
     )
     g0 = Realization(
         Instance.unconstrained(a, b),
@@ -867,8 +834,7 @@ def _check_sequence(rep, n, nc, a, b, free_bits):
         "static-cells-pruned", where,
         static_set(seq, g0) == _static_set_reference(seq),
     )
-    return (_cells_mask(ss.forced_edges, n, nc),
-            _cells_mask(ss.forced_non_edges, n, nc))
+    return edges, non_edges
 
 
 def _check_instance_pool(ctx, states_idx, sup, pattern, fixed, props, rep,
@@ -940,10 +906,11 @@ def _sorted_sequences(n, nc):
 
 
 def _random_instances(rng, max_rows, max_cols, count, with_8_cycles):
-    """Seeded random instances; masks take their polarity from a generating
-    matrix so every instance is feasible.  Generic instances keep the fixed
-    cells free of 3-matchings; the 8-cycle batch deliberately embeds an
-    8-cycle (if the grid allows) to exercise the bounded-swap hypothesis."""
+    """Seeded random instances, as (n, nc, a, b, sup, pattern, states);
+    patterns are read off a generating matrix so every instance is
+    feasible.  Generic instances keep the fixed cells free of 3-matchings;
+    the 8-cycle batch deliberately embeds an 8-cycle (if the grid allows)
+    to exercise the bounded-swap hypothesis."""
     if max_rows < 2 or max_cols < 2:
         return
     made = 0
@@ -980,18 +947,12 @@ def _random_instances(rng, max_rows, max_cols, count, with_8_cycles):
                 fg = FGraph.from_cells(n, nc, support)
                 if max_matching_at_least(fg, 3):
                     continue
-            forced_e = frozenset(c for c in support if matrix[c[0]][c[1]])
-            forced_n = frozenset(c for c in support if not matrix[c[0]][c[1]])
-            forced = tuple(
-                frozenset(j for i2, j in forced_e if i2 == i) for i in range(n)
-            )
-            banned = tuple(
-                frozenset(j for i2, j in forced_n if i2 == i) for i in range(n)
-            )
-            bits = _enumerate_bits(a, b, forced, banned, cap=300)
+            sup = _cells_mask(support, n, nc)
+            pattern = sup & _matrix_to_bits(matrix, n, nc)
+            bits = _enumerate_bits(a, b, sup, pattern, cap=300)
             if bits is None or len(bits) < 2:
                 continue
-            yield n, nc, a, b, forced_e, forced_n, bits
+            yield n, nc, a, b, sup, pattern, bits
             made += 1
             break
         else:
@@ -1015,7 +976,10 @@ def run_verification(
     embedded 8-cycles when the grid allows.
     """
     if max_rows * max_cols > ENUMERATION_CELL_LIMIT:
-        raise TooLarge("verification pool exceeds the enumeration guard")
+        raise TooLarge(
+            f"a {max_rows}x{max_cols} pool exceeds the enumeration guard of "
+            f"{ENUMERATION_CELL_LIMIT} cells"
+        )
     t0 = time.perf_counter()
     result = VerificationResult()
     rep = _Reporter(emit, quiet, result)
@@ -1053,11 +1017,10 @@ def run_verification(
     if max_rows >= 4 and max_cols >= 4:
         batches.append((max(random_count // 12, 0), True))
     for count, with8 in batches:
-        for n, nc, a, b, forced_e, forced_n, bits in _random_instances(
+        for n, nc, a, b, sup, pattern, bits in _random_instances(
             rng, max_rows, max_cols, count, with8
         ):
             ctx = _SeqCtx(n, nc, a, b, bits)
-            sup = _cells_mask(forced_e | forced_n, n, nc)
             props = _support_props(n, nc, sup, prop_cache)
             free_bits = _enumerate_bits(a, b, cap=20000)
             static = None
@@ -1068,8 +1031,8 @@ def run_verification(
                         rep, n, nc, a, b, free_bits
                     )
             _check_instance_pool(
-                ctx, list(range(len(bits))), sup, _cells_mask(forced_e, n, nc),
-                ctx.fields(sup), props, rep, free_bits, static,
+                ctx, list(range(len(bits))), sup, pattern, ctx.fields(sup),
+                props, rep, free_bits, static,
             )
 
     result.elapsed = time.perf_counter() - t0

@@ -378,7 +378,7 @@ def test_bounded_cycle_proposals_match_state_graph_edges():
     step = cycle_step(limit)
     for s, g in enumerate(states):
         reachable = {step(g, rng) for _ in range(4000)} - {g.rows}
-        neighbors = {states[t].rows for t, _ in sg.edges[s]}
+        neighbors = {states[t].rows for t in sg.edges[s]}
         assert reachable == neighbors
 
 

@@ -231,6 +231,77 @@ def test_analyze_verdicts_recorded_by_the_benchmark(capsys):
     assert with_static == 36
 
 
+def recommended_chain(analyze_stdout):
+    """The chain an ``analyze`` output recommends, or None without a
+    recommendation or with a fallback one."""
+    for line in analyze_stdout.splitlines():
+        if line.startswith("recommended: ") and "(fallback" not in line:
+            return line[len("recommended: "):]
+    return None
+
+
+def sample_output(capsys, path, chain):
+    """(exit code, stdout, stderr) of a short ``sample`` run."""
+    code = cli.main(["sample", path, "--chain", chain, "--steps", "30",
+                     "--seed", "4"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_sample_takes_the_chain_analyze_recommends(capsys):
+    # every name analyze prints as its recommendation is a --chain name that
+    # runs the chain --chain auto picks
+    chains_seen = set()
+    for name in sorted(os.listdir(os.path.join(BENCH_DIR, "instances"))):
+        if not name.endswith(".txt"):
+            continue
+        path = os.path.join(BENCH_DIR, "instances", name)
+        cli.main(["analyze", path])
+        chain = recommended_chain(capsys.readouterr().out)
+        if chain is None:
+            continue
+        auto = sample_output(capsys, path, "auto")
+        assert auto[0] == 0, name
+        assert sample_output(capsys, path, chain) == auto, name
+        chains_seen.add(chain)
+    assert {"trades", "trades+circle"} < chains_seen
+
+
+def test_chain_aliases_name_the_printed_chains(tmp_path, capsys):
+    path = write(tmp_path, "a.txt", FOREST_3MATCH)
+    for alias, name in (("curveball", "trades"), ("circle", "trades+circle")):
+        assert sample_output(capsys, path, alias) == sample_output(capsys, path, name)
+
+
+def readme_blocks():
+    """(instance file text, commented ``analyze`` output lines) from the
+    README: the instance-file block and the lines after ``bipsample analyze
+    inst.txt`` in the CLI block."""
+    with open(os.path.join(os.path.dirname(BENCH_DIR), "README.md"),
+              encoding="utf-8") as fh:
+        text = fh.read()
+    instance = text.split("## Instance files\n\n```\n", 1)[1].split("```", 1)[0]
+    cli_block = text.split("bipsample analyze inst.txt\n", 1)[1]
+    output = []
+    for line in cli_block.splitlines():
+        if not line.startswith("# "):
+            break
+        output.append(line[len("# "):])
+    return instance, output
+
+
+def test_readme_analyze_example_is_current(tmp_path, capsys):
+    instance, output = readme_blocks()
+    path = write(tmp_path, "inst.txt", instance)
+    assert cli.main(["analyze", path]) == 0
+    assert capsys.readouterr().out.splitlines() == output
+    chain = recommended_chain("\n".join(output))
+    assert chain is not None
+    code, out, err = sample_output(capsys, path, chain)
+    assert code == 0
+    assert err == f"chain: {chain}\n"
+
+
 def test_analyze_parse_error_exit(tmp_path, capsys):
     path = write(tmp_path, "e.txt", "rows: nope\n")
     assert cli.main(["analyze", path]) == 1
@@ -457,6 +528,9 @@ def test_verify_counts_do_not_depend_on_asserts():
 
 def test_verify_guard(capsys):
     assert cli.main(["verify", "--max-rows", "7", "--max-cols", "6"]) == 4
+    assert capsys.readouterr().err == (
+        "too large: a 7x6 pool exceeds the enumeration guard of 36 cells\n"
+    )
 
 
 def test_usage_error_exit_code(capsys):

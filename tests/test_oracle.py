@@ -1,8 +1,10 @@
 """Enumeration, state graphs, exact checks and the verification driver."""
 
+import functools
 import hashlib
 import itertools
 import json
+import operator
 import os
 import random
 import re
@@ -31,9 +33,25 @@ def split_instance():
     )
 
 
+def coloured_edges(sg):
+    """Each state's edges as (neighbour, colour) pairs, the colour being the
+    kind of move the pair class shows: the cycle length of a swap, or a
+    trade against a circle trade."""
+    ctx = oracle._ctx_of(list(sg.states))
+    swaps = bool(sg.move_set.swap_lengths())
+
+    def colour(s, t):
+        info = ctx.pair(s, t)
+        if swaps:
+            return f"{info.cycle_len}-swap"
+        return "trade" if len(info.changed_rows) == 2 else "circle-trade"
+
+    return [[(t, colour(s, t)) for t in nbrs] for s, nbrs in enumerate(sg.edges)]
+
+
 def components_isomorphic(sg):
     """True iff all components of the state graph are pairwise isomorphic
-    (adjacency and move labels preserved), by brute-force mapping with
+    (adjacency and move colours preserved), by brute-force mapping with
     degree-profile pruning."""
     _, components = bp.check_connectivity(sg)
     if len(components) > 16:
@@ -43,10 +61,12 @@ def components_isomorphic(sg):
     if max(len(c) for c in components) > 12:
         raise bp.TooLarge("components too large for brute-force isomorphism")
 
+    edges = coloured_edges(sg)
+
     def comp_graph(comp):
         pos = {s: idx for idx, s in enumerate(comp)}
         return [
-            sorted((pos[v], lab) for v, lab in sg.edges[s] if v in pos)
+            sorted((pos[v], lab) for v, lab in edges[s] if v in pos)
             for s in comp
         ]
 
@@ -148,6 +168,50 @@ def test_enumerate_respects_guard():
         bp.enumerate_realizations(bp.Instance.unconstrained((1,) * 7, (1,) * 6 + (0,)))
 
 
+def small_supports(n, nc):
+    """Every support mask of at most 4 cells on an n x nc grid, in the order
+    of the sweep's exhaustive half."""
+    cells = [(i, j) for i in range(n) for j in range(nc)]
+    return [
+        oracle._cells_mask(sup, n, nc)
+        for size in range(min(4, len(cells)) + 1)
+        for sup in itertools.combinations(cells, size)
+    ]
+
+
+def test_pinned_enumeration_is_the_bucket():
+    # on every grid up to 3x3, for every sequence of the exhaustive half,
+    # every support of at most 4 cells and every pattern on it, realizable
+    # or not, the enumeration the two masks pin is the exhaustive half's
+    # bucket; for a pool instance (a bucket with states) so is that of the
+    # instance the masks name
+    pools = empty = 0
+    for n in range(1, 4):
+        for nc in range(1, 4):
+            for a, b in oracle._sorted_sequences(n, nc):
+                free = oracle._enumerate_bits(a, b)
+                for sup in small_supports(n, nc):
+                    buckets = {}
+                    for x in free:
+                        buckets.setdefault(x & sup, []).append(x)
+                    pattern = sup
+                    while True:
+                        bucket = buckets.get(pattern, [])
+                        assert oracle._enumerate_bits(a, b, sup, pattern) == bucket
+                        pools += 1
+                        empty += not bucket
+                        if bucket:
+                            inst = oracle._make_instance(n, nc, a, b, sup, pattern)
+                            assert [
+                                oracle._matrix_to_bits(g.matrix, n, nc)
+                                for g in bp.enumerate_realizations(inst)
+                            ] == bucket
+                        if not pattern:
+                            break
+                        pattern = (pattern - 1) & sup
+    assert pools > 150000 and pools - empty > 17000
+
+
 def test_enumeration_is_canonically_ordered():
     states = bp.enumerate_realizations(bp.Instance.unconstrained((1, 1, 1), (1, 1, 1)))
     keys = ["".join(str(v) for row in g.matrix for v in row) for g in states]
@@ -175,7 +239,8 @@ def test_state_graph_excludes_long_cycles():
     assert len(states) == 2
     assert bp.build_state_graph(states, MoveSet.swaps4()).edges == ((), ())
     sg46 = bp.build_state_graph(states, MoveSet.swaps_up_to(6))
-    assert sg46.edges[0] == ((1, "6-swap"),)
+    assert sg46.edges == ((1,), (0,))
+    assert coloured_edges(sg46)[0] == [(1, "6-swap")]
 
 
 def test_trade_edges_contain_swap_edges():
@@ -193,9 +258,7 @@ def test_trade_edges_contain_swap_edges():
         sg4 = bp.build_state_graph(states, MoveSet.swaps4())
         sgt = bp.build_state_graph(states, MoveSet.trades())
         for s in range(len(states)):
-            swap_nbrs = {t for t, _ in sg4.edges[s]}
-            trade_nbrs = {t for t, _ in sgt.edges[s]}
-            assert swap_nbrs <= trade_nbrs
+            assert set(sg4.edges[s]) <= set(sgt.edges[s])
 
 
 def test_connectivity_single_state():
@@ -274,11 +337,13 @@ def test_distance_bound_forest_masks_under_swaps46():
 
 def test_check_static_set_examples():
     for a, b in (((3,), (1, 1, 1)), ((1,), (1, 0)), ((2, 1), (2, 1))):
+        n, nc = len(a), len(b)
         ss = bp.static_set(bp.DegreeSequence(a, b))
-        truth = oracle._static_ground_truth(
-            oracle._enumerate_bits(a, b), len(a), len(b)
-        )
-        assert (ss.forced_edges, ss.forced_non_edges) == truth
+        bits = oracle._enumerate_bits(a, b)
+        every = functools.reduce(operator.and_, bits)
+        none = ~functools.reduce(operator.or_, bits) & ((1 << n * nc) - 1)
+        assert oracle._cells_mask(ss.forced_edges, n, nc) == every
+        assert oracle._cells_mask(ss.forced_non_edges, n, nc) == none
 
 
 def test_components_isomorphic_connected_graph():
@@ -429,8 +494,8 @@ def test_state_graph_moves_respect_masks():
     inst = split_instance()
     states = bp.enumerate_realizations(inst)
     sg = bp.build_state_graph(states, MoveSet.trades_plus_circle())
-    for s in range(len(states)):
-        for t, label in sg.edges[s]:
+    for s, edges in enumerate(coloured_edges(sg)):
+        for t, label in edges:
             diff_rows = {
                 i
                 for i in range(inst.n)
@@ -679,50 +744,45 @@ def _flat(counters):
 
 
 def _ledger_state_sets():
-    """(ctx, state indices, support cells): every pattern of every support
+    """(ctx, state indices, support mask): every pattern of every support
     of at most 4 cells of every sequence on grids up to 3x3, then 50 seeded
     random instances up to 4x5 and 20 seeded five-row instances of at most
     60 states (five rows hold rotation classes whose rows are not adjacent,
     as the sweep's random pools do)."""
     for n in range(1, 4):
         for nc in range(1, 4):
-            cells = [(i, j) for i in range(n) for j in range(nc)]
-            supports = [
-                sup for size in range(min(4, len(cells)) + 1)
-                for sup in itertools.combinations(cells, size)
-            ]
             for a, b in oracle._sorted_sequences(n, nc):
                 bits = oracle._enumerate_bits(a, b)
                 if not bits:
                     continue
                 ctx = oracle._SeqCtx(n, nc, a, b, bits)
-                for sup in supports:
-                    sup_mask = oracle._cells_mask(sup, n, nc)
+                for sup in small_supports(n, nc):
                     buckets = {}
                     for s, x in enumerate(bits):
-                        buckets.setdefault(x & sup_mask, []).append(s)
+                        buckets.setdefault(x & sup, []).append(s)
                     for states_idx in buckets.values():
-                        yield ctx, states_idx, frozenset(sup)
+                        yield ctx, states_idx, sup
     rng = random.Random(20240801)
     pools = oracle._random_instances(rng, 4, 5, 60, False)
-    for n, nc, a, b, forced_e, forced_n, bits in itertools.islice(pools, 50):
+    for n, nc, a, b, sup, _, bits in itertools.islice(pools, 50):
         ctx = oracle._SeqCtx(n, nc, a, b, bits)
-        yield ctx, list(range(len(bits))), forced_e | forced_n
+        yield ctx, list(range(len(bits))), sup
     pools = oracle._random_instances(random.Random(5), 5, 5, 400, False)
     five_rows = (p for p in pools if p[0] == 5 and len(p[-1]) <= 60)
-    for n, nc, a, b, forced_e, forced_n, bits in itertools.islice(five_rows, 20):
+    for n, nc, a, b, sup, _, bits in itertools.islice(five_rows, 20):
         ctx = oracle._SeqCtx(n, nc, a, b, bits)
-        yield ctx, list(range(len(bits))), forced_e | forced_n
+        yield ctx, list(range(len(bits))), sup
 
 
 def test_row_field_ledgers_match_the_column_set_ledgers():
     checked = routes = asymmetric = 0
-    for ctx, states_idx, support in _ledger_state_sets():
+    for ctx, states_idx, sup in _ledger_state_sets():
         n, nc = ctx.n, ctx.nc
         fixed_rows = tuple(
-            frozenset(j for j in range(nc) if (i, j) in support) for i in range(n)
+            frozenset(j for j in range(nc) if sup & oracle._bit(i, j, n, nc))
+            for i in range(n)
         )
-        fixed = ctx.fields(oracle._cells_mask(support, n, nc))
+        fixed = ctx.fields(sup)
         trades = oracle._trade_ledger(ctx, states_idx, fixed)
         assert trades == reference_trade_ledger(ctx, states_idx, fixed_rows)
         corrected, uncorrected = oracle._circle_ledgers(ctx, states_idx, fixed)
