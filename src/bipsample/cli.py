@@ -193,8 +193,12 @@ def parse_realization(text: str, inst: Instance) -> Realization:
     return Realization(inst, matrix)
 
 
+# Maps the cell values 0 and 1, as bytes, to the digits "0" and "1".
+_CELL_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def format_realization(g: Realization) -> str:
-    return "\n".join("".join(str(v) for v in row) for row in g.matrix) + "\n"
+    return b"\n".join(map(bytes, g.matrix)).translate(_CELL_DIGITS).decode() + "\n"
 
 
 # The chain names ``--chain`` reads besides auto and cycle:L.  The first
@@ -207,6 +211,8 @@ _CHAIN_NAMES = {
     "curveball": MoveSet.trades(),
     "circle": MoveSet.trades_plus_circle(),
 }
+# Every spec ``--chain`` takes, as its help and its usage error name them.
+_CHAIN_SPECS = ", ".join(("auto", *_CHAIN_NAMES)) + " or cycle:L"
 
 
 def _chain_label(move_set: MoveSet) -> str:
@@ -468,10 +474,7 @@ def _chain_spec(text: str) -> MoveSet | None:
         if limit % 2 or limit < 4:
             raise argparse.ArgumentTypeError("cycle:L needs an even L >= 4")
         return MoveSet.swaps_up_to(limit)
-    raise argparse.ArgumentTypeError(
-        "chain must be auto, swap, trades, trades+circle, curveball, circle "
-        "or cycle:L"
-    )
+    raise argparse.ArgumentTypeError(f"chain must be {_CHAIN_SPECS}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -490,14 +493,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw samples with a Markov chain")
     p.add_argument("path")
-    p.add_argument("--chain", type=_chain_spec, default="auto")
-    p.add_argument("--steps", type=_positive_int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=_positive_int, default=1)
-    p.add_argument("--gap", type=_positive_int, default=1)
-    p.add_argument("--mh", choices=("on", "off"), default="on")
+    p.add_argument("--chain", type=_chain_spec, default="auto",
+                   help=f"the chain: {_CHAIN_SPECS} (cycle swaps of length "
+                   "at most L); auto takes the one analyze recommends "
+                   "(default: auto)")
+    p.add_argument("--steps", type=_positive_int, default=10000,
+                   help="chain steps per sample (default: 10000)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the first sample; sample c uses seed + c "
+                   "(default: 0)")
+    p.add_argument("--count", type=_positive_int, default=1,
+                   help="number of samples, each from its own chain (default: 1)")
+    p.add_argument("--gap", type=_positive_int, default=1,
+                   help="write the state at the last multiple of GAP steps "
+                   "(default: 1)")
+    p.add_argument("--mh", choices=("on", "off"), default="on",
+                   help="Metropolis correction of circle trades (default: on)")
     p.add_argument("--out", help="write samples to this directory instead of stdout")
-    p.add_argument("--no-reduce", action="store_true")
+    p.add_argument("--no-reduce", action="store_true",
+                   help="skip the static-cell reduction when --chain is auto")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("enumerate", help="count (and list) all realizations")
@@ -506,10 +520,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run the brute-force verification suite")
-    p.add_argument("--max-rows", type=_positive_int, default=5)
-    p.add_argument("--max-cols", type=_positive_int, default=5)
-    p.add_argument("--random", type=_non_negative_int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-rows", type=_positive_int, default=5,
+                   help="rows of the largest pool grid; the exhaustive part "
+                   "stops at 3 (default: 5)")
+    p.add_argument("--max-cols", type=_positive_int, default=5,
+                   help="columns of the largest pool grid; the exhaustive part "
+                   "stops at 4 (default: 5)")
+    p.add_argument("--random", type=_non_negative_int, default=200,
+                   help="random instances to draw for the pool (default: 200)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the random instances (default: 0)")
     p.add_argument("--quiet", action="store_true",
                    help="only print failures and the summary")
     p.add_argument("--json", action="store_true",
@@ -518,10 +538,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first ``main`` call, not at import, and kept for the life of
+# the process: building it costs more than parsing a small command.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     if args.command == "sample" and args.gap > args.steps:

@@ -4,12 +4,19 @@ and the move-set vocabulary."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 # Cell states of a FixedSet mask.
 FREE = 0
 FORCED_EDGE = 1
 FORCED_NON_EDGE = 2
+
+
+# A realization's cell values, and the (mask value, cell value) pairs that
+# break a fixed cell.
+_BITS = frozenset({0, 1})
+_FIXED_FAULTS = frozenset({(FORCED_EDGE, 0), (FORCED_NON_EDGE, 1)})
 
 
 class InstanceMismatch(ValueError):
@@ -200,38 +207,44 @@ class Realization:
     __slots__ = ("instance", "matrix", "rows", "_hash")
 
     def __init__(self, instance: Instance, matrix: Sequence[Sequence[int]], validate: bool = True):
-        grid = tuple(tuple(int(v) for v in row) for row in matrix)
+        grid = tuple(tuple(map(int, row)) for row in matrix)
         self.instance = instance
         self.matrix = grid
-        self.rows = tuple(
-            frozenset(j for j, v in enumerate(row) if v) for row in grid
-        )
+        cols = range(max(map(len, grid), default=0))
+        self.rows = tuple(frozenset(compress(cols, row)) for row in grid)
         self._hash = None
         if validate:
             self._validate()
 
     def _validate(self):
+        # Each check is one C-level pass; only a failing check scans cell by
+        # cell, to name the first bad cell, row or column.
         inst = self.instance
-        n, nc = inst.n, inst.n_cols
-        if len(self.matrix) != n or any(len(r) != nc for r in self.matrix):
+        matrix = self.matrix
+        nc = inst.n_cols
+        if len(matrix) != inst.n or set(map(len, matrix)) != {nc}:
             raise InstanceMismatch("matrix dimensions do not match the instance")
-        for i, row in enumerate(self.matrix):
-            for j, v in enumerate(row):
-                if v not in (0, 1):
-                    raise ValueError(f"matrix cell ({i}, {j}) is {v!r}, not 0/1")
+        if not _BITS.issuperset(chain.from_iterable(matrix)):
+            for i, row in enumerate(matrix):
+                for j, v in enumerate(row):
+                    if v not in _BITS:
+                        raise ValueError(f"matrix cell ({i}, {j}) is {v!r}, not 0/1")
         a, b = inst.degrees.row_degrees, inst.degrees.col_degrees
-        for i, row in enumerate(self.matrix):
-            if sum(row) != a[i]:
-                raise ValueError(f"row {i} has sum {sum(row)}, expected {a[i]}")
-        for j in range(nc):
-            got = sum(self.matrix[i][j] for i in range(n))
-            if got != b[j]:
-                raise ValueError(f"column {j} has sum {got}, expected {b[j]}")
-        for i, mrow in enumerate(inst.fixed.mask):
-            for j, m in enumerate(mrow):
-                if m == FORCED_EDGE and not self.matrix[i][j]:
+        sums = tuple(map(sum, matrix))
+        if sums != a:
+            i = next(i for i in range(len(a)) if sums[i] != a[i])
+            raise ValueError(f"row {i} has sum {sums[i]}, expected {a[i]}")
+        sums = tuple(map(sum, zip(*matrix)))
+        if sums != b:
+            j = next(j for j in range(nc) if sums[j] != b[j])
+            raise ValueError(f"column {j} has sum {sums[j]}, expected {b[j]}")
+        for i, (mrow, row) in enumerate(zip(inst.fixed.mask, matrix)):
+            if not any(mrow) or _FIXED_FAULTS.isdisjoint(zip(mrow, row)):
+                continue
+            for j, cell in enumerate(zip(mrow, row)):
+                if cell == (FORCED_EDGE, 0):
                     raise ValueError(f"forced edge ({i}, {j}) is absent")
-                if m == FORCED_NON_EDGE and self.matrix[i][j]:
+                if cell == (FORCED_NON_EDGE, 1):
                     raise ValueError(f"forced non-edge ({i}, {j}) is present")
 
     @classmethod

@@ -1,5 +1,6 @@
 """File formats, commands and exit codes."""
 
+import argparse
 import json
 import os
 import shutil
@@ -540,34 +541,91 @@ def test_usage_error_exit_code(capsys):
     assert "--random: value must be >= 0" in capsys.readouterr().err
 
 
-def test_repeated_main_calls_keep_their_own_results(tmp_path, capsys):
-    # usage errors between valid commands in one process: every call keeps
-    # the exit code, stdout and stderr it has on its own
+def test_repeated_main_calls_keep_their_own_results(tmp_path, capsys, monkeypatch):
+    # usage errors, help and option defaults between valid commands in one
+    # process: every call keeps the exit code, stdout and stderr it has on
+    # its own, with a parser of its own
     path = write(tmp_path, "x.txt", FIG_SPLIT)
     calls = [
         ["sample", path, "--steps", "0"],
+        ["analyze", path, "--no-reduce"],
         ["analyze", path],
         ["bogus"],
+        ["sample", "-h"],
         ["sample", path, "--chain", "circle", "--steps", "40", "--seed", "3"],
+        ["sample", path, "--chain", "cycle:7"],
         ["sample", path, "--steps", "5", "--gap", "6"],
         ["enumerate", path, "--list"],
     ]
     alone = []
     for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
         code = cli.main(argv)
         out, err = capsys.readouterr()
         alone.append((code, out, err))
-    assert [code for code, _, _ in alone] == [64, 0, 64, 0, 64, 0]
+    assert [code for code, _, _ in alone] == [64, 0, 0, 64, 0, 0, 64, 64, 0]
     for code, out, err in alone:
         if code:
             assert "error:" in err and not out
         else:
             assert out and "error" not in err
+    static_lines = [
+        [line for line in alone[k][1].splitlines() if line.startswith("static cells:")]
+        for k in (1, 2)
+    ]
+    assert static_lines[0] == ["static cells: skipped (--no-reduce)"]
+    assert static_lines[1] != static_lines[0]
     for order in (calls[::-1], calls[1::2] + calls[::2]):
         for argv in order:
             code = cli.main(argv)
             out, err = capsys.readouterr()
             assert (code, out, err) == alone[calls.index(argv)], argv
+
+
+def test_main_builds_its_parser_at_most_once(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "x.txt", FIG_SPLIT)
+    build = cli.build_parser
+    built = []
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None)
+    for argv in (["analyze", path], ["bogus"], ["sample", "-h"],
+                 ["sample", path, "--steps", "3"], ["analyze", path]):
+        cli.main(argv)
+    capsys.readouterr()
+    assert len(built) == 1
+    # and not at import, which every command's start would pay for
+    probe = "from bipsample import cli; print(cli._parser)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True, env=subprocess_env())
+    assert done.stdout.strip() == "None"
+
+
+def test_sample_help_and_usage_error_name_every_chain(tmp_path, capsys):
+    specs = ["auto", *cli._CHAIN_NAMES, "cycle:L"]
+    assert cli.main(["sample", "-h"]) == 0
+    out, err = capsys.readouterr()
+    assert not err
+    assert set(specs) <= {word.strip(",;()") for word in out.split()}
+    path = write(tmp_path, "x.txt", FIG_SPLIT)
+    assert cli.main(["sample", path, "--chain", "bogus"]) == 64
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument --chain: chain must be {cli._CHAIN_SPECS}\n")
+    assert set(specs) <= {word.strip(",;()") for word in cli._CHAIN_SPECS.split()}
+
+
+def test_every_sample_and_verify_option_has_help():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for command in ("sample", "verify"):
+        for action in commands[command]._actions:
+            if action.option_strings:
+                assert action.help, (command, action.option_strings)
 
 
 def test_sample_reproducible_across_processes(tmp_path):

@@ -152,6 +152,135 @@ def test_realization_validates_degrees_and_mask():
     assert ok.rows == (frozenset({0}), frozenset({1}))
 
 
+def _old_construction(matrix):
+    """``Realization``'s matrix and row sets as they were built cell by cell."""
+    grid = tuple(tuple(int(v) for v in row) for row in matrix)
+    return grid, tuple(frozenset(j for j, v in enumerate(row) if v) for row in grid)
+
+
+def _validate_reference(inst, matrix):
+    """``Realization._validate`` as it was, cell by cell: the reference its
+    C-level passes are checked against."""
+    n, nc = inst.n, inst.n_cols
+    if len(matrix) != n or any(len(r) != nc for r in matrix):
+        raise bp.InstanceMismatch("matrix dimensions do not match the instance")
+    for i, row in enumerate(matrix):
+        for j, v in enumerate(row):
+            if v not in (0, 1):
+                raise ValueError(f"matrix cell ({i}, {j}) is {v!r}, not 0/1")
+    a, b = inst.degrees.row_degrees, inst.degrees.col_degrees
+    for i, row in enumerate(matrix):
+        if sum(row) != a[i]:
+            raise ValueError(f"row {i} has sum {sum(row)}, expected {a[i]}")
+    for j in range(nc):
+        got = sum(matrix[i][j] for i in range(n))
+        if got != b[j]:
+            raise ValueError(f"column {j} has sum {got}, expected {b[j]}")
+    for i, mrow in enumerate(inst.fixed.mask):
+        for j, m in enumerate(mrow):
+            if m == bp.FORCED_EDGE and not matrix[i][j]:
+                raise ValueError(f"forced edge ({i}, {j}) is absent")
+            if m == bp.FORCED_NON_EDGE and matrix[i][j]:
+                raise ValueError(f"forced non-edge ({i}, {j}) is present")
+
+
+def _outcome(check):
+    """(exception class, message) of ``check()``, or None if it returns."""
+    try:
+        check()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _broken(rng, a_matrix, kind):
+    """A copy of the realization ``a_matrix`` broken the way ``kind`` says
+    (for "swaps", possibly not broken at all)."""
+    m = [list(row) for row in a_matrix]
+    n, nc = len(m), len(m[0])
+    i, j = rng.randrange(n), rng.randrange(nc)
+    if kind == "value":
+        m[i][j] = rng.choice((2, -1))
+    elif kind == "row sum":
+        m[i][j] ^= 1
+    elif kind == "column sum":
+        # a 1 moved along its row keeps the row sums
+        if 0 < sum(m[i]) < nc:
+            ones = [k for k in range(nc) if m[i][k]]
+            zeros = [k for k in range(nc) if not m[i][k]]
+            k, h = rng.choice(ones), rng.choice(zeros)
+            m[i][k], m[i][h] = 0, 1
+    elif kind == "swaps":
+        # degree-preserving 4-swaps, which may break fixed cells only
+        for _ in range(3):
+            i2, j2 = rng.randrange(n), rng.randrange(nc)
+            if m[i][j] == m[i2][j2] == 1 and m[i][j2] == m[i2][j] == 0:
+                m[i][j] = m[i2][j2] = 0
+                m[i][j2] = m[i2][j] = 1
+            i, j = rng.randrange(n), rng.randrange(nc)
+    else:  # dimensions
+        shape = rng.randrange(4)
+        if shape == 0:
+            m.pop()
+        elif shape == 1:
+            m[i].pop()
+        elif shape == 2:
+            m[i].append(1)
+        else:
+            m.append([1] * nc)
+    return m
+
+
+def test_realization_checks_match_the_cell_by_cell_reference():
+    # same exception class and first-failure message as the old validation,
+    # and the same matrix and row sets, on random broken matrices
+    rng = random.Random(18)
+    kinds = ("value", "row sum", "column sum", "swaps", "dimensions")
+    failures = ("matrix dimensions", "matrix cell", "row", "column",
+                "forced edge", "forced non-edge")
+    seen = set()
+    for trial in range(1500):
+        n, nc = rng.randint(1, 6), rng.randint(1, 6)
+        a_matrix = [[rng.randint(0, 1) for _ in range(nc)] for _ in range(n)]
+        mask = [[rng.choice((bp.FREE, bp.FREE, 2 - v)) for v in row] for row in a_matrix]
+        inst = bp.Instance(
+            bp.DegreeSequence(map(sum, a_matrix), map(sum, zip(*a_matrix))),
+            bp.FixedSet(mask),
+        )
+        m = _broken(rng, a_matrix, kinds[trial % len(kinds)])
+        grid, rows = _old_construction(m)
+        want = _outcome(lambda: _validate_reference(inst, grid))
+        assert _outcome(lambda: bp.Realization(inst, m)) == want, (inst, m)
+        g = bp.Realization(inst, m, validate=False)
+        assert (g.matrix, g.rows) == (grid, rows)
+        if want is not None:
+            message = want[1]
+            seen.add(next(p for p in failures if message.startswith(p)))
+            seen.update(v for v in (" is 2,", " is -1,") if v in message)
+    assert seen == {*failures, " is 2,", " is -1,"}
+
+
+def test_realization_matches_the_old_construction_on_committed_instances():
+    # the start realization of every feasible committed instance, from the
+    # list rows initial_realization passes and the bytes rows a chain decodes
+    from bipsample import cli
+
+    feasible = 0
+    for path in sorted((ROOT / "bench" / "instances").glob("*.txt")):
+        inst = cli.parse_instance(path.read_text())
+        try:
+            start = bp.initial_realization(inst)
+        except bp.Infeasible:
+            continue
+        feasible += 1
+        text = "\n".join("".join(str(v) for v in row) for row in start.matrix) + "\n"
+        for raw in ([list(row) for row in start.matrix], list(map(bytes, start.matrix))):
+            g = bp.Realization(inst, raw)
+            assert (g.matrix, g.rows) == _old_construction(raw), path.name
+            assert cli.format_realization(g) == text, path.name
+    assert feasible >= 40
+
+
 def pair_class(g, h):
     """The oracle's pair class of two realizations of one instance."""
     return oracle._ctx_of([g, h]).pair(0, 1)
