@@ -16,15 +16,24 @@ each row as a mask of the same form.  Each move kind has one block kernel,
 ``_swaps`` or ``_cycles``, which takes k steps on these masks in place in
 one Python frame.  A chain runs its kernel over a block of steps at a
 time.  Masks are built from and decoded into ``Realization`` objects only
-at the boundary: ``Chain``'s constructor, ``realization()`` and
-``state_key``.
+at the boundary: ``Chain``'s constructor, ``realization()`` (through
+``Realization.from_masks``) and ``state_key``.
+
+Subset ranks: a trade or circle step draws a uniform index below C(r, k)
+and turns it into the index-th k-subset of an r-column pool with
+``_unrank_subset``, the one rank-to-subset walk.  The walk reads every
+binomial from a Pascal table up to n_cols, which only the trade kinds'
+``Chain`` asks for and which is built once per grid width, on first use
+(``_binomials``): with r columns left and k to take it keeps
+v = C(r, k) - index, which a skipped column leaves unchanged, and takes
+the lowest column iff C(r - 1, k) < v.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from math import comb
 from typing import Iterable, Iterator
 
@@ -79,48 +88,44 @@ def state_key(g: Realization) -> tuple[int, ...]:
     return tuple(map(_mask, g.rows))
 
 
-# Maps the binary digits "0" and "1" to the values 0 and 1.
-_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+@lru_cache(maxsize=8)
+def _binomials(n: int) -> tuple[tuple[int, ...], ...]:
+    """Pascal's triangle up to row n: ``table[r][k]`` is C(r, k) for k <= r,
+    and each row ends in a 0 for k = r + 1.  The chains of one grid width
+    share one table, built on first use."""
+    table = [(1, 0)]
+    for _ in range(n):
+        prev = table[-1]
+        table.append((1, *map(sum, zip(prev, prev[1:])), 0))
+    return tuple(table)
 
 
-def _realization(inst: Instance, rows) -> Realization:
-    """The state of the row masks ``rows``, built and validated.  Each
-    matrix row is a bytes object of 0/1 values: the binary digits of the
-    mask below a sentinel bit at column n_cols, lowest column first, with
-    the sentinel dropped."""
-    top = 1 << inst.n_cols
-    return Realization(
-        inst, [format(m | top, "b")[:0:-1].encode().translate(_DIGIT_VALUES) for m in rows]
-    )
-
-
-def _unrank_subset(pool: int, k: int, index: int) -> int:
+def _unrank_subset(
+    pool: int, k: int, index: int, table: tuple[tuple[int, ...], ...]
+) -> int:
     """The index-th k-subset of the columns in ``pool`` in lexicographic
     order, walking the pool's bits from the lowest column up.
 
-    ``rest`` counts the subsets that take the current column next,
-    C(m, need - 1) with m the pool columns above it.  One binomial starts
-    it; each taken or skipped column updates it by an exact integer ratio."""
+    With r pool columns left and k still to take, v = C(r, k) - index does
+    not change when a column is skipped, so the walk takes the lowest
+    column iff C(r - 1, k) < v, and then sets v -= C(r - 1, k) and
+    k -= 1.  Every binomial is read from ``table`` (``_binomials``)."""
     out = 0
     if not k:
         return out
-    need = k
-    m = pool.bit_count() - 1
-    rest = comb(m, k - 1)
-    while pool:
+    r = pool.bit_count()
+    v = table[r][k] - index
+    while True:
+        r -= 1
         low = pool & -pool
         pool ^= low
-        if index < rest:
+        c = table[r][k]
+        if c < v:
             out |= low
-            need -= 1
-            if not need:
-                break
-            rest = rest * need // m
-        else:
-            index -= rest
-            rest = rest * (m - need + 1) // m
-        m -= 1
-    return out
+            k -= 1
+            if not k:
+                return out
+            v -= c
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +143,12 @@ def _unrank_subset(pool: int, k: int, index: int) -> int:
 # lacks it, so every changed row changes by an XOR.
 
 
-def _trades(rows, fixed, n, rng, k, circle=None):
+def _trades(rows, fixed, n, rng, k, table, circle=None):
     """k trade steps: a uniform ordered row pair (i, j), then a uniform
     replacement for a_ij among the |a_ij|-subsets of the pool a_ij | a_ji.
-    Drawing a_ij itself is the lazy step.
+    Drawing a_ij itself is the lazy step.  ``table`` is ``_binomials`` up
+    to at least the number of columns; every subset count and every
+    subset rank is read from it.
 
     With ``circle`` set to the Metropolis flag, each step first draws one
     bit; on a 1 it is a circle trade instead (the lazy step when n < 3).
@@ -155,7 +162,7 @@ def _trades(rows, fixed, n, rng, k, circle=None):
     if n < 2 and not mixed:
         return
     getrandbits, uniform = rng.getrandbits, rng.random
-    binomial, unrank, denominator = comb, _unrank_subset, circle_denominator
+    unrank, denominator = _unrank_subset, circle_denominator
     n1, n2 = n - 1, n - 2
     bits_i, bits_j, bits_t = n.bit_length(), n1.bit_length(), n2.bit_length()
     for _ in range(k):
@@ -215,18 +222,18 @@ def _trades(rows, fixed, n, rng, k, circle=None):
                 if pick & 1:
                     chosen |= low
                 pick >>= 1
-            total = binomial(s_a, x)
+            total = table[s_a][x]
             bits = total.bit_length()
             r = getrandbits(bits)
             while r >= total:
                 r = getrandbits(bits)
-            a = unrank(a, x, r)
-            total = binomial(s_b, x)
+            a = unrank(a, x, r, table)
+            total = table[s_b][x]
             bits = total.bit_length()
             r = getrandbits(bits)
             while r >= total:
                 r = getrandbits(bits)
-            b = unrank(b, x, r)
+            b = unrank(b, x, r, table)
             # The subsets each row hands on, in their sets' roles.
             if m == s_j:
                 sub_j, sub_t, sub_i = chosen, a, b
@@ -264,14 +271,14 @@ def _trades(rows, fixed, n, rng, k, circle=None):
         b = rj & ~(ri | blocked)
         pool = a | b
         size = a.bit_count()
-        total = binomial(pool.bit_count(), size)
+        total = table[pool.bit_count()][size]
         bits = total.bit_length()
         r = getrandbits(bits)
         while r >= total:
             r = getrandbits(bits)
         # With one subset in the pool it is a_ij itself.
         if total > 1:
-            flip = a ^ unrank(pool, size, r)
+            flip = a ^ unrank(pool, size, r, table)
             rows[i] = ri ^ flip
             rows[j] = rj ^ flip
 
@@ -403,9 +410,11 @@ class Chain:
         state = (rows, self._fixed, inst.n, self._rng)
         kind = cfg.move_set.kind
         if kind == MoveSet.TRADES:
-            self._run = partial(_trades, *state)
+            self._run = partial(_trades, *state, table=_binomials(inst.n_cols))
         elif kind == MoveSet.TRADES_PLUS_CIRCLE:
-            self._run = partial(_trades, *state, circle=cfg.mh_correction)
+            self._run = partial(
+                _trades, *state, table=_binomials(inst.n_cols), circle=cfg.mh_correction
+            )
         elif kind == MoveSet.SWAPS4:
             self._run = partial(_swaps, *state)
         else:
@@ -427,7 +436,7 @@ class Chain:
 
     def realization(self) -> Realization:
         """The current state, built and validated against the instance."""
-        return _realization(self.instance, self._rows)
+        return Realization.from_masks(self.instance, self._rows)
 
 
 def run(inst: Instance, cfg: ChainConfig) -> list[Realization]:

@@ -43,6 +43,9 @@ EXIT_USAGE = 64
 
 _MASK_CHARS = {"0": FORCED_NON_EDGE, "1": FORCED_EDGE, "*": FREE}
 _MASK_REV = {FORCED_NON_EDGE: "0", FORCED_EDGE: "1", FREE: "*"}
+# The mask characters, and the map from them, as bytes, to their cell values.
+_MASK_DIGITS = "".join(_MASK_CHARS)
+_MASK_TABLE = bytes.maketrans(_MASK_DIGITS.encode(), bytes(_MASK_CHARS.values()))
 
 
 class ParseError(ValueError):
@@ -147,12 +150,11 @@ def parse_instance(text: str) -> Instance:
                 lineno,
                 len(content) + 1 if len(content) < nc else nc + 1,
             )
-        row = []
-        for col, ch in enumerate(content, start=1):
-            if ch not in _MASK_CHARS:
-                raise ParseError(f"bad mask character {ch!r}", lineno, col)
-            row.append(_MASK_CHARS[ch])
-        grid.append(row)
+        if content.strip(_MASK_DIGITS):  # a character outside 0, 1, *
+            for col, ch in enumerate(content, start=1):
+                if ch not in _MASK_CHARS:
+                    raise ParseError(f"bad mask character {ch!r}", lineno, col)
+        grid.append(content.encode().translate(_MASK_TABLE))
     if pos < len(lines):
         lineno, content = lines[pos]
         raise ParseError(f"unexpected content {content!r}", lineno)

@@ -13,10 +13,19 @@ FORCED_EDGE = 1
 FORCED_NON_EDGE = 2
 
 
-# A realization's cell values, and the (mask value, cell value) pairs that
-# break a fixed cell.
+# A mask's and a realization's cell values, and the (mask value, cell
+# value) pairs that break a fixed cell.
+_MASK_VALUES = frozenset({FREE, FORCED_EDGE, FORCED_NON_EDGE})
 _BITS = frozenset({0, 1})
 _FIXED_FAULTS = frozenset({(FORCED_EDGE, 0), (FORCED_NON_EDGE, 1)})
+
+# Maps the binary digits "0" and "1" to the values 0 and 1.
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _cell_values(row: Sequence[int]) -> tuple[int, ...]:
+    """One grid row as a tuple of ints: a bytes row already holds them."""
+    return tuple(row) if isinstance(row, bytes) else tuple(map(int, row))
 
 
 class InstanceMismatch(ValueError):
@@ -86,16 +95,21 @@ class FixedSet:
     mask: tuple[tuple[int, ...], ...]
 
     def __init__(self, mask: Sequence[Sequence[int]]):
-        grid = tuple(tuple(int(v) for v in row) for row in mask)
+        grid = tuple(map(_cell_values, mask))
         if not grid or not grid[0]:
             raise ValueError("mask must be non-empty")
+        # Two C-level passes; only a failing grid is scanned cell by cell,
+        # to name its first bad row or value.
         width = len(grid[0])
-        for row in grid:
-            if len(row) != width:
-                raise ValueError("mask rows must have equal length")
-            for v in row:
-                if v not in (FREE, FORCED_EDGE, FORCED_NON_EDGE):
-                    raise ValueError(f"bad mask value {v!r}")
+        if set(map(len, grid)) != {width} or not _MASK_VALUES.issuperset(
+            chain.from_iterable(grid)
+        ):
+            for row in grid:
+                if len(row) != width:
+                    raise ValueError("mask rows must have equal length")
+                for v in row:
+                    if v not in _MASK_VALUES:
+                        raise ValueError(f"bad mask value {v!r}")
         object.__setattr__(self, "mask", grid)
 
     @classmethod
@@ -207,7 +221,7 @@ class Realization:
     __slots__ = ("instance", "matrix", "rows", "_hash")
 
     def __init__(self, instance: Instance, matrix: Sequence[Sequence[int]], validate: bool = True):
-        grid = tuple(tuple(map(int, row)) for row in matrix)
+        grid = tuple(map(_cell_values, matrix))
         self.instance = instance
         self.matrix = grid
         cols = range(max(map(len, grid), default=0))
@@ -256,6 +270,17 @@ class Realization:
                 _check_cell(i, j, n, nc)
                 matrix[i][j] = 1
         return cls(instance, matrix, validate=validate)
+
+    @classmethod
+    def from_masks(cls, instance: Instance, masks: Iterable[int]) -> "Realization":
+        """The realization whose row i has column j iff bit j of the i-th
+        mask is set, validated.  Each matrix row is a bytes object of 0/1
+        values: the binary digits of the mask below a sentinel bit at
+        column n_cols, lowest column first, with the sentinel dropped."""
+        top = 1 << instance.n_cols
+        return cls(instance, [
+            format(m | top, "b")[:0:-1].encode().translate(_DIGIT_VALUES) for m in masks
+        ])
 
     def __eq__(self, other):
         return (

@@ -63,72 +63,6 @@ def gale_ryser_realizable(s: DegreeSequence) -> bool:
     return _gale_ryser(list(s.row_degrees), list(s.col_degrees))
 
 
-class _Dinic:
-    """Deterministic max-flow on a small network (adjacency in insertion order)."""
-
-    def __init__(self, n_nodes: int):
-        self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_edge(self, u: int, v: int, cap: int):
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def max_flow(self, s: int, t: int) -> int:
-        """Dinic's algorithm.  Each phase builds BFS levels, then walks
-        blocking-flow paths with an explicit stack of arcs: advance along
-        the current arc of the path's end, retreat past a dead end (moving
-        its tail's current-arc pointer on), and augment on reaching ``t``,
-        then start again from ``s``."""
-        adj, to, cap = self.adj, self.to, self.cap
-        flow = 0
-        n = len(adj)
-        while True:
-            level = [-1] * n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for e in adj[u]:
-                    v = to[e]
-                    if cap[e] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
-                return flow
-            it = [0] * n
-            path: list[int] = []
-            u = s
-            while True:
-                if u == t:
-                    pushed = min(cap[e] for e in path)
-                    for e in path:
-                        cap[e] -= pushed
-                        cap[e ^ 1] += pushed
-                    flow += pushed
-                    path.clear()
-                    u = s
-                    continue
-                arcs = adj[u]
-                while it[u] < len(arcs):
-                    e = arcs[it[u]]
-                    if cap[e] > 0 and level[to[e]] == level[u] + 1:
-                        break
-                    it[u] += 1
-                else:
-                    if not path:
-                        break
-                    u = to[path.pop() ^ 1]
-                    it[u] += 1
-                    continue
-                path.append(e)
-                u = to[e]
-
-
 def initial_realization(inst: Instance) -> Realization:
     """Build one realization of ``inst`` deterministically, or raise Infeasible.
 
@@ -137,6 +71,28 @@ def initial_realization(inst: Instance) -> Realization:
     over the free cells (source -> rows -> columns -> sink).  When the flow
     falls short, the message tells a degree sequence with no realization
     (Gale-Ryser) from fixed cells that rule every realization out.
+
+    The flow is Dinic's (1970), with the network's arcs in insertion
+    order: the source's arcs to rows 0..n-1; a row's arcs to its free
+    columns, ascending; a column's reverse arcs to the rows whose flow uses
+    it, ascending, then its arc to the sink.  It runs on bit masks per row
+    and column (the free columns of a row, the cells the flow uses from
+    either side, the spare capacities) and finds the same flow an
+    adjacency-list Dinic with that arc order finds, for three reasons:
+
+    1. BFS levels are shortest residual distances, so a layer-by-layer
+       search over masks gives the same levels.  It stops at the first
+       column layer holding a column with spare sink capacity: nodes past
+       the sink's level are never on an augmenting path, so leaving them
+       unlevelled changes no flow.
+    2. In the first phase every path is source -> row -> column -> sink.
+       The blocking-flow search is then first-fit: rows in order, each
+       row's free columns in order, skipping full columns; one loop over
+       the row masks.
+    3. Later phases replay the search with current-arc pointers.  The
+       next arc of a node is the lowest admissible bit at or above its
+       pointer; a retreat moves the parent's pointer one past the child.
+       Every path carries exactly one unit.
     """
     n, nc = inst.n, inst.n_cols
     a = list(inst.degrees.row_degrees)
@@ -144,46 +100,178 @@ def initial_realization(inst: Instance) -> Realization:
     if sum(a) != sum(b):
         raise Infeasible("row and column degree sums differ")
 
-    mask = inst.fixed.mask
-    for i in range(n):
-        for j in range(nc):
-            if mask[i][j] == FORCED_EDGE:
-                a[i] -= 1
-                b[j] -= 1
+    # Row masks: the forced edges and the free cells of each row.
+    pinned = []
+    free = []
+    for i, row in enumerate(inst.fixed.mask):
+        cells = bytes(row)
+        edges = int(cells.translate(_EDGE_DIGITS)[::-1], 2)
+        pinned.append(edges)
+        free.append(int(cells.translate(_FREE_DIGITS)[::-1], 2))
+        a[i] -= edges.bit_count()
+        while edges:
+            low = edges & -edges
+            b[low.bit_length() - 1] -= 1
+            edges ^= low
     if any(d < 0 for d in a):
         raise Infeasible("a row has more forced edges than its degree")
     if any(d < 0 for d in b):
         raise Infeasible("a column has more forced edges than its degree")
 
-    # Nodes: 0 = source, 1..n = rows, n+1..n+nc = columns, last = sink.
-    src, snk = 0, n + nc + 1
-    net = _Dinic(n + nc + 2)
-    for i in range(n):
-        net.add_edge(src, 1 + i, a[i])
-    cell_edge: dict[tuple[int, int], int] = {}
-    for i in range(n):
-        for j in range(nc):
-            if mask[i][j] == FREE:
-                cell_edge[(i, j)] = len(net.to)
-                net.add_edge(1 + i, 1 + n + j, 1)
-    for j in range(nc):
-        net.add_edge(1 + n + j, snk, b[j])
-
-    need = sum(a)
-    if net.max_flow(src, snk) != need:
+    flow, used = _max_flow(free, a, b)
+    if flow != sum(a):
         if not gale_ryser_realizable(inst.degrees):
             raise Infeasible("degree sequence has no realization")
         raise Infeasible("no realization satisfies the fixed cells and degrees")
+    return Realization.from_masks(inst, map(int.__or__, pinned, used))
 
-    matrix = [[0] * nc for _ in range(n)]
+
+# Map a FixedSet row's cell values, as bytes, to the binary digits of its
+# forced edges and of its free cells.
+_CELL_KINDS = bytes((FREE, FORCED_EDGE, FORCED_NON_EDGE))
+_EDGE_DIGITS = bytes.maketrans(_CELL_KINDS, b"010")
+_FREE_DIGITS = bytes.maketrans(_CELL_KINDS, b"100")
+
+
+def _max_flow(free: list[int], a: list[int], b: list[int]) -> tuple[int, list[int]]:
+    """The max-flow of ``initial_realization`` on masks: ``free[i]`` is
+    row i's free-cell mask, ``a`` and ``b`` are the row and column
+    capacities.  Returns the flow's value and the columns each row's flow
+    uses."""
+    n, nc = len(a), len(b)
+    used = [0] * n  # the columns each row's flow uses
+    users = [0] * nc  # the rows each column's flow uses
+    # Phase 1: first-fit, rows in order, each row's free columns in order.
+    spare_a = a.copy()
+    spare_b = b.copy()
+    open_cols = sum(1 << j for j in range(nc) if b[j])
+    flow = 0
     for i in range(n):
-        for j in range(nc):
-            if mask[i][j] == FORCED_EDGE:
-                matrix[i][j] = 1
-    for (i, j), e in cell_edge.items():
-        if net.cap[e] == 0:  # saturated unit edge carries flow
-            matrix[i][j] = 1
-    return Realization(inst, matrix)
+        left = spare_a[i]
+        fits = free[i] & open_cols
+        while left and fits:
+            low = fits & -fits
+            fits ^= low
+            j = low.bit_length() - 1
+            used[i] |= low
+            users[j] |= 1 << i
+            left -= 1
+            spare_b[j] -= 1
+            if not spare_b[j]:
+                open_cols ^= low
+        flow += spare_a[i] - left
+        spare_a[i] = left
+    open_rows = sum(1 << i for i in range(n) if spare_a[i])
+    # Later phases: levels by BFS over masks, then the blocking flow.
+    while open_rows and open_cols:
+        row_layers = [open_rows]
+        col_layers = []
+        seen_rows, seen_cols = open_rows, 0
+        frontier = open_rows
+        while True:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                i = low.bit_length() - 1
+                reach |= free[i] & ~used[i]
+            reach &= ~seen_cols
+            if not reach:
+                break
+            col_layers.append(reach)
+            seen_cols |= reach
+            if reach & open_cols:
+                break
+            cols = reach
+            reach = 0
+            while cols:
+                low = cols & -cols
+                cols ^= low
+                reach |= users[low.bit_length() - 1]
+            reach &= ~seen_rows
+            if not reach:
+                break
+            row_layers.append(reach)
+            seen_rows |= reach
+            frontier = reach
+        if not (col_layers and col_layers[-1] & open_cols):
+            break
+        flow += _blocking_flow(
+            free, used, users, spare_a, spare_b, row_layers, col_layers
+        )
+        open_rows = sum(1 << i for i in range(n) if spare_a[i])
+        open_cols = sum(1 << j for j in range(nc) if spare_b[j])
+    return flow, used
+
+
+def _blocking_flow(free, used, users, spare_a, spare_b, row_layers, col_layers):
+    """One Dinic phase after the first, in place: unit augmenting paths
+    along the level layers, found with current-arc pointers.  A pointer is
+    the lowest column (of a row) or row (of a column or the source) its
+    node's next arc may lead to; a column's sink arc follows its row arcs.
+    Admissible arcs only go out of use within a phase, so a pointer moves
+    only when an arc is taken or retreated from, and a dead end stays one."""
+    last = len(col_layers) - 1
+    row_ptr = [0] * len(free)
+    col_ptr = [0] * len(spare_b)
+    src_ptr = 0
+    flow = 0
+    path: list[int] = []  # row, column, row, column, ...
+    while True:
+        depth = len(path)
+        if not depth:
+            cand = row_layers[0] >> src_ptr << src_ptr
+            while cand:
+                low = cand & -cand
+                i = low.bit_length() - 1
+                if spare_a[i]:
+                    break
+                cand ^= low
+            else:
+                return flow
+            src_ptr = i
+            path.append(i)
+        elif depth & 1:  # a row at level depth
+            i = path[-1]
+            p = row_ptr[i]
+            cand = free[i] & ~used[i] & col_layers[depth >> 1] >> p << p
+            if cand:
+                j = (cand & -cand).bit_length() - 1
+                row_ptr[i] = j
+                path.append(j)
+            else:
+                path.pop()
+                if depth == 1:
+                    src_ptr = i + 1
+                else:
+                    col_ptr[path[-1]] = i + 1
+        else:  # a column at level depth
+            j = path[-1]
+            p = col_ptr[j]
+            d = depth >> 1
+            cand = users[j] & row_layers[d] >> p << p if d < len(row_layers) else 0
+            if cand:
+                i = (cand & -cand).bit_length() - 1
+                col_ptr[j] = i
+                path.append(i)
+            elif d - 1 == last and spare_b[j]:
+                # The sink: the path's row-to-column cells join the flow,
+                # its column-to-row cells leave it.
+                spare_a[path[0]] -= 1
+                spare_b[j] -= 1
+                for t in range(0, depth, 2):
+                    r, c = path[t], path[t + 1]
+                    used[r] |= 1 << c
+                    users[c] |= 1 << r
+                    if t + 2 < depth:
+                        r = path[t + 2]
+                        used[r] &= ~(1 << c)
+                        users[c] &= ~(1 << r)
+                flow += 1
+                path.clear()
+            else:
+                path.pop()
+                row_ptr[path[-1]] = j + 1
 
 
 def static_set(s: DegreeSequence, g: Realization | None = None) -> StaticSet:

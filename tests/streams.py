@@ -1,5 +1,6 @@
 """The pinned random streams: sha256 digests of seeded ``Chain.keys()``
-streams, computed with the standard library and bipsample alone.
+streams and of the start realization every chain begins from, computed
+with the standard library and bipsample alone.
 
 ``tests/test_chains.py`` checks every digest under pytest.  Run as a
 script from a checkout, ``python tests/streams.py`` recomputes them all,
@@ -16,7 +17,10 @@ if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import bipsample as bp  # noqa: E402
+from bipsample import cli  # noqa: E402
 from bipsample.core import MoveSet  # noqa: E402
+
+INSTANCES = Path(__file__).resolve().parents[1] / "bench" / "instances"
 
 
 def cols(mask):
@@ -124,16 +128,40 @@ def stream_digest(instance, chain):
     return h.hexdigest()
 
 
+# sha256 of the start realization of every committed instance, recorded
+# before the max-flow moved onto bit masks.  Every chain starts here, so a
+# change here changes seeded output.
+GOLDEN_START = "e035a3844b61b7e91813dfeff1571573c03270d41398329620c35fc052eafd49"
+
+
+def start_digest():
+    """The sha256 of ``initial_realization`` on every committed instance, in
+    file-name order: the name, then the realization's text or the
+    ``Infeasible`` message."""
+    h = hashlib.sha256()
+    for path in sorted(INSTANCES.glob("*.txt")):
+        inst = cli.parse_instance(path.read_text())
+        try:
+            text = cli.format_realization(bp.initial_realization(inst))
+        except bp.Infeasible as exc:
+            text = f"infeasible: {exc}\n"
+        h.update(f"{path.name}\n{text}".encode())
+    return h.hexdigest()
+
+
 def main():
     """Recompute every pinned digest; 0 when all match, 1 otherwise."""
-    mismatches = 0
+    got = start_digest()
+    mismatches = int(got != GOLDEN_START)
+    print(f"{'MISMATCH' if mismatches else 'ok      '} start realizations {got}")
     for instance, chain in sorted(GOLDEN_STREAMS):
         got = stream_digest(instance, chain)
         ok = got == GOLDEN_STREAMS[instance, chain]
         mismatches += not ok
         print(f"{'ok      ' if ok else 'MISMATCH'} {instance} {chain} {got}")
     version = sys.version.split()[0]
-    print(f"{len(GOLDEN_STREAMS) - mismatches} of {len(GOLDEN_STREAMS)} streams match "
+    total = len(GOLDEN_STREAMS) + 1
+    print(f"{total - mismatches} of {total} digests match "
           f"on Python {version}")
     return 1 if mismatches else 0
 

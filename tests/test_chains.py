@@ -14,6 +14,7 @@ import bipsample as bp
 from bipsample import oracle
 from bipsample.chains import (
     ChainConfig,
+    _binomials,
     _cycles,
     _swaps,
     _trades,
@@ -31,6 +32,10 @@ from streams import (
     readme_4x4,
     stream_digest,
 )
+
+
+# Binomials for every pool the tests draw from: up to 120 columns.
+TABLE = _binomials(120)
 
 
 def mask(columns):
@@ -58,7 +63,7 @@ def _on_masks(kernel):
 
 
 # One step of each block kernel from a realization, as its rows.
-trade_step = _on_masks(lambda rows, fixed, inst, r: _trades(rows, fixed, inst.n, r, 1))
+trade_step = _on_masks(lambda rows, fixed, inst, r: _trades(rows, fixed, inst.n, r, 1, TABLE))
 swap_step = _on_masks(lambda rows, fixed, inst, r: _swaps(rows, fixed, inst.n, r, 1))
 
 
@@ -82,12 +87,12 @@ class _CircleCoin:
 
 def circle_step(mh):
     return _on_masks(
-        lambda rows, fixed, inst, r: _trades(rows, fixed, inst.n, _CircleCoin(r), 1, mh)
+        lambda rows, fixed, inst, r: _trades(rows, fixed, inst.n, _CircleCoin(r), 1, TABLE, mh)
     )
 
 
 def mixed_step(mh):
-    return _on_masks(lambda rows, fixed, inst, r: _trades(rows, fixed, inst.n, r, 1, mh))
+    return _on_masks(lambda rows, fixed, inst, r: _trades(rows, fixed, inst.n, r, 1, TABLE, mh))
 
 
 def cycle_step(limit):
@@ -124,7 +129,7 @@ def test_trade_enumeration_on_two_row_example():
     blocked = fixed[0] | fixed[1]
     a_ij, a_ji = rows[0] & ~(rows[1] | blocked), rows[1] & ~(rows[0] | blocked)
     pool, k = a_ij | a_ji, a_ij.bit_count()
-    outcomes = [_unrank_subset(pool, k, r) for r in range(comb(pool.bit_count(), k))]
+    outcomes = [_unrank_subset(pool, k, r, TABLE) for r in range(comb(pool.bit_count(), k))]
     assert len(outcomes) == 3
     assert outcomes.count(a_ij) == 1  # the lazy step
     swaps = sorted((cols(b), cols(pool ^ b)) for b in outcomes if b != a_ij)
@@ -185,7 +190,7 @@ def test_trade_preserves_pair_difference_set():
     traded = 0
     for _ in range(200):
         before = list(rows)
-        _trades(rows, fixed, inst.n, rng, 1)
+        _trades(rows, fixed, inst.n, rng, 1, TABLE)
         changed = [i for i, (r, s) in enumerate(zip(before, rows)) if r ^ s]
         if not changed:
             continue
@@ -719,7 +724,7 @@ def test_kernel_steps_follow_the_exact_ledgers(make, circle, mh):
         counts = Counter()
         for _ in range(draws):
             rows = list(start)
-            _trades(rows, fixed, inst.n, rng, 1, mh if circle else None)
+            _trades(rows, fixed, inst.n, rng, 1, TABLE, mh if circle else None)
             counts[index[tuple(rows)]] += 1
         support = sorted(t for t, p in exact[s].items() if p)
         assert set(counts) <= set(support), s
@@ -745,6 +750,62 @@ def _unrank_reference(pool, k, index):
     return out
 
 
+def _unrank_ratio_reference(pool, k, index):
+    """``_unrank_subset`` as it was before the Pascal table: ``rest``
+    counts the subsets that take the current column next, C(m, need - 1),
+    started by one binomial and updated by an exact ratio per column."""
+    out = 0
+    if not k:
+        return out
+    need = k
+    m = pool.bit_count() - 1
+    rest = comb(m, k - 1)
+    while pool:
+        low = pool & -pool
+        pool ^= low
+        if index < rest:
+            out |= low
+            need -= 1
+            if not need:
+                break
+            rest = rest * need // m
+        else:
+            index -= rest
+            rest = rest * (m - need + 1) // m
+        m -= 1
+    return out
+
+
+def test_unrank_subset_matches_the_ratio_walk_on_every_small_pool():
+    # every pool of the columns 0..9, every k and every index
+    calls = 0
+    for pool in range(1 << 10):
+        size = pool.bit_count()
+        for k in range(size + 1):
+            for index in range(comb(size, k)):
+                want = _unrank_ratio_reference(pool, k, index)
+                assert _unrank_subset(pool, k, index, TABLE) == want, (pool, k, index)
+                calls += 1
+    assert calls == 3 ** 10
+
+
+def test_unrank_subset_matches_the_ratio_walk_on_random_pools():
+    rng = random.Random(19)
+    for _ in range(10_000):
+        pool = mask(rng.sample(range(120), rng.randint(0, 120)))
+        size = pool.bit_count()
+        k = rng.randint(0, size)
+        total = comb(size, k)
+        index = rng.choice((0, total - 1, rng.randrange(total)))
+        want = _unrank_ratio_reference(pool, k, index)
+        assert _unrank_subset(pool, k, index, TABLE) == want, (pool, k, index)
+
+
+def test_binomial_table_rows_end_in_a_zero():
+    assert TABLE[:3] == ((1, 0), (1, 1, 0), (1, 2, 1, 0))
+    assert all(TABLE[r] == tuple(comb(r, k) for k in range(r + 2)) for r in range(121))
+
+
 def test_unrank_subset_follows_combinations_order():
     rng = random.Random(5)
     for size in range(11):
@@ -753,7 +814,7 @@ def test_unrank_subset_follows_combinations_order():
             combos = list(itertools.combinations(pool, k))
             assert len(combos) == comb(size, k)
             for index, combo in enumerate(combos):
-                assert cols(_unrank_subset(mask(pool), k, index)) == list(combo)
+                assert cols(_unrank_subset(mask(pool), k, index, TABLE)) == list(combo)
 
 
 def test_unrank_subset_matches_comb_per_position_formula():
@@ -764,5 +825,5 @@ def test_unrank_subset_matches_comb_per_position_formula():
         k = rng.randint(0, size)
         total = comb(size, k)
         index = rng.choice((0, total - 1, rng.randrange(total)))
-        got = set(cols(_unrank_subset(mask(pool), k, index)))
+        got = set(cols(_unrank_subset(mask(pool), k, index, TABLE)))
         assert got == _unrank_reference(pool, k, index)

@@ -158,6 +158,53 @@ def test_parse_errors():
         assert err.value.line == 1 + (key == "cols")
 
 
+def _mask_error_reference(text):
+    """The first mask-line error ``parse_instance`` raises, found the way
+    it was before the C-level check: cell by cell, in reading order."""
+    lines = [(k, line.strip()) for k, line in enumerate(text.splitlines(), start=1)
+             if line.strip() and not line.strip().startswith("#")]
+    start = next(t for t, (_, line) in enumerate(lines) if line == "mask:") + 1
+    nc = int(lines[1][1].split()[1])
+    for lineno, content in lines[start:]:
+        if len(content) != nc:
+            return ("mask line has", lineno)
+        for col, ch in enumerate(content, start=1):
+            if ch not in "01*":
+                return (f"bad mask character {ch!r}", lineno, col)
+    return None
+
+
+@pytest.mark.parametrize("ch", ["x", "2", "?", "\u00e9", "\x00", "\x01", "\x02"])
+@pytest.mark.parametrize("col", [1, 6, 11])
+def test_parse_names_a_bad_mask_character_at_its_column(ch, col):
+    # first, middle and last of 11 columns; the control characters are the
+    # cell values the mask characters translate to
+    rows = ["*0*1*0*1*0*"] * 3
+    rows[1] = rows[1][:col - 1] + ch + rows[1][col:]
+    rows[2] = "1" * 10 + ch  # a later bad line is not the one reported
+    text = ("rows: 3\ncols: 11\nrow_degrees: 1 1 1\n"
+            "col_degrees: 1 1 1 0 0 0 0 0 0 0 0\nmask:\n" + "\n".join(rows) + "\n")
+    with pytest.raises(cli.ParseError) as err:
+        cli.parse_instance(text)
+    assert (err.value.message, err.value.line, err.value.col) == (
+        f"bad mask character {ch!r}", 7, col)
+    assert _mask_error_reference(text) == (err.value.message, 7, col)
+
+
+def test_parse_mask_rows_read_as_before():
+    # every committed instance: the same mask as a cell-by-cell read
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    folder = os.path.join(root, "bench", "instances")
+    names = sorted(f for f in os.listdir(folder) if f.endswith(".txt"))
+    for name in names:
+        with open(os.path.join(folder, name), encoding="utf-8") as fh:
+            text = fh.read()
+        rows = text.split("mask:\n", 1)[1].split()
+        want = tuple(tuple(cli._MASK_CHARS[ch] for ch in row) for row in rows)
+        assert cli.parse_instance(text).fixed.mask == want, name
+    assert len(names) == 104
+
+
 def test_comments_and_blank_lines_ignored():
     noisy = "\n# header comment\n" + FREE_2X2.replace("mask:", "mask:\n# grid\n")
     inst = cli.parse_instance(noisy)

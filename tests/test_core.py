@@ -113,6 +113,49 @@ def test_fixed_set_rejects_double_polarity():
         bp.FixedSet.from_cells(2, 2, forced_edges=[(0, 0)], forced_non_edges=[(0, 0)])
 
 
+def _fixed_set_reference(mask):
+    """``FixedSet``'s grid as it was built and checked, cell by cell."""
+    grid = tuple(tuple(int(v) for v in row) for row in mask)
+    if not grid or not grid[0]:
+        raise ValueError("mask must be non-empty")
+    width = len(grid[0])
+    for row in grid:
+        if len(row) != width:
+            raise ValueError("mask rows must have equal length")
+        for v in row:
+            if v not in (bp.FREE, bp.FORCED_EDGE, bp.FORCED_NON_EDGE):
+                raise ValueError(f"bad mask value {v!r}")
+    return grid
+
+
+def test_fixed_set_checks_match_the_cell_by_cell_reference():
+    # same grid, or the same first error, on random masks with bad values,
+    # ragged rows and bytes rows
+    rng = random.Random(19)
+    seen = set()
+    for trial in range(3000):
+        n, nc = rng.randint(1, 5), rng.randint(1, 5)
+        mask = [[rng.choice((0, 0, 1, 2)) for _ in range(nc)] for _ in range(n)]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            i, j = rng.randrange(n), rng.randrange(nc)
+            mask[i][j] = rng.choice((-1, 3, 255, True, "2", "x", 1.5))
+        if rng.random() < 0.2:
+            mask[rng.randrange(n)].append(0)
+        if rng.random() < 0.1:
+            mask[rng.randrange(n)] = []
+        if rng.random() < 0.3 and all(isinstance(v, int) and 0 <= v < 256
+                                      for row in mask for v in row):
+            mask = [bytes(row) for row in mask]
+        want = _outcome(lambda: _fixed_set_reference(mask))
+        got = _outcome(lambda: bp.FixedSet(mask).mask)
+        if want is None:
+            assert got is None and bp.FixedSet(mask).mask == _fixed_set_reference(mask)
+        else:
+            assert got == want, mask
+            seen.add(want[1].split(" ")[0])
+    assert seen == {"mask", "bad", "invalid"}
+
+
 OUTSIDE_2X2 = [(-1, 0), (0, -1), (2, 0), (0, 2)]
 
 
@@ -447,7 +490,7 @@ def test_degree_conservation_after_cycle_swaps():
             changed = sum((r ^ s).bit_count() for r, s in zip(rows, start))
             if not changed:
                 continue
-            h = chains._realization(inst, rows)
+            h = bp.Realization.from_masks(inst, rows)
             for i, row in enumerate(h.matrix):
                 assert sum(row) == inst.degrees.row_degrees[i]
             assert pair_class(g, h).cycle_len == changed

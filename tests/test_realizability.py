@@ -4,12 +4,17 @@ import functools
 import itertools
 import operator
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import bipsample as bp
 from bipsample.oracle import _cells_mask, _enumerate_bits, _static_set_reference
 from bipsample.realizability import _gale_ryser
+from streams import GOLDEN_START, start_digest
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_gale_ryser_examples():
@@ -173,6 +178,181 @@ def test_initial_realization_infeasible_cases():
                 bp.FixedSet.from_cells(2, 2, forced_non_edges=[(0, 0), (0, 1)]),
             )
         )
+
+
+class _DinicReference:
+    """The adjacency-list Dinic that ``initial_realization`` ran before it
+    moved onto bit masks, kept as the reference its replay is checked
+    against: arcs in insertion order, an explicit stack of arcs per
+    blocking-flow search."""
+
+    def __init__(self, n_nodes):
+        self.adj = [[] for _ in range(n_nodes)]
+        self.to = []
+        self.cap = []
+
+    def add_edge(self, u, v, cap):
+        self.adj[u].append(len(self.to))
+        self.to.append(v)
+        self.cap.append(cap)
+        self.adj[v].append(len(self.to))
+        self.to.append(u)
+        self.cap.append(0)
+
+    def max_flow(self, s, t):
+        adj, to, cap = self.adj, self.to, self.cap
+        flow = 0
+        n = len(adj)
+        while True:
+            level = [-1] * n
+            level[s] = 0
+            queue = [s]
+            for u in queue:
+                for e in adj[u]:
+                    v = to[e]
+                    if cap[e] > 0 and level[v] < 0:
+                        level[v] = level[u] + 1
+                        queue.append(v)
+            if level[t] < 0:
+                return flow
+            it = [0] * n
+            path = []
+            u = s
+            while True:
+                if u == t:
+                    pushed = min(cap[e] for e in path)
+                    for e in path:
+                        cap[e] -= pushed
+                        cap[e ^ 1] += pushed
+                    flow += pushed
+                    path.clear()
+                    u = s
+                    continue
+                arcs = adj[u]
+                while it[u] < len(arcs):
+                    e = arcs[it[u]]
+                    if cap[e] > 0 and level[to[e]] == level[u] + 1:
+                        break
+                    it[u] += 1
+                else:
+                    if not path:
+                        break
+                    u = to[path.pop() ^ 1]
+                    it[u] += 1
+                    continue
+                path.append(e)
+                u = to[e]
+
+
+def _initial_realization_reference(inst):
+    """``initial_realization`` as it was on ``_DinicReference``: the
+    matrix, or the ``Infeasible`` it raised."""
+    n, nc = inst.n, inst.n_cols
+    a = list(inst.degrees.row_degrees)
+    b = list(inst.degrees.col_degrees)
+    if sum(a) != sum(b):
+        raise bp.Infeasible("row and column degree sums differ")
+    mask = inst.fixed.mask
+    for i in range(n):
+        for j in range(nc):
+            if mask[i][j] == bp.FORCED_EDGE:
+                a[i] -= 1
+                b[j] -= 1
+    if any(d < 0 for d in a):
+        raise bp.Infeasible("a row has more forced edges than its degree")
+    if any(d < 0 for d in b):
+        raise bp.Infeasible("a column has more forced edges than its degree")
+    src, snk = 0, n + nc + 1
+    net = _DinicReference(n + nc + 2)
+    for i in range(n):
+        net.add_edge(src, 1 + i, a[i])
+    cell_edge = {}
+    for i in range(n):
+        for j in range(nc):
+            if mask[i][j] == bp.FREE:
+                cell_edge[(i, j)] = len(net.to)
+                net.add_edge(1 + i, 1 + n + j, 1)
+    for j in range(nc):
+        net.add_edge(1 + n + j, snk, b[j])
+    if net.max_flow(src, snk) != sum(a):
+        if not bp.gale_ryser_realizable(inst.degrees):
+            raise bp.Infeasible("degree sequence has no realization")
+        raise bp.Infeasible("no realization satisfies the fixed cells and degrees")
+    matrix = [[int(v == bp.FORCED_EDGE) for v in row] for row in mask]
+    for (i, j), e in cell_edge.items():
+        if net.cap[e] == 0:
+            matrix[i][j] = 1
+    return tuple(map(tuple, matrix))
+
+
+def _start_outcome(build, inst):
+    """The start matrix ``build`` gives for ``inst``, or its Infeasible
+    message."""
+    try:
+        got = build(inst)
+    except bp.Infeasible as exc:
+        return "infeasible", str(exc)
+    return got if isinstance(got, tuple) else got.matrix
+
+
+def _random_flow_instance(rng):
+    """A 1x1 to 14x14 instance: the margins of a random matrix, sometimes
+    nudged off, with random pins (a few of them wrong), some rows pinned
+    in every cell, and zero-degree rows and columns."""
+    n, nc = rng.randint(1, 14), rng.randint(1, 14)
+    density = rng.choice((0.0, 0.1, 0.3, 0.5, 0.7, 1.0, rng.random()))
+    matrix = [[int(rng.random() < density) for _ in range(nc)] for _ in range(n)]
+    for i in rng.sample(range(n), rng.randint(0, n // 3)):
+        matrix[i] = [0] * nc
+    for j in rng.sample(range(nc), rng.randint(0, nc // 3)):
+        for row in matrix:
+            row[j] = 0
+    a = [sum(row) for row in matrix]
+    b = [sum(col) for col in zip(*matrix)]
+    if rng.random() < 0.3:
+        i, j = rng.randrange(n), rng.randrange(nc)
+        a[i] = max(0, a[i] + rng.choice((-1, 1)))
+        b[j] = max(0, b[j] + rng.choice((-1, 1)))
+    pin = rng.choice((0.0, 0.1, 0.3, 0.6))
+    wrong = rng.choice((0.0, 0.0, 0.05, 0.2))
+    mask = []
+    for row in matrix:
+        every = rng.random() < 0.1
+        cells = []
+        for v in row:
+            if every or rng.random() < pin:
+                v ^= rng.random() < wrong
+                cells.append(bp.FORCED_EDGE if v else bp.FORCED_NON_EDGE)
+            else:
+                cells.append(bp.FREE)
+        mask.append(cells)
+    return bp.Instance(bp.DegreeSequence(a, b), bp.FixedSet(mask))
+
+
+def test_initial_realization_replays_the_adjacency_list_dinic():
+    # the same start matrix, or the same Infeasible message, as the
+    # adjacency-list Dinic on every committed instance and 2,400 random ones
+    from bipsample import cli
+
+    committed = sorted((ROOT / "bench" / "instances").glob("*.txt"))
+    cases = [(p.name, cli.parse_instance(p.read_text())) for p in committed]
+    rng = random.Random(19)
+    cases += [(f"random {t}", _random_flow_instance(rng)) for t in range(2400)]
+    seen = Counter()
+    for name, inst in cases:
+        want = _start_outcome(_initial_realization_reference, inst)
+        assert _start_outcome(bp.initial_realization, inst) == want, name
+        seen[want[1] if want[0] == "infeasible" else "feasible"] += 1
+        seen["zero degree"] += 0 in inst.degrees.row_degrees + inst.degrees.col_degrees
+        seen["pinned row"] += any(all(row) for row in inst.fixed.mask)
+    assert len(committed) == 104
+    assert seen["feasible"] > 800 and seen["zero degree"] > 500
+    assert seen["pinned row"] > 200
+    assert len(seen) == 8, seen  # and each of the five Infeasible messages
+
+
+def test_start_realizations_are_pinned():
+    assert start_digest() == GOLDEN_START
 
 
 def test_static_set_full_row():
