@@ -13,11 +13,12 @@ State representation: the chain layer keeps a state as one int per row, a
 bit mask with bit j set when the row has column j, and the fixed cells of
 each row as a mask of the same form.  Each move kind has one block kernel,
 ``_trades`` (which also takes the circle-trade steps of trades+circle),
-``_swaps`` or ``_cycles``, which takes k steps on these masks in place in
-one Python frame.  A chain runs its kernel over a block of steps at a
-time.  Masks are built from and decoded into ``Realization`` objects only
-at the boundary: ``Chain``'s constructor, ``realization()`` (through
-``Realization.from_masks``) and ``state_key``.
+``_swaps`` or ``_cycles``: a generator that a ``Chain`` primes once, so
+its set-up is paid once per chain, and whose ``send(k)`` takes k steps on
+these masks in place in its one Python frame.  Masks are built from and
+decoded into ``Realization`` objects only at the boundary: ``Chain``'s
+constructor, ``realization()`` (through ``Realization.from_masks``) and
+``state_key``.
 
 Subset ranks: a trade or circle step draws a uniform index below C(r, k)
 and turns it into the index-th k-subset of an r-column pool with
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator
 
@@ -129,8 +130,10 @@ def _unrank_subset(
 
 
 # ---------------------------------------------------------------------------
-# Block kernels.  Each takes k steps of one move kind on the row masks in
-# place.
+# Block kernels.  Each is a generator that takes the steps of one move kind
+# on the row masks in place: primed once per chain, it binds the rng's
+# methods, the bit lengths and its tables on the way to its first
+# ``yield``, and each ``send(k)`` then takes k steps in its frame.
 #
 # Every draw below n is CPython 3.10-3.13's ``randrange(n)``, inlined: with
 # b = n.bit_length(), ``r = getrandbits(b)`` until r < n.  A draw below 1
@@ -143,12 +146,12 @@ def _unrank_subset(
 # lacks it, so every changed row changes by an XOR.
 
 
-def _trades(rows, fixed, n, rng, k, table, circle=None):
-    """k trade steps: a uniform ordered row pair (i, j), then a uniform
-    replacement for a_ij among the |a_ij|-subsets of the pool a_ij | a_ji.
-    Drawing a_ij itself is the lazy step.  ``table`` is ``_binomials`` up
-    to at least the number of columns; every subset count and every
-    subset rank is read from it.
+def _trades(rows, fixed, n, rng, table, circle=None):
+    """Trade steps: a uniform ordered row pair (i, j), then a uniform
+    replacement for a_ij among the |a_ij|-subsets of the pool a_ij | a_ji,
+    the free columns where the two rows differ.  Drawing a_ij itself is the
+    lazy step.  ``table`` is ``_binomials`` up to at least the number of
+    columns; every subset count and every subset rank is read from it.
 
     With ``circle`` set to the Metropolis flag, each step first draws one
     bit; on a 1 it is a circle trade instead (the lazy step when n < 3).
@@ -160,14 +163,105 @@ def _trades(rows, fixed, n, rng, k, table, circle=None):
     With the flag on, the Metropolis test may keep the old rows."""
     mixed = circle is not None
     if n < 2 and not mixed:
-        return
+        while True:
+            yield
     getrandbits, uniform = rng.getrandbits, rng.random
     unrank, denominator = _unrank_subset, circle_denominator
     n1, n2 = n - 1, n - 2
     bits_i, bits_j, bits_t = n.bit_length(), n1.bit_length(), n2.bit_length()
-    for _ in range(k):
-        if mixed and getrandbits(1):
-            if n < 3:
+    while True:
+        k = yield
+        for _ in range(k):
+            if mixed and getrandbits(1):
+                if n < 3:
+                    continue
+                i = getrandbits(bits_i)
+                while i >= n:
+                    i = getrandbits(bits_i)
+                j = getrandbits(bits_j)
+                while j >= n1:
+                    j = getrandbits(bits_j)
+                if j >= i:
+                    j += 1
+                # The t-th row other than i and j.
+                t = getrandbits(bits_t)
+                while t >= n2:
+                    t = getrandbits(bits_t)
+                if i < j:  # past the smaller of i and j first
+                    if t >= i:
+                        t += 1
+                    if t >= j:
+                        t += 1
+                else:
+                    if t >= j:
+                        t += 1
+                    if t >= i:
+                        t += 1
+                ri, rj, rt = rows[i], rows[j], rows[t]
+                fi, fj, ft = fixed[i], fixed[j], fixed[t]
+                # What row j hands to i, t to j and i to t.
+                d_j = rj & ~(ri | fi | fj)
+                d_t = rt & ~(rj | fj | ft)
+                d_i = ri & ~(rt | ft | fi)
+                s_j, s_t, s_i = d_j.bit_count(), d_t.bit_count(), d_i.bit_count()
+                # The pivot is the first smallest set, of size m; a and b are
+                # the other two in draw order, of sizes s_a and s_b.
+                if s_j <= s_t and s_j <= s_i:
+                    m, pool, a = s_j, d_j, d_t
+                    s_a, b, s_b = s_t, d_i, s_i
+                elif s_t <= s_i:
+                    m, pool, a = s_t, d_t, d_j
+                    s_a, b, s_b = s_j, d_i, s_i
+                else:
+                    m, pool, a = s_i, d_i, d_j
+                    s_a, b, s_b = s_j, d_t, s_t
+                if not m:
+                    continue
+                pick = getrandbits(m)
+                if not pick:
+                    continue
+                x = pick.bit_count()
+                chosen = 0
+                while pick:
+                    low = pool & -pool
+                    pool ^= low
+                    if pick & 1:
+                        chosen |= low
+                    pick >>= 1
+                total = table[s_a][x]
+                bits = total.bit_length()
+                r = getrandbits(bits)
+                while r >= total:
+                    r = getrandbits(bits)
+                a = unrank(a, x, r, table)
+                total = table[s_b][x]
+                bits = total.bit_length()
+                r = getrandbits(bits)
+                while r >= total:
+                    r = getrandbits(bits)
+                b = unrank(b, x, r, table)
+                # The subsets each row hands on, in their sets' roles.
+                if m == s_j:
+                    sub_j, sub_t, sub_i = chosen, a, b
+                elif m == s_t:
+                    sub_j, sub_t, sub_i = a, chosen, b
+                else:
+                    sub_j, sub_t, sub_i = a, b, chosen
+                ni, nj, nt = ri ^ (sub_i | sub_j), rj ^ (sub_j | sub_t), rt ^ (sub_t | sub_i)
+                if circle:
+                    den_fwd = denominator((s_j, s_t, s_i), x)
+                    # The reverse rotation runs over the order (j, i, t) of
+                    # the new state.
+                    den_rev = denominator((
+                        (ni & ~(nj | fj | fi)).bit_count(),
+                        (nt & ~(ni | fi | ft)).bit_count(),
+                        (nj & ~(nt | ft | fj)).bit_count(),
+                    ), x)
+                    if den_rev > den_fwd and uniform() >= den_fwd / den_rev:
+                        continue
+                rows[i], rows[j], rows[t] = ni, nj, nt
+                continue
+            if n < 2:
                 continue
             i = getrandbits(bits_i)
             while i >= n:
@@ -177,157 +271,69 @@ def _trades(rows, fixed, n, rng, k, table, circle=None):
                 j = getrandbits(bits_j)
             if j >= i:
                 j += 1
-            # The t-th row other than i and j.
-            t = getrandbits(bits_t)
-            while t >= n2:
-                t = getrandbits(bits_t)
-            if i < j:  # past the smaller of i and j first
-                if t >= i:
-                    t += 1
-                if t >= j:
-                    t += 1
-            else:
-                if t >= j:
-                    t += 1
-                if t >= i:
-                    t += 1
-            ri, rj, rt = rows[i], rows[j], rows[t]
-            fi, fj, ft = fixed[i], fixed[j], fixed[t]
-            # What row j hands to i, t to j and i to t.
-            d_j = rj & ~(ri | fi | fj)
-            d_t = rt & ~(rj | fj | ft)
-            d_i = ri & ~(rt | ft | fi)
-            s_j, s_t, s_i = d_j.bit_count(), d_t.bit_count(), d_i.bit_count()
-            # The pivot is the first smallest set, of size m; a and b are the
-            # other two in draw order, of sizes s_a and s_b.
-            if s_j <= s_t and s_j <= s_i:
-                m, pool, a = s_j, d_j, d_t
-                s_a, b, s_b = s_t, d_i, s_i
-            elif s_t <= s_i:
-                m, pool, a = s_t, d_t, d_j
-                s_a, b, s_b = s_j, d_i, s_i
-            else:
-                m, pool, a = s_i, d_i, d_j
-                s_a, b, s_b = s_j, d_t, s_t
-            if not m:
-                continue
-            pick = getrandbits(m)
-            if not pick:
-                continue
-            x = pick.bit_count()
-            chosen = 0
-            while pick:
-                low = pool & -pool
-                pool ^= low
-                if pick & 1:
-                    chosen |= low
-                pick >>= 1
-            total = table[s_a][x]
+            ri = rows[i]
+            pool = (ri ^ rows[j]) & ~(fixed[i] | fixed[j])
+            a = pool & ri
+            size = a.bit_count()
+            total = table[pool.bit_count()][size]
             bits = total.bit_length()
             r = getrandbits(bits)
             while r >= total:
                 r = getrandbits(bits)
-            a = unrank(a, x, r, table)
-            total = table[s_b][x]
-            bits = total.bit_length()
-            r = getrandbits(bits)
-            while r >= total:
-                r = getrandbits(bits)
-            b = unrank(b, x, r, table)
-            # The subsets each row hands on, in their sets' roles.
-            if m == s_j:
-                sub_j, sub_t, sub_i = chosen, a, b
-            elif m == s_t:
-                sub_j, sub_t, sub_i = a, chosen, b
-            else:
-                sub_j, sub_t, sub_i = a, b, chosen
-            ni, nj, nt = ri ^ (sub_i | sub_j), rj ^ (sub_j | sub_t), rt ^ (sub_t | sub_i)
-            if circle:
-                den_fwd = denominator((s_j, s_t, s_i), x)
-                # The reverse rotation runs over the order (j, i, t) of the
-                # new state.
-                den_rev = denominator((
-                    (ni & ~(nj | fj | fi)).bit_count(),
-                    (nt & ~(ni | fi | ft)).bit_count(),
-                    (nj & ~(nt | ft | fj)).bit_count(),
-                ), x)
-                if den_rev > den_fwd and uniform() >= den_fwd / den_rev:
-                    continue
-            rows[i], rows[j], rows[t] = ni, nj, nt
-            continue
-        if n < 2:
-            continue
-        i = getrandbits(bits_i)
-        while i >= n:
-            i = getrandbits(bits_i)
-        j = getrandbits(bits_j)
-        while j >= n1:
-            j = getrandbits(bits_j)
-        if j >= i:
-            j += 1
-        ri, rj = rows[i], rows[j]
-        blocked = fixed[i] | fixed[j]
-        a = ri & ~(rj | blocked)
-        b = rj & ~(ri | blocked)
-        pool = a | b
-        size = a.bit_count()
-        total = table[pool.bit_count()][size]
-        bits = total.bit_length()
-        r = getrandbits(bits)
-        while r >= total:
-            r = getrandbits(bits)
-        # With one subset in the pool it is a_ij itself.
-        if total > 1:
-            flip = a ^ unrank(pool, size, r, table)
-            rows[i] = ri ^ flip
-            rows[j] = rj ^ flip
+            # With one subset in the pool it is a_ij itself.
+            if total > 1:
+                flip = a ^ unrank(pool, size, r, table)
+                rows[i] = ri ^ flip
+                rows[j] ^= flip
 
 
-def _swaps(rows, fixed, n, rng, k):
-    """k single swaps: a uniform ordered row pair (i, j), then row i gives
-    a column of a_ij to row j for one of a_ji, uniform among the pair's
+def _swaps(rows, fixed, n, rng):
+    """Single swaps: a uniform ordered row pair (i, j), then row i gives a
+    column of a_ij to row j for one of a_ji, uniform among the pair's
     |a_ij| * |a_ji| options plus the lazy step, drawn last."""
     if n < 2:
-        return
+        while True:
+            yield
     getrandbits = rng.getrandbits
     n1 = n - 1
     bits_i, bits_j = n.bit_length(), n1.bit_length()
-    for _ in range(k):
-        i = getrandbits(bits_i)
-        while i >= n:
+    while True:
+        k = yield
+        for _ in range(k):
             i = getrandbits(bits_i)
-        j = getrandbits(bits_j)
-        while j >= n1:
+            while i >= n:
+                i = getrandbits(bits_i)
             j = getrandbits(bits_j)
-        if j >= i:
-            j += 1
-        ri, rj = rows[i], rows[j]
-        blocked = fixed[i] | fixed[j]
-        a = ri & ~(rj | blocked)
-        b = rj & ~(ri | blocked)
-        n_ji = b.bit_count()
-        n_ex = a.bit_count() * n_ji
-        bits = (n_ex + 1).bit_length()
-        r = getrandbits(bits)
-        while r > n_ex:
+            while j >= n1:
+                j = getrandbits(bits_j)
+            if j >= i:
+                j += 1
+            ri = rows[i]
+            pool = (ri ^ rows[j]) & ~(fixed[i] | fixed[j])
+            a = pool & ri
+            b = pool ^ a
+            n_ji = b.bit_count()
+            n_ex = a.bit_count() * n_ji
+            bits = (n_ex + 1).bit_length()
             r = getrandbits(bits)
-        if r < n_ex:
-            # The q-th set bit of a_ij and the s-th of a_ji.
-            q, s = divmod(r, n_ji)
-            x, y = a, b
-            for _ in range(q):
-                x &= x - 1
-            for _ in range(s):
-                y &= y - 1
-            flip = (x & -x) | (y & -y)
-            rows[i] = ri ^ flip
-            rows[j] = rj ^ flip
+            while r > n_ex:
+                r = getrandbits(bits)
+            if r < n_ex:
+                # The q-th set bit of a_ij and the s-th of a_ji.
+                q, s = divmod(r, n_ji)
+                for _ in range(q):
+                    a &= a - 1
+                for _ in range(s):
+                    b &= b - 1
+                flip = (a & -a) | (b & -b)
+                rows[i] = ri ^ flip
+                rows[j] ^= flip
 
 
-def _cycles(rows, fixed, n, rng, k, n_cols, limit):
-    """k bounded cycle swaps: a uniform h in 2..limit/2, then h distinct
-    rows and h distinct columns, the t-th being the pos-th index not yet
-    drawn for a uniform pos below n - t (n_cols - t).  The closed walk
+def _cycles(rows, fixed, n, rng, n_cols, limit):
+    """Bounded cycle swaps: a uniform h in 2..limit/2, then h distinct rows
+    and h distinct columns, the t-th being the pos-th index not yet drawn
+    for a uniform pos below n - t (n_cols - t).  The closed walk
     row0-col0-row1-col1-...-row0 swaps when it alternates and avoids fixed
     cells, checked row by row, stopping at the first failure.  Every draw
     is made before the walk starts.  A draw becomes its index by popping
@@ -347,56 +353,61 @@ def _cycles(rows, fixed, n, rng, k, n_cols, limit):
     # its column indices; a step uses the first h entries.
     walk_rows = [0] * len(reach)
     walk_cols = [0] * len(reach)
-    for _ in range(k):
-        h = getrandbits(bits_h)
-        while h >= lengths:
+    while True:
+        k = yield
+        for _ in range(k):
             h = getrandbits(bits_h)
-        h += 2
-        if h > n or h > n_cols:
-            continue
-        for t in range(h):
-            m, bits = n - t, row_bits[t]
-            pos = getrandbits(bits)
-            while pos >= m:
-                pos = getrandbits(bits)
-            walk_rows[t] = pos
-        left = every_col.copy()
-        for t in range(h):
-            m, bits = n_cols - t, col_bits[t]
-            pos = getrandbits(bits)
-            while pos >= m:
-                pos = getrandbits(bits)
-            walk_cols[t] = left.pop(pos)
-        # Row r_t holds cells (r_t, c_t) and (r_t, c_{t-1}); along the walk
-        # the first has the value of (r_0, c_0), the second the other value.
-        # Row 0's draw is its index: nothing was drawn before it.
-        first_one = rows[walk_rows[0]] >> walk_cols[0] & 1
-        prev = 1 << walk_cols[h - 1]
-        left = every_row.copy()
-        for t in range(h):
-            r = walk_rows[t] = left.pop(walk_rows[t])
-            cur = 1 << walk_cols[t]
-            pair = cur | prev
-            if rows[r] & pair != (cur if first_one else prev) or fixed[r] & pair:
-                break
-            prev = cur
-        else:
-            prev = 1 << walk_cols[h - 1]
+            while h >= lengths:
+                h = getrandbits(bits_h)
+            h += 2
+            if h > n or h > n_cols:
+                continue
             for t in range(h):
+                m, bits = n - t, row_bits[t]
+                pos = getrandbits(bits)
+                while pos >= m:
+                    pos = getrandbits(bits)
+                walk_rows[t] = pos
+            left = every_col.copy()
+            for t in range(h):
+                m, bits = n_cols - t, col_bits[t]
+                pos = getrandbits(bits)
+                while pos >= m:
+                    pos = getrandbits(bits)
+                walk_cols[t] = left.pop(pos)
+            # Row r_t holds cells (r_t, c_t) and (r_t, c_{t-1}); along the
+            # walk the first has the value of (r_0, c_0), the second the
+            # other value.  Row 0's draw is its index: nothing was drawn
+            # before it.
+            first_one = rows[walk_rows[0]] >> walk_cols[0] & 1
+            prev = 1 << walk_cols[h - 1]
+            left = every_row.copy()
+            for t in range(h):
+                r = walk_rows[t] = left.pop(walk_rows[t])
                 cur = 1 << walk_cols[t]
-                rows[walk_rows[t]] ^= cur | prev
+                pair = cur | prev
+                if rows[r] & pair != (cur if first_one else prev) or fixed[r] & pair:
+                    break
                 prev = cur
+            else:
+                prev = 1 << walk_cols[h - 1]
+                for t in range(h):
+                    cur = 1 << walk_cols[t]
+                    rows[walk_rows[t]] ^= cur | prev
+                    prev = cur
 
 
 class Chain:
     """One seeded run of a chain from a start realization.
 
     The current state lives as one column mask per row; no ``Realization``
-    is built until ``realization()`` asks for one.  The chain picks its
-    move kind's block kernel once; ``advance(k)`` is one kernel call.
-    ``keys()`` yields a cheap key of the state after every
-    ``sample_gap``-th step: the tuple of row masks, the value ``state_key``
-    gives for that state's ``Realization``.
+    is built until ``realization()`` asks for one.  The constructor primes
+    its move kind's block kernel once, so the kernel's set-up (bound rng
+    methods, bit lengths, tables) is paid once per chain: ``advance(k)``
+    is one ``send(k)``, and so is each kept state of ``keys()``, which
+    yields a cheap key of the state after every ``sample_gap``-th step:
+    the tuple of row masks, the value ``state_key`` gives for that state's
+    ``Realization``.
     """
 
     def __init__(self, start: Realization, cfg: ChainConfig):
@@ -410,28 +421,26 @@ class Chain:
         state = (rows, self._fixed, inst.n, self._rng)
         kind = cfg.move_set.kind
         if kind == MoveSet.TRADES:
-            self._run = partial(_trades, *state, table=_binomials(inst.n_cols))
+            kernel = _trades(*state, _binomials(inst.n_cols))
         elif kind == MoveSet.TRADES_PLUS_CIRCLE:
-            self._run = partial(
-                _trades, *state, table=_binomials(inst.n_cols), circle=cfg.mh_correction
-            )
+            kernel = _trades(*state, _binomials(inst.n_cols), cfg.mh_correction)
         elif kind == MoveSet.SWAPS4:
-            self._run = partial(_swaps, *state)
+            kernel = _swaps(*state)
         else:
-            self._run = partial(
-                _cycles, *state, n_cols=inst.n_cols, limit=cfg.move_set.limit
-            )
+            kernel = _cycles(*state, inst.n_cols, cfg.move_set.limit)
+        next(kernel)
+        self._send = kernel.send
 
     def advance(self, k: int) -> None:
         """Take ``k`` steps."""
-        self._run(k)
+        self._send(k)
 
     def keys(self) -> Iterator[tuple[int, ...]]:
         """Take ``steps - steps % sample_gap`` steps, the last kept one,
         yielding the state key after every ``sample_gap``-th of them."""
-        run, rows, gap = self._run, self._rows, self.config.sample_gap
+        send, rows, gap = self._send, self._rows, self.config.sample_gap
         for _ in range(self.config.steps // gap):
-            run(gap)
+            send(gap)
             yield tuple(rows)
 
     def realization(self) -> Realization:

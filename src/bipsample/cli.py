@@ -251,7 +251,8 @@ def _load_instance(path: str) -> Instance | None:
     """The instance in the file ``path``, or None after one line on stderr
     naming the path and why it cannot be read or parsed."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark, as some editors write.
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return parse_instance(fh.read())
     except ParseError as exc:
         print(f"{path}:{exc.location()}: {exc.message}", file=sys.stderr)

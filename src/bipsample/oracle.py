@@ -307,20 +307,42 @@ class StateGraph:
     move_set: MoveSet
 
 
-def enumerate_realizations(inst: Instance) -> list[Realization]:
-    """Every realization of the instance, in canonical (row-major bit
-    string) order, by row-wise backtracking."""
+def _instance_bits(inst: Instance) -> list[int]:
+    """Every realization of the instance as a state int, sorted, by
+    row-wise backtracking; TooLarge past the enumeration guard."""
     n, nc = inst.n, inst.n_cols
     if n * nc > ENUMERATION_CELL_LIMIT:
         raise TooLarge(f"{n}x{nc} grid exceeds the enumeration guard")
-    bits = _enumerate_bits(
+    return _enumerate_bits(
         inst.degrees.row_degrees, inst.degrees.col_degrees,
         _cells_mask(inst.fixed.cells, n, nc),
         _cells_mask(inst.fixed.forced_edges, n, nc),
     )
+
+
+def enumerate_realizations(inst: Instance) -> list[Realization]:
+    """Every realization of the instance, in canonical (row-major bit
+    string) order, by row-wise backtracking."""
+    n, nc = inst.n, inst.n_cols
     return [
-        Realization(inst, _bits_to_matrix(x, n, nc), validate=False) for x in bits
+        Realization(inst, _bits_to_matrix(x, n, nc), validate=False)
+        for x in _instance_bits(inst)
     ]
+
+
+def _state_index(inst: Instance) -> dict[tuple[int, ...], int]:
+    """The ``chains.state_key`` of every realization, mapped to its
+    position in ``enumerate_realizations(inst)``, read from the state ints
+    with no ``Realization`` built.  Reversing a state's bit string puts
+    cell (i, j) at bit i*nc + j, so row i's key is the nc bits from there."""
+    n, nc = inst.n, inst.n_cols
+    full, fmt = (1 << nc) - 1, f"0{n * nc}b"
+    shifts = [i * nc for i in range(n)]
+    index = {}
+    for s, x in enumerate(_instance_bits(inst)):
+        y = int(format(x, fmt)[::-1], 2)
+        index[tuple([y >> sh & full for sh in shifts])] = s
+    return index
 
 
 def _ctx_of(states: list[Realization]) -> _SeqCtx:
@@ -386,18 +408,17 @@ def uniformity_report(inst: Instance, cfg: chains.ChainConfig) -> tuple[float, f
     (total-variation distance, chi-square p-value).
 
     Visits are counted by the chain's state keys against the enumerated
-    states' keys, so a visited state missing from the enumeration raises
-    KeyError.  A config that keeps no state (``steps < sample_gap``)
-    raises ValueError."""
+    states' keys (``_state_index``), so a visited state missing from the
+    enumeration raises KeyError.  A config that keeps no state
+    (``steps < sample_gap``) raises ValueError."""
     if cfg.steps < cfg.sample_gap:
         raise ValueError("no kept states")
-    states = enumerate_realizations(inst)
-    index = {chains.state_key(g): s for s, g in enumerate(states)}
-    counts = [0] * len(states)
+    index = _state_index(inst)
+    counts = [0] * len(index)
     for key in chains.Chain(initial_realization(inst), cfg).keys():
         counts[index[key]] += 1
     n_samples = sum(counts)
-    k = len(states)
+    k = len(index)
     if k == 1:
         return 0.0, 1.0
     tv = 0.5 * sum(abs(c / n_samples - 1 / k) for c in counts)

@@ -52,19 +52,27 @@ def toggled(g, cells):
     return bp.Realization(g.instance, matrix)
 
 
+def primed(kernel):
+    """A block kernel primed as ``Chain`` primes it: each ``send(k)`` then
+    takes k steps."""
+    next(kernel)
+    return kernel
+
+
 def _on_masks(kernel):
     """One step of ``kernel(rows, fixed, inst, rng)`` from ``g``, on fresh
     row masks, as row sets."""
     def one_step(g, rng):
         rows = [mask(r) for r in g.rows]
-        kernel(rows, tuple(map(mask, g.instance.fixed.row_fixed())), g.instance, rng)
+        fixed = tuple(map(mask, g.instance.fixed.row_fixed()))
+        primed(kernel(rows, fixed, g.instance, rng)).send(1)
         return tuple(frozenset(cols(r)) for r in rows)
     return one_step
 
 
 # One step of each block kernel from a realization, as its rows.
-trade_step = _on_masks(lambda rows, fixed, inst, r: _trades(rows, fixed, inst.n, r, 1, TABLE))
-swap_step = _on_masks(lambda rows, fixed, inst, r: _swaps(rows, fixed, inst.n, r, 1))
+trade_step = _on_masks(lambda rows, fixed, inst, r: _trades(rows, fixed, inst.n, r, TABLE))
+swap_step = _on_masks(lambda rows, fixed, inst, r: _swaps(rows, fixed, inst.n, r))
 
 
 class _CircleCoin:
@@ -87,17 +95,17 @@ class _CircleCoin:
 
 def circle_step(mh):
     return _on_masks(
-        lambda rows, fixed, inst, r: _trades(rows, fixed, inst.n, _CircleCoin(r), 1, TABLE, mh)
+        lambda rows, fixed, inst, r: _trades(rows, fixed, inst.n, _CircleCoin(r), TABLE, mh)
     )
 
 
 def mixed_step(mh):
-    return _on_masks(lambda rows, fixed, inst, r: _trades(rows, fixed, inst.n, r, 1, TABLE, mh))
+    return _on_masks(lambda rows, fixed, inst, r: _trades(rows, fixed, inst.n, r, TABLE, mh))
 
 
 def cycle_step(limit):
     return _on_masks(
-        lambda rows, fixed, inst, r: _cycles(rows, fixed, inst.n, r, 1, inst.n_cols, limit)
+        lambda rows, fixed, inst, r: _cycles(rows, fixed, inst.n, r, inst.n_cols, limit)
     )
 
 
@@ -187,10 +195,11 @@ def test_trade_preserves_pair_difference_set():
     inst = readme_4x4()
     rows = list(bp.state_key(bp.initial_realization(inst)))
     fixed = tuple(map(mask, inst.fixed.row_fixed()))
+    step = primed(_trades(rows, fixed, inst.n, rng, TABLE)).send
     traded = 0
     for _ in range(200):
         before = list(rows)
-        _trades(rows, fixed, inst.n, rng, 1, TABLE)
+        step(1)
         changed = [i for i, (r, s) in enumerate(zip(before, rows)) if r ^ s]
         if not changed:
             continue
@@ -436,8 +445,8 @@ def test_uniformity_report_rejects_a_config_that_keeps_no_state():
 
 def test_uniformity_report_rejects_a_state_outside_the_enumeration(monkeypatch):
     inst = bp.Instance.unconstrained((1, 1), (1, 1))
-    states = bp.enumerate_realizations(inst)
-    monkeypatch.setattr(oracle, "enumerate_realizations", lambda _: states[:1])
+    bits = oracle._instance_bits(inst)
+    monkeypatch.setattr(oracle, "_instance_bits", lambda _: bits[:1])
     with pytest.raises(KeyError):
         bp.uniformity_report(inst, ChainConfig(MoveSet.trades(), 200, 3))
 
@@ -498,6 +507,33 @@ def test_block_size_never_changes_the_stream(name):
                 gapped = chain(gap)
                 got = [(key, gapped._rng.getstate()) for key in gapped.keys()]
                 assert got == trail[gap - 1::gap], (label, seed, gap)
+
+
+@pytest.mark.parametrize("name", ["1x1", "1x5"])
+def test_lazy_kernels_draw_only_what_the_docstring_says(name):
+    """With one row, priming a kernel and ``send(k)`` leave the rng as it
+    was for trades and swaps; trades+circle takes its coin bit per step
+    and nothing more.  The rows never change."""
+    inst = BLOCK_INSTANCES[name]()
+    start = list(bp.state_key(bp.initial_realization(inst)))
+    fixed = tuple(map(mask, inst.fixed.row_fixed()))
+    kernels = {
+        "trades": (lambda rows, r: _trades(rows, fixed, 1, r, TABLE), 0),
+        "swaps": (lambda rows, r: _swaps(rows, fixed, 1, r), 0),
+        "trades+circle": (lambda rows, r: _trades(rows, fixed, 1, r, TABLE, True), 1),
+        "trades+circle, mh off": (lambda rows, r: _trades(rows, fixed, 1, r, TABLE, False), 1),
+    }
+    for kind, (kernel, coin_bits) in kernels.items():
+        for seed in range(3):
+            rng, reference = random.Random(seed), random.Random(seed)
+            rows = list(start)
+            step = primed(kernel(rows, rng)).send
+            for k in (1, 7, 50):
+                step(k)
+                for _ in range(k * coin_bits):
+                    reference.getrandbits(1)
+                assert rng.getstate() == reference.getstate(), (name, kind, seed, k)
+                assert rows == start, (name, kind, seed, k)
 
 
 def _pair(n, rng):
@@ -719,12 +755,14 @@ def test_kernel_steps_follow_the_exact_ledgers(make, circle, mh):
     fixed = tuple(map(mask, inst.fixed.row_fixed()))
     rng = random.Random(20240801)
     draws = 20_000
+    rows = [0] * inst.n
+    step = primed(_trades(rows, fixed, inst.n, rng, TABLE, mh if circle else None)).send
     for s in (0, len(states) // 2, len(states) - 1):
         start = bp.state_key(states[s])
         counts = Counter()
         for _ in range(draws):
-            rows = list(start)
-            _trades(rows, fixed, inst.n, rng, 1, TABLE, mh if circle else None)
+            rows[:] = start
+            step(1)
             counts[index[tuple(rows)]] += 1
         support = sorted(t for t, p in exact[s].items() if p)
         assert set(counts) <= set(support), s

@@ -382,6 +382,16 @@ def test_analyze_non_utf8_file_exit(tmp_path, capsys):
     assert one_line_error(capsys).startswith(f"{path}: cannot read")
 
 
+def test_analyze_reads_a_file_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    plain = write(tmp_path, "plain.txt", FREE_2X2)
+    assert cli.main(["analyze", plain]) == 0
+    want = capsys.readouterr()
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + FREE_2X2.encode())
+    assert cli.main(["analyze", str(path)]) == 0
+    assert capsys.readouterr() == want
+
+
 def test_sample_out_that_cannot_be_written_exit(tmp_path, capsys):
     path = write(tmp_path, "m.txt", FREE_2X2)
     taken = write(tmp_path, "taken", "")

@@ -484,9 +484,12 @@ def test_degree_conservation_after_cycle_swaps():
         limit = 2 * min(inst.n, inst.n_cols)
         start = bp.state_key(g)
         fixed = tuple(chains._mask(r) for r in inst.fixed.row_fixed())
+        rows = list(start)
+        kernel = chains._cycles(rows, fixed, inst.n, rng, inst.n_cols, limit)
+        next(kernel)
         for _ in range(300):
-            rows = list(start)
-            chains._cycles(rows, fixed, inst.n, rng, 1, inst.n_cols, limit)
+            rows[:] = start
+            kernel.send(1)
             changed = sum((r ^ s).bit_count() for r, s in zip(rows, start))
             if not changed:
                 continue

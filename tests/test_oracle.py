@@ -17,6 +17,7 @@ import bipsample as bp
 from bipsample import chains, cli, oracle
 from bipsample.chains import ChainConfig
 from bipsample.core import MoveSet
+from streams import random_pinned_instance
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
 # sha256 of the pool's INFO lines joined by newlines, as the frozenset
@@ -381,6 +382,29 @@ def test_uniformity_two_state_trades():
     tv, p = bp.uniformity_report(inst, cfg)
     assert tv < 0.01
     assert p > 0.001
+
+
+def _realization_index(inst):
+    return {chains.state_key(g): s for s, g in enumerate(bp.enumerate_realizations(inst))}
+
+
+def test_state_index_from_bits_matches_the_realizations(criterion8_fixtures):
+    # the uniformity index read from enumeration ints equals the one built
+    # from Realizations: criterion 8's fixtures, then seeded pinned grids up
+    # to the 36-cell guard, single rows and columns included
+    for label, inst, _ in criterion8_fixtures:
+        assert oracle._state_index(inst) == _realization_index(inst), label
+    rng = random.Random(20)
+    shapes = [(1, 36), (36, 1), (1, 5), (5, 1), (2, 18), (18, 2), (3, 12), (12, 3),
+              (4, 9), (9, 4), (6, 6), (5, 7), (3, 4)]
+    states = 0
+    for n, nc in shapes:
+        for density in (0.3, 0.5, 0.7):
+            inst = random_pinned_instance(rng, n, nc, density, n * nc // 3)
+            index = oracle._state_index(inst)
+            assert index == _realization_index(inst), (n, nc, density)
+            states += len(index)
+    assert states > 200
 
 
 def test_search_split_masks_finds_frozen_witness():
