@@ -4,35 +4,45 @@ forests) and the chain recommendation cascade."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import count
+from operator import or_
 from typing import Iterable
 
-from .core import FixedSet, MoveSet, NoUsableBound
+from .core import FixedSet, MoveSet, NoUsableBound, _check_cell
 
 
 @dataclass(frozen=True)
 class FGraph:
-    """The fixed cells viewed as a bipartite graph, polarity ignored."""
+    """The fixed cells viewed as a bipartite graph, polarity ignored: bit j
+    of ``rows[i]`` is set when cell (i, j) is fixed, for ``n`` rows over
+    ``n_cols`` columns."""
 
     n: int
     n_cols: int
-    edges: frozenset[tuple[int, int]]
+    rows: tuple[int, ...]
 
     @classmethod
     def from_cells(cls, n: int, n_cols: int, cells: Iterable[tuple[int, int]]) -> "FGraph":
-        return cls(n, n_cols, frozenset((i, j) for i, j in cells))
+        rows = [0] * n
+        for i, j in cells:
+            _check_cell(i, j, n, n_cols)  # a negative index would wrap
+            rows[i] |= 1 << j
+        return cls(n, n_cols, tuple(rows))
 
-    def row_adj(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {}
-        for i, j in sorted(self.edges):
-            adj.setdefault(i, []).append(j)
-        return adj
-
-    def col_adj(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {}
-        for i, j in sorted(self.edges):
-            adj.setdefault(j, []).append(i)
-        return adj
+    @cached_property
+    def _neighbours(self) -> tuple[int, ...]:
+        """Each vertex's neighbours as a mask, the column masks derived
+        once: row i is vertex i and column j is vertex n + j."""
+        n = self.n
+        nbrs = [m << n for m in self.rows] + [0] * self.n_cols
+        for i in range(n):
+            m = nbrs[i]
+            while m:
+                low = m & -m
+                nbrs[low.bit_length() - 1] |= 1 << i
+                m ^= low
+        return tuple(nbrs)
 
     @cached_property
     def _block_list(self) -> tuple["FGraph", ...]:
@@ -55,66 +65,74 @@ class AnalysisReport:
 def max_matching_at_least(f: FGraph, k: int) -> bool:
     """True iff the fixed-cell graph has a matching of size >= k.
 
-    Augmenting-path search with an early exit once k edges are matched.
+    Augmenting-path search with an early exit once k edges are matched, so
+    it recurses at most k deep.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    row_adj = f.row_adj()
-    match_col: dict[int, int] = {}
-    matched = 0
+    rows = f.rows
+    match_col: dict[int, int] = {}  # a matched column's bit -> its row
+    seen = 0  # the columns this augmenting search has reached
 
-    def augment(i: int, seen: set[int]) -> bool:
-        for j in row_adj.get(i, ()):
-            if j in seen:
-                continue
-            seen.add(j)
-            if j not in match_col or augment(match_col[j], seen):
-                match_col[j] = i
-                return True
+    def augment(i: int) -> bool:
+        nonlocal seen
+        cand = rows[i]
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            if not seen & bit:
+                seen |= bit
+                if bit not in match_col or augment(match_col[bit]):
+                    match_col[bit] = i
+                    return True
         return False
 
-    for i in sorted(row_adj):
-        if augment(i, set()):
-            matched += 1
-            if matched >= k:
-                return True
+    matched = 0
+    for i in range(f.n):
+        seen = 0
+        matched += augment(i)
+        if matched >= k:
+            return True
     return False
 
 
 def _blocks(f: FGraph) -> list[FGraph]:
     """The biconnected blocks of the fixed-cell graph, one FGraph each.
 
-    Iterative Hopcroft-Tarjan: a DFS keeps a stack of the edges it has
-    walked; when a child's low point does not reach above its parent, the
-    edges walked since the tree edge into that child, that edge included,
-    form one block.  Row i is vertex 2i and column j is vertex 2j+1.
-    Every edge lies in exactly one block, and a bridge is a block of its
-    own.
+    Iterative Hopcroft-Tarjan on the masks: a DFS keeps a stack of the
+    edges it has walked; when a child's low point does not reach above its
+    parent, the edges walked since the tree edge into that child, that
+    edge included, form one block.  Every edge lies in exactly one block,
+    and a bridge is a block of its own.  A block is the FGraph of its own
+    rows, renumbered in order, over the same columns, so the split costs
+    O(n + n_cols + |F|) however many blocks F has.
     """
-    adj: dict[int, list[int]] = {}
-    for i, j in sorted(f.edges):
-        adj.setdefault(2 * i, []).append(2 * j + 1)
-        adj.setdefault(2 * j + 1, []).append(2 * i)
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
+    n = f.n
+    rest = list(f._neighbours)  # each vertex's neighbours not walked yet
+    disc = [-1] * len(rest)
+    low = [0] * len(rest)
+    order = count()
     walked: list[tuple[int, int]] = []
     blocks: list[FGraph] = []
-    for root in adj:
-        if root in disc:
+    for root in range(n):
+        if disc[root] >= 0:
             continue
-        disc[root] = low[root] = len(disc)
-        stack = [(root, -1, iter(adj[root]))]
+        disc[root] = low[root] = next(order)
+        stack = [(root, -1)]
         while stack:
-            v, parent, neighbours = stack[-1]
-            for w in neighbours:
-                if w == parent:
-                    continue
-                if w not in disc:
-                    disc[w] = low[w] = len(disc)
+            v, parent = stack[-1]
+            nbrs = rest[v]
+            while nbrs:
+                bit = nbrs & -nbrs
+                nbrs ^= bit
+                w = bit.bit_length() - 1
+                if disc[w] < 0:
+                    rest[v] = nbrs
+                    disc[w] = low[w] = next(order)
                     walked.append((v, w))
-                    stack.append((w, v, iter(adj[w])))
+                    stack.append((w, v))
                     break
-                if disc[w] < disc[v]:  # back edge to an ancestor
+                if disc[w] < disc[v] and w != parent:  # back edge to an ancestor
                     walked.append((v, w))
                     low[v] = min(low[v], disc[w])
             else:
@@ -123,45 +141,47 @@ def _blocks(f: FGraph) -> list[FGraph]:
                     continue
                 low[parent] = min(low[parent], low[v])
                 if low[v] >= disc[parent]:
-                    cells = []
-                    while True:
-                        x, y = walked.pop()
-                        cells.append((x // 2, y // 2) if x % 2 == 0 else (y // 2, x // 2))
-                        if (x, y) == (parent, v):
-                            break
-                    blocks.append(FGraph.from_cells(f.n, f.n_cols, cells))
+                    block: dict[int, int] = {}
+                    edge = None
+                    while edge != (parent, v):
+                        edge = x, y = walked.pop()
+                        i, j = (x, y - n) if x < n else (y, x - n)
+                        block[i] = block.get(i, 0) | 1 << j
+                    masks = tuple(block[i] for i in sorted(block))
+                    blocks.append(FGraph(len(masks), f.n_cols, masks))
     return blocks
 
 
 def _block_has_cycle(f: FGraph, length: int) -> bool:
-    """Exact-length cycle search by DFS, exponential in ``length``."""
-    row_adj = f.row_adj()
-    col_adj = f.col_adj()
-
-    # DFS over alternating row/col vertices, canonical start: the cycle's
-    # smallest row vertex, so each cycle is generated once.
-    def extend(start_row: int, vertex: int, on_row: bool, rows_used: set, cols_used: set, depth: int) -> bool:
-        if depth == length:
-            return start_row in (col_adj.get(vertex, ()) if not on_row else ())
-        if on_row:
-            for j in row_adj.get(vertex, ()):
-                if j not in cols_used:
-                    cols_used.add(j)
-                    if extend(start_row, j, False, rows_used, cols_used, depth + 1):
-                        return True
-                    cols_used.discard(j)
-        else:
-            for i in col_adj.get(vertex, ()):
-                if i > start_row and i not in rows_used:
-                    rows_used.add(i)
-                    if extend(start_row, i, True, rows_used, cols_used, depth + 1):
-                        return True
-                    rows_used.discard(i)
-        return False
-
-    for start in sorted(row_adj):
-        if extend(start, start, True, {start}, set(), 1):
-            return True
+    """Exact-length cycle search, exponential in ``length``: a depth-first
+    walk that finds each cycle from its smallest row, trying a row's
+    columns and a column's rows above the start in ascending order, off
+    the path.  Its stack of untried neighbour masks, one per vertex on the
+    path, is explicit, so no recursion limit bounds it.  The last row
+    closes the cycle if it shares a column off the path with the start."""
+    nbrs = f._neighbours
+    for start in range(f.n):
+        first = nbrs[start]
+        free = -2 << start  # the rows above the start, and the columns, off the path
+        todo = [first]  # the untried neighbours of each vertex on the path
+        path: list[int] = []  # the bit of each vertex after the start
+        while todo:
+            cand = todo[-1]
+            if not cand:
+                todo.pop()
+                if path:
+                    free |= path.pop()
+                continue
+            bit = cand & -cand
+            todo[-1] = cand ^ bit
+            ahead = nbrs[bit.bit_length() - 1] & free
+            if len(todo) + 2 == length:  # bit is the cycle's last row
+                if ahead & first:
+                    return True
+            else:
+                free ^= bit
+                path.append(bit)
+                todo.append(ahead)
     return False
 
 
@@ -179,21 +199,17 @@ def has_cycle_of_length(f: FGraph, length: int) -> bool:
         raise ValueError("cycle length must be an even integer >= 4")
     half = length // 2
     for block in f._block_list:
-        rows = {i for i, _ in block.edges}
-        cols = {j for _, j in block.edges}
-        if len(rows) >= half and len(cols) >= half and _block_has_cycle(block, length):
+        wide = len(block.rows) >= half and reduce(or_, block.rows).bit_count() >= half
+        if wide and _block_has_cycle(block, length):
             return True
     return False
 
 
 def is_forest(f: FGraph) -> bool:
-    """True iff the fixed-cell graph is acyclic.
-
-    A biconnected block of two or more edges holds a cycle and a single
-    edge holds none, so F is a forest iff each of its blocks is a single
-    edge (a bridge).
-    """
-    return all(len(block.edges) == 1 for block in f._block_list)
+    """True iff the fixed-cell graph is acyclic: iff each of its blocks is
+    a single edge (a bridge), a block of one row, since a block of two or
+    more edges holds a cycle and so two or more rows."""
+    return all(len(block.rows) == 1 for block in f._block_list)
 
 
 def analyze(f: FixedSet, n: int, n_cols: int) -> AnalysisReport:
@@ -204,13 +220,12 @@ def analyze(f: FixedSet, n: int, n_cols: int) -> AnalysisReport:
     missing from F, capped at 2*min(n, n_cols).  If every candidate length
     occurs, no bounded-swap chain is available and NoUsableBound is raised.
 
-    F is split into its biconnected blocks once per call, and each cycle
-    test searches only the blocks large enough to hold the cycle (see
-    ``has_cycle_of_length``), so a length that no block can hold is ruled
-    out in time linear in |F|.  The search inside
-    a qualifying block is still exponential in the cycle length.
+    F is its row masks, split into biconnected blocks once per call; a
+    cycle length that no block can hold is ruled out in time linear in |F|
+    (see ``has_cycle_of_length``), and the search inside a block that can
+    is exponential in the length.
     """
-    fg = FGraph.from_cells(n, n_cols, f.cells)
+    fg = FGraph(n, n_cols, f.fixed_masks)
     has_3_matching = max_matching_at_least(fg, 3)
     has_8_cycle = has_cycle_of_length(fg, 8)
     forest = is_forest(fg)

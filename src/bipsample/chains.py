@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .core import Instance, MoveSet, Realization
 from .realizability import initial_realization
@@ -76,17 +76,10 @@ def circle_denominator(sizes: tuple[int, int, int], x: int) -> int:
 # Row masks: bit j of a row's int is set when the row has column j.
 
 
-def _mask(cols: Iterable[int]) -> int:
-    out = 0
-    for j in cols:
-        out |= 1 << j
-    return out
-
-
 def state_key(g: Realization) -> tuple[int, ...]:
     """The key ``Chain.keys()`` yields for the state ``g``: one column mask
     per row, bit j set when the row has column j."""
-    return tuple(map(_mask, g.rows))
+    return tuple(sum(1 << j for j in row) for row in g.rows)
 
 
 @lru_cache(maxsize=8)
@@ -415,10 +408,8 @@ class Chain:
         self.instance = inst
         self.config = cfg
         self._rows = rows = list(state_key(start))
-        # The fixed cells of each row, both polarities, as a mask.
-        self._fixed = tuple(map(_mask, inst.fixed.row_fixed()))
         self._rng = random.Random(cfg.seed)
-        state = (rows, self._fixed, inst.n, self._rng)
+        state = (rows, inst.fixed.fixed_masks, inst.n, self._rng)
         kind = cfg.move_set.kind
         if kind == MoveSet.TRADES:
             kernel = _trades(*state, _binomials(inst.n_cols))

@@ -26,6 +26,7 @@ from .core import (
     NotRealizable,
     Realization,
     TooLarge,
+    _DIGIT_VALUES,
 )
 from .realizability import (
     gale_ryser_realizable,
@@ -42,10 +43,11 @@ EXIT_TOO_LARGE = 4
 EXIT_USAGE = 64
 
 _MASK_CHARS = {"0": FORCED_NON_EDGE, "1": FORCED_EDGE, "*": FREE}
-_MASK_REV = {FORCED_NON_EDGE: "0", FORCED_EDGE: "1", FREE: "*"}
-# The mask characters, and the map from them, as bytes, to their cell values.
+# The mask characters, and the maps between them, as bytes, and their cell
+# values, one per direction.
 _MASK_DIGITS = "".join(_MASK_CHARS)
 _MASK_TABLE = bytes.maketrans(_MASK_DIGITS.encode(), bytes(_MASK_CHARS.values()))
+_MASK_TEXT = bytes.maketrans(bytes(_MASK_CHARS.values()), _MASK_DIGITS.encode())
 
 
 class ParseError(ValueError):
@@ -162,16 +164,15 @@ def parse_instance(text: str) -> Instance:
 
 
 def format_instance(inst: Instance) -> str:
-    lines = [
+    mask = b"\n".join(map(bytes, inst.fixed.mask)).translate(_MASK_TEXT).decode()
+    return "\n".join([
         f"rows: {inst.n}",
         f"cols: {inst.n_cols}",
         "row_degrees: " + " ".join(map(str, inst.degrees.row_degrees)),
         "col_degrees: " + " ".join(map(str, inst.degrees.col_degrees)),
         "mask:",
-    ]
-    for row in inst.fixed.mask:
-        lines.append("".join(_MASK_REV[v] for v in row))
-    return "\n".join(lines) + "\n"
+        mask,
+    ]) + "\n"
 
 
 def parse_realization(text: str, inst: Instance) -> Realization:
@@ -186,16 +187,16 @@ def parse_realization(text: str, inst: Instance) -> Realization:
             raise ParseError(
                 f"line has {len(content)} cells, expected {inst.n_cols}", lineno
             )
-        row = []
-        for col, ch in enumerate(content, start=1):
-            if ch not in "01":
-                raise ParseError(f"bad cell character {ch!r}", lineno, col)
-            row.append(int(ch))
-        matrix.append(row)
+        if content.strip("01"):  # a character outside 0, 1
+            for col, ch in enumerate(content, start=1):
+                if ch not in "01":
+                    raise ParseError(f"bad cell character {ch!r}", lineno, col)
+        matrix.append(content.encode().translate(_DIGIT_VALUES))
     return Realization(inst, matrix)
 
 
-# Maps the cell values 0 and 1, as bytes, to the digits "0" and "1".
+# Maps the cell values 0 and 1, as bytes, to the digits "0" and "1"; core's
+# _DIGIT_VALUES maps them back.
 _CELL_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
@@ -298,7 +299,7 @@ def cmd_analyze(args) -> int:
             f"(edges={len(f_prime.forced_edges)}, "
             f"non-edges={len(f_prime.forced_non_edges)})"
         )
-    n_working = len(working.cells)
+    n_working = sum(m.bit_count() for m in working.fixed_masks)
     print(f"|F|: {n_working}")
     print(f"|F*|: {len(redundant)}")
     if n_working == 0:

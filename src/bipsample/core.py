@@ -4,6 +4,7 @@ and the move-set vocabulary."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress
 from typing import Iterable, Sequence
 
@@ -21,6 +22,12 @@ _FIXED_FAULTS = frozenset({(FORCED_EDGE, 0), (FORCED_NON_EDGE, 1)})
 
 # Maps the binary digits "0" and "1" to the values 0 and 1.
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+# Map a FixedSet row's cell values, as bytes, to the binary digits of its
+# fixed cells (either polarity) and of its forced edges.
+_CELL_KINDS = bytes((FREE, FORCED_EDGE, FORCED_NON_EDGE))
+_FIXED_DIGITS = bytes.maketrans(_CELL_KINDS, b"011")
+_EDGE_DIGITS = bytes.maketrans(_CELL_KINDS, b"010")
 
 
 def _cell_values(row: Sequence[int]) -> tuple[int, ...]:
@@ -145,37 +152,38 @@ class FixedSet:
 
     @property
     def forced_edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            (i, j)
-            for i, row in enumerate(self.mask)
-            for j, v in enumerate(row)
-            if v == FORCED_EDGE
-        )
+        return self._cells(FORCED_EDGE)
 
     @property
     def forced_non_edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            (i, j)
-            for i, row in enumerate(self.mask)
-            for j, v in enumerate(row)
-            if v == FORCED_NON_EDGE
-        )
+        return self._cells(FORCED_NON_EDGE)
 
     @property
     def cells(self) -> frozenset[tuple[int, int]]:
         """All fixed cells, polarity ignored."""
+        return self.forced_edges | self.forced_non_edges
+
+    def _cells(self, value: int) -> frozenset[tuple[int, int]]:
         return frozenset(
-            (i, j)
-            for i, row in enumerate(self.mask)
-            for j, v in enumerate(row)
-            if v != FREE
+            (i, j) for i, row in enumerate(self.mask) for j, v in enumerate(row) if v == value
         )
 
-    def row_fixed(self) -> tuple[frozenset[int], ...]:
-        """Per-row fixed column lists (both polarities)."""
-        return tuple(
-            frozenset(j for j, v in enumerate(row) if v != FREE) for row in self.mask
-        )
+    # The row masks, bit j for column j, are the one place a mask row
+    # becomes bits.  Built on first use, they stay out of equality and repr.
+
+    @cached_property
+    def fixed_masks(self) -> tuple[int, ...]:
+        """Each row's fixed cells, both polarities, as a column mask."""
+        return self._row_masks(_FIXED_DIGITS)
+
+    @cached_property
+    def edge_masks(self) -> tuple[int, ...]:
+        """Each row's forced edges as a column mask."""
+        return self._row_masks(_EDGE_DIGITS)
+
+    def _row_masks(self, digits: bytes) -> tuple[int, ...]:
+        # Reversed, a translated row is its mask's binary number.
+        return tuple(int(bytes(row).translate(digits)[::-1], 2) for row in self.mask)
 
 
 @dataclass(frozen=True)

@@ -615,15 +615,17 @@ class _SeqCtx:
         return got
 
 
-def _support_props(n, nc, sup, cache):
+def _support_props(nc, fields, cache):
     """(no 3-matching, no 8-cycle, forest, excluded ell values) of the
-    support mask ``sup``, cached by the mask."""
-    key = (n, nc, sup)
+    support whose row fields (``_SeqCtx.fields``) are ``fields``, cached by
+    them.  A field holds column j at bit nc - 1 - j, so read as FGraph row
+    masks the columns are mirrored (j -> nc - 1 - j): a graph isomorphism,
+    so the 3-matching, cycle and forest verdicts are those of the support."""
+    key = (nc, fields)
     got = cache.get(key)
     if got is None:
-        fg = FGraph.from_cells(n, nc, [
-            (i, j) for i in range(n) for j in range(nc) if sup & _bit(i, j, n, nc)
-        ])
+        n = len(fields)
+        fg = FGraph(n, nc, fields)
         no3m = not max_matching_at_least(fg, 3)
         no8 = not has_cycle_of_length(fg, 8)
         forest = is_forest(fg)
@@ -965,8 +967,7 @@ def _random_instances(rng, max_rows, max_cols, count, with_8_cycles):
             else:
                 f_count = rng.randint(0, min(6, n * nc - 1))
                 support = rng.sample(cells, f_count)
-                fg = FGraph.from_cells(n, nc, support)
-                if max_matching_at_least(fg, 3):
+                if max_matching_at_least(FGraph.from_cells(n, nc, support), 3):
                     continue
             sup = _cells_mask(support, n, nc)
             pattern = sup & _matrix_to_bits(matrix, n, nc)
@@ -1021,8 +1022,8 @@ def run_verification(
                 ctx = _SeqCtx(n, nc, a, b, bits)
                 static = _check_sequence(rep, n, nc, a, b, bits)
                 for sup in supports:
-                    props = _support_props(n, nc, sup, prop_cache)
                     fixed = ctx.fields(sup)
+                    props = _support_props(nc, fixed, prop_cache)
                     buckets: dict[int, list[int]] = {}
                     for s, x in enumerate(bits):
                         buckets.setdefault(x & sup, []).append(s)
@@ -1042,7 +1043,8 @@ def run_verification(
             rng, max_rows, max_cols, count, with8
         ):
             ctx = _SeqCtx(n, nc, a, b, bits)
-            props = _support_props(n, nc, sup, prop_cache)
+            fixed = ctx.fields(sup)
+            props = _support_props(nc, fixed, prop_cache)
             free_bits = _enumerate_bits(a, b, cap=20000)
             static = None
             if free_bits:
@@ -1052,8 +1054,8 @@ def run_verification(
                         rep, n, nc, a, b, free_bits
                     )
             _check_instance_pool(
-                ctx, list(range(len(bits))), sup, pattern, ctx.fields(sup),
-                props, rep, free_bits, static,
+                ctx, list(range(len(bits))), sup, pattern, fixed, props, rep,
+                free_bits, static,
             )
 
     result.elapsed = time.perf_counter() - t0

@@ -94,20 +94,16 @@ def initial_realization(inst: Instance) -> Realization:
        pointer; a retreat moves the parent's pointer one past the child.
        Every path carries exactly one unit.
     """
-    n, nc = inst.n, inst.n_cols
     a = list(inst.degrees.row_degrees)
     b = list(inst.degrees.col_degrees)
     if sum(a) != sum(b):
         raise Infeasible("row and column degree sums differ")
 
     # Row masks: the forced edges and the free cells of each row.
-    pinned = []
-    free = []
-    for i, row in enumerate(inst.fixed.mask):
-        cells = bytes(row)
-        edges = int(cells.translate(_EDGE_DIGITS)[::-1], 2)
-        pinned.append(edges)
-        free.append(int(cells.translate(_FREE_DIGITS)[::-1], 2))
+    pinned = inst.fixed.edge_masks
+    full = (1 << inst.n_cols) - 1
+    free = [full ^ m for m in inst.fixed.fixed_masks]
+    for i, edges in enumerate(pinned):
         a[i] -= edges.bit_count()
         while edges:
             low = edges & -edges
@@ -124,13 +120,6 @@ def initial_realization(inst: Instance) -> Realization:
             raise Infeasible("degree sequence has no realization")
         raise Infeasible("no realization satisfies the fixed cells and degrees")
     return Realization.from_masks(inst, map(int.__or__, pinned, used))
-
-
-# Map a FixedSet row's cell values, as bytes, to the binary digits of its
-# forced edges and of its free cells.
-_CELL_KINDS = bytes((FREE, FORCED_EDGE, FORCED_NON_EDGE))
-_EDGE_DIGITS = bytes.maketrans(_CELL_KINDS, b"010")
-_FREE_DIGITS = bytes.maketrans(_CELL_KINDS, b"100")
 
 
 def _max_flow(free: list[int], a: list[int], b: list[int]) -> tuple[int, list[int]]:
@@ -368,27 +357,20 @@ def partition_fixed_set(
     Raises PolarityConflict when a fixed cell contradicts the static set:
     such an instance has no realization.
     """
-    n, nc = inst.n, inst.n_cols
+    static = dict.fromkeys(f_prime.forced_edges, FORCED_EDGE)
+    static.update(dict.fromkeys(f_prime.forced_non_edges, FORCED_NON_EDGE))
     mask = [list(row) for row in inst.fixed.mask]
     redundant = set()
-    for i in range(n):
-        for j in range(nc):
-            v = mask[i][j]
-            if v == FREE:
-                continue
-            if v == FORCED_EDGE and (i, j) in f_prime.forced_non_edges:
-                raise PolarityConflict(
-                    f"cell ({i}, {j}) is forced as an edge but is a non-edge "
-                    "in every realization of the sequence"
-                )
-            if v == FORCED_NON_EDGE and (i, j) in f_prime.forced_edges:
-                raise PolarityConflict(
-                    f"cell ({i}, {j}) is forced as a non-edge but is an edge "
-                    "in every realization of the sequence"
-                )
-            if (v == FORCED_EDGE and (i, j) in f_prime.forced_edges) or (
-                v == FORCED_NON_EDGE and (i, j) in f_prime.forced_non_edges
-            ):
-                redundant.add((i, j))
-                mask[i][j] = FREE
+    for i, j in sorted(inst.fixed.cells):  # row-major, so the first conflict is named
+        v = mask[i][j]
+        pinned = static.get((i, j))
+        if pinned == v:
+            redundant.add((i, j))
+            mask[i][j] = FREE
+        elif pinned is not None:
+            kinds = ("an edge", "a non-edge") if v == FORCED_EDGE else ("a non-edge", "an edge")
+            raise PolarityConflict(
+                f"cell ({i}, {j}) is forced as {kinds[0]} but is {kinds[1]} "
+                "in every realization of the sequence"
+            )
     return FixedSet(mask), frozenset(redundant)

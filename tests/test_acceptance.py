@@ -34,9 +34,10 @@ def test_criterion_01_worked_trade_enumeration():
     )
     g = bp.Realization.from_rows(inst, rowsets)
     # the exchangeable columns of each row, as bit masks
-    blocked = inst.fixed.row_fixed()[0] | inst.fixed.row_fixed()[1]
-    a_ij = sum(1 << j for j in g.rows[0] - g.rows[1] - blocked)
-    a_ji = sum(1 << j for j in g.rows[1] - g.rows[0] - blocked)
+    blocked = inst.fixed.fixed_masks[0] | inst.fixed.fixed_masks[1]
+    r0, r1 = bp.state_key(g)
+    a_ij = r0 & ~(r1 | blocked)
+    a_ji = r1 & ~(r0 | blocked)
     pool, k = a_ij | a_ji, a_ij.bit_count()
     table = _binomials(7)
     outcomes = [_unrank_subset(pool, k, r, table) for r in range(comb(pool.bit_count(), k))]

@@ -29,6 +29,13 @@ def test_matching_star_is_one():
     assert not bp.max_matching_at_least(f, 2)
 
 
+@pytest.mark.parametrize("cell", [(-1, 0), (0, -1), (2, 0), (0, 3)])
+def test_fgraph_rejects_cells_outside_the_grid(cell):
+    # a negative row index would wrap to the last row's mask
+    with pytest.raises(ValueError, match="outside the 2x3 grid"):
+        FGraph.from_cells(2, 3, [(0, 0), cell])
+
+
 def test_cycles_absent_in_forests():
     tree = FGraph.from_cells(3, 3, [(0, 0), (0, 1), (1, 1), (2, 1)])
     for length in (4, 6, 8):
@@ -50,11 +57,23 @@ def test_is_forest_examples():
     assert not bp.is_forest(square)
 
 
+def _cells(f: FGraph) -> set[tuple[int, int]]:
+    """The cells of ``f``, decoded from its row masks."""
+    return {(i, j) for i, m in enumerate(f.rows) for j in range(f.n_cols) if m >> j & 1}
+
+
+def _mirrored(f: FGraph) -> FGraph:
+    """``f`` with its columns mirrored (j -> n_cols - 1 - j), the form in
+    which the oracle reads a support mask's rows."""
+    return FGraph.from_cells(f.n, f.n_cols, [(i, f.n_cols - 1 - j) for i, j in _cells(f)])
+
+
 def _has_cycle_brute(f: FGraph, length: int) -> bool:
     """Pick the cycle's vertices, then look for a Hamiltonian cycle on them."""
     half = length // 2
-    rows = sorted({i for i, _ in f.edges})
-    cols = sorted({j for _, j in f.edges})
+    edges = _cells(f)
+    rows = sorted({i for i, _ in edges})
+    cols = sorted({j for _, j in edges})
     for rsub in itertools.combinations(rows, half):
         for csub in itertools.combinations(cols, half):
             # cycle alternates rsub[perm] and csub[perm2]; fix rsub order
@@ -64,15 +83,42 @@ def _has_cycle_brute(f: FGraph, length: int) -> bool:
                 for cperm in itertools.permutations(csub):
                     ok = True
                     for t in range(half):
-                        if (rperm[t], cperm[t]) not in f.edges:
+                        if (rperm[t], cperm[t]) not in edges:
                             ok = False
                             break
-                        if (rperm[(t + 1) % half], cperm[t]) not in f.edges:
+                        if (rperm[(t + 1) % half], cperm[t]) not in edges:
                             ok = False
                             break
                     if ok:
                         return True
     return False
+
+
+def _max_matching_brute(f: FGraph) -> int:
+    """The largest k such that some k cells share no row and no column."""
+    edges = sorted(_cells(f))
+    best = 0
+    for k in range(1, min(f.n, f.n_cols) + 1):
+        if not any(
+            len({i for i, _ in sub}) == k and len({j for _, j in sub}) == k
+            for sub in itertools.combinations(edges, k)
+        ):
+            break
+        best = k
+    return best
+
+
+def test_matching_matches_brute_force():
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        nc = rng.randint(1, 6)
+        cells = [(i, j) for i in range(n) for j in range(nc)]
+        f = FGraph.from_cells(n, nc, rng.sample(cells, rng.randint(0, min(9, len(cells)))))
+        for g in (f, _mirrored(f)):
+            best = _max_matching_brute(g)
+            for k in range(1, 5):
+                assert bp.max_matching_at_least(g, k) == (best >= k)
 
 
 def test_cycle_detection_matches_brute_force():
@@ -82,8 +128,9 @@ def test_cycle_detection_matches_brute_force():
         nc = rng.randint(2, 6)
         cells = [(i, j) for i in range(n) for j in range(nc)]
         f = FGraph.from_cells(n, nc, rng.sample(cells, rng.randint(0, min(10, len(cells)))))
-        for length in (4, 6, 8):
-            assert bp.has_cycle_of_length(f, length) == _has_cycle_brute(f, length)
+        for g in (f, _mirrored(f)):
+            for length in (4, 6, 8):
+                assert bp.has_cycle_of_length(g, length) == _has_cycle_brute(g, length)
 
 
 def test_cycle_detection_matches_brute_force_dense_6x6():
@@ -102,17 +149,18 @@ def test_cycle_detection_matches_brute_force_dense_6x6():
         piece_a = [(i, j) for i in range(3) for j in cols_a]
         piece_b = [(i, j) for i in range(3, 6) for j in cols_b]
         graphs.append(FGraph.from_cells(6, 6, rng.sample(piece_a, 7) + rng.sample(piece_b, 7)))
-    assert any(sum(len(b.edges) > 1 for b in _blocks(f)) > 1 for f in graphs)
+    assert any(sum(len(_cells(b)) > 1 for b in _blocks(f)) > 1 for f in graphs)
     for f in graphs:
-        for length in (4, 6, 8, 10, 12):
-            assert bp.has_cycle_of_length(f, length) == _has_cycle_brute(f, length)
+        for g in (f, _mirrored(f)):
+            for length in (4, 6, 8, 10, 12):
+                assert bp.has_cycle_of_length(g, length) == _has_cycle_brute(g, length)
 
 
 def test_two_4_cycles_joined_by_a_bridge_have_no_8_cycle():
     square_a = [(0, 0), (0, 1), (1, 0), (1, 1)]
     square_b = [(2, 2), (2, 3), (3, 2), (3, 3)]
     f = FGraph.from_cells(4, 4, square_a + square_b + [(1, 2)])
-    assert sorted(len(b.edges) for b in _blocks(f)) == [1, 4, 4]
+    assert sorted(len(_cells(b)) for b in _blocks(f)) == [1, 4, 4]
     for length in (4, 6, 8):
         assert bp.has_cycle_of_length(f, length) == _has_cycle_brute(f, length)
     assert bp.has_cycle_of_length(f, 4)
@@ -123,7 +171,7 @@ def test_two_6_cycles_sharing_a_column_have_no_10_or_12_cycle():
     hexagon_a = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)]
     hexagon_b = [(3, 2), (3, 3), (4, 3), (4, 4), (5, 4), (5, 2)]
     f = FGraph.from_cells(6, 6, hexagon_a + hexagon_b)
-    assert sorted(len(b.edges) for b in _blocks(f)) == [6, 6]
+    assert sorted(len(_cells(b)) for b in _blocks(f)) == [6, 6]
     for length in (4, 6, 8, 10, 12):
         assert bp.has_cycle_of_length(f, length) == _has_cycle_brute(f, length)
     assert bp.has_cycle_of_length(f, 6)
@@ -146,25 +194,26 @@ def test_forest_matches_edge_count_rule():
         n = rng.randint(2, 5)
         nc = rng.randint(2, 5)
         cells = [(i, j) for i in range(n) for j in range(nc)]
-        edges = rng.sample(cells, rng.randint(0, min(8, len(cells))))
-        f = FGraph.from_cells(n, nc, edges)
-        # acyclic iff every component spans one more vertex than its edges
-        verts = {("r", i) for i, _ in edges} | {("c", j) for _, j in edges}
-        parent = {v: v for v in verts}
+        f = FGraph.from_cells(n, nc, rng.sample(cells, rng.randint(0, min(8, len(cells)))))
+        for g in (f, _mirrored(f)):
+            # acyclic iff every component spans one more vertex than its edges
+            edges = _cells(g)
+            verts = {("r", i) for i, _ in edges} | {("c", j) for _, j in edges}
+            parent = {v: v for v in verts}
 
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
+            def find(v):
+                while parent[v] != v:
+                    parent[v] = parent[parent[v]]
+                    v = parent[v]
+                return v
 
-        comps = len(verts)
-        for i, j in edges:
-            a, b = find(("r", i)), find(("c", j))
-            if a != b:
-                parent[a] = b
-                comps -= 1
-        assert bp.is_forest(f) == (len(edges) == len(verts) - comps)
+            comps = len(verts)
+            for i, j in edges:
+                a, b = find(("r", i)), find(("c", j))
+                if a != b:
+                    parent[a] = b
+                    comps -= 1
+            assert bp.is_forest(g) == (len(edges) == len(verts) - comps)
 
 
 # ---------------------------------------------------------------------------

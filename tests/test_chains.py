@@ -64,7 +64,7 @@ def _on_masks(kernel):
     row masks, as row sets."""
     def one_step(g, rng):
         rows = [mask(r) for r in g.rows]
-        fixed = tuple(map(mask, g.instance.fixed.row_fixed()))
+        fixed = g.instance.fixed.fixed_masks
         primed(kernel(rows, fixed, g.instance, rng)).send(1)
         return tuple(frozenset(cols(r)) for r in rows)
     return one_step
@@ -133,7 +133,7 @@ def test_trade_enumeration_on_two_row_example():
     # every replacement subset of the pool, in the order trades rank them
     g = two_row_instance()
     rows = [mask(r) for r in g.rows]
-    fixed = [mask(r) for r in g.instance.fixed.row_fixed()]
+    fixed = g.instance.fixed.fixed_masks
     blocked = fixed[0] | fixed[1]
     a_ij, a_ji = rows[0] & ~(rows[1] | blocked), rows[1] & ~(rows[0] | blocked)
     pool, k = a_ij | a_ji, a_ij.bit_count()
@@ -194,7 +194,7 @@ def test_trade_preserves_pair_difference_set():
     rng = random.Random(8)
     inst = readme_4x4()
     rows = list(bp.state_key(bp.initial_realization(inst)))
-    fixed = tuple(map(mask, inst.fixed.row_fixed()))
+    fixed = inst.fixed.fixed_masks
     step = primed(_trades(rows, fixed, inst.n, rng, TABLE)).send
     traded = 0
     for _ in range(200):
@@ -516,7 +516,7 @@ def test_lazy_kernels_draw_only_what_the_docstring_says(name):
     and nothing more.  The rows never change."""
     inst = BLOCK_INSTANCES[name]()
     start = list(bp.state_key(bp.initial_realization(inst)))
-    fixed = tuple(map(mask, inst.fixed.row_fixed()))
+    fixed = inst.fixed.fixed_masks
     kernels = {
         "trades": (lambda rows, r: _trades(rows, fixed, 1, r, TABLE), 0),
         "swaps": (lambda rows, r: _swaps(rows, fixed, 1, r), 0),
@@ -555,7 +555,7 @@ def _trade_reference(g, rng):
     inst, rows = g.instance, list(g.rows)
     if inst.n < 2:
         return g.rows
-    fixed = inst.fixed.row_fixed()
+    fixed = [frozenset(cols(m)) for m in inst.fixed.fixed_masks]
     i, j = _pair(inst.n, rng)
     a_ij, a_ji = _movable(rows, fixed, i, j), _movable(rows, fixed, j, i)
     pool = a_ij | a_ji
@@ -573,7 +573,7 @@ def _swap_reference(g, rng):
     inst, rows = g.instance, list(g.rows)
     if inst.n < 2:
         return g.rows
-    fixed = inst.fixed.row_fixed()
+    fixed = [frozenset(cols(m)) for m in inst.fixed.fixed_masks]
     i, j = _pair(inst.n, rng)
     options = [(x, y) for x in sorted(_movable(rows, fixed, i, j))
                for y in sorted(_movable(rows, fixed, j, i))]
@@ -592,7 +592,7 @@ def _circle_reference(g, rng, mh_correction):
     its b-th lowest column), uniform equal-sized subsets of the other two by
     ``randrange``, and the Metropolis test re-derived on the successor."""
     inst, rows = g.instance, list(g.rows)
-    fixed = inst.fixed.row_fixed()
+    fixed = [frozenset(cols(m)) for m in inst.fixed.fixed_masks]
     i, j = _pair(inst.n, rng)
     k = [r for r in range(inst.n) if r not in (i, j)][rng.randrange(inst.n - 2)]
     sets = [sorted(_movable(rows, fixed, src, dst)) for src, dst in ((j, i), (k, j), (i, k))]
@@ -752,7 +752,7 @@ def test_kernel_steps_follow_the_exact_ledgers(make, circle, mh):
     inst = make()
     states, exact = _exact_rows(inst, circle, mh)
     index = {bp.state_key(g): s for s, g in enumerate(states)}
-    fixed = tuple(map(mask, inst.fixed.row_fixed()))
+    fixed = inst.fixed.fixed_masks
     rng = random.Random(20240801)
     draws = 20_000
     rows = [0] * inst.n

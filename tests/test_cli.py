@@ -1,6 +1,7 @@
 """File formats, commands and exit codes."""
 
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -201,8 +202,51 @@ def test_parse_mask_rows_read_as_before():
             text = fh.read()
         rows = text.split("mask:\n", 1)[1].split()
         want = tuple(tuple(cli._MASK_CHARS[ch] for ch in row) for row in rows)
-        assert cli.parse_instance(text).fixed.mask == want, name
+        inst = cli.parse_instance(text)
+        assert inst.fixed.mask == want, name
+        # and written back as the same characters
+        assert cli.format_instance(inst).split("mask:\n", 1)[1].split() == rows, name
     assert len(names) == 104
+
+
+def _realization_error_reference(text, nc):
+    """The first line error ``parse_realization`` raises, found the way it
+    was before the C-level check: cell by cell, in reading order."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        content = line.strip()
+        if not content or content.startswith("#"):
+            continue
+        if len(content) != nc:
+            return (f"line has {len(content)} cells, expected {nc}", lineno, None)
+        for col, ch in enumerate(content, start=1):
+            if ch not in "01":
+                return (f"bad cell character {ch!r}", lineno, col)
+    return None
+
+
+@pytest.mark.parametrize("ch", ["x", "2", "*", "\u00e9", "\x00", "\x01"])
+@pytest.mark.parametrize("col", [1, 6, 11])
+def test_parse_names_a_bad_realization_character_at_its_column(ch, col):
+    # first, middle and last of 11 columns; the control characters are the
+    # cell values the digits translate to
+    inst = cli.parse_instance(
+        "rows: 3\ncols: 11\nrow_degrees: 5 5 5\n"
+        "col_degrees: 2 1 2 1 2 1 2 1 2 1 0\nmask:\n" + "***********\n" * 3)
+    rows = ["10101010100"] * 3
+    rows[1] = rows[1][:col - 1] + ch + rows[1][col:]
+    rows[2] = "1" * 10 + ch  # a later bad line is not the one reported
+    text = "# a sample\n" + "\n".join(rows) + "\n"
+    with pytest.raises(cli.ParseError) as err:
+        cli.parse_realization(text, inst)
+    got = (err.value.message, err.value.line, err.value.col)
+    assert got == (f"bad cell character {ch!r}", 3, col)
+    assert _realization_error_reference(text, 11) == got
+    short = text.replace(rows[1], "1" * 10)
+    with pytest.raises(cli.ParseError) as err:
+        cli.parse_realization(short, inst)
+    got = (err.value.message, err.value.line, err.value.col)
+    assert got == ("line has 10 cells, expected 11", 3, None)
+    assert _realization_error_reference(short, 11) == got
 
 
 def test_comments_and_blank_lines_ignored():
@@ -277,6 +321,23 @@ def test_analyze_verdicts_recorded_by_the_benchmark(capsys):
         assert out == want["stdout"], name
         with_static += "static cells: 0 " not in out
     assert with_static == 36
+
+
+# sha256 over "<file> <exit code>\n<stdout>" of ``analyze --no-reduce`` on
+# every committed instance, in file-name order.
+NO_REDUCE_DIGEST = "18401fcdae249864ffc1f745814506fd94dbe27b6195b66d15779849b2d016fd"
+
+
+def test_analyze_no_reduce_verdicts_are_pinned(capsys):
+    # the detectors see the whole fixed set here, not the working part
+    names = sorted(n for n in os.listdir(os.path.join(BENCH_DIR, "instances"))
+                   if n.endswith(".txt"))
+    assert len(names) == 104
+    digest = hashlib.sha256()
+    for name in names:
+        code = cli.main(["analyze", "--no-reduce", os.path.join(BENCH_DIR, "instances", name)])
+        digest.update(f"{name} {code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == NO_REDUCE_DIGEST
 
 
 def recommended_chain(analyze_stdout):
@@ -723,6 +784,31 @@ def test_staircase_600_builds_and_samples_without_recursion(tmp_path, capsys):
     path = write(tmp_path, "stair.txt", text)
     assert cli.main(["sample", path, "--chain", "cycle:8", "--steps", "100"]) == 0
     assert capsys.readouterr().out == cli.format_realization(g)
+
+
+def fan(k):
+    """All degrees 0; row 0 pinned in every column, and cells (i, i) and
+    (i, i+1 mod k) pinned too, so F holds every even cycle length up to
+    2k: one walk per length, as deep as the length, in the cycle search."""
+    rows = []
+    for i in range(k):
+        pinned = set(range(k)) if i == 0 else {i, (i + 1) % k}
+        rows.append("".join("0" if j in pinned else "*" for j in range(k)))
+    zeros = " ".join(["0"] * k)
+    return (f"rows: {k}\ncols: {k}\nrow_degrees: {zeros}\ncol_degrees: {zeros}\n"
+            "mask:\n" + "\n".join(rows) + "\n")
+
+
+def test_fan_520_analyzes_and_samples_past_the_recursion_limit(tmp_path, capsys):
+    # the longest cycle, 1040 vertices, is deeper than the default
+    # recursion limit; a recursive search raised RecursionError here
+    k = 520
+    path = write(tmp_path, "fan.txt", fan(k))
+    assert cli.main(["analyze", "--no-reduce", path]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith(f"recommended: cycle:{2 * k} (fallback: ")
+    assert cli.main(["sample", "--chain", "auto", "--no-reduce", "--steps", "10", path]) == 0
+    assert capsys.readouterr().out == ("0" * k + "\n") * k
 
 
 @pytest.mark.parametrize("count", [1, 3])

@@ -103,7 +103,10 @@ def test_fixed_set_cells_and_row_lists():
     assert f.forced_edges == {(0, 1)}
     assert f.forced_non_edges == {(1, 2)}
     assert f.cells == {(0, 1), (1, 2)}
-    assert f.row_fixed() == (frozenset({1}), frozenset({2}))
+    assert f.fixed_masks == (0b010, 0b100)
+    assert f.edge_masks == (0b010, 0)
+    # the cached masks stay out of equality and repr
+    assert f == bp.FixedSet(f.mask) and repr(f) == repr(bp.FixedSet(f.mask))
     assert f.cells
     assert not bp.FixedSet.free(2, 3).cells
 
@@ -129,8 +132,8 @@ def _fixed_set_reference(mask):
 
 
 def test_fixed_set_checks_match_the_cell_by_cell_reference():
-    # same grid, or the same first error, on random masks with bad values,
-    # ragged rows and bytes rows
+    # same grid and row masks, or the same first error, on random masks with
+    # bad values, ragged rows and bytes rows
     rng = random.Random(19)
     seen = set()
     for trial in range(3000):
@@ -149,7 +152,14 @@ def test_fixed_set_checks_match_the_cell_by_cell_reference():
         want = _outcome(lambda: _fixed_set_reference(mask))
         got = _outcome(lambda: bp.FixedSet(mask).mask)
         if want is None:
-            assert got is None and bp.FixedSet(mask).mask == _fixed_set_reference(mask)
+            grid = _fixed_set_reference(mask)
+            f = bp.FixedSet(mask)
+            assert got is None and f.mask == grid
+            # the row masks hold the same cells, bit j for column j
+            assert f.fixed_masks == tuple(
+                sum(1 << j for j, v in enumerate(row) if v != bp.FREE) for row in grid)
+            assert f.edge_masks == tuple(
+                sum(1 << j for j, v in enumerate(row) if v == bp.FORCED_EDGE) for row in grid)
         else:
             assert got == want, mask
             seen.add(want[1].split(" ")[0])
@@ -483,7 +493,7 @@ def test_degree_conservation_after_cycle_swaps():
         inst = g.instance
         limit = 2 * min(inst.n, inst.n_cols)
         start = bp.state_key(g)
-        fixed = tuple(chains._mask(r) for r in inst.fixed.row_fixed())
+        fixed = inst.fixed.fixed_masks
         rows = list(start)
         kernel = chains._cycles(rows, fixed, inst.n, rng, inst.n_cols, limit)
         next(kernel)

@@ -500,6 +500,53 @@ def test_partition_fixed_set_polarity_conflict():
         bp.partition_fixed_set(inst, bp.static_set(inst.degrees))
 
 
+def _partition_reference(inst, f_prime):
+    """``partition_fixed_set`` cell by cell in row-major order, as it was
+    written before it read the fixed cells alone."""
+    mask = [list(row) for row in inst.fixed.mask]
+    redundant = set()
+    for i, row in enumerate(mask):
+        for j, v in enumerate(row):
+            if v == bp.FORCED_EDGE and (i, j) in f_prime.forced_non_edges:
+                raise bp.PolarityConflict(
+                    f"cell ({i}, {j}) is forced as an edge but is a non-edge "
+                    "in every realization of the sequence")
+            if v == bp.FORCED_NON_EDGE and (i, j) in f_prime.forced_edges:
+                raise bp.PolarityConflict(
+                    f"cell ({i}, {j}) is forced as a non-edge but is an edge "
+                    "in every realization of the sequence")
+            if (v == bp.FORCED_EDGE and (i, j) in f_prime.forced_edges) or (
+                    v == bp.FORCED_NON_EDGE and (i, j) in f_prime.forced_non_edges):
+                redundant.add((i, j))
+                mask[i][j] = bp.FREE
+    return bp.FixedSet(mask), frozenset(redundant)
+
+
+def test_partition_matches_the_cell_by_cell_reference():
+    # the same working set and redundant cells, or the same first conflict
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(1500):
+        n, nc = rng.randint(1, 6), rng.randint(1, 6)
+        matrix = [[rng.randint(0, 1) for _ in range(nc)] for _ in range(n)]
+        seq = bp.DegreeSequence(map(sum, matrix), map(sum, zip(*matrix)))
+        mask = [[rng.choice((0, 0, 1, 2)) for _ in range(nc)] for _ in range(n)]
+        inst = bp.Instance(seq, bp.FixedSet(mask))
+        f_prime = bp.static_set(seq)
+        outcomes = []
+        for partition in (bp.partition_fixed_set, _partition_reference):
+            try:
+                outcomes.append(partition(inst, f_prime))
+            except bp.PolarityConflict as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], (matrix, mask)
+        if isinstance(outcomes[0], str):  # the conflicting cell's forced kind
+            seen.add(outcomes[0].split(" but")[0].rsplit(" ", 1)[1])
+        else:
+            seen.add("ok")
+    assert seen == {"ok", "edge", "non-edge"}
+
+
 def test_partition_keeps_realization_set():
     # instances keep exactly the same realizations after dropping the
     # redundant cells
