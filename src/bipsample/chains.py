@@ -18,7 +18,11 @@ its set-up is paid once per chain, and whose ``send(k)`` takes k steps on
 these masks in place in its one Python frame.  Masks are built from and
 decoded into ``Realization`` objects only at the boundary: ``Chain``'s
 constructor, ``realization()`` (through ``Realization.from_masks``) and
-``state_key``.
+``state_key``.  ``digit_rows()`` checks the state and gives its text
+straight from the masks (``core.check_masks``), and ``restart(seed)``
+reruns a chain from its start with a new seed in place, so ``bipsample
+sample --count m`` builds one ``Chain`` and no ``Realization`` of its
+samples.
 
 Subset ranks: a trade or circle step draws a uniform index below C(r, k)
 and turns it into the index-th k-subset of an r-column pool with
@@ -33,12 +37,12 @@ the lowest column iff C(r - 1, k) < v.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb
 from typing import Iterator
 
-from .core import Instance, MoveSet, Realization
+from .core import Instance, MoveSet, Realization, check_masks
 from .realizability import initial_realization
 
 
@@ -57,6 +61,9 @@ class ChainConfig:
             raise ValueError("steps must be >= 1")
         if self.sample_gap < 1:
             raise ValueError("sample_gap must be >= 1")
+        # random.Random(-s) draws the stream of Random(s).
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def circle_denominator(sizes: tuple[int, int, int], x: int) -> int:
@@ -401,13 +408,23 @@ class Chain:
     yields a cheap key of the state after every ``sample_gap``-th step:
     the tuple of row masks, the value ``state_key`` gives for that state's
     ``Realization``.
+
+    ``restart(seed)`` turns the chain into the one ``Chain(start,
+    replace(config, seed=seed))`` would build, in place: it puts the start
+    masks, kept from construction, back into the row list and reseeds the
+    ``random.Random``.  That keeps the stream, since ``Random(s)`` is
+    ``seed(s)`` plus a reset of ``gauss_next``, which no kernel reads, and
+    between two ``send``s a kernel keeps nothing of its own but the row
+    list and the rng: what else it binds is fixed by the instance and the
+    move set, and ``_cycles`` rewrites its walk lists on every step.
     """
 
     def __init__(self, start: Realization, cfg: ChainConfig):
         inst = start.instance
         self.instance = inst
         self.config = cfg
-        self._rows = rows = list(state_key(start))
+        self._start = tuple(state_key(start))
+        self._rows = rows = list(self._start)
         self._rng = random.Random(cfg.seed)
         state = (rows, inst.fixed.fixed_masks, inst.n, self._rng)
         kind = cfg.move_set.kind
@@ -422,6 +439,12 @@ class Chain:
         next(kernel)
         self._send = kernel.send
 
+    def restart(self, seed: int) -> None:
+        """Go back to the start state, with the rng seeded by ``seed``."""
+        self.config = replace(self.config, seed=seed)
+        self._rows[:] = self._start
+        self._rng.seed(seed)
+
     def advance(self, k: int) -> None:
         """Take ``k`` steps."""
         self._send(k)
@@ -433,6 +456,11 @@ class Chain:
         for _ in range(self.config.steps // gap):
             send(gap)
             yield tuple(rows)
+
+    def digit_rows(self) -> list[str]:
+        """The current state's rows as binary digits, column 0 first,
+        checked against the instance by ``check_masks``."""
+        return check_masks(self.instance, self._rows)
 
     def realization(self) -> Realization:
         """The current state, built and validated against the instance."""

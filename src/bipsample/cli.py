@@ -26,6 +26,7 @@ from .core import (
     NotRealizable,
     Realization,
     TooLarge,
+    _CELL_DIGITS,
     _DIGIT_VALUES,
 )
 from .realizability import (
@@ -195,11 +196,6 @@ def parse_realization(text: str, inst: Instance) -> Realization:
     return Realization(inst, matrix)
 
 
-# Maps the cell values 0 and 1, as bytes, to the digits "0" and "1"; core's
-# _DIGIT_VALUES maps them back.
-_CELL_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
 def format_realization(g: Realization) -> str:
     return b"\n".join(map(bytes, g.matrix)).translate(_CELL_DIGITS).decode() + "\n"
 
@@ -348,20 +344,23 @@ def cmd_sample(args) -> int:
     if start is None:
         print(f"infeasible: {no_start}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    # Only the state at the last kept step is written, so only it is built.
+    # One chain, restarted in place for each sample c with seed + c: the
+    # stream of a new chain per sample.  Only the state at the last kept
+    # step is written, checked and turned into text on its row masks.
     last_kept = args.steps - args.steps % args.gap
+    chain = chains.Chain(start, chains.ChainConfig(
+        move_set=move_set,
+        steps=args.steps,
+        seed=args.seed,
+        sample_gap=args.gap,
+        mh_correction=args.mh == "on",
+    ))
     outputs = []
     for c in range(args.count):
-        cfg = chains.ChainConfig(
-            move_set=move_set,
-            steps=args.steps,
-            seed=args.seed + c,
-            sample_gap=args.gap,
-            mh_correction=args.mh == "on",
-        )
-        chain = chains.Chain(start, cfg)
+        if c:
+            chain.restart(args.seed + c)
         chain.advance(last_kept)
-        outputs.append(format_realization(chain.realization()))
+        outputs.append("\n".join(chain.digit_rows()) + "\n")
 
     if args.out:
         try:
@@ -503,9 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
                    "(default: auto)")
     p.add_argument("--steps", type=_positive_int, default=10000,
                    help="chain steps per sample (default: 10000)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed of the first sample; sample c uses seed + c "
-                   "(default: 0)")
+    p.add_argument("--seed", type=_non_negative_int, default=0,
+                   help="seed of the first sample, >= 0; sample c uses "
+                   "seed + c (default: 0)")
     p.add_argument("--count", type=_positive_int, default=1,
                    help="number of samples, each from its own chain (default: 1)")
     p.add_argument("--gap", type=_positive_int, default=1,

@@ -14,14 +14,13 @@ FORCED_EDGE = 1
 FORCED_NON_EDGE = 2
 
 
-# A mask's and a realization's cell values, and the (mask value, cell
-# value) pairs that break a fixed cell.
+# A mask's and a realization's cell values.
 _MASK_VALUES = frozenset({FREE, FORCED_EDGE, FORCED_NON_EDGE})
 _BITS = frozenset({0, 1})
-_FIXED_FAULTS = frozenset({(FORCED_EDGE, 0), (FORCED_NON_EDGE, 1)})
 
-# Maps the binary digits "0" and "1" to the values 0 and 1.
+# Map the binary digits "0" and "1" to the values 0 and 1, and back.
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+_CELL_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 # Map a FixedSet row's cell values, as bytes, to the binary digits of its
 # fixed cells (either polarity) and of its forced edges.
@@ -57,6 +56,13 @@ class NoUsableBound(ValueError):
 
 class TooLarge(ValueError):
     """Instance exceeds a brute-force guard."""
+
+
+def _row_masks(grid: Sequence[Sequence[int]], digits: bytes) -> tuple[int, ...]:
+    """One column mask per grid row: ``digits`` maps each cell value to
+    the binary digit of its bit.  Reversed, a translated row is its mask's
+    binary number."""
+    return tuple(int(bytes(row).translate(digits)[::-1], 2) for row in grid)
 
 
 def _check_cell(i: int, j: int, n: int, n_cols: int) -> None:
@@ -174,16 +180,12 @@ class FixedSet:
     @cached_property
     def fixed_masks(self) -> tuple[int, ...]:
         """Each row's fixed cells, both polarities, as a column mask."""
-        return self._row_masks(_FIXED_DIGITS)
+        return _row_masks(self.mask, _FIXED_DIGITS)
 
     @cached_property
     def edge_masks(self) -> tuple[int, ...]:
         """Each row's forced edges as a column mask."""
-        return self._row_masks(_EDGE_DIGITS)
-
-    def _row_masks(self, digits: bytes) -> tuple[int, ...]:
-        # Reversed, a translated row is its mask's binary number.
-        return tuple(int(bytes(row).translate(digits)[::-1], 2) for row in self.mask)
+        return _row_masks(self.mask, _EDGE_DIGITS)
 
 
 @dataclass(frozen=True)
@@ -214,16 +216,65 @@ class Instance:
         return cls(degs, FixedSet.free(degs.n, degs.n_cols))
 
 
+def mask_digits(masks: Iterable[int], n_cols: int) -> list[str]:
+    """Each row mask as its row's binary digits, column 0 first: the digits
+    of the mask below a sentinel bit at column n_cols, reversed, with the
+    sentinel dropped.  Joined, the rows read the grid in row-major order."""
+    top = 1 << n_cols
+    return [format(m | top, "b")[:0:-1] for m in masks]
+
+
+def check_masks(instance: Instance, masks: Sequence[int]) -> list[str]:
+    """The digit rows (``mask_digits``) of the state whose row i has column
+    j iff bit j of ``masks[i]`` is set, after checking that it realizes the
+    instance: one mask per row, none with a bit at or past n_cols, the row
+    sums (by ``int.bit_count``), the column sums (over the digit rows) and
+    the fixed cells (each row's fixed cells carry its forced edges).
+
+    These are the degree and pin rules of every ``Realization``.  Each is
+    one C-level pass; only a failing rule looks for its first bad row,
+    column or cell, and raises ``InstanceMismatch`` or ``ValueError``."""
+    n, nc = instance.n, instance.n_cols
+    if len(masks) != n or min(masks) < 0 or max(masks) >> nc:
+        raise InstanceMismatch("matrix dimensions do not match the instance")
+    a, b = instance.degrees.row_degrees, instance.degrees.col_degrees
+    sums = tuple(map(int.bit_count, masks))
+    if sums != a:
+        i = next(i for i in range(n) if sums[i] != a[i])
+        raise ValueError(f"row {i} has sum {sums[i]}, expected {a[i]}")
+    digits = mask_digits(masks, nc)
+    cells = "".join(digits)
+    sums = tuple([cells[j::nc].count("1") for j in range(nc)])
+    if sums != b:
+        j = next(j for j in range(nc) if sums[j] != b[j])
+        raise ValueError(f"column {j} has sum {sums[j]}, expected {b[j]}")
+    fixed, edges = instance.fixed.fixed_masks, instance.fixed.edge_masks
+    if tuple(map(int.__and__, masks, fixed)) != edges:
+        i, bad = next(
+            (i, (m ^ e) & f) for i, (m, f, e) in enumerate(zip(masks, fixed, edges))
+            if (m ^ e) & f
+        )
+        low = bad & -bad
+        j = low.bit_length() - 1
+        if edges[i] & low:
+            raise ValueError(f"forced edge ({i}, {j}) is absent")
+        raise ValueError(f"forced non-edge ({i}, {j}) is present")
+    return digits
+
+
 class Realization:
     """A 0/1 matrix realizing an instance; per-row column sets are cached.
 
-    The matrix is authoritative. Construction validates degrees and mask
-    conformity unless ``validate=False``, which is reserved for callers
-    that have already established validity (the oracle's enumeration).
-    Every ``Realization`` the chain runner emits is validated; the keys
-    it streams for visit counting are tuples of row bit masks (bit j set
-    when the row has column j; ``chains.state_key`` gives the key of a
-    ``Realization``), not ``Realization``s.
+    The matrix is authoritative. Construction validates its shape and
+    0/1 values, then its degrees and fixed cells through ``check_masks``,
+    unless ``validate=False``, which is reserved for callers that have
+    already established validity (the oracle's enumeration,
+    ``from_masks``).  Every ``Realization`` the chain runner emits is
+    validated.  The keys a chain streams for visit counting are tuples of
+    row bit masks (bit j set when the row has column j;
+    ``chains.state_key`` gives the key of a ``Realization``), and
+    ``bipsample sample`` checks and writes its samples from those masks
+    with ``check_masks`` alone: neither builds a ``Realization``.
     """
 
     __slots__ = ("instance", "matrix", "rows", "_hash")
@@ -239,35 +290,20 @@ class Realization:
             self._validate()
 
     def _validate(self):
-        # Each check is one C-level pass; only a failing check scans cell by
-        # cell, to name the first bad cell, row or column.
+        # The shape and the 0/1 values are checked on the matrix, each in one
+        # C-level pass; the degree and pin rules on its row masks, by
+        # ``check_masks``.  Only a failing check scans cell by cell, to name
+        # the first bad cell.
         inst = self.instance
         matrix = self.matrix
-        nc = inst.n_cols
-        if len(matrix) != inst.n or set(map(len, matrix)) != {nc}:
+        if len(matrix) != inst.n or set(map(len, matrix)) != {inst.n_cols}:
             raise InstanceMismatch("matrix dimensions do not match the instance")
         if not _BITS.issuperset(chain.from_iterable(matrix)):
             for i, row in enumerate(matrix):
                 for j, v in enumerate(row):
                     if v not in _BITS:
                         raise ValueError(f"matrix cell ({i}, {j}) is {v!r}, not 0/1")
-        a, b = inst.degrees.row_degrees, inst.degrees.col_degrees
-        sums = tuple(map(sum, matrix))
-        if sums != a:
-            i = next(i for i in range(len(a)) if sums[i] != a[i])
-            raise ValueError(f"row {i} has sum {sums[i]}, expected {a[i]}")
-        sums = tuple(map(sum, zip(*matrix)))
-        if sums != b:
-            j = next(j for j in range(nc) if sums[j] != b[j])
-            raise ValueError(f"column {j} has sum {sums[j]}, expected {b[j]}")
-        for i, (mrow, row) in enumerate(zip(inst.fixed.mask, matrix)):
-            if not any(mrow) or _FIXED_FAULTS.isdisjoint(zip(mrow, row)):
-                continue
-            for j, cell in enumerate(zip(mrow, row)):
-                if cell == (FORCED_EDGE, 0):
-                    raise ValueError(f"forced edge ({i}, {j}) is absent")
-                if cell == (FORCED_NON_EDGE, 1):
-                    raise ValueError(f"forced non-edge ({i}, {j}) is present")
+        check_masks(inst, _row_masks(matrix, _CELL_DIGITS))
 
     @classmethod
     def from_rows(cls, instance: Instance, rows: Sequence[Iterable[int]], validate: bool = True) -> "Realization":
@@ -282,13 +318,12 @@ class Realization:
     @classmethod
     def from_masks(cls, instance: Instance, masks: Iterable[int]) -> "Realization":
         """The realization whose row i has column j iff bit j of the i-th
-        mask is set, validated.  Each matrix row is a bytes object of 0/1
-        values: the binary digits of the mask below a sentinel bit at
-        column n_cols, lowest column first, with the sentinel dropped."""
-        top = 1 << instance.n_cols
+        mask is set, checked by ``check_masks``.  Each matrix row is a bytes
+        object of 0/1 values, translated from the row's digits."""
         return cls(instance, [
-            format(m | top, "b")[:0:-1].encode().translate(_DIGIT_VALUES) for m in masks
-        ])
+            digits.encode().translate(_DIGIT_VALUES)
+            for digits in check_masks(instance, tuple(masks))
+        ], validate=False)
 
     def __eq__(self, other):
         return (

@@ -32,6 +32,7 @@ from .core import (
     MoveSet,
     Realization,
     TooLarge,
+    mask_digits,
 )
 from .realizability import (
     StaticSet,
@@ -313,10 +314,11 @@ def _instance_bits(inst: Instance) -> list[int]:
     n, nc = inst.n, inst.n_cols
     if n * nc > ENUMERATION_CELL_LIMIT:
         raise TooLarge(f"{n}x{nc} grid exceeds the enumeration guard")
+    # Row i's field of a state int holds row i's digits, column 0 first.
     return _enumerate_bits(
         inst.degrees.row_degrees, inst.degrees.col_degrees,
-        _cells_mask(inst.fixed.cells, n, nc),
-        _cells_mask(inst.fixed.forced_edges, n, nc),
+        int("".join(mask_digits(inst.fixed.fixed_masks, nc)), 2),
+        int("".join(mask_digits(inst.fixed.edge_masks, nc)), 2),
     )
 
 

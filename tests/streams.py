@@ -1,6 +1,7 @@
 """The pinned random streams: sha256 digests of seeded ``Chain.keys()``
-streams and of the start realization every chain begins from, computed
-with the standard library and bipsample alone.
+streams, of the start realization every chain begins from and of the
+bytes ``bipsample sample`` writes, computed with the standard library and
+bipsample alone.
 
 ``tests/test_chains.py`` checks every digest under pytest.  Run as a
 script from a checkout, ``python tests/streams.py`` recomputes them all,
@@ -8,7 +9,9 @@ prints one line per stream and exits 1 on any mismatch, so an interpreter
 without pytest or scipy can still check that it reproduces the streams.
 """
 
+import contextlib
 import hashlib
+import io
 import random
 import sys
 from pathlib import Path
@@ -149,18 +152,59 @@ def start_digest():
     return h.hexdigest()
 
 
+# The (instance, chain) pairs of the benchmark's sample deck, each run for
+# three samples at a gap above 1, and the circle-trade ones again with the
+# Metropolis correction off.
+SAMPLE_RUNS = [
+    ("pinned_readme_4x4", "auto", "on"),
+    ("pinned_readme_4x4", "auto", "off"),
+    ("pinned_crit10_2x2", "curveball", "on"),
+    ("sparse_30x30_a", "auto", "on"),
+    ("sparse_30x30_b", "auto", "on"),
+    ("free_100x100_a", "curveball", "on"),
+    ("free_100x100_b", "circle", "on"),
+    ("free_100x100_b", "circle", "off"),
+    ("free_30x30_a", "swap", "on"),
+    ("free_30x30_a", "cycle:8", "on"),
+]
+
+# sha256 of ``sample_digest()``, recorded before ``sample --count`` moved
+# onto one restarted chain.  A change here changes the bytes users get.
+GOLDEN_SAMPLE = "e0a6d707415c2ab471ad3ccf5c00b43ecc4a1d11a84fb62007d984c7cbf41eb3"
+
+
+def sample_digest():
+    """The sha256 of what ``bipsample sample`` writes to stdout for every
+    run of ``SAMPLE_RUNS`` (50 steps, gap 7, three samples, seed 11): the
+    arguments and exit code, then the bytes."""
+    h = hashlib.sha256()
+    for instance, chain, mh in SAMPLE_RUNS:
+        argv = ["sample", str(INSTANCES / f"{instance}.txt"), "--chain", chain,
+                "--mh", mh, "--steps", "50", "--gap", "7", "--count", "3",
+                "--seed", "11"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        h.update(f"{instance} {chain} mh {mh}: {code}\n{out.getvalue()}".encode())
+    return h.hexdigest()
+
+
 def main():
     """Recompute every pinned digest; 0 when all match, 1 otherwise."""
     got = start_digest()
     mismatches = int(got != GOLDEN_START)
     print(f"{'MISMATCH' if mismatches else 'ok      '} start realizations {got}")
+    got = sample_digest()
+    ok = got == GOLDEN_SAMPLE
+    mismatches += not ok
+    print(f"{'ok      ' if ok else 'MISMATCH'} sample output {got}")
     for instance, chain in sorted(GOLDEN_STREAMS):
         got = stream_digest(instance, chain)
         ok = got == GOLDEN_STREAMS[instance, chain]
         mismatches += not ok
         print(f"{'ok      ' if ok else 'MISMATCH'} {instance} {chain} {got}")
     version = sys.version.split()[0]
-    total = len(GOLDEN_STREAMS) + 1
+    total = len(GOLDEN_STREAMS) + 2
     print(f"{total - mismatches} of {total} digests match "
           f"on Python {version}")
     return 1 if mismatches else 0

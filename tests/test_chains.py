@@ -129,6 +129,14 @@ def test_chain_config_validation():
         ChainConfig(MoveSet.trades(), steps=1, seed=1, sample_gap=0)
 
 
+def test_chain_config_rejects_a_negative_seed():
+    # random.Random(-7) draws the stream of Random(7)
+    assert random.Random(-7).getstate() == random.Random(7).getstate()
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        ChainConfig(MoveSet.trades(), steps=1, seed=-1)
+    ChainConfig(MoveSet.trades(), steps=1, seed=0)
+
+
 def test_trade_enumeration_on_two_row_example():
     # every replacement subset of the pool, in the order trades rank them
     g = two_row_instance()
@@ -507,6 +515,30 @@ def test_block_size_never_changes_the_stream(name):
                 gapped = chain(gap)
                 got = [(key, gapped._rng.getstate()) for key in gapped.keys()]
                 assert got == trail[gap - 1::gap], (label, seed, gap)
+
+
+@pytest.mark.parametrize(
+    "name", ["trades", "trades+circle", "trades+circle/mh-off", "swaps4", "cycle:8"]
+)
+def test_restart_runs_the_chain_a_new_seed_builds(name):
+    """After some steps at one seed, ``restart(b)`` leaves the config, the
+    key stream and the rng state of a new ``Chain`` at seed b; a negative
+    seed is refused before anything changes."""
+    move_set, mh = STREAM_CHAINS[name]
+    for label, make in BLOCK_INSTANCES.items():
+        start = bp.initial_realization(make())
+        chain = bp.Chain(start, ChainConfig(move_set, 40, 3, 4, mh))
+        for taken, b in ((17, 0), (40, 3), (1, 2024), (0, 7)):
+            chain.advance(taken)
+            chain.restart(b)
+            fresh = bp.Chain(start, ChainConfig(move_set, 40, b, 4, mh))
+            assert chain.config == fresh.config
+            assert list(chain.keys()) == list(fresh.keys()), (label, b)
+            assert chain._rng.getstate() == fresh._rng.getstate(), (label, b)
+        rows, state = tuple(chain._rows), chain._rng.getstate()
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            chain.restart(-7)
+        assert (tuple(chain._rows), chain._rng.getstate(), chain.config.seed) == (rows, state, 7)
 
 
 @pytest.mark.parametrize("name", ["1x1", "1x5"])

@@ -13,6 +13,7 @@ import pytest
 import bipsample as bp
 from bipsample import chains, cli, oracle
 from bipsample.core import MoveSet
+from streams import GOLDEN_SAMPLE, sample_digest
 
 FIG_SPLIT = """\
 # four rows, one pinned non-edge per row except the last two share a column
@@ -482,6 +483,21 @@ def test_sample_reproducible_and_valid(tmp_path, capsys):
     assert len(blocks) == 3
     for block in blocks:
         cli.parse_realization(block, inst)  # validates degrees and mask
+
+
+def test_sample_rejects_a_negative_seed(tmp_path, capsys):
+    # random.Random(-s) draws the stream of Random(s): --seed -1 --count 3
+    # would write samples 0 and 2 byte for byte the same
+    path = write(tmp_path, "h.txt", README_4X4)
+    assert cli.main(["sample", path, "--seed", "-1", "--count", "3"]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --seed: value must be >= 0" in err
+    assert cli.main(["sample", path, "--seed", "0", "--steps", "20"]) == 0
+
+
+def test_sample_bytes_are_pinned():
+    assert sample_digest() == GOLDEN_SAMPLE
 
 
 def test_sample_auto_selects_circle_on_forest_mask(tmp_path, capsys):

@@ -313,6 +313,80 @@ def test_realization_checks_match_the_cell_by_cell_reference():
     assert seen == {*failures, " is 2,", " is -1,"}
 
 
+def _mask_matrix(masks, nc):
+    """The 0/1 matrix of row masks, each row as wide as its mask needs but
+    at least nc cells."""
+    return [[m >> j & 1 for j in range(max(nc, m.bit_length()))] for m in masks]
+
+
+def _corrupt(rng, inst, masks, kind):
+    """One row mask of the realization ``masks`` broken the way ``kind``
+    says, and the instance to check it against: for the pin faults, one
+    with the broken state's degrees, so that only the pin rule fails.
+    None when the realization has no cell to break that way."""
+    n, nc = inst.n, inst.n_cols
+    fixed, edges = inst.fixed.fixed_masks, inst.fixed.edge_masks
+    full = (1 << nc) - 1
+    if kind == "row sum":
+        options = [(i, 1 << j) for i in range(n) for j in range(nc)]
+    elif kind == "column sum":
+        # a 1 moved along its row keeps the row sums
+        options = [(i, (1 << j) | (1 << k)) for i in range(n)
+                   for j in range(nc) if masks[i] >> j & 1
+                   for k in range(nc) if not masks[i] >> k & 1]
+    elif kind == "forced edge":
+        options = [(i, 1 << j) for i in range(n) for j in range(nc) if edges[i] >> j & 1]
+    elif kind == "forced non-edge":
+        options = [(i, 1 << j) for i in range(n) for j in range(nc)
+                   if (fixed[i] & ~edges[i] & full) >> j & 1]
+    else:  # a bit at or past n_cols
+        options = [(i, 1 << (nc + rng.randrange(3))) for i in range(n)]
+    if not options:
+        return None
+    i, flip = rng.choice(options)
+    broken = list(masks)
+    broken[i] ^= flip
+    if kind.startswith("forced"):
+        matrix = _mask_matrix(broken, nc)
+        inst = bp.Instance(
+            bp.DegreeSequence(map(sum, matrix), map(sum, zip(*matrix))), inst.fixed
+        )
+    return inst, broken
+
+
+def test_mask_check_catches_injected_faults_with_the_realization_messages():
+    # one row mask of a valid state broken five ways: each is refused with
+    # the exception and message Realization gives for the same matrix
+    from bipsample.core import check_masks
+
+    rng = random.Random(22)
+    kinds = ("row sum", "column sum", "forced edge", "forced non-edge", "width")
+    starts = {"row sum": "row", "column sum": "column", "forced edge": "forced edge",
+              "forced non-edge": "forced non-edge", "width": "matrix dimensions"}
+    seen = {kind: 0 for kind in kinds}
+    for trial in range(600):
+        n, nc = rng.randint(1, 6), rng.randint(1, 6)
+        a_matrix = [[rng.randint(0, 1) for _ in range(nc)] for _ in range(n)]
+        mask = [[rng.choice((bp.FREE, bp.FREE, 2 - v)) for v in row] for row in a_matrix]
+        inst = bp.Instance(
+            bp.DegreeSequence(map(sum, a_matrix), map(sum, zip(*a_matrix))),
+            bp.FixedSet(mask),
+        )
+        masks = chains.state_key(bp.Realization(inst, a_matrix))
+        assert check_masks(inst, masks) == ["".join(map(str, row)) for row in a_matrix]
+        kind = kinds[trial % len(kinds)]
+        broken = _corrupt(rng, inst, masks, kind)
+        if broken is None:
+            continue
+        inst, bad = broken
+        want = _outcome(lambda: bp.Realization(inst, _mask_matrix(bad, nc)))
+        assert want is not None and want[1].startswith(starts[kind]), (kind, want)
+        assert _outcome(lambda: check_masks(inst, bad)) == want, (inst, bad)
+        assert _outcome(lambda: bp.Realization.from_masks(inst, bad)) == want
+        seen[kind] += 1
+    assert min(seen.values()) >= 50, seen
+
+
 def test_realization_matches_the_old_construction_on_committed_instances():
     # the start realization of every feasible committed instance, from the
     # list rows initial_realization passes and the bytes rows a chain decodes
