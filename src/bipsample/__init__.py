@@ -14,7 +14,6 @@ from .chains import (
     Chain,
     ChainConfig,
     run,
-    state_key,
 )
 from .core import (
     FORCED_EDGE,

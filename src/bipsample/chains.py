@@ -15,11 +15,11 @@ each row as a mask of the same form.  Each move kind has one block kernel,
 ``_trades`` (which also takes the circle-trade steps of trades+circle),
 ``_swaps`` or ``_cycles``: a generator that a ``Chain`` primes once, so
 its set-up is paid once per chain, and whose ``send(k)`` takes k steps on
-these masks in place in its one Python frame.  Masks are built from and
-decoded into ``Realization`` objects only at the boundary: ``Chain``'s
-constructor, ``realization()`` (through ``Realization.from_masks``) and
-``state_key``.  ``digit_rows()`` checks the state and gives its text
-straight from the masks (``core.check_masks``), and ``restart(seed)``
+these masks in place in its one Python frame.  They are the masks a
+``Realization`` holds: ``Chain``'s constructor copies its start's
+``masks``, and ``realization()`` stores the current ones through
+``Realization.from_masks``.  ``digit_rows()`` checks the state and gives
+its text straight from the masks (``core.check_masks``), and ``restart(seed)``
 reruns a chain from its start with a new seed in place, so ``bipsample
 sample --count m`` builds one ``Chain`` and no ``Realization`` of its
 samples.
@@ -80,13 +80,7 @@ def circle_denominator(sizes: tuple[int, int, int], x: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Row masks: bit j of a row's int is set when the row has column j.
-
-
-def state_key(g: Realization) -> tuple[int, ...]:
-    """The key ``Chain.keys()`` yields for the state ``g``: one column mask
-    per row, bit j set when the row has column j."""
-    return tuple(sum(1 << j for j in row) for row in g.rows)
+# Subset ranks: the k-subsets of a pool of columns, itself a row mask.
 
 
 @lru_cache(maxsize=8)
@@ -406,8 +400,7 @@ class Chain:
     methods, bit lengths, tables) is paid once per chain: ``advance(k)``
     is one ``send(k)``, and so is each kept state of ``keys()``, which
     yields a cheap key of the state after every ``sample_gap``-th step:
-    the tuple of row masks, the value ``state_key`` gives for that state's
-    ``Realization``.
+    the tuple of row masks, the ``masks`` of that state's ``Realization``.
 
     ``restart(seed)`` turns the chain into the one ``Chain(start,
     replace(config, seed=seed))`` would build, in place: it puts the start
@@ -423,7 +416,7 @@ class Chain:
         inst = start.instance
         self.instance = inst
         self.config = cfg
-        self._start = tuple(state_key(start))
+        self._start = start.masks
         self._rows = rows = list(self._start)
         self._rng = random.Random(cfg.seed)
         state = (rows, inst.fixed.fixed_masks, inst.n, self._rng)

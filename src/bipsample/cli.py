@@ -26,8 +26,7 @@ from .core import (
     NotRealizable,
     Realization,
     TooLarge,
-    _CELL_DIGITS,
-    _DIGIT_VALUES,
+    mask_digits,
 )
 from .realizability import (
     gale_ryser_realizable,
@@ -182,7 +181,7 @@ def parse_realization(text: str, inst: Instance) -> Realization:
     if len(lines) != inst.n:
         lineno = lines[-1][0] if lines else 1
         raise ParseError(f"expected {inst.n} lines, got {len(lines)}", lineno)
-    matrix = []
+    masks = []
     for lineno, content in lines:
         if len(content) != inst.n_cols:
             raise ParseError(
@@ -192,12 +191,12 @@ def parse_realization(text: str, inst: Instance) -> Realization:
             for col, ch in enumerate(content, start=1):
                 if ch not in "01":
                     raise ParseError(f"bad cell character {ch!r}", lineno, col)
-        matrix.append(content.encode().translate(_DIGIT_VALUES))
-    return Realization(inst, matrix)
+        masks.append(int(content[::-1], 2))  # column 0 is the mask's bit 0
+    return Realization.from_masks(inst, masks)
 
 
 def format_realization(g: Realization) -> str:
-    return b"\n".join(map(bytes, g.matrix)).translate(_CELL_DIGITS).decode() + "\n"
+    return "\n".join(mask_digits(g.masks, g.instance.n_cols)) + "\n"
 
 
 # The chain names ``--chain`` reads besides auto and cycle:L.  The first
@@ -346,7 +345,8 @@ def cmd_sample(args) -> int:
         return EXIT_INFEASIBLE
     # One chain, restarted in place for each sample c with seed + c: the
     # stream of a new chain per sample.  Only the state at the last kept
-    # step is written, checked and turned into text on its row masks.
+    # step is checked and turned into text on its row masks, and written
+    # before the next chain runs.
     last_kept = args.steps - args.steps % args.gap
     chain = chains.Chain(start, chains.ChainConfig(
         move_set=move_set,
@@ -355,24 +355,22 @@ def cmd_sample(args) -> int:
         sample_gap=args.gap,
         mh_correction=args.mh == "on",
     ))
-    outputs = []
     for c in range(args.count):
         if c:
             chain.restart(args.seed + c)
         chain.advance(last_kept)
-        outputs.append("\n".join(chain.digit_rows()) + "\n")
-
-    if args.out:
+        text = "\n".join(chain.digit_rows()) + "\n"
+        if not args.out:
+            # A blank line between samples.
+            sys.stdout.write("\n" + text if c else text)
+            continue
         try:
-            for c, text in enumerate(outputs):
-                with open(
-                    os.path.join(args.out, f"sample_{c:04d}.txt"), "w", encoding="utf-8"
-                ) as fh:
-                    fh.write(text)
+            with open(
+                os.path.join(args.out, f"sample_{c:04d}.txt"), "w", encoding="utf-8"
+            ) as fh:
+                fh.write(text)
         except OSError as exc:
             return _out_error(args.out, exc)
-    else:
-        sys.stdout.write("\n".join(outputs))
     return EXIT_OK
 
 
@@ -381,14 +379,20 @@ def cmd_enumerate(args) -> int:
     if inst is None:
         return EXIT_PARSE
     try:
-        states = oracle.enumerate_realizations(inst)
+        states = oracle._instance_bits(inst)
     except TooLarge as exc:
         print(f"too large: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
     print(len(states))
     if args.list:
-        blocks = [format_realization(g) for g in states]
-        sys.stdout.write("\n".join(blocks))
+        # A state int's bit string is the grid's digits, row-major: each is
+        # cut into rows and written, with a blank line between two states.
+        nc, size = inst.n_cols, inst.n * inst.n_cols
+        fmt, cuts = f"0{size}b", range(0, size, nc)
+        for s, x in enumerate(states):
+            cells = format(x, fmt)
+            text = "\n".join([cells[k:k + nc] for k in cuts]) + "\n"
+            sys.stdout.write("\n" + text if s else text)
     return EXIT_OK
 
 
@@ -531,8 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "stops at 4 (default: 5)")
     p.add_argument("--random", type=_non_negative_int, default=200,
                    help="random instances to draw for the pool (default: 200)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed of the random instances (default: 0)")
+    p.add_argument("--seed", type=_non_negative_int, default=0,
+                   help="seed of the random instances, >= 0 (default: 0)")
     p.add_argument("--quiet", action="store_true",
                    help="only print failures and the summary")
     p.add_argument("--json", action="store_true",

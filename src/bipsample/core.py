@@ -263,83 +263,86 @@ def check_masks(instance: Instance, masks: Sequence[int]) -> list[str]:
 
 
 class Realization:
-    """A 0/1 matrix realizing an instance; per-row column sets are cached.
+    """A 0/1 matrix realizing an instance, held as its row masks.
 
-    The matrix is authoritative. Construction validates its shape and
-    0/1 values, then its degrees and fixed cells through ``check_masks``,
-    unless ``validate=False``, which is reserved for callers that have
-    already established validity (the oracle's enumeration,
-    ``from_masks``).  Every ``Realization`` the chain runner emits is
-    validated.  The keys a chain streams for visit counting are tuples of
-    row bit masks (bit j set when the row has column j;
-    ``chains.state_key`` gives the key of a ``Realization``), and
-    ``bipsample sample`` checks and writes its samples from those masks
-    with ``check_masks`` alone: neither builds a ``Realization``.
+    ``masks`` has one int per row, bit j set when the row has column j:
+    the value a ``Chain`` starts from and ``Chain.keys()`` yields.  Every
+    constructor ends in ``check_masks``, so a ``Realization`` always
+    realizes its instance.  ``Realization(instance, matrix)`` first checks
+    the grid's shape and 0/1 values, ``from_rows`` that each column lies in
+    the grid; ``from_masks`` is the check alone.  ``matrix`` (a tuple of
+    int tuples) and ``rows`` (a tuple of column frozensets) are derived
+    from the masks on first use.
     """
 
-    __slots__ = ("instance", "matrix", "rows", "_hash")
+    __slots__ = ("instance", "masks", "_matrix", "_rows")
 
-    def __init__(self, instance: Instance, matrix: Sequence[Sequence[int]], validate: bool = True):
+    def __init__(self, instance: Instance, matrix: Sequence[Sequence[int]]):
+        # The shape and the 0/1 values are checked on the grid, each in one
+        # C-level pass; only a failing check scans cell by cell, to name the
+        # first bad cell.
         grid = tuple(map(_cell_values, matrix))
-        self.instance = instance
-        self.matrix = grid
-        cols = range(max(map(len, grid), default=0))
-        self.rows = tuple(frozenset(compress(cols, row)) for row in grid)
-        self._hash = None
-        if validate:
-            self._validate()
-
-    def _validate(self):
-        # The shape and the 0/1 values are checked on the matrix, each in one
-        # C-level pass; the degree and pin rules on its row masks, by
-        # ``check_masks``.  Only a failing check scans cell by cell, to name
-        # the first bad cell.
-        inst = self.instance
-        matrix = self.matrix
-        if len(matrix) != inst.n or set(map(len, matrix)) != {inst.n_cols}:
+        if len(grid) != instance.n or set(map(len, grid)) != {instance.n_cols}:
             raise InstanceMismatch("matrix dimensions do not match the instance")
-        if not _BITS.issuperset(chain.from_iterable(matrix)):
-            for i, row in enumerate(matrix):
+        if not _BITS.issuperset(chain.from_iterable(grid)):
+            for i, row in enumerate(grid):
                 for j, v in enumerate(row):
                     if v not in _BITS:
                         raise ValueError(f"matrix cell ({i}, {j}) is {v!r}, not 0/1")
-        check_masks(inst, _row_masks(matrix, _CELL_DIGITS))
+        self._store(instance, _row_masks(grid, _CELL_DIGITS))
+
+    def _store(self, instance: Instance, masks: tuple[int, ...]) -> None:
+        check_masks(instance, masks)
+        self.instance = instance
+        self.masks = masks
+        self._matrix = self._rows = None
 
     @classmethod
-    def from_rows(cls, instance: Instance, rows: Sequence[Iterable[int]], validate: bool = True) -> "Realization":
+    def from_rows(cls, instance: Instance, rows: Sequence[Iterable[int]]) -> "Realization":
+        """The realization whose row i has the columns ``rows[i]``."""
         n, nc = instance.n, instance.n_cols
-        matrix = [[0] * nc for _ in range(n)]
+        masks = [0] * n
         for i, cols in enumerate(rows):
             for j in cols:
                 _check_cell(i, j, n, nc)
-                matrix[i][j] = 1
-        return cls(instance, matrix, validate=validate)
+                masks[i] |= 1 << j
+        return cls.from_masks(instance, masks)
 
     @classmethod
     def from_masks(cls, instance: Instance, masks: Iterable[int]) -> "Realization":
         """The realization whose row i has column j iff bit j of the i-th
-        mask is set, checked by ``check_masks``.  Each matrix row is a bytes
-        object of 0/1 values, translated from the row's digits."""
-        return cls(instance, [
-            digits.encode().translate(_DIGIT_VALUES)
-            for digits in check_masks(instance, tuple(masks))
-        ], validate=False)
+        mask is set, checked by ``check_masks``."""
+        g = cls.__new__(cls)
+        g._store(instance, tuple(masks))
+        return g
+
+    @property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        if self._matrix is None:
+            digits = mask_digits(self.masks, self.instance.n_cols)
+            self._matrix = tuple(tuple(d.encode().translate(_DIGIT_VALUES)) for d in digits)
+        return self._matrix
+
+    @property
+    def rows(self) -> tuple[frozenset[int], ...]:
+        if self._rows is None:
+            cols = range(self.instance.n_cols)
+            self._rows = tuple(frozenset(compress(cols, row)) for row in self.matrix)
+        return self._rows
 
     def __eq__(self, other):
         return (
             isinstance(other, Realization)
-            and self.matrix == other.matrix
+            and self.masks == other.masks
             and self.instance == other.instance
         )
 
+    # The instance, costly to hash, stays out of the hash.
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.matrix)
-        return self._hash
+        return hash(self.masks)
 
     def __repr__(self):
-        body = "/".join("".join(str(v) for v in row) for row in self.matrix)
-        return f"Realization({body})"
+        return f"Realization({'/'.join(mask_digits(self.masks, self.instance.n_cols))})"
 
 
 @dataclass(frozen=True)

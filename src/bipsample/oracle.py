@@ -66,17 +66,18 @@ def _cells_mask(cells, n: int, nc: int) -> int:
     return mask
 
 
-def _bits_to_matrix(bits: int, n: int, nc: int) -> list[list[int]]:
-    return [
-        [(bits >> (n * nc - 1 - (i * nc + j))) & 1 for j in range(nc)]
-        for i in range(n)
-    ]
+def _state_of(masks, nc: int) -> int:
+    """The state int of the row masks ``masks``: their digit rows
+    (``mask_digits``), joined, read as one binary number."""
+    return int("".join(mask_digits(masks, nc)), 2)
 
 
-def _matrix_to_bits(matrix, n: int, nc: int) -> int:
-    return _cells_mask(
-        ((i, j) for i in range(n) for j in range(nc) if matrix[i][j]), n, nc
-    )
+def _masks_of(x: int, n: int, nc: int) -> tuple[int, ...]:
+    """The row masks of the state int ``x``.  Reversing its bit string puts
+    cell (i, j) at bit i*nc + j, so row i's mask is the nc bits from there."""
+    y = int(format(x, f"0{n * nc}b")[::-1], 2)
+    full = (1 << nc) - 1
+    return tuple([y >> i * nc & full for i in range(n)])
 
 
 def _enumerate_bits(
@@ -314,11 +315,9 @@ def _instance_bits(inst: Instance) -> list[int]:
     n, nc = inst.n, inst.n_cols
     if n * nc > ENUMERATION_CELL_LIMIT:
         raise TooLarge(f"{n}x{nc} grid exceeds the enumeration guard")
-    # Row i's field of a state int holds row i's digits, column 0 first.
     return _enumerate_bits(
         inst.degrees.row_degrees, inst.degrees.col_degrees,
-        int("".join(mask_digits(inst.fixed.fixed_masks, nc)), 2),
-        int("".join(mask_digits(inst.fixed.edge_masks, nc)), 2),
+        _state_of(inst.fixed.fixed_masks, nc), _state_of(inst.fixed.edge_masks, nc),
     )
 
 
@@ -327,33 +326,25 @@ def enumerate_realizations(inst: Instance) -> list[Realization]:
     string) order, by row-wise backtracking."""
     n, nc = inst.n, inst.n_cols
     return [
-        Realization(inst, _bits_to_matrix(x, n, nc), validate=False)
-        for x in _instance_bits(inst)
+        Realization.from_masks(inst, _masks_of(x, n, nc)) for x in _instance_bits(inst)
     ]
 
 
 def _state_index(inst: Instance) -> dict[tuple[int, ...], int]:
-    """The ``chains.state_key`` of every realization, mapped to its
-    position in ``enumerate_realizations(inst)``, read from the state ints
-    with no ``Realization`` built.  Reversing a state's bit string puts
-    cell (i, j) at bit i*nc + j, so row i's key is the nc bits from there."""
+    """The row masks of every realization, mapped to its position in
+    ``enumerate_realizations(inst)``, read from the state ints with no
+    ``Realization`` built."""
     n, nc = inst.n, inst.n_cols
-    full, fmt = (1 << nc) - 1, f"0{n * nc}b"
-    shifts = [i * nc for i in range(n)]
-    index = {}
-    for s, x in enumerate(_instance_bits(inst)):
-        y = int(format(x, fmt)[::-1], 2)
-        index[tuple([y >> sh & full for sh in shifts])] = s
-    return index
+    return {_masks_of(x, n, nc): s for s, x in enumerate(_instance_bits(inst))}
 
 
 def _ctx_of(states: list[Realization]) -> _SeqCtx:
     """The sweep's per-sequence context for a non-empty list of states."""
     inst = states[0].instance
-    n, nc = inst.n, inst.n_cols
+    nc = inst.n_cols
     return _SeqCtx(
-        n, nc, inst.degrees.row_degrees, inst.degrees.col_degrees,
-        [_matrix_to_bits(g.matrix, n, nc) for g in states],
+        inst.n, nc, inst.degrees.row_degrees, inst.degrees.col_degrees,
+        [_state_of(g.masks, nc) for g in states],
     )
 
 
@@ -849,10 +840,8 @@ def _check_sequence(rep, n, nc, a, b, free_bits):
         "static-cells-exact", where,
         edges == every and non_edges == ~some & ((1 << n * nc) - 1),
     )
-    g0 = Realization(
-        Instance.unconstrained(a, b),
-        _bits_to_matrix(free_bits[0], n, nc),
-        validate=False,
+    g0 = Realization.from_masks(
+        Instance.unconstrained(a, b), _masks_of(free_bits[0], n, nc)
     )
     # static_set from a given realization (the check keeps its recorded name).
     rep.record(
@@ -972,7 +961,7 @@ def _random_instances(rng, max_rows, max_cols, count, with_8_cycles):
                 if max_matching_at_least(FGraph.from_cells(n, nc, support), 3):
                     continue
             sup = _cells_mask(support, n, nc)
-            pattern = sup & _matrix_to_bits(matrix, n, nc)
+            pattern = sup & int("".join(map(str, itertools.chain(*matrix))), 2)
             bits = _enumerate_bits(a, b, sup, pattern, cap=300)
             if bits is None or len(bits) < 2:
                 continue
@@ -999,6 +988,9 @@ def run_verification(
     adds seeded instances up to max_rows x max_cols, plus a batch with
     embedded 8-cycles when the grid allows.
     """
+    # random.Random(-s) draws the stream of Random(s).
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     if max_rows * max_cols > ENUMERATION_CELL_LIMIT:
         raise TooLarge(
             f"a {max_rows}x{max_cols} pool exceeds the enumeration guard of "

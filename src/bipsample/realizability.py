@@ -5,8 +5,10 @@ edge/non-edge set of a sequence."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .core import (
+    _DIGIT_VALUES,
     FORCED_EDGE,
     FORCED_NON_EDGE,
     FREE,
@@ -17,7 +19,11 @@ from .core import (
     NotRealizable,
     PolarityConflict,
     Realization,
+    mask_digits,
 )
+
+# Map the binary digits "0" and "1" to the values 1 and 0.
+_ZERO_VALUES = bytes.maketrans(b"01", b"\x01\x00")
 
 
 @dataclass(frozen=True)
@@ -266,43 +272,44 @@ def _blocking_flow(free, used, users, spare_a, spare_b, row_layers, col_layers):
 def static_set(s: DegreeSequence, g: Realization | None = None) -> StaticSet:
     """Cells equal in every realization of ``s``, from one realization.
 
-    ``g`` is any realization whose margins are ``s`` (a ``ValueError`` if
-    they are not); without it one is built by max-flow.  Orient every cell
-    of ``g``: an edge (1) points from its row to its column, a non-edge (0)
-    from its column to its row.  Two realizations differ by alternating
-    cycles, which are exactly the directed cycles of this orientation, so
-    a cell is static iff its row and its column lie in different strongly
-    connected components (Ryser's interchange theorem; Brualdi 1980 on
-    invariant positions).  One iterative Tarjan (1972) pass finds them:
-    O(n*m) after the max-flow.
+    ``g`` is any realization whose instance has the degrees ``s`` (a
+    ``ValueError`` if not); without it one is built by max-flow.  Orient
+    every cell of ``g``: an edge (1) points from its row to its column, a
+    non-edge (0) from its column to its row.  Two realizations differ by
+    alternating cycles, which are exactly the directed cycles of this
+    orientation, so a cell is static iff its row and its column lie in
+    different strongly connected components (Ryser's interchange theorem;
+    Brualdi 1980 on invariant positions): the columns outside the column
+    mask of its row's component.  One iterative Tarjan (1972) pass finds
+    them: O(n*m) after the max-flow.
     """
     if not gale_ryser_realizable(s):
         raise NotRealizable("degree sequence has no realization")
-    n = s.n
     if g is None:
-        grid = initial_realization(
-            Instance.unconstrained(s.row_degrees, s.col_degrees)
-        ).matrix
-    else:
-        grid = g.matrix
-        if (
-            len(grid) != n
-            or any(len(row) != s.n_cols for row in grid)
-            or tuple(map(sum, grid)) != s.row_degrees
-            or tuple(map(sum, zip(*grid))) != s.col_degrees
-        ):
-            raise ValueError("realization does not match the degree sequence")
-    # Nodes: rows 0..n-1, then column j as node n + j.
-    succ = [[n + j for j, v in enumerate(row) if v] for row in grid]
-    succ += [[i for i, v in enumerate(col) if not v] for col in zip(*grid)]
+        g = initial_realization(Instance.unconstrained(s.row_degrees, s.col_degrees))
+    elif g.instance.degrees != s:
+        raise ValueError("realization does not match the degree sequence")
+    n, nc = s.n, s.n_cols
+    masks = g.masks
+    # Nodes: rows 0..n-1, then column j as node n + j.  A row's arcs go to
+    # its 1s, a column's to its 0s, read off the grid's digits in one pass.
+    cells = "".join(mask_digits(masks, nc)).encode()
+    ones, zeros = cells.translate(_DIGIT_VALUES), cells.translate(_ZERO_VALUES)
+    col_nodes, row_nodes = range(n, n + nc), range(n)
+    succ = [list(compress(col_nodes, ones[i * nc:(i + 1) * nc])) for i in range(n)]
+    succ += [list(compress(row_nodes, zeros[j::nc])) for j in range(nc)]
     comp = _strong_components(succ)
-    edges = []
-    non_edges = []
-    for i, row in enumerate(grid):
-        ci = comp[i]
-        for j, v in enumerate(row):
-            if comp[n + j] != ci:
-                (edges if v else non_edges).append((i, j))
+    reach = [0] * (n + nc)  # each component's column mask
+    for j, c in enumerate(comp[n:]):
+        reach[c] |= 1 << j
+    full = (1 << nc) - 1
+    edges, non_edges = [], []
+    for i, m in enumerate(masks):
+        static = full & ~reach[comp[i]]
+        while static:
+            low = static & -static
+            static ^= low
+            (edges if m & low else non_edges).append((i, low.bit_length() - 1))
     return StaticSet(frozenset(edges), frozenset(non_edges))
 
 

@@ -35,7 +35,7 @@ def test_criterion_01_worked_trade_enumeration():
     g = bp.Realization.from_rows(inst, rowsets)
     # the exchangeable columns of each row, as bit masks
     blocked = inst.fixed.fixed_masks[0] | inst.fixed.fixed_masks[1]
-    r0, r1 = bp.state_key(g)
+    r0, r1 = g.masks
     a_ij = r0 & ~(r1 | blocked)
     a_ji = r1 & ~(r0 | blocked)
     pool, k = a_ij | a_ji, a_ij.bit_count()

@@ -201,7 +201,7 @@ def test_trade_preserves_pair_difference_set():
     # free columns where they differ
     rng = random.Random(8)
     inst = readme_4x4()
-    rows = list(bp.state_key(bp.initial_realization(inst)))
+    rows = list(bp.initial_realization(inst).masks)
     fixed = inst.fixed.fixed_masks
     step = primed(_trades(rows, fixed, inst.n, rng, TABLE)).send
     traded = 0
@@ -474,11 +474,15 @@ def test_chain_keys_decode_to_the_realization_rows(name):
     for make in STREAM_INSTANCES.values():
         inst = make()
         cfg = ChainConfig(move_set, steps=300, seed=5, sample_gap=3, mh_correction=mh)
-        chain = bp.Chain(bp.initial_realization(inst), cfg)
+        start = bp.initial_realization(inst)
+        chain = bp.Chain(start, cfg)
+        assert chain._rows == list(start.masks)
         for key in chain.keys():
             g = chain.realization()
             assert tuple(frozenset(cols(r)) for r in key) == g.rows
-            assert bp.state_key(g) == key
+            assert g.masks == key
+            # a chain starts from its start's masks
+            assert bp.Chain(g, cfg)._rows == list(key)
 
 
 BLOCK_INSTANCES = {
@@ -547,7 +551,7 @@ def test_lazy_kernels_draw_only_what_the_docstring_says(name):
     was for trades and swaps; trades+circle takes its coin bit per step
     and nothing more.  The rows never change."""
     inst = BLOCK_INSTANCES[name]()
-    start = list(bp.state_key(bp.initial_realization(inst)))
+    start = list(bp.initial_realization(inst).masks)
     fixed = inst.fixed.fixed_masks
     kernels = {
         "trades": (lambda rows, r: _trades(rows, fixed, 1, r, TABLE), 0),
@@ -783,14 +787,14 @@ def test_kernel_steps_follow_the_exact_ledgers(make, circle, mh):
     successors the oracle's ledgers give, at their exact frequencies."""
     inst = make()
     states, exact = _exact_rows(inst, circle, mh)
-    index = {bp.state_key(g): s for s, g in enumerate(states)}
+    index = {g.masks: s for s, g in enumerate(states)}
     fixed = inst.fixed.fixed_masks
     rng = random.Random(20240801)
     draws = 20_000
     rows = [0] * inst.n
     step = primed(_trades(rows, fixed, inst.n, rng, TABLE, mh if circle else None)).send
     for s in (0, len(states) // 2, len(states) - 1):
-        start = bp.state_key(states[s])
+        start = states[s].masks
         counts = Counter()
         for _ in range(draws):
             rows[:] = start

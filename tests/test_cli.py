@@ -538,6 +538,42 @@ def test_sample_unrealizable_sequence_says_so(tmp_path, capsys, chain):
     assert "fixed cells" not in err
 
 
+@pytest.mark.parametrize("to_dir", [False, True])
+def test_sample_writes_each_sample_before_the_next_chain_runs(
+    tmp_path, capsys, monkeypatch, to_dir
+):
+    # memory stays flat in --count: sample c is out before chain c + 1 starts
+    path = write(tmp_path, "h.txt", README_4X4)
+    out = tmp_path / "samples"
+    args = ["sample", path, "--steps", "30", "--count", "3"]
+    args += ["--out", str(out)] if to_dir else []
+    assert cli.main(args) == 0
+    if to_dir:
+        texts = [f.read_text() for f in sorted(out.iterdir())]
+        shutil.rmtree(out)
+    else:
+        texts = capsys.readouterr().out.split("\n\n")
+        texts = [t + "\n" for t in texts[:-1]] + texts[-1:]
+    assert len(texts) == 3
+    written = []
+    restart = chains.Chain.restart
+
+    def spy(chain, seed):
+        if to_dir:
+            written.append([f.read_text() for f in sorted(out.iterdir())])
+        else:
+            written.append(capsys.readouterr().out)
+        restart(chain, seed)
+
+    monkeypatch.setattr(chains.Chain, "restart", spy)
+    assert cli.main(args) == 0
+    if to_dir:
+        assert written == [texts[:1], texts[:2]]
+    else:
+        assert written == [texts[0], "\n" + texts[1]]
+        assert capsys.readouterr().out == "\n" + texts[2]
+
+
 def test_sample_to_directory(tmp_path, capsys):
     path = write(tmp_path, "j.txt", FREE_2X2)
     out = tmp_path / "samples"
@@ -563,6 +599,9 @@ def test_enumerate_counts(tmp_path, capsys):
     assert len(blocks) == 3
     for block in blocks:
         cli.parse_realization(block, inst)
+    # the text of each enumerated Realization, in canonical order
+    states = bp.enumerate_realizations(inst)
+    assert out == "3\n" + "\n".join(map(cli.format_realization, states))
 
 
 def test_enumerate_too_large(tmp_path, capsys):
@@ -673,6 +712,9 @@ def test_usage_error_exit_code(capsys):
     assert cli.main(["bogus"]) == cli.EXIT_USAGE
     assert cli.main(["verify", "--random", "-3"]) == cli.EXIT_USAGE
     assert "--random: value must be >= 0" in capsys.readouterr().err
+    # --seed -5 would check the pool of --seed 5
+    assert cli.main(["verify", "--seed", "-5"]) == cli.EXIT_USAGE
+    assert "--seed: value must be >= 0" in capsys.readouterr().err
 
 
 def test_repeated_main_calls_keep_their_own_results(tmp_path, capsys, monkeypatch):

@@ -21,7 +21,7 @@ PUBLIC_NAMES = [
     "enumerate_realizations", "gale_ryser_realizable", "has_cycle_of_length",
     "initial_realization", "is_forest", "max_matching_at_least", "oracle",
     "partition_fixed_set", "realizability", "run", "run_verification",
-    "state_key", "static_set", "uniformity_report",
+    "static_set", "uniformity_report",
 ]
 
 # Public names that neither the package nor the benchmark reads.
@@ -181,9 +181,8 @@ def test_fixed_set_rejects_cells_outside_the_grid(cell):
 def test_realization_from_rows_rejects_cells_outside_the_grid(rows):
     # [{-1}, {0}] used to wrap to 01/10, a valid realization
     inst = bp.Instance.unconstrained((1, 1), (1, 1))
-    for validate in (True, False):
-        with pytest.raises(ValueError, match="outside the 2x2 grid"):
-            bp.Realization.from_rows(inst, rows, validate=validate)
+    with pytest.raises(ValueError, match="outside the 2x2 grid"):
+        bp.Realization.from_rows(inst, rows)
 
 
 def test_instance_dimension_mismatch():
@@ -209,6 +208,29 @@ def _old_construction(matrix):
     """``Realization``'s matrix and row sets as they were built cell by cell."""
     grid = tuple(tuple(int(v) for v in row) for row in matrix)
     return grid, tuple(frozenset(j for j, v in enumerate(row) if v) for row in grid)
+
+
+def assert_one_realization(inst, grid):
+    """The valid 0/1 ``grid`` of ``inst`` built every way a ``Realization``
+    is built gives one object: equal, with the grid's masks, matrix, row
+    sets and repr, and one hash."""
+    from bipsample import cli
+
+    _, rows = _old_construction(grid)
+    masks = tuple(sum(v << j for j, v in enumerate(row)) for row in grid)
+    text = "\n".join("".join(map(str, row)) for row in grid) + "\n"
+    built = [
+        bp.Realization(inst, [list(row) for row in grid]),
+        bp.Realization(inst, [bytes(row) for row in grid]),
+        bp.Realization.from_rows(inst, rows),
+        bp.Realization.from_masks(inst, masks),
+        cli.parse_realization(text, inst),
+    ]
+    repr_ = "Realization(" + "/".join(text.split()) + ")"
+    for g in built:
+        assert g == built[0] and hash(g) == hash(built[0])
+        assert (g.masks, g.matrix, g.rows, repr(g)) == (masks, grid, rows, repr_)
+        assert cli.format_realization(g) == text
 
 
 def _validate_reference(inst, matrix):
@@ -292,6 +314,7 @@ def test_realization_checks_match_the_cell_by_cell_reference():
     failures = ("matrix dimensions", "matrix cell", "row", "column",
                 "forced edge", "forced non-edge")
     seen = set()
+    valid = 0
     for trial in range(1500):
         n, nc = rng.randint(1, 6), rng.randint(1, 6)
         a_matrix = [[rng.randint(0, 1) for _ in range(nc)] for _ in range(n)]
@@ -300,17 +323,20 @@ def test_realization_checks_match_the_cell_by_cell_reference():
             bp.DegreeSequence(map(sum, a_matrix), map(sum, zip(*a_matrix))),
             bp.FixedSet(mask),
         )
+        assert_one_realization(inst, _old_construction(a_matrix)[0])
         m = _broken(rng, a_matrix, kinds[trial % len(kinds)])
         grid, rows = _old_construction(m)
         want = _outcome(lambda: _validate_reference(inst, grid))
         assert _outcome(lambda: bp.Realization(inst, m)) == want, (inst, m)
-        g = bp.Realization(inst, m, validate=False)
-        assert (g.matrix, g.rows) == (grid, rows)
-        if want is not None:
+        if want is None:
+            assert_one_realization(inst, grid)
+            valid += 1
+        else:
             message = want[1]
             seen.add(next(p for p in failures if message.startswith(p)))
             seen.update(v for v in (" is 2,", " is -1,") if v in message)
     assert seen == {*failures, " is 2,", " is -1,"}
+    assert valid >= 100
 
 
 def _mask_matrix(masks, nc):
@@ -372,7 +398,7 @@ def test_mask_check_catches_injected_faults_with_the_realization_messages():
             bp.DegreeSequence(map(sum, a_matrix), map(sum, zip(*a_matrix))),
             bp.FixedSet(mask),
         )
-        masks = chains.state_key(bp.Realization(inst, a_matrix))
+        masks = bp.Realization(inst, a_matrix).masks
         assert check_masks(inst, masks) == ["".join(map(str, row)) for row in a_matrix]
         kind = kinds[trial % len(kinds)]
         broken = _corrupt(rng, inst, masks, kind)
@@ -388,8 +414,8 @@ def test_mask_check_catches_injected_faults_with_the_realization_messages():
 
 
 def test_realization_matches_the_old_construction_on_committed_instances():
-    # the start realization of every feasible committed instance, from the
-    # list rows initial_realization passes and the bytes rows a chain decodes
+    # the start realization of every feasible committed instance, built from
+    # list rows, bytes rows, row sets, row masks and text
     from bipsample import cli
 
     feasible = 0
@@ -400,11 +426,7 @@ def test_realization_matches_the_old_construction_on_committed_instances():
         except bp.Infeasible:
             continue
         feasible += 1
-        text = "\n".join("".join(str(v) for v in row) for row in start.matrix) + "\n"
-        for raw in ([list(row) for row in start.matrix], list(map(bytes, start.matrix))):
-            g = bp.Realization(inst, raw)
-            assert (g.matrix, g.rows) == _old_construction(raw), path.name
-            assert cli.format_realization(g) == text, path.name
+        assert_one_realization(inst, start.matrix)
     assert feasible >= 40
 
 
@@ -566,7 +588,7 @@ def test_degree_conservation_after_cycle_swaps():
         g = rng.choice(states)
         inst = g.instance
         limit = 2 * min(inst.n, inst.n_cols)
-        start = bp.state_key(g)
+        start = g.masks
         fixed = inst.fixed.fixed_masks
         rows = list(start)
         kernel = chains._cycles(rows, fixed, inst.n, rng, inst.n_cols, limit)

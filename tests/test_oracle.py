@@ -204,7 +204,7 @@ def test_pinned_enumeration_is_the_bucket():
                         if bucket:
                             inst = oracle._make_instance(n, nc, a, b, sup, pattern)
                             assert [
-                                oracle._matrix_to_bits(g.matrix, n, nc)
+                                oracle._state_of(g.masks, nc)
                                 for g in bp.enumerate_realizations(inst)
                             ] == bucket
                         if not pattern:
@@ -356,6 +356,9 @@ def test_components_isomorphic_connected_graph():
 def test_run_verification_trivial_grid():
     res = bp.run_verification(max_rows=1, max_cols=1, random_count=200, seed=1, quiet=True)
     assert res.passed
+    # random.Random(-s) draws the stream of Random(s), the pool of seed s
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        bp.run_verification(max_rows=1, max_cols=1, seed=-1, quiet=True)
 
 
 def test_components_isomorphic_pinned_diagonal():
@@ -385,7 +388,7 @@ def test_uniformity_two_state_trades():
 
 
 def _realization_index(inst):
-    return {chains.state_key(g): s for s, g in enumerate(bp.enumerate_realizations(inst))}
+    return {g.masks: s for s, g in enumerate(bp.enumerate_realizations(inst))}
 
 
 def test_state_index_from_bits_matches_the_realizations(criterion8_fixtures):
@@ -628,14 +631,19 @@ def _circles_from(m):
     return out
 
 
+def _state_of_matrix(matrix, nc):
+    """The state int of a 0/1 grid, through its row masks."""
+    return oracle._state_of([sum(v << j for j, v in enumerate(row)) for row in matrix], nc)
+
+
 def test_pair_classes_match_brute_force_moves():
     sequences = states = walks = rotations = 0
     for a, b, bits in _pair_class_sequences():
         n, nc = len(a), len(b)
         ctx = oracle._SeqCtx(n, nc, a, b, bits)
-        index = lambda matrix: ctx.index[oracle._matrix_to_bits(matrix, n, nc)]
+        index = lambda matrix: ctx.index[_state_of_matrix(matrix, nc)]
         for s, x in enumerate(bits):
-            m = oracle._bits_to_matrix(x, n, nc)
+            m = [[r >> j & 1 for j in range(nc)] for r in oracle._masks_of(x, n, nc)]
             swaps = _walk_swaps(m)
             assert set(swaps) <= set(range(4, 2 * min(n, nc) + 1, 2))
             for length in range(4, 2 * min(n, nc) + 1, 2):
@@ -679,15 +687,17 @@ def test_pool_matches_the_benchmark_record(pool_result):
 
 
 def _rows(ctx, s):
-    m = oracle._bits_to_matrix(ctx.bits[s], ctx.n, ctx.nc)
-    return tuple(frozenset(j for j in range(ctx.nc) if m[i][j]) for i in range(ctx.n))
+    return tuple(
+        frozenset(j for j in range(ctx.nc) if r >> j & 1)
+        for r in oracle._masks_of(ctx.bits[s], ctx.n, ctx.nc)
+    )
 
 
 def _index_with_rows(ctx, s, new_rows):
-    m = oracle._bits_to_matrix(ctx.bits[s], ctx.n, ctx.nc)
+    masks = list(oracle._masks_of(ctx.bits[s], ctx.n, ctx.nc))
     for i, cols in new_rows.items():
-        m[i] = [int(j in cols) for j in range(ctx.nc)]
-    return ctx.index.get(oracle._matrix_to_bits(m, ctx.n, ctx.nc))
+        masks[i] = sum(1 << j for j in cols)
+    return ctx.index.get(oracle._state_of(masks, ctx.nc))
 
 
 def reference_trade_ledger(ctx, states_idx, fixed_rows):
@@ -953,9 +963,7 @@ def test_library_components_are_the_sweeps():
     for a, b, bits in _pair_class_sequences():
         n, nc = len(a), len(b)
         inst = bp.Instance.unconstrained(a, b)
-        states = [
-            bp.Realization(inst, oracle._bits_to_matrix(x, n, nc)) for x in bits
-        ]
+        states = [bp.Realization.from_masks(inst, oracle._masks_of(x, n, nc)) for x in bits]
         ctx = oracle._SeqCtx(n, nc, a, b, bits)
         everything = range(len(states))
         for move_set in GRAPH_FACT_MOVE_SETS:
