@@ -385,12 +385,13 @@ def cmd_enumerate(args) -> int:
         return EXIT_TOO_LARGE
     print(len(states))
     if args.list:
-        # A state int's bit string is the grid's digits, row-major: each is
-        # cut into rows and written, with a blank line between two states.
+        # A state int holds cell (i, j) at bit i*nc + j, so its bit string
+        # reversed is the grid's digits, row-major: each is cut into rows
+        # and written, with a blank line between two states.
         nc, size = inst.n_cols, inst.n * inst.n_cols
         fmt, cuts = f"0{size}b", range(0, size, nc)
         for s, x in enumerate(states):
-            cells = format(x, fmt)
+            cells = format(x, fmt)[::-1]
             text = "\n".join([cells[k:k + nc] for k in cuts]) + "\n"
             sys.stdout.write("\n" + text if s else text)
     return EXIT_OK

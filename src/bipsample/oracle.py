@@ -4,8 +4,8 @@ and the verification driver that sweeps an instance pool and machine-checks
 every connectivity, distance, reversibility and static-set claim that
 applies to it.
 
-Every state is one int (layout below); the trade and circle ledgers read
-and rotate its rows as bit fields.  Cell sets are masks in that layout:
+Every state is one int, its row masks packed (layout below); the trade and
+circle ledgers read and rotate its rows.  Cell sets are masks in that layout:
 an instance's support marks its fixed cells and its pattern which of them
 are edges, and the two pin the enumeration and name each pool instance.
 A degree sequence's static edges and non-edges are two masks as well, and
@@ -13,6 +13,7 @@ a state graph lists each state's neighbours by index."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import sys
@@ -32,7 +33,6 @@ from .core import (
     MoveSet,
     Realization,
     TooLarge,
-    mask_digits,
 )
 from .realizability import (
     StaticSet,
@@ -47,37 +47,31 @@ ENUMERATION_CELL_LIMIT = 36
 # ---------------------------------------------------------------------------
 # Bit-level enumeration, pair classification and the state graph.
 #
-# A state is an int whose bit for cell (i, j) sits at position
-# ncells - 1 - (i*nc + j), so integer order equals row-major bit-string
-# order and doubles as the canonical state order.  Every state graph, the
-# sweep's and ``build_state_graph``'s, joins the pairs of states whose
+# A state is an int whose bit for cell (i, j) sits at position i*nc + j:
+# the row masks of ``Realization.masks``, packed, so row i is
+# ``x >> i*nc & full``.  Enumeration emits the states in canonical
+# (row-major digit string) order, which indexes them.  Every state graph,
+# the sweep's and ``build_state_graph``'s, joins the pairs of states whose
 # cached pair class (``_SeqCtx.pair``) shows one move of the move set, as
 # neighbour lists from ``_adjacency``.
-
-
-def _bit(i: int, j: int, n: int, nc: int) -> int:
-    return 1 << (n * nc - 1 - (i * nc + j))
 
 
 def _cells_mask(cells, n: int, nc: int) -> int:
     mask = 0
     for i, j in cells:
-        mask |= _bit(i, j, n, nc)
+        mask |= 1 << i * nc + j
     return mask
 
 
 def _state_of(masks, nc: int) -> int:
-    """The state int of the row masks ``masks``: their digit rows
-    (``mask_digits``), joined, read as one binary number."""
-    return int("".join(mask_digits(masks, nc)), 2)
+    """The state int of the row masks ``masks``."""
+    return sum(m << i * nc for i, m in enumerate(masks))
 
 
 def _masks_of(x: int, n: int, nc: int) -> tuple[int, ...]:
-    """The row masks of the state int ``x``.  Reversing its bit string puts
-    cell (i, j) at bit i*nc + j, so row i's mask is the nc bits from there."""
-    y = int(format(x, f"0{n * nc}b")[::-1], 2)
+    """The row masks of the state int (or cell mask) ``x``."""
     full = (1 << nc) - 1
-    return tuple([y >> i * nc & full for i in range(n)])
+    return tuple([x >> i * nc & full for i in range(n)])
 
 
 def _enumerate_bits(
@@ -87,65 +81,49 @@ def _enumerate_bits(
     pattern: int = 0,
     cap: int | None = None,
 ) -> list[int] | None:
-    """All realizations as bit ints that carry ``pattern`` on the support
-    mask ``sup``, sorted; None if ``cap`` is exceeded."""
+    """All realizations as state ints that carry ``pattern`` on the support
+    mask ``sup``, in canonical order; None if ``cap`` is exceeded.
+
+    Rows are filled in order; ``need[c]`` masks the columns that still need
+    c ones, and none needs more than the rows left: a column needing one in
+    every row left is taken, so the last row takes the columns still short.
+    A row picks the free columns it leaves out in ``combinations`` order,
+    which lists its candidates in ascending digit order."""
     n, nc = len(a), len(b)
-    if sum(a) != sum(b):
+    if sum(a) != sum(b) or max(b) > n:
         return []
-    forced = [[] for _ in range(n)]  # each row's columns pinned to 1
-    fixed = [set() for _ in range(n)]  # each row's pinned columns
-    rest = sup
-    while rest:
-        low = rest & -rest
-        i, j = divmod(n * nc - low.bit_length(), nc)
-        fixed[i].add(j)
-        if pattern & low:
-            forced[i].append(j)
-        rest ^= low
-    pinned = [pattern & ((1 << nc) - 1) << (n - 1 - i) * nc for i in range(n)]
-    colrem = list(b)
+    full = (1 << nc) - 1
+    need0 = [0] * (n + 1)
+    for j, c in enumerate(b):
+        need0[c] |= 1 << j
     out: list[int] = []
 
-    def rec(i: int, acc: int) -> bool:
-        if i == n:
-            if all(r == 0 for r in colrem):
-                out.append(acc)
-                if cap is not None and len(out) > cap:
-                    return False
+    def rec(i: int, need: list[int], acc: int) -> bool:
+        left, sh = n - i, i * nc
+        f, e = sup >> sh & full, pattern >> sh & full
+        must, done = need[left], need[0]
+        if left == 1:  # the last row takes exactly the columns still short
+            if must & f == e and must.bit_count() == a[i]:
+                out.append(acc | must << sh)
+            return cap is None or len(out) <= cap
+        free = full & ~(f | must | done)
+        base = e | must
+        k = free.bit_count() - a[i] + base.bit_count()  # free columns left out
+        if must & f & ~e or e & done or not 0 <= k <= free.bit_count():
             return True
-        need = a[i] - len(forced[i])
-        if need < 0:
-            return True
-        for j in forced[i]:
-            if colrem[j] <= 0:
-                return True
-        for j in forced[i]:
-            colrem[j] -= 1
-        bits = acc | pinned[i]
-        free_cols = [j for j in range(nc) if colrem[j] > 0 and j not in fixed[i]]
-        ok = True
-        if need <= len(free_cols):
-            rows_left = n - i - 1
-            for sub in itertools.combinations(free_cols, need):
-                for j in sub:
-                    colrem[j] -= 1
-                if all(colrem[j] <= rows_left for j in range(nc)):
-                    sub_bits = bits
-                    for j in sub:
-                        sub_bits |= _bit(i, j, n, nc)
-                    ok = rec(i + 1, sub_bits)
-                for j in sub:
-                    colrem[j] += 1
-                if not ok:
-                    break
-        for j in forced[i]:
-            colrem[j] += 1
-        return ok
+        take_all = base | free
+        cols = []
+        while free:
+            cols.append(free & -free)
+            free &= free - 1
+        for left_out in itertools.combinations(cols, k):
+            row = take_all ^ sum(left_out)
+            if not rec(i + 1, [need[c] & ~row | need[c + 1] & row for c in range(left)],
+                       acc | row << sh):
+                return False
+        return True
 
-    if not rec(0, 0):
-        return None
-    out.sort()
-    return out
+    return out if rec(0, need0, 0) else None
 
 
 @dataclass(frozen=True)
@@ -160,16 +138,16 @@ class _PairInfo:
 
 
 def _classify_bits(x: int, y: int, n: int, nc: int) -> _PairInfo:
-    """The pair class of two states, read from the row fields of ``x ^ y``:
-    the changed rows are its non-zero fields.  The difference is a single
+    """The pair class of two states, read from the rows of ``x ^ y``: the
+    changed rows are its non-zero rows.  The difference is a single
     cycle when every changed row and column holds two cells and one walk
     covers every changed row; it is a rotation when the three changed rows'
-    gain and loss fields match."""
+    gain and loss masks match."""
     d = x ^ y
     full = (1 << nc) - 1
     rows, diffs, shifts = [], [], []
     for i in range(n):
-        sh = (n - 1 - i) * nc
+        sh = i * nc
         f = (d >> sh) & full
         if f:
             rows.append(i)
@@ -207,11 +185,6 @@ def _classify_bits(x: int, y: int, n: int, nc: int) -> _PairInfo:
     return _PairInfo(tuple(rows), cycle_len, is_circle)
 
 
-def swap_lengths_for(move_set: MoveSet) -> frozenset[int]:
-    """Cycle-swap lengths a move set admits (seam for fault-injection tests)."""
-    return move_set.swap_lengths()
-
-
 # The move sets the sweep checks on every instance, built once.
 _SWAPS4 = MoveSet.swaps4()
 _SWAPS46 = MoveSet.swaps_up_to(6)
@@ -233,7 +206,7 @@ def _adjacency(ctx, states_idx, move_set: MoveSet) -> list[list[int]]:
         def is_move(info):
             return len(info.changed_rows) == 2 or info.is_circle
     else:
-        lengths = swap_lengths_for(move_set)
+        lengths = move_set.swap_lengths()
 
         def is_move(info):
             return info.cycle_len in lengths
@@ -310,8 +283,8 @@ class StateGraph:
 
 
 def _instance_bits(inst: Instance) -> list[int]:
-    """Every realization of the instance as a state int, sorted, by
-    row-wise backtracking; TooLarge past the enumeration guard."""
+    """Every realization of the instance as a state int, in canonical
+    order, by row-wise backtracking; TooLarge past the enumeration guard."""
     n, nc = inst.n, inst.n_cols
     if n * nc > ENUMERATION_CELL_LIMIT:
         raise TooLarge(f"{n}x{nc} grid exceeds the enumeration guard")
@@ -322,7 +295,7 @@ def _instance_bits(inst: Instance) -> list[int]:
 
 
 def enumerate_realizations(inst: Instance) -> list[Realization]:
-    """Every realization of the instance, in canonical (row-major bit
+    """Every realization of the instance, in canonical (row-major digit
     string) order, by row-wise backtracking."""
     n, nc = inst.n, inst.n_cols
     return [
@@ -332,7 +305,7 @@ def enumerate_realizations(inst: Instance) -> list[Realization]:
 
 def _state_index(inst: Instance) -> dict[tuple[int, ...], int]:
     """The row masks of every realization, mapped to its position in
-    ``enumerate_realizations(inst)``, read from the state ints with no
+    ``enumerate_realizations(inst)``, cut from the state ints with no
     ``Realization`` built."""
     n, nc = inst.n, inst.n_cols
     return {_masks_of(x, n, nc): s for s, x in enumerate(_instance_bits(inst))}
@@ -487,21 +460,15 @@ class VerificationResult:
     elapsed: float = 0.0
 
 
-class _CircleDenominators(dict):
-    """``chains.circle_denominator`` by ``(sizes, x)``, each computed once."""
-
-    def __missing__(self, key):
-        den = self[key] = chains.circle_denominator(*key)
-        return den
+# The ledgers' circle-route denominators, each computed once.
+_circle_denominator = functools.cache(chains.circle_denominator)
 
 
 class _SeqCtx:
-    """Per-sequence data: the bit states, their canonical index, the row
-    fields' shifts, cached pair classifications, subset tables, circle-route
-    denominators, and the graph facts and ledger verdicts of each state set.
-
-    Row i of a state ``x`` is the bit field ``(x >> shifts[i]) & full``,
-    with column j at bit nc - 1 - j.
+    """Per-sequence data: the bit states, their canonical index, the rows'
+    shifts, cached pair classifications, subset tables, and the graph facts
+    and ledger verdicts of each state set.  Row i of a state ``x`` is the
+    row mask ``(x >> shifts[i]) & full``.
 
     The ledger verdicts are cached by the state set alone, though the
     ledgers read the fixed cells of the support that picked it.  In the
@@ -523,13 +490,12 @@ class _SeqCtx:
         self.bits = bits
         self.index = {x: s for s, x in enumerate(bits)}
         self.full = (1 << nc) - 1
-        self.shifts = tuple((n - 1 - i) * nc for i in range(n))
+        self.shifts = tuple(i * nc for i in range(n))
         self._subsets: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._pairs: dict[tuple[int, int], _PairInfo] = {}
         self._graphs: dict[tuple, tuple] = {}
         self._trade_verdicts: dict[tuple, bool] = {}
         self._circle_verdicts: dict[tuple, tuple[bool, bool]] = {}
-        self.circle_dens = _CircleDenominators()
 
     def pair(self, s, t):
         if s > t:
@@ -562,7 +528,7 @@ class _SeqCtx:
 
     def trade_verdict(self, states_idx, fixed):
         """Whether the trade ledger of ``states_idx`` (fixed cells
-        ``fixed``, as row fields) stays in the set and is symmetric; built
+        ``fixed``, as row masks) stays in the set and is symmetric; built
         once per state set (see the class docstring)."""
         key = tuple(states_idx)
         got = self._trade_verdicts.get(key)
@@ -587,11 +553,6 @@ class _SeqCtx:
             )
         return got
 
-    def fields(self, x):
-        """The row fields of a state (or of a cell mask)."""
-        full = self.full
-        return tuple((x >> sh) & full for sh in self.shifts)
-
     def subsets_of(self, mask):
         """The submasks of ``mask`` grouped by size: entry k lists those with
         k bits."""
@@ -608,17 +569,14 @@ class _SeqCtx:
         return got
 
 
-def _support_props(nc, fields, cache):
+def _support_props(nc, fixed, cache):
     """(no 3-matching, no 8-cycle, forest, excluded ell values) of the
-    support whose row fields (``_SeqCtx.fields``) are ``fields``, cached by
-    them.  A field holds column j at bit nc - 1 - j, so read as FGraph row
-    masks the columns are mirrored (j -> nc - 1 - j): a graph isomorphism,
-    so the 3-matching, cycle and forest verdicts are those of the support."""
-    key = (nc, fields)
+    support whose row masks are ``fixed``, cached by them."""
+    key = (nc, fixed)
     got = cache.get(key)
     if got is None:
-        n = len(fields)
-        fg = FGraph(n, nc, fields)
+        n = len(fixed)
+        fg = FGraph(n, nc, fixed)
         no3m = not max_matching_at_least(fg, 3)
         no8 = not has_cycle_of_length(fg, 8)
         forest = is_forest(fg)
@@ -644,7 +602,7 @@ def _trade_ledger(ctx, states_idx, fixed):
     """The exact one-step trade ledger {(s, t): den}: from each state, each
     row pair's trade reaches t through exactly one (pair, subset) draw, of
     probability 1/den per pair.  ``fixed`` holds the fixed cells as row
-    fields.  None if a trade leaves the state set or a route repeats.
+    masks.  None if a trade leaves the state set or a route repeats.
 
     A trade on rows i, j exchanges columns between the pool of cells where
     the two rows differ (fixed cells left out); handing row i the subset b
@@ -685,7 +643,7 @@ def _circle_ledgers(ctx, states_idx, fixed):
     forward and reverse ones.  None if a rotation leaves the state set.
 
     On rows (i, j, k), row i takes x columns of row j, j of k and k of i;
-    each row field flips by the subset it gives XOR the subset it takes.
+    each row flips by the subset it gives XOR the subset it takes.
     The rotations (i, j, k), (j, k, i) and (k, i, j) are one move: they see
     the same three difference sets, permuted cyclically, and their routes
     map one to one onto the same successors.  ``circle_denominator`` reads
@@ -698,7 +656,7 @@ def _circle_ledgers(ctx, states_idx, fixed):
     uncorrected: dict[tuple[int, int, int], int] = {}
     index, bits, full, shifts = ctx.index, ctx.bits, ctx.full, ctx.shifts
     subsets_of = ctx.subsets_of
-    dens = ctx.circle_dens
+    dens = _circle_denominator
     triples = [
         (i, j, k, shifts[i], shifts[j], shifts[k],
          ~(fixed[i] | fixed[j]), ~(fixed[j] | fixed[k]), ~(fixed[k] | fixed[i]))
@@ -719,7 +677,7 @@ def _circle_ledgers(ctx, states_idx, fixed):
                 continue
             by_j, by_k, by_i = subsets_of(d_ji), subsets_of(d_kj), subsets_of(d_ik)
             for size in range(1, m + 1):
-                den_f = dens[(sizes, size)]
+                den_f = dens(sizes, size)
                 for sub_j in by_j[size]:
                     for sub_k in by_k[size]:
                         flip_j = sub_j ^ sub_k
@@ -735,14 +693,14 @@ def _circle_ledgers(ctx, states_idx, fixed):
                             new_i, new_j, new_k = (
                                 row_i ^ flip_i, row_j ^ flip_j, row_k ^ flip_k
                             )
-                            den_r = dens[(
+                            den_r = dens(
                                 (
                                     (new_i & ~new_j & free_ij).bit_count(),
                                     (new_k & ~new_i & free_ki).bit_count(),
                                     (new_j & ~new_k & free_jk).bit_count(),
                                 ),
                                 size,
-                            )]
+                            )
                             key = (s, t, max(den_f, den_r))
                             corrected[key] = corrected.get(key, 0) + 3
                             key = (s, t, den_f)
@@ -758,7 +716,7 @@ def _digest(n, nc, a, b, sup=None, pattern=None):
     if sup is not None:
         cells = "".join(
             "*" if not sup >> p & 1 else "1" if pattern >> p & 1 else "0"
-            for p in range(n * nc - 1, -1, -1)
+            for p in range(n * nc)
         )
         base += " m=" + "|".join(cells[i * nc:(i + 1) * nc] for i in range(n))
     return base
@@ -768,8 +726,8 @@ def _make_instance(n, nc, a, b, sup=0, pattern=0) -> Instance:
     """The instance a check line names (see ``_digest``)."""
     kind = ((FREE, FREE), (FORCED_NON_EDGE, FORCED_EDGE))
     return Instance(DegreeSequence(a, b), FixedSet([
-        [kind[sup >> p & 1][pattern >> p & 1] for p in range(hi, hi - nc, -1)]
-        for hi in range(n * nc - 1, -1, -nc)
+        [kind[sup >> p & 1][pattern >> p & 1] for p in range(lo, lo + nc)]
+        for lo in range(0, n * nc, nc)
     ]))
 
 
@@ -855,7 +813,7 @@ def _check_instance_pool(ctx, states_idx, sup, pattern, fixed, props, rep,
                          free_bits, static):
     """Run every applicable check on one instance: the states of ``ctx``
     that carry ``pattern`` on the support mask ``sup`` (``fixed`` holds
-    ``sup`` as row fields).  ``static`` holds the sequence's static edges
+    ``sup`` as row masks).  ``static`` holds the sequence's static edges
     and non-edges as two masks (None to skip the reduction check), with
     ``free_bits`` its realizations."""
     n = ctx.n
@@ -961,7 +919,9 @@ def _random_instances(rng, max_rows, max_cols, count, with_8_cycles):
                 if max_matching_at_least(FGraph.from_cells(n, nc, support), 3):
                     continue
             sup = _cells_mask(support, n, nc)
-            pattern = sup & int("".join(map(str, itertools.chain(*matrix))), 2)
+            pattern = _cells_mask(
+                [(i, j) for i, j in support if matrix[i][j]], n, nc
+            )
             bits = _enumerate_bits(a, b, sup, pattern, cap=300)
             if bits is None or len(bits) < 2:
                 continue
@@ -1003,27 +963,30 @@ def run_verification(
 
     for n in range(1, min(3, max_rows) + 1):
         for nc in range(1, min(4, max_cols) + 1):
-            cells = [(i, j) for i in range(n) for j in range(nc)]
-            supports = [
-                _cells_mask(sup, n, nc)
-                for size in range(min(4, len(cells)) + 1)
-                for sup in itertools.combinations(cells, size)
-            ]
+            # Each support with its row masks and the canonical rank of each
+            # pattern on it: the pattern's bits read from its first cell on.
+            cell_bits = [1 << p for p in range(n * nc)]
+            supports = []
+            for size in range(min(4, n * nc) + 1):
+                ranked = list(enumerate(itertools.product((0, 1), repeat=size)))
+                for cells in itertools.combinations(cell_bits, size):
+                    rank = {sum(itertools.compress(cells, d)): r for r, d in ranked}
+                    sup = sum(cells)
+                    supports.append((sup, _masks_of(sup, n, nc), rank))
             for a, b in _sorted_sequences(n, nc):
                 bits = _enumerate_bits(a, b)
                 if not bits:
                     continue
                 ctx = _SeqCtx(n, nc, a, b, bits)
                 static = _check_sequence(rep, n, nc, a, b, bits)
-                for sup in supports:
-                    fixed = ctx.fields(sup)
+                for sup, fixed, rank in supports:
                     props = _support_props(nc, fixed, prop_cache)
                     buckets: dict[int, list[int]] = {}
                     for s, x in enumerate(bits):
                         buckets.setdefault(x & sup, []).append(s)
-                    for pattern, states_idx in sorted(buckets.items()):
+                    for pattern in sorted(buckets, key=rank.__getitem__):
                         _check_instance_pool(
-                            ctx, states_idx, sup, pattern, fixed, props, rep,
+                            ctx, buckets[pattern], sup, pattern, fixed, props, rep,
                             bits, static,
                         )
 
@@ -1037,7 +1000,7 @@ def run_verification(
             rng, max_rows, max_cols, count, with8
         ):
             ctx = _SeqCtx(n, nc, a, b, bits)
-            fixed = ctx.fields(sup)
+            fixed = _masks_of(sup, n, nc)
             props = _support_props(nc, fixed, prop_cache)
             free_bits = _enumerate_bits(a, b, cap=20000)
             static = None

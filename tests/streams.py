@@ -1,12 +1,12 @@
 """The pinned random streams: sha256 digests of seeded ``Chain.keys()``
-streams, of the start realization every chain begins from and of the
-bytes ``bipsample sample`` writes, computed with the standard library and
-bipsample alone.
+streams, of the start realization every chain begins from, of the bytes
+``bipsample sample`` writes and of those ``bipsample enumerate --list``
+writes, computed with the standard library and bipsample alone.
 
-``tests/test_chains.py`` checks every digest under pytest.  Run as a
-script from a checkout, ``python tests/streams.py`` recomputes them all,
-prints one line per stream and exits 1 on any mismatch, so an interpreter
-without pytest or scipy can still check that it reproduces the streams.
+The tier-1 tests check every digest under pytest.  Run as a script from
+a checkout, ``python tests/streams.py`` recomputes them all, prints one
+line per stream and exits 1 on any mismatch, so an interpreter without
+pytest or scipy can still check that it reproduces the streams.
 """
 
 import contextlib
@@ -189,6 +189,25 @@ def sample_digest():
     return h.hexdigest()
 
 
+# sha256 of ``enumerate_digest()``, recorded while a state int still held
+# cell (i, j) at bit n*nc - 1 - (i*nc + j).  A change here changes the
+# bytes users get.
+GOLDEN_ENUMERATE = "19103239e10d34b46884b0c9a1a4319e6e5d465523833ad2565f5261524afa51"
+
+
+def enumerate_digest():
+    """The sha256 of what ``bipsample enumerate --list`` writes to stdout
+    for every committed instance, in file-name order: the name and exit
+    code, then the bytes (the count alone past the enumeration guard)."""
+    h = hashlib.sha256()
+    for path in sorted(INSTANCES.glob("*.txt")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["enumerate", "--list", str(path)])
+        h.update(f"{path.name}: {code}\n{out.getvalue()}".encode())
+    return h.hexdigest()
+
+
 def main():
     """Recompute every pinned digest; 0 when all match, 1 otherwise."""
     got = start_digest()
@@ -198,13 +217,17 @@ def main():
     ok = got == GOLDEN_SAMPLE
     mismatches += not ok
     print(f"{'ok      ' if ok else 'MISMATCH'} sample output {got}")
+    got = enumerate_digest()
+    ok = got == GOLDEN_ENUMERATE
+    mismatches += not ok
+    print(f"{'ok      ' if ok else 'MISMATCH'} enumerate output {got}")
     for instance, chain in sorted(GOLDEN_STREAMS):
         got = stream_digest(instance, chain)
         ok = got == GOLDEN_STREAMS[instance, chain]
         mismatches += not ok
         print(f"{'ok      ' if ok else 'MISMATCH'} {instance} {chain} {got}")
     version = sys.version.split()[0]
-    total = len(GOLDEN_STREAMS) + 2
+    total = len(GOLDEN_STREAMS) + 3
     print(f"{total - mismatches} of {total} digests match "
           f"on Python {version}")
     return 1 if mismatches else 0

@@ -81,7 +81,7 @@ def test_criterion_02_worked_circle_trades():
     states = bp.enumerate_realizations(inst)
     index = {g.matrix: s for s, g in enumerate(states)}
     ctx = oracle._ctx_of(states)
-    fixed = ctx.fields(oracle._cells_mask(inst.fixed.cells, inst.n, inst.n_cols))
+    fixed = inst.fixed.fixed_masks
     corrected, _ = oracle._circle_ledgers(ctx, range(len(states)), fixed)
     successors = {t for s, t, _ in corrected if s == index[gA.matrix]}
     assert {index[g.matrix] for g in (gB, gC, gD)} <= successors

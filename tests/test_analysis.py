@@ -63,8 +63,8 @@ def _cells(f: FGraph) -> set[tuple[int, int]]:
 
 
 def _mirrored(f: FGraph) -> FGraph:
-    """``f`` with its columns mirrored (j -> n_cols - 1 - j), the form in
-    which the oracle reads a support mask's rows."""
+    """``f`` with its columns mirrored (j -> n_cols - 1 - j): an isomorphic
+    graph with other row masks, on which every verdict must stay the same."""
     return FGraph.from_cells(f.n, f.n_cols, [(i, f.n_cols - 1 - j) for i, j in _cells(f)])
 
 

@@ -757,7 +757,7 @@ def _exact_rows(inst, circle, mh):
     states = bp.enumerate_realizations(inst)
     ctx = oracle._ctx_of(states)
     n = inst.n
-    fixed = ctx.fields(oracle._cells_mask(inst.fixed.cells, n, inst.n_cols))
+    fixed = inst.fixed.fixed_masks
     every = range(len(states))
     half = Fraction(1, 2) if circle else Fraction(1)
     rows = [Counter() for _ in states]

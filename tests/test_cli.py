@@ -13,7 +13,7 @@ import pytest
 import bipsample as bp
 from bipsample import chains, cli, oracle
 from bipsample.core import MoveSet
-from streams import GOLDEN_SAMPLE, sample_digest
+from streams import GOLDEN_ENUMERATE, GOLDEN_SAMPLE, enumerate_digest, sample_digest
 
 FIG_SPLIT = """\
 # four rows, one pinned non-edge per row except the last two share a column
@@ -500,6 +500,10 @@ def test_sample_bytes_are_pinned():
     assert sample_digest() == GOLDEN_SAMPLE
 
 
+def test_enumerate_list_bytes_are_pinned():
+    assert enumerate_digest() == GOLDEN_ENUMERATE
+
+
 def test_sample_auto_selects_circle_on_forest_mask(tmp_path, capsys):
     path = write(tmp_path, "g.txt", FOREST_3MATCH)
     assert cli.main(["sample", path, "--steps", "50", "--seed", "1"]) == 0
@@ -622,12 +626,14 @@ def test_verify_quick_pass(tmp_path, capsys):
 
 
 def test_verify_exit_code_on_failure(monkeypatch, capsys):
+    swap_lengths = MoveSet.swap_lengths
+
     def crippled(move_set):
         if move_set == MoveSet.swaps_up_to(6):
             return frozenset({4})
-        return move_set.swap_lengths()
+        return swap_lengths(move_set)
 
-    monkeypatch.setattr(oracle, "swap_lengths_for", crippled)
+    monkeypatch.setattr(MoveSet, "swap_lengths", crippled)
     code = cli.main(["verify", "--max-rows", "3", "--max-cols", "3",
                      "--random", "0", "--quiet"])
     captured = capsys.readouterr()
@@ -672,7 +678,7 @@ def test_verify_json_reports_counts_and_seconds(capsys):
 
 
 def test_verify_json_on_failure(monkeypatch, capsys):
-    monkeypatch.setattr(oracle, "swap_lengths_for", lambda move_set: frozenset({4}))
+    monkeypatch.setattr(MoveSet, "swap_lengths", lambda move_set: frozenset({4}))
     code = cli.main(["verify", "--max-rows", "3", "--max-cols", "3",
                      "--random", "0", "--json"])
     captured = capsys.readouterr()

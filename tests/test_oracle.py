@@ -213,6 +213,45 @@ def test_pinned_enumeration_is_the_bucket():
     assert pools > 150000 and pools - empty > 17000
 
 
+def test_enumeration_is_the_filtered_grids():
+    # on every grid of up to 12 cells, 1 x k and k x 1 included, the
+    # enumeration of every sorted sequence is the list of 0/1 grids with its
+    # degrees, in digit-string order, and so it is for a realizable one
+    # under every support of at most 2 cells with each of its patterns; a
+    # cap at the count gives the list, a cap below it None
+    calls = 0
+    for n in range(1, 13):
+        for nc in range(1, 12 // n + 1):
+            size = n * nc
+            col = sum(1 << i * nc for i in range(n))
+            row = (1 << nc) - 1
+            grids = {}
+            for digits in range(1 << size):
+                x = int(format(digits, f"0{size}b")[::-1], 2)
+                a = tuple((x >> i * nc & row).bit_count() for i in range(n))
+                b = tuple((x & col << j).bit_count() for j in range(nc))
+                grids.setdefault((a, b), []).append(x)
+            cells = [1 << p for p in range(size)]
+            pins = [
+                (sum(sup), sum(itertools.compress(sup, on)))
+                for k in (1, 2)
+                for sup in itertools.combinations(cells, k)
+                for on in itertools.product((0, 1), repeat=k)
+            ]
+            for a, b in oracle._sorted_sequences(n, nc):
+                want = grids.get((a, b), [])
+                assert oracle._enumerate_bits(a, b) == want
+                if not want:
+                    continue
+                assert oracle._enumerate_bits(a, b, cap=len(want) - 1) is None
+                for sup, pattern in pins:
+                    kept = [x for x in want if x & sup == pattern]
+                    got = oracle._enumerate_bits(a, b, sup, pattern, cap=len(kept))
+                    assert got == kept
+                    calls += 1
+    assert calls > 120000
+
+
 def test_enumeration_is_canonically_ordered():
     states = bp.enumerate_realizations(bp.Instance.unconstrained((1, 1, 1), (1, 1, 1)))
     keys = ["".join(str(v) for row in g.matrix for v in row) for g in states]
@@ -433,11 +472,15 @@ def test_run_verification_small_pool_passes():
     assert res.counts.get("trade-reversibility", 0) > 0
 
 
+_SWAP_LENGTHS = MoveSet.swap_lengths
+
+
 def _without_6_swaps(move_set):
-    """``swap_lengths_for`` with the 6-swaps dropped from the 4/6 move set."""
+    """``MoveSet.swap_lengths`` with the 6-swaps dropped from the 4/6 move
+    set."""
     if move_set == MoveSet.swaps_up_to(6):
         return frozenset({4})
-    return move_set.swap_lengths()
+    return _SWAP_LENGTHS(move_set)
 
 
 def test_run_verification_detects_injected_fault(monkeypatch):
@@ -445,7 +488,7 @@ def test_run_verification_detects_injected_fault(monkeypatch):
     # instance whose fixed cells contain no 8-cycle
     from bipsample.analysis import FGraph, has_cycle_of_length
 
-    monkeypatch.setattr(oracle, "swap_lengths_for", _without_6_swaps)
+    monkeypatch.setattr(MoveSet, "swap_lengths", _without_6_swaps)
     res = bp.run_verification(max_rows=3, max_cols=3, random_count=0, seed=5, quiet=True)
     assert not res.passed
     names = {name for name, _ in res.failures}
@@ -465,7 +508,7 @@ def test_run_verification_detects_injected_fault(monkeypatch):
 def test_quiet_sweep_reports_failures_as_a_full_one(monkeypatch):
     # a quiet sweep builds an instance's text only when a check fails; the
     # failures and FAIL lines must read as in a sweep that prints every line
-    monkeypatch.setattr(oracle, "swap_lengths_for", _without_6_swaps)
+    monkeypatch.setattr(MoveSet, "swap_lengths", _without_6_swaps)
     loud_lines, quiet_lines = [], []
     loud = bp.run_verification(3, 3, 0, seed=5, emit=loud_lines.append)
     quiet = bp.run_verification(3, 3, 0, seed=5, emit=quiet_lines.append, quiet=True)
@@ -813,10 +856,10 @@ def test_row_field_ledgers_match_the_column_set_ledgers():
     for ctx, states_idx, sup in _ledger_state_sets():
         n, nc = ctx.n, ctx.nc
         fixed_rows = tuple(
-            frozenset(j for j in range(nc) if sup & oracle._bit(i, j, n, nc))
+            frozenset(j for j in range(nc) if sup >> i * nc + j & 1)
             for i in range(n)
         )
-        fixed = ctx.fields(sup)
+        fixed = oracle._masks_of(sup, n, nc)
         trades = oracle._trade_ledger(ctx, states_idx, fixed)
         assert trades == reference_trade_ledger(ctx, states_idx, fixed_rows)
         corrected, uncorrected = oracle._circle_ledgers(ctx, states_idx, fixed)
@@ -985,7 +1028,7 @@ NO_6_SWAPS_FAILURES_SHA256 = (
 def test_injected_fault_failures_are_pinned(monkeypatch):
     # a graph-fact cache that hid a failure, or reported one twice, would
     # change this list
-    monkeypatch.setattr(oracle, "swap_lengths_for", _without_6_swaps)
+    monkeypatch.setattr(MoveSet, "swap_lengths", _without_6_swaps)
     res = bp.run_verification(3, 3, 0, seed=5, quiet=True)
     assert len(res.failures) == 32
     text = "".join(f"{name} [{where}]\n" for name, where in res.failures)
