@@ -31,7 +31,12 @@ binomial from a Pascal table up to n_cols, which only the trade kinds'
 ``Chain`` asks for and which is built once per grid width, on first use
 (``_binomials``): with r columns left and k to take it keeps
 v = C(r, k) - index, which a skipped column leaves unchanged, and takes
-the lowest column iff C(r - 1, k) < v.
+the lowest column iff C(r - 1, k) < v.  On grids of at most ``_NARROW``
+= 8 columns the kernel reads each count, its bit length and the subset
+itself from a rank table instead (``_rank_table``, also built once per
+width on first use): every k-subset of every pool, 3^8 = 6,561 subsets
+at width 8.  The table is filled by the walk, so the walk stays the one
+definition of the rank order, and both draw the same stream.
 """
 
 from __future__ import annotations
@@ -123,6 +128,28 @@ def _unrank_subset(
             v -= c
 
 
+# The widest grid whose trade kernels read subsets from a rank table.
+_NARROW = 8
+
+
+@lru_cache(maxsize=_NARROW + 1)
+def _rank_table(n_cols: int) -> tuple[tuple[int, int, tuple[int, ...]] | None, ...]:
+    """The k-subsets of every pool of ``n_cols`` columns: slot
+    ``pool << 4 | k`` holds C(|pool|, k), its bit length and the subsets
+    in rank order, each from ``_unrank_subset``; slots with k > |pool| are
+    None.  Every pool together holds 3^n_cols subsets.  The chains of one
+    grid width share one table, built on first use."""
+    table = _binomials(n_cols)
+    slots = [None] * (1 << n_cols << 4)
+    for pool in range(1 << n_cols):
+        r = pool.bit_count()
+        for k in range(r + 1):
+            total = table[r][k]
+            subsets = tuple(_unrank_subset(pool, k, index, table) for index in range(total))
+            slots[pool << 4 | k] = (total, total.bit_length(), subsets)
+    return tuple(slots)
+
+
 # ---------------------------------------------------------------------------
 # Block kernels.  Each is a generator that takes the steps of one move kind
 # on the row masks in place: primed once per chain, it binds the rng's
@@ -140,12 +167,14 @@ def _unrank_subset(
 # lacks it, so every changed row changes by an XOR.
 
 
-def _trades(rows, fixed, n, rng, table, circle=None):
+def _trades(rows, fixed, n, rng, table, circle=None, ranks=None):
     """Trade steps: a uniform ordered row pair (i, j), then a uniform
     replacement for a_ij among the |a_ij|-subsets of the pool a_ij | a_ji,
     the free columns where the two rows differ.  Drawing a_ij itself is the
     lazy step.  ``table`` is ``_binomials`` up to at least the number of
-    columns; every subset count and every subset rank is read from it.
+    columns; every subset count and every subset rank is read from it,
+    unless ``ranks`` is the grid width's ``_rank_table``: then each drawn
+    subset, with its count and bit length, is one slot of that table.
 
     With ``circle`` set to the Metropolis flag, each step first draws one
     bit; on a 1 it is a circle trade instead (the lazy step when n < 3).
@@ -222,18 +251,30 @@ def _trades(rows, fixed, n, rng, table, circle=None):
                     if pick & 1:
                         chosen |= low
                     pick >>= 1
-                total = table[s_a][x]
-                bits = total.bit_length()
-                r = getrandbits(bits)
-                while r >= total:
+                if ranks:
+                    total, bits, subsets = ranks[a << 4 | x]
                     r = getrandbits(bits)
-                a = unrank(a, x, r, table)
-                total = table[s_b][x]
-                bits = total.bit_length()
-                r = getrandbits(bits)
-                while r >= total:
+                    while r >= total:
+                        r = getrandbits(bits)
+                    a = subsets[r]
+                    total, bits, subsets = ranks[b << 4 | x]
                     r = getrandbits(bits)
-                b = unrank(b, x, r, table)
+                    while r >= total:
+                        r = getrandbits(bits)
+                    b = subsets[r]
+                else:
+                    total = table[s_a][x]
+                    bits = total.bit_length()
+                    r = getrandbits(bits)
+                    while r >= total:
+                        r = getrandbits(bits)
+                    a = unrank(a, x, r, table)
+                    total = table[s_b][x]
+                    bits = total.bit_length()
+                    r = getrandbits(bits)
+                    while r >= total:
+                        r = getrandbits(bits)
+                    b = unrank(b, x, r, table)
                 # The subsets each row hands on, in their sets' roles.
                 if m == s_j:
                     sub_j, sub_t, sub_i = chosen, a, b
@@ -268,13 +309,23 @@ def _trades(rows, fixed, n, rng, table, circle=None):
             ri = rows[i]
             pool = (ri ^ rows[j]) & ~(fixed[i] | fixed[j])
             a = pool & ri
+            # With one subset in the pool it is a_ij itself.
+            if ranks:
+                total, bits, subsets = ranks[pool << 4 | a.bit_count()]
+                r = getrandbits(bits)
+                while r >= total:
+                    r = getrandbits(bits)
+                if total > 1:
+                    flip = a ^ subsets[r]
+                    rows[i] = ri ^ flip
+                    rows[j] ^= flip
+                continue
             size = a.bit_count()
             total = table[pool.bit_count()][size]
             bits = total.bit_length()
             r = getrandbits(bits)
             while r >= total:
                 r = getrandbits(bits)
-            # With one subset in the pool it is a_ij itself.
             if total > 1:
                 flip = a ^ unrank(pool, size, r, table)
                 rows[i] = ri ^ flip
@@ -421,10 +472,11 @@ class Chain:
         self._rng = random.Random(cfg.seed)
         state = (rows, inst.fixed.fixed_masks, inst.n, self._rng)
         kind = cfg.move_set.kind
-        if kind == MoveSet.TRADES:
-            kernel = _trades(*state, _binomials(inst.n_cols))
-        elif kind == MoveSet.TRADES_PLUS_CIRCLE:
-            kernel = _trades(*state, _binomials(inst.n_cols), cfg.mh_correction)
+        if kind in (MoveSet.TRADES, MoveSet.TRADES_PLUS_CIRCLE):
+            nc = inst.n_cols
+            circle = cfg.mh_correction if kind == MoveSet.TRADES_PLUS_CIRCLE else None
+            ranks = _rank_table(nc) if nc <= _NARROW else None
+            kernel = _trades(*state, _binomials(nc), circle, ranks)
         elif kind == MoveSet.SWAPS4:
             kernel = _swaps(*state)
         else:

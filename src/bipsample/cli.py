@@ -2,7 +2,8 @@
 pipeline, sampling, enumeration and the verification suite.
 
 Exit codes: 0 success, 1 parse error, 2 infeasible instance, 3 verification
-failure, 4 instance too large, 64 usage error.
+failure, 4 instance too large, 64 usage error, 141 (128 + SIGPIPE) when
+the reader of stdout closed it before all the output was written.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ EXIT_INFEASIBLE = 2
 EXIT_VERIFY_FAIL = 3
 EXIT_TOO_LARGE = 4
 EXIT_USAGE = 64
+EXIT_PIPE = 141
 
 _MASK_CHARS = {"0": FORCED_NON_EDGE, "1": FORCED_EDGE, "*": FREE}
 # The mask characters, and the maps between them, as bytes, and their cell
@@ -562,7 +564,28 @@ def main(argv=None) -> int:
     if args.command == "sample" and args.gap > args.steps:
         print("bipsample: error: --gap must not exceed --steps", file=sys.stderr)
         return EXIT_USAGE
-    return args.func(args)
+    try:
+        code = args.func(args)
+        # A reader that left after the last write is met here too, not in
+        # the interpreter's final flush.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
+        return EXIT_PIPE
+    return code
+
+
+def _drop_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so that the
+    interpreter's final flush of what is still buffered for a closed pipe
+    writes nowhere instead of printing "Exception ignored"."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not a file: nothing flushes it at exit
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 if __name__ == "__main__":

@@ -75,6 +75,10 @@ STREAM_INSTANCES = {
     "pinned_12x12": lambda: random_pinned_instance(random.Random(12), 12, 12, 0.5, 20),
     # Circle difference sets of about 7 free columns.
     "pinned_30x30": lambda: random_pinned_instance(random.Random(30), 30, 30, 0.5, 90),
+    # The widest grid whose trades read subsets from the rank table, and the
+    # narrowest that walks.
+    "pinned_6x8": lambda: random_pinned_instance(random.Random(8), 6, 8, 0.5, 12),
+    "pinned_6x9": lambda: random_pinned_instance(random.Random(9), 6, 9, 0.5, 12),
 }
 
 STREAM_CHAINS = {
@@ -89,9 +93,10 @@ STREAM_CHAINS = {
 
 # sha256 of the Chain.keys() streams (500 steps, gap 1, seeds 0, 7 and
 # 2024).  The first 18 were recorded before the in-place step kernels
-# replaced the proposal objects, the last three before the circle trade
+# replaced the proposal objects, the next three before the circle trade
 # moved into the trade kernel and cycle swaps converted their row draws
-# lazily.  A change here changes seeded output.
+# lazily, the last four before grids of at most 8 columns read their
+# subsets from a rank table.  A change here changes seeded output.
 GOLDEN_STREAMS = {
     ("free_6x6", "trades"): "021706eed802b6b2bf3702c912d798d5ded0a74addb32d69bf24f56f2ea4add5",
     ("free_6x6", "swaps4"): "32848e7d2c971592d9b2841be774df49a28a5dc7a7ca7361a49046d68bcb3c15",
@@ -114,6 +119,10 @@ GOLDEN_STREAMS = {
     ("pinned_12x12", "cycle:24"): "1ee6b99176fd6098f2c226132f2a3f28b4ec2b917916b5a18b6d896cdc66e47c",
     ("pinned_30x30", "trades+circle"): "18f3bceb21d1c3b6f0965d6a084be2cea3281dad874d582b12ca747af54aa8b8",
     ("pinned_30x30", "trades+circle/mh-off"): "ed307e641f452dc8ac1187cb3f475dfa940ab475eccfe594986f858ba4f5cc6c",
+    ("pinned_6x8", "trades"): "973d119b2707b313947ebca9b7cd0a75e04a2234bb36a93378cea3a12ea78a76",
+    ("pinned_6x8", "trades+circle"): "ee767016681d6b97f8051fd331af9612607567ce93a2efcf12513c012ae557b9",
+    ("pinned_6x9", "trades"): "fee51bd58dd3e1dc4d60e8c5df99ac6490ccad1a4cb68e360e8a60e75bd5ba8f",
+    ("pinned_6x9", "trades+circle"): "9145b6576cc1afe43c46240112ca0ad6499a81c8649d6fe72c5a06fc44119c37",
 }
 
 

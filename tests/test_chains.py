@@ -8,14 +8,18 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import bipsample as bp
-from bipsample import oracle
+from bipsample import chains, oracle
 from bipsample.chains import (
+    _NARROW,
     ChainConfig,
     _binomials,
     _cycles,
+    _rank_table,
     _swaps,
     _trades,
     _unrank_subset,
@@ -901,3 +905,64 @@ def test_unrank_subset_matches_comb_per_position_formula():
         index = rng.choice((0, total - 1, rng.randrange(total)))
         got = set(cols(_unrank_subset(mask(pool), k, index, TABLE)))
         assert got == _unrank_reference(pool, k, index)
+
+
+def _no_walk(*args):
+    raise AssertionError("a narrow grid walked a subset rank")
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(
+    n_cols=st.integers(1, _NARROW + 1),
+    n=st.integers(1, 6),
+    density=st.floats(0.2, 0.8),
+    pinned=st.floats(0.0, 0.5),
+    move_set=st.sampled_from([MoveSet.trades(), MoveSet.trades_plus_circle()]),
+    mh=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+def test_rank_table_draws_the_stream_of_the_walk(n_cols, n, density, pinned, move_set, mh, seed):
+    """On random pinned grids of every width up to one past ``_NARROW``, a
+    chain that reads its subsets from the rank table keeps the key stream
+    and the final rng state of the same chain with the table switched off;
+    on a narrow grid it never walks."""
+    inst = random_pinned_instance(
+        random.Random(seed), n, n_cols, density, int(pinned * n * n_cols)
+    )
+    start = bp.initial_realization(inst)
+    cfg = ChainConfig(move_set, steps=300, seed=seed, sample_gap=3, mh_correction=mh)
+
+    def run():
+        chain = bp.Chain(start, cfg)
+        return list(chain.keys()), chain._rng.getstate()
+
+    with pytest.MonkeyPatch.context() as mp:
+        if n_cols <= _NARROW:
+            _rank_table(n_cols)  # built by the walk before it is barred
+            mp.setattr(chains, "_unrank_subset", _no_walk)
+        table = run()
+    # The width test is read when a chain is built, so no table is cleared.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chains, "_NARROW", 0)
+        walk = run()
+    assert table == walk
+
+
+def test_rank_table_holds_every_subset_of_every_pool():
+    """At the widest table, every pool's k-subsets in the walk's rank order
+    with their count and its bit length: 3^8 subsets in all."""
+    ranks = _rank_table(_NARROW)
+    assert len(ranks) == 1 << _NARROW << 4
+    held = 0
+    for slot, entry in enumerate(ranks):
+        pool, k = slot >> 4, slot & 15
+        size = pool.bit_count()
+        if k > size:
+            assert entry is None
+            continue
+        total, bits, subsets = entry
+        assert total == comb(size, k) == len(subsets)
+        assert bits == total.bit_length()
+        assert subsets == tuple(_unrank_subset(pool, k, r, TABLE) for r in range(total))
+        held += total
+    assert held == 3 ** _NARROW == 6561

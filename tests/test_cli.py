@@ -1,7 +1,9 @@
 """File formats, commands and exit codes."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -615,6 +617,80 @@ def test_enumerate_too_large(tmp_path, capsys):
     )
     path = write(tmp_path, "m.txt", text)
     assert cli.main(["enumerate", path]) == 4
+
+
+class _ReaderLeftAfterFirstLine(io.StringIO):
+    """A stdout whose reader leaves once it has a line: every write after
+    the one that brought the first line raises ``BrokenPipeError``."""
+
+    def write(self, text):
+        if "\n" in self.getvalue():
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+FREE_4X4 = "rows: 4\ncols: 4\nrow_degrees: 2 2 2 2\ncol_degrees: 2 2 2 2\nmask:\n" + "****\n" * 4
+
+
+def run_to_a_reader_that_leaves(argv):
+    """``cli.main(argv)`` writing to a ``_ReaderLeftAfterFirstLine``: the
+    exit code, the stdout that got through and the stderr."""
+    out, err = _ReaderLeftAfterFirstLine(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_a_reader_that_leaves_stops_sample_with_exit_141(tmp_path, monkeypatch):
+    # the first sample is out; the second chain stops at its write and no
+    # third one runs
+    restarts = []
+    restart = chains.Chain.restart
+    monkeypatch.setattr(chains.Chain, "restart",
+                        lambda chain, seed: restarts.append(seed) or restart(chain, seed))
+    path = write(tmp_path, "p.txt", README_4X4)
+    code, out, err = run_to_a_reader_that_leaves(
+        ["sample", path, "--steps", "5", "--count", "20000"])
+    assert code == cli.EXIT_PIPE == 141
+    assert out.count("\n") == 4 and restarts == [1]
+    assert err == "chain: trades+circle\n"
+
+
+def test_a_reader_that_leaves_stops_enumerate_list_with_exit_141(tmp_path):
+    path = write(tmp_path, "q.txt", FREE_4X4)
+    assert run_to_a_reader_that_leaves(["enumerate", "--list", path]) == (cli.EXIT_PIPE, "90\n", "")
+
+
+@pytest.mark.parametrize("left", ["after its first line", "before the first write"])
+def test_a_closed_pipe_exits_141_with_nothing_more_on_stderr(tmp_path, left):
+    """In a process of its own, with stdout block-buffered, nothing but
+    the ``chain:`` line reaches stderr: not when the reader leaves after a
+    line, and not when the first write to fail is the flush of the whole
+    output at exit, which leaves it in the buffer for the interpreter's
+    final flush."""
+    path = write(tmp_path, "p.txt", README_4X4)
+    env = subprocess_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    count = "20000" if left == "after its first line" else "3"
+    argv = [sys.executable, "-m", "bipsample.cli", "sample", path, "--chain", "trades",
+            "--steps", "5", "--count", count]
+    if left == "after its first line":
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+        err = proc.stderr.read()
+        proc.stderr.close()
+    else:
+        read, written = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(argv, stdout=written, stderr=subprocess.PIPE, env=env,
+                                  timeout=120)
+        finally:
+            os.close(written)
+        code, err = done.returncode, done.stderr
+    assert (code, err) == (cli.EXIT_PIPE, b"chain: trades\n")
 
 
 def test_verify_quick_pass(tmp_path, capsys):
