@@ -6,8 +6,10 @@ in a fixed, documented order (under trades+circle a coin bit first, then
 the row pair or triple indices, then the subset choice, then - for circle
 trades with the Metropolis correction on, and only when the acceptance
 ratio is below one - the acceptance variate; a bounded cycle swap draws
-its length, its rows, then its columns).  Streams are reproducible for a
-fixed seed within this implementation.
+its length, its rows, then its columns).  A circle trade tests its three
+difference sets in a fixed order and ends at the first empty one, with no
+draw after its triple.  Streams are reproducible for a fixed seed within
+this implementation.
 
 State representation: the chain layer keeps a state as one int per row, a
 bit mask with bit j set when the row has column j, and the fixed cells of
@@ -31,12 +33,18 @@ binomial from a Pascal table up to n_cols, which only the trade kinds'
 ``Chain`` asks for and which is built once per grid width, on first use
 (``_binomials``): with r columns left and k to take it keeps
 v = C(r, k) - index, which a skipped column leaves unchanged, and takes
-the lowest column iff C(r - 1, k) < v.  On grids of at most ``_NARROW``
-= 8 columns the kernel reads each count, its bit length and the subset
-itself from a rank table instead (``_rank_table``, also built once per
-width on first use): every k-subset of every pool, 3^8 = 6,561 subsets
-at width 8.  The table is filled by the walk, so the walk stays the one
-definition of the rank order, and both draw the same stream.
+the lowest column iff C(r - 1, k) < v.  The subset counts and the
+binomials of a circle trade's Metropolis test (``circle_denominator``)
+come from the same table.  On grids of at most ``_NARROW`` = 8 columns
+the kernel reads each count, its bit length and the subset itself from a
+rank table instead (``_rank_table``, also built once per width on first
+use): every k-subset of every pool, 3^8 = 6,561 subsets at width 8.  The
+table is filled by the walk, so the walk stays the one definition of the
+rank order, and both draw the same stream.  On grids wider than
+``_WIDE`` = 512 columns no table is held, since it grows with the cube of
+the width: every binomial is a ``math.comb`` call, and the kernel walks by
+exact ratios (``_unrank_ratio``), one binomial per walk, which gives the
+same subset for every index.
 """
 
 from __future__ import annotations
@@ -71,28 +79,50 @@ class ChainConfig:
             raise ValueError("seed must be >= 0")
 
 
-def circle_denominator(sizes: tuple[int, int, int], x: int) -> int:
+def circle_denominator(
+    sizes: tuple[int, int, int], x: int, table: tuple[tuple[int, ...], ...]
+) -> int:
     """1/den is the probability of one specific subset triple of size x:
     the smallest difference set is drawn as a uniform subset (2^m equally
     likely outcomes), the other two as uniform x-subsets.  Tied minima give
-    the same value whichever of them is the pivot."""
+    the same value whichever of them is the pivot.  Each binomial C(r, x)
+    is read as ``table[r][x]`` from the caller's source: a chain's
+    ``_binomials``, or the oracle's own table."""
     a, b, c = sizes
     if a <= b and a <= c:
-        return comb(b, x) * comb(c, x) << a
+        return table[b][x] * table[c][x] << a
     if b <= c:
-        return comb(a, x) * comb(c, x) << b
-    return comb(a, x) * comb(b, x) << c
+        return table[a][x] * table[c][x] << b
+    return table[a][x] * table[b][x] << c
 
 
 # ---------------------------------------------------------------------------
 # Subset ranks: the k-subsets of a pool of columns, itself a row mask.
 
 
+# The widest grid whose chains hold a Pascal table.  The table grows with
+# the cube of the width: about 9 MB at 512 columns, 1 GB at 3,000.
+_WIDE = 512
+
+
+class _CombRow(int):
+    """Row r of Pascal's triangle with no entry held: ``row[k]`` is C(r, k)
+    from ``math.comb``, 0 for k > r as in a table row."""
+
+    __slots__ = ()
+
+    def __getitem__(self, k):
+        return comb(self, k)
+
+
 @lru_cache(maxsize=8)
 def _binomials(n: int) -> tuple[tuple[int, ...], ...]:
     """Pascal's triangle up to row n: ``table[r][k]`` is C(r, k) for k <= r,
     and each row ends in a 0 for k = r + 1.  The chains of one grid width
-    share one table, built on first use."""
+    share one table, built on first use.  Above ``_WIDE`` every row is a
+    ``_CombRow``, which reads the same values from ``math.comb``."""
+    if n > _WIDE:
+        return tuple(map(_CombRow, range(n + 1)))
     table = [(1, 0)]
     for _ in range(n):
         prev = table[-1]
@@ -126,6 +156,37 @@ def _unrank_subset(
             if not k:
                 return out
             v -= c
+
+
+def _unrank_ratio(
+    pool: int, k: int, index: int, table: tuple[tuple[int, ...], ...]
+) -> int:
+    """The subset ``_unrank_subset`` gives, for every index, with one
+    binomial read from ``table``: the walk of grids wider than ``_WIDE``,
+    where each read of a ``_CombRow`` is a ``math.comb`` call.  With m
+    columns after the current one and ``need`` still to take, ``rest``
+    counts the subsets that take the current column, C(m, need - 1); the
+    walk starts it from ``table`` and updates it by an exact ratio per
+    column."""
+    out = 0
+    if not k:
+        return out
+    need = k
+    m = pool.bit_count() - 1
+    rest = table[m][k - 1]
+    while True:
+        low = pool & -pool
+        pool ^= low
+        if index < rest:
+            out |= low
+            need -= 1
+            if not need:
+                return out
+            rest = rest * need // m
+        else:
+            index -= rest
+            rest = rest * (m - need + 1) // m
+        m -= 1
 
 
 # The widest grid whose trade kernels read subsets from a rank table.
@@ -172,24 +233,30 @@ def _trades(rows, fixed, n, rng, table, circle=None, ranks=None):
     replacement for a_ij among the |a_ij|-subsets of the pool a_ij | a_ji,
     the free columns where the two rows differ.  Drawing a_ij itself is the
     lazy step.  ``table`` is ``_binomials`` up to at least the number of
-    columns; every subset count and every subset rank is read from it,
+    columns; every subset count and every binomial of the Metropolis test
+    is read from it, and every subset rank is walked on it, by
+    ``_unrank_subset`` or, past ``_WIDE`` columns, by ``_unrank_ratio``;
     unless ``ranks`` is the grid width's ``_rank_table``: then each drawn
     subset, with its count and bit length, is one slot of that table.
 
     With ``circle`` set to the Metropolis flag, each step first draws one
     bit; on a 1 it is a circle trade instead (the lazy step when n < 3).
     A circle trade draws a uniform ordered row triple (i, j, t).  Its three
-    difference sets are what j can hand to i, t to j and i to t, in that
-    order.  It draws a uniform subset of the smallest set (the first of
-    tied ones) by one getrandbits draw, bit b picking the set's b-th lowest
-    column, then uniform equal-sized subsets of the other two, in order.
-    With the flag on, the Metropolis test may keep the old rows."""
+    difference sets are what j can hand to i, t to j and i to t, tested in
+    that order: the step ends at the first empty one, with no draw after
+    the triple.  Otherwise it draws a uniform subset of the smallest set
+    (the first of tied ones) by one getrandbits draw, bit b picking the
+    set's b-th lowest column, then uniform equal-sized subsets of the other
+    two, in order.  With the flag on, the Metropolis test may keep the old
+    rows."""
     mixed = circle is not None
     if n < 2 and not mixed:
         while True:
             yield
     getrandbits, uniform = rng.getrandbits, rng.random
-    unrank, denominator = _unrank_subset, circle_denominator
+    # A source past _WIDE columns holds _CombRows, too slow to walk on.
+    unrank = _unrank_subset if len(table) <= _WIDE + 1 else _unrank_ratio
+    denominator = circle_denominator
     n1, n2 = n - 1, n - 2
     bits_i, bits_j, bits_t = n.bit_length(), n1.bit_length(), n2.bit_length()
     while True:
@@ -224,8 +291,14 @@ def _trades(rows, fixed, n, rng, table, circle=None, ranks=None):
                 fi, fj, ft = fixed[i], fixed[j], fixed[t]
                 # What row j hands to i, t to j and i to t.
                 d_j = rj & ~(ri | fi | fj)
+                if not d_j:
+                    continue
                 d_t = rt & ~(rj | fj | ft)
+                if not d_t:
+                    continue
                 d_i = ri & ~(rt | ft | fi)
+                if not d_i:
+                    continue
                 s_j, s_t, s_i = d_j.bit_count(), d_t.bit_count(), d_i.bit_count()
                 # The pivot is the first smallest set, of size m; a and b are
                 # the other two in draw order, of sizes s_a and s_b.
@@ -238,8 +311,6 @@ def _trades(rows, fixed, n, rng, table, circle=None, ranks=None):
                 else:
                     m, pool, a = s_i, d_i, d_j
                     s_a, b, s_b = s_j, d_t, s_t
-                if not m:
-                    continue
                 pick = getrandbits(m)
                 if not pick:
                     continue
@@ -284,14 +355,14 @@ def _trades(rows, fixed, n, rng, table, circle=None, ranks=None):
                     sub_j, sub_t, sub_i = a, b, chosen
                 ni, nj, nt = ri ^ (sub_i | sub_j), rj ^ (sub_j | sub_t), rt ^ (sub_t | sub_i)
                 if circle:
-                    den_fwd = denominator((s_j, s_t, s_i), x)
+                    den_fwd = denominator((s_j, s_t, s_i), x, table)
                     # The reverse rotation runs over the order (j, i, t) of
                     # the new state.
                     den_rev = denominator((
                         (ni & ~(nj | fj | fi)).bit_count(),
                         (nt & ~(ni | fi | ft)).bit_count(),
                         (nj & ~(nt | ft | fj)).bit_count(),
-                    ), x)
+                    ), x, table)
                     if den_rev > den_fwd and uniform() >= den_fwd / den_rev:
                         continue
                 rows[i], rows[j], rows[t] = ni, nj, nt
@@ -383,16 +454,18 @@ def _cycles(rows, fixed, n, rng, n_cols, limit):
     cells, checked row by row, stopping at the first failure.  Every draw
     is made before the walk starts.  A draw becomes its index by popping
     the pos-th entry of the ascending list of indices not yet drawn.  The
-    columns are all converted, since row 0's check reads c_{h-1}; a row's
-    draw is converted only when the walk reaches that row, and most walks
-    stop within their first rows."""
+    columns are all converted, since row 0's check reads c_{h-1}.  Row 0's
+    draw is its own index, and it is checked before the row list is
+    copied; a later row's draw is converted only when the walk reaches that
+    row, and most walks stop within their first rows."""
     getrandbits = rng.getrandbits
     lengths = limit // 2 - 1
     bits_h = lengths.bit_length()
-    # The bit lengths of n - t and n_cols - t for every t a walk reaches.
+    # The bound n - t (n_cols - t) and its bit length for every t a walk
+    # reaches.
     reach = range(min(limit // 2, n, n_cols))
-    row_bits = [(n - t).bit_length() for t in reach]
-    col_bits = [(n_cols - t).bit_length() for t in reach]
+    row_draws = [(n - t, (n - t).bit_length()) for t in reach]
+    col_draws = [(n_cols - t, (n_cols - t).bit_length()) for t in reach]
     every_row, every_col = list(range(n)), list(range(n_cols))
     # The walk's row draws, each replaced by its index once reached, and
     # its column indices; a step uses the first h entries.
@@ -408,32 +481,37 @@ def _cycles(rows, fixed, n, rng, n_cols, limit):
             if h > n or h > n_cols:
                 continue
             for t in range(h):
-                m, bits = n - t, row_bits[t]
+                m, bits = row_draws[t]
                 pos = getrandbits(bits)
                 while pos >= m:
                     pos = getrandbits(bits)
                 walk_rows[t] = pos
             left = every_col.copy()
             for t in range(h):
-                m, bits = n_cols - t, col_bits[t]
+                m, bits = col_draws[t]
                 pos = getrandbits(bits)
                 while pos >= m:
                     pos = getrandbits(bits)
                 walk_cols[t] = left.pop(pos)
             # Row r_t holds cells (r_t, c_t) and (r_t, c_{t-1}); along the
             # walk the first has the value of (r_0, c_0), the second the
-            # other value.  Row 0's draw is its index: nothing was drawn
-            # before it.
-            first_one = rows[walk_rows[0]] >> walk_cols[0] & 1
-            prev = 1 << walk_cols[h - 1]
+            # other value.  Row 0's draw is its index, since nothing was
+            # drawn before it, so the row list is copied only once it passes.
+            r = walk_rows[0]
+            cur, prev = 1 << walk_cols[0], 1 << walk_cols[h - 1]
+            first_one = rows[r] & cur
+            pair = cur | prev
+            if rows[r] & pair != (cur if first_one else prev) or fixed[r] & pair:
+                continue
             left = every_row.copy()
-            for t in range(h):
+            del left[r]
+            for t in range(1, h):
+                prev = cur
                 r = walk_rows[t] = left.pop(walk_rows[t])
                 cur = 1 << walk_cols[t]
                 pair = cur | prev
                 if rows[r] & pair != (cur if first_one else prev) or fixed[r] & pair:
                     break
-                prev = cur
             else:
                 prev = 1 << walk_cols[h - 1]
                 for t in range(h):

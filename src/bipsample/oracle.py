@@ -460,8 +460,17 @@ class VerificationResult:
     elapsed: float = 0.0
 
 
-# The ledgers' circle-route denominators, each computed once.
-_circle_denominator = functools.cache(chains.circle_denominator)
+# The oracle's own binomial table, C(r, k) from ``math.comb`` for every
+# difference set of an enumerable grid, and the ledgers' circle-route
+# denominators read from it, each computed once.
+_BINOMIALS = tuple(
+    tuple(comb(r, k) for k in range(r + 1)) for r in range(ENUMERATION_CELL_LIMIT + 1)
+)
+
+
+@functools.cache
+def _circle_denominator(sizes: tuple[int, int, int], x: int) -> int:
+    return chains.circle_denominator(sizes, x, _BINOMIALS)
 
 
 class _SeqCtx:

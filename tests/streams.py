@@ -79,6 +79,9 @@ STREAM_INSTANCES = {
     # narrowest that walks.
     "pinned_6x8": lambda: random_pinned_instance(random.Random(8), 6, 8, 0.5, 12),
     "pinned_6x9": lambda: random_pinned_instance(random.Random(9), 6, 9, 0.5, 12),
+    # Just wider than the widest grid that holds a Pascal table: trades
+    # walk by exact ratios and read every binomial from math.comb.
+    "pinned_4x520": lambda: random_pinned_instance(random.Random(520), 4, 520, 0.5, 40),
 }
 
 STREAM_CHAINS = {
@@ -95,8 +98,10 @@ STREAM_CHAINS = {
 # 2024).  The first 18 were recorded before the in-place step kernels
 # replaced the proposal objects, the next three before the circle trade
 # moved into the trade kernel and cycle swaps converted their row draws
-# lazily, the last four before grids of at most 8 columns read their
-# subsets from a rank table.  A change here changes seeded output.
+# lazily, the next four before grids of at most 8 columns read their
+# subsets from a rank table, the last one before grids wider than 512
+# columns stopped holding a Pascal table.  A change here changes seeded
+# output.
 GOLDEN_STREAMS = {
     ("free_6x6", "trades"): "021706eed802b6b2bf3702c912d798d5ded0a74addb32d69bf24f56f2ea4add5",
     ("free_6x6", "swaps4"): "32848e7d2c971592d9b2841be774df49a28a5dc7a7ca7361a49046d68bcb3c15",
@@ -123,6 +128,7 @@ GOLDEN_STREAMS = {
     ("pinned_6x8", "trades+circle"): "ee767016681d6b97f8051fd331af9612607567ce93a2efcf12513c012ae557b9",
     ("pinned_6x9", "trades"): "fee51bd58dd3e1dc4d60e8c5df99ac6490ccad1a4cb68e360e8a60e75bd5ba8f",
     ("pinned_6x9", "trades+circle"): "9145b6576cc1afe43c46240112ca0ad6499a81c8649d6fe72c5a06fc44119c37",
+    ("pinned_4x520", "trades+circle"): "ceb4b7d669a62cd79ad69b0421bdd354b0a2fcfedd236fba46466f8cf408c507",
 }
 
 

@@ -16,12 +16,14 @@ import bipsample as bp
 from bipsample import chains, oracle
 from bipsample.chains import (
     _NARROW,
+    _WIDE,
     ChainConfig,
     _binomials,
     _cycles,
     _rank_table,
     _swaps,
     _trades,
+    _unrank_ratio,
     _unrank_subset,
     circle_denominator,
 )
@@ -272,17 +274,29 @@ def test_circle_trade_empty_difference_set_stays():
         assert circle_step(False)(g, rng) == g.rows
 
 
+def _circle_den_reference(sizes, x):
+    """2^m times the binomials of all three sizes but one of the smallest,
+    from ``math.comb``."""
+    m = min(sizes)
+    return (1 << m) * math.prod(comb(s, x) for s in sizes) // comb(m, x)
+
+
 def test_circle_denominator_values():
-    assert circle_denominator((2, 2, 2), 2) == 4  # 2^2 * C(2,2)^2
-    assert circle_denominator((1, 2, 1), 1) == 2 * comb(2, 1) * comb(1, 1)
-    assert circle_denominator((3, 2, 2), 1) == 4 * comb(3, 1) * comb(2, 1)
-    # 2^m times the binomials of all three sizes but one of the smallest,
-    # whatever their order and ties
-    for sizes in itertools.product(range(6), repeat=3):
-        m = min(sizes)
-        for x in range(1, m + 1):
-            want = (1 << m) * math.prod(comb(s, x) for s in sizes) // comb(m, x)
-            assert circle_denominator(sizes, x) == want, (sizes, x)
+    assert circle_denominator((2, 2, 2), 2, TABLE) == 4  # 2^2 * C(2,2)^2
+    assert circle_denominator((1, 2, 1), 1, TABLE) == 2 * comb(2, 1) * comb(1, 1)
+    assert circle_denominator((3, 2, 2), 1, TABLE) == 4 * comb(3, 1) * comb(2, 1)
+    # from the table of a width-8 grid, whatever the sizes' order and ties
+    narrow = _binomials(8)
+    for sizes in itertools.product(range(9), repeat=3):
+        for x in range(1, min(sizes) + 1):
+            want = _circle_den_reference(sizes, x)
+            assert circle_denominator(sizes, x, narrow) == want, (sizes, x)
+    # at the widest table, and from the math.comb rows just past it
+    sources = _binomials(_WIDE), _binomials(_WIDE + 1)
+    for sizes in itertools.product((_WIDE - 1, _WIDE), repeat=3):
+        for x in (1, 2, _WIDE // 2, _WIDE - 1):
+            want = _circle_den_reference(sizes, x)
+            assert [circle_denominator(sizes, x, t) for t in sources] == [want] * 2
 
 
 def test_unique_realization_chain_is_constant():
@@ -420,6 +434,27 @@ def test_uniformity_report_matches_counting_run_states(criterion8_fixtures):
         tv = 0.5 * sum(abs(c / total - 1 / k) for c in counts)
         p = oracle._chisquare_p(counts)
         assert bp.uniformity_report(inst, cfg) == (tv, p), label
+
+
+@pytest.mark.parametrize("fixture, move_set, steps, gap", [
+    pytest.param(2, MoveSet.swaps4(), 400_000, 5, id="90_states-swap"),
+    pytest.param(3, MoveSet.swaps_up_to(8), 600_000, 50, id="9_states-cycle:8"),
+    pytest.param(4, MoveSet.swaps_up_to(8), 1_600_000, 100, id="27_states-cycle:8"),
+])
+def test_swaps_and_cycle_swaps_pass_the_uniformity_gates(
+    criterion8_fixtures, fixture, move_set, steps, gap
+):
+    """Acceptance criterion 8's gates, at its seed, for the chains it does
+    not run: 4-swaps where F is empty, and the paper's bounded cycle swaps
+    on the pinned fixtures.  A cycle:8 step moves on about 4% of steps
+    there, so its kept states are 50 and 100 steps apart.  At these sizes
+    five seeds gave a distance of 0.008-0.013 on the 9 states and
+    0.012-0.019 on the 27."""
+    label, inst, _ = criterion8_fixtures[fixture]
+    cfg = ChainConfig(move_set, steps=steps, seed=12345, sample_gap=gap)
+    tv, p = bp.uniformity_report(inst, cfg)
+    assert tv < 0.02, (label, tv)
+    assert p > 0.001, (label, p)
 
 
 def _chisquare_grid():
@@ -626,11 +661,14 @@ def _swap_reference(g, rng):
     return tuple(rows)
 
 
-def _circle_reference(g, rng, mh_correction):
+def _circle_reference(g, rng, mh_correction, first_empty=None):
     """Rows after one circle trade: a uniform row triple, a subset of the
     smallest difference set picked by one ``getrandbits`` string (bit b for
     its b-th lowest column), uniform equal-sized subsets of the other two by
-    ``randrange``, and the Metropolis test re-derived on the successor."""
+    ``randrange``, and the Metropolis test re-derived on the successor,
+    with denominators from ``math.comb``.  ``first_empty``, a Counter,
+    counts by its index (0 for d_j, 1 for d_t, 2 for d_i) the first empty
+    difference set of a step that stays for one."""
     inst, rows = g.instance, list(g.rows)
     fixed = [frozenset(cols(m)) for m in inst.fixed.fixed_masks]
     i, j = _pair(inst.n, rng)
@@ -639,6 +677,8 @@ def _circle_reference(g, rng, mh_correction):
     sizes = [len(s) for s in sets]
     m = min(sizes)
     if m == 0:
+        if first_empty is not None:
+            first_empty[sizes.index(0)] += 1
         return g.rows
     pivot = sizes.index(m)
     bits = rng.getrandbits(m)
@@ -656,9 +696,9 @@ def _circle_reference(g, rng, mh_correction):
     new[j] = (rows[j] - sub_j) | sub_k
     new[k] = (rows[k] - sub_k) | sub_i
     if mh_correction:
-        den_fwd = circle_denominator(tuple(sizes), x)
-        back = tuple(len(_movable(new, fixed, src, dst)) for src, dst in ((i, j), (k, i), (j, k)))
-        den_rev = circle_denominator(back, x)
+        den_fwd = _circle_den_reference(sizes, x)
+        back = [len(_movable(new, fixed, src, dst)) for src, dst in ((i, j), (k, i), (j, k))]
+        den_rev = _circle_den_reference(back, x)
         if den_rev > den_fwd and rng.random() >= den_fwd / den_rev:
             return g.rows
     return tuple(new)
@@ -700,9 +740,14 @@ def _cycle_reference(g, limit, rng):
 def test_step_kernels_match_randrange_references():
     """From the same rng state, one step of each kernel leaves the rows of
     a reference that draws with ``randrange`` over column lists and applies
-    to row sets, and both consume the same draws."""
+    to row sets, and both consume the same draws.  A circle step that meets
+    an empty difference set draws nothing after its triple, whichever of
+    the three sets is the first empty one."""
     rng = random.Random(2024)
     instances = [
+        # Nested rows {0} < {0, 1} < {0, 1, 2}: a triple's first empty set
+        # is d_j, d_t or d_i by the triple's order.
+        bp.Instance.unconstrained((1, 2, 3), (3, 2, 1)),
         bp.Instance.unconstrained((3, 3, 2, 2, 4, 2), (2, 3, 2, 2, 5, 2)),
         readme_4x4(),
         circle_instance().instance,
@@ -718,8 +763,10 @@ def test_step_kernels_match_randrange_references():
     paths = {
         "trades": (trade_step, _trade_reference),
         "swaps": (swap_step, _swap_reference),
-        "circle": (circle_step(True), lambda g, r: _circle_reference(g, r, True)),
-        "circle, mh off": (circle_step(False), lambda g, r: _circle_reference(g, r, False)),
+        "circle": (circle_step(True), lambda g, r: _circle_reference(g, r, True, first_empty)),
+        "circle, mh off": (
+            circle_step(False), lambda g, r: _circle_reference(g, r, False, first_empty),
+        ),
         "trades+circle": (mixed_step(True), lambda g, r: _mixed_reference(g, r, True)),
         "trades+circle, mh off": (
             mixed_step(False), lambda g, r: _mixed_reference(g, r, False),
@@ -727,7 +774,7 @@ def test_step_kernels_match_randrange_references():
         "cycle:8": (cycle_step(8), lambda g, r: _cycle_reference(g, 8, r)),
         "cycle:24": (cycle_step(24), lambda g, r: _cycle_reference(g, 24, r)),
     }
-    outcomes = Counter()
+    outcomes, first_empty = Counter(), Counter()
     for inst in instances:
         chain = bp.Chain(
             bp.initial_realization(inst),
@@ -749,6 +796,7 @@ def test_step_kernels_match_randrange_references():
     # every path both moved and stayed somewhere in the sweep
     for name in paths:
         assert outcomes[name, True] > 0 and outcomes[name, False] > 0, name
+    assert sorted(first_empty) == [0, 1, 2], first_empty
 
 
 def _exact_rows(inst, circle, mh):
@@ -863,8 +911,33 @@ def test_unrank_subset_matches_the_ratio_walk_on_every_small_pool():
             for index in range(comb(size, k)):
                 want = _unrank_ratio_reference(pool, k, index)
                 assert _unrank_subset(pool, k, index, TABLE) == want, (pool, k, index)
+                assert _unrank_ratio(pool, k, index, TABLE) == want, (pool, k, index)
                 calls += 1
     assert calls == 3 ** 10
+
+
+def test_the_table_walk_and_the_ratio_walk_agree_either_side_of_the_table_width():
+    """On pools of ``_WIDE`` - 1 to ``_WIDE`` + 1 columns, the Pascal-table
+    walk (past ``_WIDE`` it reads ``math.comb`` rows) and the kernel's
+    ratio walk give the reference's subset: for every index where k is at
+    most 1 or at least r - 1, and for the first, the last and 8 random
+    indices of 8 other sizes."""
+    rng = random.Random(512)
+    for size in (_WIDE - 1, _WIDE, _WIDE + 1):
+        pool = mask(rng.sample(range(_WIDE + 40), size))
+        table = _binomials(max(size, _WIDE))
+        assert (size > _WIDE) == isinstance(table[-1], chains._CombRow)
+        for k in (0, 1, size - 1, size):
+            for index in range(comb(size, k)):
+                want = _unrank_ratio_reference(pool, k, index)
+                assert _unrank_subset(pool, k, index, table) == want, (size, k, index)
+                assert _unrank_ratio(pool, k, index, table) == want, (size, k, index)
+        for k in (2, 3, 17, size // 3, size // 2, size - 40, size - 3, size - 2):
+            total = comb(size, k)
+            for index in (0, total - 1, *(rng.randrange(total) for _ in range(8))):
+                want = _unrank_ratio_reference(pool, k, index)
+                assert _unrank_subset(pool, k, index, table) == want, (size, k, index)
+                assert _unrank_ratio(pool, k, index, table) == want, (size, k, index)
 
 
 def test_unrank_subset_matches_the_ratio_walk_on_random_pools():
@@ -882,6 +955,11 @@ def test_unrank_subset_matches_the_ratio_walk_on_random_pools():
 def test_binomial_table_rows_end_in_a_zero():
     assert TABLE[:3] == ((1, 0), (1, 1, 0), (1, 2, 1, 0))
     assert all(TABLE[r] == tuple(comb(r, k) for k in range(r + 2)) for r in range(121))
+    # past the widest table, rows read the same values from math.comb
+    wide = _binomials(_WIDE + 1)
+    assert len(wide) == _WIDE + 2
+    for r in (0, 1, 2, _WIDE - 1, _WIDE, _WIDE + 1):
+        assert [wide[r][k] for k in range(r + 2)] == [comb(r, k) for k in range(r + 2)]
 
 
 def test_unrank_subset_follows_combinations_order():

@@ -1082,3 +1082,32 @@ def test_sample_bytes_match_across_interpreters(tmp_path, capsys, version):
             capture_output=True, check=True, timeout=120, env=env,
         ).stdout
         assert got == want, args
+
+
+# Runs the command given as its arguments and prints the command's exit
+# code and the peak resident set size of this process's children, in KiB.
+PEAK_RSS = """\
+import resource, subprocess, sys
+done = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL)
+print(done.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_trades_on_a_wide_grid_stay_small(tmp_path):
+    """``sample --chain trades --steps 10`` on a free 4x3,000 grid (row
+    degrees 1,500, column degrees 2).  A Pascal table up to 3,000 columns
+    takes about 1 GB; past 512 columns the chain holds none, and the
+    sampling process peaks near 15 MB, under a ceiling of 100 MB."""
+    m = 3000
+    path = write(tmp_path, "free_4x3000.txt", "\n".join([
+        "rows: 4", f"cols: {m}", "row_degrees:" + f" {m // 2}" * 4,
+        "col_degrees:" + " 2" * m, "mask:", *["*" * m] * 4, "",
+    ]))
+    argv = [sys.executable, "-m", "bipsample.cli", "sample", path,
+            "--chain", "trades", "--steps", "10"]
+    done = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv], capture_output=True,
+                          text=True, check=True, timeout=120, env=subprocess_env())
+    code, peak_kib = map(int, done.stdout.split())
+    assert code == 0
+    assert peak_kib < 100 * 1024, peak_kib

@@ -9,12 +9,12 @@ import os
 import random
 import re
 from collections import Counter
-from math import comb
+from math import comb, prod
 
 import pytest
 
 import bipsample as bp
-from bipsample import chains, cli, oracle
+from bipsample import cli, oracle
 from bipsample.chains import ChainConfig
 from bipsample.core import MoveSet
 from streams import random_pinned_instance
@@ -771,6 +771,12 @@ def reference_trade_ledger(ctx, states_idx, fixed_rows):
     return dens
 
 
+def _circle_den(sizes, x):
+    """2^m times the binomials of all three sizes but one of the smallest."""
+    m = min(sizes)
+    return (1 << m) * prod(comb(s, x) for s in sizes) // comb(m, x)
+
+
 def reference_circle_ledger(ctx, states_idx, fixed_rows, mh_on):
     acc = {}
     n = ctx.n
@@ -786,7 +792,7 @@ def reference_circle_ledger(ctx, states_idx, fixed_rows, mh_on):
                 continue
             sj, sk, si = sorted(d_ji), sorted(d_kj), sorted(d_ik)
             for x in range(1, m + 1):
-                den_f = chains.circle_denominator(sizes, x)
+                den_f = _circle_den(sizes, x)
                 for sub_j in itertools.combinations(sj, x):
                     for sub_k in itertools.combinations(sk, x):
                         for sub_i in itertools.combinations(si, x):
@@ -801,9 +807,7 @@ def reference_circle_ledger(ctx, states_idx, fixed_rows, mh_on):
                                 r_ij = new_i - new_j - fixed_rows[j] - fixed_rows[i]
                                 r_ki = new_k - new_i - fixed_rows[i] - fixed_rows[k]
                                 r_jk = new_j - new_k - fixed_rows[k] - fixed_rows[j]
-                                den_r = chains.circle_denominator(
-                                    (len(r_ij), len(r_ki), len(r_jk)), x
-                                )
+                                den_r = _circle_den((len(r_ij), len(r_ki), len(r_jk)), x)
                                 eff = max(den_f, den_r)
                             else:
                                 eff = den_f
