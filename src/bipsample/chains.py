@@ -6,10 +6,13 @@ in a fixed, documented order (under trades+circle a coin bit first, then
 the row pair or triple indices, then the subset choice, then - for circle
 trades with the Metropolis correction on, and only when the acceptance
 ratio is below one - the acceptance variate; a bounded cycle swap draws
-its length, its rows, then its columns).  A circle trade tests its three
+its length, then its walk's rows and columns in walk order, row 0,
+column 0, row 1, column 1, and so on).  A circle trade tests its three
 difference sets in a fixed order and ends at the first empty one, with no
-draw after its triple.  Streams are reproducible for a fixed seed within
-this implementation.
+draw after its triple; a cycle swap checks each cell of its walk as soon
+as the cell's row and column are drawn, and ends at the first cell that
+fails, with no further draw.  Streams are reproducible for a fixed seed
+within this implementation.
 
 State representation: the chain layer keeps a state as one int per row, a
 bit mask with bit j set when the row has column j, and the fixed cells of
@@ -50,6 +53,7 @@ same subset for every index.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb
@@ -447,17 +451,22 @@ def _swaps(rows, fixed, n, rng):
 
 
 def _cycles(rows, fixed, n, rng, n_cols, limit):
-    """Bounded cycle swaps: a uniform h in 2..limit/2, then h distinct rows
-    and h distinct columns, the t-th being the pos-th index not yet drawn
-    for a uniform pos below n - t (n_cols - t).  The closed walk
-    row0-col0-row1-col1-...-row0 swaps when it alternates and avoids fixed
-    cells, checked row by row, stopping at the first failure.  Every draw
-    is made before the walk starts.  A draw becomes its index by popping
-    the pos-th entry of the ascending list of indices not yet drawn.  The
-    columns are all converted, since row 0's check reads c_{h-1}.  Row 0's
-    draw is its own index, and it is checked before the row list is
-    copied; a later row's draw is converted only when the walk reaches that
-    row, and most walks stop within their first rows."""
+    """Bounded cycle swaps: a uniform h in 2..limit/2, then the closed walk
+    r0-c0-r1-c1-...-r_{h-1}-c_{h-1}-r0 of h distinct rows and h distinct
+    columns, drawn in walk order: r0 and c0, then r_t and c_t for
+    t = 1..h-1, each the pos-th index not yet drawn for a uniform pos
+    below n - t (n_cols - t).  A cell is checked as soon as its row and
+    column are drawn: (r0, c0) after c0, (r_t, c_{t-1}) after r_t,
+    (r_t, c_t) after c_t, and the closing cell (r0, c_{h-1}) last.  No
+    cell may be fixed; cells (r_t, c_t) hold the value of (r0, c0) and
+    the others the other value.  The step ends at the first cell that
+    fails, with no further draw, and otherwise flips every cell of the
+    walk.  Every full draw sequence is equally likely, and the outcome
+    depends only on its prefix up to the first failed cell, so the step
+    has the transition kernel of one that draws the whole walk first.  A
+    pos becomes its index by stepping past the indices already drawn,
+    kept in ascending order; a walk checks about three cells on average,
+    whatever the limit, so these lists stay short."""
     getrandbits = rng.getrandbits
     lengths = limit // 2 - 1
     bits_h = lengths.bit_length()
@@ -466,9 +475,8 @@ def _cycles(rows, fixed, n, rng, n_cols, limit):
     reach = range(min(limit // 2, n, n_cols))
     row_draws = [(n - t, (n - t).bit_length()) for t in reach]
     col_draws = [(n_cols - t, (n_cols - t).bit_length()) for t in reach]
-    every_row, every_col = list(range(n)), list(range(n_cols))
-    # The walk's row draws, each replaced by its index once reached, and
-    # its column indices; a step uses the first h entries.
+    # The walk's rows and column masks; a step writes the first h entries
+    # before it reads them.
     walk_rows = [0] * len(reach)
     walk_cols = [0] * len(reach)
     while True:
@@ -480,42 +488,56 @@ def _cycles(rows, fixed, n, rng, n_cols, limit):
             h += 2
             if h > n or h > n_cols:
                 continue
-            for t in range(h):
-                m, bits = row_draws[t]
-                pos = getrandbits(bits)
-                while pos >= m:
-                    pos = getrandbits(bits)
-                walk_rows[t] = pos
-            left = every_col.copy()
-            for t in range(h):
-                m, bits = col_draws[t]
-                pos = getrandbits(bits)
-                while pos >= m:
-                    pos = getrandbits(bits)
-                walk_cols[t] = left.pop(pos)
-            # Row r_t holds cells (r_t, c_t) and (r_t, c_{t-1}); along the
-            # walk the first has the value of (r_0, c_0), the second the
-            # other value.  Row 0's draw is its index, since nothing was
-            # drawn before it, so the row list is copied only once it passes.
-            r = walk_rows[0]
-            cur, prev = 1 << walk_cols[0], 1 << walk_cols[h - 1]
-            first_one = rows[r] & cur
-            pair = cur | prev
-            if rows[r] & pair != (cur if first_one else prev) or fixed[r] & pair:
+            m, bits = row_draws[0]
+            r = getrandbits(bits)
+            while r >= m:
+                r = getrandbits(bits)
+            m, bits = col_draws[0]
+            c = getrandbits(bits)
+            while c >= m:
+                c = getrandbits(bits)
+            cur = 1 << c
+            if fixed[r] & cur:
                 continue
-            left = every_row.copy()
-            del left[r]
+            # A row's cells that hold the value of (r0, c0) are the set
+            # bits of the row XOR flip.
+            flip = 0 if rows[r] & cur else -1
+            walk_rows[0], walk_cols[0] = r, cur
+            drawn_rows, drawn_cols = [r], [c]
             for t in range(1, h):
                 prev = cur
-                r = walk_rows[t] = left.pop(walk_rows[t])
-                cur = 1 << walk_cols[t]
-                pair = cur | prev
-                if rows[r] & pair != (cur if first_one else prev) or fixed[r] & pair:
+                m, bits = row_draws[t]
+                r = getrandbits(bits)
+                while r >= m:
+                    r = getrandbits(bits)
+                for d in drawn_rows:
+                    if d > r:
+                        break
+                    r += 1
+                same, f = rows[r] ^ flip, fixed[r]
+                if (same | f) & prev:
                     break
+                m, bits = col_draws[t]
+                c = getrandbits(bits)
+                while c >= m:
+                    c = getrandbits(bits)
+                for d in drawn_cols:
+                    if d > c:
+                        break
+                    c += 1
+                cur = 1 << c
+                if f & cur or not same & cur:
+                    break
+                walk_rows[t], walk_cols[t] = r, cur
+                insort(drawn_rows, r)
+                insort(drawn_cols, c)
             else:
-                prev = 1 << walk_cols[h - 1]
+                r = walk_rows[0]
+                if ((rows[r] ^ flip) | fixed[r]) & cur:
+                    continue
+                prev = cur
                 for t in range(h):
-                    cur = 1 << walk_cols[t]
+                    cur = walk_cols[t]
                     rows[walk_rows[t]] ^= cur | prev
                     prev = cur
 
@@ -538,7 +560,8 @@ class Chain:
     ``seed(s)`` plus a reset of ``gauss_next``, which no kernel reads, and
     between two ``send``s a kernel keeps nothing of its own but the row
     list and the rng: what else it binds is fixed by the instance and the
-    move set, and ``_cycles`` rewrites its walk lists on every step.
+    move set, and ``_cycles`` writes its walk lists on every step before
+    it reads them and builds its lists of drawn indices afresh.
     """
 
     def __init__(self, start: Realization, cfg: ChainConfig):

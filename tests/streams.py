@@ -95,10 +95,11 @@ STREAM_CHAINS = {
 }
 
 # sha256 of the Chain.keys() streams (500 steps, gap 1, seeds 0, 7 and
-# 2024).  The first 18 were recorded before the in-place step kernels
-# replaced the proposal objects, the next three before the circle trade
-# moved into the trade kernel and cycle swaps converted their row draws
-# lazily, the next four before grids of at most 8 columns read their
+# 2024).  The seven of swaps46, cycle:8 and cycle:24 were recorded when
+# cycle swaps began to draw their walks cell by cell.  Of the others, the
+# first 12 were recorded before the in-place step kernels replaced the
+# proposal objects, the next two before the circle trade moved into the
+# trade kernel, the next four before grids of at most 8 columns read their
 # subsets from a rank table, the last one before grids wider than 512
 # columns stopped holding a Pascal table.  A change here changes seeded
 # output.
@@ -107,21 +108,21 @@ GOLDEN_STREAMS = {
     ("free_6x6", "swaps4"): "32848e7d2c971592d9b2841be774df49a28a5dc7a7ca7361a49046d68bcb3c15",
     ("free_6x6", "trades+circle"): "667553158fe9b0a23f8786587b196080e00a1755a1466d98db78cfdffe6ddad6",
     ("free_6x6", "trades+circle/mh-off"): "908801577ff15955de6bc939e299208c551ec0d7d8910f2d28114b9ba9fdbf3e",
-    ("free_6x6", "swaps46"): "f6e8a91293538678081a0fe94a640b95bd91dfc577835f7316d1f07565730b01",
-    ("free_6x6", "cycle:8"): "f50ff0c3af23104931df408e79d8cc0aba1b63423a395494982d57058a66dfe4",
+    ("free_6x6", "swaps46"): "2da1846bb0f55b5b2f914b18597441ba0c7f5ceebb3a03a579236ddaecdbded6",
+    ("free_6x6", "cycle:8"): "ff6caf5911c8961711b0e5f72a0d91428642ea1fd0527735f9af09fd79d1416d",
     ("readme_4x4", "trades"): "167641cae7bfe4244084ea97d1fd37c8b9e878f01208f36312c0b6125f002a05",
     ("readme_4x4", "swaps4"): "761ea0f22cfa63533d570edc672c9e778b5935f726bb15a3e328a8b7d58d9283",
     ("readme_4x4", "trades+circle"): "907b1896c885a1a4c5eda4bc0115c135e87e748b3230ac43052f4b439a996511",
     ("readme_4x4", "trades+circle/mh-off"): "907b1896c885a1a4c5eda4bc0115c135e87e748b3230ac43052f4b439a996511",
-    ("readme_4x4", "swaps46"): "4b726eb771956cd2d1c83aa351182b39c1db01819abd053d59ffdb4a8e649be5",
-    ("readme_4x4", "cycle:8"): "01b1a5365a6464d8c2b4fceaf874f56ee61cfcce552a53665809c792733b428e",
+    ("readme_4x4", "swaps46"): "ec0558c7d55c5cf704dc0b77b248af49bbd8cf8d0d854bfeba7f4ead0264133f",
+    ("readme_4x4", "cycle:8"): "db4ef48a879552b4d630a1a0957f2ae74e5036c7afe6756a74376d1cfa88a8f6",
     ("circle_3x6", "trades"): "9ed032c15a4380cc403cf0310c0d8a027c8516d173d410e610425d1c78b1c8e8",
     ("circle_3x6", "swaps4"): "9e685b11527cb2dba7998452daea931a8eeb14917de1b5c955cca34d68bcfdee",
     ("circle_3x6", "trades+circle"): "465763e22fb7f094ba22f32fbfacf22322807ce19cbd3b920c3e0f922dd3d909",
     ("circle_3x6", "trades+circle/mh-off"): "83a84d4ebab10739ec5893e7fedc1a5a357252cdec5e1b8c1cb80b22638f7608",
-    ("circle_3x6", "swaps46"): "2e1691606646124f512fa8d60ed3d09896ebcc8a80f6e940c0d8730fd1473c49",
-    ("circle_3x6", "cycle:8"): "b4b8c9f25b62809dbb65e9d9d486feafec9651c1256a4e1613e57d40fb472d99",
-    ("pinned_12x12", "cycle:24"): "1ee6b99176fd6098f2c226132f2a3f28b4ec2b917916b5a18b6d896cdc66e47c",
+    ("circle_3x6", "swaps46"): "1297d087744f353a7a7d3fd52448d673b6a69d587106409403c1b0f199e413ef",
+    ("circle_3x6", "cycle:8"): "5bf2702d728b7b6cabadb987e2090abd5a3a9260d4a418b68c4f1fbb8ec41ea3",
+    ("pinned_12x12", "cycle:24"): "e14ccbb4278025f61c95a6fd40f023f8ab048c1a5c7a8d67417162e7820c5f0e",
     ("pinned_30x30", "trades+circle"): "18f3bceb21d1c3b6f0965d6a084be2cea3281dad874d582b12ca747af54aa8b8",
     ("pinned_30x30", "trades+circle/mh-off"): "ed307e641f452dc8ac1187cb3f475dfa940ab475eccfe594986f858ba4f5cc6c",
     ("pinned_6x8", "trades"): "973d119b2707b313947ebca9b7cd0a75e04a2234bb36a93378cea3a12ea78a76",
@@ -169,7 +170,8 @@ def start_digest():
 
 # The (instance, chain) pairs of the benchmark's sample deck, each run for
 # three samples at a gap above 1, and the circle-trade ones again with the
-# Metropolis correction off.
+# Metropolis correction off: the nine that draw no cycle swap, then the
+# cycle-swap one.
 SAMPLE_RUNS = [
     ("pinned_readme_4x4", "auto", "on"),
     ("pinned_readme_4x4", "auto", "off"),
@@ -180,20 +182,29 @@ SAMPLE_RUNS = [
     ("free_100x100_b", "circle", "on"),
     ("free_100x100_b", "circle", "off"),
     ("free_30x30_a", "swap", "on"),
+]
+CYCLE_SAMPLE_RUNS = [
     ("free_30x30_a", "cycle:8", "on"),
 ]
 
-# sha256 of ``sample_digest()``, recorded before ``sample --count`` moved
-# onto one restarted chain.  A change here changes the bytes users get.
-GOLDEN_SAMPLE = "e0a6d707415c2ab471ad3ccf5c00b43ecc4a1d11a84fb62007d984c7cbf41eb3"
+# sha256 of ``sample_digest(SAMPLE_RUNS)``, recorded before cycle swaps
+# drew their walks cell by cell; those nine runs' bytes are the ones
+# written before ``sample --count`` moved onto one restarted chain.  A
+# change here changes the bytes users get.
+GOLDEN_SAMPLE = "e08018765822953529c771ab4cc2ed686bcba93266f0eb697db6b251cf854503"
+
+# sha256 of ``sample_digest(CYCLE_SAMPLE_RUNS)``, recorded when cycle swaps
+# began to draw their walks cell by cell.  A change here changes the bytes
+# users get.
+GOLDEN_CYCLE_SAMPLE = "03289ba93a9084639899c296233f0da571cd805839053574fd6c3b6cb8929988"
 
 
-def sample_digest():
+def sample_digest(runs):
     """The sha256 of what ``bipsample sample`` writes to stdout for every
-    run of ``SAMPLE_RUNS`` (50 steps, gap 7, three samples, seed 11): the
-    arguments and exit code, then the bytes."""
+    (instance, chain, mh) of ``runs`` (50 steps, gap 7, three samples,
+    seed 11): the arguments and exit code, then the bytes."""
     h = hashlib.sha256()
-    for instance, chain, mh in SAMPLE_RUNS:
+    for instance, chain, mh in runs:
         argv = ["sample", str(INSTANCES / f"{instance}.txt"), "--chain", chain,
                 "--mh", mh, "--steps", "50", "--gap", "7", "--count", "3",
                 "--seed", "11"]
@@ -228,10 +239,13 @@ def main():
     got = start_digest()
     mismatches = int(got != GOLDEN_START)
     print(f"{'MISMATCH' if mismatches else 'ok      '} start realizations {got}")
-    got = sample_digest()
-    ok = got == GOLDEN_SAMPLE
-    mismatches += not ok
-    print(f"{'ok      ' if ok else 'MISMATCH'} sample output {got}")
+    for label, runs, golden in (("sample output", SAMPLE_RUNS, GOLDEN_SAMPLE),
+                                ("cycle sample output", CYCLE_SAMPLE_RUNS,
+                                 GOLDEN_CYCLE_SAMPLE)):
+        got = sample_digest(runs)
+        ok = got == golden
+        mismatches += not ok
+        print(f"{'ok      ' if ok else 'MISMATCH'} {label} {got}")
     got = enumerate_digest()
     ok = got == GOLDEN_ENUMERATE
     mismatches += not ok
@@ -242,7 +256,7 @@ def main():
         mismatches += not ok
         print(f"{'ok      ' if ok else 'MISMATCH'} {instance} {chain} {got}")
     version = sys.version.split()[0]
-    total = len(GOLDEN_STREAMS) + 3
+    total = len(GOLDEN_STREAMS) + 4
     print(f"{total - mismatches} of {total} digests match "
           f"on Python {version}")
     return 1 if mismatches else 0

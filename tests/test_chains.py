@@ -448,8 +448,9 @@ def test_swaps_and_cycle_swaps_pass_the_uniformity_gates(
     not run: 4-swaps where F is empty, and the paper's bounded cycle swaps
     on the pinned fixtures.  A cycle:8 step moves on about 4% of steps
     there, so its kept states are 50 and 100 steps apart.  At these sizes
-    five seeds gave a distance of 0.008-0.013 on the 9 states and
-    0.012-0.019 on the 27."""
+    seed 12345 reads tv 0.0113, p 0.378 on the 9 states and tv 0.0177,
+    p 0.302 on the 27; seeds 1-4 gave a distance of 0.008-0.017 on the 9
+    states and 0.015-0.019 on the 27."""
     label, inst, _ = criterion8_fixtures[fixture]
     cfg = ChainConfig(move_set, steps=steps, seed=12345, sample_gap=gap)
     tv, p = bp.uniformity_report(inst, cfg)
@@ -715,9 +716,50 @@ def _mixed_reference(g, rng, mh_correction):
 
 
 def _cycle_reference(g, limit, rng):
-    """Rows after one bounded cycle swap drawn with ``randrange`` from
-    pools of the unused rows and columns, with every cell value and mask
-    entry of the walk checked before the swap is applied."""
+    """Rows after one bounded cycle swap drawn with ``randrange`` in walk
+    order, h, r0, c0, r1, c1, ..., each row or column popped from a pool
+    of the unused ones.  Each cell of the walk is checked against the
+    matrix and the fixed mask as soon as its row and column are drawn, and
+    the step ends at the first that fails, with no further draw."""
+    inst, matrix = g.instance, g.matrix
+    n, nc = inst.n, inst.n_cols
+    lengths = range(4, limit + 1, 2)
+    h = lengths[rng.randrange(len(lengths))] // 2
+    if h > n or h > nc:
+        return g.rows
+    row_pool, col_pool = list(range(n)), list(range(nc))
+    cells = []
+
+    def passes(r, c):
+        # Cell 0 sets the value; the walk's cells alternate from it.
+        cells.append((r, c))
+        r0, c0 = cells[0]
+        return (inst.fixed.mask[r][c] == bp.FREE
+                and matrix[r][c] == matrix[r0][c0] ^ (len(cells) - 1) % 2)
+
+    r0 = row_pool.pop(rng.randrange(n))
+    c = col_pool.pop(rng.randrange(nc))
+    if not passes(r0, c):
+        return g.rows
+    for t in range(1, h):
+        r = row_pool.pop(rng.randrange(n - t))
+        if not passes(r, c):
+            return g.rows
+        c = col_pool.pop(rng.randrange(nc - t))
+        if not passes(r, c):
+            return g.rows
+    if not passes(r0, c):
+        return g.rows
+    return toggled(g, cells).rows
+
+
+def _cycle_draw_all_reference(g, limit, rng):
+    """Rows after one bounded cycle swap that draws its whole walk before
+    it reads a cell: h, then the h rows, then the h columns, each with
+    ``randrange`` from a pool of the unused ones; every cell value and
+    mask entry of the walk is then checked before the swap is applied.
+    This is the kernel ``_cycles`` must keep while it draws and checks
+    cell by cell."""
     n, nc = g.instance.n, g.instance.n_cols
     lengths = range(4, limit + 1, 2)
     h = lengths[rng.randrange(len(lengths))] // 2
@@ -857,6 +899,152 @@ def test_kernel_steps_follow_the_exact_ledgers(make, circle, mh):
         expected = [float(draws * exact[s][t]) for t in support]
         p = stats.chisquare([counts[t] for t in support], expected).pvalue
         assert p > 1e-3, (s, p)
+
+
+class _Script:
+    """An rng that answers each ``getrandbits`` or ``randrange`` call with
+    the next value of its script, which must lie below the call's bound,
+    and counts the values it gave."""
+
+    def __init__(self):
+        self.script, self.used = (), 0
+
+    def run(self, script):
+        self.script, self.used = script, 0
+        return self
+
+    def _next(self, bound):
+        value = self.script[self.used]
+        assert value < bound
+        self.used += 1
+        return value
+
+    def getrandbits(self, k):
+        return self._next(1 << k)
+
+    def randrange(self, m):
+        return self._next(m)
+
+
+def pinned_5x5():
+    """A pinned 5x5 with 7 states whose 4-swaps do not connect."""
+    return random_pinned_instance(random.Random(42), 5, 5, 0.5, 8)
+
+
+@pytest.mark.parametrize("fixture", ["9_states", "27_states", "pinned_5x5"])
+def test_cycle_kernel_steps_follow_the_draw_all_kernel(criterion8_fixtures, fixture):
+    """At L = 6, 8 and 10, the exact one-step rows of ``_cycles`` equal
+    those of the kernel that draws its whole walk first, as Fractions.
+    Every draw sequence, h then the h row and h column positions, has
+    probability 1 / ((L/2 - 1) * prod(n - t) * prod(nc - t)).  A scripted
+    rng feeds each sequence to the reference in that order and to the
+    kernel in walk order, r0, c0, r1, c1, ...; the reference takes all of
+    it, the kernel a prefix.  The reference's outcome of a sequence does
+    not depend on L, so it is tallied once per h."""
+    inst = {
+        "9_states": lambda: criterion8_fixtures[3][1],
+        "27_states": lambda: criterion8_fixtures[4][1],
+        "pinned_5x5": pinned_5x5,
+    }[fixture]()
+    states = bp.enumerate_realizations(inst)
+    by_rows = {g.rows: s for s, g in enumerate(states)}
+    by_masks = {g.masks: s for s, g in enumerate(states)}
+    n, nc = inst.n, inst.n_cols
+    rng = _Script()
+    rows = [0] * n
+
+    def walks(h):
+        if h > n or h > nc:
+            return [((), ())]
+        return list(itertools.product(
+            itertools.product(*(range(n - t) for t in range(h))),
+            itertools.product(*(range(nc - t) for t in range(h))),
+        ))
+
+    # The successor counts of each h and start state over its walks.
+    expected = {}
+    for h in range(2, 6):
+        for s, g in enumerate(states):
+            expected[h, s] = tally = Counter()
+            for row_pos, col_pos in walks(h):
+                draw_all = [h - 2, *row_pos, *col_pos]
+                tally[by_rows[_cycle_draw_all_reference(g, 10, rng.run(draw_all))]] += 1
+                assert rng.used == len(draw_all)
+    for limit in (6, 8, 10):
+        send = primed(_cycles(rows, inst.fixed.fixed_masks, n, rng, nc, limit)).send
+        kernel = [Counter() for _ in states]
+        reference = [Counter() for _ in states]
+        for h in range(2, limit // 2 + 1):
+            # The bounds of the kernel's draws in walk order.
+            bounds = [] if h > n or h > nc else \
+                [m for t in range(h) for m in (n - t, nc - t)]
+            p = Fraction(1, (limit // 2 - 1) * math.prod(bounds))
+            for s, g in enumerate(states):
+                got = Counter()
+
+                def follow(prefix):
+                    # Run the walk-order sequence that continues the prefix
+                    # with zeros; a step that ends within the prefix ends so
+                    # for every continuation, and so counts once for each.
+                    rows[:] = g.masks
+                    rng.run([h - 2, *prefix] + [0] * (len(bounds) - len(prefix)))
+                    send(1)
+                    if rng.used <= 1 + len(prefix):
+                        got[by_masks[tuple(rows)]] += math.prod(bounds[len(prefix):])
+                    else:
+                        for pos in range(bounds[len(prefix)]):
+                            follow([*prefix, pos])
+
+                follow([])
+                assert got.total() == math.prod(bounds)
+                for t, count in got.items():
+                    kernel[s][t] += count * p
+                for t, count in expected[h, s].items():
+                    reference[s][t] += count * p
+        assert kernel == reference, limit
+        assert all(sum(row.values()) == 1 for row in kernel), limit
+        assert any(len(row) > 1 for row in kernel), ("no step moved", limit)
+
+
+class _NoRejection:
+    """An rng whose ``getrandbits(k)`` gives k - 1 random bits, a value
+    below every bound of bit length k, so that each call is one whole
+    draw; it counts the calls."""
+
+    def __init__(self, seed):
+        self._getrandbits = random.Random(seed).getrandbits
+        self.calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return self._getrandbits(k - 1)
+
+
+@pytest.mark.parametrize("size, limit", [(30, 8), (100, 200)])
+def test_a_cycle_step_draws_no_further_than_its_first_failed_cell(size, limit):
+    """On a free grid whose columns are each all ones or all zeros, cell
+    (r1, c0) always holds the value of (r0, c0), so every step ends there,
+    after its h draw and three position draws, r0, c0 and r1, whatever
+    its length.  With every cell fixed, every step ends at (r0, c0),
+    after two position draws.  No step moves."""
+    half = size // 2
+    degrees = (half,) * size, (size,) * half + (0,) * half
+    every_cell = [(i, j) for i in range(size) for j in range(size)]
+    pinned = bp.FixedSet.from_cells(
+        size, size,
+        forced_edges=[(i, j) for i, j in every_cell if j < half],
+        forced_non_edges=[(i, j) for i, j in every_cell if j >= half],
+    )
+    steps = 2000
+    for fixed, draws in ((None, 4), (pinned, 3)):
+        inst = bp.Instance(bp.DegreeSequence(*degrees), fixed) if fixed else \
+            bp.Instance.unconstrained(*degrees)
+        start = list(bp.initial_realization(inst).masks)
+        rows = list(start)
+        rng = _NoRejection(limit)
+        primed(_cycles(rows, inst.fixed.fixed_masks, size, rng, size, limit)).send(steps)
+        assert rng.calls == draws * steps, (fixed is None, rng.calls)
+        assert rows == start
 
 
 def _unrank_reference(pool, k, index):

@@ -15,7 +15,15 @@ import pytest
 import bipsample as bp
 from bipsample import chains, cli, oracle
 from bipsample.core import MoveSet
-from streams import GOLDEN_ENUMERATE, GOLDEN_SAMPLE, enumerate_digest, sample_digest
+from streams import (
+    CYCLE_SAMPLE_RUNS,
+    GOLDEN_CYCLE_SAMPLE,
+    GOLDEN_ENUMERATE,
+    GOLDEN_SAMPLE,
+    SAMPLE_RUNS,
+    enumerate_digest,
+    sample_digest,
+)
 
 FIG_SPLIT = """\
 # four rows, one pinned non-edge per row except the last two share a column
@@ -499,7 +507,11 @@ def test_sample_rejects_a_negative_seed(tmp_path, capsys):
 
 
 def test_sample_bytes_are_pinned():
-    assert sample_digest() == GOLDEN_SAMPLE
+    assert sample_digest(SAMPLE_RUNS) == GOLDEN_SAMPLE
+
+
+def test_cycle_sample_bytes_are_pinned():
+    assert sample_digest(CYCLE_SAMPLE_RUNS) == GOLDEN_CYCLE_SAMPLE
 
 
 def test_enumerate_list_bytes_are_pinned():
