@@ -11,8 +11,12 @@ column 0, row 1, column 1, and so on).  A circle trade tests its three
 difference sets in a fixed order and ends at the first empty one, with no
 draw after its triple; a cycle swap checks each cell of its walk as soon
 as the cell's row and column are drawn, and ends at the first cell that
-fails, with no further draw.  Streams are reproducible for a fixed seed
-within this implementation.
+fails, with no further draw.  A uniform k-subset of a p-column pool is
+drawn by its rank on grids of at most ``_NARROW`` columns, and otherwise
+by ``_draw_subset``: nothing when the pool has one k-subset, masked
+random bits when 32 C(p, k) >= 2^p, its rank otherwise (see "Subset
+ranks").  Streams are reproducible for a fixed seed within this
+implementation.
 
 State representation: the chain layer keeps a state as one int per row, a
 bit mask with bit j set when the row has column j, and the fixed cells of
@@ -29,25 +33,26 @@ reruns a chain from its start with a new seed in place, so ``bipsample
 sample --count m`` builds one ``Chain`` and no ``Realization`` of its
 samples.
 
-Subset ranks: a trade or circle step draws a uniform index below C(r, k)
-and turns it into the index-th k-subset of an r-column pool with
-``_unrank_subset``, the one rank-to-subset walk.  The walk reads every
+Subset ranks: on grids of at most ``_NARROW`` = 8 columns a trade or
+circle step draws a uniform index below C(r, k) and reads the index-th
+k-subset of its r-column pool, with the count and its bit length, from a
+rank table (``_rank_table``, built once per grid width on first use):
+every k-subset of every pool, 3^8 = 6,561 subsets at width 8.  The table
+is filled by ``_unrank_subset``, the rank-to-subset walk, so the walk
+defines the rank order.  On wider grids ``_draw_subset`` draws the subset
+from masked random bits when a try is accepted with probability at least
+1/32, and otherwise draws the index and walks it.  The walk reads every
 binomial from a Pascal table up to n_cols, which only the trade kinds'
 ``Chain`` asks for and which is built once per grid width, on first use
 (``_binomials``): with r columns left and k to take it keeps
 v = C(r, k) - index, which a skipped column leaves unchanged, and takes
 the lowest column iff C(r - 1, k) < v.  The subset counts and the
 binomials of a circle trade's Metropolis test (``circle_denominator``)
-come from the same table.  On grids of at most ``_NARROW`` = 8 columns
-the kernel reads each count, its bit length and the subset itself from a
-rank table instead (``_rank_table``, also built once per width on first
-use): every k-subset of every pool, 3^8 = 6,561 subsets at width 8.  The
-table is filled by the walk, so the walk stays the one definition of the
-rank order, and both draw the same stream.  On grids wider than
-``_WIDE`` = 512 columns no table is held, since it grows with the cube of
-the width: every binomial is a ``math.comb`` call, and the kernel walks by
-exact ratios (``_unrank_ratio``), one binomial per walk, which gives the
-same subset for every index.
+come from the same table.  On grids wider than ``_WIDE`` = 512 columns no
+Pascal table is held, since it grows with the cube of the width: every
+binomial is a ``math.comb`` call, and the kernel walks by exact ratios
+(``_unrank_ratio``), one binomial per walk, which gives the same subset
+for every index.
 """
 
 from __future__ import annotations
@@ -193,6 +198,36 @@ def _unrank_ratio(
         m -= 1
 
 
+def _draw_subset(pool, k, getrandbits, table, unrank):
+    """A uniform k-subset of the columns in ``pool``: the trade kinds' draw
+    on grids wider than ``_NARROW``.  A pool with one k-subset (k = 0 or
+    k = p, for p pool columns) draws nothing.  When 32 C(p, k) >= 2^p, so
+    that a try is accepted with probability at least 1/32, it tries
+    S = pool & getrandbits(pool.bit_length()), a uniform subset of the
+    pool, until |S| = k (giving S) or |S| = p - k (giving pool ^ S, uniform
+    over the k-subsets too).  Otherwise it draws a uniform index below
+    C(p, k) and walks it with ``unrank`` on ``table``."""
+    p = pool.bit_count()
+    total = table[p][k]
+    if total == 1:
+        return pool if k else 0
+    if total << 5 >> p:  # 32 C(p, k) >= 2^p
+        width = pool.bit_length()
+        rest = p - k
+        while True:
+            s = pool & getrandbits(width)
+            c = s.bit_count()
+            if c == k:
+                return s
+            if c == rest:
+                return pool ^ s
+    bits = total.bit_length()
+    r = getrandbits(bits)
+    while r >= total:
+        r = getrandbits(bits)
+    return unrank(pool, k, r, table)
+
+
 # The widest grid whose trade kernels read subsets from a rank table.
 _NARROW = 8
 
@@ -238,10 +273,11 @@ def _trades(rows, fixed, n, rng, table, circle=None, ranks=None):
     the free columns where the two rows differ.  Drawing a_ij itself is the
     lazy step.  ``table`` is ``_binomials`` up to at least the number of
     columns; every subset count and every binomial of the Metropolis test
-    is read from it, and every subset rank is walked on it, by
-    ``_unrank_subset`` or, past ``_WIDE`` columns, by ``_unrank_ratio``;
-    unless ``ranks`` is the grid width's ``_rank_table``: then each drawn
-    subset, with its count and bit length, is one slot of that table.
+    is read from it.  When ``ranks`` is the grid width's ``_rank_table``,
+    each subset is drawn as a uniform index into one slot of that table,
+    which holds the count and its bit length.  Otherwise ``_draw_subset``
+    draws it, and walks a drawn index on ``table`` by ``_unrank_subset``
+    or, past ``_WIDE`` columns, by ``_unrank_ratio``.
 
     With ``circle`` set to the Metropolis flag, each step first draws one
     bit; on a 1 it is a circle trade instead (the lazy step when n < 3).
@@ -260,7 +296,7 @@ def _trades(rows, fixed, n, rng, table, circle=None, ranks=None):
     getrandbits, uniform = rng.getrandbits, rng.random
     # A source past _WIDE columns holds _CombRows, too slow to walk on.
     unrank = _unrank_subset if len(table) <= _WIDE + 1 else _unrank_ratio
-    denominator = circle_denominator
+    draw, denominator = _draw_subset, circle_denominator
     n1, n2 = n - 1, n - 2
     bits_i, bits_j, bits_t = n.bit_length(), n1.bit_length(), n2.bit_length()
     while True:
@@ -338,18 +374,8 @@ def _trades(rows, fixed, n, rng, table, circle=None, ranks=None):
                         r = getrandbits(bits)
                     b = subsets[r]
                 else:
-                    total = table[s_a][x]
-                    bits = total.bit_length()
-                    r = getrandbits(bits)
-                    while r >= total:
-                        r = getrandbits(bits)
-                    a = unrank(a, x, r, table)
-                    total = table[s_b][x]
-                    bits = total.bit_length()
-                    r = getrandbits(bits)
-                    while r >= total:
-                        r = getrandbits(bits)
-                    b = unrank(b, x, r, table)
+                    a = draw(a, x, getrandbits, table, unrank)
+                    b = draw(b, x, getrandbits, table, unrank)
                 # The subsets each row hands on, in their sets' roles.
                 if m == s_j:
                     sub_j, sub_t, sub_i = chosen, a, b
@@ -395,16 +421,9 @@ def _trades(rows, fixed, n, rng, table, circle=None, ranks=None):
                     rows[i] = ri ^ flip
                     rows[j] ^= flip
                 continue
-            size = a.bit_count()
-            total = table[pool.bit_count()][size]
-            bits = total.bit_length()
-            r = getrandbits(bits)
-            while r >= total:
-                r = getrandbits(bits)
-            if total > 1:
-                flip = a ^ unrank(pool, size, r, table)
-                rows[i] = ri ^ flip
-                rows[j] ^= flip
+            flip = a ^ draw(pool, a.bit_count(), getrandbits, table, unrank)
+            rows[i] = ri ^ flip
+            rows[j] ^= flip
 
 
 def _swaps(rows, fixed, n, rng):

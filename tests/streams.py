@@ -96,13 +96,13 @@ STREAM_CHAINS = {
 
 # sha256 of the Chain.keys() streams (500 steps, gap 1, seeds 0, 7 and
 # 2024).  The seven of swaps46, cycle:8 and cycle:24 were recorded when
-# cycle swaps began to draw their walks cell by cell.  Of the others, the
-# first 12 were recorded before the in-place step kernels replaced the
-# proposal objects, the next two before the circle trade moved into the
-# trade kernel, the next four before grids of at most 8 columns read their
-# subsets from a rank table, the last one before grids wider than 512
-# columns stopped holding a Pascal table.  A change here changes seeded
-# output.
+# cycle swaps began to draw their walks cell by cell, and the five of the
+# trade kinds on grids wider than 8 columns (pinned_30x30, pinned_6x9 and
+# pinned_4x520) when those grids began to draw their subsets by masked
+# random bits.  Of the others, the first 12 were recorded before the
+# in-place step kernels replaced the proposal objects, and the two on
+# pinned_6x8 before grids of at most 8 columns read their subsets from a
+# rank table.  A change here changes seeded output.
 GOLDEN_STREAMS = {
     ("free_6x6", "trades"): "021706eed802b6b2bf3702c912d798d5ded0a74addb32d69bf24f56f2ea4add5",
     ("free_6x6", "swaps4"): "32848e7d2c971592d9b2841be774df49a28a5dc7a7ca7361a49046d68bcb3c15",
@@ -123,13 +123,13 @@ GOLDEN_STREAMS = {
     ("circle_3x6", "swaps46"): "1297d087744f353a7a7d3fd52448d673b6a69d587106409403c1b0f199e413ef",
     ("circle_3x6", "cycle:8"): "5bf2702d728b7b6cabadb987e2090abd5a3a9260d4a418b68c4f1fbb8ec41ea3",
     ("pinned_12x12", "cycle:24"): "e14ccbb4278025f61c95a6fd40f023f8ab048c1a5c7a8d67417162e7820c5f0e",
-    ("pinned_30x30", "trades+circle"): "18f3bceb21d1c3b6f0965d6a084be2cea3281dad874d582b12ca747af54aa8b8",
-    ("pinned_30x30", "trades+circle/mh-off"): "ed307e641f452dc8ac1187cb3f475dfa940ab475eccfe594986f858ba4f5cc6c",
+    ("pinned_30x30", "trades+circle"): "b1d6849c4664e1ca12d9099b232b53278943a03fd4220c4a3cfbaba534ee066a",
+    ("pinned_30x30", "trades+circle/mh-off"): "3512c05237337ac44c64612b2c118fb37c97af6e8fbff2a90faf8057d3ed4bcf",
     ("pinned_6x8", "trades"): "973d119b2707b313947ebca9b7cd0a75e04a2234bb36a93378cea3a12ea78a76",
     ("pinned_6x8", "trades+circle"): "ee767016681d6b97f8051fd331af9612607567ce93a2efcf12513c012ae557b9",
-    ("pinned_6x9", "trades"): "fee51bd58dd3e1dc4d60e8c5df99ac6490ccad1a4cb68e360e8a60e75bd5ba8f",
-    ("pinned_6x9", "trades+circle"): "9145b6576cc1afe43c46240112ca0ad6499a81c8649d6fe72c5a06fc44119c37",
-    ("pinned_4x520", "trades+circle"): "ceb4b7d669a62cd79ad69b0421bdd354b0a2fcfedd236fba46466f8cf408c507",
+    ("pinned_6x9", "trades"): "00e3182c2331b0b3d0a6d38c7ba6f76b1f8c18ee76dba392572be2ce80bade2b",
+    ("pinned_6x9", "trades+circle"): "60fd907182df500e3cf6413faedb177ba7a755742d95703f9b7a04984ade3db3",
+    ("pinned_4x520", "trades+circle"): "236bb84735ca12e6605ad904feabfa1fb2545669a139061112f7141c636ca81d",
 }
 
 
@@ -170,28 +170,36 @@ def start_digest():
 
 # The (instance, chain) pairs of the benchmark's sample deck, each run for
 # three samples at a gap above 1, and the circle-trade ones again with the
-# Metropolis correction off: the nine that draw no cycle swap, then the
-# cycle-swap one.
+# Metropolis correction off: the trade kinds on grids of at most 8 columns
+# and the swap chain, then the trade kinds on wider grids (``auto`` picks
+# trades+circle on both sparse 30x30s), then the cycle-swap one.
 SAMPLE_RUNS = [
     ("pinned_readme_4x4", "auto", "on"),
     ("pinned_readme_4x4", "auto", "off"),
     ("pinned_crit10_2x2", "curveball", "on"),
+    ("free_30x30_a", "swap", "on"),
+]
+WIDE_TRADE_SAMPLE_RUNS = [
     ("sparse_30x30_a", "auto", "on"),
     ("sparse_30x30_b", "auto", "on"),
     ("free_100x100_a", "curveball", "on"),
     ("free_100x100_b", "circle", "on"),
     ("free_100x100_b", "circle", "off"),
-    ("free_30x30_a", "swap", "on"),
 ]
 CYCLE_SAMPLE_RUNS = [
     ("free_30x30_a", "cycle:8", "on"),
 ]
 
-# sha256 of ``sample_digest(SAMPLE_RUNS)``, recorded before cycle swaps
-# drew their walks cell by cell; those nine runs' bytes are the ones
-# written before ``sample --count`` moved onto one restarted chain.  A
-# change here changes the bytes users get.
-GOLDEN_SAMPLE = "e08018765822953529c771ab4cc2ed686bcba93266f0eb697db6b251cf854503"
+# sha256 of ``sample_digest(SAMPLE_RUNS)``, computed before wide grids
+# drew their trade subsets by masked random bits; those four runs' bytes
+# are the ones written before ``sample --count`` moved onto one restarted
+# chain.  A change here changes the bytes users get.
+GOLDEN_SAMPLE = "7630cdf6033ba88fd811b8bf22a95f2562940bc5703b3f2a55279502e9fa6bee"
+
+# sha256 of ``sample_digest(WIDE_TRADE_SAMPLE_RUNS)``, recorded when wide
+# grids began to draw their trade subsets by masked random bits.  A change
+# here changes the bytes users get.
+GOLDEN_WIDE_TRADE_SAMPLE = "7d5648b456fcf085382f62c6d178fb911a44196b5a92d7638763adb9be801868"
 
 # sha256 of ``sample_digest(CYCLE_SAMPLE_RUNS)``, recorded when cycle swaps
 # began to draw their walks cell by cell.  A change here changes the bytes
@@ -240,6 +248,8 @@ def main():
     mismatches = int(got != GOLDEN_START)
     print(f"{'MISMATCH' if mismatches else 'ok      '} start realizations {got}")
     for label, runs, golden in (("sample output", SAMPLE_RUNS, GOLDEN_SAMPLE),
+                                ("wide trade sample output", WIDE_TRADE_SAMPLE_RUNS,
+                                 GOLDEN_WIDE_TRADE_SAMPLE),
                                 ("cycle sample output", CYCLE_SAMPLE_RUNS,
                                  GOLDEN_CYCLE_SAMPLE)):
         got = sample_digest(runs)
@@ -256,7 +266,7 @@ def main():
         mismatches += not ok
         print(f"{'ok      ' if ok else 'MISMATCH'} {instance} {chain} {got}")
     version = sys.version.split()[0]
-    total = len(GOLDEN_STREAMS) + 4
+    total = len(GOLDEN_STREAMS) + 5
     print(f"{total - mismatches} of {total} digests match "
           f"on Python {version}")
     return 1 if mismatches else 0

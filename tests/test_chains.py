@@ -20,6 +20,7 @@ from bipsample.chains import (
     ChainConfig,
     _binomials,
     _cycles,
+    _draw_subset,
     _rank_table,
     _swaps,
     _trades,
@@ -624,10 +625,38 @@ def _movable(rows, fixed, src, dst):
     return rows[src] - rows[dst] - fixed[src] - fixed[dst]
 
 
-def _trade_reference(g, rng):
+def _walk_draw(rng, pool, k):
+    """A uniform k-subset of the sorted column list ``pool``, as grids of
+    at most ``_NARROW`` columns draw it: one ``randrange`` index into the
+    ``combinations`` order, even when the pool has one k-subset."""
+    return _unrank_reference(pool, k, rng.randrange(comb(len(pool), k)))
+
+
+def _masked_draw(rng, pool, k):
+    """A uniform k-subset of the sorted column list ``pool``, as wider
+    grids draw it: no draw when the pool has one k-subset; while
+    32 C(p, k) >= 2^p, ``getrandbits`` up to the pool's last column until
+    the pool columns it sets number k (the subset) or p - k (the rest of
+    the pool); otherwise ``_walk_draw``."""
+    p = len(pool)
+    total = comb(p, k)
+    if total == 1:
+        return set(pool[:k])
+    if 32 * total < 2 ** p:
+        return _walk_draw(rng, pool, k)
+    while True:
+        bits = rng.getrandbits(pool[-1] + 1)
+        got = {c for c in pool if bits >> c & 1}
+        if len(got) == k:
+            return got
+        if len(got) == p - k:
+            return set(pool) - got
+
+
+def _trade_reference(g, rng, draw=_masked_draw):
     """Rows after one trade: a uniform row pair, then a uniform
-    |a_ij|-subset of the sorted pool a_ij | a_ji in ``combinations`` order,
-    drawn with ``randrange`` and applied to the row sets."""
+    |a_ij|-subset of the sorted pool a_ij | a_ji by ``draw``, applied to
+    the row sets."""
     inst, rows = g.instance, list(g.rows)
     if inst.n < 2:
         return g.rows
@@ -635,8 +664,7 @@ def _trade_reference(g, rng):
     i, j = _pair(inst.n, rng)
     a_ij, a_ji = _movable(rows, fixed, i, j), _movable(rows, fixed, j, i)
     pool = a_ij | a_ji
-    index = rng.randrange(comb(len(pool), len(a_ij)))
-    b_ij = _unrank_reference(sorted(pool), len(a_ij), index)
+    b_ij = draw(rng, sorted(pool), len(a_ij))
     rows[i] = (rows[i] - a_ij) | b_ij
     rows[j] = (rows[j] - a_ji) | (pool - b_ij)
     return tuple(rows)
@@ -662,11 +690,11 @@ def _swap_reference(g, rng):
     return tuple(rows)
 
 
-def _circle_reference(g, rng, mh_correction, first_empty=None):
+def _circle_reference(g, rng, mh_correction, first_empty=None, draw=_masked_draw):
     """Rows after one circle trade: a uniform row triple, a subset of the
     smallest difference set picked by one ``getrandbits`` string (bit b for
     its b-th lowest column), uniform equal-sized subsets of the other two by
-    ``randrange``, and the Metropolis test re-derived on the successor,
+    ``draw``, and the Metropolis test re-derived on the successor,
     with denominators from ``math.comb``.  ``first_empty``, a Counter,
     counts by its index (0 for d_j, 1 for d_t, 2 for d_i) the first empty
     difference set of a step that stays for one."""
@@ -689,8 +717,7 @@ def _circle_reference(g, rng, mh_correction, first_empty=None):
     x = len(subs[pivot])
     for idx in range(3):
         if idx != pivot:
-            index = rng.randrange(comb(sizes[idx], x))
-            subs[idx] = _unrank_reference(sets[idx], x, index)
+            subs[idx] = draw(rng, sets[idx], x)
     sub_j, sub_k, sub_i = subs
     new = list(rows)
     new[i] = (rows[i] - sub_i) | sub_j
@@ -705,14 +732,14 @@ def _circle_reference(g, rng, mh_correction, first_empty=None):
     return tuple(new)
 
 
-def _mixed_reference(g, rng, mh_correction):
+def _mixed_reference(g, rng, mh_correction, draw=_masked_draw):
     """Rows after one trades+circle step: a coin bit, 0 for a trade, 1 for
     a circle trade (the lazy step, with no further draw, below three rows)."""
     if rng.getrandbits(1) == 0:
-        return _trade_reference(g, rng)
+        return _trade_reference(g, rng, draw)
     if g.instance.n < 3:
         return g.rows
-    return _circle_reference(g, rng, mh_correction)
+    return _circle_reference(g, rng, mh_correction, draw=draw)
 
 
 def _cycle_reference(g, limit, rng):
@@ -781,10 +808,12 @@ def _cycle_draw_all_reference(g, limit, rng):
 
 def test_step_kernels_match_randrange_references():
     """From the same rng state, one step of each kernel leaves the rows of
-    a reference that draws with ``randrange`` over column lists and applies
-    to row sets, and both consume the same draws.  A circle step that meets
-    an empty difference set draws nothing after its triple, whichever of
-    the three sets is the first empty one."""
+    a reference that draws with ``randrange`` and ``getrandbits`` over
+    column lists and applies to row sets, and both consume the same draws.
+    The kernels take no rank table, so every trade and circle subset is
+    ``_draw_subset``'s.  A circle step that meets an empty difference set
+    draws nothing after its triple, whichever of the three sets is the
+    first empty one."""
     rng = random.Random(2024)
     instances = [
         # Nested rows {0} < {0, 1} < {0, 1, 2}: a triple's first empty set
@@ -866,6 +895,13 @@ def _exact_rows(inst, circle, mh):
     return states, rows
 
 
+def free_3x9():
+    """A free 3x9 with 29 states, wider than ``_NARROW``: rows of 1, 8 and
+    5 columns, so a trade of the first two rows, when they share no column,
+    takes 1 column of a 9-column pool: below the masked draw's floor."""
+    return bp.Instance.unconstrained((1, 8, 5), (2, 2, 2, 2, 2, 1, 1, 1, 1))
+
+
 @pytest.mark.parametrize("make, circle, mh", [
     pytest.param(lambda: bp.Instance.unconstrained((2,) * 4, (2,) * 4), False, True,
                  id="free_4x4-trades"),
@@ -875,18 +911,31 @@ def _exact_rows(inst, circle, mh):
                  id="circle_3x6-trades+circle"),
     pytest.param(lambda: circle_instance().instance, True, False,
                  id="circle_3x6-trades+circle/mh-off"),
+    pytest.param(free_3x9, False, True, id="free_3x9-trades"),
+    pytest.param(free_3x9, True, True, id="free_3x9-trades+circle"),
+    pytest.param(free_3x9, True, False, id="free_3x9-trades+circle/mh-off"),
 ])
 def test_kernel_steps_follow_the_exact_ledgers(make, circle, mh):
     """One-step kernel draws from fixed start states land only on the
-    successors the oracle's ledgers give, at their exact frequencies."""
+    successors the oracle's ledgers give, at their exact frequencies.  The
+    kernel takes the tables ``bp.Chain`` passes it: a rank table up to
+    ``_NARROW`` columns, none on the 3x9, which draws by ``_draw_subset``."""
     inst = make()
     states, exact = _exact_rows(inst, circle, mh)
     index = {g.masks: s for s, g in enumerate(states)}
     fixed = inst.fixed.fixed_masks
+    move_set = MoveSet.trades_plus_circle() if circle else MoveSet.trades()
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chains, "_trades", lambda *args: built.append(args) or _trades(*args))
+        bp.Chain(states[0], ChainConfig(move_set, 1, 0, mh_correction=mh))
+    [(_, _, _, _, table, flag, ranks)] = built
+    assert flag == (mh if circle else None)
+    assert (ranks is None) == (inst.n_cols > _NARROW)
     rng = random.Random(20240801)
     draws = 20_000
     rows = [0] * inst.n
-    step = primed(_trades(rows, fixed, inst.n, rng, TABLE, mh if circle else None)).send
+    step = primed(_trades(rows, fixed, inst.n, rng, table, flag, ranks)).send
     for s in (0, len(states) // 2, len(states) - 1):
         start = states[s].masks
         counts = Counter()
@@ -904,19 +953,20 @@ def test_kernel_steps_follow_the_exact_ledgers(make, circle, mh):
 class _Script:
     """An rng that answers each ``getrandbits`` or ``randrange`` call with
     the next value of its script, which must lie below the call's bound,
-    and counts the values it gave."""
+    and counts the values it gave and keeps their bounds."""
 
     def __init__(self):
-        self.script, self.used = (), 0
+        self.run(())
 
     def run(self, script):
-        self.script, self.used = script, 0
+        self.script, self.used, self.bounds = script, 0, []
         return self
 
     def _next(self, bound):
         value = self.script[self.used]
         assert value < bound
         self.used += 1
+        self.bounds.append(bound)
         return value
 
     def getrandbits(self, k):
@@ -924,6 +974,61 @@ class _Script:
 
     def randrange(self, m):
         return self._next(m)
+
+
+def test_draw_subset_is_exact_on_every_value_of_a_try():
+    """On pools of 1 to 12 of the columns 0..11 and every 0 < k < p, a
+    scripted rng feeds ``_draw_subset`` every value of one try.  At or
+    above the floor, 32 C(p, k) >= 2^p, a try is one ``getrandbits`` as
+    wide as the pool: a value that sets k pool columns gives them, one
+    that sets p - k gives the rest of the pool, and the accepted values
+    hit every k-subset equally often through each of the two; any other
+    value is followed by a fresh try of the same width.  Below the floor
+    the helper makes exactly the index draws of the walk, the getrandbits
+    loop of ``randrange``, and gives the walk's subset.  A pool with one
+    k-subset draws nothing."""
+    rng = _Script()
+    columns = random.Random(12)
+    sides = Counter()
+    for p in range(1, 13):
+        pool = mask(columns.sample(range(12), p))
+        width = pool.bit_length()
+        for k in (0, p):
+            assert _draw_subset(pool, k, rng.run(()).getrandbits, TABLE, _unrank_subset) \
+                == (pool if k else 0)
+            assert rng.used == 0
+        for k in range(1, p):
+            total = comb(p, k)
+            subsets = {mask(c) for c in itertools.combinations(cols(pool), k)}
+
+            def draw(*script):
+                return _draw_subset(pool, k, rng.run(script).getrandbits, TABLE, _unrank_subset)
+
+            if 32 * total < 2 ** p:
+                sides["walk"] += 1
+                bits = total.bit_length()
+                for r in range(1 << bits):
+                    want = _unrank_subset(pool, k, r if r < total else 0, TABLE)
+                    assert draw(r, 0) == want, (pool, k, r)
+                    assert rng.bounds == [1 << bits] * (1 if r < total else 2)
+                continue
+            sides["masked"] += 1
+            first = min(subsets)  # a value the first try accepts
+            hits = {k: Counter(), p - k: Counter()}
+            for value in range(1 << width):
+                got = draw(value, first)
+                size = (value & pool).bit_count()
+                if size in hits:
+                    assert rng.used == 1
+                    assert got == (value & pool if size == k else pool & ~value)
+                    hits[size][got] += 1
+                else:
+                    assert rng.used == 2 and got == first
+                assert rng.bounds == [1 << width] * rng.used
+            for hit in hits.values():
+                assert set(hit) == subsets, (pool, k)
+                assert set(hit.values()) == {1 << width - p}, (pool, k)
+    assert sides == {"masked": 54, "walk": 12}, sides
 
 
 def pinned_5x5():
@@ -1177,6 +1282,22 @@ def _no_walk(*args):
     raise AssertionError("a narrow grid walked a subset rank")
 
 
+def _reference_keys(start, cfg, draw):
+    """The key stream and final rng state of ``cfg``'s trade-kind chain
+    from ``start``, stepped by the row-set references with ``draw``."""
+    rng = random.Random(cfg.seed)
+    g, keys = start, []
+    for step in range(1, cfg.steps - cfg.steps % cfg.sample_gap + 1):
+        if cfg.move_set.kind == MoveSet.TRADES:
+            rows = _trade_reference(g, rng, draw)
+        else:
+            rows = _mixed_reference(g, rng, cfg.mh_correction, draw)
+        g = bp.Realization.from_rows(g.instance, rows)
+        if step % cfg.sample_gap == 0:
+            keys.append(g.masks)
+    return keys, rng.getstate()
+
+
 @settings(derandomize=True, deadline=None, max_examples=120)
 @given(
     n_cols=st.integers(1, _NARROW + 1),
@@ -1188,30 +1309,25 @@ def _no_walk(*args):
     seed=st.integers(0, 2**32),
 )
 def test_rank_table_draws_the_stream_of_the_walk(n_cols, n, density, pinned, move_set, mh, seed):
-    """On random pinned grids of every width up to one past ``_NARROW``, a
-    chain that reads its subsets from the rank table keeps the key stream
-    and the final rng state of the same chain with the table switched off;
-    on a narrow grid it never walks."""
+    """On random pinned grids of every width up to ``_NARROW``, a chain
+    that reads its subsets from the rank table keeps the key stream and
+    the final rng state of the row-set references that draw one
+    ``randrange`` index per subset and walk it, and it never walks itself.
+    One column wider, the chain keeps those of the references that draw
+    as ``_draw_subset`` does."""
     inst = random_pinned_instance(
         random.Random(seed), n, n_cols, density, int(pinned * n * n_cols)
     )
     start = bp.initial_realization(inst)
     cfg = ChainConfig(move_set, steps=300, seed=seed, sample_gap=3, mh_correction=mh)
-
-    def run():
-        chain = bp.Chain(start, cfg)
-        return list(chain.keys()), chain._rng.getstate()
-
     with pytest.MonkeyPatch.context() as mp:
         if n_cols <= _NARROW:
             _rank_table(n_cols)  # built by the walk before it is barred
             mp.setattr(chains, "_unrank_subset", _no_walk)
-        table = run()
-    # The width test is read when a chain is built, so no table is cleared.
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(chains, "_NARROW", 0)
-        walk = run()
-    assert table == walk
+        chain = bp.Chain(start, cfg)
+        got = list(chain.keys()), chain._rng.getstate()
+    draw = _walk_draw if n_cols <= _NARROW else _masked_draw
+    assert got == _reference_keys(start, cfg, draw)
 
 
 def test_rank_table_holds_every_subset_of_every_pool():

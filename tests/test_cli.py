@@ -20,7 +20,9 @@ from streams import (
     GOLDEN_CYCLE_SAMPLE,
     GOLDEN_ENUMERATE,
     GOLDEN_SAMPLE,
+    GOLDEN_WIDE_TRADE_SAMPLE,
     SAMPLE_RUNS,
+    WIDE_TRADE_SAMPLE_RUNS,
     enumerate_digest,
     sample_digest,
 )
@@ -508,6 +510,10 @@ def test_sample_rejects_a_negative_seed(tmp_path, capsys):
 
 def test_sample_bytes_are_pinned():
     assert sample_digest(SAMPLE_RUNS) == GOLDEN_SAMPLE
+
+
+def test_wide_trade_sample_bytes_are_pinned():
+    assert sample_digest(WIDE_TRADE_SAMPLE_RUNS) == GOLDEN_WIDE_TRADE_SAMPLE
 
 
 def test_cycle_sample_bytes_are_pinned():
