@@ -11,12 +11,16 @@ column 0, row 1, column 1, and so on).  A circle trade tests its three
 difference sets in a fixed order and ends at the first empty one, with no
 draw after its triple; a cycle swap checks each cell of its walk as soon
 as the cell's row and column are drawn, and ends at the first cell that
-fails, with no further draw.  A uniform k-subset of a p-column pool is
-drawn by its rank on grids of at most ``_NARROW`` columns, and otherwise
-by ``_draw_subset``: nothing when the pool has one k-subset, masked
-random bits when 32 C(p, k) >= 2^p, its rank otherwise (see "Subset
-ranks").  Streams are reproducible for a fixed seed within this
-implementation.
+fails, with no further draw.  On grids of at most ``_NARROW`` columns a
+circle trade's pivot subset is one ``getrandbits(m)`` string deposited
+on the pivot set's m columns, and every other uniform k-subset of a
+p-column pool is drawn by its rank.  On wider grids the pivot subset is
+the pivot set's mask AND one ``getrandbits`` word as wide as that mask,
+and every other subset comes from ``_draw_subset``: nothing when the
+pool has one k-subset, otherwise tries of the pool AND t words of
+random bits, t = 1, 2 or 3 by (p, k), or its rank when no such try is
+accepted with probability 1/32 (see "Subset ranks").  Streams are
+reproducible for a fixed seed within this implementation.
 
 State representation: the chain layer keeps a state as one int per row, a
 bit mask with bit j set when the row has column j, and the fixed cells of
@@ -40,9 +44,13 @@ rank table (``_rank_table``, built once per grid width on first use):
 every k-subset of every pool, 3^8 = 6,561 subsets at width 8.  The table
 is filled by ``_unrank_subset``, the rank-to-subset walk, so the walk
 defines the rank order.  On wider grids ``_draw_subset`` draws the subset
-from masked random bits when a try is accepted with probability at least
-1/32, and otherwise draws the index and walks it.  The walk reads every
-binomial from a Pascal table up to n_cols, which only the trade kinds'
+by tries of the pool AND t random words, which keep each pool column with
+probability 2^-t: t = 1, 2 or 3 as min(k, p - k)/p is at least 0.35, at
+least 0.175 or below, or another t if that one's tries are accepted with
+probability below 1/32 and its are not.  The plan of each (p, k) is
+worked out in integers on first use (``_try_words``, ``_subset_plans``).
+When no t reaches 1/32 it draws the index and walks it.  The walk reads
+every binomial from a Pascal table up to n_cols, which only the trade kinds'
 ``Chain`` asks for and which is built once per grid width, on first use
 (``_binomials``): with r columns left and k to take it keeps
 v = C(r, k) - index, which a skipped column leaves unchanged, and takes
@@ -50,9 +58,9 @@ the lowest column iff C(r - 1, k) < v.  The subset counts and the
 binomials of a circle trade's Metropolis test (``circle_denominator``)
 come from the same table.  On grids wider than ``_WIDE`` = 512 columns no
 Pascal table is held, since it grows with the cube of the width: every
-binomial is a ``math.comb`` call, and the kernel walks by exact ratios
-(``_unrank_ratio``), one binomial per walk, which gives the same subset
-for every index.
+binomial is a ``math.comb`` call, each plan is worked out again on every
+draw, and the kernel walks by exact ratios (``_unrank_ratio``), one
+binomial per walk, which gives the same subset for every index.
 """
 
 from __future__ import annotations
@@ -114,6 +122,11 @@ def circle_denominator(
 _WIDE = 512
 
 
+# The last few binomials read past ``_WIDE``: a draw that walks reads
+# C(p, k) for its plan and again for its index.
+_comb = lru_cache(maxsize=8)(comb)
+
+
 class _CombRow(int):
     """Row r of Pascal's triangle with no entry held: ``row[k]`` is C(r, k)
     from ``math.comb``, 0 for k > r as in a table row."""
@@ -121,7 +134,7 @@ class _CombRow(int):
     __slots__ = ()
 
     def __getitem__(self, k):
-        return comb(self, k)
+        return _comb(self, k)
 
 
 @lru_cache(maxsize=8)
@@ -198,29 +211,85 @@ def _unrank_ratio(
         m -= 1
 
 
-def _draw_subset(pool, k, getrandbits, table, unrank):
+def _try_words(p, k, total):
+    """How ``_draw_subset`` draws a k-subset of a p-column pool with
+    total = C(p, k) subsets: 0 when total is 1 (no draw), -1 when it walks
+    a drawn index, and otherwise the number t of random words one try ANDs
+    together, a density of 2^-t per pool column.  With j = min(k, p - k),
+    t is 1 when j/p >= 0.35, 2 when j/p >= 0.175 and 3 below that.  A try
+    with density q is accepted with probability
+    C(p, k) (q^k (1 - q)^(p - k) + q^(p - k) (1 - q)^k), one term when
+    k = p - k; if that falls below 1/32, the other densities are tried,
+    the lowest t first, and the draw walks when none reaches it.  Integer
+    arithmetic only, so the choice is the same on every platform."""
+    if total == 1:
+        return 0
+    j = min(k, p - k)
+    first = 1 if 20 * j >= 7 * p else 2 if 40 * j >= 7 * p else 3
+    for t in (first, 1, 2, 3):
+        # 2^(tp) times the acceptance, over C(p, k).
+        b = (1 << t) - 1
+        hits = b ** (p - j) + b ** j if 2 * j < p else b ** j
+        if total * hits << 5 >> t * p:  # accepted with probability >= 1/32
+            return t
+    return -1
+
+
+class _PlanRow(int):
+    """The plans of a p-column pool past ``_WIDE``, none held: ``row[k]``
+    is ``_try_words`` on ``math.comb``, computed on every read."""
+
+    __slots__ = ()
+
+    def __getitem__(self, k):
+        return _try_words(self, k, _comb(self, k))
+
+
+@lru_cache(maxsize=8)
+def _subset_plans(n: int) -> tuple:
+    """``plans[p][k]`` is ``_try_words(p, k, C(p, k))`` for pools of up to
+    n columns, filled in on first use (None until then).  An entry depends
+    on (p, k) alone, so the chains of one grid width share the rows, and
+    their set-up is n + 1 lists of Nones.  Above ``_WIDE`` every row is a
+    ``_PlanRow``, which holds nothing."""
+    if n > _WIDE:
+        return tuple(map(_PlanRow, range(n + 1)))
+    return tuple([None] * (p + 1) for p in range(n + 1))
+
+
+def _draw_subset(pool, k, getrandbits, plans, table, unrank):
     """A uniform k-subset of the columns in ``pool``: the trade kinds' draw
-    on grids wider than ``_NARROW``.  A pool with one k-subset (k = 0 or
-    k = p, for p pool columns) draws nothing.  When 32 C(p, k) >= 2^p, so
-    that a try is accepted with probability at least 1/32, it tries
-    S = pool & getrandbits(pool.bit_length()), a uniform subset of the
-    pool, until |S| = k (giving S) or |S| = p - k (giving pool ^ S, uniform
-    over the k-subsets too).  Otherwise it draws a uniform index below
+    on grids wider than ``_NARROW``, planned by ``plans`` (``_subset_plans``,
+    see ``_try_words``).  A pool with one k-subset (k = 0 or k = p, for p
+    pool columns) draws nothing.  A try ANDs the pool with t words of
+    ``getrandbits(pool.bit_length())``, so that S keeps each pool column
+    independently with probability 2^-t; it is repeated until |S| = k
+    (giving S) or |S| = p - k (giving pool ^ S).  Given its size, S is
+    uniform over the subsets of that size, so each branch, and so their
+    mix, is uniform over the k-subsets.  A walk draws a uniform index below
     C(p, k) and walks it with ``unrank`` on ``table``."""
     p = pool.bit_count()
-    total = table[p][k]
-    if total == 1:
-        return pool if k else 0
-    if total << 5 >> p:  # 32 C(p, k) >= 2^p
+    row = plans[p]
+    words = row[k]
+    if words is None:
+        words = row[k] = _try_words(p, k, table[p][k])
+    if words > 0:
         width = pool.bit_length()
         rest = p - k
         while True:
             s = pool & getrandbits(width)
+            if words > 1:
+                s &= getrandbits(width)
+                if words > 2:
+                    s &= getrandbits(width)
             c = s.bit_count()
             if c == k:
                 return s
             if c == rest:
                 return pool ^ s
+    if not words:
+        return pool if k else 0
+    total = table[p][k]
     bits = total.bit_length()
     r = getrandbits(bits)
     while r >= total:
@@ -276,8 +345,9 @@ def _trades(rows, fixed, n, rng, table, circle=None, ranks=None):
     is read from it.  When ``ranks`` is the grid width's ``_rank_table``,
     each subset is drawn as a uniform index into one slot of that table,
     which holds the count and its bit length.  Otherwise ``_draw_subset``
-    draws it, and walks a drawn index on ``table`` by ``_unrank_subset``
-    or, past ``_WIDE`` columns, by ``_unrank_ratio``.
+    draws it on the width's ``_subset_plans``, and walks a drawn index on
+    ``table`` by ``_unrank_subset`` or, past ``_WIDE`` columns, by
+    ``_unrank_ratio``.
 
     With ``circle`` set to the Metropolis flag, each step first draws one
     bit; on a 1 it is a circle trade instead (the lazy step when n < 3).
@@ -285,10 +355,12 @@ def _trades(rows, fixed, n, rng, table, circle=None, ranks=None):
     difference sets are what j can hand to i, t to j and i to t, tested in
     that order: the step ends at the first empty one, with no draw after
     the triple.  Otherwise it draws a uniform subset of the smallest set
-    (the first of tied ones) by one getrandbits draw, bit b picking the
-    set's b-th lowest column, then uniform equal-sized subsets of the other
-    two, in order.  With the flag on, the Metropolis test may keep the old
-    rows."""
+    (the first of tied ones): with ``ranks``, one getrandbits(m) string
+    for a set of m columns, bit b picking its b-th lowest column; without,
+    the set's mask AND one getrandbits word as wide as the mask.  An empty
+    subset is the lazy step, with no further draw.  Then it draws uniform
+    equal-sized subsets of the other two, in order.  With the flag on, the
+    Metropolis test may keep the old rows."""
     mixed = circle is not None
     if n < 2 and not mixed:
         while True:
@@ -296,6 +368,7 @@ def _trades(rows, fixed, n, rng, table, circle=None, ranks=None):
     getrandbits, uniform = rng.getrandbits, rng.random
     # A source past _WIDE columns holds _CombRows, too slow to walk on.
     unrank = _unrank_subset if len(table) <= _WIDE + 1 else _unrank_ratio
+    plans = None if ranks else _subset_plans(len(table) - 1)
     draw, denominator = _draw_subset, circle_denominator
     n1, n2 = n - 1, n - 2
     bits_i, bits_j, bits_t = n.bit_length(), n1.bit_length(), n2.bit_length()
@@ -351,18 +424,18 @@ def _trades(rows, fixed, n, rng, table, circle=None, ranks=None):
                 else:
                     m, pool, a = s_i, d_i, d_j
                     s_a, b, s_b = s_j, d_t, s_t
-                pick = getrandbits(m)
-                if not pick:
-                    continue
-                x = pick.bit_count()
-                chosen = 0
-                while pick:
-                    low = pool & -pool
-                    pool ^= low
-                    if pick & 1:
-                        chosen |= low
-                    pick >>= 1
                 if ranks:
+                    pick = getrandbits(m)
+                    if not pick:
+                        continue
+                    x = pick.bit_count()
+                    chosen = 0
+                    while pick:
+                        low = pool & -pool
+                        pool ^= low
+                        if pick & 1:
+                            chosen |= low
+                        pick >>= 1
                     total, bits, subsets = ranks[a << 4 | x]
                     r = getrandbits(bits)
                     while r >= total:
@@ -374,8 +447,12 @@ def _trades(rows, fixed, n, rng, table, circle=None, ranks=None):
                         r = getrandbits(bits)
                     b = subsets[r]
                 else:
-                    a = draw(a, x, getrandbits, table, unrank)
-                    b = draw(b, x, getrandbits, table, unrank)
+                    chosen = pool & getrandbits(pool.bit_length())
+                    if not chosen:
+                        continue
+                    x = chosen.bit_count()
+                    a = draw(a, x, getrandbits, plans, table, unrank)
+                    b = draw(b, x, getrandbits, plans, table, unrank)
                 # The subsets each row hands on, in their sets' roles.
                 if m == s_j:
                     sub_j, sub_t, sub_i = chosen, a, b
@@ -421,7 +498,7 @@ def _trades(rows, fixed, n, rng, table, circle=None, ranks=None):
                     rows[i] = ri ^ flip
                     rows[j] ^= flip
                 continue
-            flip = a ^ draw(pool, a.bit_count(), getrandbits, table, unrank)
+            flip = a ^ draw(pool, a.bit_count(), getrandbits, plans, table, unrank)
             rows[i] = ri ^ flip
             rows[j] ^= flip
 

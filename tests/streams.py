@@ -98,8 +98,9 @@ STREAM_CHAINS = {
 # 2024).  The seven of swaps46, cycle:8 and cycle:24 were recorded when
 # cycle swaps began to draw their walks cell by cell, and the five of the
 # trade kinds on grids wider than 8 columns (pinned_30x30, pinned_6x9 and
-# pinned_4x520) when those grids began to draw their subsets by masked
-# random bits.  Of the others, the first 12 were recorded before the
+# pinned_4x520) when those grids began to draw a circle trade's pivot
+# subset as one masked word and their other subsets from AND-ed masks of
+# density 1/2, 1/4 or 1/8.  Of the others, the first 12 were recorded before the
 # in-place step kernels replaced the proposal objects, and the two on
 # pinned_6x8 before grids of at most 8 columns read their subsets from a
 # rank table.  A change here changes seeded output.
@@ -123,13 +124,13 @@ GOLDEN_STREAMS = {
     ("circle_3x6", "swaps46"): "1297d087744f353a7a7d3fd52448d673b6a69d587106409403c1b0f199e413ef",
     ("circle_3x6", "cycle:8"): "5bf2702d728b7b6cabadb987e2090abd5a3a9260d4a418b68c4f1fbb8ec41ea3",
     ("pinned_12x12", "cycle:24"): "e14ccbb4278025f61c95a6fd40f023f8ab048c1a5c7a8d67417162e7820c5f0e",
-    ("pinned_30x30", "trades+circle"): "b1d6849c4664e1ca12d9099b232b53278943a03fd4220c4a3cfbaba534ee066a",
-    ("pinned_30x30", "trades+circle/mh-off"): "3512c05237337ac44c64612b2c118fb37c97af6e8fbff2a90faf8057d3ed4bcf",
+    ("pinned_30x30", "trades+circle"): "4c303ed1ee96518c323edffd22222fb8e1db32af22cd2f38d1a2980c6a75eea5",
+    ("pinned_30x30", "trades+circle/mh-off"): "80f4ad394c33157d4bede77519042fa0fb3370af184179db5b0898f35ae8b1d1",
     ("pinned_6x8", "trades"): "973d119b2707b313947ebca9b7cd0a75e04a2234bb36a93378cea3a12ea78a76",
     ("pinned_6x8", "trades+circle"): "ee767016681d6b97f8051fd331af9612607567ce93a2efcf12513c012ae557b9",
-    ("pinned_6x9", "trades"): "00e3182c2331b0b3d0a6d38c7ba6f76b1f8c18ee76dba392572be2ce80bade2b",
-    ("pinned_6x9", "trades+circle"): "60fd907182df500e3cf6413faedb177ba7a755742d95703f9b7a04984ade3db3",
-    ("pinned_4x520", "trades+circle"): "236bb84735ca12e6605ad904feabfa1fb2545669a139061112f7141c636ca81d",
+    ("pinned_6x9", "trades"): "28dab5a62b82ec41787c6f5c943233ce89779b3492112292532a124e6e94075e",
+    ("pinned_6x9", "trades+circle"): "8714f40de6ebddd3946985aaa634328abcb346c94e44b94c111813aa432c7a3b",
+    ("pinned_4x520", "trades+circle"): "b1dbf66abe56702d04f7ca433d8b4bc3db42341ff1b2f6896d2dabc8738339c0",
 }
 
 
@@ -197,9 +198,10 @@ CYCLE_SAMPLE_RUNS = [
 GOLDEN_SAMPLE = "7630cdf6033ba88fd811b8bf22a95f2562940bc5703b3f2a55279502e9fa6bee"
 
 # sha256 of ``sample_digest(WIDE_TRADE_SAMPLE_RUNS)``, recorded when wide
-# grids began to draw their trade subsets by masked random bits.  A change
-# here changes the bytes users get.
-GOLDEN_WIDE_TRADE_SAMPLE = "7d5648b456fcf085382f62c6d178fb911a44196b5a92d7638763adb9be801868"
+# grids began to draw a circle trade's pivot subset as one masked word and
+# their other trade subsets from AND-ed masks.  A change here changes the
+# bytes users get.
+GOLDEN_WIDE_TRADE_SAMPLE = "cdd3a680e90424c86cbb65e80f34a95a0edf2aea72626f65c54a0085c79d2c1d"
 
 # sha256 of ``sample_digest(CYCLE_SAMPLE_RUNS)``, recorded when cycle swaps
 # began to draw their walks cell by cell.  A change here changes the bytes

@@ -5,6 +5,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -22,8 +23,10 @@ from bipsample.chains import (
     _cycles,
     _draw_subset,
     _rank_table,
+    _subset_plans,
     _swaps,
     _trades,
+    _try_words,
     _unrank_ratio,
     _unrank_subset,
     circle_denominator,
@@ -78,7 +81,6 @@ def _on_masks(kernel):
 
 
 # One step of each block kernel from a realization, as its rows.
-trade_step = _on_masks(lambda rows, fixed, inst, r: _trades(rows, fixed, inst.n, r, TABLE))
 swap_step = _on_masks(lambda rows, fixed, inst, r: _swaps(rows, fixed, inst.n, r))
 
 
@@ -100,14 +102,27 @@ class _CircleCoin:
         return self._rng.getrandbits(k)
 
 
-def circle_step(mh):
-    return _on_masks(
-        lambda rows, fixed, inst, r: _trades(rows, fixed, inst.n, _CircleCoin(r), TABLE, mh)
-    )
+def trade_kind_step(circle=None, coin=False, ranked=False):
+    """One step of ``_trades``: trades, or trades+circle with ``circle`` the
+    Metropolis flag, a circle trade when ``coin``.  With ``ranked`` it
+    reads its subsets from the rank table of the instance's width, as
+    ``bp.Chain`` has it do up to ``_NARROW`` columns; otherwise it draws
+    them as wider grids do."""
+    def kernel(rows, fixed, inst, r):
+        ranks = _rank_table(inst.n_cols) if ranked else None
+        return _trades(rows, fixed, inst.n, _CircleCoin(r) if coin else r, TABLE, circle, ranks)
+    return _on_masks(kernel)
 
 
-def mixed_step(mh):
-    return _on_masks(lambda rows, fixed, inst, r: _trades(rows, fixed, inst.n, r, TABLE, mh))
+trade_step = trade_kind_step()
+
+
+def circle_step(mh, ranked=False):
+    return trade_kind_step(mh, True, ranked)
+
+
+def mixed_step(mh, ranked=False):
+    return trade_kind_step(mh, False, ranked)
 
 
 def cycle_step(limit):
@@ -632,25 +647,68 @@ def _walk_draw(rng, pool, k):
     return _unrank_reference(pool, k, rng.randrange(comb(len(pool), k)))
 
 
-def _masked_draw(rng, pool, k):
-    """A uniform k-subset of the sorted column list ``pool``, as wider
-    grids draw it: no draw when the pool has one k-subset; while
-    32 C(p, k) >= 2^p, ``getrandbits`` up to the pool's last column until
-    the pool columns it sets number k (the subset) or p - k (the rest of
-    the pool); otherwise ``_walk_draw``."""
-    p = len(pool)
+@lru_cache(maxsize=None)
+def _words_reference(p, k):
+    """How wider grids draw a k-subset of a p-column pool, re-derived with
+    Fractions: 0 when it has one k-subset; otherwise t AND-ed words per
+    try, t = 1, 2 or 3 as j/p = min(k, p - k)/p is at least 7/20, at least
+    7/40, or below, if a try of density 2^-t then lands on k or p - k
+    pool columns with probability at least 1/32; else the first other t,
+    lowest first, that does; else -1, a walk."""
     total = comb(p, k)
     if total == 1:
+        return 0
+    j = Fraction(min(k, p - k), p)
+    first = 1 if j >= Fraction(7, 20) else 2 if j >= Fraction(7, 40) else 3
+    for t in (first, 1, 2, 3):
+        q = Fraction(1, 2 ** t)
+        accept = total * q ** k * (1 - q) ** (p - k)
+        if 2 * k != p:
+            accept += total * q ** (p - k) * (1 - q) ** k
+        if accept >= Fraction(1, 32):
+            return t
+    return -1
+
+
+def _masked_draw(rng, pool, k):
+    """A uniform k-subset of the sorted column list ``pool``, as wider
+    grids draw it (``_words_reference``): no draw when the pool has one
+    k-subset; with t words planned, tries of t ``getrandbits`` up to the
+    pool's last column, AND-ed, until the pool columns they all set number
+    k (the subset) or p - k (the rest of the pool); otherwise
+    ``_walk_draw``."""
+    p = len(pool)
+    words = _words_reference(p, k)
+    if not words:
         return set(pool[:k])
-    if 32 * total < 2 ** p:
+    if words < 0:
         return _walk_draw(rng, pool, k)
     while True:
-        bits = rng.getrandbits(pool[-1] + 1)
+        bits = -1
+        for _ in range(words):
+            bits &= rng.getrandbits(pool[-1] + 1)
         got = {c for c in pool if bits >> c & 1}
         if len(got) == k:
             return got
         if len(got) == p - k:
             return set(pool) - got
+
+
+def _loop_pivot(rng, pool):
+    """A uniform subset of the sorted column list ``pool``, as grids of at
+    most ``_NARROW`` columns draw a circle trade's pivot subset: one
+    ``getrandbits`` string as long as the pool, bit b picking its b-th
+    lowest column."""
+    bits = rng.getrandbits(len(pool))
+    return frozenset(pool[b] for b in range(len(pool)) if bits >> b & 1)
+
+
+def _mask_pivot(rng, pool):
+    """A uniform subset of the sorted column list ``pool``, as wider grids
+    draw a circle trade's pivot subset: one ``getrandbits`` up to the
+    pool's last column, keeping the pool columns it sets."""
+    bits = rng.getrandbits(pool[-1] + 1)
+    return frozenset(c for c in pool if bits >> c & 1)
 
 
 def _trade_reference(g, rng, draw=_masked_draw):
@@ -690,10 +748,11 @@ def _swap_reference(g, rng):
     return tuple(rows)
 
 
-def _circle_reference(g, rng, mh_correction, first_empty=None, draw=_masked_draw):
-    """Rows after one circle trade: a uniform row triple, a subset of the
-    smallest difference set picked by one ``getrandbits`` string (bit b for
-    its b-th lowest column), uniform equal-sized subsets of the other two by
+def _circle_reference(g, rng, mh_correction, first_empty=None, draw=_masked_draw,
+                      pivot=_mask_pivot):
+    """Rows after one circle trade: a uniform row triple, a uniform subset
+    of the smallest difference set by ``pivot`` (the lazy step when it is
+    empty), uniform equal-sized subsets of the other two by
     ``draw``, and the Metropolis test re-derived on the successor,
     with denominators from ``math.comb``.  ``first_empty``, a Counter,
     counts by its index (0 for d_j, 1 for d_t, 2 for d_i) the first empty
@@ -709,14 +768,14 @@ def _circle_reference(g, rng, mh_correction, first_empty=None, draw=_masked_draw
         if first_empty is not None:
             first_empty[sizes.index(0)] += 1
         return g.rows
-    pivot = sizes.index(m)
-    bits = rng.getrandbits(m)
-    if not bits:
+    first = sizes.index(m)
+    chosen = pivot(rng, sets[first])
+    if not chosen:
         return g.rows
-    subs = [frozenset(sets[pivot][b] for b in range(m) if bits >> b & 1)] * 3
-    x = len(subs[pivot])
+    subs = [chosen] * 3
+    x = len(chosen)
     for idx in range(3):
-        if idx != pivot:
+        if idx != first:
             subs[idx] = draw(rng, sets[idx], x)
     sub_j, sub_k, sub_i = subs
     new = list(rows)
@@ -732,14 +791,14 @@ def _circle_reference(g, rng, mh_correction, first_empty=None, draw=_masked_draw
     return tuple(new)
 
 
-def _mixed_reference(g, rng, mh_correction, draw=_masked_draw):
+def _mixed_reference(g, rng, mh_correction, draw=_masked_draw, pivot=_mask_pivot):
     """Rows after one trades+circle step: a coin bit, 0 for a trade, 1 for
     a circle trade (the lazy step, with no further draw, below three rows)."""
     if rng.getrandbits(1) == 0:
         return _trade_reference(g, rng, draw)
     if g.instance.n < 3:
         return g.rows
-    return _circle_reference(g, rng, mh_correction, draw=draw)
+    return _circle_reference(g, rng, mh_correction, draw=draw, pivot=pivot)
 
 
 def _cycle_reference(g, limit, rng):
@@ -810,10 +869,19 @@ def test_step_kernels_match_randrange_references():
     """From the same rng state, one step of each kernel leaves the rows of
     a reference that draws with ``randrange`` and ``getrandbits`` over
     column lists and applies to row sets, and both consume the same draws.
-    The kernels take no rank table, so every trade and circle subset is
-    ``_draw_subset``'s.  A circle step that meets an empty difference set
-    draws nothing after its triple, whichever of the three sets is the
-    first empty one."""
+    Unranked, the trade kinds draw as grids wider than ``_NARROW`` do: a
+    circle trade's pivot subset by ``_mask_pivot`` and every other subset
+    by ``_masked_draw`` (the 2x40's 40-column pools walk).  Ranked, on the
+    instances of at most ``_NARROW`` columns, they read the rank table and
+    keep ``_loop_pivot`` and ``_walk_draw``.  A circle step that meets an
+    empty difference set draws nothing after its triple, whichever of the
+    three sets is the first empty one."""
+    for ranked in (False, True):
+        _match_randrange_references(ranked)
+
+
+def _match_randrange_references(ranked):
+    """The sweep of the test above, with the kernels ranked or not."""
     rng = random.Random(2024)
     instances = [
         # Nested rows {0} < {0, 1} < {0, 1, 2}: a triple's first empty set
@@ -828,23 +896,36 @@ def test_step_kernels_match_randrange_references():
         two_row_instance().instance,
         bp.Instance.unconstrained((1, 0), (1,)),
         bp.Instance.unconstrained((3,), (1, 0, 1, 1, 0)),
+        bp.Instance.unconstrained((1, 39), (1,) * 40),
     ]
+    if ranked:
+        instances = [inst for inst in instances if inst.n_cols <= _NARROW]
+    draw, pivot = (_walk_draw, _loop_pivot) if ranked else (_masked_draw, _mask_pivot)
     # These draw a row triple, so they need three rows.
     triples = {"circle", "circle, mh off"}
     paths = {
-        "trades": (trade_step, _trade_reference),
-        "swaps": (swap_step, _swap_reference),
-        "circle": (circle_step(True), lambda g, r: _circle_reference(g, r, True, first_empty)),
+        "trades": (trade_kind_step(ranked=ranked), lambda g, r: _trade_reference(g, r, draw)),
+        "circle": (
+            circle_step(True, ranked),
+            lambda g, r: _circle_reference(g, r, True, first_empty, draw, pivot),
+        ),
         "circle, mh off": (
-            circle_step(False), lambda g, r: _circle_reference(g, r, False, first_empty),
+            circle_step(False, ranked),
+            lambda g, r: _circle_reference(g, r, False, first_empty, draw, pivot),
         ),
-        "trades+circle": (mixed_step(True), lambda g, r: _mixed_reference(g, r, True)),
+        "trades+circle": (
+            mixed_step(True, ranked), lambda g, r: _mixed_reference(g, r, True, draw, pivot),
+        ),
         "trades+circle, mh off": (
-            mixed_step(False), lambda g, r: _mixed_reference(g, r, False),
+            mixed_step(False, ranked), lambda g, r: _mixed_reference(g, r, False, draw, pivot),
         ),
-        "cycle:8": (cycle_step(8), lambda g, r: _cycle_reference(g, 8, r)),
-        "cycle:24": (cycle_step(24), lambda g, r: _cycle_reference(g, 24, r)),
     }
+    if not ranked:  # the other kinds have no narrow path
+        paths.update({
+            "swaps": (swap_step, _swap_reference),
+            "cycle:8": (cycle_step(8), lambda g, r: _cycle_reference(g, 8, r)),
+            "cycle:24": (cycle_step(24), lambda g, r: _cycle_reference(g, 24, r)),
+        })
     outcomes, first_empty = Counter(), Counter()
     for inst in instances:
         chain = bp.Chain(
@@ -898,28 +979,49 @@ def _exact_rows(inst, circle, mh):
 def free_3x9():
     """A free 3x9 with 29 states, wider than ``_NARROW``: rows of 1, 8 and
     5 columns, so a trade of the first two rows, when they share no column,
-    takes 1 column of a 9-column pool: below the masked draw's floor."""
+    takes 1 column of a 9-column pool, by tries of three AND-ed words."""
     return bp.Instance.unconstrained((1, 8, 5), (2, 2, 2, 2, 2, 1, 1, 1, 1))
 
 
-@pytest.mark.parametrize("make, circle, mh", [
-    pytest.param(lambda: bp.Instance.unconstrained((2,) * 4, (2,) * 4), False, True,
+def free_2x18():
+    """A free 2x18 with 18 states: rows of 1 and 17 columns, so every trade
+    takes 1 or 17 columns of the whole 18-column pool, by tries of three
+    AND-ed words."""
+    return bp.Instance.unconstrained((1, 17), (1,) * 18)
+
+
+def free_3x12():
+    """A free 3x12 with 296 states, four of its columns empty: rows of 2, 3
+    and 5 columns, so a circle trade's pivot subset is mostly 1 column and
+    its other two subsets take 1 of 3 to 5 columns, by tries of two AND-ed
+    words."""
+    return bp.Instance.unconstrained((2, 3, 5), (1,) * 6 + (2,) * 2 + (0,) * 4)
+
+
+@pytest.mark.parametrize("make, circle, mh, reach", [
+    pytest.param(lambda: bp.Instance.unconstrained((2,) * 4, (2,) * 4), False, True, set(),
                  id="free_4x4-trades"),
-    pytest.param(readme_4x4, True, True, id="readme_4x4-trades+circle"),
-    pytest.param(readme_4x4, True, False, id="readme_4x4-trades+circle/mh-off"),
-    pytest.param(lambda: circle_instance().instance, True, True,
+    pytest.param(readme_4x4, True, True, set(), id="readme_4x4-trades+circle"),
+    pytest.param(readme_4x4, True, False, set(), id="readme_4x4-trades+circle/mh-off"),
+    pytest.param(lambda: circle_instance().instance, True, True, set(),
                  id="circle_3x6-trades+circle"),
-    pytest.param(lambda: circle_instance().instance, True, False,
+    pytest.param(lambda: circle_instance().instance, True, False, set(),
                  id="circle_3x6-trades+circle/mh-off"),
-    pytest.param(free_3x9, False, True, id="free_3x9-trades"),
-    pytest.param(free_3x9, True, True, id="free_3x9-trades+circle"),
-    pytest.param(free_3x9, True, False, id="free_3x9-trades+circle/mh-off"),
+    pytest.param(free_3x9, False, True, {3}, id="free_3x9-trades"),
+    pytest.param(free_3x9, True, True, {3}, id="free_3x9-trades+circle"),
+    pytest.param(free_3x9, True, False, {3}, id="free_3x9-trades+circle/mh-off"),
+    pytest.param(free_2x18, False, True, {3}, id="free_2x18-trades"),
+    pytest.param(free_3x12, True, True, {2}, id="free_3x12-trades+circle"),
+    pytest.param(free_3x12, True, False, {2}, id="free_3x12-trades+circle/mh-off"),
 ])
-def test_kernel_steps_follow_the_exact_ledgers(make, circle, mh):
+def test_kernel_steps_follow_the_exact_ledgers(make, circle, mh, reach):
     """One-step kernel draws from fixed start states land only on the
     successors the oracle's ledgers give, at their exact frequencies.  The
     kernel takes the tables ``bp.Chain`` passes it: a rank table up to
-    ``_NARROW`` columns, none on the 3x9, which draws by ``_draw_subset``."""
+    ``_NARROW`` columns, so that it never calls ``_draw_subset``; on wider
+    grids none, and a spy on ``_draw_subset`` confirms that the trades'
+    subsets, or under trades+circle the circle trades' x-subsets, are
+    drawn with every number of AND-ed words in ``reach``."""
     inst = make()
     states, exact = _exact_rows(inst, circle, mh)
     index = {g.masks: s for s, g in enumerate(states)}
@@ -932,10 +1034,25 @@ def test_kernel_steps_follow_the_exact_ledgers(make, circle, mh):
     [(_, _, _, _, table, flag, ranks)] = built
     assert flag == (mh if circle else None)
     assert (ranks is None) == (inst.n_cols > _NARROW)
+    planned = Counter()
+
+    def spy(pool, k, getrandbits, plans, table, unrank):
+        subset = _draw_subset(pool, k, getrandbits, plans, table, unrank)
+        planned[plans[pool.bit_count()][k]] += 1
+        return subset
+
     rng = random.Random(20240801)
     draws = 20_000
     rows = [0] * inst.n
-    step = primed(_trades(rows, fixed, inst.n, rng, table, flag, ranks)).send
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chains, "_draw_subset", spy)
+        step = primed(_trades(rows, fixed, inst.n, rng, table, flag, ranks)).send
+        if circle:
+            # Circle trades alone, from every state: their x-subsets.
+            for g in states * 20:
+                rows[:] = g.masks
+                primed(_trades(rows, fixed, inst.n, _CircleCoin(rng), table, flag, ranks)).send(1)
+            assert reach <= set(planned), planned
     for s in (0, len(states) // 2, len(states) - 1):
         start = states[s].masks
         counts = Counter()
@@ -948,6 +1065,8 @@ def test_kernel_steps_follow_the_exact_ledgers(make, circle, mh):
         expected = [float(draws * exact[s][t]) for t in support]
         p = stats.chisquare([counts[t] for t in support], expected).pvalue
         assert p > 1e-3, (s, p)
+    assert reach <= set(planned), planned
+    assert bool(planned) == (ranks is None), planned
 
 
 class _Script:
@@ -975,60 +1094,131 @@ class _Script:
     def randrange(self, m):
         return self._next(m)
 
+    def random(self):
+        return self._next(1)
+
 
 def test_draw_subset_is_exact_on_every_value_of_a_try():
-    """On pools of 1 to 12 of the columns 0..11 and every 0 < k < p, a
-    scripted rng feeds ``_draw_subset`` every value of one try.  At or
-    above the floor, 32 C(p, k) >= 2^p, a try is one ``getrandbits`` as
-    wide as the pool: a value that sets k pool columns gives them, one
-    that sets p - k gives the rest of the pool, and the accepted values
-    hit every k-subset equally often through each of the two; any other
-    value is followed by a fresh try of the same width.  Below the floor
-    the helper makes exactly the index draws of the walk, the getrandbits
-    loop of ``randrange``, and gives the walk's subset.  A pool with one
-    k-subset draws nothing."""
+    """With tries of t AND-ed words planned, on pools of 1 to 12 of the
+    columns 0..11 for t = 1 and of 1 to 4 of the columns 0..3 for t = 2
+    and 3, and every 0 < k < p, a scripted rng feeds ``_draw_subset``
+    every value of every word of one try.  A try is t ``getrandbits`` as
+    wide as the pool: one whose AND
+    sets k pool columns gives them, one that sets p - k gives the rest of
+    the pool, and the accepted tries hit every k-subset equally often
+    through each of the two, (2^t - 1)^(p - k) and (2^t - 1)^k times per
+    pool column pattern; any other try is followed by a fresh try of t
+    words of the same width.  With a walk planned, the helper makes
+    exactly the index draws of the walk, the getrandbits loop of
+    ``randrange``, and gives the walk's subset.  A pool with one k-subset
+    draws nothing."""
+    for words, width in ((1, 12), (2, 4), (3, 4)):
+        _check_every_try(words, width)
+
+
+def _check_every_try(words, width):
+    """The test above for tries of ``words`` words on pools of up to
+    ``width`` columns."""
     rng = _Script()
     columns = random.Random(12)
-    sides = Counter()
-    for p in range(1, 13):
-        pool = mask(columns.sample(range(12), p))
-        width = pool.bit_length()
+    plans = [[words] * (p + 1) for p in range(width + 1)]
+    walks = [[-1] * (p + 1) for p in range(width + 1)]
+    natural = _subset_plans(width)
+    base = (1 << words) - 1
+    for p in range(1, width + 1):
+        pool = mask(columns.sample(range(width), p))
+        bits = pool.bit_length()
         for k in (0, p):
-            assert _draw_subset(pool, k, rng.run(()).getrandbits, TABLE, _unrank_subset) \
-                == (pool if k else 0)
+            assert _draw_subset(pool, k, rng.run(()).getrandbits, natural, TABLE,
+                                _unrank_subset) == (pool if k else 0)
             assert rng.used == 0
         for k in range(1, p):
             total = comb(p, k)
             subsets = {mask(c) for c in itertools.combinations(cols(pool), k)}
 
-            def draw(*script):
-                return _draw_subset(pool, k, rng.run(script).getrandbits, TABLE, _unrank_subset)
+            def draw(plan, *script):
+                return _draw_subset(pool, k, rng.run(script).getrandbits, plan, TABLE,
+                                    _unrank_subset)
 
-            if 32 * total < 2 ** p:
-                sides["walk"] += 1
-                bits = total.bit_length()
-                for r in range(1 << bits):
-                    want = _unrank_subset(pool, k, r if r < total else 0, TABLE)
-                    assert draw(r, 0) == want, (pool, k, r)
-                    assert rng.bounds == [1 << bits] * (1 if r < total else 2)
-                continue
-            sides["masked"] += 1
-            first = min(subsets)  # a value the first try accepts
+            index_bits = total.bit_length()
+            for r in range(1 << index_bits):
+                want = _unrank_subset(pool, k, r if r < total else 0, TABLE)
+                assert draw(walks, r, 0) == want, (pool, k, r)
+                assert rng.bounds == [1 << index_bits] * (1 if r < total else 2)
+            first = min(subsets)  # a try of these words accepts it
+            accept = (first,) + ((1 << bits) - 1,) * (words - 1)
             hits = {k: Counter(), p - k: Counter()}
-            for value in range(1 << width):
-                got = draw(value, first)
-                size = (value & pool).bit_count()
+            for value in itertools.product(range(1 << bits), repeat=words):
+                got = draw(plans, *value, *accept)
+                kept = pool
+                for v in value:
+                    kept &= v
+                size = kept.bit_count()
                 if size in hits:
-                    assert rng.used == 1
-                    assert got == (value & pool if size == k else pool & ~value)
+                    assert rng.used == words
+                    assert got == (kept if size == k else pool ^ kept)
                     hits[size][got] += 1
                 else:
-                    assert rng.used == 2 and got == first
-                assert rng.bounds == [1 << width] * rng.used
-            for hit in hits.values():
+                    assert rng.used == 2 * words and got == first
+                assert rng.bounds == [1 << bits] * rng.used
+            spare = 1 << words * (bits - p)  # the words' bits off the pool
+            for size, hit in hits.items():
                 assert set(hit) == subsets, (pool, k)
-                assert set(hit.values()) == {1 << width - p}, (pool, k)
-    assert sides == {"masked": 54, "walk": 12}, sides
+                assert set(hit.values()) == {base ** (p - size) * spare}, (pool, k)
+
+
+def test_try_words_plans_by_the_acceptance_floor():
+    """``_try_words`` agrees with ``_words_reference`` on every (p, k) up
+    to 60 columns and either side of ``_WIDE``, and reaches every plan:
+    single subsets, one, two and three AND-ed words and the walk.  Up to
+    ``_WIDE`` a width's plans are lists of Nones until first asked, and
+    then hold the same plans; past it, rows that hold nothing and read
+    them."""
+    seen = Counter()
+    for p in range(61):
+        for k in range(p + 1):
+            words = _try_words(p, k, comb(p, k))
+            assert words == _words_reference(p, k), (p, k)
+            seen[words] += 1
+    assert set(seen) == {-1, 0, 1, 2, 3}, seen
+    plans = _subset_plans.__wrapped__(40)
+    assert plans == tuple([None] * (p + 1) for p in range(41))
+    rng = random.Random(40)
+    for p in range(41):
+        for k in range(p + 1):
+            _draw_subset((1 << p) - 1, k, rng.getrandbits, plans, TABLE, _unrank_subset)
+    assert plans == tuple([_words_reference(p, k) for k in range(p + 1)] for p in range(41))
+    wide = _subset_plans(_WIDE + 1)
+    assert all(isinstance(row, chains._PlanRow) for row in wide)
+    for p in (_WIDE - 1, _WIDE, _WIDE + 1):
+        for k in (1, p // 8, p // 5, p // 3, p // 2, p - 1):
+            assert wide[p][k] == _try_words(p, k, comb(p, k)) == _words_reference(p, k)
+
+
+def test_a_wide_circle_step_draws_one_pivot_word():
+    """On a grid wider than ``_NARROW``, a circle trade draws its pivot
+    subset as one ``getrandbits`` as wide as the pivot set's mask: a zero
+    word is the lazy step and nothing more is drawn; a nonzero word keeps
+    the pool columns it sets, and its size x is what the two other sets'
+    draws take.  Rows {10, 11}, {0, 1, 2} and {3..7} of 12 columns: the
+    triple (0, 1, 2) hands on sets of 3, 5 and 2 columns, the last of
+    them the pivot, 12 bits wide."""
+    start = [mask({10, 11}), mask({0, 1, 2}), mask(range(3, 8))]
+    rng = _Script()
+    rows = list(start)
+    step = primed(_trades(rows, [0, 0, 0], 3, rng, TABLE, False)).send
+    triple = (1, 0, 0, 0)  # the coin, then rows i = 0, j = 1 and t = 2
+    rng.run(triple + (0,))
+    step(1)
+    assert rng.used == 5 and rows == start
+    assert rng.bounds == [2, 4, 4, 2, 1 << 12]
+    # Column 10 for column 0 of {0, 1, 2} and column 3 of {3..7}: one
+    # column of 3 and of 5, each by tries of two AND-ed words.
+    rng.run(triple + (1 << 10, 0b001, 0b111, 0b1000, 0xFF))
+    step(1)
+    assert rng.used == 9
+    assert rng.bounds == [2, 4, 4, 2, 1 << 12, 1 << 3, 1 << 3, 1 << 8, 1 << 8]
+    assert rows == [mask({0, 11}), mask({1, 2, 3}), mask({4, 5, 6, 7, 10})]
 
 
 def pinned_5x5():
@@ -1282,16 +1472,17 @@ def _no_walk(*args):
     raise AssertionError("a narrow grid walked a subset rank")
 
 
-def _reference_keys(start, cfg, draw):
+def _reference_keys(start, cfg, draw, pivot):
     """The key stream and final rng state of ``cfg``'s trade-kind chain
-    from ``start``, stepped by the row-set references with ``draw``."""
+    from ``start``, stepped by the row-set references with ``draw`` and
+    ``pivot``."""
     rng = random.Random(cfg.seed)
     g, keys = start, []
     for step in range(1, cfg.steps - cfg.steps % cfg.sample_gap + 1):
         if cfg.move_set.kind == MoveSet.TRADES:
             rows = _trade_reference(g, rng, draw)
         else:
-            rows = _mixed_reference(g, rng, cfg.mh_correction, draw)
+            rows = _mixed_reference(g, rng, cfg.mh_correction, draw, pivot)
         g = bp.Realization.from_rows(g.instance, rows)
         if step % cfg.sample_gap == 0:
             keys.append(g.masks)
@@ -1314,6 +1505,7 @@ def test_rank_table_draws_the_stream_of_the_walk(n_cols, n, density, pinned, mov
     the final rng state of the row-set references that draw one
     ``randrange`` index per subset and walk it, and it never walks itself.
     One column wider, the chain keeps those of the references that draw
+    the circle pivot's subset as one masked word and every other subset
     as ``_draw_subset`` does."""
     inst = random_pinned_instance(
         random.Random(seed), n, n_cols, density, int(pinned * n * n_cols)
@@ -1326,8 +1518,10 @@ def test_rank_table_draws_the_stream_of_the_walk(n_cols, n, density, pinned, mov
             mp.setattr(chains, "_unrank_subset", _no_walk)
         chain = bp.Chain(start, cfg)
         got = list(chain.keys()), chain._rng.getstate()
-    draw = _walk_draw if n_cols <= _NARROW else _masked_draw
-    assert got == _reference_keys(start, cfg, draw)
+    if n_cols <= _NARROW:
+        assert got == _reference_keys(start, cfg, _walk_draw, _loop_pivot)
+    else:
+        assert got == _reference_keys(start, cfg, _masked_draw, _mask_pivot)
 
 
 def test_rank_table_holds_every_subset_of_every_pool():
