@@ -9,7 +9,8 @@ circle ledgers read and rotate its rows.  Cell sets are masks in that layout:
 an instance's support marks its fixed cells and its pattern which of them
 are edges, and the two pin the enumeration and name each pool instance.
 A degree sequence's static edges and non-edges are two masks as well, and
-a state graph lists each state's neighbours by index."""
+a state graph lists each state's neighbours by index, found by integer
+tests on the XOR of two states."""
 
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from .core import (
     DegreeSequence,
     FixedSet,
     Instance,
+    InstanceMismatch,
     MoveSet,
     Realization,
     TooLarge,
@@ -51,9 +53,9 @@ ENUMERATION_CELL_LIMIT = 36
 # the row masks of ``Realization.masks``, packed, so row i is
 # ``x >> i*nc & full``.  Enumeration emits the states in canonical
 # (row-major digit string) order, which indexes them.  Every state graph,
-# the sweep's and ``build_state_graph``'s, joins the pairs of states whose
-# cached pair class (``_SeqCtx.pair``) shows one move of the move set, as
-# neighbour lists from ``_adjacency``.
+# the sweep's and ``build_state_graph``'s, is ``_adjacency``'s neighbour
+# lists; the exact pair classifier ``_classify_bits`` settles only the
+# pairs that its integer tests leave open.
 
 
 def _cells_mask(cells, n: int, nc: int) -> int:
@@ -126,36 +128,26 @@ def _enumerate_bits(
     return out if rec(0, need0, 0) else None
 
 
-@dataclass(frozen=True)
-class _PairInfo:
-    """How two states differ: the changed rows, whether the difference is a
-    single vertex-disjoint alternating cycle (and its length), and whether
-    it is a three-row rotation."""
-
-    changed_rows: tuple[int, ...]
-    cycle_len: int  # 0 unless the difference is one vertex-disjoint cycle
-    is_circle: bool
-
-
-def _classify_bits(x: int, y: int, n: int, nc: int) -> _PairInfo:
-    """The pair class of two states, read from the rows of ``x ^ y``: the
-    changed rows are its non-zero rows.  The difference is a single
-    cycle when every changed row and column holds two cells and one walk
-    covers every changed row; it is a rotation when the three changed rows'
-    gain and loss masks match."""
+def _classify_bits(x: int, y: int, n: int, nc: int) -> tuple[tuple[int, ...], int, bool]:
+    """The exact pair class (changed rows, cycle length, rotation) of two
+    states, read from the rows of ``x ^ y``: its non-zero rows; 0 unless
+    the difference is a single cycle, every changed row and column holding
+    two cells and one walk covering every changed row; whether the three
+    changed rows' gain and loss masks match."""
     d = x ^ y
     full = (1 << nc) - 1
-    rows, diffs, shifts = [], [], []
+    rows, diffs, gains = [], [], []
+    pairs = True  # every changed row holds two cells
     for i in range(n):
-        sh = i * nc
-        f = (d >> sh) & full
+        f = d >> i * nc & full
         if f:
             rows.append(i)
             diffs.append(f)
-            shifts.append(sh)
+            gains.append(y >> i * nc & f)
+            pairs = pairs and f.bit_count() == 2
 
     cycle_len = 0
-    if diffs and all(f.bit_count() == 2 for f in diffs):
+    if pairs and rows:
         # Bit-sliced column counts: once, at least twice, more than twice.
         once = twice = more = 0
         for f in diffs:
@@ -167,9 +159,12 @@ def _classify_bits(x: int, y: int, n: int, nc: int) -> _PairInfo:
             # first changed row, leaving each row by its other column.
             k, col, seen = 0, diffs[0] & -diffs[0], 1
             while True:
-                k = next(q for q, f in enumerate(diffs) if q != k and f & col)
-                if k == 0:
+                for q, f in enumerate(diffs):
+                    if q != k and f & col:
+                        break
+                if q == 0:
                     break
+                k = q
                 seen += 1
                 col ^= diffs[k]
             if seen == len(diffs):
@@ -177,12 +172,12 @@ def _classify_bits(x: int, y: int, n: int, nc: int) -> _PairInfo:
 
     is_circle = False
     if len(rows) == 3:
-        g0, g1, g2 = ((y >> sh) & f for sh, f in zip(shifts, diffs))
+        g0, g1, g2 = gains
         l0, l1, l2 = g0 ^ diffs[0], g1 ^ diffs[1], g2 ^ diffs[2]
         is_circle = (g0 == l1 and g1 == l2 and g2 == l0) or (
             g0 == l2 and g2 == l1 and g1 == l0
         )
-    return _PairInfo(tuple(rows), cycle_len, is_circle)
+    return tuple(rows), cycle_len, is_circle
 
 
 # The move sets the sweep checks on every instance, built once.
@@ -194,31 +189,42 @@ _TRADES_PLUS_CIRCLE = MoveSet.trades_plus_circle()
 
 def _adjacency(ctx, states_idx, move_set: MoveSet) -> list[list[int]]:
     """Neighbour lists, by position in ``states_idx``, of the state graph
-    of ``move_set``: one pass over the state pairs, joining the pairs whose
-    cached class (``ctx.pair``) shows one move -- two changed rows for a
-    trade, or a three-row rotation for a circle trade; a single cycle of an
-    admitted length for a cycle swap.  Every state graph of the oracle is
-    built here."""
-    if move_set.kind == MoveSet.TRADES:
-        def is_move(info):
-            return len(info.changed_rows) == 2
-    elif move_set.kind == MoveSet.TRADES_PLUS_CIRCLE:
-        def is_move(info):
-            return len(info.changed_rows) == 2 or info.is_circle
-    else:
-        lengths = move_set.swap_lengths()
-
-        def is_move(info):
-            return info.cycle_len in lengths
-    pair = ctx.pair
-    order = list(states_idx)
-    adj: list[list[int]] = [[] for _ in order]
-    for qa, s in enumerate(order):
-        nbrs = adj[qa]
-        for qb in range(qa + 1, len(order)):
-            if is_move(pair(s, order[qb])):
-                nbrs.append(qb)
-                adj[qb].append(qa)
+    of ``move_set``, from O(1) integer tests on each pair's difference
+    ``d``; every state graph of the oracle is built here.  A trade is two
+    changed rows (the row high bits that ``((d & low) + low) | d`` sets).
+    The states share one degree sequence, so each changed row and column
+    holds an even number of cells: 4 changed cells are one 4-cycle, 6 one
+    6-cycle, and on three rows one rotation; a rotation changes 2m cells
+    per row.  The exact ``_classify_bits`` settles the rest: rotations of
+    12, 18, ... cells and cycles of 2k >= 8 cells on k rows."""
+    bits = [ctx.bits[s] for s in states_idx]
+    n, nc, low, high = ctx.n, ctx.nc, ctx.low, ctx.high
+    circle = move_set.kind == MoveSet.TRADES_PLUS_CIRCLE
+    swaps = not circle and move_set.kind != MoveSet.TRADES
+    lengths = move_set.swap_lengths()
+    adj: list[list[int]] = [[] for _ in bits]
+    for qa, x in enumerate(bits):
+        later = enumerate(bits[qa + 1:], qa + 1)
+        if swaps:
+            nbrs = [
+                qb for qb, y in later
+                if (c := (d := x ^ y).bit_count()) in lengths and (
+                    c < 8 or 2 * ((((d & low) + low | d) & high).bit_count()) == c
+                    and _classify_bits(x, y, n, nc)[1] == c
+                )
+            ]
+        else:
+            nbrs = [
+                qb for qb, y in later
+                if (r := ((((d := x ^ y) & low) + low | d) & high).bit_count()) == 2
+                or circle and r == 3 and (
+                    (c := d.bit_count()) == 6
+                    or c % 6 == 0 and _classify_bits(x, y, n, nc)[2]
+                )
+            ]
+        adj[qa] += nbrs
+        for qb in nbrs:
+            adj[qb].append(qa)
     return adj
 
 
@@ -239,7 +245,7 @@ def _components_from(states_idx, adj) -> list[tuple[int, ...]]:
                 if not seen[v]:
                     seen[v] = True
                     queue.append(v)
-        comps.append(tuple(sorted(order[u] for u in queue)))
+        comps.append(tuple(sorted([order[u] for u in queue])))
     return comps
 
 
@@ -322,7 +328,12 @@ def _ctx_of(states: list[Realization]) -> _SeqCtx:
 
 
 def build_state_graph(states: list[Realization], move_set: MoveSet) -> StateGraph:
-    """Connect states that are one move apart under ``move_set``."""
+    """Connect states that are one move apart under ``move_set``.  The
+    states must share one degree sequence (so one shape), without which
+    ``_adjacency``'s integer tests are not exact: InstanceMismatch (a
+    ValueError) otherwise."""
+    if len({g.instance.degrees for g in states}) > 1:
+        raise InstanceMismatch("the states of a state graph must share one degree sequence")
     if not states:
         return StateGraph((), (), move_set)
     adj = _adjacency(_ctx_of(states), range(len(states)), move_set)
@@ -475,21 +486,10 @@ def _circle_denominator(sizes: tuple[int, int, int], x: int) -> int:
 
 class _SeqCtx:
     """Per-sequence data: the bit states, their canonical index, the rows'
-    shifts, cached pair classifications, subset tables, and the graph facts
-    and ledger verdicts of each state set.  Row i of a state ``x`` is the
-    row mask ``(x >> shifts[i]) & full``.
-
-    The ledger verdicts are cached by the state set alone, though the
-    ledgers read the fixed cells of the support that picked it.  In the
-    exhaustive half a context holds every realization of its sequence.
-    Take two supports that select the same set S, and a cell fixed under
-    one and free under the other: it is constant on S.  Were it in a trade
-    pool (0 < k < size) or a circle difference set (min size >= 1) of the
-    support that leaves it free, some route would flip it and keep that
-    support's pattern, reaching a realization in S with another value
-    there.  Hence the pools, the difference sets and every forward and
-    reverse denominator are the same under both supports.  A random-half
-    context holds one instance, so its cache never hits."""
+    shifts, the masks ``low`` and ``high`` that count a difference's
+    changed rows (each row's low bits, each row's high bit), subset tables,
+    and the state sets the checks have read (``state_set``).  Row i of a
+    state ``x`` is the row mask ``(x >> shifts[i]) & full``."""
 
     def __init__(self, n, nc, a, b, bits):
         self.n = n
@@ -500,66 +500,16 @@ class _SeqCtx:
         self.index = {x: s for s, x in enumerate(bits)}
         self.full = (1 << nc) - 1
         self.shifts = tuple(i * nc for i in range(n))
+        self.high = sum(1 << sh + nc - 1 for sh in self.shifts)
+        self.low = (1 << n * nc) - 1 - self.high
         self._subsets: dict[int, tuple[tuple[int, ...], ...]] = {}
-        self._pairs: dict[tuple[int, int], _PairInfo] = {}
-        self._graphs: dict[tuple, tuple] = {}
-        self._trade_verdicts: dict[tuple, bool] = {}
-        self._circle_verdicts: dict[tuple, tuple[bool, bool]] = {}
+        self._sets: dict[tuple[int, ...], _StateSet] = {}
 
-    def pair(self, s, t):
-        if s > t:
-            s, t = t, s
-        got = self._pairs.get((s, t))
+    def state_set(self, key):
+        """The state set of the tuple of indices ``key``, made on first use."""
+        got = self._sets.get(key)
         if got is None:
-            got = _classify_bits(self.bits[s], self.bits[t], self.n, self.nc)
-            self._pairs[(s, t)] = got
-        return got
-
-    def graph_facts(self, states_idx, move_set):
-        """(components, distance verdict) of the state graph of
-        ``move_set`` on ``states_idx``, both read from one ``_adjacency``;
-        the distance verdict is decided for 4-swaps only (None otherwise).
-        Both depend on the state set and the move set alone, not on the
-        support that picked the set, so each is decided once per context;
-        the neighbour lists are not kept."""
-        key = (tuple(states_idx), move_set)
-        got = self._graphs.get(key)
-        if got is None:
-            adj = _adjacency(self, states_idx, move_set)
-            comps = _components_from(states_idx, adj)
-            within_bound = None
-            if move_set == _SWAPS4:
-                within_bound = len(comps) == 1 and _within_distance_bound(
-                    self, states_idx, adj
-                )
-            got = self._graphs[key] = (comps, within_bound)
-        return got
-
-    def trade_verdict(self, states_idx, fixed):
-        """Whether the trade ledger of ``states_idx`` (fixed cells
-        ``fixed``, as row masks) stays in the set and is symmetric; built
-        once per state set (see the class docstring)."""
-        key = tuple(states_idx)
-        got = self._trade_verdicts.get(key)
-        if got is None:
-            trades = _trade_ledger(self, states_idx, fixed)
-            got = self._trade_verdicts[key] = (
-                trades is not None and _symmetric(trades)
-            )
-        return got
-
-    def circle_verdicts(self, states_idx, fixed):
-        """(corrected ledger stays in the set and is symmetric, uncorrected
-        ledger is asymmetric) for ``states_idx``; built once per state
-        set."""
-        key = tuple(states_idx)
-        got = self._circle_verdicts.get(key)
-        if got is None:
-            circles = _circle_ledgers(self, states_idx, fixed)
-            got = self._circle_verdicts[key] = (
-                circles is not None and _symmetric(circles[0]),
-                circles is not None and not _symmetric(circles[1]),
-            )
+            got = self._sets[key] = _StateSet(self, key)
         return got
 
     def subsets_of(self, mask):
@@ -578,25 +528,73 @@ class _SeqCtx:
         return got
 
 
-def _support_props(nc, fixed, cache):
+class _StateSet:
+    """A state set of one context, named by the tuple ``key`` of its state
+    indices: its states, their AND and OR, and the graph facts and ledger
+    verdicts the checks decide on it, each once.
+
+    They depend on the set alone, though the ledgers read the fixed cells
+    of the support that picked it.  In the exhaustive half a context holds
+    every realization of its sequence.  Take two supports that select the
+    same set S, and a cell fixed under one and free under the other: it is
+    constant on S.  Were it in a trade pool (0 < k < size) or a circle
+    difference set (min size >= 1) of the support that leaves it free, some
+    route would flip it and keep that support's pattern, reaching a
+    realization in S with another value there.  So the pools, difference
+    sets and denominators agree under both supports."""
+
+    __slots__ = ("ctx", "key", "states", "every", "some", "graphs", "trades", "circles")
+
+    def __init__(self, ctx, key):
+        self.ctx, self.key = ctx, key
+        self.states = [ctx.bits[s] for s in key]
+        self.every = functools.reduce(int.__and__, self.states)
+        self.some = functools.reduce(int.__or__, self.states)
+        self.graphs: dict[MoveSet, tuple] = {}
+        self.trades = self.circles = None
+
+    def graph_facts(self, move_set):
+        """(components, distance verdict) of the state graph of ``move_set``,
+        both read from one ``_adjacency`` whose lists are not kept; the
+        distance verdict is decided for 4-swaps only (None otherwise)."""
+        got = self.graphs.get(move_set)
+        if got is None:
+            adj = _adjacency(self.ctx, self.key, move_set)
+            comps = _components_from(self.key, adj)
+            within_bound = len(comps) == 1 and _within_distance_bound(
+                self.ctx, self.key, adj
+            ) if move_set == _SWAPS4 else None
+            got = self.graphs[move_set] = (comps, within_bound)
+        return got
+
+    def trade_verdict(self, fixed):
+        """Whether the trade ledger under ``fixed`` stays in the set, symmetric."""
+        if self.trades is None:
+            trades = _trade_ledger(self.ctx, self.key, fixed)
+            self.trades = trades is not None and _symmetric(trades)
+        return self.trades
+
+    def circle_verdicts(self, fixed):
+        """(corrected ledger stays in the set and is symmetric, uncorrected
+        ledger is asymmetric)."""
+        if self.circles is None:
+            circles = _circle_ledgers(self.ctx, self.key, fixed)
+            self.circles = (
+                circles is not None and _symmetric(circles[0]),
+                circles is not None and not _symmetric(circles[1]),
+            )
+        return self.circles
+
+
+def _support_props(n, nc, fixed):
     """(no 3-matching, no 8-cycle, forest, excluded ell values) of the
-    support whose row masks are ``fixed``, cached by them."""
-    key = (nc, fixed)
-    got = cache.get(key)
-    if got is None:
-        n = len(fixed)
-        fg = FGraph(n, nc, fixed)
-        no3m = not max_matching_at_least(fg, 3)
-        no8 = not has_cycle_of_length(fg, 8)
-        forest = is_forest(fg)
-        excluded = tuple(
-            ell
-            for ell in range(4, min(n, nc) + 1)
-            if not has_cycle_of_length(fg, 2 * ell)
-        )
-        got = (no3m, no8, forest, excluded)
-        cache[key] = got
-    return got
+    support whose row masks are ``fixed``."""
+    fg = FGraph(n, nc, fixed)
+    excluded = tuple(
+        ell for ell in range(4, min(n, nc) + 1) if not has_cycle_of_length(fg, 2 * ell)
+    )
+    return (not max_matching_at_least(fg, 3), not has_cycle_of_length(fg, 8),
+            is_forest(fg), excluded)
 
 
 def _symmetric(ledger):
@@ -741,7 +739,8 @@ def _make_instance(n, nc, a, b, sup=0, pattern=0) -> Instance:
 
 
 class _Reporter:
-    """Counts and times the checks.  An instance is named by ``where``:
+    """Counts and times the checks, a [count, seconds] tally per name that
+    ``finish`` copies into the result.  An instance is named by ``where``:
     (n, nc, a, b) for a degree sequence, plus the support and pattern
     masks for an instance with fixed cells.  Its text is built only for a
     line that is printed or a failure that is kept, and, since an
@@ -752,6 +751,7 @@ class _Reporter:
         # With no emit a PASS line would be thrown away, so none is built.
         self.quiet = quiet or emit is None
         self.result = result
+        self.tally: dict[str, list] = {}
         self.last = time.perf_counter()
         self._where = self._text = None
 
@@ -763,16 +763,18 @@ class _Reporter:
     def record(self, name, where, ok, suffix=""):
         """Count one check and the time since the previous one; the first
         failure keeps its instance as the witness."""
-        r = self.result
         now = time.perf_counter()
-        r.seconds[name] = r.seconds.get(name, 0.0) + (now - self.last)
+        tally = self.tally.get(name)
+        if tally is None:
+            tally = self.tally[name] = [0, 0.0]
+        tally[0] += 1
+        tally[1] += now - self.last
         self.last = now
-        r.checks_run += 1
-        r.counts[name] = r.counts.get(name, 0) + 1
         if ok:
             if not self.quiet:
                 self.emit(f"{name} [{self._name(where)}{suffix}] PASS")
         else:
+            r = self.result
             text = self._name(where) + suffix
             r.passed = False
             r.failures.append((name, text))
@@ -780,6 +782,12 @@ class _Reporter:
             if r.witness is None:
                 r.witness = _make_instance(*where)
                 r.witness_check = name
+
+    def finish(self):
+        r = self.result
+        r.counts = {name: count for name, (count, _) in self.tally.items()}
+        r.seconds = {name: seconds for name, (_, seconds) in self.tally.items()}
+        r.checks_run = sum(r.counts.values())
 
     def info(self, name, where):
         line = f"{name} [{self._name(where)}]"
@@ -790,19 +798,19 @@ class _Reporter:
 def _check_sequence(rep, n, nc, a, b, free_bits):
     """Check a degree sequence's static set against the ground truth of its
     realizations ``free_bits`` (a non-empty list) and, built from one of
-    them, against the per-cell Gale-Ryser reference; return its static
-    edges and non-edges as two masks.  The static edges are the cells every
-    realization sets (their AND), the static non-edges the cells none sets
-    (the complement of their OR)."""
+    them, against the per-cell Gale-Ryser reference.  Return what its
+    reduction checks read: its static edges and non-edges as two masks, its
+    realizations as a set, and a table of how many carry each reduced
+    pattern.  The static edges are the cells every realization sets (their
+    AND), the static non-edges the cells none sets (the complement of their
+    OR)."""
     where = (n, nc, a, b)
     seq = DegreeSequence(a, b)
     ss = static_set(seq)
     edges = _cells_mask(ss.forced_edges, n, nc)
     non_edges = _cells_mask(ss.forced_non_edges, n, nc)
-    every, some = -1, 0
-    for x in free_bits:
-        every &= x
-        some |= x
+    every = functools.reduce(int.__and__, free_bits)
+    some = functools.reduce(int.__or__, free_bits)
     rep.record(
         "static-cells-exact", where,
         edges == every and non_edges == ~some & ((1 << n * nc) - 1),
@@ -815,67 +823,64 @@ def _check_sequence(rep, n, nc, a, b, free_bits):
         "static-cells-pruned", where,
         static_set(seq, g0) == _static_set_reference(seq),
     )
-    return edges, non_edges
+    return edges, non_edges, set(free_bits), {}
 
 
-def _check_instance_pool(ctx, states_idx, sup, pattern, fixed, props, rep,
-                         free_bits, static):
-    """Run every applicable check on one instance: the states of ``ctx``
-    that carry ``pattern`` on the support mask ``sup`` (``fixed`` holds
-    ``sup`` as row masks).  ``static`` holds the sequence's static edges
-    and non-edges as two masks (None to skip the reduction check), with
-    ``free_bits`` its realizations."""
+def _check_instance_pool(ctx, key, sup, pattern, fixed, props, rep, static):
+    """Run every applicable check on one instance: the state set ``key`` of
+    ``ctx``, its states that carry ``pattern`` on the support mask ``sup``
+    (``fixed`` holds ``sup`` as row masks).  ``static`` is what
+    ``_check_sequence`` returned (None to skip the reduction check)."""
     n = ctx.n
-    no3m, no8, forest, excluded = props
     where = (n, ctx.nc, ctx.a, ctx.b, sup, pattern)
-    multi = len(states_idx) >= 2
+    if len(key) >= 2:
+        facts = ctx.state_set(key)
+        no3m, no8, forest, excluded = props
+        if no3m:
+            comps4, within_bound = facts.graph_facts(_SWAPS4)
+            rep.record("swaps4-connected", where, len(comps4) == 1)
+            rep.record("swaps4-distance-bound", where, within_bound)
+            compst = facts.graph_facts(_TRADES)[0]
+            rep.record("trades-connected", where, len(compst) == 1)
+            rep.record("trade-swap-components", where, comps4 == compst)
 
-    def components(move_set):
-        return ctx.graph_facts(states_idx, move_set)[0]
+        if no8:
+            comps46 = facts.graph_facts(_SWAPS46)[0]
+            rep.record("swaps46-connected", where, len(comps46) == 1)
+            if forest:
+                rep.record("forest-swaps46-connected", where, len(comps46) == 1)
+            compsc = facts.graph_facts(_TRADES_PLUS_CIRCLE)[0]
+            rep.record("circle-trades-connected", where, len(compsc) == 1)
 
-    if no3m and multi:
-        comps4, within_bound = ctx.graph_facts(states_idx, _SWAPS4)
-        rep.record("swaps4-connected", where, len(comps4) == 1)
-        rep.record("swaps4-distance-bound", where, within_bound)
-        compst = components(_TRADES)
-        rep.record("trades-connected", where, len(compst) == 1)
-        rep.record("trade-swap-components", where, comps4 == compst)
-
-    if no8 and multi:
-        comps46 = components(_SWAPS46)
-        rep.record("swaps46-connected", where, len(comps46) == 1)
-        if forest:
-            rep.record("forest-swaps46-connected", where, len(comps46) == 1)
-        compsc = components(_TRADES_PLUS_CIRCLE)
-        rep.record("circle-trades-connected", where, len(compsc) == 1)
-
-    if multi:
         for ell in excluded:
             if ell == 4 and no8:
                 continue  # identical to the swaps46 check above
-            comps = components(MoveSet.swaps_up_to(2 * ell - 2))
+            comps = facts.graph_facts(MoveSet.swaps_up_to(2 * ell - 2))[0]
             rep.record("bounded-swaps-connected", where, len(comps) == 1,
                        f" L={2 * ell - 2}")
 
-    if multi and len(states_idx) <= 60:
-        rep.record("trade-reversibility", where,
-                   ctx.trade_verdict(states_idx, fixed))
-        if n >= 3:
-            balanced, asymmetric = ctx.circle_verdicts(states_idx, fixed)
-            rep.record("circle-detailed-balance", where, balanced)
-            if asymmetric:
-                rep.info("uncorrected-circle-asymmetry", where)
+        if len(key) <= 60:
+            rep.record("trade-reversibility", where, facts.trade_verdict(fixed))
+            if n >= 3:
+                balanced, asymmetric = facts.circle_verdicts(fixed)
+                rep.record("circle-detailed-balance", where, balanced)
+                if asymmetric:
+                    rep.info("uncorrected-circle-asymmetry", where)
 
     if static is not None:
-        edges, non_edges = static
+        edges, non_edges, free, counts = static
         ones, zeros = sup & pattern, sup & ~pattern
         if ones & edges or zeros & non_edges:
-            # The instance with its static cells freed has the same states.
+            # The instance with its static cells freed has the same states:
+            # they carry its pins, and as many realizations do.
             ones &= ~edges
             zeros &= ~non_edges
-            kept = {x for x in free_bits if x & ones == ones and not x & zeros}
-            bucket = {ctx.bits[s] for s in states_idx}
-            rep.record("reduction-equivalence", where, kept == bucket)
+            if (ones, zeros) not in counts:
+                counts[ones, zeros] = sum(x & ones == ones and not x & zeros for x in free)
+            facts = ctx.state_set(key)
+            rep.record("reduction-equivalence", where, len(key) == counts[ones, zeros]
+                       and facts.every & ones == ones and not facts.some & zeros
+                       and free.issuperset(facts.states))
 
 
 def _sorted_sequences(n, nc):
@@ -968,12 +973,12 @@ def run_verification(
     t0 = time.perf_counter()
     result = VerificationResult()
     rep = _Reporter(emit, quiet, result)
-    prop_cache: dict = {}
 
     for n in range(1, min(3, max_rows) + 1):
         for nc in range(1, min(4, max_cols) + 1):
-            # Each support with its row masks and the canonical rank of each
-            # pattern on it: the pattern's bits read from its first cell on.
+            # Each support with its row masks, the canonical rank of each
+            # pattern on it (the pattern's bits read from its first cell
+            # on) and its properties.
             cell_bits = [1 << p for p in range(n * nc)]
             supports = []
             for size in range(min(4, n * nc) + 1):
@@ -981,26 +986,26 @@ def run_verification(
                 for cells in itertools.combinations(cell_bits, size):
                     rank = {sum(itertools.compress(cells, d)): r for r, d in ranked}
                     sup = sum(cells)
-                    supports.append((sup, _masks_of(sup, n, nc), rank))
+                    fixed = _masks_of(sup, n, nc)
+                    supports.append((sup, fixed, rank, _support_props(n, nc, fixed)))
             for a, b in _sorted_sequences(n, nc):
                 bits = _enumerate_bits(a, b)
                 if not bits:
                     continue
                 ctx = _SeqCtx(n, nc, a, b, bits)
                 static = _check_sequence(rep, n, nc, a, b, bits)
-                for sup, fixed, rank in supports:
-                    props = _support_props(nc, fixed, prop_cache)
+                for sup, fixed, rank, props in supports:
                     buckets: dict[int, list[int]] = {}
                     for s, x in enumerate(bits):
                         buckets.setdefault(x & sup, []).append(s)
                     for pattern in sorted(buckets, key=rank.__getitem__):
                         _check_instance_pool(
-                            ctx, buckets[pattern], sup, pattern, fixed, props, rep,
-                            bits, static,
+                            ctx, tuple(buckets[pattern]), sup, pattern, fixed, props,
+                            rep, static,
                         )
 
     rng = random.Random(seed)
-    seq_static: dict[tuple, tuple[int, int]] = {}
+    seq_static: dict[tuple, tuple | None] = {}
     batches = [(random_count, False)]
     if max_rows >= 4 and max_cols >= 4:
         batches.append((max(random_count // 12, 0), True))
@@ -1008,21 +1013,16 @@ def run_verification(
         for n, nc, a, b, sup, pattern, bits in _random_instances(
             rng, max_rows, max_cols, count, with8
         ):
-            ctx = _SeqCtx(n, nc, a, b, bits)
+            seq = (n, nc, a, b)
+            if seq not in seq_static:
+                free_bits = _enumerate_bits(a, b, cap=20000)
+                seq_static[seq] = _check_sequence(rep, *seq, free_bits) if free_bits else None
             fixed = _masks_of(sup, n, nc)
-            props = _support_props(nc, fixed, prop_cache)
-            free_bits = _enumerate_bits(a, b, cap=20000)
-            static = None
-            if free_bits:
-                static = seq_static.get((n, nc, a, b))
-                if static is None:
-                    static = seq_static[(n, nc, a, b)] = _check_sequence(
-                        rep, n, nc, a, b, free_bits
-                    )
             _check_instance_pool(
-                ctx, list(range(len(bits))), sup, pattern, fixed, props, rep,
-                free_bits, static,
+                _SeqCtx(*seq, bits), tuple(range(len(bits))), sup, pattern, fixed,
+                _support_props(n, nc, fixed), rep, seq_static[seq],
             )
 
+    rep.finish()
     result.elapsed = time.perf_counter() - t0
     return result

@@ -2,6 +2,7 @@
 surface of the package."""
 
 import ast
+import collections
 import random
 from pathlib import Path
 
@@ -430,9 +431,14 @@ def test_realization_matches_the_old_construction_on_committed_instances():
     assert feasible >= 40
 
 
+PairClass = collections.namedtuple("PairClass", "changed_rows cycle_len is_circle")
+
+
 def pair_class(g, h):
-    """The oracle's pair class of two realizations of one instance."""
-    return oracle._ctx_of([g, h]).pair(0, 1)
+    """The oracle's exact pair class of two realizations of one instance."""
+    n, nc = g.instance.n, g.instance.n_cols
+    x, y = oracle._state_of(g.masks, nc), oracle._state_of(h.masks, nc)
+    return PairClass(*oracle._classify_bits(x, y, n, nc))
 
 
 def difference_cells(g, h):

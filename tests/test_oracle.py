@@ -36,16 +36,16 @@ def split_instance():
 
 def coloured_edges(sg):
     """Each state's edges as (neighbour, colour) pairs, the colour being the
-    kind of move the pair class shows: the cycle length of a swap, or a
-    trade against a circle trade."""
+    kind of move the exact pair class shows: the cycle length of a swap, or
+    a trade against a circle trade."""
     ctx = oracle._ctx_of(list(sg.states))
     swaps = bool(sg.move_set.swap_lengths())
 
     def colour(s, t):
-        info = ctx.pair(s, t)
+        rows, cycle_len, _ = oracle._classify_bits(ctx.bits[s], ctx.bits[t], ctx.n, ctx.nc)
         if swaps:
-            return f"{info.cycle_len}-swap"
-        return "trade" if len(info.changed_rows) == 2 else "circle-trade"
+            return f"{cycle_len}-swap"
+        return "trade" if len(rows) == 2 else "circle-trade"
 
     return [[(t, colour(s, t)) for t in nbrs] for s, nbrs in enumerate(sg.edges)]
 
@@ -299,6 +299,25 @@ def test_trade_edges_contain_swap_edges():
         sgt = bp.build_state_graph(states, MoveSet.trades())
         for s in range(len(states)):
             assert set(sg4.edges[s]) <= set(sgt.edges[s])
+
+
+def test_state_graph_needs_one_degree_sequence():
+    # the builder's cell count reads 4 changed cells as one 4-cycle, which
+    # holds only when the states share their degrees: 1100 and 0011 differ
+    # in 4 cells of one row
+    g = bp.Realization(bp.Instance.unconstrained((2,), (1, 1, 0, 0)), [[1, 1, 0, 0]])
+    h = bp.Realization(bp.Instance.unconstrained((2,), (0, 0, 1, 1)), [[0, 0, 1, 1]])
+    taller = bp.Realization(bp.Instance.unconstrained((2, 0), (1, 1, 0, 0)),
+                            [[1, 1, 0, 0], [0, 0, 0, 0]])
+    for other in (h, taller):
+        for move_set in (MoveSet.swaps4(), MoveSet.trades()):
+            with pytest.raises(ValueError, match="one degree sequence"):
+                bp.build_state_graph([g, other], move_set)
+    # one sequence under two fixed sets is one sequence
+    free = bp.Instance.unconstrained((1, 1), (1, 1))
+    pinned = bp.Instance(free.degrees, bp.FixedSet.from_cells(2, 2, forced_non_edges=[(0, 0)]))
+    states = [bp.Realization(free, [[1, 0], [0, 1]]), bp.Realization(pinned, [[0, 1], [1, 0]])]
+    assert bp.build_state_graph(states, MoveSet.swaps4()).edges == ((1,), (0,))
 
 
 def test_connectivity_single_state():
@@ -680,30 +699,43 @@ def _state_of_matrix(matrix, nc):
 
 
 def test_pair_classes_match_brute_force_moves():
+    # the exact pair classes, and the state graphs the integer tests build
     sequences = states = walks = rotations = 0
     for a, b, bits in _pair_class_sequences():
         n, nc = len(a), len(b)
+        index = {x: s for s, x in enumerate(bits)}
         ctx = oracle._SeqCtx(n, nc, a, b, bits)
-        index = lambda matrix: ctx.index[_state_of_matrix(matrix, nc)]
+        lengths = range(4, 2 * min(n, nc) + 1, 2)
+        built = {
+            move_set: oracle._adjacency(ctx, range(len(bits)), move_set)
+            for move_set in (MoveSet.trades(), MoveSet.trades_plus_circle(),
+                             *map(MoveSet.swaps_up_to, lengths))
+        }
         for s, x in enumerate(bits):
+            # the exact pair class of x against every state
+            pair = [oracle._classify_bits(x, y, n, nc) for y in bits]
             m = [[r >> j & 1 for j in range(nc)] for r in oracle._masks_of(x, n, nc)]
             swaps = _walk_swaps(m)
             assert set(swaps) <= set(range(4, 2 * min(n, nc) + 1, 2))
-            for length in range(4, 2 * min(n, nc) + 1, 2):
-                reached = {index(t) for t in swaps.get(length, [])}
-                want = {t for t in range(len(bits)) if ctx.pair(s, t).cycle_len == length}
+            up_to = set()
+            for length in lengths:
+                reached = {index[_state_of_matrix(t, nc)] for t in swaps.get(length, [])}
+                want = {t for t, (_, cycle_len, _) in enumerate(pair) if cycle_len == length}
                 assert reached == want, (a, b, s, length)
+                up_to |= reached
+                assert set(built[MoveSet.swaps_up_to(length)][s]) == up_to
                 walks += len(swaps.get(length, []))
-            assert all(ctx.pair(s, t).cycle_len in swaps for t in range(len(bits))
-                       if ctx.pair(s, t).cycle_len)
-            trades = {index(t) for t in _trades_from(m)}
+            assert all(cycle_len in swaps for _, cycle_len, _ in pair if cycle_len)
+            trades = {index[_state_of_matrix(t, nc)] for t in _trades_from(m)}
             assert trades == {
-                t for t in range(len(bits)) if len(ctx.pair(s, t).changed_rows) == 2
+                t for t, (rows, _, _) in enumerate(pair) if len(rows) == 2
             }, (a, b, s)
             circles = _circles_from(m)
             rotations += len(circles)
-            circles = {index(t) for t in circles}
-            assert circles == {t for t in range(len(bits)) if ctx.pair(s, t).is_circle}
+            circles = {index[_state_of_matrix(t, nc)] for t in circles}
+            assert circles == {t for t, (_, _, rotation) in enumerate(pair) if rotation}
+            assert set(built[MoveSet.trades()][s]) == trades
+            assert set(built[MoveSet.trades_plus_circle()][s]) == trades | circles
             states += 1
         sequences += 1
     assert sequences > 450 and states > 800
@@ -926,14 +958,16 @@ GRAPH_FACT_MOVE_SETS = (
 )
 
 
-def _is_move(info, move_set):
-    """Whether a pair class is one move of ``move_set``, read here apart
-    from the oracle's builder."""
+def _is_move(pair_class, move_set):
+    """Whether an exact pair class (changed rows, cycle length, rotation)
+    is one move of ``move_set``, read here apart from the oracle's
+    builder."""
+    rows, cycle_len, rotation = pair_class
     if move_set.kind == MoveSet.TRADES:
-        return len(info.changed_rows) == 2
+        return len(rows) == 2
     if move_set.kind == MoveSet.TRADES_PLUS_CIRCLE:
-        return len(info.changed_rows) == 2 or info.is_circle
-    return info.cycle_len in move_set.swap_lengths()
+        return len(rows) == 2 or rotation
+    return cycle_len in move_set.swap_lengths()
 
 
 def reference_graph_facts(ctx, states_idx, move_set, classes):
@@ -994,14 +1028,56 @@ def test_cached_graph_facts_match_a_fresh_context():
     calls = 0
     for ctx, states_idx in pools:
         table = classes.setdefault(ctx, {})
+        facts = ctx.state_set(tuple(states_idx))
         for move_set in GRAPH_FACT_MOVE_SETS:
-            assert ctx.graph_facts(states_idx, move_set) == reference_graph_facts(
+            assert facts.graph_facts(move_set) == reference_graph_facts(
                 ctx, states_idx, move_set, table
             )
             calls += 1
     assert max(len(ctx.bits) for ctx, _ in pools) > 150
-    cached = sum(len(ctx._graphs) for ctx in classes)
+    cached = sum(len(facts.graphs) for ctx in classes for facts in ctx._sets.values())
     assert cached < calls / 2  # most answers came from the cache
+
+
+def test_integer_pair_tests_match_the_exact_classifier(monkeypatch):
+    # the builder settles most pairs by cell and changed-row counts, exact
+    # only on states of one degree sequence: on every multi-state set of
+    # the default pool, and on the 6x6 degree-2 band, its graphs must be
+    # the all-pairs graphs of the exact pair classifier
+    sets = {}  # (ctx, state set) in sweep order
+
+    def collect(ctx, key, *args):
+        if len(key) >= 2:
+            sets[ctx, key] = None
+
+    monkeypatch.setattr(oracle, "_check_instance_pool", collect)
+    bp.run_verification(5, 5, 200, seed=20240801, quiet=True)  # the pool
+    # 69 exhaustive-half sequences and the 206 random instances
+    assert len({ctx for ctx, _ in sets}) == 275 and len(sets) == 2901
+    # the 6x6 band: all degrees 2, and (i, i) and (i, i+1 mod 6) forced
+    # non-edges, so that F is one 12-cycle
+    k, a = 6, (2,) * 6
+    cells = [(i, i) for i in range(k)] + [(i, (i + 1) % k) for i in range(k)]
+    bits = oracle._enumerate_bits(a, a, oracle._cells_mask(cells, k, k), 0)
+    assert len(bits) == 522
+    sets[oracle._SeqCtx(k, k, a, a, bits), tuple(range(len(bits)))] = None
+    pairs = 0
+    for ctx, key in sets:
+        bits, n, nc = ctx.bits, ctx.n, ctx.nc
+        classes = {
+            (qa, qb): oracle._classify_bits(bits[key[qa]], bits[key[qb]], n, nc)
+            for qa, qb in itertools.combinations(range(len(key)), 2)
+        }
+        pairs += len(classes)
+        for move_set in GRAPH_FACT_MOVE_SETS + (MoveSet.swaps_up_to(10),):
+            want = [[] for _ in key]
+            for (qa, qb), pair_class in classes.items():
+                if _is_move(pair_class, move_set):
+                    want[qa].append(qb)
+                    want[qb].append(qa)
+            assert oracle._adjacency(ctx, key, move_set) == [sorted(q) for q in want], (
+                ctx.a, ctx.b, key, move_set)
+    assert pairs == 203260  # 135,981 of them on the band
 
 
 def test_library_components_are_the_sweeps():
@@ -1011,10 +1087,9 @@ def test_library_components_are_the_sweeps():
         n, nc = len(a), len(b)
         inst = bp.Instance.unconstrained(a, b)
         states = [bp.Realization.from_masks(inst, oracle._masks_of(x, n, nc)) for x in bits]
-        ctx = oracle._SeqCtx(n, nc, a, b, bits)
-        everything = range(len(states))
+        facts = oracle._SeqCtx(n, nc, a, b, bits).state_set(tuple(range(len(states))))
         for move_set in GRAPH_FACT_MOVE_SETS:
-            comps = ctx.graph_facts(everything, move_set)[0]
+            comps = facts.graph_facts(move_set)[0]
             sg = bp.build_state_graph(states, move_set)
             connected, got = bp.check_connectivity(sg)
             assert got == [list(c) for c in comps]
