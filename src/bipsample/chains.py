@@ -47,20 +47,15 @@ defines the rank order.  On wider grids ``_draw_subset`` draws the subset
 by tries of the pool AND t random words, which keep each pool column with
 probability 2^-t: t = 1, 2 or 3 as min(k, p - k)/p is at least 0.35, at
 least 0.175 or below, or another t if that one's tries are accepted with
-probability below 1/32 and its are not.  The plan of each (p, k) is
-worked out in integers on first use (``_try_words``, ``_subset_plans``).
-When no t reaches 1/32 it draws the index and walks it.  The walk reads
-every binomial from a Pascal table up to n_cols, which only the trade kinds'
-``Chain`` asks for and which is built once per grid width, on first use
-(``_binomials``): with r columns left and k to take it keeps
-v = C(r, k) - index, which a skipped column leaves unchanged, and takes
-the lowest column iff C(r - 1, k) < v.  The subset counts and the
-binomials of a circle trade's Metropolis test (``circle_denominator``)
-come from the same table.  On grids wider than ``_WIDE`` = 512 columns no
-Pascal table is held, since it grows with the cube of the width: every
-binomial is a ``math.comb`` call, each plan is worked out again on every
-draw, and the kernel walks by exact ratios (``_unrank_ratio``), one
-binomial per walk, which gives the same subset for every index.
+probability below 1/32 and its are not.  When no t reaches 1/32 it draws
+an index below C(p, k) and walks it by the same ``_unrank_subset``.  The
+plan of each (p, k), and C(p, k) when it walks, is worked out in integers
+on first use (``_try_words``) and kept by the kernel.  The walk starts
+from C(p - 1, k - 1) = C(p, k) k / p, the count of subsets that take the
+lowest column, and follows it column by column by exact ratios, so once a
+plan exists a draw computes no binomial.  Every binomial, those of a
+circle trade's Metropolis test (``circle_denominator``) too, is a
+``math.comb`` call.
 """
 
 from __future__ import annotations
@@ -96,106 +91,40 @@ class ChainConfig:
             raise ValueError("seed must be >= 0")
 
 
-def circle_denominator(
-    sizes: tuple[int, int, int], x: int, table: tuple[tuple[int, ...], ...]
-) -> int:
+def circle_denominator(sizes: tuple[int, int, int], x: int) -> int:
     """1/den is the probability of one specific subset triple of size x:
     the smallest difference set is drawn as a uniform subset (2^m equally
     likely outcomes), the other two as uniform x-subsets.  Tied minima give
-    the same value whichever of them is the pivot.  Each binomial C(r, x)
-    is read as ``table[r][x]`` from the caller's source: a chain's
-    ``_binomials``, or the oracle's own table."""
+    the same value whichever of them is the pivot."""
     a, b, c = sizes
     if a <= b and a <= c:
-        return table[b][x] * table[c][x] << a
+        return comb(b, x) * comb(c, x) << a
     if b <= c:
-        return table[a][x] * table[c][x] << b
-    return table[a][x] * table[b][x] << c
+        return comb(a, x) * comb(c, x) << b
+    return comb(a, x) * comb(b, x) << c
 
 
 # ---------------------------------------------------------------------------
 # Subset ranks: the k-subsets of a pool of columns, itself a row mask.
 
 
-# The widest grid whose chains hold a Pascal table.  The table grows with
-# the cube of the width: about 9 MB at 512 columns, 1 GB at 3,000.
-_WIDE = 512
-
-
-# The last few binomials read past ``_WIDE``: a draw that walks reads
-# C(p, k) for its plan and again for its index.
-_comb = lru_cache(maxsize=8)(comb)
-
-
-class _CombRow(int):
-    """Row r of Pascal's triangle with no entry held: ``row[k]`` is C(r, k)
-    from ``math.comb``, 0 for k > r as in a table row."""
-
-    __slots__ = ()
-
-    def __getitem__(self, k):
-        return _comb(self, k)
-
-
-@lru_cache(maxsize=8)
-def _binomials(n: int) -> tuple[tuple[int, ...], ...]:
-    """Pascal's triangle up to row n: ``table[r][k]`` is C(r, k) for k <= r,
-    and each row ends in a 0 for k = r + 1.  The chains of one grid width
-    share one table, built on first use.  Above ``_WIDE`` every row is a
-    ``_CombRow``, which reads the same values from ``math.comb``."""
-    if n > _WIDE:
-        return tuple(map(_CombRow, range(n + 1)))
-    table = [(1, 0)]
-    for _ in range(n):
-        prev = table[-1]
-        table.append((1, *map(sum, zip(prev, prev[1:])), 0))
-    return tuple(table)
-
-
-def _unrank_subset(
-    pool: int, k: int, index: int, table: tuple[tuple[int, ...], ...]
-) -> int:
+def _unrank_subset(pool: int, k: int, index: int, total: int) -> int:
     """The index-th k-subset of the columns in ``pool`` in lexicographic
-    order, walking the pool's bits from the lowest column up.
+    order, walking the pool's bits from the lowest column up; ``total`` is
+    C(p, k) for the pool's p columns.
 
-    With r pool columns left and k still to take, v = C(r, k) - index does
-    not change when a column is skipped, so the walk takes the lowest
-    column iff C(r - 1, k) < v, and then sets v -= C(r - 1, k) and
-    k -= 1.  Every binomial is read from ``table`` (``_binomials``)."""
-    out = 0
-    if not k:
-        return out
-    r = pool.bit_count()
-    v = table[r][k] - index
-    while True:
-        r -= 1
-        low = pool & -pool
-        pool ^= low
-        c = table[r][k]
-        if c < v:
-            out |= low
-            k -= 1
-            if not k:
-                return out
-            v -= c
-
-
-def _unrank_ratio(
-    pool: int, k: int, index: int, table: tuple[tuple[int, ...], ...]
-) -> int:
-    """The subset ``_unrank_subset`` gives, for every index, with one
-    binomial read from ``table``: the walk of grids wider than ``_WIDE``,
-    where each read of a ``_CombRow`` is a ``math.comb`` call.  With m
-    columns after the current one and ``need`` still to take, ``rest``
-    counts the subsets that take the current column, C(m, need - 1); the
-    walk starts it from ``table`` and updates it by an exact ratio per
-    column."""
+    With m columns after the current one and ``need`` still to take,
+    ``rest`` = C(m, need - 1) counts the subsets that take the current
+    column: the walk takes it iff index < rest, and otherwise skips those
+    subsets, index -= rest.  It starts from C(p - 1, k - 1) =
+    total * k / p and follows each column by an exact ratio, so the walk
+    computes no binomial of its own."""
     out = 0
     if not k:
         return out
     need = k
     m = pool.bit_count() - 1
-    rest = table[m][k - 1]
+    rest = total * k // (m + 1)
     while True:
         low = pool & -pool
         pool ^= low
@@ -211,17 +140,18 @@ def _unrank_ratio(
         m -= 1
 
 
-def _try_words(p, k, total):
-    """How ``_draw_subset`` draws a k-subset of a p-column pool with
-    total = C(p, k) subsets: 0 when total is 1 (no draw), -1 when it walks
-    a drawn index, and otherwise the number t of random words one try ANDs
-    together, a density of 2^-t per pool column.  With j = min(k, p - k),
-    t is 1 when j/p >= 0.35, 2 when j/p >= 0.175 and 3 below that.  A try
-    with density q is accepted with probability
+def _try_words(p, k):
+    """How ``_draw_subset`` draws a k-subset of a p-column pool: 0 when
+    the pool has one k-subset (no draw), -C(p, k) when it walks a drawn
+    index below C(p, k), and otherwise the number t of random words one
+    try ANDs together, a density of 2^-t per pool column.  With
+    j = min(k, p - k), t is 1 when j/p >= 0.35, 2 when j/p >= 0.175 and 3
+    below that.  A try with density q is accepted with probability
     C(p, k) (q^k (1 - q)^(p - k) + q^(p - k) (1 - q)^k), one term when
     k = p - k; if that falls below 1/32, the other densities are tried,
     the lowest t first, and the draw walks when none reaches it.  Integer
     arithmetic only, so the choice is the same on every platform."""
+    total = comb(p, k)
     if total == 1:
         return 0
     j = min(k, p - k)
@@ -232,47 +162,29 @@ def _try_words(p, k, total):
         hits = b ** (p - j) + b ** j if 2 * j < p else b ** j
         if total * hits << 5 >> t * p:  # accepted with probability >= 1/32
             return t
-    return -1
+    return -total
 
 
-class _PlanRow(int):
-    """The plans of a p-column pool past ``_WIDE``, none held: ``row[k]``
-    is ``_try_words`` on ``math.comb``, computed on every read."""
-
-    __slots__ = ()
-
-    def __getitem__(self, k):
-        return _try_words(self, k, _comb(self, k))
-
-
-@lru_cache(maxsize=8)
-def _subset_plans(n: int) -> tuple:
-    """``plans[p][k]`` is ``_try_words(p, k, C(p, k))`` for pools of up to
-    n columns, filled in on first use (None until then).  An entry depends
-    on (p, k) alone, so the chains of one grid width share the rows, and
-    their set-up is n + 1 lists of Nones.  Above ``_WIDE`` every row is a
-    ``_PlanRow``, which holds nothing."""
-    if n > _WIDE:
-        return tuple(map(_PlanRow, range(n + 1)))
-    return tuple([None] * (p + 1) for p in range(n + 1))
-
-
-def _draw_subset(pool, k, getrandbits, plans, table, unrank):
+def _draw_subset(pool, k, getrandbits, plans):
     """A uniform k-subset of the columns in ``pool``: the trade kinds' draw
-    on grids wider than ``_NARROW``, planned by ``plans`` (``_subset_plans``,
-    see ``_try_words``).  A pool with one k-subset (k = 0 or k = p, for p
-    pool columns) draws nothing.  A try ANDs the pool with t words of
-    ``getrandbits(pool.bit_length())``, so that S keeps each pool column
-    independently with probability 2^-t; it is repeated until |S| = k
-    (giving S) or |S| = p - k (giving pool ^ S).  Given its size, S is
-    uniform over the subsets of that size, so each branch, and so their
-    mix, is uniform over the k-subsets.  A walk draws a uniform index below
-    C(p, k) and walks it with ``unrank`` on ``table``."""
+    on grids wider than ``_NARROW``.  ``plans[p][k]`` is the plan of a
+    p-column pool (``_try_words``), worked out on first use, in a row
+    allocated when a pool of p columns is first drawn.  A pool with one
+    k-subset (k = 0 or k = p) draws nothing.  A try ANDs the pool with t
+    words of ``getrandbits(pool.bit_length())``, so that S keeps each pool
+    column independently with probability 2^-t; it is repeated until
+    |S| = k (giving S) or |S| = p - k (giving pool ^ S).  Given its size,
+    S is uniform over the subsets of that size, so each branch, and so
+    their mix, is uniform over the k-subsets.  A walk draws a uniform
+    index below C(p, k), held in its plan, and walks it by
+    ``_unrank_subset``."""
     p = pool.bit_count()
     row = plans[p]
+    if row is None:
+        row = plans[p] = [None] * (p + 1)
     words = row[k]
     if words is None:
-        words = row[k] = _try_words(p, k, table[p][k])
+        words = row[k] = _try_words(p, k)
     if words > 0:
         width = pool.bit_length()
         rest = p - k
@@ -289,12 +201,12 @@ def _draw_subset(pool, k, getrandbits, plans, table, unrank):
                 return pool ^ s
     if not words:
         return pool if k else 0
-    total = table[p][k]
+    total = -words
     bits = total.bit_length()
     r = getrandbits(bits)
     while r >= total:
         r = getrandbits(bits)
-    return unrank(pool, k, r, table)
+    return _unrank_subset(pool, k, r, total)
 
 
 # The widest grid whose trade kernels read subsets from a rank table.
@@ -308,13 +220,12 @@ def _rank_table(n_cols: int) -> tuple[tuple[int, int, tuple[int, ...]] | None, .
     in rank order, each from ``_unrank_subset``; slots with k > |pool| are
     None.  Every pool together holds 3^n_cols subsets.  The chains of one
     grid width share one table, built on first use."""
-    table = _binomials(n_cols)
     slots = [None] * (1 << n_cols << 4)
     for pool in range(1 << n_cols):
         r = pool.bit_count()
         for k in range(r + 1):
-            total = table[r][k]
-            subsets = tuple(_unrank_subset(pool, k, index, table) for index in range(total))
+            total = comb(r, k)
+            subsets = tuple(_unrank_subset(pool, k, index, total) for index in range(total))
             slots[pool << 4 | k] = (total, total.bit_length(), subsets)
     return tuple(slots)
 
@@ -336,18 +247,14 @@ def _rank_table(n_cols: int) -> tuple[tuple[int, int, tuple[int, ...]] | None, .
 # lacks it, so every changed row changes by an XOR.
 
 
-def _trades(rows, fixed, n, rng, table, circle=None, ranks=None):
+def _trades(rows, fixed, n, rng, n_cols, circle=None, ranks=None):
     """Trade steps: a uniform ordered row pair (i, j), then a uniform
     replacement for a_ij among the |a_ij|-subsets of the pool a_ij | a_ji,
     the free columns where the two rows differ.  Drawing a_ij itself is the
-    lazy step.  ``table`` is ``_binomials`` up to at least the number of
-    columns; every subset count and every binomial of the Metropolis test
-    is read from it.  When ``ranks`` is the grid width's ``_rank_table``,
-    each subset is drawn as a uniform index into one slot of that table,
-    which holds the count and its bit length.  Otherwise ``_draw_subset``
-    draws it on the width's ``_subset_plans``, and walks a drawn index on
-    ``table`` by ``_unrank_subset`` or, past ``_WIDE`` columns, by
-    ``_unrank_ratio``.
+    lazy step.  When ``ranks`` is the grid width's ``_rank_table``, each
+    subset is drawn as a uniform index into one slot of that table, which
+    holds the count and its bit length.  Otherwise ``_draw_subset`` draws
+    it on the kernel's plans, one entry per pool size up to ``n_cols``.
 
     With ``circle`` set to the Metropolis flag, each step first draws one
     bit; on a 1 it is a circle trade instead (the lazy step when n < 3).
@@ -360,15 +267,13 @@ def _trades(rows, fixed, n, rng, table, circle=None, ranks=None):
     the set's mask AND one getrandbits word as wide as the mask.  An empty
     subset is the lazy step, with no further draw.  Then it draws uniform
     equal-sized subsets of the other two, in order.  With the flag on, the
-    Metropolis test may keep the old rows."""
+    Metropolis test (``circle_denominator``) may keep the old rows."""
     mixed = circle is not None
     if n < 2 and not mixed:
         while True:
             yield
     getrandbits, uniform = rng.getrandbits, rng.random
-    # A source past _WIDE columns holds _CombRows, too slow to walk on.
-    unrank = _unrank_subset if len(table) <= _WIDE + 1 else _unrank_ratio
-    plans = None if ranks else _subset_plans(len(table) - 1)
+    plans = None if ranks else [None] * (n_cols + 1)
     draw, denominator = _draw_subset, circle_denominator
     n1, n2 = n - 1, n - 2
     bits_i, bits_j, bits_t = n.bit_length(), n1.bit_length(), n2.bit_length()
@@ -451,8 +356,8 @@ def _trades(rows, fixed, n, rng, table, circle=None, ranks=None):
                     if not chosen:
                         continue
                     x = chosen.bit_count()
-                    a = draw(a, x, getrandbits, plans, table, unrank)
-                    b = draw(b, x, getrandbits, plans, table, unrank)
+                    a = draw(a, x, getrandbits, plans)
+                    b = draw(b, x, getrandbits, plans)
                 # The subsets each row hands on, in their sets' roles.
                 if m == s_j:
                     sub_j, sub_t, sub_i = chosen, a, b
@@ -462,14 +367,14 @@ def _trades(rows, fixed, n, rng, table, circle=None, ranks=None):
                     sub_j, sub_t, sub_i = a, b, chosen
                 ni, nj, nt = ri ^ (sub_i | sub_j), rj ^ (sub_j | sub_t), rt ^ (sub_t | sub_i)
                 if circle:
-                    den_fwd = denominator((s_j, s_t, s_i), x, table)
+                    den_fwd = denominator((s_j, s_t, s_i), x)
                     # The reverse rotation runs over the order (j, i, t) of
                     # the new state.
                     den_rev = denominator((
                         (ni & ~(nj | fj | fi)).bit_count(),
                         (nt & ~(ni | fi | ft)).bit_count(),
                         (nj & ~(nt | ft | fj)).bit_count(),
-                    ), x, table)
+                    ), x)
                     if den_rev > den_fwd and uniform() >= den_fwd / den_rev:
                         continue
                 rows[i], rows[j], rows[t] = ni, nj, nt
@@ -498,7 +403,7 @@ def _trades(rows, fixed, n, rng, table, circle=None, ranks=None):
                     rows[i] = ri ^ flip
                     rows[j] ^= flip
                 continue
-            flip = a ^ draw(pool, a.bit_count(), getrandbits, plans, table, unrank)
+            flip = a ^ draw(pool, a.bit_count(), getrandbits, plans)
             rows[i] = ri ^ flip
             rows[j] ^= flip
 
@@ -644,10 +549,11 @@ class Chain:
     The current state lives as one column mask per row; no ``Realization``
     is built until ``realization()`` asks for one.  The constructor primes
     its move kind's block kernel once, so the kernel's set-up (bound rng
-    methods, bit lengths, tables) is paid once per chain: ``advance(k)``
-    is one ``send(k)``, and so is each kept state of ``keys()``, which
-    yields a cheap key of the state after every ``sample_gap``-th step:
-    the tuple of row masks, the ``masks`` of that state's ``Realization``.
+    methods, bit lengths, tables, subset plans) is paid once per chain:
+    ``advance(k)`` is one ``send(k)``, and so is each kept state of
+    ``keys()``, which yields a cheap key of the state after every
+    ``sample_gap``-th step: the tuple of row masks, the ``masks`` of that
+    state's ``Realization``.
 
     ``restart(seed)`` turns the chain into the one ``Chain(start,
     replace(config, seed=seed))`` would build, in place: it puts the start
@@ -656,8 +562,9 @@ class Chain:
     ``seed(s)`` plus a reset of ``gauss_next``, which no kernel reads, and
     between two ``send``s a kernel keeps nothing of its own but the row
     list and the rng: what else it binds is fixed by the instance and the
-    move set, and ``_cycles`` writes its walk lists on every step before
-    it reads them and builds its lists of drawn indices afresh.
+    move set, a trade kernel's plans depend on the pool sizes alone, and
+    ``_cycles`` writes its walk lists on every step before it reads them
+    and builds its lists of drawn indices afresh.
     """
 
     def __init__(self, start: Realization, cfg: ChainConfig):
@@ -673,7 +580,7 @@ class Chain:
             nc = inst.n_cols
             circle = cfg.mh_correction if kind == MoveSet.TRADES_PLUS_CIRCLE else None
             ranks = _rank_table(nc) if nc <= _NARROW else None
-            kernel = _trades(*state, _binomials(nc), circle, ranks)
+            kernel = _trades(*state, nc, circle, ranks)
         elif kind == MoveSet.SWAPS4:
             kernel = _swaps(*state)
         else:

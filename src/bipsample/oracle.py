@@ -471,17 +471,8 @@ class VerificationResult:
     elapsed: float = 0.0
 
 
-# The oracle's own binomial table, C(r, k) from ``math.comb`` for every
-# difference set of an enumerable grid, and the ledgers' circle-route
-# denominators read from it, each computed once.
-_BINOMIALS = tuple(
-    tuple(comb(r, k) for k in range(r + 1)) for r in range(ENUMERATION_CELL_LIMIT + 1)
-)
-
-
-@functools.cache
-def _circle_denominator(sizes: tuple[int, int, int], x: int) -> int:
-    return chains.circle_denominator(sizes, x, _BINOMIALS)
+# The ledgers' circle-route denominators, each computed once.
+_circle_denominator = functools.cache(chains.circle_denominator)
 
 
 class _SeqCtx:
@@ -550,21 +541,23 @@ class _StateSet:
         self.states = [ctx.bits[s] for s in key]
         self.every = functools.reduce(int.__and__, self.states)
         self.some = functools.reduce(int.__or__, self.states)
-        self.graphs: dict[MoveSet, tuple] = {}
+        self.graphs: dict[tuple[str, int | None], tuple] = {}
         self.trades = self.circles = None
 
     def graph_facts(self, move_set):
         """(components, distance verdict) of the state graph of ``move_set``,
         both read from one ``_adjacency`` whose lists are not kept; the
-        distance verdict is decided for 4-swaps only (None otherwise)."""
-        got = self.graphs.get(move_set)
+        distance verdict is decided for 4-swaps only (None otherwise).
+        Keyed by (kind, limit), hashed in C, not by the dataclass."""
+        key = move_set.kind, move_set.limit
+        got = self.graphs.get(key)
         if got is None:
             adj = _adjacency(self.ctx, self.key, move_set)
             comps = _components_from(self.key, adj)
             within_bound = len(comps) == 1 and _within_distance_bound(
                 self.ctx, self.key, adj
-            ) if move_set == _SWAPS4 else None
-            got = self.graphs[move_set] = (comps, within_bound)
+            ) if move_set.kind == MoveSet.SWAPS4 else None
+            got = self.graphs[key] = (comps, within_bound)
         return got
 
     def trade_verdict(self, fixed):

@@ -79,8 +79,9 @@ STREAM_INSTANCES = {
     # narrowest that walks.
     "pinned_6x8": lambda: random_pinned_instance(random.Random(8), 6, 8, 0.5, 12),
     "pinned_6x9": lambda: random_pinned_instance(random.Random(9), 6, 9, 0.5, 12),
-    # Just wider than the widest grid that holds a Pascal table: trades
-    # walk by exact ratios and read every binomial from math.comb.
+    # Pools of hundreds of columns, some of whose subsets walk their rank;
+    # its digests were recorded while grids past 512 columns had a walk of
+    # their own, and pin that the one walk gives the same subsets.
     "pinned_4x520": lambda: random_pinned_instance(random.Random(520), 4, 520, 0.5, 40),
 }
 

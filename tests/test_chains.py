@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -17,17 +18,13 @@ import bipsample as bp
 from bipsample import chains, oracle
 from bipsample.chains import (
     _NARROW,
-    _WIDE,
     ChainConfig,
-    _binomials,
     _cycles,
     _draw_subset,
     _rank_table,
-    _subset_plans,
     _swaps,
     _trades,
     _try_words,
-    _unrank_ratio,
     _unrank_subset,
     circle_denominator,
 )
@@ -44,8 +41,10 @@ from streams import (
 )
 
 
-# Binomials for every pool the tests draw from: up to 120 columns.
-TABLE = _binomials(120)
+def unrank(pool, k, index):
+    """``_unrank_subset`` of the index-th k-subset of ``pool``, given the
+    pool's count C(p, k)."""
+    return _unrank_subset(pool, k, index, comb(pool.bit_count(), k))
 
 
 def mask(columns):
@@ -110,7 +109,8 @@ def trade_kind_step(circle=None, coin=False, ranked=False):
     them as wider grids do."""
     def kernel(rows, fixed, inst, r):
         ranks = _rank_table(inst.n_cols) if ranked else None
-        return _trades(rows, fixed, inst.n, _CircleCoin(r) if coin else r, TABLE, circle, ranks)
+        return _trades(rows, fixed, inst.n, _CircleCoin(r) if coin else r, inst.n_cols, circle,
+                       ranks)
     return _on_masks(kernel)
 
 
@@ -167,7 +167,7 @@ def test_trade_enumeration_on_two_row_example():
     blocked = fixed[0] | fixed[1]
     a_ij, a_ji = rows[0] & ~(rows[1] | blocked), rows[1] & ~(rows[0] | blocked)
     pool, k = a_ij | a_ji, a_ij.bit_count()
-    outcomes = [_unrank_subset(pool, k, r, TABLE) for r in range(comb(pool.bit_count(), k))]
+    outcomes = [unrank(pool, k, r) for r in range(comb(pool.bit_count(), k))]
     assert len(outcomes) == 3
     assert outcomes.count(a_ij) == 1  # the lazy step
     swaps = sorted((cols(b), cols(pool ^ b)) for b in outcomes if b != a_ij)
@@ -225,7 +225,7 @@ def test_trade_preserves_pair_difference_set():
     inst = readme_4x4()
     rows = list(bp.initial_realization(inst).masks)
     fixed = inst.fixed.fixed_masks
-    step = primed(_trades(rows, fixed, inst.n, rng, TABLE)).send
+    step = primed(_trades(rows, fixed, inst.n, rng, inst.n_cols)).send
     traded = 0
     for _ in range(200):
         before = list(rows)
@@ -298,21 +298,18 @@ def _circle_den_reference(sizes, x):
 
 
 def test_circle_denominator_values():
-    assert circle_denominator((2, 2, 2), 2, TABLE) == 4  # 2^2 * C(2,2)^2
-    assert circle_denominator((1, 2, 1), 1, TABLE) == 2 * comb(2, 1) * comb(1, 1)
-    assert circle_denominator((3, 2, 2), 1, TABLE) == 4 * comb(3, 1) * comb(2, 1)
-    # from the table of a width-8 grid, whatever the sizes' order and ties
-    narrow = _binomials(8)
+    assert circle_denominator((2, 2, 2), 2) == 4  # 2^2 * C(2,2)^2
+    assert circle_denominator((1, 2, 1), 1) == 2 * comb(2, 1) * comb(1, 1)
+    assert circle_denominator((3, 2, 2), 1) == 4 * comb(3, 1) * comb(2, 1)
+    # every set size of a width-8 grid, whatever the sizes' order and ties
     for sizes in itertools.product(range(9), repeat=3):
         for x in range(1, min(sizes) + 1):
             want = _circle_den_reference(sizes, x)
-            assert circle_denominator(sizes, x, narrow) == want, (sizes, x)
-    # at the widest table, and from the math.comb rows just past it
-    sources = _binomials(_WIDE), _binomials(_WIDE + 1)
-    for sizes in itertools.product((_WIDE - 1, _WIDE), repeat=3):
-        for x in (1, 2, _WIDE // 2, _WIDE - 1):
-            want = _circle_den_reference(sizes, x)
-            assert [circle_denominator(sizes, x, t) for t in sources] == [want] * 2
+            assert circle_denominator(sizes, x) == want, (sizes, x)
+    # sets of hundreds of columns
+    for sizes in itertools.product((511, 512, 513), repeat=3):
+        for x in (1, 2, 256, 510):
+            assert circle_denominator(sizes, x) == _circle_den_reference(sizes, x), (sizes, x)
 
 
 def test_unique_realization_chain_is_constant():
@@ -610,10 +607,11 @@ def test_lazy_kernels_draw_only_what_the_docstring_says(name):
     start = list(bp.initial_realization(inst).masks)
     fixed = inst.fixed.fixed_masks
     kernels = {
-        "trades": (lambda rows, r: _trades(rows, fixed, 1, r, TABLE), 0),
+        "trades": (lambda rows, r: _trades(rows, fixed, 1, r, inst.n_cols), 0),
         "swaps": (lambda rows, r: _swaps(rows, fixed, 1, r), 0),
-        "trades+circle": (lambda rows, r: _trades(rows, fixed, 1, r, TABLE, True), 1),
-        "trades+circle, mh off": (lambda rows, r: _trades(rows, fixed, 1, r, TABLE, False), 1),
+        "trades+circle": (lambda rows, r: _trades(rows, fixed, 1, r, inst.n_cols, True), 1),
+        "trades+circle, mh off": (
+            lambda rows, r: _trades(rows, fixed, 1, r, inst.n_cols, False), 1),
     }
     for kind, (kernel, coin_bits) in kernels.items():
         for seed in range(3):
@@ -1031,13 +1029,13 @@ def test_kernel_steps_follow_the_exact_ledgers(make, circle, mh, reach):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chains, "_trades", lambda *args: built.append(args) or _trades(*args))
         bp.Chain(states[0], ChainConfig(move_set, 1, 0, mh_correction=mh))
-    [(_, _, _, _, table, flag, ranks)] = built
+    [(_, _, _, _, n_cols, flag, ranks)] = built
     assert flag == (mh if circle else None)
     assert (ranks is None) == (inst.n_cols > _NARROW)
     planned = Counter()
 
-    def spy(pool, k, getrandbits, plans, table, unrank):
-        subset = _draw_subset(pool, k, getrandbits, plans, table, unrank)
+    def spy(pool, k, getrandbits, plans):
+        subset = _draw_subset(pool, k, getrandbits, plans)
         planned[plans[pool.bit_count()][k]] += 1
         return subset
 
@@ -1046,12 +1044,12 @@ def test_kernel_steps_follow_the_exact_ledgers(make, circle, mh, reach):
     rows = [0] * inst.n
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chains, "_draw_subset", spy)
-        step = primed(_trades(rows, fixed, inst.n, rng, table, flag, ranks)).send
+        step = primed(_trades(rows, fixed, inst.n, rng, n_cols, flag, ranks)).send
         if circle:
             # Circle trades alone, from every state: their x-subsets.
             for g in states * 20:
                 rows[:] = g.masks
-                primed(_trades(rows, fixed, inst.n, _CircleCoin(rng), table, flag, ranks)).send(1)
+                primed(_trades(rows, fixed, inst.n, _CircleCoin(rng), n_cols, flag, ranks)).send(1)
             assert reach <= set(planned), planned
     for s in (0, len(states) // 2, len(states) - 1):
         start = states[s].masks
@@ -1122,27 +1120,25 @@ def _check_every_try(words, width):
     rng = _Script()
     columns = random.Random(12)
     plans = [[words] * (p + 1) for p in range(width + 1)]
-    walks = [[-1] * (p + 1) for p in range(width + 1)]
-    natural = _subset_plans(width)
+    walks = [[-comb(p, k) for k in range(p + 1)] for p in range(width + 1)]
+    natural = [None] * (width + 1)
     base = (1 << words) - 1
     for p in range(1, width + 1):
         pool = mask(columns.sample(range(width), p))
         bits = pool.bit_length()
         for k in (0, p):
-            assert _draw_subset(pool, k, rng.run(()).getrandbits, natural, TABLE,
-                                _unrank_subset) == (pool if k else 0)
+            assert _draw_subset(pool, k, rng.run(()).getrandbits, natural) == (pool if k else 0)
             assert rng.used == 0
         for k in range(1, p):
             total = comb(p, k)
             subsets = {mask(c) for c in itertools.combinations(cols(pool), k)}
 
             def draw(plan, *script):
-                return _draw_subset(pool, k, rng.run(script).getrandbits, plan, TABLE,
-                                    _unrank_subset)
+                return _draw_subset(pool, k, rng.run(script).getrandbits, plan)
 
             index_bits = total.bit_length()
             for r in range(1 << index_bits):
-                want = _unrank_subset(pool, k, r if r < total else 0, TABLE)
+                want = unrank(pool, k, r if r < total else 0)
                 assert draw(walks, r, 0) == want, (pool, k, r)
                 assert rng.bounds == [1 << index_bits] * (1 if r < total else 2)
             first = min(subsets)  # a try of these words accepts it
@@ -1169,30 +1165,54 @@ def _check_every_try(words, width):
 
 def test_try_words_plans_by_the_acceptance_floor():
     """``_try_words`` agrees with ``_words_reference`` on every (p, k) up
-    to 60 columns and either side of ``_WIDE``, and reaches every plan:
-    single subsets, one, two and three AND-ed words and the walk.  Up to
-    ``_WIDE`` a width's plans are lists of Nones until first asked, and
-    then hold the same plans; past it, rows that hold nothing and read
-    them."""
+    to 60 columns and on pools of 511 to 513 and 3,000 columns, a walk
+    planned as -C(p, k), and reaches every plan: single subsets, one, two
+    and three AND-ed words and the walk.  A kernel's plans are one None
+    per pool size until a pool of that size is drawn, then a row of its
+    sizes' plans, each filled in on first use."""
+
+    def planned(p, k):
+        words = _words_reference(p, k)
+        return words if words >= 0 else -comb(p, k)
+
     seen = Counter()
     for p in range(61):
         for k in range(p + 1):
-            words = _try_words(p, k, comb(p, k))
-            assert words == _words_reference(p, k), (p, k)
-            seen[words] += 1
+            words = _try_words(p, k)
+            assert words == planned(p, k), (p, k)
+            seen[max(words, -1)] += 1
     assert set(seen) == {-1, 0, 1, 2, 3}, seen
-    plans = _subset_plans.__wrapped__(40)
-    assert plans == tuple([None] * (p + 1) for p in range(41))
+    plans = [None] * 41
     rng = random.Random(40)
     for p in range(41):
+        _draw_subset((1 << p) - 1, p // 2, rng.getrandbits, plans)
+        assert plans[p] == [None] * (p // 2) + [planned(p, p // 2)] + [None] * (p - p // 2)
+        assert plans[p + 1:] == [None] * (40 - p)
         for k in range(p + 1):
-            _draw_subset((1 << p) - 1, k, rng.getrandbits, plans, TABLE, _unrank_subset)
-    assert plans == tuple([_words_reference(p, k) for k in range(p + 1)] for p in range(41))
-    wide = _subset_plans(_WIDE + 1)
-    assert all(isinstance(row, chains._PlanRow) for row in wide)
-    for p in (_WIDE - 1, _WIDE, _WIDE + 1):
+            _draw_subset((1 << p) - 1, k, rng.getrandbits, plans)
+    assert plans == [[planned(p, k) for k in range(p + 1)] for p in range(41)]
+    for p in (511, 512, 513, 3000):
         for k in (1, p // 8, p // 5, p // 3, p // 2, p - 1):
-            assert wide[p][k] == _try_words(p, k, comb(p, k)) == _words_reference(p, k)
+            assert _try_words(p, k) == planned(p, k), (p, k)
+
+
+def test_wide_trade_chains_allocate_little():
+    """On a free 4x500 grid (row degrees 250, column degrees 2), building a
+    trades chain and taking 200 steps, then a trades+circle chain and 200
+    steps, peaks under 1 MB of allocations: the kernels keep a plan per
+    pool size drawn, and no binomial table, which would take about 9 MB at
+    this width.  No other test builds a chain 500 columns wide."""
+    m = 500
+    start = bp.initial_realization(bp.Instance.unconstrained([m // 2] * 4, [2] * m))
+    tracemalloc.start()
+    try:
+        for move_set in (MoveSet.trades(), MoveSet.trades_plus_circle()):
+            chain = bp.Chain(start, ChainConfig(move_set, steps=200, seed=500))
+            chain.advance(200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_a_wide_circle_step_draws_one_pivot_word():
@@ -1206,7 +1226,7 @@ def test_a_wide_circle_step_draws_one_pivot_word():
     start = [mask({10, 11}), mask({0, 1, 2}), mask(range(3, 8))]
     rng = _Script()
     rows = list(start)
-    step = primed(_trades(rows, [0, 0, 0], 3, rng, TABLE, False)).send
+    step = primed(_trades(rows, [0, 0, 0], 3, rng, 12, False)).send
     triple = (1, 0, 0, 0)  # the coin, then rows i = 0, j = 1 and t = 2
     rng.run(triple + (0,))
     step(1)
@@ -1360,9 +1380,9 @@ def _unrank_reference(pool, k, index):
 
 
 def _unrank_ratio_reference(pool, k, index):
-    """``_unrank_subset`` as it was before the Pascal table: ``rest``
-    counts the subsets that take the current column next, C(m, need - 1),
-    started by one binomial and updated by an exact ratio per column."""
+    """The rank walk re-derived: ``rest`` counts the subsets that take the
+    current column next, C(m, need - 1), started by ``math.comb`` and
+    updated by an exact ratio per column."""
     out = 0
     if not k:
         return out
@@ -1393,34 +1413,9 @@ def test_unrank_subset_matches_the_ratio_walk_on_every_small_pool():
         for k in range(size + 1):
             for index in range(comb(size, k)):
                 want = _unrank_ratio_reference(pool, k, index)
-                assert _unrank_subset(pool, k, index, TABLE) == want, (pool, k, index)
-                assert _unrank_ratio(pool, k, index, TABLE) == want, (pool, k, index)
+                assert unrank(pool, k, index) == want, (pool, k, index)
                 calls += 1
     assert calls == 3 ** 10
-
-
-def test_the_table_walk_and_the_ratio_walk_agree_either_side_of_the_table_width():
-    """On pools of ``_WIDE`` - 1 to ``_WIDE`` + 1 columns, the Pascal-table
-    walk (past ``_WIDE`` it reads ``math.comb`` rows) and the kernel's
-    ratio walk give the reference's subset: for every index where k is at
-    most 1 or at least r - 1, and for the first, the last and 8 random
-    indices of 8 other sizes."""
-    rng = random.Random(512)
-    for size in (_WIDE - 1, _WIDE, _WIDE + 1):
-        pool = mask(rng.sample(range(_WIDE + 40), size))
-        table = _binomials(max(size, _WIDE))
-        assert (size > _WIDE) == isinstance(table[-1], chains._CombRow)
-        for k in (0, 1, size - 1, size):
-            for index in range(comb(size, k)):
-                want = _unrank_ratio_reference(pool, k, index)
-                assert _unrank_subset(pool, k, index, table) == want, (size, k, index)
-                assert _unrank_ratio(pool, k, index, table) == want, (size, k, index)
-        for k in (2, 3, 17, size // 3, size // 2, size - 40, size - 3, size - 2):
-            total = comb(size, k)
-            for index in (0, total - 1, *(rng.randrange(total) for _ in range(8))):
-                want = _unrank_ratio_reference(pool, k, index)
-                assert _unrank_subset(pool, k, index, table) == want, (size, k, index)
-                assert _unrank_ratio(pool, k, index, table) == want, (size, k, index)
 
 
 def test_unrank_subset_matches_the_ratio_walk_on_random_pools():
@@ -1432,17 +1427,25 @@ def test_unrank_subset_matches_the_ratio_walk_on_random_pools():
         total = comb(size, k)
         index = rng.choice((0, total - 1, rng.randrange(total)))
         want = _unrank_ratio_reference(pool, k, index)
-        assert _unrank_subset(pool, k, index, TABLE) == want, (pool, k, index)
+        assert unrank(pool, k, index) == want, (pool, k, index)
 
 
-def test_binomial_table_rows_end_in_a_zero():
-    assert TABLE[:3] == ((1, 0), (1, 1, 0), (1, 2, 1, 0))
-    assert all(TABLE[r] == tuple(comb(r, k) for k in range(r + 2)) for r in range(121))
-    # past the widest table, rows read the same values from math.comb
-    wide = _binomials(_WIDE + 1)
-    assert len(wide) == _WIDE + 2
-    for r in (0, 1, 2, _WIDE - 1, _WIDE, _WIDE + 1):
-        assert [wide[r][k] for k in range(r + 2)] == [comb(r, k) for k in range(r + 2)]
+def test_unrank_subset_matches_the_ratio_walk_on_pools_of_hundreds_of_columns():
+    """On pools of 511 to 513 columns, for every index where k is at most
+    1 or at least r - 1, and for the first, the last and 8 random indices
+    of 8 other sizes."""
+    rng = random.Random(512)
+    for size in (511, 512, 513):
+        pool = mask(rng.sample(range(552), size))
+        for k in (0, 1, size - 1, size):
+            for index in range(comb(size, k)):
+                want = _unrank_ratio_reference(pool, k, index)
+                assert unrank(pool, k, index) == want, (size, k, index)
+        for k in (2, 3, 17, size // 3, size // 2, size - 40, size - 3, size - 2):
+            total = comb(size, k)
+            for index in (0, total - 1, *(rng.randrange(total) for _ in range(8))):
+                want = _unrank_ratio_reference(pool, k, index)
+                assert unrank(pool, k, index) == want, (size, k, index)
 
 
 def test_unrank_subset_follows_combinations_order():
@@ -1453,7 +1456,7 @@ def test_unrank_subset_follows_combinations_order():
             combos = list(itertools.combinations(pool, k))
             assert len(combos) == comb(size, k)
             for index, combo in enumerate(combos):
-                assert cols(_unrank_subset(mask(pool), k, index, TABLE)) == list(combo)
+                assert cols(unrank(mask(pool), k, index)) == list(combo)
 
 
 def test_unrank_subset_matches_comb_per_position_formula():
@@ -1464,7 +1467,7 @@ def test_unrank_subset_matches_comb_per_position_formula():
         k = rng.randint(0, size)
         total = comb(size, k)
         index = rng.choice((0, total - 1, rng.randrange(total)))
-        got = set(cols(_unrank_subset(mask(pool), k, index, TABLE)))
+        got = set(cols(unrank(mask(pool), k, index)))
         assert got == _unrank_reference(pool, k, index)
 
 
@@ -1539,6 +1542,6 @@ def test_rank_table_holds_every_subset_of_every_pool():
         total, bits, subsets = entry
         assert total == comb(size, k) == len(subsets)
         assert bits == total.bit_length()
-        assert subsets == tuple(_unrank_subset(pool, k, r, TABLE) for r in range(total))
+        assert subsets == tuple(unrank(pool, k, r) for r in range(total))
         held += total
     assert held == 3 ** _NARROW == 6561

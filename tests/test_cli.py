@@ -1117,9 +1117,9 @@ print(done.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
 def test_trades_on_a_wide_grid_stay_small(tmp_path):
     """``sample --chain trades --steps 10`` on a free 4x3,000 grid (row
-    degrees 1,500, column degrees 2).  A Pascal table up to 3,000 columns
-    takes about 1 GB; past 512 columns the chain holds none, and the
-    sampling process peaks near 15 MB, under a ceiling of 100 MB."""
+    degrees 1,500, column degrees 2).  The chain holds no binomial table,
+    which would take about 1 GB up to 3,000 columns, and the sampling
+    process peaks near 15 MB, under a ceiling of 100 MB."""
     m = 3000
     path = write(tmp_path, "free_4x3000.txt", "\n".join([
         "rows: 4", f"cols: {m}", "row_degrees:" + f" {m // 2}" * 4,
