@@ -50,7 +50,8 @@ least 0.175 or below, or another t if that one's tries are accepted with
 probability below 1/32 and its are not.  When no t reaches 1/32 it draws
 an index below C(p, k) and walks it by the same ``_unrank_subset``.  The
 plan of each (p, k), and C(p, k) when it walks, is worked out in integers
-on first use (``_try_words``) and kept by the kernel.  The walk starts
+on its first use in the process (``_try_words``, one bounded cache that
+every chain shares) and kept by the kernel.  The walk starts
 from C(p - 1, k - 1) = C(p, k) k / p, the count of subsets that take the
 lowest column, and follows it column by column by exact ratios, so once a
 plan exists a draw computes no binomial.  Every binomial, those of a
@@ -140,6 +141,11 @@ def _unrank_subset(pool: int, k: int, index: int, total: int) -> int:
         m -= 1
 
 
+# Plans are shared by every chain of the process: a fresh chain on a
+# 100x100 grid draws 500-700 of them, each a few microseconds of integer
+# arithmetic.  The bound keeps a process that draws on ever wider grids
+# from holding every plan it met.
+@lru_cache(maxsize=1 << 13)
 def _try_words(p, k):
     """How ``_draw_subset`` draws a k-subset of a p-column pool: 0 when
     the pool has one k-subset (no draw), -C(p, k) when it walks a drawn
@@ -150,7 +156,8 @@ def _try_words(p, k):
     C(p, k) (q^k (1 - q)^(p - k) + q^(p - k) (1 - q)^k), one term when
     k = p - k; if that falls below 1/32, the other densities are tried,
     the lowest t first, and the draw walks when none reaches it.  Integer
-    arithmetic only, so the choice is the same on every platform."""
+    arithmetic only, so the choice is the same on every platform, and a
+    pure function of (p, k), so cached once per process."""
     total = comb(p, k)
     if total == 1:
         return 0
@@ -168,12 +175,13 @@ def _try_words(p, k):
 def _draw_subset(pool, k, getrandbits, plans):
     """A uniform k-subset of the columns in ``pool``: the trade kinds' draw
     on grids wider than ``_NARROW``.  ``plans[p][k]`` is the plan of a
-    p-column pool (``_try_words``), worked out on first use, in a row
-    allocated when a pool of p columns is first drawn.  A pool with one
-    k-subset (k = 0 or k = p) draws nothing.  A try ANDs the pool with t
-    words of ``getrandbits(pool.bit_length())``, so that S keeps each pool
-    column independently with probability 2^-t; it is repeated until
-    |S| = k (giving S) or |S| = p - k (giving pool ^ S).  Given its size,
+    p-column pool (``_try_words``), read from the process's plan cache on
+    the kernel's first use, in a row allocated when a pool of p columns is
+    first drawn.  A pool with one k-subset (k = 0 or k = p) draws
+    nothing.  A try ANDs the pool with t words of
+    ``getrandbits(pool.bit_length())``, so that S keeps each pool column
+    independently with probability 2^-t; it is repeated until |S| = k
+    (giving S) or |S| = p - k (giving pool ^ S).  Given its size,
     S is uniform over the subsets of that size, so each branch, and so
     their mix, is uniform over the k-subsets.  A walk draws a uniform
     index below C(p, k), held in its plan, and walks it by

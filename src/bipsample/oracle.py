@@ -53,9 +53,10 @@ ENUMERATION_CELL_LIMIT = 36
 # the row masks of ``Realization.masks``, packed, so row i is
 # ``x >> i*nc & full``.  Enumeration emits the states in canonical
 # (row-major digit string) order, which indexes them.  Every state graph,
-# the sweep's and ``build_state_graph``'s, is ``_adjacency``'s neighbour
-# lists; the exact pair classifier ``_classify_bits`` settles only the
-# pairs that its integer tests leave open.
+# the sweep's and ``build_state_graph``'s, is read from the neighbour
+# masks of ``_SeqCtx.neighbours``, which one pass over the state pairs
+# fills; the exact pair classifier ``_classify_bits`` settles only the
+# pairs that the pass's integer tests leave open.
 
 
 def _cells_mask(cells, n: int, nc: int) -> int:
@@ -186,88 +187,244 @@ _SWAPS46 = MoveSet.swaps_up_to(6)
 _TRADES = MoveSet.trades()
 _TRADES_PLUS_CIRCLE = MoveSet.trades_plus_circle()
 
-
-def _adjacency(ctx, states_idx, move_set: MoveSet) -> list[list[int]]:
-    """Neighbour lists, by position in ``states_idx``, of the state graph
-    of ``move_set``, from O(1) integer tests on each pair's difference
-    ``d``; every state graph of the oracle is built here.  A trade is two
-    changed rows (the row high bits that ``((d & low) + low) | d`` sets).
-    The states share one degree sequence, so each changed row and column
-    holds an even number of cells: 4 changed cells are one 4-cycle, 6 one
-    6-cycle, and on three rows one rotation; a rotation changes 2m cells
-    per row.  The exact ``_classify_bits`` settles the rest: rotations of
-    12, 18, ... cells and cycles of 2k >= 8 cells on k rows."""
-    bits = [ctx.bits[s] for s in states_idx]
-    n, nc, low, high = ctx.n, ctx.nc, ctx.low, ctx.high
-    circle = move_set.kind == MoveSet.TRADES_PLUS_CIRCLE
-    swaps = not circle and move_set.kind != MoveSet.TRADES
-    lengths = move_set.swap_lengths()
-    adj: list[list[int]] = [[] for _ in bits]
-    for qa, x in enumerate(bits):
-        later = enumerate(bits[qa + 1:], qa + 1)
-        if swaps:
-            nbrs = [
-                qb for qb, y in later
-                if (c := (d := x ^ y).bit_count()) in lengths and (
-                    c < 8 or 2 * ((((d & low) + low | d) & high).bit_count()) == c
-                    and _classify_bits(x, y, n, nc)[1] == c
-                )
-            ]
-        else:
-            nbrs = [
-                qb for qb, y in later
-                if (r := ((((d := x ^ y) & low) + low | d) & high).bit_count()) == 2
-                or circle and r == 3 and (
-                    (c := d.bit_count()) == 6
-                    or c % 6 == 0 and _classify_bits(x, y, n, nc)[2]
-                )
-            ]
-        adj[qa] += nbrs
-        for qb in nbrs:
-            adj[qb].append(qa)
-    return adj
+# The pair classes (see ``_SeqCtx``) that are one move of each trade kind.
+_TRADE_CLASSES = frozenset({2, 4})
+_CIRCLE_CLASSES = frozenset({2, 3, 4, 6})
 
 
-def _components_from(states_idx, adj) -> list[tuple[int, ...]]:
-    """The components of the graph on ``states_idx`` with the neighbour
-    lists ``adj`` (by position in ``states_idx``), each sorted, ordered by
-    least state."""
-    order = list(states_idx)
-    seen = [False] * len(order)
+class _SeqCtx:
+    """Per-sequence data: the bit states, their canonical index, the rows'
+    shifts, the masks ``low`` and ``high`` that count a difference's
+    changed rows (each row's low bits, each row's high bit), subset tables,
+    and the state graphs.  Row i of a state ``x`` is the row mask
+    ``(x >> shifts[i]) & full``.
+
+    Every state graph of the oracle is read from one pass over the state
+    pairs (``_classify_pairs``), which keeps only the pairs that are one
+    move of some kind, each under its class, from integer tests on the
+    pair's difference ``d``: its cell count c and, past 6 cells, its
+    changed-row count r (the row high bits that ``((d & low) + low) | d``
+    sets).  The states share one degree sequence, so each changed row and
+    column holds an even number of cells: c = 4 is one 4-cycle, on two
+    rows, and c = 6 one 6-cycle, on three rows, hence one rotation; a
+    rotation changes 2m cells per row.  The classes are 4 and 6 for those,
+    2 for any other trade (r = 2), and two open ones whose pairs the exact
+    ``_classify_bits`` settles when a move set first admits them: 3, three
+    rows of 12, 18, ... cells, kept if a rotation, and c >= 8, c cells on
+    c/2 rows, kept if one cycle.  A class is kept as one neighbour mask per
+    state (bit t for state t).  A move set's graph is the OR of the classes
+    it admits: trades 2 and 4, trades with circle trades also 3 and 6,
+    cycle swaps their lengths."""
+
+    def __init__(self, n, nc, a, b, bits):
+        self.n = n
+        self.nc = nc
+        self.a = tuple(a)
+        self.b = tuple(b)
+        self.bits = bits
+        self.index = {x: s for s, x in enumerate(bits)}
+        self.full = (1 << nc) - 1
+        self.shifts = tuple(i * nc for i in range(n))
+        self.high = sum(1 << sh + nc - 1 for sh in self.shifts)
+        self.low = (1 << n * nc) - 1 - self.high
+        self._subsets: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._classes: dict[int, list[int]] | None = None
+        self._open: dict[int, list[tuple[int, int]]] = {}
+        self._graphs: dict[int | str, list[int]] = {}
+
+    def subsets_of(self, mask):
+        """The submasks of ``mask`` grouped by size: entry k lists those with
+        k bits."""
+        got = self._subsets.get(mask)
+        if got is None:
+            out = [[] for _ in range(mask.bit_count() + 1)]
+            sub = mask
+            while True:
+                out[sub.bit_count()].append(sub)
+                if not sub:
+                    break
+                sub = (sub - 1) & mask
+            got = self._subsets[mask] = tuple(map(tuple, out))
+        return got
+
+    def _classify_pairs(self):
+        """Sort every pair of states that is one move of some kind into its
+        class, the open ones left to settle."""
+        low, high, bits = self.low, self.high, self.bits
+        flags = [1 << s for s in range(len(bits))]
+        classes: dict[int, list[int]] = {}
+        for s, x in enumerate(bits):
+            for t, cls in [
+                (t, c if c < 7 else 2 if r == 2 else 3 if r == 3 else c)
+                for t, y in enumerate(bits[s + 1:], s + 1)
+                if (c := (d := x ^ y).bit_count()) < 7
+                or (r := ((((d & low) + low | d) & high).bit_count())) == 2
+                or r == 3 and c % 6 == 0 or 2 * r == c
+            ]:
+                if cls == 3 or cls > 6:
+                    self._open.setdefault(cls, []).append((s, t))
+                    continue
+                nbrs = classes.get(cls)
+                if nbrs is None:
+                    nbrs = classes[cls] = [0] * len(bits)
+                nbrs[s] |= flags[t]
+                nbrs[t] |= flags[s]
+        self._classes = classes
+
+    def _settle(self, cls):
+        """Keep the pairs of the open class ``cls`` that ``_classify_bits``
+        shows are one move of it."""
+        bits, n, nc = self.bits, self.n, self.nc
+        nbrs = self._classes.setdefault(cls, [0] * len(bits))
+        for s, t in self._open.pop(cls):
+            _, cycle_len, rotation = _classify_bits(bits[s], bits[t], n, nc)
+            if (rotation if cls == 3 else cycle_len == cls):
+                nbrs[s] |= 1 << t
+                nbrs[t] |= 1 << s
+
+    def neighbours(self, move_set) -> list[int]:
+        """The neighbour masks of the states in the state graph of
+        ``move_set``, kept by the move set's limit, or its kind where it has
+        none, so that a lookup builds no key."""
+        key = move_set.limit or move_set.kind
+        got = self._graphs.get(key)
+        if got is None:
+            if self._classes is None:
+                self._classify_pairs()
+            kind = move_set.kind
+            admits = (
+                _TRADE_CLASSES if kind == MoveSet.TRADES
+                else _CIRCLE_CLASSES if kind == MoveSet.TRADES_PLUS_CIRCLE
+                else move_set.swap_lengths()
+            )
+            for cls in admits & self._open.keys():
+                self._settle(cls)
+            parts = [self._classes[cls] for cls in admits if cls in self._classes]
+            got = self._graphs[key] = (
+                [functools.reduce(int.__or__, masks) for masks in zip(*parts)]
+                if parts else [0] * len(self.bits)
+            )
+        return got
+
+
+class _StateSet:
+    """A state set of one context, named by the mask of its state indices
+    (``key`` lists them): its states, their AND and OR, and the graph facts
+    and ledger verdicts the checks decide on it, each once.  A set refers
+    to its context and a context to no set, so that a context is freed
+    with the last set that holds it.
+
+    The ledgers depend on the set alone, though they read the fixed cells
+    of the support that picked it.  In the exhaustive half a context holds
+    every realization of its sequence.  Take two supports that select the
+    same set S, and a cell fixed under one and free under the other: it is
+    constant on S.  Were it in a trade pool (0 < k < size) or a circle
+    difference set (min size >= 1) of the support that leaves it free, some
+    route would flip it and keep that support's pattern, reaching a
+    realization in S with another value there.  So the pools, difference
+    sets and denominators agree under both supports."""
+
+    __slots__ = ("ctx", "mask", "key", "states", "every", "some", "graphs",
+                 "trades", "circles")
+
+    def __init__(self, ctx, mask):
+        self.ctx, self.mask = ctx, mask
+        self.key = _positions(mask)
+        self.states = [ctx.bits[s] for s in self.key]
+        self.every = functools.reduce(int.__and__, self.states)
+        self.some = functools.reduce(int.__or__, self.states)
+        self.graphs: dict[int | str, tuple] = {}
+        self.trades = self.circles = None
+
+    def graph_facts(self, move_set):
+        """(components, distance verdict) of the set's state graph under
+        ``move_set``: the components as state masks, ordered by least
+        state, and whether every pair of states lies within the distance
+        bound, decided for 4-swaps only (None otherwise).  Kept like the
+        context's graphs."""
+        key = move_set.limit or move_set.kind
+        got = self.graphs.get(key)
+        if got is None:
+            nbrs = self.ctx.neighbours(move_set)
+            comps = _components(nbrs, self.mask)
+            within_bound = len(comps) == 1 and _within_distance_bound(
+                self.ctx.bits, nbrs, self.mask
+            ) if move_set.kind == MoveSet.SWAPS4 else None
+            got = self.graphs[key] = (comps, within_bound)
+        return got
+
+    def trade_verdict(self, fixed):
+        """Whether the trade ledger under ``fixed`` stays in the set, symmetric."""
+        if self.trades is None:
+            trades = _trade_ledger(self.ctx, self.key, fixed)
+            self.trades = trades is not None and _symmetric(trades)
+        return self.trades
+
+    def circle_verdicts(self, fixed):
+        """(corrected ledger stays in the set and is symmetric, uncorrected
+        ledger is asymmetric)."""
+        if self.circles is None:
+            circles = _circle_ledgers(self.ctx, self.key, fixed)
+            self.circles = (
+                circles is not None and _symmetric(circles[0]),
+                circles is not None and not _symmetric(circles[1]),
+            )
+        return self.circles
+
+
+def _positions(mask):
+    """The positions of the set bits of ``mask``, ascending, as a tuple."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _components(nbrs, mask) -> list[int]:
+    """The components, as masks ordered by least state, of the graph with
+    the neighbour masks ``nbrs`` on the states in ``mask``."""
     comps = []
-    for q in sorted(range(len(order)), key=order.__getitem__):
-        if seen[q]:
-            continue
-        seen[q] = True
-        queue = [q]
-        for u in queue:
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        comps.append(tuple(sorted([order[u] for u in queue])))
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= nbrs[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & mask & ~comp
+            comp |= frontier
+        comps.append(comp)
+        mask ^= comp
     return comps
 
 
-def _within_distance_bound(ctx, states_idx, adj) -> bool:
-    """True iff, in the graph on ``states_idx`` with the neighbour lists
-    ``adj`` (by position in ``states_idx``), every pair of states is within
-    half its cell difference minus one moves."""
-    bits = [ctx.bits[s] for s in states_idx]
-    for qa, x in enumerate(bits):
-        dist = [-1] * len(bits)
-        dist[qa] = 0
-        queue = [qa]
-        for u in queue:
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        for qb, y in enumerate(bits):
-            if qb == qa:
-                continue
-            if dist[qb] < 0 or dist[qb] > (x ^ y).bit_count() // 2 - 1:
-                return False
+def _within_distance_bound(bits, nbrs, mask) -> bool:
+    """True iff, in the graph with the neighbour masks ``nbrs`` on the
+    states in ``mask``, every pair of states is within half its cell
+    difference minus one moves: a state first reached after k moves
+    differs from the start in at least 2k + 2 cells."""
+    for s in _positions(mask):
+        x = bits[s]
+        seen = 1 << s
+        frontier = nbrs[s] & mask
+        need = 4
+        while frontier:
+            seen |= frontier
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                t = low.bit_length() - 1
+                if (x ^ bits[t]).bit_count() < need:
+                    return False
+                reach |= nbrs[t]
+                frontier ^= low
+            frontier = reach & mask & ~seen
+            need += 2
+        if seen != mask:
+            return False
     return True
 
 
@@ -330,20 +487,21 @@ def _ctx_of(states: list[Realization]) -> _SeqCtx:
 def build_state_graph(states: list[Realization], move_set: MoveSet) -> StateGraph:
     """Connect states that are one move apart under ``move_set``.  The
     states must share one degree sequence (so one shape), without which
-    ``_adjacency``'s integer tests are not exact: InstanceMismatch (a
-    ValueError) otherwise."""
+    the integer pair tests of ``_SeqCtx`` are not exact: InstanceMismatch
+    (a ValueError) otherwise."""
     if len({g.instance.degrees for g in states}) > 1:
         raise InstanceMismatch("the states of a state graph must share one degree sequence")
     if not states:
         return StateGraph((), (), move_set)
-    adj = _adjacency(_ctx_of(states), range(len(states)), move_set)
-    return StateGraph(tuple(states), tuple(map(tuple, adj)), move_set)
+    nbrs = _ctx_of(states).neighbours(move_set)
+    return StateGraph(tuple(states), tuple(map(_positions, nbrs)), move_set)
 
 
 def check_connectivity(sg: StateGraph) -> tuple[bool, list[list[int]]]:
     """Component decomposition of the state graph."""
-    comps = _components_from(range(len(sg.states)), sg.edges)
-    return len(comps) <= 1, [list(c) for c in comps]
+    nbrs = [sum(1 << t for t in edges) for edges in sg.edges]
+    comps = _components(nbrs, (1 << len(nbrs)) - 1)
+    return len(comps) <= 1, [list(_positions(c)) for c in comps]
 
 
 def _static_set_reference(s: DegreeSequence) -> StaticSet:
@@ -473,110 +631,6 @@ class VerificationResult:
 
 # The ledgers' circle-route denominators, each computed once.
 _circle_denominator = functools.cache(chains.circle_denominator)
-
-
-class _SeqCtx:
-    """Per-sequence data: the bit states, their canonical index, the rows'
-    shifts, the masks ``low`` and ``high`` that count a difference's
-    changed rows (each row's low bits, each row's high bit), subset tables,
-    and the state sets the checks have read (``state_set``).  Row i of a
-    state ``x`` is the row mask ``(x >> shifts[i]) & full``."""
-
-    def __init__(self, n, nc, a, b, bits):
-        self.n = n
-        self.nc = nc
-        self.a = tuple(a)
-        self.b = tuple(b)
-        self.bits = bits
-        self.index = {x: s for s, x in enumerate(bits)}
-        self.full = (1 << nc) - 1
-        self.shifts = tuple(i * nc for i in range(n))
-        self.high = sum(1 << sh + nc - 1 for sh in self.shifts)
-        self.low = (1 << n * nc) - 1 - self.high
-        self._subsets: dict[int, tuple[tuple[int, ...], ...]] = {}
-        self._sets: dict[tuple[int, ...], _StateSet] = {}
-
-    def state_set(self, key):
-        """The state set of the tuple of indices ``key``, made on first use."""
-        got = self._sets.get(key)
-        if got is None:
-            got = self._sets[key] = _StateSet(self, key)
-        return got
-
-    def subsets_of(self, mask):
-        """The submasks of ``mask`` grouped by size: entry k lists those with
-        k bits."""
-        got = self._subsets.get(mask)
-        if got is None:
-            out = [[] for _ in range(mask.bit_count() + 1)]
-            sub = mask
-            while True:
-                out[sub.bit_count()].append(sub)
-                if not sub:
-                    break
-                sub = (sub - 1) & mask
-            got = self._subsets[mask] = tuple(map(tuple, out))
-        return got
-
-
-class _StateSet:
-    """A state set of one context, named by the tuple ``key`` of its state
-    indices: its states, their AND and OR, and the graph facts and ledger
-    verdicts the checks decide on it, each once.
-
-    They depend on the set alone, though the ledgers read the fixed cells
-    of the support that picked it.  In the exhaustive half a context holds
-    every realization of its sequence.  Take two supports that select the
-    same set S, and a cell fixed under one and free under the other: it is
-    constant on S.  Were it in a trade pool (0 < k < size) or a circle
-    difference set (min size >= 1) of the support that leaves it free, some
-    route would flip it and keep that support's pattern, reaching a
-    realization in S with another value there.  So the pools, difference
-    sets and denominators agree under both supports."""
-
-    __slots__ = ("ctx", "key", "states", "every", "some", "graphs", "trades", "circles")
-
-    def __init__(self, ctx, key):
-        self.ctx, self.key = ctx, key
-        self.states = [ctx.bits[s] for s in key]
-        self.every = functools.reduce(int.__and__, self.states)
-        self.some = functools.reduce(int.__or__, self.states)
-        self.graphs: dict[tuple[str, int | None], tuple] = {}
-        self.trades = self.circles = None
-
-    def graph_facts(self, move_set):
-        """(components, distance verdict) of the state graph of ``move_set``,
-        both read from one ``_adjacency`` whose lists are not kept; the
-        distance verdict is decided for 4-swaps only (None otherwise).
-        Keyed by (kind, limit), hashed in C, not by the dataclass."""
-        key = move_set.kind, move_set.limit
-        got = self.graphs.get(key)
-        if got is None:
-            adj = _adjacency(self.ctx, self.key, move_set)
-            comps = _components_from(self.key, adj)
-            within_bound = len(comps) == 1 and _within_distance_bound(
-                self.ctx, self.key, adj
-            ) if move_set.kind == MoveSet.SWAPS4 else None
-            got = self.graphs[key] = (comps, within_bound)
-        return got
-
-    def trade_verdict(self, fixed):
-        """Whether the trade ledger under ``fixed`` stays in the set, symmetric."""
-        if self.trades is None:
-            trades = _trade_ledger(self.ctx, self.key, fixed)
-            self.trades = trades is not None and _symmetric(trades)
-        return self.trades
-
-    def circle_verdicts(self, fixed):
-        """(corrected ledger stays in the set and is symmetric, uncorrected
-        ledger is asymmetric)."""
-        if self.circles is None:
-            circles = _circle_ledgers(self.ctx, self.key, fixed)
-            self.circles = (
-                circles is not None and _symmetric(circles[0]),
-                circles is not None and not _symmetric(circles[1]),
-            )
-        return self.circles
 
 
 def _support_props(n, nc, fixed):
@@ -788,15 +842,50 @@ class _Reporter:
         self.emit(f"INFO {line}")
 
 
+class _Reduction:
+    """What the ``reduction-equivalence`` check reads of a degree sequence:
+    its static edges and non-edges as two masks (``cells`` is their
+    union), its realizations as a set, and how many of them carry each
+    reduced pattern, counted on first use."""
+
+    __slots__ = ("edges", "non_edges", "cells", "free", "shift", "counts")
+
+    def __init__(self, edges, non_edges, free_bits, shift):
+        self.edges, self.non_edges = edges, non_edges
+        self.cells = edges | non_edges
+        self.free = set(free_bits)
+        self.shift = shift  # the grid's cell count: a key holds two cell masks
+        self.counts: dict[int, int] = {}
+
+    def verdict(self, sup, pattern, size, every, some, states):
+        """None if the instance, ``pattern`` on the support mask ``sup``,
+        pins no static cell.  Otherwise whether the instance with its
+        static cells freed has the same states: whether its ``size``
+        states, with AND ``every`` and OR ``some``, are realizations that
+        carry the freed instance's pins, and as many as the realizations
+        that do."""
+        ones, zeros = sup & pattern, sup & ~pattern
+        if not (ones & self.edges or zeros & self.non_edges):
+            return None
+        ones &= ~self.edges
+        zeros &= ~self.non_edges
+        key = ones << self.shift | zeros
+        count = self.counts.get(key)
+        if count is None:
+            count = self.counts[key] = sum(
+                x & ones == ones and not x & zeros for x in self.free
+            )
+        return (size == count and every & ones == ones and not some & zeros
+                and self.free.issuperset(states))
+
+
 def _check_sequence(rep, n, nc, a, b, free_bits):
     """Check a degree sequence's static set against the ground truth of its
     realizations ``free_bits`` (a non-empty list) and, built from one of
     them, against the per-cell Gale-Ryser reference.  Return what its
-    reduction checks read: its static edges and non-edges as two masks, its
-    realizations as a set, and a table of how many carry each reduced
-    pattern.  The static edges are the cells every realization sets (their
-    AND), the static non-edges the cells none sets (the complement of their
-    OR)."""
+    reduction checks read, as a ``_Reduction``.  The static edges are the
+    cells every realization sets (their AND), the static non-edges the
+    cells none sets (the complement of their OR)."""
     where = (n, nc, a, b)
     seq = DegreeSequence(a, b)
     ss = static_set(seq)
@@ -816,64 +905,55 @@ def _check_sequence(rep, n, nc, a, b, free_bits):
         "static-cells-pruned", where,
         static_set(seq, g0) == _static_set_reference(seq),
     )
-    return edges, non_edges, set(free_bits), {}
+    return _Reduction(edges, non_edges, free_bits, n * nc)
 
 
-def _check_instance_pool(ctx, key, sup, pattern, fixed, props, rep, static):
-    """Run every applicable check on one instance: the state set ``key`` of
-    ``ctx``, its states that carry ``pattern`` on the support mask ``sup``
-    (``fixed`` holds ``sup`` as row masks).  ``static`` is what
-    ``_check_sequence`` returned (None to skip the reduction check)."""
+def _check_instance_pool(facts, sup, pattern, fixed, props, rep, reduction):
+    """Run every applicable check on one instance: the state set ``facts``
+    of two or more states, those of its context that carry ``pattern`` on
+    the support mask ``sup`` (``fixed`` holds ``sup`` as row masks).
+    ``reduction`` is what ``_check_sequence`` returned (None to skip the
+    reduction check)."""
+    ctx = facts.ctx
     n = ctx.n
     where = (n, ctx.nc, ctx.a, ctx.b, sup, pattern)
-    if len(key) >= 2:
-        facts = ctx.state_set(key)
-        no3m, no8, forest, excluded = props
-        if no3m:
-            comps4, within_bound = facts.graph_facts(_SWAPS4)
-            rep.record("swaps4-connected", where, len(comps4) == 1)
-            rep.record("swaps4-distance-bound", where, within_bound)
-            compst = facts.graph_facts(_TRADES)[0]
-            rep.record("trades-connected", where, len(compst) == 1)
-            rep.record("trade-swap-components", where, comps4 == compst)
+    no3m, no8, forest, excluded = props
+    if no3m:
+        comps4, within_bound = facts.graph_facts(_SWAPS4)
+        rep.record("swaps4-connected", where, len(comps4) == 1)
+        rep.record("swaps4-distance-bound", where, within_bound)
+        compst = facts.graph_facts(_TRADES)[0]
+        rep.record("trades-connected", where, len(compst) == 1)
+        rep.record("trade-swap-components", where, comps4 == compst)
 
-        if no8:
-            comps46 = facts.graph_facts(_SWAPS46)[0]
-            rep.record("swaps46-connected", where, len(comps46) == 1)
-            if forest:
-                rep.record("forest-swaps46-connected", where, len(comps46) == 1)
-            compsc = facts.graph_facts(_TRADES_PLUS_CIRCLE)[0]
-            rep.record("circle-trades-connected", where, len(compsc) == 1)
+    if no8:
+        comps46 = facts.graph_facts(_SWAPS46)[0]
+        rep.record("swaps46-connected", where, len(comps46) == 1)
+        if forest:
+            rep.record("forest-swaps46-connected", where, len(comps46) == 1)
+        compsc = facts.graph_facts(_TRADES_PLUS_CIRCLE)[0]
+        rep.record("circle-trades-connected", where, len(compsc) == 1)
 
-        for ell in excluded:
-            if ell == 4 and no8:
-                continue  # identical to the swaps46 check above
-            comps = facts.graph_facts(MoveSet.swaps_up_to(2 * ell - 2))[0]
-            rep.record("bounded-swaps-connected", where, len(comps) == 1,
-                       f" L={2 * ell - 2}")
+    for ell in excluded:
+        if ell == 4 and no8:
+            continue  # identical to the swaps46 check above
+        comps = facts.graph_facts(MoveSet.swaps_up_to(2 * ell - 2))[0]
+        rep.record("bounded-swaps-connected", where, len(comps) == 1,
+                   f" L={2 * ell - 2}")
 
-        if len(key) <= 60:
-            rep.record("trade-reversibility", where, facts.trade_verdict(fixed))
-            if n >= 3:
-                balanced, asymmetric = facts.circle_verdicts(fixed)
-                rep.record("circle-detailed-balance", where, balanced)
-                if asymmetric:
-                    rep.info("uncorrected-circle-asymmetry", where)
+    if len(facts.key) <= 60:
+        rep.record("trade-reversibility", where, facts.trade_verdict(fixed))
+        if n >= 3:
+            balanced, asymmetric = facts.circle_verdicts(fixed)
+            rep.record("circle-detailed-balance", where, balanced)
+            if asymmetric:
+                rep.info("uncorrected-circle-asymmetry", where)
 
-    if static is not None:
-        edges, non_edges, free, counts = static
-        ones, zeros = sup & pattern, sup & ~pattern
-        if ones & edges or zeros & non_edges:
-            # The instance with its static cells freed has the same states:
-            # they carry its pins, and as many realizations do.
-            ones &= ~edges
-            zeros &= ~non_edges
-            if (ones, zeros) not in counts:
-                counts[ones, zeros] = sum(x & ones == ones and not x & zeros for x in free)
-            facts = ctx.state_set(key)
-            rep.record("reduction-equivalence", where, len(key) == counts[ones, zeros]
-                       and facts.every & ones == ones and not facts.some & zeros
-                       and free.issuperset(facts.states))
+    if reduction is not None:
+        ok = reduction.verdict(sup, pattern, len(facts.key), facts.every, facts.some,
+                               facts.states)
+        if ok is not None:
+            rep.record("reduction-equivalence", where, ok)
 
 
 def _sorted_sequences(n, nc):
@@ -986,19 +1066,38 @@ def run_verification(
                 if not bits:
                     continue
                 ctx = _SeqCtx(n, nc, a, b, bits)
-                static = _check_sequence(rep, n, nc, a, b, bits)
+                reduction = _check_sequence(rep, n, nc, a, b, bits)
+                # The state sets of the sequence, each named by the mask of
+                # its state indices, which bucketing builds.
+                sets: dict[int, _StateSet] = {}
+                flags = [1 << s for s in range(len(bits))]
                 for sup, fixed, rank, props in supports:
-                    buckets: dict[int, list[int]] = {}
-                    for s, x in enumerate(bits):
-                        buckets.setdefault(x & sup, []).append(s)
-                    for pattern in sorted(buckets, key=rank.__getitem__):
-                        _check_instance_pool(
-                            ctx, tuple(buckets[pattern]), sup, pattern, fixed, props,
-                            rep, static,
-                        )
+                    pools: dict[int, int] = {}
+                    for x, flag in zip(bits, flags):
+                        pattern = x & sup
+                        pools[pattern] = pools.get(pattern, 0) | flag
+                    # Only a support that holds a static cell is reduced.
+                    reducing = reduction if sup & reduction.cells else None
+                    order = sorted(pools, key=rank.__getitem__) if len(pools) > 1 else pools
+                    for pattern in order:
+                        pool = pools[pattern]
+                        if pool & pool - 1:
+                            facts = sets.get(pool)
+                            if facts is None:
+                                facts = sets[pool] = _StateSet(ctx, pool)
+                            _check_instance_pool(
+                                facts, sup, pattern, fixed, props, rep, reducing
+                            )
+                        elif reducing:
+                            # One state: the one check that applies to it.
+                            x = bits[pool.bit_length() - 1]
+                            ok = reducing.verdict(sup, pattern, 1, x, x, (x,))
+                            if ok is not None:
+                                rep.record("reduction-equivalence",
+                                           (n, nc, a, b, sup, pattern), ok)
 
     rng = random.Random(seed)
-    seq_static: dict[tuple, tuple | None] = {}
+    seq_static: dict[tuple, _Reduction | None] = {}
     batches = [(random_count, False)]
     if max_rows >= 4 and max_cols >= 4:
         batches.append((max(random_count // 12, 0), True))
@@ -1011,9 +1110,10 @@ def run_verification(
                 free_bits = _enumerate_bits(a, b, cap=20000)
                 seq_static[seq] = _check_sequence(rep, *seq, free_bits) if free_bits else None
             fixed = _masks_of(sup, n, nc)
+            facts = _StateSet(_SeqCtx(*seq, bits), (1 << len(bits)) - 1)
             _check_instance_pool(
-                _SeqCtx(*seq, bits), tuple(range(len(bits))), sup, pattern, fixed,
-                _support_props(n, nc, fixed), rep, seq_static[seq],
+                facts, sup, pattern, fixed, _support_props(n, nc, fixed), rep,
+                seq_static[seq],
             )
 
     rep.finish()

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import bipsample as bp
-from bipsample import chains, oracle
+from bipsample import chains, cli, oracle
 from bipsample.chains import (
     _NARROW,
     ChainConfig,
@@ -31,6 +31,7 @@ from bipsample.chains import (
 from bipsample.core import MoveSet
 from streams import (
     GOLDEN_STREAMS,
+    INSTANCES,
     STREAM_CHAINS,
     STREAM_INSTANCES,
     circle_instance,
@@ -1213,6 +1214,28 @@ def test_wide_trade_chains_allocate_little():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
+
+
+def test_fresh_wide_chains_share_their_subset_plans():
+    """A trade kernel's subset plans come from one per-process cache of
+    ``_try_words``: a second fresh ``trades`` chain on ``free_100x100_a``
+    with the first one's seed draws the same (p, k) plans, and computes
+    none of them again; both chains keep the same stream."""
+    text = (INSTANCES / "free_100x100_a.txt").read_text(encoding="utf-8")
+    start = bp.initial_realization(cli.parse_instance(text))
+    cfg = ChainConfig(MoveSet.trades(), steps=2000, seed=1)
+    _try_words.cache_clear()
+    ends = []
+    for _ in range(2):
+        chain = bp.Chain(start, cfg)
+        chain.advance(cfg.steps)
+        ends.append(chain.digit_rows())
+        if len(ends) == 1:
+            first = _try_words.cache_info()
+    second = _try_words.cache_info()
+    assert first.misses > 100  # the first chain worked its plans out
+    assert second.misses == first.misses and second.hits >= first.misses
+    assert ends[0] == ends[1]
 
 
 def test_a_wide_circle_step_draws_one_pivot_word():

@@ -1,6 +1,7 @@
 """Enumeration, state graphs, exact checks and the verification driver."""
 
 import functools
+import gc
 import hashlib
 import itertools
 import json
@@ -8,6 +9,7 @@ import operator
 import os
 import random
 import re
+import sys
 from collections import Counter
 from math import comb, prod
 
@@ -17,6 +19,7 @@ import bipsample as bp
 from bipsample import cli, oracle
 from bipsample.chains import ChainConfig
 from bipsample.core import MoveSet
+from bipsample.realizability import StaticSet
 from streams import random_pinned_instance
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
@@ -340,12 +343,11 @@ def test_split_instance_components():
 
 def distance_bound_holds(inst, move_set):
     """The sweep's distance check on every state of ``inst``, over the
-    neighbour lists of ``move_set``."""
+    neighbour masks of ``move_set``."""
     states = bp.enumerate_realizations(inst)
     ctx = oracle._ctx_of(states)
-    everything = range(len(states))
-    adj = oracle._adjacency(ctx, everything, move_set)
-    return oracle._within_distance_bound(ctx, everything, adj)
+    everything = (1 << len(states)) - 1
+    return oracle._within_distance_bound(ctx.bits, ctx.neighbours(move_set), everything)
 
 
 def test_distance_bound_adjacent_pairs():
@@ -570,6 +572,93 @@ def test_smoke_pool_stdout_is_pinned(capsys):
     assert hashlib.sha256(kept.encode()).hexdigest() == SMOKE_POOL_STDOUT_SHA256
 
 
+# sha256 of the stdout of ``bipsample verify --max-rows 3 --max-cols 4
+# --random 0 --seed 20240801`` without its ``elapsed:`` line: every line of
+# the exhaustive half and the summary, recorded before the sweep decided
+# its single-state pools in the support loop and read its state graphs
+# from one pair pass per sequence.
+EXHAUSTIVE_HALF_STDOUT_SHA256 = (
+    "debd2c0deedd9d9a3d32f6b53ef573c22f21bdfe7acaf1597b1a96b8cf9acaa0"
+)
+
+
+class _LineHash:
+    """A stdout that hashes each whole line written to it but the
+    ``elapsed:`` one, and counts them all."""
+
+    def __init__(self):
+        self.sha, self.lines, self._part = hashlib.sha256(), 0, ""
+
+    def write(self, text):
+        *whole, self._part = (self._part + text).split("\n")
+        for line in whole:
+            self.lines += 1
+            if not line.startswith("elapsed:"):
+                self.sha.update(line.encode() + b"\n")
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_exhaustive_half_stdout_is_pinned(monkeypatch):
+    out = _LineHash()
+    monkeypatch.setattr(sys, "stdout", out)
+    argv = ["verify", "--max-rows", "3", "--max-cols", "4", "--random", "0",
+            "--seed", "20240801"]
+    assert cli.main(argv) == 0
+    assert out.lines == 387730 and out._part == ""
+    assert out.sha.hexdigest() == EXHAUSTIVE_HALF_STDOUT_SHA256
+
+
+def _named_instance(text):
+    """The instance that a check line's text (``oracle._digest``) names."""
+    shape, a, b, m = text.split()
+    n, nc = map(int, shape.split("x"))
+    cells = m[2:].replace("|", "")
+    sup = sum(1 << p for p, ch in enumerate(cells) if ch != "*")
+    pattern = sum(1 << p for p, ch in enumerate(cells) if ch == "1")
+    degrees = (tuple(map(int, d[2:].split(","))) for d in (a, b))
+    return oracle._make_instance(n, nc, *degrees, sup, pattern)
+
+
+def test_a_wrong_static_edge_fails_a_single_state_pool(monkeypatch):
+    # report cell (0, 0) of the free 2x2 permutation sequence, which one of
+    # its two realizations leaves empty, as a forced edge: the sequence's
+    # static check fails, and so does the reduction check of a pool of one
+    # state, decided in the support loop and not by _check_instance_pool
+    assert bp.run_verification(2, 2, 0, quiet=True).passed
+    real = oracle.static_set
+
+    def wrong(seq, *args):
+        got = real(seq, *args)
+        if (seq.row_degrees, seq.col_degrees) == ((1, 1), (1, 1)):
+            return StaticSet(got.forced_edges | {(0, 0)}, got.forced_non_edges)
+        return got
+
+    monkeypatch.setattr(oracle, "static_set", wrong)
+    res = bp.run_verification(2, 2, 0, quiet=True)
+    assert not res.passed
+    assert res.failures[0] == ("static-cells-exact", "2x2 a=1,1 b=1,1")
+    reductions = [text for name, text in res.failures if name == "reduction-equivalence"]
+    assert "2x2 a=1,1 b=1,1 m=1*|**" in reductions
+    for text in reductions:
+        assert len(bp.enumerate_realizations(_named_instance(text))) == 1, text
+
+
+def test_a_finished_sweep_leaves_no_context_alive():
+    # a state set refers to its context and no context to a set, so
+    # reference counting alone frees each sequence's context
+    gc.collect()
+    gc.disable()
+    try:
+        res = bp.run_verification(3, 3, 5, seed=20240801, quiet=True)
+        alive = [obj for obj in gc.get_objects() if isinstance(obj, oracle._SeqCtx)]
+    finally:
+        gc.enable()
+    assert res.passed and not alive
+
+
 def test_quiet_sweep_info_lines_name_their_instance(pool_result):
     pattern = re.compile(
         r"uncorrected-circle-asymmetry \[\d+x\d+ a=[\d,]+ b=[\d,]+ m=[01*|]+\]"
@@ -707,7 +796,7 @@ def test_pair_classes_match_brute_force_moves():
         ctx = oracle._SeqCtx(n, nc, a, b, bits)
         lengths = range(4, 2 * min(n, nc) + 1, 2)
         built = {
-            move_set: oracle._adjacency(ctx, range(len(bits)), move_set)
+            move_set: [oracle._positions(m) for m in ctx.neighbours(move_set)]
             for move_set in (MoveSet.trades(), MoveSet.trades_plus_circle(),
                              *map(MoveSet.swaps_up_to, lengths))
         }
@@ -921,10 +1010,10 @@ def test_ledgers_depend_on_the_state_set_alone(monkeypatch):
     trade_ledger, circle_ledgers = oracle._trade_ledger, oracle._circle_ledgers
     pools, built = [], Counter()
 
-    def check_pool(ctx, states_idx, sup, pattern, fixed, *args):
-        if 2 <= len(states_idx) <= 60:
-            pools.append((ctx, tuple(states_idx), fixed))
-        return check_instance_pool(ctx, states_idx, sup, pattern, fixed, *args)
+    def check_pool(facts, sup, pattern, fixed, *args):
+        if 2 <= len(facts.key) <= 60:
+            pools.append((facts.ctx, facts.key, fixed))
+        return check_instance_pool(facts, sup, pattern, fixed, *args)
 
     def counted(name, ledger):
         def wrapped(*args):
@@ -1025,17 +1114,20 @@ def test_cached_graph_facts_match_a_fresh_context():
         ):
             pools.append((oracle._SeqCtx(n, nc, a, b, bits), range(len(bits))))
     classes = {}  # pair classes by state pair, one table per context
+    sets = {}  # the state sets by context and state mask, as the sweep keeps them
     calls = 0
     for ctx, states_idx in pools:
         table = classes.setdefault(ctx, {})
-        facts = ctx.state_set(tuple(states_idx))
+        mask = sum(1 << s for s in states_idx)
+        facts = sets.get((ctx, mask)) or sets.setdefault((ctx, mask), oracle._StateSet(ctx, mask))
         for move_set in GRAPH_FACT_MOVE_SETS:
-            assert facts.graph_facts(move_set) == reference_graph_facts(
+            comps, within_bound = facts.graph_facts(move_set)
+            assert ([oracle._positions(c) for c in comps], within_bound) == reference_graph_facts(
                 ctx, states_idx, move_set, table
             )
             calls += 1
     assert max(len(ctx.bits) for ctx, _ in pools) > 150
-    cached = sum(len(facts.graphs) for ctx in classes for facts in ctx._sets.values())
+    cached = sum(len(facts.graphs) for facts in sets.values())
     assert cached < calls / 2  # most answers came from the cache
 
 
@@ -1046,9 +1138,9 @@ def test_integer_pair_tests_match_the_exact_classifier(monkeypatch):
     # the all-pairs graphs of the exact pair classifier
     sets = {}  # (ctx, state set) in sweep order
 
-    def collect(ctx, key, *args):
-        if len(key) >= 2:
-            sets[ctx, key] = None
+    def collect(facts, *args):
+        if len(facts.key) >= 2:
+            sets[facts.ctx, facts.key] = None
 
     monkeypatch.setattr(oracle, "_check_instance_pool", collect)
     bp.run_verification(5, 5, 200, seed=20240801, quiet=True)  # the pool
@@ -1075,8 +1167,11 @@ def test_integer_pair_tests_match_the_exact_classifier(monkeypatch):
                 if _is_move(pair_class, move_set):
                     want[qa].append(qb)
                     want[qb].append(qa)
-            assert oracle._adjacency(ctx, key, move_set) == [sorted(q) for q in want], (
-                ctx.a, ctx.b, key, move_set)
+            # the context's graph on the set's states, by position in key
+            mask, at = sum(1 << s for s in key), {s: q for q, s in enumerate(key)}
+            nbrs = ctx.neighbours(move_set)
+            got = [[at[t] for t in oracle._positions(nbrs[s] & mask)] for s in key]
+            assert got == [sorted(q) for q in want], (ctx.a, ctx.b, key, move_set)
     assert pairs == 203260  # 135,981 of them on the band
 
 
@@ -1087,12 +1182,12 @@ def test_library_components_are_the_sweeps():
         n, nc = len(a), len(b)
         inst = bp.Instance.unconstrained(a, b)
         states = [bp.Realization.from_masks(inst, oracle._masks_of(x, n, nc)) for x in bits]
-        facts = oracle._SeqCtx(n, nc, a, b, bits).state_set(tuple(range(len(states))))
+        facts = oracle._StateSet(oracle._SeqCtx(n, nc, a, b, bits), (1 << len(states)) - 1)
         for move_set in GRAPH_FACT_MOVE_SETS:
             comps = facts.graph_facts(move_set)[0]
             sg = bp.build_state_graph(states, move_set)
             connected, got = bp.check_connectivity(sg)
-            assert got == [list(c) for c in comps]
+            assert got == [list(oracle._positions(c)) for c in comps]
             assert connected == (len(comps) == 1)
 
 
