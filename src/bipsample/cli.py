@@ -222,16 +222,16 @@ def _chain_label(move_set: MoveSet) -> str:
     )
 
 
-def _pipeline(inst: Instance, reduce_static: bool, g: Realization | None = None):
-    """Shared analyze/sample pipeline.
+def _pipeline(inst: Instance, reduce_static: bool):
+    """Shared analyze/sample pipeline: the static cells of the degrees,
+    which drop the pins they repeat, then the fixed-set analysis.
 
-    ``g`` is a realization of ``inst`` for the static-cell pass to orient;
-    without it ``static_set`` builds one.  Returns (f_prime, working_fixed,
-    redundant_cells, report_or_None, move_set).  The report is None when no
-    bounded move set is usable; the move set is then cycle:2*min(n, m).
+    Returns (f_prime, working_fixed, redundant_cells, report_or_None,
+    move_set).  The report is None when no bounded move set is usable; the
+    move set is then cycle:2*min(n, m).
     """
     if reduce_static:
-        f_prime = static_set(inst.degrees, g)
+        f_prime = static_set(inst.degrees)
         working, redundant = partition_fixed_set(inst, f_prime)
     else:
         f_prime = None
@@ -278,16 +278,14 @@ def cmd_analyze(args) -> int:
         print("feasible: no")
         return EXIT_INFEASIBLE
     try:
-        g = initial_realization(inst)
+        initial_realization(inst)
     except Infeasible as exc:
         print("feasible: no")
         print(f"reason: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     print("feasible: yes")
 
-    f_prime, working, redundant, report, move_set = _pipeline(
-        inst, not args.no_reduce, g
-    )
+    f_prime, working, redundant, report, move_set = _pipeline(inst, not args.no_reduce)
     if f_prime is None:
         print("static cells: skipped (--no-reduce)")
     else:
@@ -320,17 +318,13 @@ def cmd_sample(args) -> int:
     inst = _load_instance(args.path)
     if inst is None:
         return EXIT_PARSE
-    # The start is built first so that --chain auto can reuse it for the
-    # static cells.  An unrealizable sequence or a polarity conflict is
-    # reported before the chain line, a mask with no realization after it.
-    try:
-        start, no_start = initial_realization(inst), None
-    except Infeasible as exc:
-        start, no_start = None, exc
+    # Under --chain auto, an unrealizable sequence or a polarity conflict
+    # is reported before the chain line; every other infeasible instance
+    # after it, when no start can be built.
     move_set = args.chain
     if move_set is None:
         try:
-            move_set = _pipeline(inst, not args.no_reduce, start)[-1]
+            move_set = _pipeline(inst, not args.no_reduce)[-1]
         except (Infeasible, NotRealizable) as exc:
             print(f"infeasible: {exc}", file=sys.stderr)
             return EXIT_INFEASIBLE
@@ -342,8 +336,10 @@ def cmd_sample(args) -> int:
         except OSError as exc:
             return _out_error(args.out, exc)
     print(f"chain: {_chain_label(move_set)}", file=sys.stderr)
-    if start is None:
-        print(f"infeasible: {no_start}", file=sys.stderr)
+    try:
+        start = initial_realization(inst)
+    except Infeasible as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     # One chain, restarted in place for each sample c with seed + c: the
     # stream of a new chain per sample.  Only the state at the last kept

@@ -506,8 +506,8 @@ def check_connectivity(sg: StateGraph) -> tuple[bool, list[list[int]]]:
 
 def _static_set_reference(s: DegreeSequence) -> StaticSet:
     """The static set by 2*n*m Gale-Ryser tests, one pair per cell: an
-    independent re-derivation that ``static_set``'s strongly connected
-    components are checked against.
+    independent re-derivation that ``static_set``'s tight inequalities are
+    checked against.
 
     Cell (i, j) is a forced non-edge iff decrementing a_i and b_j kills
     realizability (no realization carries an edge there); it is a forced
@@ -881,11 +881,11 @@ class _Reduction:
 
 def _check_sequence(rep, n, nc, a, b, free_bits):
     """Check a degree sequence's static set against the ground truth of its
-    realizations ``free_bits`` (a non-empty list) and, built from one of
-    them, against the per-cell Gale-Ryser reference.  Return what its
-    reduction checks read, as a ``_Reduction``.  The static edges are the
-    cells every realization sets (their AND), the static non-edges the
-    cells none sets (the complement of their OR)."""
+    realizations ``free_bits`` (a non-empty list) and against the per-cell
+    Gale-Ryser reference.  Return what its reduction checks read, as a
+    ``_Reduction``.  The static edges are the cells every realization sets
+    (their AND), the static non-edges the cells none sets (the complement
+    of their OR)."""
     where = (n, nc, a, b)
     seq = DegreeSequence(a, b)
     ss = static_set(seq)
@@ -897,14 +897,9 @@ def _check_sequence(rep, n, nc, a, b, free_bits):
         "static-cells-exact", where,
         edges == every and non_edges == ~some & ((1 << n * nc) - 1),
     )
-    g0 = Realization.from_masks(
-        Instance.unconstrained(a, b), _masks_of(free_bits[0], n, nc)
-    )
-    # static_set from a given realization (the check keeps its recorded name).
-    rep.record(
-        "static-cells-pruned", where,
-        static_set(seq, g0) == _static_set_reference(seq),
-    )
+    # The name is kept because bench/expected.json pins it; renaming it
+    # waits for the next change to the benchmark.
+    rep.record("static-cells-pruned", where, ss == _static_set_reference(seq))
     return _Reduction(edges, non_edges, free_bits, n * nc)
 
 

@@ -1,14 +1,14 @@
 """Feasibility of degree sequences and instances: Gale-Ryser tests, a
 deterministic max-flow construction of one realization, and the static
-edge/non-edge set of a sequence."""
+edge/non-edge set of a sequence, read off the Gale-Ryser inequalities
+that hold with equality (no realization needed)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import product
 
 from .core import (
-    _DIGIT_VALUES,
     FORCED_EDGE,
     FORCED_NON_EDGE,
     FREE,
@@ -19,11 +19,7 @@ from .core import (
     NotRealizable,
     PolarityConflict,
     Realization,
-    mask_digits,
 )
-
-# Map the binary digits "0" and "1" to the values 1 and 0.
-_ZERO_VALUES = bytes.maketrans(b"01", b"\x01\x00")
 
 
 @dataclass(frozen=True)
@@ -76,7 +72,9 @@ def initial_realization(inst: Instance) -> Realization:
     are deleted; the remaining margins are met by a unit-capacity max-flow
     over the free cells (source -> rows -> columns -> sink).  When the flow
     falls short, the message tells a degree sequence with no realization
-    (Gale-Ryser) from fixed cells that rule every realization out.
+    (Gale-Ryser) from a fixed cell against a static cell (the
+    ``PolarityConflict`` of ``partition_fixed_set``) and from fixed cells
+    that rule every realization out together.
 
     The flow is Dinic's (1970), with the network's arcs in insertion
     order: the source's arcs to rows 0..n-1; a row's arcs to its free
@@ -124,6 +122,8 @@ def initial_realization(inst: Instance) -> Realization:
     if flow != sum(a):
         if not gale_ryser_realizable(inst.degrees):
             raise Infeasible("degree sequence has no realization")
+        # Raises the PolarityConflict that names a pin against a static cell.
+        partition_fixed_set(inst, static_set(inst.degrees))
         raise Infeasible("no realization satisfies the fixed cells and degrees")
     return Realization.from_masks(inst, map(int.__or__, pinned, used))
 
@@ -269,90 +269,43 @@ def _blocking_flow(free, used, users, spare_a, spare_b, row_layers, col_layers):
                 row_ptr[path[-1]] = j + 1
 
 
-def static_set(s: DegreeSequence, g: Realization | None = None) -> StaticSet:
-    """Cells equal in every realization of ``s``, from one realization.
+def static_set(s: DegreeSequence) -> StaticSet:
+    """Cells equal in every realization of ``s``, read off the Gale-Ryser
+    inequalities that hold with equality.
 
-    ``g`` is any realization whose instance has the degrees ``s`` (a
-    ``ValueError`` if not); without it one is built by max-flow.  Orient
-    every cell of ``g``: an edge (1) points from its row to its column, a
-    non-edge (0) from its column to its row.  Two realizations differ by
-    alternating cycles, which are exactly the directed cycles of this
-    orientation, so a cell is static iff its row and its column lie in
-    different strongly connected components (Ryser's interchange theorem;
-    Brualdi 1980 on invariant positions): the columns outside the column
-    mask of its row's component.  One iterative Tarjan (1972) pass finds
-    them: O(n*m) after the max-flow.
+    With the rows sorted by degree, descending, k is tight when the k
+    largest row degrees sum to sum(min(b_j, k) for j).  Every column j then
+    has min(b_j, k) of its ones in those k rows, in every realization: the
+    k rows are 1 on each column with b_j >= k, and the other rows are 0 on
+    each column with b_j <= k.  The blocks of all tight k are exactly the
+    static cells (Ryser 1957 on the structure matrix; Brualdi 1980 on
+    invariant positions).  Rows of equal degree on both sides of a tight k
+    are equal in every realization, so the order among them does not
+    matter.  The rows between two consecutive tight k, lo < hi, are in the
+    top hi rows but not the top lo, so their blocks are those of hi and lo.
     """
     if not gale_ryser_realizable(s):
         raise NotRealizable("degree sequence has no realization")
-    if g is None:
-        g = initial_realization(Instance.unconstrained(s.row_degrees, s.col_degrees))
-    elif g.instance.degrees != s:
-        raise ValueError("realization does not match the degree sequence")
-    n, nc = s.n, s.n_cols
-    masks = g.masks
-    # Nodes: rows 0..n-1, then column j as node n + j.  A row's arcs go to
-    # its 1s, a column's to its 0s, read off the grid's digits in one pass.
-    cells = "".join(mask_digits(masks, nc)).encode()
-    ones, zeros = cells.translate(_DIGIT_VALUES), cells.translate(_ZERO_VALUES)
-    col_nodes, row_nodes = range(n, n + nc), range(n)
-    succ = [list(compress(col_nodes, ones[i * nc:(i + 1) * nc])) for i in range(n)]
-    succ += [list(compress(row_nodes, zeros[j::nc])) for j in range(nc)]
-    comp = _strong_components(succ)
-    reach = [0] * (n + nc)  # each component's column mask
-    for j, c in enumerate(comp[n:]):
-        reach[c] |= 1 << j
-    full = (1 << nc) - 1
+    a, b = s.row_degrees, s.col_degrees
+    n = len(a)
+    rows = sorted(range(n), key=a.__getitem__, reverse=True)
+    cols = sorted(range(len(b)), key=b.__getitem__, reverse=True)
+    # at_least[k]: the number of columns of degree >= k, the first of cols.
+    at_least = [0] * (n + 2)
+    for d in b:
+        at_least[d] += 1
+    for k in range(n, -1, -1):
+        at_least[k] += at_least[k + 1]
     edges, non_edges = [], []
-    for i, m in enumerate(masks):
-        static = full & ~reach[comp[i]]
-        while static:
-            low = static & -static
-            static ^= low
-            (edges if m & low else non_edges).append((i, low.bit_length() - 1))
+    lo = lhs = rhs = 0
+    for k, i in enumerate(rows, start=1):
+        lhs += a[i]
+        rhs += at_least[k]
+        if lhs == rhs:
+            edges += product(rows[lo:k], cols[:at_least[k]])
+            non_edges += product(rows[lo:k], cols[at_least[lo + 1]:])
+            lo = k
     return StaticSet(frozenset(edges), frozenset(non_edges))
-
-
-def _strong_components(succ: list[list[int]]) -> list[int]:
-    """Strongly connected component id of every node: Tarjan's algorithm
-    with an explicit stack of (node, successor iterator) frames."""
-    index = [-1] * len(succ)
-    low = [0] * len(succ)
-    comp = [-1] * len(succ)
-    stack: list[int] = []
-    counter = n_comps = 0
-    for root in range(len(succ)):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        frames = [(root, iter(succ[root]))]
-        while frames:
-            v, successors = frames[-1]
-            for w in successors:
-                if index[w] < 0:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    frames.append((w, iter(succ[w])))
-                    break
-                if comp[w] < 0 and index[w] < low[v]:  # w is still on the stack
-                    low[v] = index[w]
-            else:
-                frames.pop()
-                if frames:
-                    u = frames[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                if low[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        comp[w] = n_comps
-                        if w == v:
-                            break
-                    n_comps += 1
-    return comp
 
 
 def partition_fixed_set(

@@ -562,6 +562,37 @@ def test_sample_unrealizable_sequence_says_so(tmp_path, capsys, chain):
     assert "fixed cells" not in err
 
 
+PINNED_AGAINST_STATIC_3X3 = """\
+rows: 3
+cols: 3
+row_degrees: 3 1 1
+col_degrees: 3 1 1
+mask:
+***
+*1*
+***
+"""
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["sample"], ["sample", "--chain", "swap"]])
+def test_pin_against_a_static_cell_is_named_by_every_command(tmp_path, capsys, argv):
+    # every cell of (3,1,1)/(3,1,1) is static and (1, 1) is a non-edge, so
+    # pinning it to 1 is the same conflict, with the same reason, whether
+    # the static cells or the start realization find it first
+    path = write(tmp_path, "p.txt", PINNED_AGAINST_STATIC_3X3)
+    reason = ("cell (1, 1) is forced as an edge but is a non-edge "
+              "in every realization of the sequence\n")
+    assert cli.main([argv[0], path, *argv[1:]]) == cli.EXIT_INFEASIBLE
+    out, err = capsys.readouterr()
+    if argv == ["analyze"]:
+        assert out == "realizable: yes\nfeasible: no\n"
+        assert err == "reason: " + reason
+    else:
+        assert out == ""
+        chain_line = "chain: swap\n" if "--chain" in argv else ""
+        assert err == chain_line + "infeasible: " + reason
+
+
 @pytest.mark.parametrize("to_dir", [False, True])
 def test_sample_writes_each_sample_before_the_next_chain_runs(
     tmp_path, capsys, monkeypatch, to_dir

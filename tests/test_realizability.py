@@ -178,6 +178,15 @@ def test_initial_realization_infeasible_cases():
                 bp.FixedSet.from_cells(2, 2, forced_non_edges=[(0, 0), (0, 1)]),
             )
         )
+    # a pin against a static cell is named, as partition_fixed_set names it
+    with pytest.raises(bp.PolarityConflict, match=r"^cell \(1, 1\) is forced as an edge "
+                       "but is a non-edge in every realization of the sequence$"):
+        bp.initial_realization(
+            bp.Instance(
+                bp.DegreeSequence((3, 1, 1), (3, 1, 1)),
+                bp.FixedSet.from_cells(3, 3, forced_edges=[(1, 1)]),
+            )
+        )
 
 
 class _DinicReference:
@@ -246,7 +255,8 @@ class _DinicReference:
 
 def _initial_realization_reference(inst):
     """``initial_realization`` as it was on ``_DinicReference``: the
-    matrix, or the ``Infeasible`` it raised."""
+    matrix, or the ``Infeasible`` it raised, naming the first pin against
+    a static cell when there is one."""
     n, nc = inst.n, inst.n_cols
     a = list(inst.degrees.row_degrees)
     b = list(inst.degrees.col_degrees)
@@ -277,6 +287,7 @@ def _initial_realization_reference(inst):
     if net.max_flow(src, snk) != sum(a):
         if not bp.gale_ryser_realizable(inst.degrees):
             raise bp.Infeasible("degree sequence has no realization")
+        _partition_reference(inst, _static_set_reference(inst.degrees))
         raise bp.Infeasible("no realization satisfies the fixed cells and degrees")
     matrix = [[int(v == bp.FORCED_EDGE) for v in row] for row in mask]
     for (i, j), e in cell_edge.items():
@@ -342,13 +353,20 @@ def test_initial_realization_replays_the_adjacency_list_dinic():
     for name, inst in cases:
         want = _start_outcome(_initial_realization_reference, inst)
         assert _start_outcome(bp.initial_realization, inst) == want, name
-        seen[want[1] if want[0] == "infeasible" else "feasible"] += 1
+        if want[0] != "infeasible":
+            seen["feasible"] += 1
+        elif want[1].startswith("cell ("):  # a PolarityConflict: the pin's kind
+            seen["conflict " + want[1].split(" but")[0].rsplit(" ", 1)[1]] += 1
+        else:
+            seen[want[1]] += 1
         seen["zero degree"] += 0 in inst.degrees.row_degrees + inst.degrees.col_degrees
         seen["pinned row"] += any(all(row) for row in inst.fixed.mask)
     assert len(committed) == 104
     assert seen["feasible"] > 800 and seen["zero degree"] > 500
     assert seen["pinned row"] > 200
-    assert len(seen) == 8, seen  # and each of the five Infeasible messages
+    # and each of the five Infeasible messages, and a pinned non-edge
+    # against a static edge
+    assert len(seen) == 9, seen
 
 
 def test_start_realizations_are_pinned():
@@ -379,9 +397,6 @@ def test_static_set_requires_realizable():
     s = bp.DegreeSequence((3, 1), (1, 1, 1))
     with pytest.raises(bp.NotRealizable):
         bp.static_set(s)
-    g = bp.initial_realization(bp.Instance.unconstrained((1, 1), (1, 1, 0)))
-    with pytest.raises(bp.NotRealizable):
-        bp.static_set(s, g)
 
 
 def test_static_set_matches_enumeration_ground_truth():
@@ -402,7 +417,7 @@ def test_static_set_matches_enumeration_ground_truth():
 
 def _random_realizable(rng, max_rows, max_cols):
     """Margins of a random 0/1 matrix, often with an empty or a full row
-    and column, and that matrix."""
+    and column, or a planted tight block, and that matrix."""
     n = rng.randint(1, max_rows)
     nc = rng.randint(1, max_cols)
     p = rng.choice((0.0, 1.0, rng.random(), rng.random()))
@@ -413,24 +428,27 @@ def _random_realizable(rng, max_rows, max_cols):
         j, v = rng.randrange(nc), rng.randint(0, 1)
         for row in matrix:
             row[j] = v
+    if rng.random() < 0.3:
+        # rows K all 1 on columns L and the other rows all 0 off L, for K
+        # and L scattered over the grid: a Gale-Ryser inequality holds with
+        # equality, so K x L and the block off both are static
+        rows = set(rng.sample(range(n), rng.randint(1, n)))
+        cols = set(rng.sample(range(nc), rng.randint(1, nc)))
+        for i, row in enumerate(matrix):
+            for j in range(nc):
+                if (i in rows) == (j in cols):
+                    row[j] = int(i in rows)
     a = [sum(r) for r in matrix]
     b = [sum(c) for c in zip(*matrix)]
     return bp.DegreeSequence(a, b), matrix
 
 
 def test_static_set_matches_gale_ryser_reference():
-    rng, pins = random.Random(2024), random.Random(5)
+    rng = random.Random(2024)
     shapes = set()
     for _ in range(3000):
-        s, matrix = _random_realizable(rng, 8, 8)
-        want = _static_set_reference(s)
-        g = bp.Realization(bp.Instance.unconstrained(s.row_degrees, s.col_degrees), matrix)
-        assert bp.static_set(s) == want, s
-        assert bp.static_set(s, g) == want, s
-        # the static set is the sequence's, whatever cells g's instance pins
-        mask = [[pins.choice((bp.FREE, 2 - v)) for v in row] for row in matrix]
-        pinned = bp.Realization(bp.Instance(s, bp.FixedSet(mask)), matrix)
-        assert bp.static_set(s, pinned) == want, s
+        s, _ = _random_realizable(rng, 8, 8)
+        assert bp.static_set(s) == _static_set_reference(s), s
         degrees = s.row_degrees + s.col_degrees
         shapes.add((s.n == 1, s.n_cols == 1, 0 in degrees,
                     any(d == s.n_cols for d in s.row_degrees)))
@@ -439,32 +457,26 @@ def test_static_set_matches_gale_ryser_reference():
     assert (False, False, True, True) in shapes
 
 
-def test_static_set_same_from_every_realization():
-    rng = random.Random(31)
-    several = partial = 0
-    for _ in range(200):
-        n, nc = rng.randint(3, 5), rng.randint(3, 5)
-        matrix = [[rng.randint(0, 1) for _ in range(nc)] for _ in range(n)]
-        inst = bp.Instance.unconstrained(
-            [sum(r) for r in matrix], [sum(c) for c in zip(*matrix)]
-        )
-        want = bp.static_set(inst.degrees)
-        states = bp.enumerate_realizations(inst)
-        for g in states:
-            assert bp.static_set(inst.degrees, g) == want, g.matrix
-        several += len(states) > 1
-        partial += 0 < want.size() < n * nc
-    assert several >= 150 and partial >= 100
-
-
-def test_static_set_rejects_realization_of_other_margins():
-    s = bp.DegreeSequence((2, 1), (2, 1))
-    other = bp.initial_realization(bp.Instance.unconstrained((1, 1), (1, 1)))
-    with pytest.raises(ValueError):
-        bp.static_set(s, other)
-    wider = bp.initial_realization(bp.Instance.unconstrained((2, 1), (1, 1, 1)))
-    with pytest.raises(ValueError):
-        bp.static_set(s, wider)
+def test_static_set_is_the_enumeration_and_or_in_every_order():
+    # every realizable sequence up to 3x4, rows and columns in every order
+    # (not only sorted, as the verification pool sees them): the static
+    # edges are the cells all realizations set, the non-edges those none sets
+    count = 0
+    for n, nc in itertools.product(range(1, 4), range(1, 5)):
+        full = (1 << n * nc) - 1
+        for a in itertools.product(range(nc + 1), repeat=n):
+            for b in itertools.product(range(n + 1), repeat=nc):
+                s = bp.DegreeSequence(a, b)
+                if not bp.gale_ryser_realizable(s):
+                    continue
+                bits = _enumerate_bits(list(a), list(b))
+                ss = bp.static_set(s)
+                assert _cells_mask(ss.forced_edges, n, nc) == functools.reduce(
+                    operator.and_, bits), s
+                assert _cells_mask(ss.forced_non_edges, n, nc) == full & ~functools.reduce(
+                    operator.or_, bits), s
+                count += 1
+    assert count == 2538
 
 
 def test_swappable_cells_are_never_static():
