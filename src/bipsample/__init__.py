@@ -16,9 +16,6 @@ from .chains import (
     run,
 )
 from .core import (
-    FORCED_EDGE,
-    FORCED_NON_EDGE,
-    FREE,
     DegreeSequence,
     FixedSet,
     Infeasible,

@@ -15,9 +15,6 @@ import sys
 from . import chains, oracle
 from .analysis import analyze
 from .core import (
-    FORCED_EDGE,
-    FORCED_NON_EDGE,
-    FREE,
     DegreeSequence,
     FixedSet,
     Infeasible,
@@ -44,12 +41,11 @@ EXIT_TOO_LARGE = 4
 EXIT_USAGE = 64
 EXIT_PIPE = 141
 
-_MASK_CHARS = {"0": FORCED_NON_EDGE, "1": FORCED_EDGE, "*": FREE}
-# The mask characters, and the maps between them, as bytes, and their cell
-# values, one per direction.
-_MASK_DIGITS = "".join(_MASK_CHARS)
-_MASK_TABLE = bytes.maketrans(_MASK_DIGITS.encode(), bytes(_MASK_CHARS.values()))
-_MASK_TEXT = bytes.maketrans(bytes(_MASK_CHARS.values()), _MASK_DIGITS.encode())
+# The mask characters, and the maps from them to the binary digits of a
+# row's fixed cells (either polarity) and of its forced edges.
+_MASK_CHARS = "01*"
+_FIXED_DIGITS = str.maketrans(_MASK_CHARS, "110")
+_EDGE_DIGITS = str.maketrans(_MASK_CHARS, "010")
 
 
 class ParseError(ValueError):
@@ -122,10 +118,12 @@ def parse_instance(text: str) -> Instance:
 
     lineno, body = take("rows:")
     n = _parse_one_int(body, lineno, "rows")
+    if n < 1:
+        raise ParseError("rows must be positive", lineno)
     lineno, body = take("cols:")
     nc = _parse_one_int(body, lineno, "cols")
-    if n < 1 or nc < 1:
-        raise ParseError("rows and cols must be positive", lineno)
+    if nc < 1:
+        raise ParseError("cols must be positive", lineno)
     lineno, body = take("row_degrees:")
     row_degrees = _parse_int_list(body, lineno, "row degree")
     if len(row_degrees) != n:
@@ -142,10 +140,10 @@ def parse_instance(text: str) -> Instance:
     if body:
         raise ParseError("mask: line takes no inline value", lineno)
 
-    grid = []
+    fixed, edges = [], []
     for _ in range(n):
         if pos >= len(lines):
-            raise ParseError(f"expected {n} mask lines, got {len(grid)}", lineno)
+            raise ParseError(f"expected {n} mask lines, got {len(fixed)}", lineno)
         lineno, content = lines[pos]
         pos += 1
         if len(content) != nc:
@@ -154,19 +152,26 @@ def parse_instance(text: str) -> Instance:
                 lineno,
                 len(content) + 1 if len(content) < nc else nc + 1,
             )
-        if content.strip(_MASK_DIGITS):  # a character outside 0, 1, *
+        if content.strip(_MASK_CHARS):  # a character outside 0, 1, *
             for col, ch in enumerate(content, start=1):
                 if ch not in _MASK_CHARS:
                     raise ParseError(f"bad mask character {ch!r}", lineno, col)
-        grid.append(content.encode().translate(_MASK_TABLE))
+        # Reversed, a row's digits are its mask's binary number.
+        fixed.append(int(content.translate(_FIXED_DIGITS)[::-1], 2))
+        edges.append(int(content.translate(_EDGE_DIGITS)[::-1], 2))
     if pos < len(lines):
         lineno, content = lines[pos]
         raise ParseError(f"unexpected content {content!r}", lineno)
-    return Instance(DegreeSequence(row_degrees, col_degrees), FixedSet(grid))
+    return Instance(DegreeSequence(row_degrees, col_degrees), FixedSet(nc, fixed, edges))
 
 
 def format_instance(inst: Instance) -> str:
-    mask = b"\n".join(map(bytes, inst.fixed.mask)).translate(_MASK_TEXT).decode()
+    nc = inst.n_cols
+    mask = "\n".join(
+        "".join(e if f == "1" else "*" for f, e in zip(fixed, edges))
+        for fixed, edges in zip(mask_digits(inst.fixed.fixed_masks, nc),
+                                mask_digits(inst.fixed.edge_masks, nc))
+    )
     return "\n".join([
         f"rows: {inst.n}",
         f"cols: {inst.n_cols}",
@@ -226,7 +231,7 @@ def _pipeline(inst: Instance, reduce_static: bool):
     """Shared analyze/sample pipeline: the static cells of the degrees,
     which drop the pins they repeat, then the fixed-set analysis.
 
-    Returns (f_prime, working_fixed, redundant_cells, report_or_None,
+    Returns (f_prime, working_fixed, redundant_fixed, report_or_None,
     move_set).  The report is None when no bounded move set is usable; the
     move set is then cycle:2*min(n, m).
     """
@@ -235,7 +240,7 @@ def _pipeline(inst: Instance, reduce_static: bool):
         working, redundant = partition_fixed_set(inst, f_prime)
     else:
         f_prime = None
-        working, redundant = inst.fixed, frozenset()
+        working, redundant = inst.fixed, FixedSet.free(inst.n, inst.n_cols)
     try:
         report = analyze(working, inst.n, inst.n_cols)
         move_set = report.recommended
@@ -243,6 +248,11 @@ def _pipeline(inst: Instance, reduce_static: bool):
         report = None
         move_set = MoveSet.swaps_up_to(2 * min(inst.n, inst.n_cols))
     return f_prime, working, redundant, report, move_set
+
+
+def _count(masks) -> int:
+    """The cells of the row masks ``masks``."""
+    return sum(map(int.bit_count, masks))
 
 
 def _load_instance(path: str) -> Instance | None:
@@ -291,12 +301,12 @@ def cmd_analyze(args) -> int:
     else:
         print(
             f"static cells: {f_prime.size()} "
-            f"(edges={len(f_prime.forced_edges)}, "
-            f"non-edges={len(f_prime.forced_non_edges)})"
+            f"(edges={_count(f_prime.edge_masks)}, "
+            f"non-edges={_count(f_prime.non_edge_masks)})"
         )
-    n_working = sum(m.bit_count() for m in working.fixed_masks)
+    n_working = _count(working.fixed_masks)
     print(f"|F|: {n_working}")
-    print(f"|F*|: {len(redundant)}")
+    print(f"|F*|: {_count(redundant.fixed_masks)}")
     if n_working == 0:
         print("|F| = 0; plain Curveball applies")
     if report is not None:

@@ -1,32 +1,19 @@
-"""Shared domain types: degree sequences, fixed-cell masks, realizations
-and the move-set vocabulary."""
+"""Shared domain types: degree sequences, fixed cells, realizations and
+the move-set vocabulary.  Fixed cells and realizations are row masks, bit
+j of row i for column j."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, compress
 from typing import Iterable, Sequence
 
-# Cell states of a FixedSet mask.
-FREE = 0
-FORCED_EDGE = 1
-FORCED_NON_EDGE = 2
-
-
-# A mask's and a realization's cell values.
-_MASK_VALUES = frozenset({FREE, FORCED_EDGE, FORCED_NON_EDGE})
+# A realization's cell values.
 _BITS = frozenset({0, 1})
 
 # Map the binary digits "0" and "1" to the values 0 and 1, and back.
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 _CELL_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-# Map a FixedSet row's cell values, as bytes, to the binary digits of its
-# fixed cells (either polarity) and of its forced edges.
-_CELL_KINDS = bytes((FREE, FORCED_EDGE, FORCED_NON_EDGE))
-_FIXED_DIGITS = bytes.maketrans(_CELL_KINDS, b"011")
-_EDGE_DIGITS = bytes.maketrans(_CELL_KINDS, b"010")
 
 
 def _cell_values(row: Sequence[int]) -> tuple[int, ...]:
@@ -56,13 +43,6 @@ class NoUsableBound(ValueError):
 
 class TooLarge(ValueError):
     """Instance exceeds a brute-force guard."""
-
-
-def _row_masks(grid: Sequence[Sequence[int]], digits: bytes) -> tuple[int, ...]:
-    """One column mask per grid row: ``digits`` maps each cell value to
-    the binary digit of its bit.  Reversed, a translated row is its mask's
-    binary number."""
-    return tuple(int(bytes(row).translate(digits)[::-1], 2) for row in grid)
 
 
 def _check_cell(i: int, j: int, n: int, n_cols: int) -> None:
@@ -101,33 +81,47 @@ class DegreeSequence:
         return len(self.col_degrees)
 
 
+def _mask_cells(masks: Iterable[int]) -> frozenset[tuple[int, int]]:
+    """The cells (i, j) with bit j of the i-th mask set."""
+    cells = []
+    for i, m in enumerate(masks):
+        while m:
+            low = m & -m
+            cells.append((i, low.bit_length() - 1))
+            m ^= low
+    return frozenset(cells)
+
+
 @dataclass(frozen=True)
 class FixedSet:
-    """Per-cell mask pinning edges (1), non-edges (0), or leaving cells free."""
+    """Pinned edges and non-edges as row masks: bit j of ``fixed_masks[i]``
+    pins cell (i, j), and bit j of ``edge_masks[i]`` pins it as an edge.
+    Every other cell is free."""
 
-    mask: tuple[tuple[int, ...], ...]
+    n_cols: int
+    fixed_masks: tuple[int, ...]
+    edge_masks: tuple[int, ...]
 
-    def __init__(self, mask: Sequence[Sequence[int]]):
-        grid = tuple(map(_cell_values, mask))
-        if not grid or not grid[0]:
-            raise ValueError("mask must be non-empty")
-        # Two C-level passes; only a failing grid is scanned cell by cell,
-        # to name its first bad row or value.
-        width = len(grid[0])
-        if set(map(len, grid)) != {width} or not _MASK_VALUES.issuperset(
-            chain.from_iterable(grid)
-        ):
-            for row in grid:
-                if len(row) != width:
-                    raise ValueError("mask rows must have equal length")
-                for v in row:
-                    if v not in _MASK_VALUES:
-                        raise ValueError(f"bad mask value {v!r}")
-        object.__setattr__(self, "mask", grid)
+    def __post_init__(self):
+        fixed, edges = tuple(self.fixed_masks), tuple(self.edge_masks)
+        object.__setattr__(self, "fixed_masks", fixed)
+        object.__setattr__(self, "edge_masks", edges)
+        if not fixed:
+            raise ValueError("a fixed set needs at least one row")
+        if self.n_cols < 1:
+            raise ValueError("a fixed set needs at least one column")
+        if len(edges) != len(fixed):
+            raise ValueError(f"{len(fixed)} fixed masks but {len(edges)} edge masks")
+        if min(fixed) < 0 or min(edges) < 0:
+            raise ValueError("masks must be nonnegative")
+        if max(fixed) >> self.n_cols:
+            raise ValueError(f"a fixed mask has a bit at or past column {self.n_cols}")
+        if tuple(map(int.__and__, edges, fixed)) != edges:
+            raise ValueError("an edge mask has a bit outside its fixed mask")
 
     @classmethod
     def free(cls, n: int, n_cols: int) -> "FixedSet":
-        return cls(((FREE,) * n_cols,) * n)
+        return cls(n_cols, (0,) * n, (0,) * n)
 
     @classmethod
     def from_cells(
@@ -137,55 +131,34 @@ class FixedSet:
         forced_edges: Iterable[tuple[int, int]] = (),
         forced_non_edges: Iterable[tuple[int, int]] = (),
     ) -> "FixedSet":
-        grid = [[FREE] * n_cols for _ in range(n)]
+        fixed, edges = [0] * n, [0] * n
         for i, j in forced_edges:
             _check_cell(i, j, n, n_cols)
-            grid[i][j] = FORCED_EDGE
+            fixed[i] |= 1 << j
+            edges[i] |= 1 << j
         for i, j in forced_non_edges:
             _check_cell(i, j, n, n_cols)
-            if grid[i][j] == FORCED_EDGE:
+            if edges[i] >> j & 1:
                 raise ValueError(f"cell ({i}, {j}) forced both ways")
-            grid[i][j] = FORCED_NON_EDGE
-        return cls(grid)
+            fixed[i] |= 1 << j
+        return cls(n_cols, fixed, edges)
 
     @property
     def n(self) -> int:
-        return len(self.mask)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.mask[0])
+        return len(self.fixed_masks)
 
     @property
     def forced_edges(self) -> frozenset[tuple[int, int]]:
-        return self._cells(FORCED_EDGE)
+        return _mask_cells(self.edge_masks)
 
     @property
     def forced_non_edges(self) -> frozenset[tuple[int, int]]:
-        return self._cells(FORCED_NON_EDGE)
+        return _mask_cells(map(int.__xor__, self.fixed_masks, self.edge_masks))
 
     @property
     def cells(self) -> frozenset[tuple[int, int]]:
         """All fixed cells, polarity ignored."""
-        return self.forced_edges | self.forced_non_edges
-
-    def _cells(self, value: int) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            (i, j) for i, row in enumerate(self.mask) for j, v in enumerate(row) if v == value
-        )
-
-    # The row masks, bit j for column j, are the one place a mask row
-    # becomes bits.  Built on first use, they stay out of equality and repr.
-
-    @cached_property
-    def fixed_masks(self) -> tuple[int, ...]:
-        """Each row's fixed cells, both polarities, as a column mask."""
-        return _row_masks(self.mask, _FIXED_DIGITS)
-
-    @cached_property
-    def edge_masks(self) -> tuple[int, ...]:
-        """Each row's forced edges as a column mask."""
-        return _row_masks(self.mask, _EDGE_DIGITS)
+        return _mask_cells(self.fixed_masks)
 
 
 @dataclass(frozen=True)
@@ -289,7 +262,10 @@ class Realization:
                 for j, v in enumerate(row):
                     if v not in _BITS:
                         raise ValueError(f"matrix cell ({i}, {j}) is {v!r}, not 0/1")
-        self._store(instance, _row_masks(grid, _CELL_DIGITS))
+        # Reversed, a row's binary digits are its mask's binary number.
+        self._store(instance, tuple(
+            int(bytes(row).translate(_CELL_DIGITS)[::-1], 2) for row in grid
+        ))
 
     def _store(self, instance: Instance, masks: tuple[int, ...]) -> None:
         check_masks(instance, masks)

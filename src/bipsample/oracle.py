@@ -25,9 +25,6 @@ from math import comb, exp, lgamma, log
 from . import chains
 from .analysis import FGraph, has_cycle_of_length, is_forest, max_matching_at_least
 from .core import (
-    FORCED_EDGE,
-    FORCED_NON_EDGE,
-    FREE,
     DegreeSequence,
     FixedSet,
     Instance,
@@ -519,23 +516,22 @@ def _static_set_reference(s: DegreeSequence) -> StaticSet:
     a, b = list(s.row_degrees), list(s.col_degrees)
     a_op = [nc - d for d in a]
     b_op = [n - d for d in b]
-    edges = set()
-    non_edges = set()
+    edges, non_edges = [0] * n, [0] * n
     for i in range(n):
         for j in range(nc):
             a[i] -= 1
             b[j] -= 1
             if not _gale_ryser(a, b):
-                non_edges.add((i, j))
+                non_edges[i] |= 1 << j
             a[i] += 1
             b[j] += 1
             a_op[i] -= 1
             b_op[j] -= 1
             if not _gale_ryser(a_op, b_op):
-                edges.add((i, j))
+                edges[i] |= 1 << j
             a_op[i] += 1
             b_op[j] += 1
-    return StaticSet(frozenset(edges), frozenset(non_edges))
+    return StaticSet(tuple(edges), tuple(non_edges))
 
 
 def uniformity_report(inst: Instance, cfg: chains.ChainConfig) -> tuple[float, float]:
@@ -778,11 +774,9 @@ def _digest(n, nc, a, b, sup=None, pattern=None):
 
 def _make_instance(n, nc, a, b, sup=0, pattern=0) -> Instance:
     """The instance a check line names (see ``_digest``)."""
-    kind = ((FREE, FREE), (FORCED_NON_EDGE, FORCED_EDGE))
-    return Instance(DegreeSequence(a, b), FixedSet([
-        [kind[sup >> p & 1][pattern >> p & 1] for p in range(lo, lo + nc)]
-        for lo in range(0, n * nc, nc)
-    ]))
+    return Instance(DegreeSequence(a, b), FixedSet(
+        nc, _masks_of(sup, n, nc), _masks_of(sup & pattern, n, nc)
+    ))
 
 
 class _Reporter:
@@ -889,8 +883,8 @@ def _check_sequence(rep, n, nc, a, b, free_bits):
     where = (n, nc, a, b)
     seq = DegreeSequence(a, b)
     ss = static_set(seq)
-    edges = _cells_mask(ss.forced_edges, n, nc)
-    non_edges = _cells_mask(ss.forced_non_edges, n, nc)
+    edges = _state_of(ss.edge_masks, nc)
+    non_edges = _state_of(ss.non_edge_masks, nc)
     every = functools.reduce(int.__and__, free_bits)
     some = functools.reduce(int.__or__, free_bits)
     rep.record(

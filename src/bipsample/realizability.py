@@ -1,17 +1,14 @@
 """Feasibility of degree sequences and instances: Gale-Ryser tests, a
 deterministic max-flow construction of one realization, and the static
 edge/non-edge set of a sequence, read off the Gale-Ryser inequalities
-that hold with equality (no realization needed)."""
+that hold with equality (no realization needed).  Static and fixed cells
+are row masks, bit j of row i for column j."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .core import (
-    FORCED_EDGE,
-    FORCED_NON_EDGE,
-    FREE,
     DegreeSequence,
     FixedSet,
     Infeasible,
@@ -24,13 +21,14 @@ from .core import (
 
 @dataclass(frozen=True)
 class StaticSet:
-    """Cells whose value is the same in every realization of a sequence."""
+    """Cells whose value is the same in every realization of a sequence,
+    as row masks: the edges of every realization and the non-edges."""
 
-    forced_edges: frozenset[tuple[int, int]]
-    forced_non_edges: frozenset[tuple[int, int]]
+    edge_masks: tuple[int, ...]
+    non_edge_masks: tuple[int, ...]
 
     def size(self) -> int:
-        return len(self.forced_edges) + len(self.forced_non_edges)
+        return sum(map(int.bit_count, self.edge_masks + self.non_edge_masks))
 
 
 def _gale_ryser(a: list[int], b: list[int]) -> bool:
@@ -289,48 +287,60 @@ def static_set(s: DegreeSequence) -> StaticSet:
     a, b = s.row_degrees, s.col_degrees
     n = len(a)
     rows = sorted(range(n), key=a.__getitem__, reverse=True)
-    cols = sorted(range(len(b)), key=b.__getitem__, reverse=True)
-    # at_least[k]: the number of columns of degree >= k, the first of cols.
+    # at_least[k]: the number of columns of degree >= k, the first of the
+    # columns sorted by degree; prefix[c]: the mask of the first c of them.
     at_least = [0] * (n + 2)
     for d in b:
         at_least[d] += 1
     for k in range(n, -1, -1):
         at_least[k] += at_least[k + 1]
-    edges, non_edges = [], []
+    prefix = [0]
+    for j in sorted(range(len(b)), key=b.__getitem__, reverse=True):
+        prefix.append(prefix[-1] | 1 << j)
+    full = prefix[-1]
+    edges, non_edges = [0] * n, [0] * n
     lo = lhs = rhs = 0
     for k, i in enumerate(rows, start=1):
         lhs += a[i]
         rhs += at_least[k]
         if lhs == rhs:
-            edges += product(rows[lo:k], cols[:at_least[k]])
-            non_edges += product(rows[lo:k], cols[at_least[lo + 1]:])
+            ones, zeros = prefix[at_least[k]], full ^ prefix[at_least[lo + 1]]
+            for r in rows[lo:k]:
+                edges[r] = ones
+                non_edges[r] = zeros
             lo = k
-    return StaticSet(frozenset(edges), frozenset(non_edges))
+    return StaticSet(tuple(edges), tuple(non_edges))
 
 
-def partition_fixed_set(
-    inst: Instance, f_prime: StaticSet
-) -> tuple[FixedSet, frozenset[tuple[int, int]]]:
-    """Split the instance's fixed cells into the redundant part (already
-    static for the sequence) and the working part the chains must respect.
+def partition_fixed_set(inst: Instance, f_prime: StaticSet) -> tuple[FixedSet, FixedSet]:
+    """Split the instance's fixed cells into the working part the chains
+    must respect and the redundant part, already static for the sequence.
+    When no fixed cell is static, the working part is ``inst.fixed``.
 
-    Raises PolarityConflict when a fixed cell contradicts the static set:
-    such an instance has no realization.
+    Raises PolarityConflict, naming the first cell in row-major order,
+    when a fixed cell contradicts the static set: such an instance has no
+    realization.
     """
-    static = dict.fromkeys(f_prime.forced_edges, FORCED_EDGE)
-    static.update(dict.fromkeys(f_prime.forced_non_edges, FORCED_NON_EDGE))
-    mask = [list(row) for row in inst.fixed.mask]
-    redundant = set()
-    for i, j in sorted(inst.fixed.cells):  # row-major, so the first conflict is named
-        v = mask[i][j]
-        pinned = static.get((i, j))
-        if pinned == v:
-            redundant.add((i, j))
-            mask[i][j] = FREE
-        elif pinned is not None:
-            kinds = ("an edge", "a non-edge") if v == FORCED_EDGE else ("a non-edge", "an edge")
+    f = inst.fixed
+    redundant = []
+    for i, (fixed, edges, static_edge, static_non) in enumerate(zip(
+        f.fixed_masks, f.edge_masks, f_prime.edge_masks, f_prime.non_edge_masks
+    )):
+        conflict = edges & static_non | (fixed ^ edges) & static_edge
+        if conflict:
+            j = (conflict & -conflict).bit_length() - 1
+            kinds = ("an edge", "a non-edge") if edges >> j & 1 else ("a non-edge", "an edge")
             raise PolarityConflict(
                 f"cell ({i}, {j}) is forced as {kinds[0]} but is {kinds[1]} "
                 "in every realization of the sequence"
             )
-    return FixedSet(mask), frozenset(redundant)
+        redundant.append(fixed & (static_edge | static_non))
+    dropped = FixedSet(f.n_cols, redundant, map(int.__and__, f.edge_masks, redundant))
+    if not any(redundant):
+        return f, dropped
+    working = FixedSet(
+        f.n_cols,
+        map(int.__xor__, f.fixed_masks, dropped.fixed_masks),
+        map(int.__xor__, f.edge_masks, dropped.edge_masks),
+    )
+    return working, dropped

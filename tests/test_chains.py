@@ -819,7 +819,7 @@ def _cycle_reference(g, limit, rng):
         # Cell 0 sets the value; the walk's cells alternate from it.
         cells.append((r, c))
         r0, c0 = cells[0]
-        return (inst.fixed.mask[r][c] == bp.FREE
+        return (not inst.fixed.fixed_masks[r] >> c & 1
                 and matrix[r][c] == matrix[r0][c0] ^ (len(cells) - 1) % 2)
 
     r0 = row_pool.pop(rng.randrange(n))
@@ -859,7 +859,7 @@ def _cycle_draw_all_reference(g, limit, rng):
     vals = [g.matrix[r][c] for r, c in cells]
     if any(vals[t] == vals[t - 1] for t in range(2 * h)):
         return g.rows
-    if any(g.instance.fixed.mask[r][c] != bp.FREE for r, c in cells):
+    if any(g.instance.fixed.fixed_masks[r] >> c & 1 for r, c in cells):
         return g.rows
     return toggled(g, cells).rows
 

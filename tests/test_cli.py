@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -172,6 +173,33 @@ def test_parse_errors():
         assert err.value.line == 1 + (key == "cols")
 
 
+@pytest.mark.parametrize("key", ["rows", "cols"])
+def test_parse_names_the_line_of_a_zero_dimension(key):
+    # rows: 0 is reported on its own line, not on the cols: line after it
+    with pytest.raises(cli.ParseError) as err:
+        cli.parse_instance(FREE_2X2.replace(f"{key}: 2", f"{key}: 0"))
+    assert (err.value.message, err.value.line) == (
+        f"{key} must be positive", 1 + (key == "cols"))
+
+
+def test_wide_pinned_mask_round_trip():
+    # past one machine word: a seeded 5x130 mask with all three cell kinds
+    # in every row, parsed, written and parsed again
+    rng = random.Random(130)
+    rows = ["".join(rng.choice("01**") for _ in range(130)) for _ in range(5)]
+    assert all(set(row) == set("01*") for row in rows)
+    text = ("rows: 5\ncols: 130\nrow_degrees:" + " 60" * 5 + "\n"
+            "col_degrees:" + " 3" * 100 + " 0" * 30 + "\nmask:\n" + "\n".join(rows) + "\n")
+    inst = cli.parse_instance(text)
+    assert inst.fixed.cells == {
+        (i, j) for i, row in enumerate(rows) for j, ch in enumerate(row) if ch != "*"}
+    assert inst.fixed.forced_edges == {
+        (i, j) for i, row in enumerate(rows) for j, ch in enumerate(row) if ch == "1"}
+    assert max(inst.fixed.fixed_masks).bit_length() > 64
+    assert cli.format_instance(inst) == text
+    assert cli.parse_instance(cli.format_instance(inst)) == inst
+
+
 def _mask_error_reference(text):
     """The first mask-line error ``parse_instance`` raises, found the way
     it was before the C-level check: cell by cell, in reading order."""
@@ -191,8 +219,8 @@ def _mask_error_reference(text):
 @pytest.mark.parametrize("ch", ["x", "2", "?", "\u00e9", "\x00", "\x01", "\x02"])
 @pytest.mark.parametrize("col", [1, 6, 11])
 def test_parse_names_a_bad_mask_character_at_its_column(ch, col):
-    # first, middle and last of 11 columns; the control characters are the
-    # cell values the mask characters translate to
+    # first, middle and last of 11 columns; the digit tables pass control
+    # characters through, so the check must name them before int() reads one
     rows = ["*0*1*0*1*0*"] * 3
     rows[1] = rows[1][:col - 1] + ch + rows[1][col:]
     rows[2] = "1" * 10 + ch  # a later bad line is not the one reported
@@ -214,9 +242,10 @@ def test_parse_mask_rows_read_as_before():
         with open(os.path.join(folder, name), encoding="utf-8") as fh:
             text = fh.read()
         rows = text.split("mask:\n", 1)[1].split()
-        want = tuple(tuple(cli._MASK_CHARS[ch] for ch in row) for row in rows)
+        fixed = tuple(sum(1 << j for j, ch in enumerate(row) if ch != "*") for row in rows)
+        edges = tuple(sum(1 << j for j, ch in enumerate(row) if ch == "1") for row in rows)
         inst = cli.parse_instance(text)
-        assert inst.fixed.mask == want, name
+        assert (inst.fixed.fixed_masks, inst.fixed.edge_masks) == (fixed, edges), name
         # and written back as the same characters
         assert cli.format_instance(inst).split("mask:\n", 1)[1].split() == rows, name
     assert len(names) == 104

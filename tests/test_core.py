@@ -14,8 +14,8 @@ from bipsample import chains, oracle
 # Every public name of the package; adding or removing one shows here.
 PUBLIC_NAMES = [
     "AnalysisReport", "Chain", "ChainConfig", "DegreeSequence", "FGraph",
-    "FORCED_EDGE", "FORCED_NON_EDGE", "FREE", "FixedSet", "Infeasible",
-    "Instance", "InstanceMismatch", "MoveSet", "NoUsableBound",
+    "FixedSet", "Infeasible", "Instance", "InstanceMismatch", "MoveSet",
+    "NoUsableBound",
     "NotRealizable", "PolarityConflict", "Realization", "StateGraph",
     "StaticSet", "TooLarge", "VerificationResult", "analysis", "analyze",
     "build_state_graph", "chains", "check_connectivity", "core",
@@ -106,8 +106,10 @@ def test_fixed_set_cells_and_row_lists():
     assert f.cells == {(0, 1), (1, 2)}
     assert f.fixed_masks == (0b010, 0b100)
     assert f.edge_masks == (0b010, 0)
-    # the cached masks stay out of equality and repr
-    assert f == bp.FixedSet(f.mask) and repr(f) == repr(bp.FixedSet(f.mask))
+    # built from its masks, as a list or a tuple, it is the same value
+    for built in (bp.FixedSet(3, (0b010, 0b100), (0b010, 0)),
+                  bp.FixedSet(3, [0b010, 0b100], [0b010, 0])):
+        assert f == built and hash(f) == hash(built) and repr(f) == repr(built)
     assert f.cells
     assert not bp.FixedSet.free(2, 3).cells
 
@@ -117,54 +119,85 @@ def test_fixed_set_rejects_double_polarity():
         bp.FixedSet.from_cells(2, 2, forced_edges=[(0, 0)], forced_non_edges=[(0, 0)])
 
 
-def _fixed_set_reference(mask):
-    """``FixedSet``'s grid as it was built and checked, cell by cell."""
-    grid = tuple(tuple(int(v) for v in row) for row in mask)
-    if not grid or not grid[0]:
-        raise ValueError("mask must be non-empty")
-    width = len(grid[0])
-    for row in grid:
-        if len(row) != width:
-            raise ValueError("mask rows must have equal length")
-        for v in row:
-            if v not in (bp.FREE, bp.FORCED_EDGE, bp.FORCED_NON_EDGE):
-                raise ValueError(f"bad mask value {v!r}")
-    return grid
+def _fixed_set_reference(n_cols, fixed, edges):
+    """``FixedSet``'s rules checked one at a time, row by row and bit by
+    bit; returns its forced edges and non-edges."""
+    if not fixed:
+        raise ValueError("a fixed set needs at least one row")
+    if n_cols < 1:
+        raise ValueError("a fixed set needs at least one column")
+    if len(edges) != len(fixed):
+        raise ValueError(f"{len(fixed)} fixed masks but {len(edges)} edge masks")
+    if any(m < 0 for m in (*fixed, *edges)):
+        raise ValueError("masks must be nonnegative")
+    for f in fixed:
+        if any(f >> j & 1 for j in range(n_cols, f.bit_length())):
+            raise ValueError(f"a fixed mask has a bit at or past column {n_cols}")
+    for f, e in zip(fixed, edges):
+        if any(e >> j & 1 and not f >> j & 1 for j in range(e.bit_length())):
+            raise ValueError("an edge mask has a bit outside its fixed mask")
+    cells = [(i, j) for i in range(len(fixed)) for j in range(n_cols)]
+    return ({(i, j) for i, j in cells if edges[i] >> j & 1},
+            {(i, j) for i, j in cells if (fixed[i] & ~edges[i]) >> j & 1})
+
+
+FIXED_SET_FAULTS = ("one row", "one column", "edge masks", "nonnegative",
+                    "at or past", "outside")
 
 
 def test_fixed_set_checks_match_the_cell_by_cell_reference():
-    # same grid and row masks, or the same first error, on random masks with
-    # bad values, ragged rows and bytes rows
+    # the same cells, or the same first error, on random masks with empty
+    # and unequal lists, negative masks, bits past the last column and
+    # edges outside their fixed cells
     rng = random.Random(19)
     seen = set()
     for trial in range(3000):
-        n, nc = rng.randint(1, 5), rng.randint(1, 5)
-        mask = [[rng.choice((0, 0, 1, 2)) for _ in range(nc)] for _ in range(n)]
+        n, nc = rng.randint(0, 5), rng.randint(0, 5)
+        fixed = [rng.getrandbits(max(nc, 1)) for _ in range(n)]
+        edges = [f & rng.getrandbits(max(nc, 1)) for f in fixed]
         for _ in range(rng.choice((0, 0, 1, 2))):
-            i, j = rng.randrange(n), rng.randrange(nc)
-            mask[i][j] = rng.choice((-1, 3, 255, True, "2", "x", 1.5))
-        if rng.random() < 0.2:
-            mask[rng.randrange(n)].append(0)
-        if rng.random() < 0.1:
-            mask[rng.randrange(n)] = []
-        if rng.random() < 0.3 and all(isinstance(v, int) and 0 <= v < 256
-                                      for row in mask for v in row):
-            mask = [bytes(row) for row in mask]
-        want = _outcome(lambda: _fixed_set_reference(mask))
-        got = _outcome(lambda: bp.FixedSet(mask).mask)
+            if not n:
+                break
+            i = rng.randrange(n)
+            kind = rng.randrange(4)
+            if kind == 0:
+                fixed[i] = -1 - fixed[i]
+            elif kind == 1:
+                edges[i] = -1
+            elif kind == 2:
+                fixed[i] |= 1 << (nc + rng.randrange(70))
+            else:
+                edges[i] |= 1 << rng.randrange(nc + 2)
+        if n and rng.random() < 0.1:
+            rng.choice((fixed, edges)).pop()
+        want = _outcome(lambda: _fixed_set_reference(nc, fixed, edges))
+        got = _outcome(lambda: bp.FixedSet(nc, fixed, edges))
+        assert got == want, (nc, fixed, edges)
         if want is None:
-            grid = _fixed_set_reference(mask)
-            f = bp.FixedSet(mask)
-            assert got is None and f.mask == grid
-            # the row masks hold the same cells, bit j for column j
-            assert f.fixed_masks == tuple(
-                sum(1 << j for j, v in enumerate(row) if v != bp.FREE) for row in grid)
-            assert f.edge_masks == tuple(
-                sum(1 << j for j, v in enumerate(row) if v == bp.FORCED_EDGE) for row in grid)
+            f = bp.FixedSet(nc, fixed, edges)
+            forced_edges, forced_non_edges = _fixed_set_reference(nc, fixed, edges)
+            assert (f.n, f.n_cols) == (n, nc)
+            assert f.forced_edges == forced_edges
+            assert f.forced_non_edges == forced_non_edges
+            assert f.cells == forced_edges | forced_non_edges
+            assert (f.fixed_masks, f.edge_masks) == (tuple(fixed), tuple(edges))
         else:
-            assert got == want, mask
-            seen.add(want[1].split(" ")[0])
-    assert seen == {"mask", "bad", "invalid"}
+            seen.add(next(k for k in FIXED_SET_FAULTS if k in want[1]))
+    assert seen == set(FIXED_SET_FAULTS)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((3, (), ()), "at least one row"),
+    ((0, (0,), (0,)), "at least one column"),
+    ((3, (0, 0), (0,)), "2 fixed masks but 1 edge masks"),
+    ((3, (-1,), (0,)), "nonnegative"),
+    ((3, (0b1,), (-1,)), "nonnegative"),
+    ((3, (0b1000,), (0,)), "a bit at or past column 3"),
+    ((3, (0b011,), (0b100,)), "a bit outside its fixed mask"),
+])
+def test_fixed_set_rejects_each_bad_form(args, message):
+    with pytest.raises(ValueError, match=message):
+        bp.FixedSet(*args)
 
 
 OUTSIDE_2X2 = [(-1, 0), (0, -1), (2, 0), (0, 2)]
@@ -252,11 +285,12 @@ def _validate_reference(inst, matrix):
         got = sum(matrix[i][j] for i in range(n))
         if got != b[j]:
             raise ValueError(f"column {j} has sum {got}, expected {b[j]}")
-    for i, mrow in enumerate(inst.fixed.mask):
-        for j, m in enumerate(mrow):
-            if m == bp.FORCED_EDGE and not matrix[i][j]:
+    fixed, edges = inst.fixed.fixed_masks, inst.fixed.edge_masks
+    for i in range(n):
+        for j in range(nc):
+            if edges[i] >> j & 1 and not matrix[i][j]:
                 raise ValueError(f"forced edge ({i}, {j}) is absent")
-            if m == bp.FORCED_NON_EDGE and matrix[i][j]:
+            if (fixed[i] ^ edges[i]) >> j & 1 and matrix[i][j]:
                 raise ValueError(f"forced non-edge ({i}, {j}) is present")
 
 
@@ -307,6 +341,14 @@ def _broken(rng, a_matrix, kind):
     return m
 
 
+def _pinned_like(rng, matrix):
+    """A fixed set pinning each cell of ``matrix`` with chance 1/3, to its
+    value there."""
+    fixed = [sum(rng.choice((0, 0, 1)) << j for j in range(len(row))) for row in matrix]
+    edges = [f & sum(v << j for j, v in enumerate(row)) for f, row in zip(fixed, matrix)]
+    return bp.FixedSet(len(matrix[0]), fixed, edges)
+
+
 def test_realization_checks_match_the_cell_by_cell_reference():
     # same exception class and first-failure message as the old validation,
     # and the same matrix and row sets, on random broken matrices
@@ -319,10 +361,9 @@ def test_realization_checks_match_the_cell_by_cell_reference():
     for trial in range(1500):
         n, nc = rng.randint(1, 6), rng.randint(1, 6)
         a_matrix = [[rng.randint(0, 1) for _ in range(nc)] for _ in range(n)]
-        mask = [[rng.choice((bp.FREE, bp.FREE, 2 - v)) for v in row] for row in a_matrix]
         inst = bp.Instance(
             bp.DegreeSequence(map(sum, a_matrix), map(sum, zip(*a_matrix))),
-            bp.FixedSet(mask),
+            _pinned_like(rng, a_matrix),
         )
         assert_one_realization(inst, _old_construction(a_matrix)[0])
         m = _broken(rng, a_matrix, kinds[trial % len(kinds)])
@@ -394,10 +435,9 @@ def test_mask_check_catches_injected_faults_with_the_realization_messages():
     for trial in range(600):
         n, nc = rng.randint(1, 6), rng.randint(1, 6)
         a_matrix = [[rng.randint(0, 1) for _ in range(nc)] for _ in range(n)]
-        mask = [[rng.choice((bp.FREE, bp.FREE, 2 - v)) for v in row] for row in a_matrix]
         inst = bp.Instance(
             bp.DegreeSequence(map(sum, a_matrix), map(sum, zip(*a_matrix))),
-            bp.FixedSet(mask),
+            _pinned_like(rng, a_matrix),
         )
         masks = bp.Realization(inst, a_matrix).masks
         assert check_masks(inst, masks) == ["".join(map(str, row)) for row in a_matrix]

@@ -403,8 +403,8 @@ def test_check_static_set_examples():
         bits = oracle._enumerate_bits(a, b)
         every = functools.reduce(operator.and_, bits)
         none = ~functools.reduce(operator.or_, bits) & ((1 << n * nc) - 1)
-        assert oracle._cells_mask(ss.forced_edges, n, nc) == every
-        assert oracle._cells_mask(ss.forced_non_edges, n, nc) == none
+        assert oracle._state_of(ss.edge_masks, nc) == every
+        assert oracle._state_of(ss.non_edge_masks, nc) == none
 
 
 def test_components_isomorphic_connected_graph():
@@ -633,7 +633,7 @@ def test_a_wrong_static_edge_fails_a_single_state_pool(monkeypatch):
     def wrong(seq, *args):
         got = real(seq, *args)
         if (seq.row_degrees, seq.col_degrees) == ((1, 1), (1, 1)):
-            return StaticSet(got.forced_edges | {(0, 0)}, got.forced_non_edges)
+            return StaticSet((got.edge_masks[0] | 1, *got.edge_masks[1:]), got.non_edge_masks)
         return got
 
     monkeypatch.setattr(oracle, "static_set", wrong)

@@ -10,11 +10,32 @@ from pathlib import Path
 import pytest
 
 import bipsample as bp
-from bipsample.oracle import _cells_mask, _enumerate_bits, _static_set_reference
+from bipsample.oracle import _enumerate_bits, _state_of, _static_set_reference
 from bipsample.realizability import _gale_ryser
 from streams import GOLDEN_START, start_digest
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# The values of a fixed set's cells in the grids the cell-by-cell
+# references read.
+FREE, EDGE, NON_EDGE = 0, 1, 2
+
+
+def _grid(fixed):
+    """The fixed set as a grid of FREE, EDGE and NON_EDGE, cell by cell."""
+    return [[EDGE if e >> j & 1 else NON_EDGE if f >> j & 1 else FREE
+             for j in range(fixed.n_cols)]
+            for f, e in zip(fixed.fixed_masks, fixed.edge_masks)]
+
+
+def _fixed_of(grid):
+    """The fixed set of a grid of FREE, EDGE and NON_EDGE."""
+    cells = [(i, j, v) for i, row in enumerate(grid) for j, v in enumerate(row)]
+    return bp.FixedSet.from_cells(
+        len(grid), len(grid[0]),
+        forced_edges=[(i, j) for i, j, v in cells if v == EDGE],
+        forced_non_edges=[(i, j) for i, j, v in cells if v == NON_EDGE],
+    )
 
 
 def test_gale_ryser_examples():
@@ -262,10 +283,10 @@ def _initial_realization_reference(inst):
     b = list(inst.degrees.col_degrees)
     if sum(a) != sum(b):
         raise bp.Infeasible("row and column degree sums differ")
-    mask = inst.fixed.mask
+    mask = _grid(inst.fixed)
     for i in range(n):
         for j in range(nc):
-            if mask[i][j] == bp.FORCED_EDGE:
+            if mask[i][j] == EDGE:
                 a[i] -= 1
                 b[j] -= 1
     if any(d < 0 for d in a):
@@ -279,7 +300,7 @@ def _initial_realization_reference(inst):
     cell_edge = {}
     for i in range(n):
         for j in range(nc):
-            if mask[i][j] == bp.FREE:
+            if mask[i][j] == FREE:
                 cell_edge[(i, j)] = len(net.to)
                 net.add_edge(1 + i, 1 + n + j, 1)
     for j in range(nc):
@@ -289,7 +310,7 @@ def _initial_realization_reference(inst):
             raise bp.Infeasible("degree sequence has no realization")
         _partition_reference(inst, _static_set_reference(inst.degrees))
         raise bp.Infeasible("no realization satisfies the fixed cells and degrees")
-    matrix = [[int(v == bp.FORCED_EDGE) for v in row] for row in mask]
+    matrix = [[int(v == EDGE) for v in row] for row in mask]
     for (i, j), e in cell_edge.items():
         if net.cap[e] == 0:
             matrix[i][j] = 1
@@ -333,11 +354,11 @@ def _random_flow_instance(rng):
         for v in row:
             if every or rng.random() < pin:
                 v ^= rng.random() < wrong
-                cells.append(bp.FORCED_EDGE if v else bp.FORCED_NON_EDGE)
+                cells.append(EDGE if v else NON_EDGE)
             else:
-                cells.append(bp.FREE)
+                cells.append(FREE)
         mask.append(cells)
-    return bp.Instance(bp.DegreeSequence(a, b), bp.FixedSet(mask))
+    return bp.Instance(bp.DegreeSequence(a, b), _fixed_of(mask))
 
 
 def test_initial_realization_replays_the_adjacency_list_dinic():
@@ -360,7 +381,7 @@ def test_initial_realization_replays_the_adjacency_list_dinic():
         else:
             seen[want[1]] += 1
         seen["zero degree"] += 0 in inst.degrees.row_degrees + inst.degrees.col_degrees
-        seen["pinned row"] += any(all(row) for row in inst.fixed.mask)
+        seen["pinned row"] += any(all(row) for row in _grid(inst.fixed))
     assert len(committed) == 104
     assert seen["feasible"] > 800 and seen["zero degree"] > 500
     assert seen["pinned row"] > 200
@@ -375,22 +396,22 @@ def test_start_realizations_are_pinned():
 
 def test_static_set_full_row():
     ss = bp.static_set(bp.DegreeSequence((3,), (1, 1, 1)))
-    assert ss.forced_edges == {(0, 0), (0, 1), (0, 2)}
-    assert ss.forced_non_edges == set()
+    assert ss.edge_masks == (0b111,)
+    assert ss.non_edge_masks == (0,)
 
 
 def test_static_set_zero_column():
     ss = bp.static_set(bp.DegreeSequence((1,), (1, 0)))
-    assert ss.forced_edges == {(0, 0)}
-    assert ss.forced_non_edges == {(0, 1)}
+    assert ss.edge_masks == (0b01,)
+    assert ss.non_edge_masks == (0b10,)
 
 
 def test_static_set_2x2_unique_realization():
     # (2,1),(2,1) has the single realization [[1,1],[1,0]]: every cell is
     # static, three as edges and one as a non-edge.
     ss = bp.static_set(bp.DegreeSequence((2, 1), (2, 1)))
-    assert ss.forced_edges == {(0, 0), (0, 1), (1, 0)}
-    assert ss.forced_non_edges == {(1, 1)}
+    assert ss.edge_masks == (0b11, 0b01)
+    assert ss.non_edge_masks == (0b00, 0b10)
 
 
 def test_static_set_requires_realizable():
@@ -411,8 +432,8 @@ def test_static_set_matches_enumeration_ground_truth():
         bits = _enumerate_bits(a, b)
         every = functools.reduce(operator.and_, bits)
         none = ~functools.reduce(operator.or_, bits) & ((1 << n * nc) - 1)
-        assert _cells_mask(ss.forced_edges, n, nc) == every
-        assert _cells_mask(ss.forced_non_edges, n, nc) == none
+        assert _state_of(ss.edge_masks, nc) == every
+        assert _state_of(ss.non_edge_masks, nc) == none
 
 
 def _random_realizable(rng, max_rows, max_cols):
@@ -471,9 +492,9 @@ def test_static_set_is_the_enumeration_and_or_in_every_order():
                     continue
                 bits = _enumerate_bits(list(a), list(b))
                 ss = bp.static_set(s)
-                assert _cells_mask(ss.forced_edges, n, nc) == functools.reduce(
+                assert _state_of(ss.edge_masks, nc) == functools.reduce(
                     operator.and_, bits), s
-                assert _cells_mask(ss.forced_non_edges, n, nc) == full & ~functools.reduce(
+                assert _state_of(ss.non_edge_masks, nc) == full & ~functools.reduce(
                     operator.or_, bits), s
                 count += 1
     assert count == 2538
@@ -483,13 +504,13 @@ def test_swappable_cells_are_never_static():
     inst = bp.Instance.unconstrained((1, 1), (1, 1))
     ss = bp.static_set(inst.degrees)
     # every cell sits on the single 4-swap of this instance
-    assert ss.forced_edges == set() and ss.forced_non_edges == set()
+    assert ss.edge_masks == (0, 0) and ss.non_edge_masks == (0, 0)
 
 
 def test_partition_fixed_set_empty_mask():
     inst = bp.Instance.unconstrained((1, 1), (1, 1))
     f, redundant = bp.partition_fixed_set(inst, bp.static_set(inst.degrees))
-    assert not f.cells and redundant == frozenset()
+    assert not f.cells and not redundant.cells
 
 
 def test_partition_fixed_set_fully_redundant():
@@ -499,7 +520,8 @@ def test_partition_fixed_set_fully_redundant():
     )
     f, redundant = bp.partition_fixed_set(inst, bp.static_set(inst.degrees))
     assert not f.cells
-    assert redundant == {(0, 0), (1, 1)}
+    assert redundant == inst.fixed
+    assert redundant.cells == {(0, 0), (1, 1)}
 
 
 def test_partition_fixed_set_polarity_conflict():
@@ -514,23 +536,24 @@ def test_partition_fixed_set_polarity_conflict():
 def _partition_reference(inst, f_prime):
     """``partition_fixed_set`` cell by cell in row-major order, as it was
     written before it read the fixed cells alone."""
-    mask = [list(row) for row in inst.fixed.mask]
-    redundant = set()
+    mask = _grid(inst.fixed)
+    redundant = [[FREE] * inst.n_cols for _ in range(inst.n)]
     for i, row in enumerate(mask):
         for j, v in enumerate(row):
-            if v == bp.FORCED_EDGE and (i, j) in f_prime.forced_non_edges:
+            static_edge = f_prime.edge_masks[i] >> j & 1
+            static_non_edge = f_prime.non_edge_masks[i] >> j & 1
+            if v == EDGE and static_non_edge:
                 raise bp.PolarityConflict(
                     f"cell ({i}, {j}) is forced as an edge but is a non-edge "
                     "in every realization of the sequence")
-            if v == bp.FORCED_NON_EDGE and (i, j) in f_prime.forced_edges:
+            if v == NON_EDGE and static_edge:
                 raise bp.PolarityConflict(
                     f"cell ({i}, {j}) is forced as a non-edge but is an edge "
                     "in every realization of the sequence")
-            if (v == bp.FORCED_EDGE and (i, j) in f_prime.forced_edges) or (
-                    v == bp.FORCED_NON_EDGE and (i, j) in f_prime.forced_non_edges):
-                redundant.add((i, j))
-                mask[i][j] = bp.FREE
-    return bp.FixedSet(mask), frozenset(redundant)
+            if (v == EDGE and static_edge) or (v == NON_EDGE and static_non_edge):
+                redundant[i][j] = v
+                mask[i][j] = FREE
+    return _fixed_of(mask), _fixed_of(redundant)
 
 
 def test_partition_matches_the_cell_by_cell_reference():
@@ -542,7 +565,7 @@ def test_partition_matches_the_cell_by_cell_reference():
         matrix = [[rng.randint(0, 1) for _ in range(nc)] for _ in range(n)]
         seq = bp.DegreeSequence(map(sum, matrix), map(sum, zip(*matrix)))
         mask = [[rng.choice((0, 0, 1, 2)) for _ in range(nc)] for _ in range(n)]
-        inst = bp.Instance(seq, bp.FixedSet(mask))
+        inst = bp.Instance(seq, _fixed_of(mask))
         f_prime = bp.static_set(seq)
         outcomes = []
         for partition in (bp.partition_fixed_set, _partition_reference):
@@ -556,6 +579,17 @@ def test_partition_matches_the_cell_by_cell_reference():
         else:
             seen.add("ok")
     assert seen == {"ok", "edge", "non-edge"}
+
+
+@pytest.mark.parametrize("name", ["sparse_30x30_a", "free_100x100_a"])
+def test_partition_without_static_pins_returns_the_fixed_set_itself(name):
+    # no pin is static, so the working set is the instance's own, not a copy
+    from bipsample import cli
+
+    inst = cli.parse_instance((ROOT / "bench" / "instances" / f"{name}.txt").read_text())
+    working, redundant = bp.partition_fixed_set(inst, bp.static_set(inst.degrees))
+    assert working is inst.fixed
+    assert not redundant.cells and redundant.n == inst.n
 
 
 def test_partition_keeps_realization_set():
