@@ -4,10 +4,11 @@ and the verification driver that sweeps an instance pool and machine-checks
 every connectivity, distance, reversibility and static-set claim that
 applies to it.
 
-Every state is one int, its row masks packed (layout below); the trade and
-circle ledgers read and rotate its rows.  Cell sets are masks in that layout:
-an instance's support marks its fixed cells and its pattern which of them
-are edges, and the two pin the enumeration and name each pool instance.
+Every state is one int, its row masks packed (layout below); one rotation
+ledger, of trades and of circle trades, reads and rotates its rows.  Cell
+sets are masks in that layout: an instance's support marks its fixed cells
+and its pattern which of them are edges, and the two pin the enumeration
+and name each pool instance.
 A degree sequence's static edges and non-edges are two masks as well, and
 a state graph lists each state's neighbours by index, found by integer
 tests on the XOR of two states."""
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 import sys
 import time
@@ -192,8 +194,8 @@ _CIRCLE_CLASSES = frozenset({2, 3, 4, 6})
 class _SeqCtx:
     """Per-sequence data: the bit states, their canonical index, the rows'
     shifts, the masks ``low`` and ``high`` that count a difference's
-    changed rows (each row's low bits, each row's high bit), subset tables,
-    and the state graphs.  Row i of a state ``x`` is the row mask
+    changed rows (each row's low bits, each row's high bit), and the state
+    graphs.  Row i of a state ``x`` is the row mask
     ``(x >> shifts[i]) & full``.
 
     Every state graph of the oracle is read from one pass over the state
@@ -213,7 +215,7 @@ class _SeqCtx:
     it admits: trades 2 and 4, trades with circle trades also 3 and 6,
     cycle swaps their lengths."""
 
-    def __init__(self, n, nc, a, b, bits):
+    def __init__(self, n, nc, a, b, bits, tables=None):
         self.n = n
         self.nc = nc
         self.a = tuple(a)
@@ -224,25 +226,10 @@ class _SeqCtx:
         self.shifts = tuple(i * nc for i in range(n))
         self.high = sum(1 << sh + nc - 1 for sh in self.shifts)
         self.low = (1 << n * nc) - 1 - self.high
-        self._subsets: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self.tables = {} if tables is None else tables  # see _rotation_ledgers
         self._classes: dict[int, list[int]] | None = None
         self._open: dict[int, list[tuple[int, int]]] = {}
         self._graphs: dict[int | str, list[int]] = {}
-
-    def subsets_of(self, mask):
-        """The submasks of ``mask`` grouped by size: entry k lists those with
-        k bits."""
-        got = self._subsets.get(mask)
-        if got is None:
-            out = [[] for _ in range(mask.bit_count() + 1)]
-            sub = mask
-            while True:
-                out[sub.bit_count()].append(sub)
-                if not sub:
-                    break
-                sub = (sub - 1) & mask
-            got = self._subsets[mask] = tuple(map(tuple, out))
-        return got
 
     def _classify_pairs(self):
         """Sort every pair of states that is one move of some kind into its
@@ -315,11 +302,11 @@ class _StateSet:
     of the support that picked it.  In the exhaustive half a context holds
     every realization of its sequence.  Take two supports that select the
     same set S, and a cell fixed under one and free under the other: it is
-    constant on S.  Were it in a trade pool (0 < k < size) or a circle
-    difference set (min size >= 1) of the support that leaves it free, some
-    route would flip it and keep that support's pattern, reaching a
-    realization in S with another value there.  So the pools, difference
-    sets and denominators agree under both supports."""
+    constant on S.  Were it in a difference set of a rotation with routes
+    (no set empty) under the support that leaves it free, some route would
+    flip it and keep that support's pattern, reaching a realization in S
+    with another value there.  So the difference sets and denominators
+    agree under both supports."""
 
     __slots__ = ("ctx", "mask", "key", "states", "every", "some", "graphs",
                  "trades", "circles")
@@ -351,17 +338,19 @@ class _StateSet:
         return got
 
     def trade_verdict(self, fixed):
-        """Whether the trade ledger under ``fixed`` stays in the set, symmetric."""
+        """Whether the trade ledgers under ``fixed`` stay in the set, symmetric."""
         if self.trades is None:
-            trades = _trade_ledger(self.ctx, self.key, fixed)
-            self.trades = trades is not None and _symmetric(trades)
+            trades = _rotation_ledgers(self.ctx, self.key, fixed, 2, _trade_denominator)
+            self.trades = trades is not None and _symmetric(trades[0])
         return self.trades
 
     def circle_verdicts(self, fixed):
         """(corrected ledger stays in the set and is symmetric, uncorrected
         ledger is asymmetric)."""
         if self.circles is None:
-            circles = _circle_ledgers(self.ctx, self.key, fixed)
+            circles = _rotation_ledgers(
+                self.ctx, self.key, fixed, 3, chains.circle_denominator
+            )
             self.circles = (
                 circles is not None and _symmetric(circles[0]),
                 circles is not None and not _symmetric(circles[1]),
@@ -625,10 +614,6 @@ class VerificationResult:
     elapsed: float = 0.0
 
 
-# The ledgers' circle-route denominators, each computed once.
-_circle_denominator = functools.cache(chains.circle_denominator)
-
-
 def _support_props(n, nc, fixed):
     """(no 3-matching, no 8-cycle, forest, excluded ell values) of the
     support whose row masks are ``fixed``."""
@@ -641,120 +626,103 @@ def _support_props(n, nc, fixed):
 
 
 def _symmetric(ledger):
-    """True iff every key (s, t, ...) carries the value of (t, s, ...)."""
-    return all(
-        ledger.get((key[1], key[0], *key[2:])) == value
-        for key, value in ledger.items()
-    )
+    """True iff every key (s, t, den) carries the value of (t, s, den)."""
+    return all(ledger.get((t, s, den)) == v for (s, t, den), v in ledger.items())
 
 
-def _trade_ledger(ctx, states_idx, fixed):
-    """The exact one-step trade ledger {(s, t): den}: from each state, each
-    row pair's trade reaches t through exactly one (pair, subset) draw, of
-    probability 1/den per pair.  ``fixed`` holds the fixed cells as row
-    masks.  None if a trade leaves the state set or a route repeats.
+def _trade_denominator(sizes, x):
+    """C(p, k) of a row pair's p unpinned differing columns, k either row's."""
+    return comb(sum(sizes), sizes[0])
 
-    A trade on rows i, j exchanges columns between the pool of cells where
-    the two rows differ (fixed cells left out); handing row i the subset b
-    of the pool in place of its share a flips a ^ b in both rows."""
-    dens: dict[tuple[int, int], int] = {}
-    index, bits, full = ctx.index, ctx.bits, ctx.full
-    pairs = [
-        (ctx.shifts[i], ctx.shifts[j], ~(fixed[i] | fixed[j]))
-        for i, j in itertools.combinations(range(ctx.n), 2)
-    ]
+
+def _rotations(n, nc, h):
+    """The ordered pairs of n rows, and per rotation class of h >= 2 rows,
+    (r_0, ..., r_{h-1}) from its least row: getters of a by-pair list at
+    its steps (r_q, r_{q+1}), then also at the steps reversed; the masks of
+    rows r_q and r_{q+1} of a state; and an empty route table."""
+    pairs = list(itertools.permutations(range(n), 2))
+    slot = {pair: k for k, pair in enumerate(pairs)}
+    out = []
+    for least, *others in itertools.combinations(range(n), h):
+        for rest in itertools.permutations(others):
+            steps = list(zip((least, *rest), (*rest, least)))
+            takes = [slot[step] for step in steps]
+            out.append((operator.itemgetter(*takes),
+                        operator.itemgetter(*takes, *[slot[j, i] for i, j in steps]),
+                        tuple([1 << i * nc | 1 << j * nc for i, j in steps]), {}))
+    return pairs, out
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def _choices(takes, den):
+    """(x, forward den, subsets) per way that row q of a rotation takes x >= 1
+    of the columns ``takes[q]``; process-wide, a default sweep reads 411."""
+    bits = [[1 << j for j in range(d.bit_length()) if d >> j & 1] for d in takes]
+    sizes = tuple(map(len, bits))
+    return [(x, den(sizes, x), tuple(map(sum, subs)))
+            for x in range(1, min(sizes) + 1)
+            for subs in itertools.product(*[itertools.combinations(b, x) for b in bits])]
+
+
+def _routes(sets, mults, den):
+    """(state XOR, corrected den, uncorrected den) per route of a rotation
+    of h rows.  The reverse den reads the new rows' sets: row q + 1 takes
+    back from row q the x columns it took, and those of ``sets[h + q]``
+    (row q has, row q + 1 lacks) that neither row q gave up nor row q + 1
+    took."""
+    h = len(mults)
+    backs = sets[h:]
+    out = []
+    for x, den_f, subs in _choices(sets[:h], den):
+        den_r = den(tuple([
+            x + (e & ~(subs[q - 1] | subs[q - h + 1])).bit_count()
+            for q, e in enumerate(backs)
+        ]), x)
+        out.append((sum(map(operator.mul, subs, mults)), max(den_f, den_r), den_f))
+    return out
+
+
+def _rotation_ledgers(ctx, states_idx, fixed, h, den):
+    """The exact one-step ledgers (corrected, uncorrected) of the rotations
+    of h rows under the fixed row masks ``fixed``, each {(s, t, den):
+    routes}, 1/den a route's effective probability.  A rotation's row q
+    takes x >= 1 columns that row q + 1 has, row q lacks and neither pins;
+    ``den(sizes, x)`` is the forward denominator (C(p, k) for trades,
+    h = 2; ``circle_denominator`` for circle trades, h = 3), and corrected
+    it is the larger of the forward and the reverse.  None if a route
+    leaves the state set.  The h cyclic shifts of a rotation are one move:
+    they see the same difference sets, cyclically permuted, their routes
+    map one to one onto the same successors, and both denominators are
+    symmetric in the sizes.  So each class is enumerated from its least
+    row and its routes count h.  A state's sets are read once per ordered
+    row pair; a rotation's routes depend on its sets alone, so it tables
+    them, in ``ctx.tables`` with the rotations of each (n, nc, h, den)."""
+    corrected, uncorrected = {}, {}
+    index, bits, shifts, full = ctx.index, ctx.bits, ctx.shifts, ctx.full
+    got = ctx.tables.get((ctx.n, ctx.nc, h, den))
+    if got is None:
+        got = ctx.tables[ctx.n, ctx.nc, h, den] = _rotations(ctx.n, ctx.nc, h)
+    order, rotations = got
+    pairs = [(shifts[i], shifts[j], full & ~(fixed[i] | fixed[j])) for i, j in order]
     for s in states_idx:
         x = bits[s]
-        for sh_i, sh_j, free in pairs:
-            row_i = (x >> sh_i) & full
-            pool = (row_i ^ (x >> sh_j)) & full & free
-            share = row_i & pool
-            k = share.bit_count()
-            size = pool.bit_count()
-            if k == 0 or k == size:
+        diffs = [x >> sh_j & ~x >> sh_i & free for sh_i, sh_j, free in pairs]
+        for takes, sets, mults, table in rotations:
+            if 0 in takes(diffs):
                 continue
-            den = comb(size, k)
-            for sub in ctx.subsets_of(pool)[k]:
-                if sub == share:
-                    continue
-                flip = share ^ sub
-                t = index.get(x ^ (flip << sh_i) ^ (flip << sh_j))
-                if t is None or (s, t) in dens:
+            key = sets(diffs)
+            routes = table.get(key)
+            if routes is None:
+                routes = table[key] = _routes(key, mults, den)
+            for delta, den_c, den_u in routes:
+                t = index.get(x ^ delta)
+                if t is None:
                     return None
-                dens[(s, t)] = den
-    return dens
-
-
-def _circle_ledgers(ctx, states_idx, fixed):
-    """The exact circle-trade ledgers of one enumeration of every route:
-    (corrected, uncorrected), each {(s, t, den): routes}, where 1/den is a
-    route's effective probability.  Uncorrected, den is the forward subset
-    denominator; with the Metropolis correction it is the larger of the
-    forward and reverse ones.  None if a rotation leaves the state set.
-
-    On rows (i, j, k), row i takes x columns of row j, j of k and k of i;
-    each row flips by the subset it gives XOR the subset it takes.
-    The rotations (i, j, k), (j, k, i) and (k, i, j) are one move: they see
-    the same three difference sets, permuted cyclically, and their routes
-    map one to one onto the same successors.  ``circle_denominator`` reads
-    the sizes only through 2^min and the binomials of the other two, which
-    no choice among tied minima changes, so the forward and the reverse
-    denominators agree across the three as well.  Each rotation class is
-    therefore enumerated once, from its least row, and its routes count 3:
-    the ledgers equal those of every ordered triple."""
-    corrected: dict[tuple[int, int, int], int] = {}
-    uncorrected: dict[tuple[int, int, int], int] = {}
-    index, bits, full, shifts = ctx.index, ctx.bits, ctx.full, ctx.shifts
-    subsets_of = ctx.subsets_of
-    dens = _circle_denominator
-    triples = [
-        (i, j, k, shifts[i], shifts[j], shifts[k],
-         ~(fixed[i] | fixed[j]), ~(fixed[j] | fixed[k]), ~(fixed[k] | fixed[i]))
-        for i, j, k in itertools.permutations(range(ctx.n), 3)
-        if i < j and i < k
-    ]
-    for s in states_idx:
-        x = bits[s]
-        rows = [(x >> sh) & full for sh in shifts]
-        for i, j, k, sh_i, sh_j, sh_k, free_ij, free_jk, free_ki in triples:
-            row_i, row_j, row_k = rows[i], rows[j], rows[k]
-            d_ji = row_j & ~row_i & free_ij
-            d_kj = row_k & ~row_j & free_jk
-            d_ik = row_i & ~row_k & free_ki
-            sizes = (d_ji.bit_count(), d_kj.bit_count(), d_ik.bit_count())
-            m = min(sizes)
-            if m == 0:
-                continue
-            by_j, by_k, by_i = subsets_of(d_ji), subsets_of(d_kj), subsets_of(d_ik)
-            for size in range(1, m + 1):
-                den_f = dens(sizes, size)
-                for sub_j in by_j[size]:
-                    for sub_k in by_k[size]:
-                        flip_j = sub_j ^ sub_k
-                        for sub_i in by_i[size]:
-                            flip_i = sub_i ^ sub_j
-                            flip_k = sub_k ^ sub_i
-                            t = index.get(
-                                x ^ (flip_i << sh_i) ^ (flip_j << sh_j)
-                                ^ (flip_k << sh_k)
-                            )
-                            if t is None:
-                                return None
-                            new_i, new_j, new_k = (
-                                row_i ^ flip_i, row_j ^ flip_j, row_k ^ flip_k
-                            )
-                            den_r = dens(
-                                (
-                                    (new_i & ~new_j & free_ij).bit_count(),
-                                    (new_k & ~new_i & free_ki).bit_count(),
-                                    (new_j & ~new_k & free_jk).bit_count(),
-                                ),
-                                size,
-                            )
-                            key = (s, t, max(den_f, den_r))
-                            corrected[key] = corrected.get(key, 0) + 3
-                            key = (s, t, den_f)
-                            uncorrected[key] = uncorrected.get(key, 0) + 3
+                key = (s, t, den_c)
+                corrected[key] = corrected.get(key, 0) + h
+                if den_u != den_c:
+                    key = (s, t, den_u)
+                uncorrected[key] = uncorrected.get(key, 0) + h
     return corrected, uncorrected
 
 
@@ -1035,6 +1003,8 @@ def run_verification(
     t0 = time.perf_counter()
     result = VerificationResult()
     rep = _Reporter(emit, quiet, result)
+    # The route tables of the sweep's contexts, dropped with them.
+    tables: dict = {}
 
     for n in range(1, min(3, max_rows) + 1):
         for nc in range(1, min(4, max_cols) + 1):
@@ -1054,7 +1024,7 @@ def run_verification(
                 bits = _enumerate_bits(a, b)
                 if not bits:
                     continue
-                ctx = _SeqCtx(n, nc, a, b, bits)
+                ctx = _SeqCtx(n, nc, a, b, bits, tables)
                 reduction = _check_sequence(rep, n, nc, a, b, bits)
                 # The state sets of the sequence, each named by the mask of
                 # its state indices, which bucketing builds.
@@ -1099,7 +1069,7 @@ def run_verification(
                 free_bits = _enumerate_bits(a, b, cap=20000)
                 seq_static[seq] = _check_sequence(rep, *seq, free_bits) if free_bits else None
             fixed = _masks_of(sup, n, nc)
-            facts = _StateSet(_SeqCtx(*seq, bits), (1 << len(bits)) - 1)
+            facts = _StateSet(_SeqCtx(*seq, bits, tables), (1 << len(bits)) - 1)
             _check_instance_pool(
                 facts, sup, pattern, fixed, _support_props(n, nc, fixed), rep,
                 seq_static[seq],

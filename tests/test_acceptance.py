@@ -10,7 +10,7 @@ from math import comb
 
 import bipsample as bp
 from bipsample import cli, oracle
-from bipsample.chains import ChainConfig, _unrank_subset
+from bipsample.chains import ChainConfig, _unrank_subset, circle_denominator
 from test_analysis import chord_cycle, chord_cycle_valid, find_coprime_odd_t
 from test_oracle import search_split_masks
 
@@ -82,7 +82,9 @@ def test_criterion_02_worked_circle_trades():
     index = {g.matrix: s for s, g in enumerate(states)}
     ctx = oracle._ctx_of(states)
     fixed = inst.fixed.fixed_masks
-    corrected, _ = oracle._circle_ledgers(ctx, range(len(states)), fixed)
+    corrected, _ = oracle._rotation_ledgers(
+        ctx, range(len(states)), fixed, 3, circle_denominator
+    )
     successors = {t for s, t, _ in corrected if s == index[gA.matrix]}
     assert {index[g.matrix] for g in (gB, gC, gD)} <= successors
     _verdict(2, "three-row rotations reproduce matrices B, C and D", t0)

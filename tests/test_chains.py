@@ -953,10 +953,11 @@ def _match_randrange_references(ranked):
 def _exact_rows(inst, circle, mh):
     """The oracle's one-step transition rows {s: {t: probability}} over the
     enumerated states of ``inst``, for trades (``circle`` False) or
-    trades+circle: a trade to t has probability 1/(C(n, 2) den) from the
-    trade ledger; a circle trade sums routes/(n(n-1)(n-2) den) from the
-    circle ledger, corrected with ``mh`` on; under trades+circle each half
-    carries the coin's 1/2; staying gets the rest."""
+    trades+circle, from the rotation ledgers of h = 2 (trades) and h = 3
+    (circle trades): a ledger entry (s, t, den) of ``routes`` routes adds
+    routes/(n!/(n - h)! den), the ledger corrected with ``mh`` on; under
+    trades+circle each kind carries the coin's 1/2; staying gets the
+    rest."""
     states = bp.enumerate_realizations(inst)
     ctx = oracle._ctx_of(states)
     n = inst.n
@@ -964,12 +965,13 @@ def _exact_rows(inst, circle, mh):
     every = range(len(states))
     half = Fraction(1, 2) if circle else Fraction(1)
     rows = [Counter() for _ in states]
-    for (s, t), den in oracle._trade_ledger(ctx, every, fixed).items():
-        rows[s][t] += half / (comb(n, 2) * den)
+    kinds = [(2, oracle._trade_denominator)]
     if circle:
-        corrected, uncorrected = oracle._circle_ledgers(ctx, every, fixed)
-        for (s, t, den), routes in (corrected if mh else uncorrected).items():
-            rows[s][t] += half * routes / (n * (n - 1) * (n - 2) * den)
+        kinds.append((3, circle_denominator))
+    for h, den in kinds:
+        corrected, uncorrected = oracle._rotation_ledgers(ctx, every, fixed, h, den)
+        for (s, t, d), routes in (corrected if mh else uncorrected).items():
+            rows[s][t] += half * routes / (math.perm(n, h) * d)
     for s, row in enumerate(rows):
         row[s] = 1 - sum(row.values())
     return states, rows

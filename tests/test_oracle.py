@@ -10,13 +10,14 @@ import os
 import random
 import re
 import sys
+import weakref
 from collections import Counter
 from math import comb, prod
 
 import pytest
 
 import bipsample as bp
-from bipsample import cli, oracle
+from bipsample import chains, cli, oracle
 from bipsample.chains import ChainConfig
 from bipsample.core import MoveSet
 from bipsample.realizability import StaticSet
@@ -948,9 +949,10 @@ def _flat(counters):
 def _ledger_state_sets():
     """(ctx, state indices, support mask): every pattern of every support
     of at most 4 cells of every sequence on grids up to 3x3, then 50 seeded
-    random instances up to 4x5 and 20 seeded five-row instances of at most
+    random instances up to 4x5, 20 seeded five-row instances of at most
     60 states (five rows hold rotation classes whose rows are not adjacent,
-    as the sweep's random pools do)."""
+    as the sweep's random pools do), and 30 seeded pinned instances of 3 to
+    5 rows from ``random_pinned_instance``, of 2 to 80 states."""
     for n in range(1, 4):
         for nc in range(1, 4):
             for a, b in oracle._sorted_sequences(n, nc):
@@ -974,10 +976,24 @@ def _ledger_state_sets():
     for n, nc, a, b, sup, _, bits in itertools.islice(five_rows, 20):
         ctx = oracle._SeqCtx(n, nc, a, b, bits)
         yield ctx, list(range(len(bits))), sup
+    rng = random.Random(35)
+    made = 0
+    while made < 30:
+        n, nc = rng.randint(3, 5), rng.randint(3, 6)
+        inst = random_pinned_instance(rng, n, nc, 0.5, rng.randint(1, 6))
+        bits = oracle._instance_bits(inst)
+        if 2 <= len(bits) <= 80:
+            made += 1
+            seq = inst.degrees
+            ctx = oracle._SeqCtx(n, nc, seq.row_degrees, seq.col_degrees, bits)
+            yield ctx, range(len(bits)), oracle._state_of(inst.fixed.fixed_masks, nc)
 
 
 def test_row_field_ledgers_match_the_column_set_ledgers():
-    checked = routes = asymmetric = 0
+    # the rotation ledgers of h = 2 and h = 3 against the column-set
+    # ledgers: a trade route counts its two ordered pairs, and its reverse
+    # denominator is its forward one
+    checked = routes = asymmetric = pinned = 0
     for ctx, states_idx, sup in _ledger_state_sets():
         n, nc = ctx.n, ctx.nc
         fixed_rows = tuple(
@@ -985,9 +1001,16 @@ def test_row_field_ledgers_match_the_column_set_ledgers():
             for i in range(n)
         )
         fixed = oracle._masks_of(sup, n, nc)
-        trades = oracle._trade_ledger(ctx, states_idx, fixed)
-        assert trades == reference_trade_ledger(ctx, states_idx, fixed_rows)
-        corrected, uncorrected = oracle._circle_ledgers(ctx, states_idx, fixed)
+        trades = {
+            (s, t, den): 2
+            for (s, t), den in reference_trade_ledger(ctx, states_idx, fixed_rows).items()
+        }
+        assert oracle._rotation_ledgers(
+            ctx, states_idx, fixed, 2, oracle._trade_denominator
+        ) == (trades, trades)
+        corrected, uncorrected = oracle._rotation_ledgers(
+            ctx, states_idx, fixed, 3, chains.circle_denominator
+        )
         assert corrected == _flat(
             reference_circle_ledger(ctx, states_idx, fixed_rows, mh_on=True)
         )
@@ -997,9 +1020,11 @@ def test_row_field_ledgers_match_the_column_set_ledgers():
         checked += 1
         routes += len(trades) + sum(uncorrected.values())
         asymmetric += not oracle._symmetric(uncorrected)
+        pinned += isinstance(states_idx, range) and n >= 3 and bool(uncorrected)
     assert checked > 17000
     assert routes > 7000
     assert asymmetric > 0  # the uncorrected ledger is not trivially symmetric
+    assert pinned > 10  # the pinned instances hold circle routes
 
 
 def test_ledgers_depend_on_the_state_set_alone(monkeypatch):
@@ -1007,7 +1032,7 @@ def test_ledgers_depend_on_the_state_set_alone(monkeypatch):
     # first support that selects the set: on every exhaustive-half pool, the
     # ledgers built with the pool's own fixed cells must equal that
     # support's
-    trade_ledger, circle_ledgers = oracle._trade_ledger, oracle._circle_ledgers
+    rotation_ledgers = oracle._rotation_ledgers
     pools, built = [], Counter()
 
     def check_pool(facts, sup, pattern, fixed, *args):
@@ -1015,16 +1040,13 @@ def test_ledgers_depend_on_the_state_set_alone(monkeypatch):
             pools.append((facts.ctx, facts.key, fixed))
         return check_instance_pool(facts, sup, pattern, fixed, *args)
 
-    def counted(name, ledger):
-        def wrapped(*args):
-            built[name] += 1
-            return ledger(*args)
-        return wrapped
+    def counted(ctx, states_idx, fixed, h, den):
+        built[h] += 1
+        return rotation_ledgers(ctx, states_idx, fixed, h, den)
 
     check_instance_pool = oracle._check_instance_pool
     monkeypatch.setattr(oracle, "_check_instance_pool", check_pool)
-    monkeypatch.setattr(oracle, "_trade_ledger", counted("trade", trade_ledger))
-    monkeypatch.setattr(oracle, "_circle_ledgers", counted("circle", circle_ledgers))
+    monkeypatch.setattr(oracle, "_rotation_ledgers", counted)
     res = bp.run_verification(3, 4, 0, quiet=True)
     assert res.passed
     assert len(pools) == res.counts["trade-reversibility"] == 34979
@@ -1032,13 +1054,45 @@ def test_ledgers_depend_on_the_state_set_alone(monkeypatch):
     first = {}  # (ctx, states) -> ledgers under the first support
     for ctx, states_idx, fixed in pools:
         ledgers = (
-            trade_ledger(ctx, states_idx, fixed),
-            circle_ledgers(ctx, states_idx, fixed) if ctx.n >= 3 else None,
+            rotation_ledgers(ctx, states_idx, fixed, 2, oracle._trade_denominator),
+            rotation_ledgers(ctx, states_idx, fixed, 3, chains.circle_denominator)
+            if ctx.n >= 3 else None,
         )
         assert first.setdefault((ctx, states_idx), ledgers) == ledgers
     assert len(first) == 2695
-    assert built["trade"] == len(first) < len(pools)
-    assert built["circle"] < res.counts["circle-detailed-balance"]
+    assert built[2] == len(first) < len(pools)
+    assert built[3] < res.counts["circle-detailed-balance"]
+
+
+def test_route_tables_go_with_their_sweep_and_sweeps_repeat(monkeypatch):
+    # a sweep's contexts share one route table, and once they are freed
+    # nothing else holds it; the process-wide choice table stays within its
+    # bound; a second sweep, with that table warm, gives what the first gave
+    made, tables = [], []
+    init = oracle._SeqCtx.__init__
+
+    def recording(ctx, *args):
+        init(ctx, *args)
+        made.append(weakref.ref(ctx))
+        tables.append(ctx.tables)
+
+    monkeypatch.setattr(oracle._SeqCtx, "__init__", recording)
+    oracle._choices.cache_clear()
+    results = []
+    for _ in range(2):
+        res = bp.run_verification(3, 3, 10, seed=3, quiet=True)
+        results.append((res.passed, res.counts, res.failures, res.info_lines))
+        gc.collect()
+        assert made and not any(ref() for ref in made)
+        assert tables[0] and all(table is tables[0] for table in tables)
+        held = sys.getrefcount(tables[0]) - 1  # less the call's own reference
+        assert held == len(tables)  # our list's references alone
+        made.clear()
+        tables.clear()
+    assert results[0] == results[1]
+    assert results[0][1]["circle-detailed-balance"] > 1000
+    info = oracle._choices.cache_info()
+    assert info.hits > info.misses > 0 and info.currsize <= info.maxsize
 
 
 GRAPH_FACT_MOVE_SETS = (
